@@ -24,7 +24,7 @@ from .bundles import (EquivariantBundle, GSet, fiber_character,
 from .bordism import (PowerSeries, RankProfile, adjacent_family_series,
                       bu_generator_series, d2p_certify, enumerate_arrays,
                       global_generator_series, omega_generator_series,
-                      rank_profile, subgroup_family_series)
+                      rank_profile)
 
 __all__ = [
     "Cyclotomic",
@@ -40,7 +40,6 @@ __all__ = [
     "PowerSeries", "RankProfile", "adjacent_family_series",
     "bu_generator_series", "d2p_certify", "enumerate_arrays",
     "global_generator_series", "omega_generator_series", "rank_profile",
-    "subgroup_family_series",
 ]
 
 __version__ = "0.1.0"

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from .catalog import build_catalog_group
 from .characters import character_table
+from .cyclotomic import _factorize
 from .errors import CapExceeded, NotNormal, NotOdd, NotPrime
-from .groups import FiniteGroup, Subgroup, group_from_generators
+from .groups import FiniteGroup, Subgroup
 from .orbits import irr_action
 
 
@@ -84,22 +86,6 @@ def partitions_at_most(n: int, parts: int) -> int:
     if n < 0 or parts == 0:
         return 0
     return partitions_at_most(n, parts - 1) + partitions_at_most(n - parts, parts)
-
-
-@lru_cache(maxsize=None)
-def partitions_list(n: int, parts: int) -> tuple:
-    """All partitions of n into at most `parts` parts, weakly decreasing tuples."""
-    if n == 0:
-        return ((),)
-    if n < 0 or parts == 0:
-        return ()
-    out = []
-    first_max = n
-    for first in range(first_max, 0, -1):
-        for rest in partitions_list(n - first, parts - 1):
-            if not rest or rest[0] <= first:
-                out.append((first,) + rest)
-    return tuple(out)
 
 
 def omega_generator_series(max_degree: int) -> PowerSeries:
@@ -266,15 +252,6 @@ def adjacent_family_series(G: FiniteGroup, A: Subgroup, max_degree: int) -> Powe
     return burnside_label_series(rank_profile(G, A), max_degree)
 
 
-def subgroup_family_series(G: FiniteGroup, A: Subgroup, max_degree: int) -> PowerSeries:
-    """Series for the pair of families of G differing by the class of A.
-
-    Reduces to the normalizer: labels live over the nontrivial irreducibles
-    of A and the outer Weyl group N_A/A acts.
-    """
-    return burnside_label_series(rank_profile(G, A), max_degree)
-
-
 def global_generator_series(G: FiniteGroup, max_degree: int):
     """Total generator series of the localized equivariant bordism of G.
 
@@ -285,20 +262,13 @@ def global_generator_series(G: FiniteGroup, max_degree: int):
     breakdown = []
     for cls in G.subgroup_conjugacy_classes():
         rep = cls[0]
-        series = subgroup_family_series(G, rep, max_degree)
+        series = burnside_label_series(rank_profile(G, rep), max_degree)
         total = total + series
         breakdown.append((rep, len(cls), series))
     return total, breakdown
 
 
 # -- the dihedral certification ----------------------------------------------------
-
-
-def dihedral_group(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n as permutations of n points."""
-    rot = [(i + 1) % n for i in range(n)]
-    ref = [(n - i) % n for i in range(n)]
-    return group_from_generators(n, [rot, ref], name="D%d" % (2 * n))
 
 
 def is_family(G: FiniteGroup, members: set) -> bool:
@@ -358,14 +328,14 @@ def d2p_certify(p: int, max_degree: int) -> D2pReport:
     """
     if p % 2 == 0:
         raise NotOdd("p must be odd")
-    if p < 3 or any(p % d == 0 for d in range(2, p)):
+    if _factorize(p) != [(p, 1)]:
         raise NotPrime("p must be an odd prime")
     if p > 13:
         raise CapExceeded("p above 13")
     if max_degree > 60:
         raise CapExceeded("max_degree above 60")
 
-    G = dihedral_group(p)
+    G, _ = build_catalog_group("D%d" % (2 * p))
     subs = G.all_subgroups()
     trivial = next(s for s in subs if s.order == 1)
     rotation = next(s for s in subs if s.order == p)
@@ -397,8 +367,8 @@ def d2p_certify(p: int, max_degree: int) -> D2pReport:
             "normalizer_order": N.order,
             "weyl_order": weyl_order,
         })
-        pair_series[label] = subgroup_family_series(G, A, max_degree)
-    pair_series["(F0,)"] = subgroup_family_series(G, trivial, max_degree)
+        pair_series[label] = burnside_label_series(rank_profile(G, A), max_degree)
+    pair_series["(F0,)"] = burnside_label_series(rank_profile(G, trivial), max_degree)
 
     # the full group and each reflection subgroup are self-normalizing,
     # while the rotation subgroup has Weyl group Z/2

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .characters import ClassFunction, character_table, inner_product
 from .cyclotomic import Cyclotomic
 from .errors import NotATrivial
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, left_cosets
 from .orbits import IrrOrbitRecord, orbit_decomposition
 
 
@@ -66,10 +66,8 @@ class GSet:
         raise ValueError("point %d outside the G-set" % x)
 
     def stabilizer(self, x: int) -> Subgroup:
-        members = tuple(g for g in self.group.elements() if self.act(g, x) == x)
-        from .groups import minimal_generators
-        return Subgroup(self.group, members, minimal_generators(self.group, members),
-                        name="Stab(%d)" % x)
+        return self.group.subgroup_from_members(
+            (g for g in self.group.elements() if self.act(g, x) == x), name="Stab(%d)" % x)
 
     def transporter(self, x: int) -> int:
         """The minimal group element t with t . rep = x (rep = orbit minimum)."""
@@ -88,19 +86,8 @@ class GSet:
     @staticmethod
     def cosets(G: FiniteGroup, H: Subgroup) -> "GSet":
         """The left coset space G/H with its translation action."""
-        hmem = list(H.members)
-        coset_of: dict[int, int] = {}
-        reps: list[int] = []
-        for g in G.elements():
-            if g in coset_of:
-                continue
-            cs = sorted(G.mul(g, h) for h in hmem)
-            i = len(reps)
-            reps.append(cs[0])
-            for y in cs:
-                coset_of[y] = i
-        action = [[coset_of[G.mul(g, reps[x])] for x in range(len(reps))]
-                  for g in G.elements()]
+        coset_of, reps = left_cosets(G, H.members)
+        action = [[coset_of[G.mul(g, r)] for r in reps] for g in G.elements()]
         return GSet(G, action)
 
     @staticmethod
@@ -229,8 +216,12 @@ def fiber_character(E: EquivariantBundle, x: int) -> ClassFunction:
     At points without stored data the value is conjugate-transported from
     the orbit's anchor point along the minimal transporter.
     """
+    return _transported_fiber(E, E.anchor(x), x)
+
+
+def _transported_fiber(E: EquivariantBundle, src: int, x: int) -> ClassFunction:
+    """The fiber character stored at src, transported to x in its orbit."""
     base = E.base
-    src = E.anchor(x)
     chi = E.fibers[src]
     if x == src:
         return chi
@@ -290,18 +281,7 @@ def induction_piece_character(E: EquivariantBundle, A: Subgroup,
     d_rho = table_a.degrees[orbit.representative]
     stab_members = set(orbit.stabilizer.members)
 
-    # transversal of G_rho in G, cosets keyed by minimal member
-    coset_of: dict[int, int] = {}
-    transversal: list[int] = []
-    for g in G.elements():
-        if g in coset_of:
-            continue
-        cs = sorted(G.mul(g, h) for h in orbit.stabilizer.members)
-        i = len(transversal)
-        transversal.append(cs[0])
-        for y in cs:
-            coset_of[y] = i
-
+    _, transversal = left_cosets(G, orbit.stabilizer.members)
     stab_x = E.base.stabilizer(x)
     sxg, xembed = stab_x.as_group()
     values = []
@@ -347,7 +327,9 @@ def verify_decomposition(E: EquivariantBundle, A: Subgroup,
 
     For every orbit representative x (or every point when check_all_points),
     the sum over orbit records of the induced piece characters must equal the
-    fiber character of E at x, exactly as class functions.
+    fiber character of E at x, exactly as class functions.  Every fiber stored
+    redundantly must also equal the one transported from the first stored
+    point of its orbit; its mismatching classes are reported at its own point.
     """
     _require_a_trivial(E.base, A)
     G = E.base.group
@@ -362,8 +344,17 @@ def verify_decomposition(E: EquivariantBundle, A: Subgroup,
         total = ClassFunction(sxg, [Cyclotomic.zero(e)] * len(sxg.conjugacy_classes()))
         for rec in records:
             total = total + induction_piece_character(E, A, rec, x)
-        bad = [i for i, (a, b) in enumerate(zip(total.values, fib.values))
-               if not a.equals_value(b)]
-        per_point[x] = bad
+        per_point[x] = _mismatches(total, fib)
+    for orb in E.base.orbits():
+        stored = [x for x in orb if x in E.fibers]
+        for x in stored[1:]:
+            bad = _mismatches(_transported_fiber(E, stored[0], x), E.fibers[x])
+            if bad:
+                per_point[x] = sorted(set(per_point.get(x, [])) | set(bad))
     ok = all(not bad for bad in per_point.values())
     return DecompositionCheck(ok=ok, per_point=per_point)
+
+
+def _mismatches(a: ClassFunction, b: ClassFunction) -> list:
+    """Indices of the classes where two class functions differ."""
+    return [i for i, (u, v) in enumerate(zip(a.values, b.values)) if not u.equals_value(v)]

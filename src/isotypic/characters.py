@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, _factorize
 from .errors import CapExceeded, GroupMismatch, NotSubgroup
 from .groups import FiniteGroup, Subgroup
 
@@ -338,38 +338,17 @@ def _poly_roots(coeffs: list[int], q: int) -> list[int]:
 # -- Dixon-Schneider ------------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def dixon_prime(order: int, exponent: int) -> int:
     """Smallest prime q with q = 1 (mod exponent) and q > 2*sqrt(order)."""
     q = exponent + 1
     while True:
-        if q * q > 4 * order and _is_prime(q):
+        if q * q > 4 * order and _factorize(q) == [(q, 1)]:
             return q
         q += exponent
 
 
 def _primitive_root(q: int) -> int:
-    fac = []
-    n = q - 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            fac.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        fac.append(n)
+    fac = [p for p, _ in _factorize(q - 1)]
     for g in range(2, q):
         if all(pow(g, (q - 1) // p, q) != 1 for p in fac):
             return g

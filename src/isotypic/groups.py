@@ -191,21 +191,19 @@ class FiniteGroup:
 
     def subgroup_from_members(self, members: Iterable[int], name: Optional[str] = None) -> "Subgroup":
         mem = tuple(sorted(set(int(m) for m in members)))
-        gens = minimal_generators(self, mem)
-        sub = Subgroup(self, mem, gens, name=name)
-        return sub
+        return Subgroup(self, mem, minimal_generators(self, mem), name=name)
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (0,), (), name="1")
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, tuple(self.elements()), minimal_generators(self, tuple(self.elements())),
-                        name=self.name)
+        return self.subgroup_from_members(self.elements(), name=self.name)
 
     def center(self) -> "Subgroup":
-        members = tuple(g for g in self.elements()
-                        if all(self.mul(g, h) == self.mul(h, g) for h in self.elements()))
-        return Subgroup(self, members, minimal_generators(self, members), name="Z(%s)" % self.name)
+        return self.subgroup_from_members(
+            (g for g in self.elements()
+             if all(self.mul(g, h) == self.mul(h, g) for h in self.elements())),
+            name="Z(%s)" % self.name)
 
     def is_normal(self, H: "Subgroup") -> bool:
         mem = set(H.members)
@@ -214,10 +212,9 @@ class FiniteGroup:
     def normalizer(self, H: "Subgroup") -> "Subgroup":
         """Largest subgroup N with nHn^-1 = H; always contains H."""
         mem = set(H.members)
-        keep = tuple(n for n in self.elements()
-                     if all(self.conj(n, h) in mem for h in H.members))
-        return Subgroup(self, keep, minimal_generators(self, keep),
-                        name="N(%s)" % (H.name or "H"))
+        return self.subgroup_from_members(
+            (n for n in self.elements() if all(self.conj(n, h) in mem for h in H.members)),
+            name="N(%s)" % (H.name or "H"))
 
     def quotient(self, A: "Subgroup") -> "QuotientGroup":
         """Quotient by a normal subgroup; raises NotNormal otherwise."""
@@ -225,24 +222,8 @@ class FiniteGroup:
             raise NotNormal("subgroup does not live in this group")
         if not self.is_normal(A):
             raise NotNormal("subgroup is not normal")
-        amem = list(A.members)
-        coset_of: dict[int, int] = {}
-        cosets: list[tuple[int, ...]] = []
-        for g in self.elements():
-            if g in coset_of:
-                continue
-            cs = tuple(sorted(self.mul(g, a) for a in amem))
-            idx = len(cosets)
-            cosets.append(cs)
-            for h in cs:
-                coset_of[h] = idx
-        # reorder so cosets are sorted by minimal element (identity coset first)
-        order = sorted(range(len(cosets)), key=lambda i: cosets[i][0])
-        relabel = {old: new for new, old in enumerate(order)}
-        cosets = [cosets[i] for i in order]
-        projection = tuple(relabel[coset_of[g]] for g in self.elements())
-        section = tuple(cs[0] for cs in cosets)
-        m = len(cosets)
+        projection, section = left_cosets(self, A.members)
+        m = len(section)
         table = [[projection[self.mul(section[i], section[j])] for j in range(m)]
                  for i in range(m)]
         qname = "%s/%s" % (self.name, A.name or "A")
@@ -273,7 +254,7 @@ class FiniteGroup:
                         raise CapExceeded("subgroup enumeration exceeded limit")
                     found[bigger] = gens + (g,)
                     frontier.append(bigger)
-        subs = [Subgroup(self, mem, minimal_generators(self, mem)) for mem in found]
+        subs = [self.subgroup_from_members(mem) for mem in found]
         subs.sort(key=lambda s: (s.order, s.members))
         return subs
 
@@ -418,6 +399,24 @@ def closure(G: FiniteGroup, generators: Sequence[int]) -> tuple[int, ...]:
                 seen.add(y)
                 frontier.append(y)
     return tuple(sorted(seen))
+
+
+def left_cosets(G: FiniteGroup, members: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Left cosets gH of the subgroup H with the given members.
+
+    Returns (coset_of, reps): coset_of[g] is the index of the coset of g and
+    reps[i] is the minimal element of coset i.  Scanning G in index order,
+    the first element not yet covered is the minimum of its coset, so reps
+    increase and coset 0 is H itself.
+    """
+    coset_of = [-1] * G.order
+    reps: list[int] = []
+    for g in G.elements():
+        if coset_of[g] < 0:
+            for h in members:
+                coset_of[G.mul(g, h)] = len(reps)
+            reps.append(g)
+    return tuple(coset_of), tuple(reps)
 
 
 def minimal_generators(G: FiniteGroup, members: Sequence[int]) -> tuple[int, ...]:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from .characters import (CharacterTable, ClassFunction, character_table,
                          inner_product, restrict)
-from .errors import InvalidCocycle, NotNormal, NotStabilized
+from .errors import NotNormal, NotStabilized
 from .groups import FiniteGroup, Subgroup
-from .repmatrices import (ObstructionRecord, _conjugated_values,
+from .repmatrices import (ObstructionRecord, _conjugated_values, check_cocycle,
                           matrix_irreps, obstruction_cocycle,
                           DEFAULT_SEED, DEFAULT_TOL, DEFAULT_SNAP_TOL)
 
@@ -192,9 +192,10 @@ def omega_regular_count(Q: FiniteGroup, omega, modulus: int) -> int:
     """Number of omega-regular conjugacy classes of Q.
 
     The class of q is regular iff omega(q, c) = omega(c, q) for every c in
-    the centralizer of q; values are compared exactly as exponents.
+    the centralizer of q; values are compared exactly as exponents.  omega
+    must be a normalized cocycle, else InvalidCocycle is raised.
     """
-    _validate_cocycle(Q, omega, modulus)
+    check_cocycle(Q, omega, modulus)
     count = 0
     for cls in Q.conjugacy_classes():
         q = cls[0]
@@ -208,20 +209,6 @@ def omega_regular_count(Q: FiniteGroup, omega, modulus: int) -> int:
         if regular:
             count += 1
     return count
-
-
-def _validate_cocycle(Q: FiniteGroup, omega, modulus: int) -> None:
-    n = Q.order
-    if len(omega) != n or any(len(row) != n for row in omega):
-        raise InvalidCocycle("cocycle table has the wrong shape")
-    for a in range(n):
-        for b in range(n):
-            ab = Q.mul(a, b)
-            for c in range(n):
-                lhs = (omega[a][b] + omega[ab][c]) % modulus
-                rhs = (omega[a][Q.mul(b, c)] + omega[b][c]) % modulus
-                if lhs != rhs:
-                    raise InvalidCocycle("cocycle identity fails")
 
 
 def k_decomposition_report(G: FiniteGroup, A: Subgroup,

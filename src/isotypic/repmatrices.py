@@ -22,7 +22,7 @@ from .characters import (ClassFunction, character_table,
                          determinant_character_value)
 from .errors import (CapExceeded, InvalidCocycle, NonScalar,
                      NumericalDegeneracy, SnapFailure, SplitFailure)
-from .groups import FiniteGroup, QuotientGroup, Subgroup, minimal_generators
+from .groups import FiniteGroup, QuotientGroup, Subgroup
 
 DEFAULT_SEED = 0x5EED
 DEFAULT_TOL = 1e-8
@@ -193,9 +193,6 @@ class ObstructionRecord:
     trivial: bool
     intertwiners: tuple  # one unitary per coset representative
 
-    def omega_value(self, q1: int, q2: int) -> tuple[int, int]:
-        return self.omega[q1][q2], self.modulus
-
     def to_jsonable(self) -> dict:
         return {
             "stabilizer_order": self.stabilizer.order,
@@ -212,12 +209,9 @@ def stabilizer_of_character(G: FiniteGroup, A: Subgroup, chi: ClassFunction) -> 
     Agrp, embed = A.as_group()
     if chi.group is not Agrp:
         raise ValueError("character does not live on the subgroup")
-    members = []
-    for g in G.elements():
-        if _conjugated_values(G, A, chi, g) == chi.values:
-            members.append(g)
-    mem = tuple(sorted(members))
-    return Subgroup(G, mem, minimal_generators(G, mem), name="Stab")
+    return G.subgroup_from_members(
+        (g for g in G.elements() if _conjugated_values(G, A, chi, g) == chi.values),
+        name="Stab")
 
 
 def _conjugated_values(G: FiniteGroup, A: Subgroup, chi: ClassFunction, g: int):
@@ -311,7 +305,7 @@ def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: MatrixRep,
                 raise SnapFailure("snapped scalar disagrees with the determinant character")
             omega[q1][q2] = k
 
-    _check_cocycle_identity(Q.group, omega, modulus)
+    check_cocycle(Q.group, omega, modulus)
 
     from .orbits import extension_exists  # deferred: orbits depends on this module
     table_a = character_table(Agrp)
@@ -324,8 +318,13 @@ def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: MatrixRep,
                              intertwiners=tuple(units))
 
 
-def _check_cocycle_identity(Q: FiniteGroup, omega, modulus: int) -> None:
+def check_cocycle(Q: FiniteGroup, omega, modulus: int) -> None:
+    """Raise InvalidCocycle unless omega, a |Q| x |Q| table of exponents mod
+    modulus, is a normalized 2-cocycle: 0 where an argument is the identity,
+    and omega(a, b) + omega(ab, c) = omega(a, bc) + omega(b, c)."""
     n = Q.order
+    if len(omega) != n or any(len(row) != n for row in omega):
+        raise InvalidCocycle("cocycle table has the wrong shape")
     for a in range(n):
         if omega[0][a] != 0 or omega[a][0] != 0:
             raise InvalidCocycle("cocycle is not normalized")

@@ -1,10 +1,10 @@
 import pytest
 
 from isotypic.bordism import (PowerSeries, adjacent_family_series,
-                              bu_generator_series, d2p_certify,
-                              enumerate_arrays, global_generator_series,
-                              is_family, omega_generator_series,
-                              rank_profile, subgroup_family_series)
+                              bu_generator_series, burnside_label_series,
+                              d2p_certify, enumerate_arrays,
+                              global_generator_series, is_family,
+                              omega_generator_series, rank_profile)
 from isotypic.catalog import build_catalog_group
 from isotypic.errors import NotNormal, NotOdd, NotPrime
 from isotypic.groups import group_from_generators
@@ -247,5 +247,5 @@ def test_subgroup_family_series_reflection_matches_z2_case():
     for p in (3, 5):
         G = dihedral(p)
         b = G.perm_index(tuple((p - i) % p for i in range(p)))
-        series = subgroup_family_series(G, G.subgroup([b]), 20)
+        series = burnside_label_series(rank_profile(G, G.subgroup([b])), 20)
         assert series == z2_series

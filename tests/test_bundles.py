@@ -5,6 +5,7 @@ import pytest
 from isotypic.bundles import (EquivariantBundle, GSet, fiber_character,
                               induction_piece_character, isotypic_rank,
                               verify_decomposition)
+from isotypic.catalog import build_catalog_group
 from isotypic.characters import character_table
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import NotATrivial
@@ -285,6 +286,27 @@ def test_redundant_fiber_storage_consistent(d8):
     check = verify_decomposition(bad, A, check_all_points=True)
     assert not check.ok
     assert check.per_point[1]
+
+
+@pytest.mark.parametrize("name", ["Q8", "D8"])
+def test_redundant_fiber_checked_over_central_subgroup(name):
+    """Over a central A every piece at x reads only the fiber at x, so a
+    stored fiber that disagrees with the rest of its orbit is caught by
+    comparing the stored data, and reported at its own point."""
+    G, _ = build_catalog_group(name)
+    Z = G.center()
+    base = GSet.cosets(G, Z)
+    sgrp, _ = base.stabilizer(0).as_group()
+    table = character_table(sgrp)
+    triv = table.rows[table.trivial_index()]
+    sign = next(row for row in table.rows if row is not triv)
+    good = EquivariantBundle(base, {0: sign, 1: sign})
+    assert verify_decomposition(good, Z, check_all_points=True).ok
+    bad = EquivariantBundle(base, {0: sign, 1: triv})
+    check = verify_decomposition(bad, Z, check_all_points=True)
+    assert not check.ok
+    assert {x for x, classes in check.per_point.items() if classes} == {1}
+    assert not verify_decomposition(bad, Z).ok
 
 
 def test_random_bundles_decompose(pairs):

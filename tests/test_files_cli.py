@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -179,6 +180,39 @@ def test_json_reports_are_deterministic(capsys):
     code2, out2 = run_cli(["--format", "json", "clifford", data_path("d8.json")], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+GOLDEN_JSON = [
+    (["irr", "catalog:S4"],
+     "5fc16cc3cc8e7615904b1908b58fc28649600ed674c0a2412fe5973e853e5cde"),
+    (["clifford", "catalog:S4"],
+     "4ed689b393ed92ecbfe2af8843c6c13c4df9cbabdc5a117455d801e8605cc2e5"),
+    (["clifford", "catalog:Q8", "--normal", "center"],
+     "005625a28a2d963eed852b7acbbbda5ea1e81ed834635418a26b323c51512e11"),
+    (["clifford", "catalog:D8", "--normal", "trivial"],
+     "08def1771dab5c9691b9e1a6a1c59fede0c3adb913e053b798b6bc00d74e74c2"),
+    (["bordism", "catalog:D8", "--max-degree", "12", "--global"],
+     "60e96f3835f7eaeb6dac260506c8082d6ab41bba2d2e329d199f5aeee7490651"),
+    (["bordism", "catalog:S4", "--max-degree", "20", "--global"],
+     "775ba6deadb4eb7d7a9679c6eb8b104253a390c5fbcd0d10fa3ee931eb240b30"),
+    (["bordism", "catalog:F21", "--max-degree", "20"],
+     "2caee6a849d8de1d3016cbc162c040bc74fda8d0855bedaf9e3a86735a09daf7"),
+    (["d2p", "--p", "5", "--max-degree", "20"],
+     "78b665d490188b09c71fc7dcbb2eeee6bef3b61d813ff4e283dbff5c1341901a"),
+    (["d2p", "--p", "13", "--max-degree", "30"],
+     "f23abdaff5d7c999fba9851b68cce1da864c6f41416605221fe327950d25b290"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_JSON,
+                         ids=["_".join(argv).replace("catalog:", "") for argv, _ in GOLDEN_JSON])
+def test_json_report_golden_digest(argv, digest, capsys):
+    """The JSON report is byte-identical to the recorded one: its sha256 is
+    pinned, so any change to the numbers, the element and class order or the
+    formatting shows here."""
+    code, out = run_cli(["--format", "json"] + argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

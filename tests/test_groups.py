@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
+from isotypic.catalog import CATALOG, build_catalog_group
 from isotypic.errors import ClosureOverflow, InvalidPermutation, NotNormal
-from isotypic.groups import FiniteGroup, group_from_generators
+from isotypic.groups import FiniteGroup, group_from_generators, left_cosets
 
 from conftest import brute_conjugacy_classes, dihedral
 
@@ -191,3 +194,48 @@ def test_all_subgroups_d2p_shape():
         assert len(subs) == p + 3
         orders = sorted(s.order for s in subs)
         assert orders == [1] + [2] * p + [p, 2 * p]
+
+
+def _check_left_cosets(G, H):
+    coset_of, reps = left_cosets(G, H.members)
+    blocks = {}
+    for g in G.elements():
+        blocks.setdefault(coset_of[g], []).append(g)
+    assert sorted(blocks) == list(range(len(reps)))
+    assert all(len(b) == H.order for b in blocks.values())
+    assert tuple(blocks[0]) == H.members
+    for i, r in enumerate(reps):
+        assert r == min(blocks[i])
+        assert sorted(G.mul(r, h) for h in H.members) == blocks[i]
+    assert all(a < b for a, b in zip(reps, reps[1:]))
+
+
+def test_left_cosets_catalog_groups():
+    for name in sorted(CATALOG):
+        G, A = build_catalog_group(name)
+        for H in (G.trivial_subgroup(), G.full_subgroup(), G.center(), A):
+            if H is not None:
+                _check_left_cosets(G, H)
+
+
+def test_left_cosets_every_subgroup_of_s4():
+    G = group_from_generators(4, [[1, 2, 3, 0], [1, 0, 2, 3]], name="S4")
+    for H in G.all_subgroups():
+        _check_left_cosets(G, H)
+
+
+def test_left_cosets_relabelled_shuffled_generators():
+    rng = random.Random(7)
+    sigma = list(range(5))
+    rng.shuffle(sigma)
+    inv = [sigma.index(i) for i in range(5)]
+
+    def relabel(p):
+        return [sigma[p[inv[i]]] for i in range(5)]
+
+    gens = [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4], [2, 1, 0, 3, 4]]
+    rng.shuffle(gens)
+    G = group_from_generators(5, [relabel(p) for p in gens], name="S5'")
+    assert G.order == 120
+    for H in rng.sample(G.all_subgroups(), 40):
+        _check_left_cosets(G, H)

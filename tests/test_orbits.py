@@ -206,10 +206,15 @@ def _is_cocycle(Q, omega, mod):
     return True
 
 
-def test_omega_regular_count_rejects_invalid():
-    Z2 = group_from_generators(2, [[1, 0]], name="Z2")
-    with pytest.raises(InvalidCocycle):
-        omega_regular_count(Z2, [[0, 1], [0, 0]], 2)
+@pytest.mark.parametrize("order, omega, reason", [
+    (2, [[0, 1], [0, 0]], "not normalized"),
+    (2, [[0, 0], [0, 0], [0, 0]], "wrong shape"),
+    (3, [[0, 0, 0], [0, 1, 0], [0, 0, 0]], "identity fails"),
+], ids=["not-normalized", "wrong-shape", "not-a-cocycle"])
+def test_omega_regular_count_rejects_invalid(order, omega, reason):
+    Zn = group_from_generators(order, [[(i + 1) % order for i in range(order)]])
+    with pytest.raises(InvalidCocycle, match=reason):
+        omega_regular_count(Zn, omega, order)
 
 
 def test_k_report_d8(d8):
