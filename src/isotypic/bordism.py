@@ -59,8 +59,7 @@ class PowerSeries:
         for i, a in enumerate(self.coefficients[:n + 1]):
             if a == 0:
                 continue
-            for j in range(0, n + 1 - i):
-                b = other.coefficient(j)
+            for j, b in enumerate(other.coefficients[:n + 1 - i]):
                 if b:
                     out[i + j] += a * b
         return PowerSeries(out)

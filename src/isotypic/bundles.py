@@ -40,6 +40,7 @@ class GSet:
                     if self.action[g][self.action[h][x]] != self.action[gh][x]:
                         raise ValueError("action table is not a group action")
         self._orbits: Optional[list[tuple[int, ...]]] = None
+        self._stabilizers: dict[int, Subgroup] = {}
 
     def act(self, g: int, x: int) -> int:
         return self.action[g][x]
@@ -66,8 +67,15 @@ class GSet:
         raise ValueError("point %d outside the G-set" % x)
 
     def stabilizer(self, x: int) -> Subgroup:
-        return self.group.subgroup_from_members(
-            (g for g in self.group.elements() if self.act(g, x) == x), name="Stab(%d)" % x)
+        """The stabilizer of x, computed once per point: every call returns
+        the same Subgroup."""
+        stab = self._stabilizers.get(x)
+        if stab is None:
+            stab = self.group.subgroup_from_members(
+                (g for g in self.group.elements() if self.act(g, x) == x),
+                name="Stab(%d)" % x)
+            self._stabilizers[x] = stab
+        return stab
 
     def transporter(self, x: int) -> int:
         """The minimal group element t with t . rep = x (rep = orbit minimum)."""

@@ -28,8 +28,10 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     Immutable after construction; any number of readers may share an
-    instance.  Derived data (classes, exponent, character table) is cached
-    lazily on the instance.
+    instance.  Derived data (classes, exponent, the subgroup lattice and its
+    conjugacy classes, character table) is cached lazily on the instance.
+    The table is kept as a numpy array for the vectorised checks and as
+    nested Python lists (``_rows``, with ``_inv``) for the element-wise loops.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G",
@@ -42,6 +44,7 @@ class FiniteGroup:
         self.name = name
         self._table = tbl
         self._table.setflags(write=False)
+        self._rows: list[list[int]] = tbl.tolist()
         self._perms = tuple(tuple(p) for p in perms) if perms is not None else None
         self._inv = self._compute_inverses()
         if check:
@@ -49,19 +52,21 @@ class FiniteGroup:
         self._exponent: Optional[int] = None
         self._classes: Optional[list[tuple[int, ...]]] = None
         self._class_of: Optional[list[int]] = None
+        self._lattice: Optional[tuple[list["Subgroup"], int]] = None
+        self._subgroup_classes: Optional[list[list["Subgroup"]]] = None
         self._subgroup_cache: dict[tuple[int, ...], tuple["FiniteGroup", tuple[int, ...]]] = {}
         self._char_table = None  # set by characters.character_table
 
     # -- construction checks ------------------------------------------------
 
-    def _compute_inverses(self) -> np.ndarray:
+    def _compute_inverses(self) -> list[int]:
         n = self.order
         inv = np.full(n, -1, dtype=np.int64)
         rows, cols = np.nonzero(self._table == 0)
         inv[rows] = cols
         if np.any(inv < 0):
             raise ValueError("multiplication table has an element with no inverse")
-        return inv
+        return inv.tolist()
 
     def _check_axioms(self) -> None:
         n = self.order
@@ -99,14 +104,15 @@ class FiniteGroup:
         return range(self.order)
 
     def mul(self, a: int, b: int) -> int:
-        return int(self._table[a, b])
+        return self._rows[a][b]
 
     def inv(self, a: int) -> int:
-        return int(self._inv[a])
+        return self._inv[a]
 
     def conj(self, g: int, a: int) -> int:
         """g a g^-1."""
-        return self.mul(self.mul(g, a), self.inv(g))
+        rows = self._rows
+        return rows[rows[g][a]][self._inv[g]]
 
     def power(self, g: int, k: int) -> int:
         if k < 0:
@@ -159,12 +165,13 @@ class FiniteGroup:
         the identity is first.
         """
         if self._classes is None:
+            rows, inv = self._rows, self._inv
             seen = [False] * self.order
             classes = []
             for g in self.elements():
                 if seen[g]:
                     continue
-                orbit = {self.conj(x, g) for x in self.elements()}
+                orbit = {rows[rows[x][g]][inv[x]] for x in self.elements()}
                 for h in orbit:
                     seen[h] = True
                 classes.append(tuple(sorted(orbit)))
@@ -200,20 +207,25 @@ class FiniteGroup:
         return self.subgroup_from_members(self.elements(), name=self.name)
 
     def center(self) -> "Subgroup":
+        rows = self._rows
+        # g is central iff its row of the table equals its column
         return self.subgroup_from_members(
-            (g for g in self.elements()
-             if all(self.mul(g, h) == self.mul(h, g) for h in self.elements())),
+            (g for g in self.elements() if rows[g] == [row[g] for row in rows]),
             name="Z(%s)" % self.name)
 
     def is_normal(self, H: "Subgroup") -> bool:
+        rows, inv = self._rows, self._inv
         mem = set(H.members)
-        return all(self.conj(g, h) in mem for g in self.elements() for h in H.members)
+        return all(rows[rows[g][h]][inv[g]] in mem
+                   for g in self.elements() for h in H.members)
 
     def normalizer(self, H: "Subgroup") -> "Subgroup":
         """Largest subgroup N with nHn^-1 = H; always contains H."""
+        rows, inv = self._rows, self._inv
         mem = set(H.members)
         return self.subgroup_from_members(
-            (n for n in self.elements() if all(self.conj(n, h) in mem for h in H.members)),
+            (n for n in self.elements()
+             if all(rows[rows[n][h]][inv[n]] in mem for h in H.members)),
             name="N(%s)" % (H.name or "H"))
 
     def quotient(self, A: "Subgroup") -> "QuotientGroup":
@@ -231,51 +243,75 @@ class FiniteGroup:
         return QuotientGroup(qgrp, projection, section, A, self)
 
     def all_subgroups(self, limit: int = 20000) -> list["Subgroup"]:
-        """Every subgroup, found by closing cyclic subgroups under extension."""
-        found: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
-        frontier = [(0,)]
-        for g in self.elements():
-            mem = closure(self, (g,))
-            if mem not in found:
-                found[mem] = (g,)
-                frontier.append(mem)
-        while frontier:
-            mem = frontier.pop()
-            gens = found[mem]
-            if len(mem) == self.order:
-                continue
-            inside = set(mem)
+        """Every subgroup, sorted by (order, members).
+
+        Starts from the cyclic subgroups and extends each subgroup H found by
+        one element g outside it.  Since <H, g> = <H, hg> for every h in H,
+        one g per right coset Hg gives every extension, so the rest of the
+        coset is skipped; <H, g> is closed from H's members by right cosets
+        (see ``_extend``).  The lattice is computed once per group and cached;
+        every call returns a fresh list.  CapExceeded is raised once a new
+        non-cyclic subgroup is found with more than ``limit`` already known,
+        on a cached call too.
+        """
+        if self._lattice is None:
+            rows = self._rows
+            found: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
+            frontier = [(0,)]
             for g in self.elements():
-                if g in inside:
+                mem = closure(self, (g,))
+                if mem not in found:
+                    found[mem] = (g,)
+                    frontier.append(mem)
+            known = -1  # subgroups known at the last non-cyclic discovery
+            while frontier:
+                mem = frontier.pop()
+                gens = found[mem]
+                if len(mem) == self.order:
                     continue
-                bigger = closure(self, gens + (g,))
-                if bigger not in found:
-                    if len(found) > limit:
-                        raise CapExceeded("subgroup enumeration exceeded limit")
-                    found[bigger] = gens + (g,)
-                    frontier.append(bigger)
-        subs = [self.subgroup_from_members(mem) for mem in found]
-        subs.sort(key=lambda s: (s.order, s.members))
-        return subs
+                done = set(mem)  # H and every right coset Hg extended so far
+                for g in self.elements():
+                    if g in done:
+                        continue
+                    done.update([rows[h][g] for h in mem])
+                    bigger = _extend(rows, mem, gens + (g,))
+                    if bigger not in found:
+                        known = len(found)
+                        if known > limit:
+                            raise CapExceeded("subgroup enumeration exceeded limit")
+                        found[bigger] = gens + (g,)
+                        frontier.append(bigger)
+            subs = [self.subgroup_from_members(mem) for mem in found]
+            subs.sort(key=lambda s: (s.order, s.members))
+            self._lattice = (subs, known)
+        subs, known = self._lattice
+        if known > limit:
+            raise CapExceeded("subgroup enumeration exceeded limit")
+        return list(subs)
 
     def subgroup_conjugacy_classes(self) -> list[list["Subgroup"]]:
         """Conjugacy classes of subgroups, each class sorted, classes sorted
-        by (order, members of the minimal representative)."""
-        subs = self.all_subgroups()
-        by_members = {s.members: s for s in subs}
-        seen: set[tuple[int, ...]] = set()
-        classes: list[list[Subgroup]] = []
-        for s in subs:
-            if s.members in seen:
-                continue
-            orbit = set()
-            for g in self.elements():
-                orbit.add(tuple(sorted(self.conj(g, h) for h in s.members)))
-            cls = sorted(orbit)
-            seen.update(cls)
-            classes.append([by_members[m] for m in cls])
-        classes.sort(key=lambda c: (c[0].order, c[0].members))
-        return classes
+        by (order, members of the minimal representative).  Cached; every
+        call returns fresh lists."""
+        if self._subgroup_classes is None:
+            rows, inv = self._rows, self._inv
+            subs = self.all_subgroups()
+            by_members = {s.members: s for s in subs}
+            seen: set[tuple[int, ...]] = set()
+            classes: list[list[Subgroup]] = []
+            for s in subs:
+                if s.members in seen:
+                    continue
+                orbit = set()
+                for g in self.elements():
+                    row, gi = rows[g], inv[g]
+                    orbit.add(tuple(sorted([rows[row[h]][gi] for h in s.members])))
+                cls = sorted(orbit)
+                seen.update(cls)
+                classes.append([by_members[m] for m in cls])
+            classes.sort(key=lambda c: (c[0].order, c[0].members))
+            self._subgroup_classes = classes
+        return [list(c) for c in self._subgroup_classes]
 
     def __repr__(self) -> str:
         return "FiniteGroup(%s, order=%d)" % (self.name, self.order)
@@ -338,9 +374,8 @@ class Subgroup:
         else:
             embed = self.members
             retract = {g: i for i, g in enumerate(embed)}
-            n = len(embed)
-            table = [[retract[self.parent.mul(embed[i], embed[j])] for j in range(n)]
-                     for i in range(n)]
+            rows = self.parent._rows
+            table = [[retract[rows[a][b]] for b in embed] for a in embed]
             name = self.name or ("%s<%s" % (self.parent.name, ",".join(map(str, self.generators))))
             out = (FiniteGroup(table, name=name), embed)
         self.parent._subgroup_cache[self.members] = out
@@ -389,15 +424,28 @@ class QuotientGroup:
 
 def closure(G: FiniteGroup, generators: Sequence[int]) -> tuple[int, ...]:
     """Members of the subgroup generated by the given element indices."""
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = G.mul(x, g)
+    return _extend(G._rows, (0,), generators)
+
+
+def _extend(rows: list[list[int]], members: Sequence[int],
+            generators: Sequence[int]) -> tuple[int, ...]:
+    """Members of the subgroup K generated by ``generators``, given the
+    members of a subgroup H of K (rows is the multiplication table).
+
+    K is grown as a union of right cosets Hx, one representative x each.
+    Once x*s lies in the union for every representative x and generator s,
+    the union is closed under right multiplication by the generators
+    (h x s = h h' x' for x s = h' x'), so it is K.
+    """
+    seen = set(members)
+    reps = [0]
+    for x in reps:  # reps grows while it is scanned
+        row = rows[x]
+        for s in generators:
+            y = row[s]
             if y not in seen:
-                seen.add(y)
-                frontier.append(y)
+                seen.update([rows[h][y] for h in members])
+                reps.append(y)
     return tuple(sorted(seen))
 
 
@@ -409,12 +457,14 @@ def left_cosets(G: FiniteGroup, members: Sequence[int]) -> tuple[tuple[int, ...]
     the first element not yet covered is the minimum of its coset, so reps
     increase and coset 0 is H itself.
     """
+    rows = G._rows
     coset_of = [-1] * G.order
     reps: list[int] = []
     for g in G.elements():
         if coset_of[g] < 0:
+            row = rows[g]
             for h in members:
-                coset_of[G.mul(g, h)] = len(reps)
+                coset_of[row[h]] = len(reps)
             reps.append(g)
     return tuple(coset_of), tuple(reps)
 

@@ -170,7 +170,8 @@ def orbit_decomposition(G: FiniteGroup, A: Subgroup,
         lying = frozenset(
             i for i, chi in enumerate(table_g.rows)
             if _restriction_multiplicity(chi, A, table_a.rows[rep]) > 0)
-        regular = omega_regular_count(obs.quotient.group, obs.omega, obs.modulus)
+        # obstruction_cocycle has already checked this table
+        regular = _regular_class_count(obs.quotient.group, obs.omega, obs.modulus)
         records.append(IrrOrbitRecord(
             representative=rep, orbit=orbit, stabilizer=obs.stabilizer,
             quotient=obs.quotient, obstruction=obs, lying_over=lying,
@@ -196,6 +197,11 @@ def omega_regular_count(Q: FiniteGroup, omega, modulus: int) -> int:
     must be a normalized cocycle, else InvalidCocycle is raised.
     """
     check_cocycle(Q, omega, modulus)
+    return _regular_class_count(Q, omega, modulus)
+
+
+def _regular_class_count(Q: FiniteGroup, omega, modulus: int) -> int:
+    """omega_regular_count for a table already known to be a normalized cocycle."""
     count = 0
     for cls in Q.conjugacy_classes():
         q = cls[0]

@@ -36,6 +36,27 @@ def dihedral(p: int) -> FiniteGroup:
     return group_from_generators(p, [rot, ref], name="D%d" % (2 * p))
 
 
+S3_GENS = [[1, 2, 0], [1, 0, 2]]
+S4_GENS = [[1, 2, 3, 0], [1, 0, 2, 3]]
+
+
+def direct_product(gens1, deg1, gens2, deg2):
+    """Generators of the direct product acting on deg1 + deg2 points."""
+    return ([list(p) + list(range(deg1, deg1 + deg2)) for p in gens1]
+            + [list(range(deg1)) + [deg1 + x for x in q] for q in gens2])
+
+
+def relabelled_group(name, degree, gens, rng) -> FiniteGroup:
+    """The group generated by gens after a random relabelling of the points,
+    with the generator list shuffled, so every element index changes."""
+    sigma = list(range(degree))
+    rng.shuffle(sigma)
+    inv = [sigma.index(i) for i in range(degree)]
+    new = [[sigma[p[inv[i]]] for i in range(degree)] for p in gens]
+    rng.shuffle(new)
+    return group_from_generators(degree, new, name=name)
+
+
 # -- independent oracles -------------------------------------------------------
 
 

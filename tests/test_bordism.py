@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from isotypic.bordism import (PowerSeries, adjacent_family_series,
@@ -9,7 +11,8 @@ from isotypic.catalog import build_catalog_group
 from isotypic.errors import NotNormal, NotOdd, NotPrime
 from isotypic.groups import group_from_generators
 
-from conftest import brute_label_orbit_counts, brute_partitions, dihedral
+from conftest import (S3_GENS, S4_GENS, brute_label_orbit_counts, brute_partitions,
+                      dihedral, direct_product, relabelled_group)
 
 
 def test_power_series_arithmetic():
@@ -184,6 +187,16 @@ def test_global_degree_zero_counts_subgroup_classes(pairs):
             continue
         total, breakdown = global_generator_series(G, 0)
         assert total.coefficient(0) == len(G.subgroup_conjugacy_classes()), name
+
+
+def test_global_series_invariant_under_relabelling():
+    rng = random.Random(5)
+    for name, degree, gens in [("S4", 4, S4_GENS),
+                               ("S3xS3", 6, direct_product(S3_GENS, 3, S3_GENS, 3))]:
+        total, _ = global_generator_series(group_from_generators(degree, gens), 16)
+        for _ in range(2):
+            G = relabelled_group(name, degree, gens, rng)
+            assert global_generator_series(G, 16)[0] == total, name
 
 
 def test_is_family_detects_closure():

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from isotypic.catalog import build_catalog_group
 from isotypic.characters import character_table
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import NotATrivial
+from isotypic.files import load_bundle_file
 from isotypic.orbits import orbit_decomposition
 
 
@@ -307,6 +309,22 @@ def test_redundant_fiber_checked_over_central_subgroup(name):
     assert not check.ok
     assert {x for x, classes in check.per_point.items() if classes} == {1}
     assert not verify_decomposition(bad, Z).ok
+
+
+def test_stabilizer_cached_per_point():
+    """Each point's stabilizer is computed once and shared; the shipped
+    bundle verifies the same with the cache cold and warm."""
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "isotypic", "data",
+                        "d8_rho_bundle.json")
+    bundle, _, A = load_bundle_file(path)
+    base = bundle.base
+    cold = verify_decomposition(bundle, A, check_all_points=True).to_jsonable()
+    assert cold == {"ok": True, "per_point": {"0": [], "1": []}}
+    for x in range(base.size):
+        assert base.stabilizer(x) is base.stabilizer(x)
+        assert base.stabilizer(x).members == tuple(
+            g for g in base.group.elements() if base.act(g, x) == x)
+    assert verify_decomposition(bundle, A, check_all_points=True).to_jsonable() == cold
 
 
 def test_random_bundles_decompose(pairs):

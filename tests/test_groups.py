@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from isotypic.catalog import CATALOG, build_catalog_group
-from isotypic.errors import ClosureOverflow, InvalidPermutation, NotNormal
+from isotypic.catalog import CATALOG, all_catalog_groups, build_catalog_group
+from isotypic.errors import CapExceeded, ClosureOverflow, InvalidPermutation, NotNormal
 from isotypic.groups import FiniteGroup, group_from_generators, left_cosets
 
-from conftest import brute_conjugacy_classes, dihedral
+from conftest import (S3_GENS, S4_GENS, brute_conjugacy_classes, dihedral,
+                      direct_product, relabelled_group)
 
 
 def test_cyclic_four_from_single_cycle():
@@ -239,3 +240,130 @@ def test_left_cosets_relabelled_shuffled_generators():
     assert G.order == 120
     for H in rng.sample(G.all_subgroups(), 40):
         _check_left_cosets(G, H)
+
+
+# -- the subgroup lattice against the plain enumeration ------------------------
+
+
+def _plain_closure(G, gens):
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = G.mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return tuple(sorted(seen))
+
+
+def _plain_all_subgroups(G):
+    """The plain enumeration: close every cyclic subgroup, then extend every
+    subgroup found by every element outside it, one closure each."""
+    found = {(0,): ()}
+    frontier = [(0,)]
+    for g in G.elements():
+        mem = _plain_closure(G, (g,))
+        if mem not in found:
+            found[mem] = (g,)
+            frontier.append(mem)
+    while frontier:
+        mem = frontier.pop()
+        gens = found[mem]
+        inside = set(mem)
+        for g in G.elements():
+            if g not in inside:
+                bigger = _plain_closure(G, gens + (g,))
+                if bigger not in found:
+                    found[bigger] = gens + (g,)
+                    frontier.append(bigger)
+    subs = [G.subgroup_from_members(mem) for mem in found]
+    subs.sort(key=lambda s: (s.order, s.members))
+    return subs
+
+
+def _plain_subgroup_classes(G, subs):
+    """Member sets of each conjugacy class of subgroups, by conjugating
+    every subgroup by every element."""
+    seen = set()
+    classes = []
+    for s in subs:
+        if s.members not in seen:
+            cls = sorted({tuple(sorted(G.conj(g, h) for h in s.members))
+                          for g in G.elements()})
+            seen.update(cls)
+            classes.append(cls)
+    return sorted(classes)
+
+
+PRODUCTS = {
+    "S3xS3": (6, direct_product(S3_GENS, 3, S3_GENS, 3)),
+    "S4xZ2": (6, direct_product(S4_GENS, 4, [[1, 0]], 2)),
+    "S5": (5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4], [2, 1, 0, 3, 4]]),
+}
+
+
+def _check_against_plain(G):
+    subs = G.all_subgroups()
+    plain = _plain_all_subgroups(G)
+    assert [s.members for s in subs] == [s.members for s in plain], G.name
+    assert [s.generators for s in subs] == [s.generators for s in plain], G.name
+    classes = G.subgroup_conjugacy_classes()
+    assert sorted([s.members for s in c] for c in classes) == \
+        _plain_subgroup_classes(G, plain), G.name
+    return len(subs), len(classes)
+
+
+def test_all_subgroups_matches_plain_enumeration_catalog():
+    for G in all_catalog_groups():
+        _check_against_plain(G)
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("S3xS3", (60, 22)), ("S4xZ2", (98, 33)), ("S5", (156, 19))])
+def test_all_subgroups_matches_plain_enumerationrelabelled_group(name, counts):
+    degree, gens = PRODUCTS[name]
+    G = relabelled_group(name, degree, gens, random.Random(name))
+    assert _check_against_plain(G) == counts
+
+
+def test_subgroup_lattice_cache_returns_fresh_lists():
+    G = group_from_generators(4, S4_GENS, name="S4")
+    subs = G.all_subgroups()
+    members = [s.members for s in subs]
+    subs.clear()
+    assert [s.members for s in G.all_subgroups()] == members
+    classes = G.subgroup_conjugacy_classes()
+    partition = [[s.members for s in c] for c in classes]
+    classes[0].append(classes[-1][0])
+    classes.pop()
+    assert [[s.members for s in c] for c in G.subgroup_conjugacy_classes()] == partition
+    assert [s.members for s in G.all_subgroups()] == members
+
+
+def test_all_subgroups_limit_raises_cold_and_cached():
+    # S4 has 30 subgroups: the last one found is found with 29 already known
+    cold = group_from_generators(4, S4_GENS, name="S4")
+    with pytest.raises(CapExceeded):
+        cold.all_subgroups(limit=28)
+    assert len(cold.all_subgroups(limit=29)) == 30
+    with pytest.raises(CapExceeded):
+        cold.all_subgroups(limit=28)
+    with pytest.raises(CapExceeded):
+        cold.all_subgroups(limit=3)
+    assert len(cold.all_subgroups()) == 30
+
+
+def _class_profile(G):
+    # classes of equal order are listed by member indices, which a relabelling
+    # permutes, so the profile is compared as a sorted list
+    return sorted((c[0].order, len(c)) for c in G.subgroup_conjugacy_classes())
+
+
+def test_subgroup_class_profile_invariant_under_relabelling():
+    rng = random.Random(11)
+    for name, (degree, gens) in [("S4", (4, S4_GENS)), ("S3xS3", PRODUCTS["S3xS3"])]:
+        profile = _class_profile(group_from_generators(degree, gens))
+        for _ in range(3):
+            assert _class_profile(relabelled_group(name, degree, gens, rng)) == profile

@@ -1,5 +1,7 @@
 import pytest
 
+from isotypic import orbits, repmatrices
+from isotypic.catalog import build_catalog_group
 from isotypic.characters import character_table
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import InvalidCocycle, NotNormal, NotStabilized
@@ -215,6 +217,25 @@ def test_omega_regular_count_rejects_invalid(order, omega, reason):
     Zn = group_from_generators(order, [[(i + 1) % order for i in range(order)]])
     with pytest.raises(InvalidCocycle, match=reason):
         omega_regular_count(Zn, omega, order)
+
+
+def test_orbit_decomposition_checks_each_cocycle_once(monkeypatch):
+    """The obstruction table is validated where it is built, not again when
+    its regular classes are counted."""
+    calls = []
+    original = repmatrices.check_cocycle
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(repmatrices, "check_cocycle", counting)
+    monkeypatch.setattr(orbits, "check_cocycle", counting)
+    G, V4 = build_catalog_group("S4")
+    assert V4.order == 4
+    recs = orbit_decomposition(G, V4)
+    assert len(recs) == 2
+    assert len(calls) == len(recs)
 
 
 def test_k_report_d8(d8):
