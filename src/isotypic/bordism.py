@@ -19,7 +19,7 @@ from .catalog import build_catalog_group
 from .characters import character_table
 from .cyclotomic import _factorize
 from .errors import CapExceeded, NotNormal, NotOdd, NotPrime
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, left_cosets
 from .orbits import irr_action
 
 
@@ -155,7 +155,8 @@ class RankProfile:
 def rank_profile(G: FiniteGroup, A: Subgroup, include_trivial: bool = False) -> RankProfile:
     """Irreducible dimensions of A with the outer action of N_A/A.
 
-    For normal A the normalizer is all of G and the acting group is G/A.
+    N_A/A acts through the minima of the left cosets of A that lie in N_A, in
+    increasing order.  For normal A, N_A = G and the acting group is G/A.
     """
     Agrp, _ = A.as_group()
     table = character_table(Agrp)
@@ -163,20 +164,16 @@ def rank_profile(G: FiniteGroup, A: Subgroup, include_trivial: bool = False) -> 
     indices = [i for i in range(len(table)) if include_trivial or i != triv]
     pos = {t: i for i, t in enumerate(indices)}
     N = G.normalizer(A)
-    Ngrp, nembed = N.as_group()
-    A_in_n = Ngrp.subgroup_from_members([N.retract(a) for a in A.members])
-    Q = Ngrp.quotient(A_in_n)
-    perms = []
-    for q in range(Q.order):
-        n = nembed[Q.lift(q)]
-        perms.append(tuple(pos[irr_action(G, A, n, t)] for t in indices))
+    _, reps = left_cosets(G, A.members)
+    perms = tuple(tuple(pos[irr_action(G, A, n, t)] for t in indices)
+                  for n in reps if n in N)
     dims = tuple(table.degrees[i] for i in indices)
-    return RankProfile(dims=dims, perms=tuple(perms), irr_indices=tuple(indices))
+    return RankProfile(dims=dims, perms=perms, irr_indices=tuple(indices))
 
 
 def enumerate_arrays(profile: RankProfile, k: int) -> list[tuple[int, ...]]:
     """All arrays (n_i) of nonnegative integers with sum n_i * dims[i] = k,
-    lexicographically sorted."""
+    lexicographically sorted (n ascends at each position, later ones fastest)."""
     dims = profile.dims
     out: list[tuple[int, ...]] = []
 
@@ -193,7 +190,6 @@ def enumerate_arrays(profile: RankProfile, k: int) -> list[tuple[int, ...]]:
     if not dims:
         return [()] if k == 0 else []
     rec(0, k, ())
-    out.sort()
     return out
 
 

@@ -29,7 +29,8 @@ from .catalog import CATALOG
 from .characters import character_table
 from .errors import (CapExceeded, ClosureOverflow, InvalidPermutation,
                      IsotypicError, NotATrivial, NotNormal, NotOdd, NotPrime)
-from .files import FileFormatError, load_bundle_file, load_group_file
+from .files import (FileFormatError, generator_elements, load_bundle_file,
+                    load_group_file)
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, Subgroup
 from .orbits import k_decomposition_report
 
@@ -93,11 +94,8 @@ def _resolve_normal(G: FiniteGroup, file_normal: Optional[Subgroup],
         return G.full_subgroup()
     if selector == "center":
         return G.center()
-    try:
-        idxs = [int(x) for x in selector.split(",") if x != ""]
-        elems = [G.perm_index(tuple(generators[i])) for i in idxs]
-    except (ValueError, IndexError, KeyError) as exc:
-        raise FileFormatError("bad --normal selector %r: %s" % (selector, exc))
+    idxs = [x for x in selector.split(",") if x != ""]
+    elems = generator_elements(G, generators, idxs, "--normal selector %r" % selector)
     return G.subgroup(elems, name="A")
 
 

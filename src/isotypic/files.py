@@ -2,12 +2,12 @@
 
 Group file:
     {"name": str, "degree": int, "generators": [[int, ...], ...],
-     "normal_subgroup_generators": [int, ...]}   # indices into "generators"
+     "normal_subgroup_generators": [int, ...]}   # nonnegative indices into "generators"
 
 Bundle file:
     {"group": str,                       # path relative to the bundle file
      "base": {"points": int, "action": [[int, ...], ...]},   # one row per element
-     "fibers": [{"orbit_rep": int,       # any point; at least one per orbit
+     "fibers": [{"orbit_rep": int,       # a point in 0..points-1; at least one per orbit
                  "character": {"irreducible_multiplicities": [int, ...]}
                            or [cyclotomic values]}]}
 
@@ -59,12 +59,24 @@ def group_from_jsonable(data: dict, cap: int = DEFAULT_ORDER_CAP) -> tuple[Finit
     normal = None
     idxs = data.get("normal_subgroup_generators")
     if idxs is not None:
-        try:
-            elems = [G.perm_index(tuple(gens[int(i)])) for i in idxs]
-        except (IndexError, ValueError, KeyError) as exc:
-            raise FileFormatError("bad normal_subgroup_generators: %s" % exc)
+        elems = generator_elements(G, gens, idxs, "normal_subgroup_generators")
         normal = G.subgroup(elems, name="%s-normal" % name)
     return G, normal
+
+
+def generator_elements(G: FiniteGroup, generators, indices, what: str) -> list[int]:
+    """Elements of G given by indices into its generator permutations.
+    Raises FileFormatError, naming ``what``, unless every index is in
+    0..len(generators)-1."""
+    try:
+        idxs = [int(i) for i in indices]
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError("bad %s: %s" % (what, exc))
+    for i in idxs:
+        if not 0 <= i < len(generators):
+            raise FileFormatError("bad %s: generator index %d is not in 0..%d"
+                                  % (what, i, len(generators) - 1))
+    return [G.perm_index(tuple(generators[i])) for i in idxs]
 
 
 def group_to_jsonable(name: str, degree: int, generators, normal_indices=None) -> dict:
@@ -121,6 +133,8 @@ def bundle_from_jsonable(data: dict, G: FiniteGroup) -> EquivariantBundle:
             char = fib["character"]
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError("bundle fiber entry is malformed: %s" % exc)
+        if not 0 <= rep < points:
+            raise FileFormatError("fiber orbit_rep %d is not a point in 0..%d" % (rep, points - 1))
         stab = base.stabilizer(rep)
         sgrp, _ = stab.as_group()
         if isinstance(char, dict) and "irreducible_multiplicities" in char:

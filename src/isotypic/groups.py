@@ -30,25 +30,25 @@ class FiniteGroup:
     Immutable after construction; any number of readers may share an
     instance.  Derived data (classes, exponent, the subgroup lattice and its
     conjugacy classes, character table) is cached lazily on the instance.
-    The table is kept as a numpy array for the vectorised checks and as
-    nested Python lists (``_rows``, with ``_inv``) for the element-wise loops.
+    The table is kept once, as nested Python lists (``_rows``, with ``_inv``);
+    numpy is used only inside the axiom check that ``check`` runs.  Pass
+    ``check=False`` only for a table taken from an already checked group.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G",
                  perms: Optional[Sequence[tuple[int, ...]]] = None,
                  check: bool = True):
-        tbl = np.asarray(table, dtype=np.int64)
-        if tbl.ndim != 2 or tbl.shape[0] != tbl.shape[1]:
+        rows = [list(map(int, row)) for row in table]
+        n = len(rows)
+        if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("multiplication table must be square")
-        self.order = int(tbl.shape[0])
-        self.name = name
-        self._table = tbl
-        self._table.setflags(write=False)
-        self._rows: list[list[int]] = tbl.tolist()
-        self._perms = tuple(tuple(p) for p in perms) if perms is not None else None
-        self._inv = self._compute_inverses()
         if check:
-            self._check_axioms()
+            _check_axioms(rows)
+        self.order = n
+        self.name = name
+        self._rows: list[list[int]] = rows
+        self._inv: list[int] = [row.index(0) for row in rows]
+        self._perms = tuple(tuple(p) for p in perms) if perms is not None else None
         self._exponent: Optional[int] = None
         self._classes: Optional[list[tuple[int, ...]]] = None
         self._class_of: Optional[list[int]] = None
@@ -56,43 +56,6 @@ class FiniteGroup:
         self._subgroup_classes: Optional[list[list["Subgroup"]]] = None
         self._subgroup_cache: dict[tuple[int, ...], tuple["FiniteGroup", tuple[int, ...]]] = {}
         self._char_table = None  # set by characters.character_table
-
-    # -- construction checks ------------------------------------------------
-
-    def _compute_inverses(self) -> list[int]:
-        n = self.order
-        inv = np.full(n, -1, dtype=np.int64)
-        rows, cols = np.nonzero(self._table == 0)
-        inv[rows] = cols
-        if np.any(inv < 0):
-            raise ValueError("multiplication table has an element with no inverse")
-        return inv.tolist()
-
-    def _check_axioms(self) -> None:
-        n = self.order
-        tbl = self._table
-        if np.any(tbl < 0) or np.any(tbl >= n):
-            raise ValueError("table entries out of range")
-        if not np.array_equal(tbl[0], np.arange(n)) or not np.array_equal(tbl[:, 0], np.arange(n)):
-            raise ValueError("element 0 is not the identity")
-        # each row and column must be a permutation (cancellation laws)
-        ar = np.arange(n)
-        for a in range(n):
-            if not np.array_equal(np.sort(tbl[a]), ar) or not np.array_equal(np.sort(tbl[:, a]), ar):
-                raise ValueError("table row/column is not a permutation")
-        if n <= _ASSOC_FULL_LIMIT:
-            for a in range(n):
-                # (a*b)*c vs a*(b*c), vectorized over (b, c)
-                if not np.array_equal(tbl[tbl[a], :], tbl[a][tbl]):
-                    raise ValueError("multiplication table is not associative")
-        else:
-            rng = random.Random(0)
-            for _ in range(_ASSOC_SAMPLES):
-                a = rng.randrange(n)
-                b = rng.randrange(n)
-                c = rng.randrange(n)
-                if tbl[tbl[a, b], c] != tbl[a, tbl[b, c]]:
-                    raise ValueError("multiplication table is not associative")
 
     # -- basic operations ----------------------------------------------------
 
@@ -140,7 +103,7 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self._table, self._table.T))
+        return self._rows == [list(col) for col in zip(*self._rows)]
 
     def permutation_of(self, g: int) -> Optional[tuple[int, ...]]:
         """Underlying permutation when the group came from generators."""
@@ -377,7 +340,9 @@ class Subgroup:
             rows = self.parent._rows
             table = [[retract[rows[a][b]] for b in embed] for a in embed]
             name = self.name or ("%s<%s" % (self.parent.name, ",".join(map(str, self.generators))))
-            out = (FiniteGroup(table, name=name), embed)
+            # unchecked: the retract lookup raised unless the members are
+            # closed, and a closed subset of a checked finite group is a group
+            out = (FiniteGroup(table, name=name, check=False), embed)
         self.parent._subgroup_cache[self.members] = out
         return out
 
@@ -420,6 +385,35 @@ class QuotientGroup:
 
 
 # -- free functions ------------------------------------------------------------
+
+
+def _check_axioms(rows: list[list[int]]) -> None:
+    """Raise ValueError unless the square table ``rows`` is the
+    multiplication table of a group with identity 0."""
+    tbl = np.asarray(rows, dtype=np.int64)
+    n = tbl.shape[0]
+    if np.any(tbl < 0) or np.any(tbl >= n):
+        raise ValueError("table entries out of range")
+    if not np.array_equal(tbl[0], np.arange(n)) or not np.array_equal(tbl[:, 0], np.arange(n)):
+        raise ValueError("element 0 is not the identity")
+    # each row and column must be a permutation (cancellation laws)
+    ar = np.arange(n)
+    for a in range(n):
+        if not np.array_equal(np.sort(tbl[a]), ar) or not np.array_equal(np.sort(tbl[:, a]), ar):
+            raise ValueError("table row/column is not a permutation")
+    if n <= _ASSOC_FULL_LIMIT:
+        for a in range(n):
+            # (a*b)*c vs a*(b*c), vectorized over (b, c)
+            if not np.array_equal(tbl[tbl[a], :], tbl[a][tbl]):
+                raise ValueError("multiplication table is not associative")
+    else:
+        rng = random.Random(0)
+        for _ in range(_ASSOC_SAMPLES):
+            a = rng.randrange(n)
+            b = rng.randrange(n)
+            c = rng.randrange(n)
+            if tbl[tbl[a, b], c] != tbl[a, tbl[b, c]]:
+                raise ValueError("multiplication table is not associative")
 
 
 def closure(G: FiniteGroup, generators: Sequence[int]) -> tuple[int, ...]:

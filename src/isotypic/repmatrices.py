@@ -257,12 +257,13 @@ def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: MatrixRep,
     Q = Sgrp.quotient(A_in_s)
     m = Q.order
 
-    # order of the determinant character of rho
-    e_lambda = 1
-    for a in Agrp.elements():
-        _, ord_a = determinant_character_value(rho.character, a)
-        e_lambda = lcm(e_lambda, ord_a)
-    modulus = d * e_lambda
+    # det o rho is a class function: one exact value (k, m), meaning
+    # zeta_m^k, per class of A; modulus is d times its order
+    det_vals = [determinant_character_value(rho.character, cls[0])
+                for cls in Agrp.conjugacy_classes()]
+    modulus = d * lcm(*(mm for _, mm in det_vals))
+    # det rho(a) = zeta_modulus^det_exp[class of a]
+    det_exp = [(k * (modulus // mm)) % modulus for k, mm in det_vals]
 
     rng = np.random.default_rng(seed)
     reps_g = [sembed[Q.lift(q)] for q in range(m)]  # coset reps as G-elements
@@ -280,12 +281,6 @@ def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: MatrixRep,
         assert U is not None, "coset representative does not stabilize rho"
         units.append(_det_normalize(U))
 
-    # exact values of the determinant character, indexed by A-element
-    det_exp = {}
-    for a in Agrp.elements():
-        k, mm = determinant_character_value(rho.character, a)
-        det_exp[a] = (k * (modulus // mm)) % modulus  # det rho(a) = zeta_modulus^this
-
     omega = [[0] * m for _ in range(m)]
     for q1 in range(m):
         for q2 in range(m):
@@ -301,7 +296,7 @@ def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: MatrixRep,
             if abs(c - cmath.exp(2j * math.pi * k / modulus)) > snap_tol:
                 raise SnapFailure("scalar %r too far from mu_%d" % (c, modulus))
             # exact cross-check: omega^d must equal det(rho(a0))^-1
-            if (k * d) % modulus != (-det_exp[a0_local]) % modulus:
+            if (k * d) % modulus != (-det_exp[Agrp.class_index(a0_local)]) % modulus:
                 raise SnapFailure("snapped scalar disagrees with the determinant character")
             omega[q1][q2] = k
 

@@ -7,9 +7,11 @@ from isotypic.bordism import (PowerSeries, adjacent_family_series,
                               d2p_certify, enumerate_arrays,
                               global_generator_series, is_family,
                               omega_generator_series, rank_profile)
-from isotypic.catalog import build_catalog_group
+from isotypic.catalog import all_catalog_groups, build_catalog_group
+from isotypic.characters import character_table
 from isotypic.errors import NotNormal, NotOdd, NotPrime
 from isotypic.groups import group_from_generators
+from isotypic.orbits import irr_action
 
 from conftest import (S3_GENS, S4_GENS, brute_label_orbit_counts, brute_partitions,
                       dihedral, direct_product, relabelled_group)
@@ -80,7 +82,9 @@ def test_enumerate_arrays_counts_match_product_series(pairs):
             geom = PowerSeries([1 if n % d == 0 else 0 for n in range(31)])
             series = series * geom
         for k in range(31):
-            assert len(enumerate_arrays(prof, k)) == series.coefficient(k), (name, k)
+            arrays = enumerate_arrays(prof, k)
+            assert arrays == sorted(arrays), (name, k)
+            assert len(arrays) == series.coefficient(k), (name, k)
 
 
 def test_rank_profile_action_preserves_dims(pairs):
@@ -89,6 +93,29 @@ def test_rank_profile_action_preserves_dims(pairs):
         for perm in prof.perms:
             for i, j in enumerate(perm):
                 assert prof.dims[i] == prof.dims[j]
+
+
+def _reference_weyl_perms(G, A):
+    """The Weyl action built the long way: materialize the normalizer N,
+    take the quotient N/A and lift each of its elements back to G."""
+    table = character_table(A.as_group()[0])
+    indices = [i for i in range(len(table)) if i != table.trivial_index()]
+    pos = {t: i for i, t in enumerate(indices)}
+    N = G.normalizer(A)
+    Ngrp, nembed = N.as_group()
+    Q = Ngrp.quotient(Ngrp.subgroup_from_members([N.retract(a) for a in A.members]))
+    return tuple(tuple(pos[irr_action(G, A, nembed[Q.lift(q)], t)] for t in indices)
+                 for q in range(Q.order))
+
+
+def test_rank_profile_weyl_action_matches_normalizer_quotient():
+    S4xZ2 = relabelled_group("S4xZ2", 6, direct_product(S4_GENS, 4, [[1, 0]], 2),
+                             random.Random(9))
+    S3xS3 = group_from_generators(6, direct_product(S3_GENS, 3, S3_GENS, 3), name="S3xS3")
+    for G in all_catalog_groups() + [S3xS3, S4xZ2]:
+        for cls in G.subgroup_conjugacy_classes():
+            A = cls[0]
+            assert rank_profile(G, A).perms == _reference_weyl_perms(G, A), (G.name, A.members)
 
 
 def test_adjacent_series_z2_by_hand():

@@ -104,6 +104,23 @@ def test_cmd_clifford_q8_center(capsys):
     assert "5 = 4 + 1" in out
 
 
+@pytest.mark.parametrize("selector", ["-2", "5", "0,-1"])
+def test_cmd_clifford_rejects_bad_generator_index(selector, capsys):
+    code, _ = run_cli(["clifford", "catalog:D8", "--normal=" + selector], capsys)
+    assert code == 2
+
+
+@pytest.mark.parametrize("indices", [[-1], [2], [0, -2]])
+def test_group_file_rejects_bad_normal_generator_index(indices, tmp_path):
+    data = catalog_group_file("D8")
+    assert len(data["generators"]) == 2
+    data["normal_subgroup_generators"] = indices
+    f = tmp_path / "bad_normal.json"
+    f.write_text(json.dumps(data))
+    with pytest.raises(FileFormatError, match="generator index"):
+        load_group_file(str(f))
+
+
 def test_cmd_clifford_not_normal(capsys):
     code, out = run_cli(["clifford", "catalog:S3", "--normal", "1"], capsys)
     assert code == 4
@@ -130,6 +147,20 @@ def test_cmd_bundle_verify_corrupted(tmp_path, capsys):
     assert code == 1
     assert "MISMATCH" in out
     assert "point 1: MISMATCH" in out
+
+
+@pytest.mark.parametrize("rep", [5, -1])
+def test_cmd_bundle_verify_rejects_orbit_rep_out_of_range(rep, tmp_path, capsys):
+    with open(data_path("d8_rho_bundle.json")) as fh:
+        data = json.load(fh)
+    data["fibers"][0]["orbit_rep"] = rep
+    data["group"] = data_path("d8.json")
+    bad = tmp_path / "bad_rep.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(FileFormatError, match="orbit_rep"):
+        load_bundle_file(str(bad))
+    code, _ = run_cli(["bundle-verify", str(bad)], capsys)
+    assert code == 2
 
 
 def test_cmd_bundle_verify_not_a_trivial(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from isotypic.catalog import CATALOG, all_catalog_groups, build_catalog_group
 from isotypic.errors import CapExceeded, ClosureOverflow, InvalidPermutation, NotNormal
-from isotypic.groups import FiniteGroup, group_from_generators, left_cosets
+from isotypic.groups import FiniteGroup, _check_axioms, group_from_generators, left_cosets
 
 from conftest import (S3_GENS, S4_GENS, brute_conjugacy_classes, dihedral,
                       direct_product, relabelled_group)
@@ -165,6 +165,14 @@ def test_direct_table_constructor_checks():
         FiniteGroup([[0, 1], [1, 1]])
     with pytest.raises(ValueError):
         FiniteGroup([[1, 0], [0, 1]])  # element 0 not the identity
+    with pytest.raises(ValueError, match="square"):
+        FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0]])  # ragged
+    # a Latin square with identity 0 in which every element squares to 0: a
+    # loop of order 5 that is no group, since a group of order 5 is cyclic
+    loop5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(loop5)
 
 
 def test_subgroup_membership_and_index():
@@ -367,3 +375,14 @@ def test_subgroup_class_profile_invariant_under_relabelling():
         profile = _class_profile(group_from_generators(degree, gens))
         for _ in range(3):
             assert _class_profile(relabelled_group(name, degree, gens, rng)) == profile
+
+
+def test_subgroup_tables_are_group_tables():
+    """as_group builds its table without the axiom check; every such table
+    must still pass it."""
+    S4xZ2 = relabelled_group("S4xZ2", *PRODUCTS["S4xZ2"], random.Random(5))
+    for G in all_catalog_groups() + [S4xZ2]:
+        for H in G.all_subgroups():
+            Hgrp, embed = H.as_group()
+            assert embed == H.members
+            _check_axioms(Hgrp._rows)

@@ -238,6 +238,33 @@ def test_orbit_decomposition_checks_each_cocycle_once(monkeypatch):
     assert len(calls) == len(recs)
 
 
+@pytest.mark.parametrize("name", ["S4/A4", "Q8/Z4", "D8/center"])
+def test_obstruction_cocycle_evaluates_det_once_per_class(name, pairs, monkeypatch):
+    """det o rho is a class function, so each obstruction evaluates it once
+    per conjugacy class of A."""
+    _, G, A = next(p for p in pairs if p[0] == name)
+    det_calls = []
+    per_cocycle = []
+    original_det = repmatrices.determinant_character_value
+    original_cocycle = repmatrices.obstruction_cocycle
+
+    def counting_det(*args):
+        det_calls.append(args)
+        return original_det(*args)
+
+    def counting_cocycle(*args, **kwargs):
+        before = len(det_calls)
+        record = original_cocycle(*args, **kwargs)
+        per_cocycle.append(len(det_calls) - before)
+        return record
+
+    monkeypatch.setattr(repmatrices, "determinant_character_value", counting_det)
+    monkeypatch.setattr(orbits, "obstruction_cocycle", counting_cocycle)
+    recs = orbit_decomposition(G, A)
+    classes = len(A.as_group()[0].conjugacy_classes())
+    assert per_cocycle == [classes] * len(recs)
+
+
 def test_k_report_d8(d8):
     G, A = d8
     rep = k_decomposition_report(G, A)
