@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -236,6 +237,28 @@ def cmd_d2p(args) -> Report:
                   table_lines=lines)
 
 
+def _seed(text: str) -> int:
+    value = int(text, 0)
+    if value < 0:
+        raise argparse.ArgumentTypeError("seed must be a non-negative integer, got %s" % text)
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("tolerance must be a positive finite number, got %s"
+                                         % text)
+    return value
+
+
+def _degree(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("degree must be a non-negative integer, got %s" % text)
+    return value
+
+
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # attached to the main parser with real defaults and to every subparser
     # with SUPPRESS, so the flags work on either side of the subcommand
@@ -243,9 +266,9 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument("--format", choices=["table", "json"], default=dflt("table"))
-    parser.add_argument("--tol", type=float, default=dflt(repmatrices.DEFAULT_TOL),
+    parser.add_argument("--tol", type=_tolerance, default=dflt(repmatrices.DEFAULT_TOL),
                         help="construction residual tolerance (default 1e-8)")
-    parser.add_argument("--seed", type=lambda s: int(s, 0),
+    parser.add_argument("--seed", type=_seed,
                         default=dflt(repmatrices.DEFAULT_SEED),
                         help="PRNG seed for the matrix representation splitting")
     parser.add_argument("--max-order", type=int, default=dflt(DEFAULT_ORDER_CAP),
@@ -281,14 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparser("bordism", "adjacent-pair or global generator series")
     p.add_argument("group")
     p.add_argument("--normal", default=None)
-    p.add_argument("--max-degree", type=int, default=20)
+    p.add_argument("--max-degree", type=_degree, default=20)
     p.add_argument("--global", dest="use_global", action="store_true",
                    help="sum over all conjugacy classes of subgroups")
     p.set_defaults(func=cmd_bordism)
 
     p = subparser("d2p", "dihedral certification report")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=20)
+    p.add_argument("--max-degree", type=_degree, default=20)
     p.set_defaults(func=cmd_d2p)
 
     return parser

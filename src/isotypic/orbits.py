@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .characters import (CharacterTable, ClassFunction, character_table,
                          inner_product, restrict)
 from .errors import NotNormal, NotStabilized
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, left_cosets
 from .repmatrices import (ObstructionRecord, _conjugated_values, check_cocycle,
                           matrix_irreps, obstruction_cocycle,
                           DEFAULT_SEED, DEFAULT_TOL, DEFAULT_SNAP_TOL)
@@ -148,15 +148,15 @@ def orbit_decomposition(G: FiniteGroup, A: Subgroup,
     table_g = character_table(G)
     r = len(table_a)
 
-    # orbits of the G-action on rows
+    # orbits of the G-action on rows; A acts trivially on Irr(A), so one
+    # element per left coset of A reaches the whole orbit
+    _, coset_reps = left_cosets(G, A.members)
     orbits = []
     seen = set()
     for tau in range(r):
         if tau in seen:
             continue
-        orbit = set()
-        for g in G.elements():
-            orbit.add(irr_action(G, A, g, tau))
+        orbit = {irr_action(G, A, g, tau) for g in coset_reps}
         orbits.append(frozenset(orbit))
         seen |= orbit
     orbits.sort(key=min)

@@ -22,7 +22,7 @@ from .characters import (ClassFunction, character_table,
                          determinant_character_value)
 from .errors import (CapExceeded, InvalidCocycle, NonScalar,
                      NumericalDegeneracy, SnapFailure, SplitFailure)
-from .groups import FiniteGroup, QuotientGroup, Subgroup
+from .groups import FiniteGroup, QuotientGroup, Subgroup, left_cosets
 
 DEFAULT_SEED = 0x5EED
 DEFAULT_TOL = 1e-8
@@ -33,35 +33,24 @@ _MAX_RETRIES = 20
 
 @dataclass(frozen=True)
 class MatrixRep:
-    """A unitary matrix representation with its exact character attached."""
+    """A unitary matrix representation with its exact character attached.
+
+    images is one complex (|G|, d, d) array: images[g] is the matrix of the
+    element with index g.
+    """
 
     group: FiniteGroup
     dimension: int
-    images: tuple  # one d x d complex ndarray per element
+    images: np.ndarray
     character: ClassFunction
-
-    def image(self, g: int) -> np.ndarray:
-        return self.images[g]
 
     def conjugated(self, conj_map: Sequence[int]) -> "MatrixRep":
         """The representation a -> rho(conj_map[a]), e.g. a -> rho(g^-1 a g)."""
         G = self.group
-        images = tuple(self.images[conj_map[a]] for a in G.elements())
-        values = []
-        for cls in G.conjugacy_classes():
-            values.append(self.character.values[G.class_index(conj_map[cls[0]])])
-        return MatrixRep(G, self.dimension, images, ClassFunction(G, values))
-
-
-def _regular_images(G: FiniteGroup) -> list[np.ndarray]:
-    n = G.order
-    out = []
-    for g in range(n):
-        M = np.zeros((n, n), dtype=complex)
-        for h in range(n):
-            M[G.mul(g, h), h] = 1.0
-        out.append(M)
-    return out
+        values = [self.character.values[G.class_index(conj_map[cls[0]])]
+                  for cls in G.conjugacy_classes()]
+        return MatrixRep(G, self.dimension, self.images[list(conj_map)],
+                         ClassFunction(G, values))
 
 
 def matrix_irreps(G: FiniteGroup, seed: int = DEFAULT_SEED,
@@ -69,27 +58,27 @@ def matrix_irreps(G: FiniteGroup, seed: int = DEFAULT_SEED,
     """One unitary MatrixRep per irreducible character, in table row order.
 
     Deterministic for a fixed seed: the random commutant elements are drawn
-    from a freshly seeded generator in a fixed order.
+    from a freshly seeded generator in a fixed order.  The left regular
+    representation reg[g] is the permutation h -> g h, so it is read off the
+    group table and never built as |G| dense |G| x |G| matrices.
     """
     if G.order > cap:
         raise CapExceeded("order %d exceeds matrix_irreps cap %d" % (G.order, cap))
     table = character_table(G)
     rng = np.random.default_rng(seed)
-    reg = _regular_images(G)
     n = G.order
+    rows = G._rows
+    # x h^-1 for every (x, h): the element g with reg[g][x, h] == 1
+    quotients = np.array(rows)[:, G._inv]
+    cls_of = [G.class_index(g) for g in G.elements()]
     reps = []
     for row, d in zip(table.rows, table.degrees):
         if d == 1:
-            images = tuple(np.array([[row(g).to_complex()]]) for g in G.elements())
-            reps.append(MatrixRep(G, 1, images, row))
+            values = np.array([v.to_complex() for v in row.values])[cls_of]
+            reps.append(MatrixRep(G, 1, values.reshape(n, 1, 1), row))
             continue
-        # isotypic projector for this character
-        P = np.zeros((n, n), dtype=complex)
-        for cls, val in zip(table.classes, row.values):
-            coeff = val.conjugate().to_complex()
-            if coeff != 0:
-                for g in cls:
-                    P += coeff * reg[g]
+        # isotypic projector sum_g conj(chi(g)) reg[g] * d/|G|, entry by entry
+        P = np.array([v.conjugate().to_complex() for v in row.values])[cls_of][quotients]
         P *= d / G.order
         evals, evecs = np.linalg.eigh(P)
         keep = np.nonzero(evals > 0.5)[0]
@@ -97,7 +86,8 @@ def matrix_irreps(G: FiniteGroup, seed: int = DEFAULT_SEED,
             raise SplitFailure("isotypic block has dimension %d, expected %d"
                                % (len(keep), d * d))
         B0 = evecs[:, keep]
-        block = [B0.conj().T @ reg[g] @ B0 for g in G.elements()]
+        # B0^H reg[g] B0, with B0^H reg[g] gathered as a column permutation
+        block = [B0[rows[g]].conj().T @ B0 for g in G.elements()]
         rep = None
         for _ in range(_MAX_RETRIES):
             X = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
@@ -108,7 +98,7 @@ def matrix_irreps(G: FiniteGroup, seed: int = DEFAULT_SEED,
             if len(groups) != d or any(len(g) != d for g in groups):
                 continue
             W = vecs[:, groups[0]]
-            images = tuple(W.conj().T @ Bg @ W for Bg in block)
+            images = np.array([W.conj().T @ Bg @ W for Bg in block])
             rep = MatrixRep(G, d, images, row)
             break
         if rep is None:
@@ -129,20 +119,24 @@ def _cluster(sorted_vals: np.ndarray, gap: float) -> list[list[int]]:
 
 
 def _check_rep(rep: MatrixRep, tol: float) -> None:
+    """Raise SplitFailure unless every image is unitary, rho(g) rho(h) =
+    rho(gh) for every pair (g, h), both within tol in the spectral norm, and
+    the traces match the exact character."""
     G = rep.group
-    d = rep.dimension
-    eye = np.eye(d)
-    for g in G.elements():
-        M = rep.images[g]
-        if np.linalg.norm(M @ M.conj().T - eye, 2) > tol:
-            raise SplitFailure("representation image is not unitary")
-    for g in G.elements():
-        for h in G.elements():
-            if np.linalg.norm(rep.images[g] @ rep.images[h] - rep.images[G.mul(g, h)], 2) > tol:
-                raise SplitFailure("homomorphism residual above tolerance")
+    M = rep.images
+    if not np.all(_norms(M @ M.conj().transpose(0, 2, 1) - np.eye(rep.dimension)) <= tol):
+        raise SplitFailure("representation image is not unitary")
+    for Mg, row in zip(M, G._rows):
+        if not np.all(_norms(Mg @ M - M[row]) <= tol):
+            raise SplitFailure("homomorphism residual above tolerance")
     for cls, val in zip(G.conjugacy_classes(), rep.character.values):
-        if abs(np.trace(rep.images[cls[0]]) - val.to_complex()) > 1e-6:
+        if abs(np.trace(M[cls[0]]) - val.to_complex()) > 1e-6:
             raise SplitFailure("trace does not match the exact character")
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """The spectral norm of each matrix in a (n, d, d) stack."""
+    return np.linalg.norm(stack, 2, axis=(1, 2))
 
 
 def intertwiner(rho1: MatrixRep, rho2: MatrixRep,
@@ -163,14 +157,12 @@ def intertwiner(rho1: MatrixRep, rho2: MatrixRep,
         rng = np.random.default_rng(DEFAULT_SEED)
     for _ in range(_MAX_RETRIES):
         R = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        T = sum(rho2.images[g] @ R @ rho1.images[g].conj().T for g in G.elements()) / G.order
+        T = sum(M2 @ R @ M1.conj().T for M1, M2 in zip(rho1.images, rho2.images)) / G.order
         u, s, vh = np.linalg.svd(T)
         if s[-1] < 1e-8 * max(1.0, s[0]):
             continue
         U = u @ vh
-        res = max(np.linalg.norm(U @ rho1.images[g] @ U.conj().T - rho2.images[g], 2)
-                  for g in G.elements())
-        if res <= tol:
+        if np.all(_norms(U @ rho1.images @ U.conj().T - rho2.images) <= tol):
             return U
     raise NumericalDegeneracy("averaged intertwiner stayed singular after retries")
 
@@ -205,13 +197,18 @@ class ObstructionRecord:
 
 
 def stabilizer_of_character(G: FiniteGroup, A: Subgroup, chi: ClassFunction) -> Subgroup:
-    """G_chi = {g : the class function a -> chi(g^-1 a g) equals chi}."""
+    """G_chi = {g : the class function a -> chi(g^-1 a g) equals chi}.
+
+    A acts trivially on its own characters, so G_chi is the union of the left
+    cosets of A whose minimal element fixes chi: one test per coset.
+    """
     Agrp, embed = A.as_group()
     if chi.group is not Agrp:
         raise ValueError("character does not live on the subgroup")
-    return G.subgroup_from_members(
-        (g for g in G.elements() if _conjugated_values(G, A, chi, g) == chi.values),
-        name="Stab")
+    coset_of, reps = left_cosets(G, A.members)
+    fixed = [_conjugated_values(G, A, chi, g) == chi.values for g in reps]
+    return G.subgroup_from_members((g for g in G.elements() if fixed[coset_of[g]]),
+                                   name="Stab")
 
 
 def _conjugated_values(G: FiniteGroup, A: Subgroup, chi: ClassFunction, g: int):

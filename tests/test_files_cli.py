@@ -206,6 +206,27 @@ def test_cmd_d2p_rejects_composite(capsys):
     assert main(["d2p", "--p", "4", "--max-degree", "10"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--seed", "-1", "clifford", "catalog:D8"],
+    ["clifford", "catalog:D8", "--seed=-1"],
+    ["--tol", "-1", "clifford", "catalog:D8"],
+    ["--tol", "nan", "clifford", "catalog:D8"],
+    ["clifford", "catalog:D8", "--tol", "0"],
+    ["bordism", "catalog:D8", "--max-degree", "-1"],
+    ["bordism", "catalog:D8", "--max-degree", "-1", "--global"],
+    ["d2p", "--p", "3", "--max-degree", "-1"],
+], ids=lambda argv: " ".join(argv).replace("catalog:", ""))
+def test_cli_rejects_bad_option_values(argv, capsys):
+    """A bad option value is an input error (exit 2) reported on an error:
+    line, not a traceback, an inconsistency or an empty result."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument" in captured.err
+
+
 def test_json_reports_are_deterministic(capsys):
     code1, out1 = run_cli(["--format", "json", "clifford", data_path("d8.json")], capsys)
     code2, out2 = run_cli(["--format", "json", "clifford", data_path("d8.json")], capsys)

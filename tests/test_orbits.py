@@ -238,6 +238,23 @@ def test_orbit_decomposition_checks_each_cocycle_once(monkeypatch):
     assert len(calls) == len(recs)
 
 
+def test_orbit_decomposition_acts_once_per_coset_of_a(monkeypatch):
+    """A acts trivially on Irr(A), so the orbits are found with one element
+    per left coset of A: 2 orbits x 6 cosets of V4 in S4, not 2 x 24."""
+    calls = []
+    original = orbits.irr_action
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(orbits, "irr_action", counting)
+    G, V4 = build_catalog_group("S4")
+    recs = orbit_decomposition(G, V4)
+    assert sorted(len(r.orbit) for r in recs) == [1, 3]
+    assert len(calls) == 12
+
+
 @pytest.mark.parametrize("name", ["S4/A4", "Q8/Z4", "D8/center"])
 def test_obstruction_cocycle_evaluates_det_once_per_class(name, pairs, monkeypatch):
     """det o rho is a class function, so each obstruction evaluates it once

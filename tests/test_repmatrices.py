@@ -1,14 +1,20 @@
+import dataclasses
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from isotypic.catalog import build_catalog_group
 from isotypic.characters import character_table
 from isotypic.cyclotomic import Cyclotomic
-from isotypic.errors import CapExceeded
+from isotypic.errors import CapExceeded, SplitFailure
 from isotypic.groups import group_from_generators
-from isotypic.repmatrices import (intertwiner, matrix_irreps,
+from isotypic.repmatrices import (DEFAULT_SEED, _check_rep, _cluster,
+                                  _conjugated_values, intertwiner, matrix_irreps,
                                   obstruction_cocycle, stabilizer_of_character)
 
-from conftest import dihedral
+from conftest import S3_GENS, dihedral, direct_product, relabelled_group
 
 
 def test_z4_matrix_irreps_are_fourth_roots(z4):
@@ -46,6 +52,117 @@ def test_rep_invariants_homomorphism_unitarity_trace(d8):
             for h in G.elements():
                 assert np.linalg.norm(M @ rep.images[h] - rep.images[G.mul(g, h)], 2) <= 1e-8
             assert abs(np.trace(M) - rep.character(g).to_complex()) <= 1e-6
+
+
+def _faithful_irrep(G):
+    """An irrep of largest degree: faithful for D8 (degree 2) and S4 (3)."""
+    return max(matrix_irreps(G), key=lambda r: r.dimension)
+
+
+@pytest.mark.parametrize("name", ["D8", "S4"])
+def test_check_rep_passes_a_genuine_irrep(name):
+    G, _ = build_catalog_group(name)
+    _check_rep(_faithful_irrep(G), 1e-8)
+
+
+@pytest.mark.parametrize("name", ["D8", "S4"])
+def test_check_rep_rejects_a_scaled_image(name):
+    G, _ = build_catalog_group(name)
+    rep = _faithful_irrep(G)
+    images = rep.images.copy()
+    images[G.order // 2] *= 1.001
+    with pytest.raises(SplitFailure, match="not unitary"):
+        _check_rep(dataclasses.replace(rep, images=images), 1e-8)
+
+
+@pytest.mark.parametrize("name", ["D8", "S4"])
+def test_check_rep_rejects_swapped_images(name):
+    """Swapping the images of the two highest-index elements keeps every
+    image unitary; only pairs involving them see the fault, so a check that
+    stops before them or samples pairs can miss it."""
+    G, _ = build_catalog_group(name)
+    rep = _faithful_irrep(G)
+    last = G.order - 1
+    images = rep.images.copy()
+    images[[last - 1, last]] = images[[last, last - 1]]
+    assert not np.array_equal(images, rep.images)
+    with pytest.raises(SplitFailure, match="homomorphism residual"):
+        _check_rep(dataclasses.replace(rep, images=images), 1e-8)
+
+
+def _dense_reference_images(G, seed=DEFAULT_SEED):
+    """The images matrix_irreps built from the dense left regular
+    representation: |G| matrices of size |G| x |G|, the projector summed
+    matrix by matrix and each block taken as B0^H reg[g] B0."""
+    n = G.order
+    reg = []
+    for g in range(n):
+        M = np.zeros((n, n), dtype=complex)
+        for h in range(n):
+            M[G.mul(g, h), h] = 1.0
+        reg.append(M)
+    table = character_table(G)
+    rng = np.random.default_rng(seed)
+    out = []
+    for row, d in zip(table.rows, table.degrees):
+        if d == 1:
+            out.append(np.array([[[row(g).to_complex()]] for g in G.elements()]))
+            continue
+        P = np.zeros((n, n), dtype=complex)
+        for cls, val in zip(table.classes, row.values):
+            coeff = val.conjugate().to_complex()
+            if coeff != 0:
+                for g in cls:
+                    P += coeff * reg[g]
+        P *= d / n
+        evals, evecs = np.linalg.eigh(P)
+        B0 = evecs[:, np.nonzero(evals > 0.5)[0]]
+        block = [B0.conj().T @ reg[g] @ B0 for g in G.elements()]
+        for _ in range(20):
+            X = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+            K = (X + X.conj().T) / 2
+            S = sum(Bg @ K @ Bg.conj().T for Bg in block) / n
+            vals, vecs = np.linalg.eigh(S)
+            groups = _cluster(vals, 1e-6 * max(1.0, np.max(np.abs(vals))))
+            if len(groups) == d and all(len(g) == d for g in groups):
+                break
+        else:
+            pytest.fail("reference split did not separate a degree-%d block" % d)
+        W = vecs[:, groups[0]]
+        out.append(np.array([W.conj().T @ Bg @ W for Bg in block]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["D8", "Q8", "S4", "F21", "S3xS3-relabelled"])
+def test_images_equal_the_dense_regular_construction(name):
+    """Gathering over the group table gives bit-identical images to the
+    construction from dense regular matrices."""
+    if name == "S3xS3-relabelled":
+        G = relabelled_group("S3xS3", 6, direct_product(S3_GENS, 3, S3_GENS, 3),
+                             random.Random(11))
+    else:
+        G, _ = build_catalog_group(name)
+    reps = matrix_irreps(G)
+    reference = _dense_reference_images(G)
+    assert len(reps) == len(reference)
+    for rep, ref in zip(reps, reference):
+        assert rep.images.shape == (G.order, rep.dimension, rep.dimension)
+        assert np.array_equal(rep.images, ref)
+
+
+def test_matrix_irreps_memory_below_cubic_s5():
+    """matrix_irreps(S5) peaks below 8 |G|^3 bytes, half of what |G| dense
+    complex |G| x |G| regular matrices alone would take."""
+    G = group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], name="S5")
+    character_table(G)
+    tracemalloc.start()
+    try:
+        reps = matrix_irreps(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(r.dimension for r in reps) == [1, 1, 4, 4, 5, 5, 6]
+    assert peak < 8 * G.order ** 3
 
 
 def test_matrix_irreps_cap():
@@ -90,6 +207,16 @@ def test_stabilizer_of_character(d8):
     rho2 = next(r for r in ta.rows if r(a_loc) == Cyclotomic.from_rational(4, -1))
     assert stabilizer_of_character(G, A, rho).members == A.members
     assert stabilizer_of_character(G, A, rho2).members == tuple(G.elements())
+
+
+def test_stabilizer_of_character_equals_full_scan(pairs):
+    """One test per coset of A gives the stabilizer a scan of all of G gives."""
+    for name, G, A in pairs:
+        Agrp, _ = A.as_group()
+        for chi in character_table(Agrp).rows:
+            full = tuple(g for g in G.elements()
+                         if _conjugated_values(G, A, chi, g) == chi.values)
+            assert stabilizer_of_character(G, A, chi).members == full, name
 
 
 def _obstruction_for(G, A, predicate, seed=0x5EED):
