@@ -143,7 +143,6 @@ class RankProfile:
 
     dims: tuple
     perms: tuple
-    irr_indices: tuple
 
     def __post_init__(self):
         for perm in self.perms:
@@ -168,7 +167,7 @@ def rank_profile(G: FiniteGroup, A: Subgroup, include_trivial: bool = False) -> 
     perms = tuple(tuple(pos[irr_action(G, A, n, t)] for t in indices)
                   for n in reps if n in N)
     dims = tuple(table.degrees[i] for i in indices)
-    return RankProfile(dims=dims, perms=perms, irr_indices=tuple(indices))
+    return RankProfile(dims=dims, perms=perms)
 
 
 def enumerate_arrays(profile: RankProfile, k: int) -> list[tuple[int, ...]]:

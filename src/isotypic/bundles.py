@@ -138,13 +138,12 @@ class EquivariantBundle:
         G = base.group
         eG = G.exponent
         self.fibers = {}
-        self.multiplicities = {}
         for x, chi in sorted(fibers.items()):
             stab = base.stabilizer(x)
             sgrp, _ = stab.as_group()
             if chi.group is not sgrp:
                 raise ValueError("fiber character at %d must live on its stabilizer" % x)
-            self.multiplicities[x] = _character_multiplicities(chi)
+            _character_multiplicities(chi)  # raises unless chi is a character
             self.fibers[x] = ClassFunction(sgrp, [v.promote(eG) if v.e != eG else v
                                                   for v in chi.values])
         self._anchor = {}

@@ -4,14 +4,15 @@ Tables are computed with the Dixon-Schneider method: the class matrices are
 simultaneously diagonalized over a prime field F_q with q = 1 (mod exponent)
 and q > 2*sqrt(|G|), and the resulting mod-q character values are lifted to
 exact cyclotomics by recovering the eigenvalue multiplicities of each class
-representative through a discrete Fourier inversion mod q.  No floating
-point is involved anywhere.
+representative through a discrete Fourier inversion mod q.  The same
+multiplicities give the determinant character det o chi of every row, which
+the table keeps.  No floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 import numpy as np
@@ -81,11 +82,18 @@ class ClassFunction:
 
 
 class CharacterTable:
-    """All irreducible characters of a group, in a deterministic row order."""
+    """All irreducible characters of a group, in a deterministic row order.
 
-    def __init__(self, group: FiniteGroup, rows: Sequence[ClassFunction]):
+    determinants[i][c] = (k, m) means that a representation with character
+    rows[i] has determinant zeta_m^k on class c, with gcd(k, m) = 1 or
+    (k, m) = (0, 1).
+    """
+
+    def __init__(self, group: FiniteGroup, rows: Sequence[ClassFunction],
+                 determinants: Sequence[Sequence[tuple[int, int]]]):
         self.group = group
         self.rows = tuple(rows)
+        self.determinants = tuple(tuple(d) for d in determinants)
         self.degrees = tuple(int(r.degree().integer()) for r in self.rows)
         self.classes = group.conjugacy_classes()
         self.class_reps = tuple(c[0] for c in self.classes)
@@ -175,43 +183,19 @@ def induce(chi: ClassFunction, H: Subgroup) -> ClassFunction:
     return ClassFunction(G, vals)
 
 
-def eigenvalue_multiplicities(chi: ClassFunction, g: int) -> list[int]:
-    """Multiplicities (c_0..c_{m-1}) with chi(g) = sum_j c_j zeta_m^j, m = ord(g).
-
-    Exact Fourier inversion on the cyclic group generated by g; valid for any
-    virtual character (the c_j are then integers, possibly negative).
-    """
-    G = chi.group
-    m = G.element_order(g)
-    e = chi.values[0].e
-    ee = lcm(e, m)
-    powers = []
-    x = 0
-    for _ in range(m):
-        powers.append(chi.values[G.class_index(x)].promote(ee))
-        x = G.mul(x, g)
-    out = []
-    for j in range(m):
-        acc = Cyclotomic.zero(ee)
-        for t in range(m):
-            acc = acc + powers[t] * Cyclotomic.root_of_unity(ee, (-j * t * (ee // m)) % ee)
-        c = (acc * Fraction(1, m)).rational()
-        if c.denominator != 1:
-            raise ValueError("eigenvalue multiplicity is not an integer")
-        out.append(int(c))
-    return out
-
-
 def determinant_character_value(chi: ClassFunction, g: int) -> tuple[int, int]:
-    """det of a representation with character chi at g, as (k, m): zeta_m^k."""
-    G = chi.group
-    m = G.element_order(g)
-    mult = eigenvalue_multiplicities(chi, g)
-    k = sum(j * c for j, c in enumerate(mult)) % m
-    if k == 0:
-        return 0, 1
-    d = gcd(k, m)
-    return k // d, m // d
+    """det of the representation with irreducible character chi at g, as
+    (k, m): zeta_m^k.
+
+    Read off the character table of chi's group; ValueError unless chi is
+    one of its rows.
+    """
+    table = character_table(chi.group)
+    try:
+        row = table.row_index(chi.values)
+    except KeyError:
+        raise ValueError("determinant needs an irreducible character") from None
+    return table.determinants[row][chi.group.class_index(g)]
 
 
 # -- modular linear algebra -------------------------------------------------------
@@ -441,12 +425,14 @@ def character_table(G: FiniteGroup, cap: int = DEFAULT_CHARTABLE_CAP) -> Charact
         chi_q = [(d * int(v[i]) * pow(sizes[i], -1, q)) % q for i in range(r)]
 
         values = []
+        dets = []  # det o chi = zeta_m^k with k = sum_j j*c_j
         for i in range(r):
             m = orders[i]
             z = pow(w, e // m, q)
             zp = [pow(z, t, q) for t in range(m)]
             minv = pow(m, -1, q)
             coeffs = {}
+            k = 0
             for j in range(m):
                 acc = 0
                 for t in range(m):
@@ -456,12 +442,15 @@ def character_table(G: FiniteGroup, cap: int = DEFAULT_CHARTABLE_CAP) -> Charact
                     raise AssertionError("eigenvalue multiplicity out of range")
                 if cj:
                     coeffs[(e // m) * j] = cj
+                    k += j * cj
             values.append(Cyclotomic(e, coeffs))
-        rows.append(ClassFunction(G, values))
+            k %= m
+            dets.append((k // gcd(k, m), m // gcd(k, m)))
+        rows.append((ClassFunction(G, values), dets))
 
-    if sum(int(row.degree().integer()) ** 2 for row in rows) != n:
+    if sum(int(row.degree().integer()) ** 2 for row, _ in rows) != n:
         raise AssertionError("sum of squared degrees does not match group order")
-    rows.sort(key=lambda row: (row.degree().integer(), row.sort_key()))
-    table = CharacterTable(G, rows)
+    rows.sort(key=lambda pair: (pair[0].degree().integer(), pair[0].sort_key()))
+    table = CharacterTable(G, [row for row, _ in rows], [dets for _, dets in rows])
     G._char_table = table
     return table

@@ -57,9 +57,6 @@ class _BasisData:
         p, pv, pv1, inv = prime_entry
         return ((k * inv) % pv) // pv1
 
-    def is_basis_exponent(self, k: int) -> bool:
-        return all(self.layer(k, pe) != pe[0] - 1 for pe in self.primes)
-
 
 @lru_cache(maxsize=None)
 def _basis_data(e: int) -> _BasisData:
@@ -136,9 +133,6 @@ class Cyclotomic:
             raise ValueError("value is not rational: %r" % (self,))
         return self._coeffs[0][1]
 
-    def is_integer(self) -> bool:
-        return self.is_rational() and self.rational().denominator == 1
-
     def integer(self) -> int:
         r = self.rational()
         if r.denominator != 1:
@@ -200,26 +194,8 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Cyclotomic":
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        out = Cyclotomic.one(self.e)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conjugate(self) -> "Cyclotomic":
         return Cyclotomic(self.e, {(self.e - k) % self.e: v for k, v in self._coeffs})
-
-    def galois(self, t: int) -> "Cyclotomic":
-        """Apply the field automorphism zeta -> zeta^t (gcd(t, e) must be 1)."""
-        if gcd(t, self.e) != 1:
-            raise ValueError("galois exponent must be coprime to the order")
-        return Cyclotomic(self.e, {(k * t) % self.e: v for k, v in self._coeffs})
 
     def promote(self, e: int) -> "Cyclotomic":
         """Re-express at a larger order (current order must divide e)."""
@@ -268,17 +244,3 @@ def _coerce(x, e: int) -> Cyclotomic:
         return Cyclotomic.from_rational(e, x)
     raise TypeError("cannot coerce %r to Cyclotomic" % (x,))
 
-
-def root_of_unity_exponent(value: Cyclotomic) -> tuple[int, int]:
-    """Recognize an exact root of unity; returns (k, m) with value = zeta_m^k.
-
-    The pair is reduced so that gcd(k, m) = 1 or k = 0, m = 1.
-    """
-    e = value.e
-    for k in range(e):
-        if value == Cyclotomic.root_of_unity(e, k):
-            g = gcd(k, e)
-            if k == 0:
-                return 0, 1
-            return k // g, e // g
-    raise ValueError("value is not a root of unity of order dividing %d" % e)

@@ -23,7 +23,7 @@ import os
 from typing import Optional
 
 from .bundles import EquivariantBundle, GSet
-from .catalog import build_catalog_group, catalog_entry
+from .catalog import build_catalog_group
 from .characters import ClassFunction, cyclotomic_from_jsonable
 from .errors import IsotypicError
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, group_from_generators
@@ -77,20 +77,6 @@ def generator_elements(G: FiniteGroup, generators, indices, what: str) -> list[i
             raise FileFormatError("bad %s: generator index %d is not in 0..%d"
                                   % (what, i, len(generators) - 1))
     return [G.perm_index(tuple(generators[i])) for i in idxs]
-
-
-def group_to_jsonable(name: str, degree: int, generators, normal_indices=None) -> dict:
-    data = {"name": name, "degree": degree,
-            "generators": [list(p) for p in generators]}
-    if normal_indices is not None:
-        data["normal_subgroup_generators"] = list(normal_indices)
-    return data
-
-
-def catalog_group_file(name: str) -> dict:
-    entry = catalog_entry(name)
-    return group_to_jsonable(entry.name, entry.degree, entry.generators,
-                             entry.normal_generator_indices or None)
 
 
 def load_bundle_file(path: str) -> tuple[EquivariantBundle, FiniteGroup, Optional[Subgroup]]:
@@ -156,13 +142,3 @@ def bundle_from_jsonable(data: dict, G: FiniteGroup) -> EquivariantBundle:
     except ValueError as exc:
         raise FileFormatError(str(exc))
 
-
-def bundle_to_jsonable(bundle: EquivariantBundle, group_ref: str) -> dict:
-    return {
-        "group": group_ref,
-        "base": {"points": bundle.base.size,
-                 "action": [list(row) for row in bundle.base.action]},
-        "fibers": [{"orbit_rep": rep,
-                    "character": {"irreducible_multiplicities": list(ms)}}
-                   for rep, ms in sorted(bundle.multiplicities.items())],
-    }

@@ -55,6 +55,7 @@ class FiniteGroup:
         self._lattice: Optional[tuple[list["Subgroup"], int]] = None
         self._subgroup_classes: Optional[list[list["Subgroup"]]] = None
         self._subgroup_cache: dict[tuple[int, ...], tuple["FiniteGroup", tuple[int, ...]]] = {}
+        self._normal_cache: dict[tuple[int, ...], bool] = {}
         self._char_table = None  # set by characters.character_table
 
     # -- basic operations ----------------------------------------------------
@@ -177,10 +178,15 @@ class FiniteGroup:
             name="Z(%s)" % self.name)
 
     def is_normal(self, H: "Subgroup") -> bool:
-        rows, inv = self._rows, self._inv
-        mem = set(H.members)
-        return all(rows[rows[g][h]][inv[g]] in mem
-                   for g in self.elements() for h in H.members)
+        """Whether gHg^-1 = H for every g; cached per member set."""
+        normal = self._normal_cache.get(H.members)
+        if normal is None:
+            rows, inv = self._rows, self._inv
+            mem = set(H.members)
+            normal = all(rows[rows[g][h]][inv[g]] in mem
+                         for g in self.elements() for h in H.members)
+            self._normal_cache[H.members] = normal
+        return normal
 
     def normalizer(self, H: "Subgroup") -> "Subgroup":
         """Largest subgroup N with nHn^-1 = H; always contains H."""
@@ -373,9 +379,6 @@ class QuotientGroup:
     @property
     def order(self) -> int:
         return self.group.order
-
-    def project(self, g: int) -> int:
-        return self.projection[g]
 
     def lift(self, q: int) -> int:
         return self.section[q]

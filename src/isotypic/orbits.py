@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import (CharacterTable, ClassFunction, character_table,
-                         inner_product, restrict)
+from .characters import (CharacterTable, character_table, inner_product,
+                         restrict)
 from .errors import NotNormal, NotStabilized
 from .groups import FiniteGroup, Subgroup, left_cosets
 from .repmatrices import (ObstructionRecord, _conjugated_values, check_cocycle,
@@ -52,10 +52,6 @@ def extension_exists(G_rho: Subgroup, A: Subgroup, rho: int) -> bool:
         if _same_values(restrict(chi, A_in_s).values, chi_rho.values):
             return True
     return False
-
-
-def _promote_cf(chi: ClassFunction, e: int) -> ClassFunction:
-    return ClassFunction(chi.group, [v.promote(e) for v in chi.values])
 
 
 def _same_values(a, b) -> bool:
@@ -162,14 +158,16 @@ def orbit_decomposition(G: FiniteGroup, A: Subgroup,
     orbits.sort(key=min)
 
     irreps_a = matrix_irreps(Agrp, seed=seed, tol=tol)
+    restricted = [restrict(chi, A) for chi in table_g.rows]
     records = []
     for orbit in orbits:
         rep = min(orbit)
         obs = obstruction_cocycle(G, A, irreps_a[rep], seed=seed, tol=tol,
                                   snap_tol=snap_tol)
+        # chi lies over the orbit iff <Res_A chi, rho> > 0
         lying = frozenset(
-            i for i, chi in enumerate(table_g.rows)
-            if _restriction_multiplicity(chi, A, table_a.rows[rep]) > 0)
+            i for i, res in enumerate(restricted)
+            if inner_product(res, table_a.rows[rep]).rational() > 0)
         # obstruction_cocycle has already checked this table
         regular = _regular_class_count(obs.quotient.group, obs.omega, obs.modulus)
         records.append(IrrOrbitRecord(
@@ -177,16 +175,6 @@ def orbit_decomposition(G: FiniteGroup, A: Subgroup,
             quotient=obs.quotient, obstruction=obs, lying_over=lying,
             twisted_count=len(lying), omega_regular=regular))
     return records
-
-
-def _restriction_multiplicity(chi: ClassFunction, A: Subgroup, rho: ClassFunction):
-    """<Res_A chi, rho> as an exact rational (integer for characters)."""
-    Agrp, _ = A.as_group()
-    res = restrict(chi, A)
-    e = res.values[0].e
-    rho_p = _promote_cf(rho, e) if rho.values[0].e != e else rho
-    val = inner_product(res, rho_p)
-    return val.rational()
 
 
 def omega_regular_count(Q: FiniteGroup, omega, modulus: int) -> int:

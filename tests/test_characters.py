@@ -1,14 +1,18 @@
+import random
+from fractions import Fraction
+from math import gcd, lcm
+
 import pytest
 
+from isotypic.catalog import all_catalog_groups
 from isotypic.characters import (CharacterTable, ClassFunction, character_table,
-                                 determinant_character_value,
-                                 eigenvalue_multiplicities, induce,
+                                 determinant_character_value, induce,
                                  inner_product, restrict)
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import CapExceeded, GroupMismatch, NotSubgroup
 from isotypic.groups import group_from_generators
 
-from conftest import dihedral
+from conftest import S3_GENS, S4_GENS, dihedral, direct_product, relabelled_group
 
 
 def one(e):
@@ -234,12 +238,76 @@ def test_clifford_restriction_law(pairs):
                 assert support == frozenset(orbit), name
 
 
+def reference_eigenvalue_multiplicities(chi: ClassFunction, g: int) -> list[int]:
+    """Multiplicities (c_0..c_{m-1}) with chi(g) = sum_j c_j zeta_m^j, m = ord(g),
+    by exact cyclotomic Fourier inversion on the cyclic group generated by g:
+    a derivation from the lifted table values alone, independent of the mod-q
+    multiplicities the table keeps."""
+    G = chi.group
+    m = G.element_order(g)
+    e = chi.values[0].e
+    ee = lcm(e, m)
+    powers = []
+    x = 0
+    for _ in range(m):
+        powers.append(chi.values[G.class_index(x)].promote(ee))
+        x = G.mul(x, g)
+    out = []
+    for j in range(m):
+        acc = Cyclotomic.zero(ee)
+        for t in range(m):
+            acc = acc + powers[t] * Cyclotomic.root_of_unity(ee, (-j * t * (ee // m)) % ee)
+        c = (acc * Fraction(1, m)).rational()
+        if c.denominator != 1:
+            raise ValueError("eigenvalue multiplicity is not an integer")
+        out.append(int(c))
+    return out
+
+
+def _determinant_groups():
+    rng = random.Random(6)
+    S5 = group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], name="S5")
+    S4xZ2 = relabelled_group("S4xZ2", 6, direct_product(S4_GENS, 4, [[1, 0]], 2), rng)
+    S3xS3 = relabelled_group("S3xS3", 6, direct_product(S3_GENS, 3, S3_GENS, 3), rng)
+    return all_catalog_groups() + [S5, S4xZ2, S3xS3]
+
+
+def test_determinant_matches_reference_inversion():
+    """det o chi read off the lift equals zeta_m^k with k = sum_j j*c_j from
+    the exact cyclotomic inversion, for every row at every element."""
+    checked = 0
+    for G in _determinant_groups():
+        for chi in character_table(G).rows:
+            for g in G.elements():
+                m = G.element_order(g)
+                mult = reference_eigenvalue_multiplicities(chi, g)
+                k = sum(j * c for j, c in enumerate(mult)) % m
+                expected = (k // gcd(k, m), m // gcd(k, m))
+                assert determinant_character_value(chi, g) == expected, (G.name, chi, g)
+                checked += 1
+    assert checked == 3253 + 7 * 120 + 10 * 48 + 9 * 36
+
+
+@pytest.mark.parametrize("which", ["twice-irreducible", "regular"])
+def test_determinant_rejects_reducible_class_function(which, d8):
+    G, _ = d8
+    t = character_table(G)
+    e = G.exponent
+    if which == "twice-irreducible":
+        chi = 2 * t.rows[t.degrees.index(2)]
+    else:
+        chi = ClassFunction(G, [Cyclotomic.from_rational(e, G.order)]
+                            + [zero(e)] * (len(t.classes) - 1))
+    with pytest.raises(ValueError, match="irreducible"):
+        determinant_character_value(chi, 1)
+
+
 def test_eigenvalue_multiplicities_and_determinant(d8):
     G, _ = d8
     t = character_table(G)
     two_dim = t.rows[t.degrees.index(2)]
     a = G.perm_index((1, 2, 3, 0))
-    mult = eigenvalue_multiplicities(two_dim, a)
+    mult = reference_eigenvalue_multiplicities(two_dim, a)
     # rotation acts on C^2 with eigenvalues i and -i
     assert mult == [0, 1, 0, 1]
     k, m = determinant_character_value(two_dim, a)

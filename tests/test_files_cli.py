@@ -7,9 +7,7 @@ import sys
 import pytest
 
 from isotypic.cli import main
-from isotypic.files import (FileFormatError, bundle_to_jsonable,
-                            catalog_group_file, load_bundle_file,
-                            load_group_file)
+from isotypic.files import FileFormatError, load_bundle_file, load_group_file
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "isotypic", "data")
 
@@ -112,9 +110,9 @@ def test_cmd_clifford_rejects_bad_generator_index(selector, capsys):
 
 @pytest.mark.parametrize("indices", [[-1], [2], [0, -2]])
 def test_group_file_rejects_bad_normal_generator_index(indices, tmp_path):
-    data = catalog_group_file("D8")
-    assert len(data["generators"]) == 2
-    data["normal_subgroup_generators"] = indices
+    data = {"name": "D8", "degree": 4,
+            "generators": [[1, 2, 3, 0], [0, 3, 2, 1]],
+            "normal_subgroup_generators": indices}
     f = tmp_path / "bad_normal.json"
     f.write_text(json.dumps(data))
     with pytest.raises(FileFormatError, match="generator index"):
@@ -164,15 +162,17 @@ def test_cmd_bundle_verify_rejects_orbit_rep_out_of_range(rep, tmp_path, capsys)
 
 
 def test_cmd_bundle_verify_not_a_trivial(tmp_path, capsys):
-    from isotypic.bundles import EquivariantBundle, GSet
+    from isotypic.bundles import GSet
     from isotypic.characters import character_table
     G, A = load_group_file(data_path("d8.json"))
     b = next(g for g in G.elements() if g not in A._member_set and G.element_order(g) == 2)
     Y = GSet.cosets(G, G.subgroup([b]))
     sgrp, _ = Y.stabilizer(0).as_group()
     ts = character_table(sgrp)
-    E = EquivariantBundle.from_multiplicities(Y, {0: [1] * len(ts.rows)})
-    data = bundle_to_jsonable(E, data_path("d8.json"))
+    data = {"group": data_path("d8.json"),
+            "base": {"points": Y.size, "action": [list(row) for row in Y.action]},
+            "fibers": [{"orbit_rep": 0,
+                        "character": {"irreducible_multiplicities": [1] * len(ts.rows)}}]}
     f = tmp_path / "bad_base.json"
     f.write_text(json.dumps(data))
     assert main(["bundle-verify", str(f)]) == 6
@@ -284,14 +284,6 @@ def test_json_report_schema_fields(argv, capsys):
         assert key in payload
     assert payload["schema_version"] == 1
     assert json.loads(json.dumps(payload)) == payload
-
-
-def test_catalog_group_file_roundtrip(tmp_path):
-    data = catalog_group_file("D8")
-    f = tmp_path / "d8_again.json"
-    f.write_text(json.dumps(data))
-    G, A = load_group_file(str(f))
-    assert G.order == 8 and A.order == 4
 
 
 def test_cli_entry_point_runs():

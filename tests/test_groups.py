@@ -146,11 +146,39 @@ def test_quotient_projection_is_homomorphism():
             Q = G.quotient(H)
             for g in G.elements():
                 for h in G.elements():
-                    assert Q.project(G.mul(g, h)) == Q.group.mul(Q.project(g), Q.project(h))
+                    assert (Q.projection[G.mul(g, h)]
+                            == Q.group.mul(Q.projection[g], Q.projection[h]))
             for q in range(Q.order):
-                assert Q.project(Q.lift(q)) == q
-            kernel = [g for g in G.elements() if Q.project(g) == 0]
+                assert Q.projection[Q.lift(q)] == q
+            kernel = [g for g in G.elements() if Q.projection[g] == 0]
             assert tuple(kernel) == H.members
+
+
+def test_is_normal_is_cached_per_member_set(monkeypatch):
+    G = group_from_generators(4, S4_GENS, name="S4")
+    for H in G.all_subgroups():
+        # brute force: H is normal iff every conjugate of H is H
+        normal = all(H.conjugate(g).members == H.members for g in G.elements())
+        assert G.is_normal(H) is normal
+        assert G.is_normal(H) is normal
+    # one scan of G per member set, whichever Subgroup object asks
+    G = group_from_generators(4, S4_GENS, name="S4")
+    scans = []
+    elements = G.elements
+
+    def counting_elements():
+        scans.append(1)
+        return elements()
+
+    monkeypatch.setattr(G, "elements", counting_elements)
+    V4 = G.subgroup([G.perm_index((1, 0, 3, 2)), G.perm_index((2, 3, 0, 1))])
+    same = G.subgroup_from_members(V4.members)
+    assert same is not V4
+    assert G.is_normal(V4) and G.is_normal(same) and G.is_normal(V4)
+    assert len(scans) == 1
+    H = G.subgroup([G.perm_index((1, 0, 2, 3))])
+    assert not G.is_normal(H) and not G.is_normal(G.subgroup_from_members(H.members))
+    assert len(scans) == 2
 
 
 def test_quotient_requires_normal():
