@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .characters import ClassFunction, character_table, inner_product
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, dot
 from .errors import NotATrivial
 from .groups import FiniteGroup, Subgroup, left_cosets
 from .orbits import IrrOrbitRecord, orbit_decomposition
@@ -126,7 +127,8 @@ class EquivariantBundle:
     fibers maps points (at least one per orbit, usually the orbit
     representatives) to the character of the stabilizer representation on
     the fiber there; characters must decompose with nonnegative integer
-    multiplicities, which is validated on construction.  Data stored at
+    multiplicities, which the constructor checks (from_multiplicities builds
+    them from such multiplicities and needs no check).  Data stored at
     several points of one orbit is deliberately redundant: the decomposition
     check compares it for mutual consistency.  All values are promoted to
     the exponent of the ambient group so the downstream character identities
@@ -134,18 +136,20 @@ class EquivariantBundle:
     """
 
     def __init__(self, base: GSet, fibers: dict):
-        self.base = base
-        G = base.group
-        eG = G.exponent
-        self.fibers = {}
-        for x, chi in sorted(fibers.items()):
-            stab = base.stabilizer(x)
-            sgrp, _ = stab.as_group()
-            if chi.group is not sgrp:
+        for x, chi in fibers.items():
+            if chi.group is not base.stabilizer(x).as_group()[0]:
                 raise ValueError("fiber character at %d must live on its stabilizer" % x)
             _character_multiplicities(chi)  # raises unless chi is a character
-            self.fibers[x] = ClassFunction(sgrp, [v.promote(eG) if v.e != eG else v
-                                                  for v in chi.values])
+        self._attach(base, fibers)
+
+    def _attach(self, base: GSet, fibers: dict) -> None:
+        """Store characters already known to be stabilizer characters."""
+        self.base = base
+        eG = base.group.exponent
+        self.fibers = {}
+        for x, chi in sorted(fibers.items()):
+            self.fibers[x] = ClassFunction(chi.group, [v.promote(eG) if v.e != eG else v
+                                                       for v in chi.values])
         self._anchor = {}
         for orb in base.orbits():
             stored = [x for x in orb if x in self.fibers]
@@ -163,21 +167,30 @@ class EquivariantBundle:
 
     @staticmethod
     def from_multiplicities(base: GSet, mults: dict) -> "EquivariantBundle":
+        """The bundle whose fiber at each given point is sum_i m_i chi_i over
+        the rows chi_i of its stabilizer's table.
+
+        A list of nonnegative integers, one per row, always gives a
+        character, so the sums are not decomposed again.
+        """
+        one = Cyclotomic.one(1)
         fibers = {}
         for rep, ms in mults.items():
-            stab = base.stabilizer(rep)
-            sgrp, _ = stab.as_group()
+            sgrp, _ = base.stabilizer(rep).as_group()
             table = character_table(sgrp)
             if len(ms) != len(table.rows):
                 raise ValueError("expected %d multiplicities for orbit %d"
                                  % (len(table.rows), rep))
-            e = sgrp.exponent
-            acc = ClassFunction(sgrp, [Cyclotomic.zero(e)] * len(sgrp.conjugacy_classes()))
-            for m, row in zip(ms, table.rows):
-                if m:
-                    acc = acc + m * row
-            fibers[rep] = acc
-        return EquivariantBundle(base, fibers)
+            if any(isinstance(m, bool) or not isinstance(m, int) or m < 0 for m in ms):
+                raise ValueError("multiplicities for orbit %d must be integers >= 0, got %r"
+                                 % (rep, list(ms)))
+            fibers[rep] = ClassFunction(sgrp, [
+                dot(base.group.exponent, [(m, row.values[c], one)
+                                          for m, row in zip(ms, table.rows)])
+                for c in range(len(table.classes))])
+        E = EquivariantBundle.__new__(EquivariantBundle)
+        E._attach(base, fibers)
+        return E
 
     @staticmethod
     def trivial(base: GSet, chi: ClassFunction) -> "EquivariantBundle":
@@ -259,16 +272,12 @@ def isotypic_rank(E: EquivariantBundle, A: Subgroup, rho: int, x: int) -> int:
 def _isotypic_inner(chi: ClassFunction, stab: Subgroup, A: Subgroup, rho: int) -> Fraction:
     """<Res_A chi, rho> for chi on the materialized stabilizer, A inside it."""
     Agrp, aembed = A.as_group()
-    table_a = character_table(Agrp)
-    rho_row = table_a.rows[rho]
+    rho_row = character_table(Agrp).rows[rho]
     sgrp, _ = stab.as_group()
-    e = chi.values[0].e
-    total = Cyclotomic.zero(e)
-    for cls, rval in zip(Agrp.conjugacy_classes(), rho_row.values):
-        a = aembed[cls[0]]
-        fval = chi.values[sgrp.class_index(stab.retract(a))]
-        total = total + len(cls) * (fval * rval.conjugate())
-    return (total * Fraction(1, Agrp.order)).rational()
+    terms = [(len(cls), chi.values[sgrp.class_index(stab.retract(aembed[cls[0]]))], rval)
+             for cls, rval in zip(Agrp.conjugacy_classes(), rho_row.values)]
+    e = lcm(*{v.e for v in chi.values + rho_row.values})
+    return dot(e, terms, Fraction(1, Agrp.order), conjugate=True).rational()
 
 
 def induction_piece_character(E: EquivariantBundle, A: Subgroup,
@@ -278,40 +287,39 @@ def induction_piece_character(E: EquivariantBundle, A: Subgroup,
     The fiber is the sum over cosets g G_rho of the rho-isotypic part of the
     fiber of E at g^-1 x; an element k of Stab(x) permutes the cosets and the
     value at k collects the fixed cosets, where g^-1 k g acts on the summand.
+    Each value is one exact sum over the fixed cosets and the elements of A.
     """
     _require_a_trivial(E.base, A)
     G = E.base.group
-    eG = G.exponent
     Agrp, aembed = A.as_group()
     table_a = character_table(Agrp)
     rho_row = table_a.rows[orbit.representative]
     d_rho = table_a.degrees[orbit.representative]
     stab_members = set(orbit.stabilizer.members)
+    # (element of A, rho value) pairs; rho enters conjugated
+    a_vals = [(aembed[aa], rval) for acls, rval in zip(Agrp.conjugacy_classes(), rho_row.values)
+              for aa in acls]
 
     _, transversal = left_cosets(G, orbit.stabilizer.members)
-    stab_x = E.base.stabilizer(x)
-    sxg, xembed = stab_x.as_group()
+    # the fiber at y = g^-1 x, transported once per coset
+    fibers = []
+    for g in transversal:
+        ginv = G.inv(g)
+        y = E.base.act(ginv, x)
+        stab_y = E.base.stabilizer(y)
+        fibers.append((g, ginv, fiber_character(E, y).values, stab_y, stab_y.as_group()[0]))
+    sxg, xembed = E.base.stabilizer(x).as_group()
     values = []
     for cls in sxg.conjugacy_classes():
         k = xembed[cls[0]]
-        total = Cyclotomic.zero(eG)
-        for g in transversal:
-            h = G.mul(G.mul(G.inv(g), k), g)
+        terms = []
+        for g, ginv, fib_vals, stab_y, syg in fibers:
+            h = G.mul(G.mul(ginv, k), g)
             if h not in stab_members:
                 continue  # coset not fixed by k
-            y = E.base.act(G.inv(g), x)
-            fib_y = fiber_character(E, y)
-            stab_y = E.base.stabilizer(y)
-            syg, _ = stab_y.as_group()
-            acc = Cyclotomic.zero(eG)
-            for acls, rval in zip(Agrp.conjugacy_classes(), rho_row.values):
-                cval = rval.conjugate()
-                for aa in acls:
-                    a = aembed[aa]
-                    ha = G.mul(h, a)
-                    acc = acc + cval * fib_y.values[syg.class_index(stab_y.retract(ha))]
-            total = total + acc * Fraction(d_rho, Agrp.order)
-        values.append(total)
+            terms += [(1, fib_vals[syg.class_index(stab_y.retract(G.mul(h, a)))], rval)
+                      for a, rval in a_vals]
+        values.append(dot(G.exponent, terms, Fraction(d_rho, Agrp.order), conjugate=True))
     return ClassFunction(sxg, values)
 
 

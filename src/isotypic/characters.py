@@ -12,12 +12,12 @@ the table keeps.  No floating point is involved anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, _factorize
+from .cyclotomic import Cyclotomic, _factorize, dot
 from .errors import CapExceeded, GroupMismatch, NotSubgroup
 from .groups import FiniteGroup, Subgroup
 
@@ -137,16 +137,14 @@ def cyclotomic_from_jsonable(obj: dict) -> Cyclotomic:
 
 
 def inner_product(x1: ClassFunction, x2: ClassFunction) -> Cyclotomic:
-    """(1/|G|) sum_g x1(g) conj(x2(g)), computed classwise."""
+    """(1/|G|) sum_g x1(g) conj(x2(g)), computed classwise, at the lcm of the
+    value orders."""
     if x1.group is not x2.group:
         raise GroupMismatch("inner product needs class functions on the same group")
     G = x1.group
     sizes = [len(c) for c in G.conjugacy_classes()]
-    e = x1.values[0].e
-    total = Cyclotomic.zero(e)
-    for sz, a, b in zip(sizes, x1.values, x2.values):
-        total = total + (a * b.conjugate()) * sz
-    return total * Fraction(1, G.order)
+    e = lcm(*{v.e for v in x1.values + x2.values})
+    return dot(e, zip(sizes, x1.values, x2.values), Fraction(1, G.order), conjugate=True)
 
 
 def restrict(chi: ClassFunction, H: Subgroup) -> ClassFunction:
@@ -168,18 +166,18 @@ def induce(chi: ClassFunction, H: Subgroup) -> ClassFunction:
     if chi.group is not Hgrp:
         raise NotSubgroup("class function does not live on the given subgroup")
     G = H.parent
-    eG = G.exponent
-    member = set(H.members)
-    lut = {g: i for i, g in enumerate(embed)}
+    lut = {g: Hgrp.class_index(i) for i, g in enumerate(embed)}
+    one = Cyclotomic.one(1)
     vals = []
     for cls in G.conjugacy_classes():
         g = cls[0]
-        acc = Cyclotomic.zero(eG)
+        counts = [0] * len(chi.values)
         for x in G.elements():
-            y = G.mul(G.mul(G.inv(x), g), x)
-            if y in member:
-                acc = acc + chi.values[Hgrp.class_index(lut[y])].promote(eG)
-        vals.append(acc * Fraction(1, H.order))
+            c = lut.get(G.mul(G.mul(G.inv(x), g), x))
+            if c is not None:
+                counts[c] += 1
+        vals.append(dot(G.exponent, ((m, v, one) for m, v in zip(counts, chi.values)),
+                        Fraction(1, H.order)))
     return ClassFunction(G, vals)
 
 

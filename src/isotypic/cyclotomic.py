@@ -1,22 +1,29 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_e).
 
-Values are stored as rational coefficient maps over a fixed integral basis
-of Q(zeta_e) consisting of basis roots of unity: an exponent k is a basis
-exponent iff for every prime power p^v || e the p-part of k avoids the top
-layer (digit p-1).  Non-basis exponents are eliminated with the relations
+A value is stored as integer numerators over a fixed integral basis of
+Q(zeta_e) and one positive common denominator, in lowest terms.  The basis
+consists of roots of unity: an exponent k is a basis exponent iff for every
+prime power p^v || e the p-part of k avoids the top layer (digit p-1).
+A non-basis root is rewritten with the relations
 
     sum_{j mod p} zeta_e^(k + j*e/p) = 0,
 
-one prime at a time; the result is canonical, so equality of values is
-equality of stored coefficient maps (at a common order e).
+for every prime whose top layer it hits; the resulting expansion of each
+zeta_e^k over the basis (all coefficients +-1) is tabulated per order on
+first use.  Products and sums of products are accumulated as numerators in
+one dense list of length e and reduced once per result, so arithmetic costs
+O(e) memory.  The representation is canonical: equality of values is
+equality of stored numerators and denominator (at a common order e).
+``Fraction`` appears only where values enter or leave: coefficient maps,
+``coeffs``, ``rational()`` and rational operands.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
-from typing import Mapping, Union
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+from typing import Iterable, Mapping, Union
 
 import cmath
 
@@ -57,28 +64,70 @@ class _BasisData:
         p, pv, pv1, inv = prime_entry
         return ((k * inv) % pv) // pv1
 
+    @cached_property
+    def expand(self) -> list[tuple[tuple[int, int], ...]]:
+        """expand[k]: zeta_e^k over the basis, as (basis exponent, +-1) pairs.
+
+        Shifting k by a multiple of e/p changes only its p-part, so the
+        relation for each top-layer prime is applied once, independently.
+        """
+        e = self.e
+        out = []
+        for k in range(e):
+            terms = [(k, 1)]
+            for pe in self.primes:
+                p = pe[0]
+                if self.layer(k, pe) == p - 1:
+                    shift = e // p
+                    terms = [((t - j * shift) % e, -s) for t, s in terms for j in range(1, p)]
+            out.append(tuple(terms))
+        return out
+
+    @cached_property
+    def nonbasis(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+        """(k, expand[k]) for every exponent k outside the basis."""
+        return [(k, terms) for k, terms in enumerate(self.expand) if terms != ((k, 1),)]
+
 
 @lru_cache(maxsize=None)
 def _basis_data(e: int) -> _BasisData:
     return _BasisData(e)
 
 
-def _reduce(e: int, coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
-    data = _basis_data(e)
-    cur = {k % e: v for k, v in coeffs.items() if v != 0}
-    for pe in data.primes:
-        p = pe[0]
-        shift = e // p
-        nxt: dict[int, Fraction] = {}
-        for k, c in cur.items():
-            if data.layer(k, pe) == p - 1:
-                for j in range(1, p):
-                    kk = (k - j * shift) % e
-                    nxt[kk] = nxt.get(kk, Fraction(0)) - c
-            else:
-                nxt[k] = nxt.get(k, Fraction(0)) + c
-        cur = {k: v for k, v in nxt.items() if v != 0}
-    return cur
+def _reduce(e: int, acc: list[int]) -> tuple[tuple[int, int], ...]:
+    """The nonzero basis numerators of a dense numerator list at order e.
+
+    acc is consumed: every non-basis entry is expanded onto the basis in one
+    pass.
+    """
+    for k, terms in _basis_data(e).nonbasis:
+        c = acc[k]
+        if c:
+            acc[k] = 0
+            for t, s in terms:
+                acc[t] += s * c
+    return tuple([(k, c) for k, c in enumerate(acc) if c])
+
+
+def _lowest(num: tuple[tuple[int, int], ...], den: int):
+    """num/den with the common factor of numerators and denominator removed."""
+    if den != 1:
+        g = gcd(den, *[n for _, n in num])
+        if g != 1:
+            num = tuple([(k, n // g) for k, n in num])
+            den //= g
+    return num, den
+
+
+def _make(e: int, num: tuple[tuple[int, int], ...], den: int) -> "Cyclotomic":
+    """The value num/den at order e, num nonzero numerators over the basis."""
+    num, den = _lowest(num, den)
+    v = object.__new__(Cyclotomic)
+    v.e = e
+    v._num = num
+    v._den = den
+    v._hash = None
+    return v
 
 
 class Cyclotomic:
@@ -88,12 +137,22 @@ class Cyclotomic:
     compare values living at different orders.
     """
 
-    __slots__ = ("e", "_coeffs", "_hash")
+    __slots__ = ("e", "_num", "_den", "_hash")
 
     def __init__(self, e: int, coeffs: Mapping[int, Rat]):
-        self.e = int(e)
-        reduced = _reduce(self.e, {int(k): Fraction(v) for k, v in coeffs.items()})
-        self._coeffs = tuple(sorted(reduced.items()))
+        e = int(e)
+        _basis_data(e)  # rejects e <= 0
+        items = [(int(k), v if isinstance(v, int) else Fraction(v))
+                 for k, v in coeffs.items()]
+        den = 1
+        for _, v in items:
+            if not isinstance(v, int):
+                den = lcm(den, v.denominator)
+        acc = [0] * e
+        for k, v in items:
+            acc[k % e] += v * den if isinstance(v, int) else v.numerator * (den // v.denominator)
+        self.e = e
+        self._num, self._den = _lowest(_reduce(e, acc), den)
         self._hash = None
 
     # -- constructors --------------------------------------------------------
@@ -118,30 +177,37 @@ class Cyclotomic:
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
-        return dict(self._coeffs)
+        return {k: Fraction(n, self._den) for k, n in self._num}
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def is_rational(self) -> bool:
-        return all(k == 0 for k, _ in self._coeffs)
+        return all(k == 0 for k, _ in self._num)
 
     def rational(self) -> Fraction:
-        if not self._coeffs:
+        if not self._num:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError("value is not rational: %r" % (self,))
-        return self._coeffs[0][1]
+        return Fraction(self._num[0][1], self._den)
 
     def integer(self) -> int:
-        r = self.rational()
-        if r.denominator != 1:
+        if not self._num:
+            return 0
+        if not self.is_rational() or self._den != 1:
             raise ValueError("value is not a rational integer: %r" % (self,))
-        return r.numerator
+        return self._num[0][1]
 
     def to_complex(self) -> complex:
         tau = 2.0 * cmath.pi / self.e
-        return sum(float(c) * cmath.exp(1j * tau * k) for k, c in self._coeffs) + 0j
+        return sum(n / self._den * cmath.exp(1j * tau * k) for k, n in self._num) + 0j
+
+    def _coefficients(self):
+        """(k, c) pairs with c an int when the denominator is 1."""
+        if self._den == 1:
+            return self._num
+        return tuple((k, Fraction(n, self._den)) for k, n in self._num)
 
     def sort_key(self):
         """Total order used for deterministic row sorting.
@@ -150,29 +216,30 @@ class Cyclotomic:
         non-rational value with the same support start; this puts the trivial
         character first in practice.
         """
-        return tuple((k, -c) for k, c in self._coeffs)
+        return tuple((k, -c) for k, c in self._coefficients())
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _binop_coeffs(self, other: "Cyclotomic"):
-        if self.e == other.e:
-            return self.e, dict(self._coeffs), dict(other._coeffs)
-        e = self.e * other.e // gcd(self.e, other.e)
-        a = {k * (e // self.e): v for k, v in self._coeffs}
-        b = {k * (e // other.e): v for k, v in other._coeffs}
-        return e, a, b
-
     def __add__(self, other) -> "Cyclotomic":
         other = _coerce(other, self.e)
-        e, a, b = self._binop_coeffs(other)
-        for k, v in b.items():
-            a[k] = a.get(k, Fraction(0)) + v
-        return Cyclotomic(e, a)
+        if self.e == other.e:
+            e, a, b = self.e, self._num, other._num
+        else:
+            e = lcm(self.e, other.e)
+            sa, sb = e // self.e, e // other.e
+            a = [(k * sa, n) for k, n in self._num]
+            b = [(k * sb, n) for k, n in other._num]
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        acc = {k: n * fa for k, n in a}
+        for k, n in b:
+            acc[k] = acc.get(k, 0) + n * fb
+        return _make(e, tuple(sorted([kn for kn in acc.items() if kn[1]])), den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.e, {k: -v for k, v in self._coeffs})
+        return _make(self.e, tuple([(k, -n) for k, n in self._num]), self._den)
 
     def __sub__(self, other) -> "Cyclotomic":
         return self + (-_coerce(other, self.e))
@@ -182,27 +249,32 @@ class Cyclotomic:
 
     def __mul__(self, other) -> "Cyclotomic":
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.e, {k: v * other for k, v in self._coeffs})
+            if not other:
+                return _make(self.e, (), 1)
+            num, den = other.numerator, other.denominator
+            return _make(self.e, tuple([(k, n * num) for k, n in self._num]),
+                         self._den * den)
         other = _coerce(other, self.e)
-        e, a, b = self._binop_coeffs(other)
-        out: dict[int, Fraction] = {}
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                k = (k1 + k2) % e
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return Cyclotomic(e, out)
+        return dot(lcm(self.e, other.e), ((1, self, other),))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Cyclotomic":
-        return Cyclotomic(self.e, {(self.e - k) % self.e: v for k, v in self._coeffs})
+        e = self.e
+        acc = [0] * e
+        for k, n in self._num:
+            acc[-k % e] += n
+        return _make(e, _reduce(e, acc), self._den)
 
     def promote(self, e: int) -> "Cyclotomic":
-        """Re-express at a larger order (current order must divide e)."""
+        """Re-express at a larger order (current order must divide e).
+
+        Basis exponents stay basis exponents, so this is a relabelling.
+        """
         if e % self.e != 0:
             raise ValueError("cannot promote order %d to %d" % (self.e, e))
         scale = e // self.e
-        return Cyclotomic(e, {k * scale: v for k, v in self._coeffs})
+        return _make(e, tuple([(k * scale, n) for k, n in self._num]), self._den)
 
     # -- comparisons -----------------------------------------------------------
 
@@ -211,23 +283,26 @@ class Cyclotomic:
             other = Cyclotomic.from_rational(self.e, other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.e == other.e and self._coeffs == other._coeffs
+        return (self.e == other.e and self._num == other._num
+                and self._den == other._den)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.e, self._coeffs))
+            self._hash = hash((self.e, self._coefficients()))
         return self._hash
 
     def equals_value(self, other: "Cyclotomic") -> bool:
         """Mathematical equality across different stored orders."""
-        e = self.e * other.e // gcd(self.e, other.e)
+        if self.e == other.e:
+            return self == other
+        e = lcm(self.e, other.e)
         return self.promote(e) == other.promote(e)
 
     def __repr__(self) -> str:
-        if not self._coeffs:
+        if not self._num:
             return "0"
         parts = []
-        for k, c in self._coeffs:
+        for k, c in self._coefficients():
             if k == 0:
                 parts.append(str(c))
             elif c == 1:
@@ -237,10 +312,52 @@ class Cyclotomic:
         return " + ".join(parts)
 
 
+def dot(e: int, terms: Iterable[tuple[int, Cyclotomic, Cyclotomic]],
+        scale: Rat = 1, conjugate: bool = False) -> Cyclotomic:
+    """scale * sum(w * a * b for w, a, b in terms) as one value at order e.
+
+    With conjugate=True each b enters as its complex conjugate.  Every
+    operand's order must divide e.  Numerators are accumulated in one dense
+    list over a common denominator and reduced once; scale is applied by one
+    exact division at the end.
+    """
+    acc = [0] * e
+    den = 1
+    sign = -1 if conjugate else 1
+    for w, a, b in terms:
+        if not w:
+            continue
+        if e % a.e or e % b.e:
+            raise ValueError("cannot promote order %d to %d"
+                             % (a.e if e % a.e else b.e, e))
+        d = a._den * b._den
+        if d != 1 or den != 1:
+            common = lcm(den, d)
+            if common != den:
+                acc = [c * (common // den) for c in acc]
+                den = common
+            w *= den // d
+        sa = e // a.e
+        sb = sign * (e // b.e)
+        bterms = [(kb * sb, nb) for kb, nb in b._num]
+        for ka, na in a._num:
+            base = ka * sa
+            c = w * na
+            for kb, nb in bterms:
+                acc[(base + kb) % e] += c * nb
+    num = _reduce(e, acc)
+    if not num or not scale:
+        return _make(e, (), 1)
+    if scale != 1:
+        s = scale.numerator
+        num = tuple([(k, n * s) for k, n in num])
+        den *= scale.denominator
+    return _make(e, num, den)
+
+
 def _coerce(x, e: int) -> Cyclotomic:
     if isinstance(x, Cyclotomic):
         return x
     if isinstance(x, (int, Fraction)):
         return Cyclotomic.from_rational(e, x)
     raise TypeError("cannot coerce %r to Cyclotomic" % (x,))
-

@@ -124,9 +124,12 @@ def bundle_from_jsonable(data: dict, G: FiniteGroup) -> EquivariantBundle:
         stab = base.stabilizer(rep)
         sgrp, _ = stab.as_group()
         if isinstance(char, dict) and "irreducible_multiplicities" in char:
-            mults[rep] = [int(m) for m in char["irreducible_multiplicities"]]
+            ms = char["irreducible_multiplicities"]
+            if not isinstance(ms, list):
+                raise FileFormatError("irreducible_multiplicities at point %d must be a list" % rep)
+            mults[rep] = ms  # entries are checked by from_multiplicities
         elif isinstance(char, list):
-            values = [cyclotomic_from_jsonable(v) for v in char]
+            values = [_fiber_value(v, G) for v in char]
             if len(values) != len(sgrp.conjugacy_classes()):
                 raise FileFormatError("fiber character has %d values, stabilizer has %d classes"
                                       % (len(values), len(sgrp.conjugacy_classes())))
@@ -142,3 +145,15 @@ def bundle_from_jsonable(data: dict, G: FiniteGroup) -> EquivariantBundle:
     except ValueError as exc:
         raise FileFormatError(str(exc))
 
+
+def _fiber_value(obj, G: FiniteGroup):
+    """One cyclotomic fiber value; its order must divide the exponent of G,
+    to which every fiber value is promoted."""
+    e = obj.get("e") if isinstance(obj, dict) else None
+    if not isinstance(e, int) or isinstance(e, bool) or e <= 0 or G.exponent % e:
+        raise FileFormatError("fiber value %r needs an order e dividing the group "
+                              "exponent %d" % (obj, G.exponent))
+    try:
+        return cyclotomic_from_jsonable(obj)
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise FileFormatError("fiber value %r is malformed: %s" % (obj, exc))

@@ -5,6 +5,12 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and have no per-example
+# time limit, so they are reproducible and cannot fail on a slow machine.
+settings.register_profile("isotypic", derandomize=True, deadline=None, database=None)
+settings.load_profile("isotypic")
 
 from isotypic.catalog import build_catalog_group, catalog_pairs
 from isotypic.groups import FiniteGroup, group_from_generators

@@ -336,3 +336,41 @@ def test_random_bundles_decompose(pairs):
         for _ in range(10):
             E = _random_bundle(G, A, rng)
             assert verify_decomposition(E, A, records=recs).ok, name
+
+
+def test_induction_piece_transports_each_fiber_once(monkeypatch):
+    """One verification of the shipped bundle over every point calls
+    fiber_character at most once per (point, induction_piece_character call):
+    the transported fiber is shared by every class of Stab(x) fixing its
+    coset."""
+    from collections import Counter
+
+    from isotypic import bundles
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "isotypic", "data",
+                        "d8_rho_bundle.json")
+    bundle, G, A = load_bundle_file(path)
+    records = orbit_decomposition(G, A)
+    piece_calls = [0]
+    current = [None]  # number of the running piece call
+    inside = Counter()  # (piece call, point) -> fiber_character calls
+    real_fiber = bundles.fiber_character
+    real_piece = bundles.induction_piece_character
+
+    def fiber(E, y):
+        if current[0] is not None:
+            inside[(current[0], y)] += 1
+        return real_fiber(E, y)
+
+    def piece(*args):
+        piece_calls[0] += 1
+        current[0] = piece_calls[0]
+        try:
+            return real_piece(*args)
+        finally:
+            current[0] = None
+
+    monkeypatch.setattr(bundles, "fiber_character", fiber)
+    monkeypatch.setattr(bundles, "induction_piece_character", piece)
+    assert verify_decomposition(bundle, A, records=records, check_all_points=True).ok
+    assert piece_calls[0] == bundle.base.size * len(records)
+    assert inside and max(inside.values()) == 1

@@ -125,3 +125,257 @@ def test_sort_key_total_order_is_stable():
     keys = [v.sort_key() for v in vals]
     assert len(set(keys)) == len(vals)
     assert sorted(keys) == sorted(keys, key=lambda k: k)  # comparable without error
+
+
+# -- equivalence with the Fraction-per-coefficient kernel ------------------------
+#
+# RefCyclotomic is the earlier implementation, kept verbatim apart from its
+# names: one Fraction per basis coefficient, reduced one prime at a time after
+# every operation.  The integer kernel must agree with it on every view.
+
+from functools import lru_cache  # noqa: E402
+
+from hypothesis import given, strategies as st  # noqa: E402
+
+from isotypic.cyclotomic import _factorize, dot  # noqa: E402
+
+
+@lru_cache(maxsize=None)
+def _ref_primes(e):
+    out = []
+    for p, v in _factorize(e):
+        pv = p ** v
+        out.append((p, pv, p ** (v - 1), pow(e // pv, -1, pv)))
+    return out
+
+
+def _ref_layer(k, prime_entry):
+    p, pv, pv1, inv = prime_entry
+    return ((k * inv) % pv) // pv1
+
+
+def _ref_reduce(e, coeffs):
+    cur = {k % e: v for k, v in coeffs.items() if v != 0}
+    for pe in _ref_primes(e):
+        p = pe[0]
+        shift = e // p
+        nxt = {}
+        for k, c in cur.items():
+            if _ref_layer(k, pe) == p - 1:
+                for j in range(1, p):
+                    kk = (k - j * shift) % e
+                    nxt[kk] = nxt.get(kk, Fraction(0)) - c
+            else:
+                nxt[k] = nxt.get(k, Fraction(0)) + c
+        cur = {k: v for k, v in nxt.items() if v != 0}
+    return cur
+
+
+class RefCyclotomic:
+    __slots__ = ("e", "_coeffs", "_hash")
+
+    def __init__(self, e, coeffs):
+        self.e = int(e)
+        reduced = _ref_reduce(self.e, {int(k): Fraction(v) for k, v in coeffs.items()})
+        self._coeffs = tuple(sorted(reduced.items()))
+        self._hash = None
+
+    @staticmethod
+    def zero(e):
+        return RefCyclotomic(e, {})
+
+    @property
+    def coeffs(self):
+        return dict(self._coeffs)
+
+    def is_rational(self):
+        return all(k == 0 for k, _ in self._coeffs)
+
+    def rational(self):
+        if not self._coeffs:
+            return Fraction(0)
+        if not self.is_rational():
+            raise ValueError("value is not rational: %r" % (self,))
+        return self._coeffs[0][1]
+
+    def to_complex(self):
+        import cmath
+        tau = 2.0 * cmath.pi / self.e
+        return sum(float(c) * cmath.exp(1j * tau * k) for k, c in self._coeffs) + 0j
+
+    def sort_key(self):
+        return tuple((k, -c) for k, c in self._coeffs)
+
+    def _binop_coeffs(self, other):
+        if self.e == other.e:
+            return self.e, dict(self._coeffs), dict(other._coeffs)
+        e = self.e * other.e // gcd(self.e, other.e)
+        a = {k * (e // self.e): v for k, v in self._coeffs}
+        b = {k * (e // other.e): v for k, v in other._coeffs}
+        return e, a, b
+
+    def __add__(self, other):
+        e, a, b = self._binop_coeffs(other)
+        for k, v in b.items():
+            a[k] = a.get(k, Fraction(0)) + v
+        return RefCyclotomic(e, a)
+
+    def __neg__(self):
+        return RefCyclotomic(self.e, {k: -v for k, v in self._coeffs})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RefCyclotomic(self.e, {k: v * other for k, v in self._coeffs})
+        e, a, b = self._binop_coeffs(other)
+        out = {}
+        for k1, v1 in a.items():
+            for k2, v2 in b.items():
+                k = (k1 + k2) % e
+                out[k] = out.get(k, Fraction(0)) + v1 * v2
+        return RefCyclotomic(e, out)
+
+    def conjugate(self):
+        return RefCyclotomic(self.e, {(self.e - k) % self.e: v for k, v in self._coeffs})
+
+    def promote(self, e):
+        if e % self.e != 0:
+            raise ValueError("cannot promote order %d to %d" % (self.e, e))
+        scale = e // self.e
+        return RefCyclotomic(e, {k * scale: v for k, v in self._coeffs})
+
+    def __eq__(self, other):
+        return self.e == other.e and self._coeffs == other._coeffs
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.e, self._coeffs))
+        return self._hash
+
+    def equals_value(self, other):
+        e = self.e * other.e // gcd(self.e, other.e)
+        return self.promote(e) == other.promote(e)
+
+    def __repr__(self):
+        if not self._coeffs:
+            return "0"
+        parts = []
+        for k, c in self._coeffs:
+            if k == 0:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append("z%d^%d" % (self.e, k))
+            else:
+                parts.append("%s*z%d^%d" % (c, self.e, k))
+        return " + ".join(parts)
+
+
+ORDERS = [1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 21, 25, 27, 60]
+
+rationals = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)))
+
+
+@st.composite
+def value_pairs(draw, orders=st.sampled_from(ORDERS)):
+    """(new, reference) built from one coefficient map at one order."""
+    e = draw(orders)
+    coeffs = draw(st.dictionaries(st.integers(0, e - 1), rationals, max_size=5))
+    return Cyclotomic(e, coeffs), RefCyclotomic(e, coeffs)
+
+
+def assert_same(new, ref):
+    assert new.e == ref.e
+    coeffs = new.coeffs
+    assert coeffs == ref.coeffs
+    assert all(type(c) is Fraction for c in coeffs.values())
+    assert new.sort_key() == ref.sort_key()
+    assert repr(new) == repr(ref)
+    assert hash(new) == hash(ref)
+    assert new.to_complex() == ref.to_complex()
+    if ref.is_rational():
+        assert new.is_rational() and new.rational() == ref.rational()
+        assert type(new.rational()) is Fraction
+    else:
+        with pytest.raises(ValueError):
+            new.rational()
+
+
+@given(value_pairs())
+def test_construction_matches_reference(x):
+    assert_same(*x)
+
+
+@given(value_pairs(), value_pairs())
+def test_binary_operations_match_reference(x, y):
+    (a, ra), (b, rb) = x, y
+    assert_same(a + b, ra + rb)
+    assert_same(a - b, ra - rb)
+    assert_same(a * b, ra * rb)
+    assert a.equals_value(b) == ra.equals_value(rb)
+    assert (a == b) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(value_pairs(), rationals, st.sampled_from([1, 2, 3, 5]))
+def test_unary_operations_match_reference(x, r, m):
+    a, ra = x
+    assert_same(-a, -ra)
+    assert_same(a * r, ra * r)
+    assert_same(a.conjugate(), ra.conjugate())
+    assert_same(a.promote(a.e * m), ra.promote(ra.e * m))
+    assert a.equals_value(a.promote(a.e * m))
+    assert (a + a.conjugate()) == (a.conjugate() + a)
+
+
+@given(st.sampled_from([1, 2, 4, 12, 21, 60]), st.data(), rationals, st.booleans())
+def test_dot_matches_term_by_term_sum(e, data, scale, conjugate):
+    divisors = st.sampled_from([d for d in range(1, e + 1) if e % d == 0])
+    terms, ref = [], RefCyclotomic.zero(e)
+    for _ in range(data.draw(st.integers(0, 6))):
+        w = data.draw(st.integers(-3, 3))
+        a, ra = data.draw(value_pairs(divisors))
+        b, rb = data.draw(value_pairs(divisors))
+        terms.append((w, a, b))
+        ref = ref + (ra * (rb.conjugate() if conjugate else rb)) * w
+    assert_same(dot(e, terms, scale, conjugate=conjugate), ref * scale)
+
+
+def test_exponents_are_read_mod_e_and_summed():
+    # the reference kept only one of two keys that agree mod e
+    assert Cyclotomic(4, {1: 1, 5: 2, -3: Fraction(1, 2)}) == Cyclotomic(4, {1: Fraction(7, 2)})
+    assert Cyclotomic(1, {0: 1, 1: 1}).rational() == 2
+
+
+def test_dot_rejects_an_order_that_does_not_divide():
+    with pytest.raises(ValueError):
+        dot(6, [(1, Cyclotomic.root_of_unity(4, 1), Cyclotomic.one(1))])
+
+
+def test_inner_product_of_mixed_orders_matches_lcm(pairs):
+    """<Res_A chi, rho> with chi at e_G and rho at e_A equals the product taken
+    after promoting both to their lcm, and lives there."""
+    from math import lcm
+
+    from isotypic.characters import ClassFunction, character_table, inner_product, restrict
+
+    checked = 0
+    for name, G, A in pairs:
+        Agrp, _ = A.as_group()
+        table_a = character_table(Agrp)
+        for chi in character_table(G).rows:
+            res = restrict(chi, A)
+            for row in table_a.rows:
+                L = lcm(res.values[0].e, row.values[0].e)
+                got = inner_product(res, row)
+                want = inner_product(
+                    ClassFunction(Agrp, [v.promote(L) for v in res.values]),
+                    ClassFunction(Agrp, [v.promote(L) for v in row.values]))
+                assert got.e == L and got == want, name
+                assert got.rational().denominator == 1
+                checked += G.exponent != Agrp.exponent
+    assert checked

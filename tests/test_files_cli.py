@@ -291,3 +291,70 @@ def test_cli_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "order 4" in proc.stdout
+
+
+def _bundle_with_multiplicities(tmp_path, ms):
+    with open(data_path("d8_rho_bundle.json")) as fh:
+        data = json.load(fh)
+    data["fibers"][0]["character"]["irreducible_multiplicities"] = ms
+    data["group"] = data_path("d8.json")
+    path = tmp_path / "mults.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("ms", [[0, 0, 1.5, 0], [0, 0, "1", 0], [0, 0, True, 0],
+                                [0, 0, -1, 0], [0, 0, None, 0], [0, 0, 1], [0, 0, 1, 0, 0],
+                                1, "0010", {"2": 1}],
+                         ids=["float", "string", "bool", "negative", "null", "too-short",
+                              "too-long", "scalar", "string-list", "object"])
+def test_bundle_rejects_bad_multiplicities(ms, tmp_path, capsys):
+    """Only a list of JSON integers >= 0, one per row of the stabilizer's
+    table, is a multiplicity fiber; 1.5 used to be truncated to 1 and
+    verified."""
+    path = _bundle_with_multiplicities(tmp_path, ms)
+    with pytest.raises(FileFormatError):
+        load_bundle_file(path)
+    code, out = run_cli(["bundle-verify", path], capsys)
+    assert code == 2
+    assert "verified" not in out
+
+
+def test_loading_multiplicity_bundle_makes_no_inner_products(monkeypatch):
+    """A multiplicity fiber is a character by construction: loading the
+    shipped bundle does not decompose it again."""
+    from isotypic import bundles, characters
+    calls = []
+    real = characters.inner_product
+
+    def counted(x1, x2):
+        calls.append(1)
+        return real(x1, x2)
+
+    monkeypatch.setattr(characters, "inner_product", counted)
+    monkeypatch.setattr(bundles, "inner_product", counted)
+    bundle, G, A = load_bundle_file(data_path("d8_rho_bundle.json"))
+    assert calls == []
+    assert bundle.rank(0) == 1
+
+
+@pytest.mark.parametrize("value", [{"e": 3, "coeffs": {"0": [1, 1]}},
+                                   {"e": 0, "coeffs": {"0": [1, 1]}},
+                                   {"e": 10 ** 12, "coeffs": {"0": [1, 1]}},
+                                   {"e": 4, "coeffs": {"0": [1, 0]}},
+                                   {"e": 4, "coeffs": [1]},
+                                   {"coeffs": {"0": [1, 1]}}],
+                         ids=["order-not-dividing", "order-zero", "order-huge",
+                              "zero-denominator", "coeffs-list", "no-order"])
+def test_bundle_rejects_bad_fiber_values(value, tmp_path, capsys):
+    """A value-list fiber needs values whose order divides the group
+    exponent; anything else is an input error, not a crash."""
+    with open(data_path("d8_rho_bundle.json")) as fh:
+        data = json.load(fh)
+    data["fibers"][0]["character"] = [value] * 4
+    data["group"] = data_path("d8.json")
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FileFormatError):
+        load_bundle_file(str(path))
+    assert run_cli(["bundle-verify", str(path)], capsys)[0] == 2
