@@ -19,8 +19,7 @@ from .catalog import build_catalog_group
 from .characters import character_table
 from .cyclotomic import _factorize
 from .errors import CapExceeded, NotNormal, NotOdd, NotPrime
-from .groups import FiniteGroup, Subgroup, left_cosets
-from .orbits import irr_action
+from .groups import FiniteGroup, Subgroup
 
 
 # -- truncated integer series ----------------------------------------------------
@@ -154,18 +153,16 @@ class RankProfile:
 def rank_profile(G: FiniteGroup, A: Subgroup, include_trivial: bool = False) -> RankProfile:
     """Irreducible dimensions of A with the outer action of N_A/A.
 
-    N_A/A acts through the minima of the left cosets of A that lie in N_A, in
-    increasing order.  For normal A, N_A = G and the acting group is G/A.
+    N_A/A acts by the maps of ``G.conjugation_action(A)``, one per coset of A
+    in N_A, in increasing order.  For normal A, N_A = G and the acting group is G/A.
     """
-    Agrp, _ = A.as_group()
-    table = character_table(Agrp)
+    table = character_table(A.as_group()[0])
     triv = table.trivial_index()
     indices = [i for i in range(len(table)) if include_trivial or i != triv]
     pos = {t: i for i, t in enumerate(indices)}
-    N = G.normalizer(A)
-    _, reps = left_cosets(G, A.members)
-    perms = tuple(tuple(pos[irr_action(G, A, n, t)] for t in indices)
-                  for n in reps if n in N)
+    perms = tuple(tuple(pos[table.row_index(table.rows[t].pullback(conj_map).values)]
+                        for t in indices)
+                  for conj_map in G.conjugation_action(A)[1].values())
     dims = tuple(table.degrees[i] for i in indices)
     return RankProfile(dims=dims, perms=perms)
 
@@ -351,13 +348,12 @@ def d2p_certify(p: int, max_degree: int) -> D2pReport:
     adjacency = []
     pair_series = {}
     for label, A in steps:
-        conj_class = {tuple(sorted(G.conj(g, h) for h in A.members)) for g in G.elements()}
         N = G.normalizer(A)
         weyl_order = N.order // A.order
         adjacency.append({
             "pair": label,
             "differs_by_order": A.order,
-            "conjugacy_class_size": len(conj_class),
+            "conjugacy_class_size": G.order // N.order,
             "normalizer_order": N.order,
             "weyl_order": weyl_order,
         })

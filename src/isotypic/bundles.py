@@ -3,7 +3,8 @@
 A bundle over a finite G-set is its isomorphism-class data: one stabilizer
 character per orbit.  The decomposition into induced isotypic pieces along
 the orbits of G on Irr(A) is then an identity of exact characters, verified
-fiberwise with cyclotomic arithmetic and no tolerance.
+fiberwise with cyclotomic arithmetic and no tolerance.  It needs only the
+orbits and their stabilizers (``irr_orbits``): no float code, seed or tolerance.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Optional, Sequence
 from .characters import ClassFunction, character_table, inner_product
 from .cyclotomic import Cyclotomic, dot
 from .errors import NotATrivial
-from .groups import FiniteGroup, Subgroup, left_cosets
-from .orbits import IrrOrbitRecord, orbit_decomposition
+from .groups import FiniteGroup, Subgroup, left_cosets, minimal_generators
+from .orbits import IrrOrbit, irr_orbits
 
 
 class GSet:
@@ -34,12 +35,11 @@ class GSet:
                 raise ValueError("action table rows must map into the point set")
         if self.action[0] != tuple(range(self.size)):
             raise ValueError("identity must act trivially")
-        for g in group.elements():
-            for h in group.elements():
-                gh = group.mul(g, h)
-                for x in range(self.size):
-                    if self.action[g][self.action[h][x]] != self.action[gh][x]:
-                        raise ValueError("action table is not a group action")
+        # the law for every g and generator s gives it for all pairs (induction on word length)
+        for s in minimal_generators(group, group.elements()):
+            for g in group.elements():
+                if self.action[group.mul(g, s)] != tuple(self.action[g][y] for y in self.action[s]):
+                    raise ValueError("action table is not a group action")
         self._orbits: Optional[list[tuple[int, ...]]] = None
         self._stabilizers: dict[int, Subgroup] = {}
 
@@ -281,13 +281,14 @@ def _isotypic_inner(chi: ClassFunction, stab: Subgroup, A: Subgroup, rho: int) -
 
 
 def induction_piece_character(E: EquivariantBundle, A: Subgroup,
-                              orbit: IrrOrbitRecord, x: int) -> ClassFunction:
+                              orbit: IrrOrbit, x: int) -> ClassFunction:
     """Character at x of the induced isotypic piece attached to one orbit.
 
     The fiber is the sum over cosets g G_rho of the rho-isotypic part of the
     fiber of E at g^-1 x; an element k of Stab(x) permutes the cosets and the
     value at k collects the fixed cosets, where g^-1 k g acts on the summand.
     Each value is one exact sum over the fixed cosets and the elements of A.
+    Reads only orbit.representative and orbit.stabilizer (an IrrOrbitRecord serves too).
     """
     _require_a_trivial(E.base, A)
     G = E.base.group
@@ -349,7 +350,7 @@ def verify_decomposition(E: EquivariantBundle, A: Subgroup,
     _require_a_trivial(E.base, A)
     G = E.base.group
     if records is None:
-        records = orbit_decomposition(G, A)
+        records = irr_orbits(G, A)
     points = range(E.base.size) if check_all_points else [o[0] for o in E.base.orbits()]
     per_point = {}
     for x in points:

@@ -63,6 +63,12 @@ class ClassFunction:
     def conjugate(self) -> "ClassFunction":
         return ClassFunction(self.group, [v.conjugate() for v in self.values])
 
+    def pullback(self, conj_map: Sequence[int]) -> "ClassFunction":
+        """a -> self(conj_map[a]) for an automorphism conj_map of the group,
+        e.g. a map of ``FiniteGroup.conjugation_action``."""
+        return ClassFunction(self.group, [self(conj_map[cls[0]])
+                                          for cls in self.group.conjugacy_classes()])
+
     def _check(self, other: "ClassFunction") -> None:
         if other.group is not self.group:
             raise GroupMismatch("class functions live on different groups")

@@ -1,4 +1,4 @@
-"""Finite groups as dense multiplication tables; subgroups, quotients, normalizers.
+"""Finite groups as dense multiplication tables; subgroups, quotients, conjugation.
 
 Conventions used throughout the package:
   * elements are indices 0..order-1 and element 0 is the identity,
@@ -28,8 +28,8 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     Immutable after construction; any number of readers may share an
-    instance.  Derived data (classes, exponent, the subgroup lattice and its
-    conjugacy classes, character table) is cached lazily on the instance.
+    instance.  Derived data (classes, exponent, subgroup lattice and classes,
+    conjugation actions, character table) is cached lazily on the instance.
     The table is kept once, as nested Python lists (``_rows``, with ``_inv``);
     numpy is used only inside the axiom check that ``check`` runs.  Pass
     ``check=False`` only for a table taken from an already checked group.
@@ -55,7 +55,7 @@ class FiniteGroup:
         self._lattice: Optional[tuple[list["Subgroup"], int]] = None
         self._subgroup_classes: Optional[list[list["Subgroup"]]] = None
         self._subgroup_cache: dict[tuple[int, ...], tuple["FiniteGroup", tuple[int, ...]]] = {}
-        self._normal_cache: dict[tuple[int, ...], bool] = {}
+        self._conjugation: dict[tuple[int, ...], tuple] = {}
         self._char_table = None  # set by characters.character_table
 
     # -- basic operations ----------------------------------------------------
@@ -177,24 +177,34 @@ class FiniteGroup:
             (g for g in self.elements() if rows[g] == [row[g] for row in rows]),
             name="Z(%s)" % self.name)
 
-    def is_normal(self, H: "Subgroup") -> bool:
-        """Whether gHg^-1 = H for every g; cached per member set."""
-        normal = self._normal_cache.get(H.members)
-        if normal is None:
+    def conjugation_action(self, H: "Subgroup") -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+        """G acting on H by conjugation, as (coset_of, maps); cached per member set.
+
+        coset_of is ``left_cosets(G, H.members)[0]``.  For each left coset of H
+        whose minimal element n normalizes H, maps[coset] lists the position in
+        H.members of n^-1 h n for every h in H.members.  As nh normalizes H iff
+        n does and (nh)^-1 x (nh) is H-conjugate to n^-1 x n, these maps give
+        the whole action of N_G(H) on the classes of H.
+        """
+        if H.members not in self._conjugation:
             rows, inv = self._rows, self._inv
-            mem = set(H.members)
-            normal = all(rows[rows[g][h]][inv[g]] in mem
-                         for g in self.elements() for h in H.members)
-            self._normal_cache[H.members] = normal
-        return normal
+            pos = {h: i for i, h in enumerate(H.members)}
+            coset_of, reps = left_cosets(self, H.members)
+            images = {c: tuple(pos.get(rows[rows[inv[n]][h]][n]) for h in H.members)
+                      for c, n in enumerate(reps)}
+            maps = {c: image for c, image in images.items() if None not in image}
+            self._conjugation[H.members] = (coset_of, maps)
+        return self._conjugation[H.members]
+
+    def is_normal(self, H: "Subgroup") -> bool:
+        """Whether gHg^-1 = H for every g: every coset of H normalizes it."""
+        return len(self.conjugation_action(H)[1]) * H.order == self.order
 
     def normalizer(self, H: "Subgroup") -> "Subgroup":
-        """Largest subgroup N with nHn^-1 = H; always contains H."""
-        rows, inv = self._rows, self._inv
-        mem = set(H.members)
+        """Largest subgroup N with nHn^-1 = H: the normalizing cosets of H."""
+        coset_of, maps = self.conjugation_action(H)
         return self.subgroup_from_members(
-            (n for n in self.elements()
-             if all(rows[rows[n][h]][inv[n]] in mem for h in H.members)),
+            (n for n in self.elements() if coset_of[n] in maps),
             name="N(%s)" % (H.name or "H"))
 
     def quotient(self, A: "Subgroup") -> "QuotientGroup":

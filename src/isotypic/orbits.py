@@ -7,26 +7,26 @@ rank decomposition of the equivariant K-theory of a point.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .characters import (CharacterTable, character_table, inner_product,
                          restrict)
 from .errors import NotNormal, NotStabilized
 from .groups import FiniteGroup, Subgroup, left_cosets
-from .repmatrices import (ObstructionRecord, _conjugated_values, check_cocycle,
-                          matrix_irreps, obstruction_cocycle,
+from .repmatrices import (ObstructionRecord, check_cocycle, matrix_irreps,
+                          obstruction_cocycle, stabilizer_of_character,
                           DEFAULT_SEED, DEFAULT_TOL, DEFAULT_SNAP_TOL)
 
 
 def irr_action(G: FiniteGroup, A: Subgroup, g: int, tau: int) -> int:
     """Index of the character a -> tau(g^-1 a g) in the table of A.
 
-    Defines a left action of G on the rows of A's character table.
+    Defines a left action of N_G(A) on the rows of A's character table.
     """
-    Agrp, _ = A.as_group()
-    table = character_table(Agrp)
-    vals = _conjugated_values(G, A, table.rows[tau], g)
-    return table.row_index(vals)
+    table = character_table(A.as_group()[0])
+    coset_of, maps = G.conjugation_action(A)
+    return table.row_index(table.rows[tau].pullback(maps[coset_of[g]]).values)
 
 
 def extension_exists(G_rho: Subgroup, A: Subgroup, rho: int) -> bool:
@@ -39,9 +39,8 @@ def extension_exists(G_rho: Subgroup, A: Subgroup, rho: int) -> bool:
     Agrp, _ = A.as_group()
     table_a = character_table(Agrp)
     chi_rho = table_a.rows[rho]
-    for g in G_rho.members:
-        if _conjugated_values(G, A, chi_rho, g) != chi_rho.values:
-            raise NotStabilized("stabilizer subgroup moves the representation")
+    if not set(G_rho.members) <= set(stabilizer_of_character(G, A, chi_rho).members):
+        raise NotStabilized("stabilizer subgroup moves the representation")
     Sgrp, _ = G_rho.as_group()
     A_in_s = Sgrp.subgroup_from_members([G_rho.retract(a) for a in A.members])
     table_s = character_table(Sgrp)
@@ -61,6 +60,9 @@ def _same_values(a, b) -> bool:
     parents) produce identical tables and hence identical class orders.
     """
     return len(a) == len(b) and all(x.equals_value(y) for x, y in zip(a, b))
+
+
+IrrOrbit = namedtuple("IrrOrbit", "representative orbit stabilizer")
 
 
 @dataclass
@@ -129,39 +131,37 @@ class DecompositionReport:
         }
 
 
-def orbit_decomposition(G: FiniteGroup, A: Subgroup,
-                        seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL,
-                        snap_tol: float = DEFAULT_SNAP_TOL) -> list:
-    """One IrrOrbitRecord per G-orbit on Irr(A).
+def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
+    """One IrrOrbit per G-orbit on Irr(A), decided exactly on characters.
 
-    Representatives are minimal in the deterministic row order of A's table;
-    records are listed by representative index.
+    The representative is the orbit's minimal row of A's table and the
+    stabilizer is that row's; orbits are listed by representative.
     """
     if not G.is_normal(A):
         raise NotNormal("orbit decomposition needs a normal subgroup")
+    table_a = character_table(A.as_group()[0])
+    # A acts trivially on Irr(A): one element per left coset of A reaches the orbit
+    _, coset_reps = left_cosets(G, A.members)
+    orbits = []
+    for tau in range(len(table_a)):
+        if all(tau not in o.orbit for o in orbits):
+            orbit = frozenset(irr_action(G, A, g, tau) for g in coset_reps)
+            orbits.append(IrrOrbit(tau, orbit, stabilizer_of_character(G, A, table_a.rows[tau])))
+    return orbits
+
+
+def orbit_decomposition(G: FiniteGroup, A: Subgroup,
+                        seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL,
+                        snap_tol: float = DEFAULT_SNAP_TOL) -> list:
+    """One IrrOrbitRecord per G-orbit on Irr(A), in the order of irr_orbits."""
+    orbits = irr_orbits(G, A)
     Agrp, _ = A.as_group()
     table_a = character_table(Agrp)
     table_g = character_table(G)
-    r = len(table_a)
-
-    # orbits of the G-action on rows; A acts trivially on Irr(A), so one
-    # element per left coset of A reaches the whole orbit
-    _, coset_reps = left_cosets(G, A.members)
-    orbits = []
-    seen = set()
-    for tau in range(r):
-        if tau in seen:
-            continue
-        orbit = {irr_action(G, A, g, tau) for g in coset_reps}
-        orbits.append(frozenset(orbit))
-        seen |= orbit
-    orbits.sort(key=min)
-
     irreps_a = matrix_irreps(Agrp, seed=seed, tol=tol)
     restricted = [restrict(chi, A) for chi in table_g.rows]
     records = []
-    for orbit in orbits:
-        rep = min(orbit)
+    for rep, orbit, stabilizer in orbits:
         obs = obstruction_cocycle(G, A, irreps_a[rep], seed=seed, tol=tol,
                                   snap_tol=snap_tol)
         # chi lies over the orbit iff <Res_A chi, rho> > 0
@@ -171,7 +171,7 @@ def orbit_decomposition(G: FiniteGroup, A: Subgroup,
         # obstruction_cocycle has already checked this table
         regular = _regular_class_count(obs.quotient.group, obs.omega, obs.modulus)
         records.append(IrrOrbitRecord(
-            representative=rep, orbit=orbit, stabilizer=obs.stabilizer,
+            representative=rep, orbit=orbit, stabilizer=stabilizer,
             quotient=obs.quotient, obstruction=obs, lying_over=lying,
             twisted_count=len(lying), omega_regular=regular))
     return records

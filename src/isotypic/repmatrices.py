@@ -22,7 +22,7 @@ from .characters import (ClassFunction, character_table,
                          determinant_character_value)
 from .errors import (CapExceeded, InvalidCocycle, NonScalar,
                      NumericalDegeneracy, SnapFailure, SplitFailure)
-from .groups import FiniteGroup, QuotientGroup, Subgroup, left_cosets
+from .groups import FiniteGroup, QuotientGroup, Subgroup
 
 DEFAULT_SEED = 0x5EED
 DEFAULT_TOL = 1e-8
@@ -46,11 +46,8 @@ class MatrixRep:
 
     def conjugated(self, conj_map: Sequence[int]) -> "MatrixRep":
         """The representation a -> rho(conj_map[a]), e.g. a -> rho(g^-1 a g)."""
-        G = self.group
-        values = [self.character.values[G.class_index(conj_map[cls[0]])]
-                  for cls in G.conjugacy_classes()]
-        return MatrixRep(G, self.dimension, self.images[list(conj_map)],
-                         ClassFunction(G, values))
+        return MatrixRep(self.group, self.dimension, self.images[list(conj_map)],
+                         self.character.pullback(conj_map))
 
 
 def matrix_irreps(G: FiniteGroup, seed: int = DEFAULT_SEED,
@@ -200,26 +197,14 @@ def stabilizer_of_character(G: FiniteGroup, A: Subgroup, chi: ClassFunction) -> 
     """G_chi = {g : the class function a -> chi(g^-1 a g) equals chi}.
 
     A acts trivially on its own characters, so G_chi is the union of the left
-    cosets of A whose minimal element fixes chi: one test per coset.
+    cosets of A whose conjugation map fixes chi: one test per coset.
     """
-    Agrp, embed = A.as_group()
-    if chi.group is not Agrp:
+    if chi.group is not A.as_group()[0]:
         raise ValueError("character does not live on the subgroup")
-    coset_of, reps = left_cosets(G, A.members)
-    fixed = [_conjugated_values(G, A, chi, g) == chi.values for g in reps]
-    return G.subgroup_from_members((g for g in G.elements() if fixed[coset_of[g]]),
+    coset_of, maps = G.conjugation_action(A)
+    fixed = {c for c, conj_map in maps.items() if chi.pullback(conj_map) == chi}
+    return G.subgroup_from_members((g for g in G.elements() if coset_of[g] in fixed),
                                    name="Stab")
-
-
-def _conjugated_values(G: FiniteGroup, A: Subgroup, chi: ClassFunction, g: int):
-    """Values of (g . chi)(a) = chi(g^-1 a g) in A-class order."""
-    Agrp, embed = A.as_group()
-    ginv = G.inv(g)
-    vals = []
-    for cls in Agrp.conjugacy_classes():
-        x = G.mul(G.mul(ginv, embed[cls[0]]), g)
-        vals.append(chi.values[Agrp.class_index(A.retract(x))])
-    return tuple(vals)
 
 
 def _det_normalize(U: np.ndarray) -> np.ndarray:
@@ -241,7 +226,7 @@ def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: MatrixRep,
     exact root of unity and cross-checked against the exact determinant
     character of rho.  The cocycle identity is then verified exactly.
     """
-    Agrp, embed = A.as_group()
+    Agrp, _ = A.as_group()
     if rho.group is not Agrp:
         raise ValueError("rho must be a representation of the materialized subgroup")
     if not G.is_normal(A):
@@ -263,7 +248,10 @@ def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: MatrixRep,
     det_exp = [(k * (modulus // mm)) % modulus for k, mm in det_vals]
 
     rng = np.random.default_rng(seed)
-    reps_g = [sembed[Q.lift(q)] for q in range(m)]  # coset reps as G-elements
+    # coset reps as G-elements, each minimal in its coset of A (Sgrp indices
+    # follow G_rho.members), so maps[coset_of[g]] is exactly a -> g^-1 a g
+    reps_g = [sembed[Q.lift(q)] for q in range(m)]
+    coset_of, maps = G.conjugation_action(A)
     eye = np.eye(d)
     units = []
     for q in range(m):
@@ -271,9 +259,7 @@ def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: MatrixRep,
         if g == 0:
             units.append(eye.copy())
             continue
-        ginv = G.inv(g)
-        conj_map = [A.retract(G.mul(G.mul(ginv, embed[a]), g)) for a in Agrp.elements()]
-        rho_g = rho.conjugated(conj_map)
+        rho_g = rho.conjugated(maps[coset_of[g]])
         U = intertwiner(rho_g, rho, rng=rng, tol=tol)
         assert U is not None, "coset representative does not stabilize rho"
         units.append(_det_normalize(U))

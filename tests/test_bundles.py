@@ -374,3 +374,104 @@ def test_induction_piece_transports_each_fiber_once(monkeypatch):
     assert verify_decomposition(bundle, A, records=records, check_all_points=True).ok
     assert piece_calls[0] == bundle.base.size * len(records)
     assert inside and max(inside.values()) == 1
+
+
+def test_bundle_verification_runs_no_float_code(pairs, monkeypatch, capsys):
+    """Bundle verification needs only the orbits and their stabilizers: with
+    the float layer made to raise, every catalog pair and the shipped bundle
+    still verify, and bundle-verify prints the same JSON."""
+    from isotypic import cli, orbits, repmatrices
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "isotypic", "data",
+                        "d8_rho_bundle.json")
+    assert cli.main(["--format", "json", "bundle-verify", path]) == 0
+    expected = capsys.readouterr().out
+
+    def float_layer(*args, **kwargs):
+        raise AssertionError("bundle verification reached the float layer")
+
+    for module in (repmatrices, orbits):
+        for name in ("matrix_irreps", "intertwiner", "obstruction_cocycle"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, float_layer)
+    rng = random.Random(8)
+    for name, G, A in pairs:
+        E = _random_bundle(G, A, rng)
+        assert verify_decomposition(E, A, check_all_points=True).ok, name
+    bundle, G, A = load_bundle_file(path)
+    assert verify_decomposition(bundle, A, check_all_points=True).ok
+    assert cli.main(["--format", "json", "bundle-verify", path]) == 0
+    assert capsys.readouterr().out == expected
+
+
+# -- the action law is checked on generators only ----------------------------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from isotypic.groups import closure, left_cosets  # noqa: E402
+
+from conftest import dihedral  # noqa: E402
+
+_GSET_GROUPS = [dihedral(3), build_catalog_group("D8")[0], build_catalog_group("Q8")[0],
+                build_catalog_group("A4")[0]]
+
+
+def _reference_is_action(G, action):
+    """Whether a table is a G-action, by the full |G|^2 check of the law."""
+    size = len(action[0])
+    if any(len(row) != size or any(not 0 <= y < size for y in row) for row in action):
+        return False
+    if list(action[0]) != list(range(size)):
+        return False
+    return all(action[G.mul(g, h)][x] == action[g][action[h][x]]
+               for g in G.elements() for h in G.elements() for x in range(size))
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_gset_accepts_exactly_the_group_actions(data):
+    """GSet checks the action law for the generators only; it must accept a
+    table iff the full check over every pair of elements does."""
+    G = data.draw(st.sampled_from(_GSET_GROUPS))
+    subs = G.all_subgroups()
+    parts = [GSet.cosets(G, data.draw(st.sampled_from(subs)))
+             for _ in range(data.draw(st.integers(1, 2)))]
+    action = [list(row) for row in GSet.disjoint_union(parts).action]
+    size = len(action[0])
+    for _ in range(data.draw(st.integers(0, 2))):
+        kind = data.draw(st.sampled_from(["entry", "relabel points", "conjugate rows",
+                                          "permute rows", "move cosets of <c>",
+                                          "swap points in a row"]))
+        if kind == "entry":
+            g = data.draw(st.integers(0, G.order - 1))
+            action[g][data.draw(st.integers(0, size - 1))] = data.draw(st.integers(-1, size))
+        elif kind == "relabel points":  # sigma o action[g] o sigma^-1: still an action
+            sigma = data.draw(st.permutations(range(size)))
+            new = [[0] * size for _ in action]
+            for g, row in enumerate(action):
+                for x in range(size):
+                    new[g][sigma[x]] = sigma[row[x]] if 0 <= row[x] < size else row[x]
+            action = new
+        elif kind == "conjugate rows":  # action[t g t^-1]: still an action
+            t = data.draw(st.integers(0, G.order - 1))
+            action = [action[G.conj(t, g)] for g in G.elements()]
+        elif kind == "permute rows":  # identity row kept, the rest shuffled
+            rest = data.draw(st.permutations(range(1, G.order)))
+            action = [action[0]] + [action[g] for g in rest]
+        elif kind == "move cosets of <c>":
+            # action[phi(g)] with phi(g c) = phi(g) c and phi(c) = c keeps the
+            # law for c and for no generator outside <c>, as a rule
+            c = data.draw(st.integers(1, G.order - 1))
+            coset_of, reps = left_cosets(G, closure(G, [c]))
+            pi = [0] + data.draw(st.permutations(range(1, len(reps))))
+            action = [action[G.mul(reps[pi[coset_of[g]]], G.mul(G.inv(reps[coset_of[g]]), g))]
+                      for g in G.elements()]
+        else:
+            g = data.draw(st.integers(0, G.order - 1))
+            x, y = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+            action[g][x], action[g][y] = action[g][y], action[g][x]
+    try:
+        GSet(G, action)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _reference_is_action(G, action)

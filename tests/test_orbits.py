@@ -337,3 +337,99 @@ def test_report_json(d8):
     assert data["consistent"] is True
     assert data["identity"] == "5 = 2 + 2 + 1"
     assert len(data["orbits"]) == 3
+
+
+# -- the conjugation action, under relabelling -------------------------------------
+
+import random  # noqa: E402
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from isotypic.bordism import rank_profile  # noqa: E402
+from isotypic.catalog import catalog_entry, catalog_pairs  # noqa: E402
+from isotypic.orbits import irr_orbits  # noqa: E402
+
+from conftest import relabelled_group  # noqa: E402
+
+_PAIRS = {name: (G, A) for name, G, A in catalog_pairs()}
+
+
+class _RecordingRandom(random.Random):
+    """A Random that keeps every list it shuffled, in order."""
+
+    def shuffle(self, x):
+        super().shuffle(x)
+        self.shuffled = getattr(self, "shuffled", []) + [list(x)]
+
+
+def _relabelled_pair(name, seed):
+    """The catalog pair relabelled by relabelled_group, with the image of A.
+
+    relabelled_group moves the points by the first list its rng shuffles,
+    sigma, so p becomes sigma p sigma^-1; perm_index raises unless every
+    element of G lands in the new group, which checks that reading.
+    """
+    G, A = _PAIRS[name]
+    entry = catalog_entry(name.split("/")[0])
+    rng = _RecordingRandom(seed)
+    H = relabelled_group(name, entry.degree, entry.generators, rng)
+    sigma = rng.shuffled[0]
+    inv = [sigma.index(i) for i in range(entry.degree)]
+
+    def image(g):
+        p = G.permutation_of(g)
+        return H.perm_index([sigma[p[inv[i]]] for i in range(entry.degree)])
+
+    assert sorted(image(g) for g in G.elements()) == list(H.elements())
+    return H, H.subgroup_from_members(image(a) for a in A.members)
+
+
+def _cycle_types(profile):
+    """The multiset of cycle types, each the sorted (length, dim) of its cycles."""
+    types = []
+    for perm in profile.perms:
+        seen, cycles = set(), []
+        for i in range(len(perm)):
+            length, j = 0, i
+            while j not in seen:
+                seen.add(j)
+                j = perm[j]
+                length += 1
+            if length:
+                cycles.append((length, profile.dims[i]))
+        types.append(tuple(sorted(cycles)))
+    return sorted(types)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(_PAIRS)), st.integers(0, 2 ** 32))
+def test_conjugation_action_under_relabelling(name, seed):
+    G, A = _relabelled_pair(name, seed)
+    Agrp, _ = A.as_group()
+    coset_of, maps = G.conjugation_action(A)
+    # every g in N_G(A), not only the coset minima, acts on A's classes by its
+    # coset's map
+    for g in G.elements():
+        if A.conjugate(g).members != A.members:
+            assert coset_of[g] not in maps
+            continue
+        for a in A.members:
+            x = G.mul(G.mul(G.inv(g), a), g)
+            assert (Agrp.class_index(maps[coset_of[g]][A.retract(a)])
+                    == Agrp.class_index(A.retract(x)))
+    # normality and normalizers against the conjugate scan, on every subgroup
+    for H in G.all_subgroups():
+        fixing = [g for g in G.elements() if H.conjugate(g).members == H.members]
+        assert G.normalizer(H).members == tuple(fixing)
+        assert G.is_normal(H) is (len(fixing) == G.order)
+    # orbit sizes, stabilizer orders and the Weyl action's cycle types do not
+    # depend on the labels
+    G0, A0 = _PAIRS[name]
+
+    def shape(G, A):
+        return sorted((len(o.orbit), o.stabilizer.order) for o in irr_orbits(G, A))
+
+    assert shape(G, A) == shape(G0, A0)
+    prof, prof0 = rank_profile(G, A), rank_profile(G0, A0)
+    assert sorted(prof.dims) == sorted(prof0.dims)
+    assert _cycle_types(prof) == _cycle_types(prof0)

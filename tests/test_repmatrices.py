@@ -11,7 +11,7 @@ from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import CapExceeded, SplitFailure
 from isotypic.groups import group_from_generators
 from isotypic.repmatrices import (DEFAULT_SEED, _check_rep, _cluster,
-                                  _conjugated_values, intertwiner, matrix_irreps,
+                                  intertwiner, matrix_irreps,
                                   obstruction_cocycle, stabilizer_of_character)
 
 from conftest import S3_GENS, dihedral, direct_product, relabelled_group
@@ -207,6 +207,17 @@ def test_stabilizer_of_character(d8):
     rho2 = next(r for r in ta.rows if r(a_loc) == Cyclotomic.from_rational(4, -1))
     assert stabilizer_of_character(G, A, rho).members == A.members
     assert stabilizer_of_character(G, A, rho2).members == tuple(G.elements())
+
+
+def _conjugated_values(G, A, chi, g):
+    """Values of (g . chi)(a) = chi(g^-1 a g) in A-class order."""
+    Agrp, embed = A.as_group()
+    ginv = G.inv(g)
+    vals = []
+    for cls in Agrp.conjugacy_classes():
+        x = G.mul(G.mul(ginv, embed[cls[0]]), g)
+        vals.append(chi.values[Agrp.class_index(A.retract(x))])
+    return tuple(vals)
 
 
 def test_stabilizer_of_character_equals_full_scan(pairs):
