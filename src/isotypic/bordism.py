@@ -150,15 +150,15 @@ class RankProfile:
                     raise ValueError("action does not preserve dimensions")
 
 
-def rank_profile(G: FiniteGroup, A: Subgroup, include_trivial: bool = False) -> RankProfile:
-    """Irreducible dimensions of A with the outer action of N_A/A.
+def rank_profile(G: FiniteGroup, A: Subgroup) -> RankProfile:
+    """Nontrivial irreducible dimensions of A with the outer action of N_A/A.
 
     N_A/A acts by the maps of ``G.conjugation_action(A)``, one per coset of A
     in N_A, in increasing order.  For normal A, N_A = G and the acting group is G/A.
     """
     table = character_table(A.as_group()[0])
     triv = table.trivial_index()
-    indices = [i for i in range(len(table)) if include_trivial or i != triv]
+    indices = [i for i in range(len(table)) if i != triv]
     pos = {t: i for i, t in enumerate(indices)}
     perms = tuple(tuple(pos[table.row_index(table.rows[t].pullback(conj_map).values)]
                         for t in indices)
@@ -314,8 +314,9 @@ def d2p_certify(p: int, max_degree: int) -> D2pReport:
     order 2p at the level of localized generator counts.
 
     Builds the chain of four families, checks adjacency and the Weyl groups
-    of each step, computes the series of every adjacent pair and the global
-    series, and asserts that all odd coefficients vanish.
+    of each step, computes the global series, reads the series of every
+    adjacent pair off its breakdown, and asserts that all odd coefficients
+    vanish.
     """
     if p % 2 == 0:
         raise NotOdd("p must be odd")
@@ -344,6 +345,12 @@ def d2p_certify(p: int, max_degree: int) -> D2pReport:
             raise AssertionError("%s is not closed under subgroups/conjugation" % name)
     assert f2 == {s.members for s in subs if s.order != 2 * p}, "F2 must be all but the full group"
 
+    # each subgroup order is one conjugacy class of subgroups of D2p, so the
+    # global breakdown already holds every pair's series, keyed by order
+    total, breakdown = global_generator_series(G, max_degree)
+    series_of_order = {H.order: series for H, _, series in breakdown}
+    assert len(series_of_order) == len(breakdown)
+
     steps = [("(F1,F0)", rotation), ("(F2,F1)", reflections[0]), ("(F3,F2)", full)]
     adjacency = []
     pair_series = {}
@@ -357,8 +364,8 @@ def d2p_certify(p: int, max_degree: int) -> D2pReport:
             "normalizer_order": N.order,
             "weyl_order": weyl_order,
         })
-        pair_series[label] = burnside_label_series(rank_profile(G, A), max_degree)
-    pair_series["(F0,)"] = burnside_label_series(rank_profile(G, trivial), max_degree)
+        pair_series[label] = series_of_order[A.order]
+    pair_series["(F0,)"] = series_of_order[1]
 
     # the full group and each reflection subgroup are self-normalizing,
     # while the rotation subgroup has Weyl group Z/2
@@ -366,8 +373,6 @@ def d2p_certify(p: int, max_degree: int) -> D2pReport:
     assert adjacency[1]["weyl_order"] == 1
     assert adjacency[2]["weyl_order"] == 1
 
-    total, breakdown = global_generator_series(G, max_degree)
-    class_count = len(breakdown)
     prof = rank_profile(G, rotation)
     swap = next(perm for perm in prof.perms if perm != tuple(range(len(prof.dims))))
     cycles = _cycles(swap)
@@ -381,5 +386,5 @@ def d2p_certify(p: int, max_degree: int) -> D2pReport:
     return D2pReport(
         p=p, max_degree=max_degree, families=families, adjacency=adjacency,
         pair_series=pair_series, global_series=total,
-        degree_zero=total.coefficient(0), subgroup_class_count=class_count,
+        degree_zero=total.coefficient(0), subgroup_class_count=len(breakdown),
         odd_vanishing=odd_ok, irr_pairs=irr_pairs, irr_fixed=irr_fixed)

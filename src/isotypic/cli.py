@@ -136,8 +136,7 @@ def cmd_clifford(args) -> Report:
     A = _resolve_normal(G, file_normal, args.normal, _group_generators(args))
     if not G.is_normal(A):
         raise NotNormal("the chosen subgroup is not normal in %s" % G.name)
-    snap = max(repmatrices.DEFAULT_SNAP_TOL, 100 * args.tol)
-    report = k_decomposition_report(G, A, seed=args.seed, tol=args.tol, snap_tol=snap)
+    report = k_decomposition_report(G, A, seed=args.seed, tol=args.tol)
     res = report.to_jsonable()
     lines = ["group %s, normal subgroup of order %d" % (G.name, A.order)]
     for rec in res["orbits"]:

@@ -2,7 +2,9 @@
 
 Orbits, stabilizers, obstruction records, the fibers of restriction
 ("lying over"), and the two independent counts whose agreement realizes the
-rank decomposition of the equivariant K-theory of a point.
+rank decomposition of the equivariant K-theory of a point.  Each orbit and
+its stabilizer come from one image per coset of A; whether a character
+extends to its stabilizer is read off Irr(G) by the Clifford correspondence.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from .characters import (CharacterTable, character_table, inner_product,
 from .errors import NotNormal, NotStabilized
 from .groups import FiniteGroup, Subgroup, left_cosets
 from .repmatrices import (ObstructionRecord, check_cocycle, matrix_irreps,
-                          obstruction_cocycle, stabilizer_of_character,
-                          DEFAULT_SEED, DEFAULT_TOL, DEFAULT_SNAP_TOL)
+                          obstruction_cocycle, DEFAULT_SEED, DEFAULT_TOL)
 
 
 def irr_action(G: FiniteGroup, A: Subgroup, g: int, tau: int) -> int:
@@ -30,36 +31,31 @@ def irr_action(G: FiniteGroup, A: Subgroup, g: int, tau: int) -> int:
 
 
 def extension_exists(G_rho: Subgroup, A: Subgroup, rho: int) -> bool:
-    """Whether rho extends from A to its stabilizer, decided on characters.
+    """Whether rho extends from the normal subgroup A to its stabilizer G_rho.
 
-    True iff some irreducible character of G_rho has the same degree as rho
-    and restricts to it exactly.
+    Decided on Irr(G), G = G_rho.parent, by the Clifford correspondence
+    (Isaacs, Character Theory of Finite Groups, Thm 6.11): induction from
+    G_rho is a bijection from the irreducibles of G_rho over rho onto those of
+    G over rho, so rho extends iff some chi in Irr(G) of degree
+    [G : G_rho] rho(1) has <Res_A chi, rho> > 0.  Raises NotNormal unless A is
+    normal in G and NotStabilized unless G_rho is exactly rho's stabilizer.
     """
     G = G_rho.parent
-    Agrp, _ = A.as_group()
-    table_a = character_table(Agrp)
+    if not G.is_normal(A):
+        raise NotNormal("the extension criterion needs a normal subgroup")
+    table_a = character_table(A.as_group()[0])
     chi_rho = table_a.rows[rho]
-    if not set(G_rho.members) <= set(stabilizer_of_character(G, A, chi_rho).members):
-        raise NotStabilized("stabilizer subgroup moves the representation")
-    Sgrp, _ = G_rho.as_group()
-    A_in_s = Sgrp.subgroup_from_members([G_rho.retract(a) for a in A.members])
-    table_s = character_table(Sgrp)
-    d = table_a.degrees[rho]
-    for idx, chi in enumerate(table_s.rows):
-        if table_s.degrees[idx] != d:
-            continue
-        if _same_values(restrict(chi, A_in_s).values, chi_rho.values):
-            return True
-    return False
-
-
-def _same_values(a, b) -> bool:
-    """Positional value equality across cyclotomic orders.
-
-    Used where two materializations of the same subgroup (inside different
-    parents) produce identical tables and hence identical class orders.
-    """
-    return len(a) == len(b) and all(x.equals_value(y) for x, y in zip(a, b))
+    # the stabilizer is the union of the cosets of A that fix rho: G_rho is it
+    # iff G_rho lies in that union and has its order; no subgroup is built
+    coset_of, maps = G.conjugation_action(A)
+    fixed = {c for c, conj_map in maps.items() if chi_rho.pullback(conj_map) == chi_rho}
+    if G_rho.order != len(fixed) * A.order or any(coset_of[g] not in fixed
+                                                  for g in G_rho.members):
+        raise NotStabilized("subgroup is not the stabilizer of the representation")
+    table_g = character_table(G)
+    degree = G.order // G_rho.order * table_a.degrees[rho]
+    return any(inner_product(restrict(chi, A), chi_rho).rational() > 0
+               for chi, d in zip(table_g.rows, table_g.degrees) if d == degree)
 
 
 IrrOrbit = namedtuple("IrrOrbit", "representative orbit stabilizer")
@@ -135,24 +131,27 @@ def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
     """One IrrOrbit per G-orbit on Irr(A), decided exactly on characters.
 
     The representative is the orbit's minimal row of A's table and the
-    stabilizer is that row's; orbits are listed by representative.
+    stabilizer is that row's, the union of the cosets of A that fix it;
+    orbits are listed by representative.
     """
     if not G.is_normal(A):
         raise NotNormal("orbit decomposition needs a normal subgroup")
     table_a = character_table(A.as_group()[0])
     # A acts trivially on Irr(A): one element per left coset of A reaches the orbit
-    _, coset_reps = left_cosets(G, A.members)
+    coset_of, coset_reps = left_cosets(G, A.members)
     orbits = []
     for tau in range(len(table_a)):
         if all(tau not in o.orbit for o in orbits):
-            orbit = frozenset(irr_action(G, A, g, tau) for g in coset_reps)
-            orbits.append(IrrOrbit(tau, orbit, stabilizer_of_character(G, A, table_a.rows[tau])))
+            images = [irr_action(G, A, g, tau) for g in coset_reps]
+            fixed = {c for c, image in enumerate(images) if image == tau}
+            stabilizer = G.subgroup_from_members(
+                (g for g in G.elements() if coset_of[g] in fixed), name="Stab")
+            orbits.append(IrrOrbit(tau, frozenset(images), stabilizer))
     return orbits
 
 
 def orbit_decomposition(G: FiniteGroup, A: Subgroup,
-                        seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL,
-                        snap_tol: float = DEFAULT_SNAP_TOL) -> list:
+                        seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL) -> list:
     """One IrrOrbitRecord per G-orbit on Irr(A), in the order of irr_orbits."""
     orbits = irr_orbits(G, A)
     Agrp, _ = A.as_group()
@@ -162,8 +161,7 @@ def orbit_decomposition(G: FiniteGroup, A: Subgroup,
     restricted = [restrict(chi, A) for chi in table_g.rows]
     records = []
     for rep, orbit, stabilizer in orbits:
-        obs = obstruction_cocycle(G, A, irreps_a[rep], seed=seed, tol=tol,
-                                  snap_tol=snap_tol)
+        obs = obstruction_cocycle(G, A, irreps_a[rep], seed=seed, tol=tol)
         # chi lies over the orbit iff <Res_A chi, rho> > 0
         lying = frozenset(
             i for i, res in enumerate(restricted)
@@ -205,15 +203,14 @@ def _regular_class_count(Q: FiniteGroup, omega, modulus: int) -> int:
     return count
 
 
-def k_decomposition_report(G: FiniteGroup, A: Subgroup,
-                           seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL,
-                           snap_tol: float = DEFAULT_SNAP_TOL) -> DecompositionReport:
+def k_decomposition_report(G: FiniteGroup, A: Subgroup, seed: int = DEFAULT_SEED,
+                           tol: float = DEFAULT_TOL) -> DecompositionReport:
     """Rank identity |Irr(G)| = sum of twisted counts over orbits.
 
     Both counting routes (restriction fibers and omega-regular classes) are
     computed; any mismatch is recorded in the report, never dropped.
     """
-    records = orbit_decomposition(G, A, seed=seed, tol=tol, snap_tol=snap_tol)
+    records = orbit_decomposition(G, A, seed=seed, tol=tol)
     table_g = character_table(G)
     total = len(table_g)
     ssum = sum(rec.twisted_count for rec in records)

@@ -4,8 +4,10 @@ The regular representation is split into explicit unitary irreducibles with
 a seeded random commutant element per isotypic block.  Intertwiners between
 conjugate representations yield the obstruction 2-cocycle that measures
 whether an irreducible representation of a normal subgroup extends to its
-stabilizer; the cocycle is snapped to exact roots of unity and all identity
-checks downstream are exact integer arithmetic.
+stabilizer; the cocycle is snapped to exact roots of unity within a
+tolerance derived from tol, and all identity checks downstream are exact
+integer arithmetic.  Whether the class is trivial is never read off the
+floats: orbits.extension_exists decides it on the characters of the group.
 """
 
 from __future__ import annotations
@@ -182,16 +184,6 @@ class ObstructionRecord:
     trivial: bool
     intertwiners: tuple  # one unitary per coset representative
 
-    def to_jsonable(self) -> dict:
-        return {
-            "stabilizer_order": self.stabilizer.order,
-            "quotient_order": self.quotient.order,
-            "dimension": self.rho.dimension,
-            "modulus": self.modulus,
-            "omega": [list(row) for row in self.omega],
-            "trivial": self.trivial,
-        }
-
 
 def stabilizer_of_character(G: FiniteGroup, A: Subgroup, chi: ClassFunction) -> Subgroup:
     """G_chi = {g : the class function a -> chi(g^-1 a g) equals chi}.
@@ -214,8 +206,7 @@ def _det_normalize(U: np.ndarray) -> np.ndarray:
 
 
 def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: MatrixRep,
-                        seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL,
-                        snap_tol: float = DEFAULT_SNAP_TOL) -> ObstructionRecord:
+                        seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL) -> ObstructionRecord:
     """Obstruction data for extending rho from the normal subgroup A to its
     stabilizer G_rho.
 
@@ -224,7 +215,10 @@ def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: MatrixRep,
     the cocycle entry at (q1, q2) is the Schur scalar of
     rho(a0)^-1 U_{g1} U_{g2} U_{g3}^-1 with g1 g2 = a0 g3, snapped to an
     exact root of unity and cross-checked against the exact determinant
-    character of rho.  The cocycle identity is then verified exactly.
+    character of rho.  The cocycle identity is then verified exactly.  A
+    scalar is accepted within max(DEFAULT_SNAP_TOL, 100 * tol) of a root of
+    unity, so the snap tolerance follows tol.  Whether the class is trivial
+    is read off Irr(G) by extension_exists, given the G_rho computed here.
     """
     Agrp, _ = A.as_group()
     if rho.group is not Agrp:
@@ -232,6 +226,7 @@ def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: MatrixRep,
     if not G.is_normal(A):
         raise InvalidCocycle("A must be normal in G")
     d = rho.dimension
+    snap_tol = max(DEFAULT_SNAP_TOL, 100 * tol)
 
     G_rho = stabilizer_of_character(G, A, rho.character)
     Sgrp, sembed = G_rho.as_group()

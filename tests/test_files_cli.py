@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from isotypic.catalog import CATALOG
 from isotypic.cli import main
 from isotypic.files import FileFormatError, load_bundle_file, load_group_file
 
@@ -232,6 +233,25 @@ def test_json_reports_are_deterministic(capsys):
     code2, out2 = run_cli(["--format", "json", "clifford", data_path("d8.json")], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+NAMES_A_NORMAL_SUBGROUP = sorted(name for name, entry in CATALOG.items()
+                                 if entry.normal_generator_indices)
+
+
+@pytest.mark.parametrize("normal", [None, "center", "full", "trivial"])
+def test_clifford_json_does_not_depend_on_the_seed(normal, capsys):
+    """The seed only picks the random commutant elements and intertwiners; the
+    clifford report is exact, so its JSON is byte-identical for every seed."""
+    assert len(NAMES_A_NORMAL_SUBGROUP) == 27
+    for name in NAMES_A_NORMAL_SUBGROUP:
+        argv = ["clifford", "catalog:" + name] + ([] if normal is None else ["--normal", normal])
+        outs = set()
+        for seed in ["0", "1", "0x5EED", "4294967295"]:
+            code, out = run_cli(["--format", "json", "--seed", seed] + argv, capsys)
+            assert code == 0, (name, seed)
+            outs.add(out)
+        assert len(outs) == 1, name
 
 
 GOLDEN_JSON = [

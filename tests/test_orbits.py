@@ -433,3 +433,139 @@ def test_conjugation_action_under_relabelling(name, seed):
     prof, prof0 = rank_profile(G, A), rank_profile(G0, A0)
     assert sorted(prof.dims) == sorted(prof0.dims)
     assert _cycle_types(prof) == _cycle_types(prof0)
+
+
+# -- the extension criterion on Irr(G) ----------------------------------------------
+
+from isotypic.characters import restrict  # noqa: E402
+from isotypic.repmatrices import stabilizer_of_character  # noqa: E402
+
+from conftest import S3_GENS, S4_GENS, direct_product  # noqa: E402
+
+
+def _reference_extension_exists(G_rho, A, rho):
+    """The criterion read off G_rho's own character table, kept as the oracle.
+
+    True iff some irreducible character of G_rho has the same degree as rho
+    and restricts to it exactly.
+    """
+    G = G_rho.parent
+    Agrp, _ = A.as_group()
+    table_a = character_table(Agrp)
+    chi_rho = table_a.rows[rho]
+    if not set(G_rho.members) <= set(stabilizer_of_character(G, A, chi_rho).members):
+        raise NotStabilized("stabilizer subgroup moves the representation")
+    Sgrp, _ = G_rho.as_group()
+    A_in_s = Sgrp.subgroup_from_members([G_rho.retract(a) for a in A.members])
+    table_s = character_table(Sgrp)
+    d = table_a.degrees[rho]
+    for idx, chi in enumerate(table_s.rows):
+        if table_s.degrees[idx] != d:
+            continue
+        if _same_values(restrict(chi, A_in_s).values, chi_rho.values):
+            return True
+    return False
+
+
+def _same_values(a, b) -> bool:
+    """Positional value equality across cyclotomic orders.
+
+    Used where two materializations of the same subgroup (inside different
+    parents) produce identical tables and hence identical class orders.
+    """
+    return len(a) == len(b) and all(x.equals_value(y) for x, y in zip(a, b))
+
+
+def _extension_cases():
+    """(label, G, A): every catalog pair, S3xS3 over its first factor and a
+    relabelled S4xZ2 over V4, and each of these groups over its center, itself
+    and the trivial group."""
+    cases, groups = [], {}
+    for name, G, A in catalog_pairs():
+        cases.append((name, G, A))
+        groups.setdefault(name.split("/")[0], G)
+    gens = direct_product(S3_GENS, 3, S3_GENS, 3)
+    S3xS3 = group_from_generators(6, gens, name="S3xS3")
+    cases.append(("S3xS3/S3", S3xS3, S3xS3.subgroup(S3xS3.perm_index(p) for p in gens[:2])))
+    S4xZ2 = relabelled_group("S4xZ2", 6, direct_product(S4_GENS, 4, [[1, 0]], 2),
+                             random.Random(9))
+    cases.append(("S4xZ2/V4", S4xZ2, next(H for H in S4xZ2.all_subgroups()
+                                          if H.order == 4 and S4xZ2.is_normal(H))))
+    groups.update(S3xS3=S3xS3, S4xZ2=S4xZ2)
+    for name, G in groups.items():
+        cases += [(name + "/center", G, G.center()), (name + "/full", G, G.full_subgroup()),
+                  (name + "/trivial", G, G.trivial_subgroup())]
+    return cases
+
+
+def test_extension_criterion_matches_the_stabilizer_table():
+    """Deciding extension on Irr(G) by the Clifford correspondence gives the
+    answer G_rho's own character table gives, on every orbit."""
+    outcomes = {}
+    for label, G, A in _extension_cases():
+        assert G.is_normal(A), label
+        for orbit in irr_orbits(G, A):
+            got = extension_exists(orbit.stabilizer, A, orbit.representative)
+            assert got == _reference_extension_exists(
+                orbit.stabilizer, A, orbit.representative), (label, orbit.representative)
+            outcomes.setdefault(label, []).append(got)
+    assert {got for results in outcomes.values() for got in results} == {True, False}
+    assert sorted(outcomes["Q8"]) == sorted(outcomes["Q8/center"]) == [False, True]
+
+
+def test_extension_exists_rejects_a_proper_subgroup_of_the_stabilizer(q8):
+    """Both characters of the center of Q8 are fixed by all of Q8, so the
+    center itself, a cyclic subgroup of order 4 and a subgroup of V4 that meets
+    every coset of A without containing it are not their stabilizers."""
+    G, Z = q8
+    i4 = G.subgroup([next(g for g in G.elements() if G.element_order(g) == 4)])
+    for rho in range(2):
+        assert stabilizer_of_character(G, Z, character_table(Z.as_group()[0]).rows[rho]).order == 8
+        for H in (Z, i4):
+            with pytest.raises(NotStabilized):
+                extension_exists(H, Z, rho)
+    V4, X = build_catalog_group("V4")
+    Y = next(H for H in V4.all_subgroups() if H.order == 2 and H.members != X.members)
+    for rho in range(2):
+        with pytest.raises(NotStabilized):
+            extension_exists(Y, X, rho)
+        assert extension_exists(V4.full_subgroup(), X, rho)
+
+
+def test_extension_exists_rejects_a_non_normal_subgroup():
+    G = group_from_generators(3, S3_GENS, name="S3")
+    H = G.subgroup([G.perm_index((1, 0, 2))])
+    for rho in range(2):
+        with pytest.raises(NotNormal):
+            extension_exists(G.full_subgroup(), H, rho)
+        with pytest.raises(NotNormal):
+            extension_exists(H, H, rho)
+
+
+def test_orbit_decomposition_builds_one_stabilizer_per_orbit(monkeypatch):
+    """irr_orbits reads each stabilizer off its coset images and the extension
+    test reuses the obstruction's G_rho: one stabilizer_of_character call per
+    orbit of S4 on Irr(V4), and no character table but those of G and A."""
+    calls, tables = [], set()
+    original_stab = repmatrices.stabilizer_of_character
+    original_table = orbits.character_table
+
+    def counting_stab(*args):
+        calls.append(args)
+        return original_stab(*args)
+
+    def recording_table(H):
+        tables.add(H)
+        return original_table(H)
+
+    monkeypatch.setattr(repmatrices, "stabilizer_of_character", counting_stab)
+    monkeypatch.setattr(orbits, "stabilizer_of_character", counting_stab, raising=False)
+    monkeypatch.setattr(repmatrices, "character_table", recording_table)
+    monkeypatch.setattr(orbits, "character_table", recording_table)
+    G, V4 = build_catalog_group("S4")
+    recs = orbit_decomposition(G, V4)
+    assert len(recs) == 2
+    assert len(calls) == 2
+    assert tables == {G, V4.as_group()[0]}
+    for rec in recs:
+        assert rec.stabilizer.members == rec.obstruction.stabilizer.members

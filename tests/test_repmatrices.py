@@ -311,10 +311,9 @@ def test_omega_reproducible_bit_identical(q8):
     assert run() == run()
 
 
-def test_obstruction_json_export(q8):
+def test_obstruction_record_fields(q8):
     G, Z = q8
     rec = _obstruction_for(G, Z, lambda r: r.character.values[1].rational() == -1)
-    data = rec.to_jsonable()
-    assert data["quotient_order"] == 4
-    assert data["trivial"] is False
-    assert len(data["omega"]) == 4
+    assert rec.quotient.order == 4
+    assert rec.trivial is False
+    assert len(rec.omega) == 4
