@@ -20,18 +20,15 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import repmatrices
 from .bordism import (PowerSeries, adjacent_family_series, d2p_certify,
                       global_generator_series)
 from .bundles import verify_decomposition
-from .catalog import CATALOG
 from .characters import character_table
 from .errors import (CapExceeded, ClosureOverflow, InvalidPermutation,
                      IsotypicError, NotATrivial, NotNormal, NotOdd, NotPrime)
-from .files import (FileFormatError, generator_elements, load_bundle_file,
-                    load_group_file)
+from .files import FileFormatError, load_bundle_file, load_group_file
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, Subgroup
 from .orbits import k_decomposition_report
 
@@ -82,22 +79,13 @@ def _read_for_digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _resolve_normal(G: FiniteGroup, file_normal: Optional[Subgroup],
-                    selector: Optional[str], generators) -> Subgroup:
-    if selector is None:
-        if file_normal is None:
-            raise FileFormatError("no normal subgroup named: pass --normal or add "
-                                  "normal_subgroup_generators to the group file")
-        return file_normal
-    if selector == "trivial":
-        return G.trivial_subgroup()
-    if selector == "full":
-        return G.full_subgroup()
-    if selector == "center":
-        return G.center()
-    idxs = [x for x in selector.split(",") if x != ""]
-    elems = generator_elements(G, generators, idxs, "--normal selector %r" % selector)
-    return G.subgroup(elems, name="A")
+def _load_pair(args) -> tuple[FiniteGroup, Subgroup]:
+    """The group argument and the subgroup that --normal (or the file) names."""
+    G, A = load_group_file(args.group, cap=args.max_order, normal=args.normal)
+    if A is None:
+        raise FileFormatError("no normal subgroup named: pass --normal or add "
+                              "normal_subgroup_generators to the group file")
+    return G, A
 
 
 def _series_lines(series: PowerSeries) -> list:
@@ -105,15 +93,6 @@ def _series_lines(series: PowerSeries) -> list:
     for n, c in enumerate(series.coefficients):
         lines.append("%6d  %d" % (n, c))
     return lines
-
-
-def _group_generators(args) -> list:
-    """Generator permutations of the group argument, for --normal resolution."""
-    if args.group.startswith("catalog:"):
-        entry = CATALOG[args.group.split(":", 1)[1]]
-        return [list(p) for p in entry.generators]
-    with open(args.group) as fh:
-        return [list(p) for p in json.load(fh)["generators"]]
 
 
 def cmd_irr(args) -> Report:
@@ -132,8 +111,7 @@ def cmd_irr(args) -> Report:
 
 
 def cmd_clifford(args) -> Report:
-    G, file_normal = load_group_file(args.group, cap=args.max_order)
-    A = _resolve_normal(G, file_normal, args.normal, _group_generators(args))
+    G, A = _load_pair(args)
     if not G.is_normal(A):
         raise NotNormal("the chosen subgroup is not normal in %s" % G.name)
     report = k_decomposition_report(G, A, seed=args.seed, tol=args.tol)
@@ -156,7 +134,7 @@ def cmd_clifford(args) -> Report:
 
 
 def cmd_bundle_verify(args) -> Report:
-    bundle, G, A = load_bundle_file(args.bundle)
+    bundle, G, A = load_bundle_file(args.bundle, cap=args.max_order)
     if A is None:
         raise FileFormatError("bundle's group file does not name a normal subgroup")
     if not G.is_normal(A):
@@ -179,9 +157,9 @@ def cmd_bundle_verify(args) -> Report:
 
 
 def cmd_bordism(args) -> Report:
-    G, file_normal = load_group_file(args.group, cap=args.max_order)
     results: dict
     if args.use_global:
+        G, _ = load_group_file(args.group, cap=args.max_order)
         total, breakdown = global_generator_series(G, args.max_degree)
         results = {
             "group": G.name,
@@ -201,7 +179,7 @@ def cmd_bordism(args) -> Report:
         lines += _series_lines(total)
         series = total
     else:
-        A = _resolve_normal(G, file_normal, args.normal, _group_generators(args))
+        G, A = _load_pair(args)
         series = adjacent_family_series(G, A, args.max_degree)
         results = {"group": G.name, "normal_subgroup_order": A.order,
                    "max_degree": args.max_degree,

@@ -63,7 +63,3 @@ class NotPrime(IsotypicError):
 
 class NotOdd(IsotypicError):
     """Expected an odd number."""
-
-
-class InconsistentDecomposition(IsotypicError):
-    """Internal consistency check of a decomposition report failed."""

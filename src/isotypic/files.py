@@ -23,7 +23,7 @@ import os
 from typing import Optional
 
 from .bundles import EquivariantBundle, GSet
-from .catalog import build_catalog_group
+from .catalog import CATALOG, build_catalog_group
 from .characters import ClassFunction, cyclotomic_from_jsonable
 from .errors import IsotypicError
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, group_from_generators
@@ -33,19 +33,36 @@ class FileFormatError(IsotypicError):
     """Malformed input file."""
 
 
-def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP) -> tuple[FiniteGroup, Optional[Subgroup]]:
-    """Build a group (and its named normal subgroup, if any) from a file.
+def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP,
+                    normal: Optional[str] = None) -> tuple[FiniteGroup, Optional[Subgroup]]:
+    """Build a group and a subgroup of it from a file, read once.
 
-    The pseudo-path "catalog:NAME" resolves to a built-in group.
+    The pseudo-path "catalog:NAME" resolves to a built-in group.  ``normal``
+    is the command line's --normal selector: None gives the subgroup the file
+    names (None if it names none); "trivial", "full" and "center" give those
+    subgroups; anything else is comma-separated indices into the file's
+    generators, which raise FileFormatError unless each is in range.
     """
     if path.startswith("catalog:"):
-        return build_catalog_group(path.split(":", 1)[1], cap=cap)
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError("cannot read group file %s: %s" % (path, exc))
-    return group_from_jsonable(data, cap=cap)
+        name = path.split(":", 1)[1]
+        G, A = build_catalog_group(name, cap=cap)
+        generators = CATALOG[name].generators
+    else:
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise FileFormatError("cannot read group file %s: %s" % (path, exc))
+        G, A = group_from_jsonable(data, cap=cap)
+        generators = data["generators"]
+    if normal is None:
+        return G, A
+    named = {"trivial": G.trivial_subgroup, "full": G.full_subgroup, "center": G.center}
+    if normal in named:
+        return G, named[normal]()
+    idxs = [x for x in normal.split(",") if x != ""]
+    elems = generator_elements(G, generators, idxs, "--normal selector %r" % normal)
+    return G, G.subgroup(elems, name="A")
 
 
 def group_from_jsonable(data: dict, cap: int = DEFAULT_ORDER_CAP) -> tuple[FiniteGroup, Optional[Subgroup]]:
@@ -79,9 +96,10 @@ def generator_elements(G: FiniteGroup, generators, indices, what: str) -> list[i
     return [G.perm_index(tuple(generators[i])) for i in idxs]
 
 
-def load_bundle_file(path: str) -> tuple[EquivariantBundle, FiniteGroup, Optional[Subgroup]]:
-    """Load a bundle with its group; the group reference is resolved relative
-    to the bundle file's directory."""
+def load_bundle_file(path: str, cap: int = DEFAULT_ORDER_CAP
+                     ) -> tuple[EquivariantBundle, FiniteGroup, Optional[Subgroup]]:
+    """Load a bundle with its group, built under the order cap ``cap``; the
+    group reference is resolved relative to the bundle file's directory."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -92,7 +110,7 @@ def load_bundle_file(path: str) -> tuple[EquivariantBundle, FiniteGroup, Optiona
         raise FileFormatError("bundle file needs a 'group' file reference")
     if not ref.startswith("catalog:") and not os.path.isabs(ref):
         ref = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
-    G, A = load_group_file(ref)
+    G, A = load_group_file(ref, cap=cap)
     bundle = bundle_from_jsonable(data, G)
     return bundle, G, A
 

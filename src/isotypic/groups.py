@@ -31,8 +31,10 @@ class FiniteGroup:
     instance.  Derived data (classes, exponent, subgroup lattice and classes,
     conjugation actions, character table) is cached lazily on the instance.
     The table is kept once, as nested Python lists (``_rows``, with ``_inv``);
-    numpy is used only inside the axiom check that ``check`` runs.  Pass
-    ``check=False`` only for a table taken from an already checked group.
+    numpy is used only inside the axiom check that ``check`` runs.  Only a
+    table passed in directly is checked: the tables the package derives (a
+    permutation closure, a sub-table, a quotient by a normal subgroup) are
+    groups by construction and are built with ``check=False``.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G",
@@ -156,16 +158,13 @@ class FiniteGroup:
     # -- subgroups -------------------------------------------------------------
 
     def subgroup(self, generators: Iterable[int], name: Optional[str] = None) -> "Subgroup":
-        gens = tuple(dict.fromkeys(int(g) for g in generators))
-        members = closure(self, gens)
-        return Subgroup(self, members, gens, name=name)
+        return Subgroup(self, closure(self, [int(g) for g in generators]), name=name)
 
     def subgroup_from_members(self, members: Iterable[int], name: Optional[str] = None) -> "Subgroup":
-        mem = tuple(sorted(set(int(m) for m in members)))
-        return Subgroup(self, mem, minimal_generators(self, mem), name=name)
+        return Subgroup(self, set(map(int, members)), name=name)
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (0,), (), name="1")
+        return Subgroup(self, (0,), name="1")
 
     def full_subgroup(self) -> "Subgroup":
         return self.subgroup_from_members(self.elements(), name=self.name)
@@ -218,7 +217,8 @@ class FiniteGroup:
         table = [[projection[self.mul(section[i], section[j])] for j in range(m)]
                  for i in range(m)]
         qname = "%s/%s" % (self.name, A.name or "A")
-        qgrp = FiniteGroup(table, name=qname)
+        # unchecked: A is normal, so the coset products form the group G/A
+        qgrp = FiniteGroup(table, name=qname, check=False)
         return QuotientGroup(qgrp, projection, section, A, self)
 
     def all_subgroups(self, limit: int = 20000) -> list["Subgroup"]:
@@ -260,7 +260,7 @@ class FiniteGroup:
                             raise CapExceeded("subgroup enumeration exceeded limit")
                         found[bigger] = gens + (g,)
                         frontier.append(bigger)
-            subs = [self.subgroup_from_members(mem) for mem in found]
+            subs = [Subgroup(self, mem) for mem in found]
             subs.sort(key=lambda s: (s.order, s.members))
             self._lattice = (subs, known)
         subs, known = self._lattice
@@ -297,13 +297,13 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """A subgroup of a FiniteGroup, stored as a sorted member-index set."""
+    """A subgroup of a FiniteGroup: its sorted member-index set and a name;
+    however it was found, no generators are kept."""
 
-    def __init__(self, parent: FiniteGroup, members: tuple[int, ...],
-                 generators: tuple[int, ...], name: Optional[str] = None):
+    def __init__(self, parent: FiniteGroup, members: Iterable[int],
+                 name: Optional[str] = None):
         self.parent = parent
         self.members = tuple(sorted(members))
-        self.generators = tuple(generators)
         self.name = name
         if self.members[0] != 0:
             raise ValueError("subgroup must contain the identity")
@@ -334,9 +334,7 @@ class Subgroup:
 
     def conjugate(self, g: int) -> "Subgroup":
         G = self.parent
-        mem = tuple(sorted(G.conj(g, h) for h in self.members))
-        gens = tuple(G.conj(g, h) for h in self.generators)
-        return Subgroup(G, mem, gens, name=self.name)
+        return Subgroup(G, (G.conj(g, h) for h in self.members), name=self.name)
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """Materialize as a standalone FiniteGroup.
@@ -355,9 +353,9 @@ class Subgroup:
             retract = {g: i for i, g in enumerate(embed)}
             rows = self.parent._rows
             table = [[retract[rows[a][b]] for b in embed] for a in embed]
-            name = self.name or ("%s<%s" % (self.parent.name, ",".join(map(str, self.generators))))
+            name = self.name or "%s<%d>" % (self.parent.name, self.order)
             # unchecked: the retract lookup raised unless the members are
-            # closed, and a closed subset of a checked finite group is a group
+            # closed, and a closed subset of a finite group is a group
             out = (FiniteGroup(table, name=name, check=False), embed)
         self.parent._subgroup_cache[self.members] = out
         return out
@@ -523,4 +521,5 @@ def group_from_generators(degree: int, generators: Sequence[Sequence[int]],
                 queue.append(y)
     n = len(elems)
     table = [[index[_compose(elems[i], elems[j])] for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name=name, perms=elems)
+    # unchecked: composition of permutations is a group operation
+    return FiniteGroup(table, name=name, perms=elems, check=False)

@@ -3,7 +3,8 @@
 Orbits, stabilizers, obstruction records, the fibers of restriction
 ("lying over"), and the two independent counts whose agreement realizes the
 rank decomposition of the equivariant K-theory of a point.  Each orbit and
-its stabilizer come from one image per coset of A; whether a character
+its stabilizer come from one image per coset of A, and that stabilizer is
+built once: the obstruction record is computed on it.  Whether a character
 extends to its stabilizer is read off Irr(G) by the Clifford correspondence.
 """
 
@@ -152,7 +153,8 @@ def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
 
 def orbit_decomposition(G: FiniteGroup, A: Subgroup,
                         seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL) -> list:
-    """One IrrOrbitRecord per G-orbit on Irr(A), in the order of irr_orbits."""
+    """One IrrOrbitRecord per G-orbit on Irr(A), in the order of irr_orbits;
+    each record and its obstruction share the stabilizer irr_orbits built."""
     orbits = irr_orbits(G, A)
     Agrp, _ = A.as_group()
     table_a = character_table(Agrp)
@@ -161,7 +163,7 @@ def orbit_decomposition(G: FiniteGroup, A: Subgroup,
     restricted = [restrict(chi, A) for chi in table_g.rows]
     records = []
     for rep, orbit, stabilizer in orbits:
-        obs = obstruction_cocycle(G, A, irreps_a[rep], seed=seed, tol=tol)
+        obs = obstruction_cocycle(stabilizer, A, irreps_a[rep], seed=seed, tol=tol)
         # chi lies over the orbit iff <Res_A chi, rho> > 0
         lying = frozenset(
             i for i, res in enumerate(restricted)

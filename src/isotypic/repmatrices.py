@@ -6,8 +6,10 @@ conjugate representations yield the obstruction 2-cocycle that measures
 whether an irreducible representation of a normal subgroup extends to its
 stabilizer; the cocycle is snapped to exact roots of unity within a
 tolerance derived from tol, and all identity checks downstream are exact
-integer arithmetic.  Whether the class is trivial is never read off the
-floats: orbits.extension_exists decides it on the characters of the group.
+integer arithmetic.  The stabilizer is the caller's (orbits.irr_orbits
+builds one per orbit) and is checked before any float work.  Whether the
+class is trivial is never read off the floats: orbits.extension_exists
+decides it on the characters of the group.
 """
 
 from __future__ import annotations
@@ -205,10 +207,15 @@ def _det_normalize(U: np.ndarray) -> np.ndarray:
     return U * cmath.exp(-cmath.log(det) / d)
 
 
-def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: MatrixRep,
+def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, rho: MatrixRep,
                         seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL) -> ObstructionRecord:
-    """Obstruction data for extending rho from the normal subgroup A to its
-    stabilizer G_rho.
+    """Obstruction data for extending rho from the normal subgroup A of
+    G = G_rho.parent to its stabilizer G_rho, which the caller has built
+    (orbits.irr_orbits does, once per orbit).
+
+    Whether rho extends is read off Irr(G) by orbits.extension_exists before
+    any float work; it raises NotNormal unless A is normal in G and
+    NotStabilized unless G_rho is exactly rho's stabilizer.
 
     For each coset representative g of A in G_rho a unitary U_g with
     U_g rho(g^-1 a g) U_g^-1 = rho(a) is computed and rescaled to det 1;
@@ -217,18 +224,17 @@ def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: MatrixRep,
     exact root of unity and cross-checked against the exact determinant
     character of rho.  The cocycle identity is then verified exactly.  A
     scalar is accepted within max(DEFAULT_SNAP_TOL, 100 * tol) of a root of
-    unity, so the snap tolerance follows tol.  Whether the class is trivial
-    is read off Irr(G) by extension_exists, given the G_rho computed here.
+    unity, so the snap tolerance follows tol.
     """
+    from .orbits import extension_exists  # deferred: orbits depends on this module
     Agrp, _ = A.as_group()
     if rho.group is not Agrp:
         raise ValueError("rho must be a representation of the materialized subgroup")
-    if not G.is_normal(A):
-        raise InvalidCocycle("A must be normal in G")
+    G = G_rho.parent
+    trivial = extension_exists(G_rho, A, character_table(Agrp).row_index(rho.character.values))
     d = rho.dimension
     snap_tol = max(DEFAULT_SNAP_TOL, 100 * tol)
 
-    G_rho = stabilizer_of_character(G, A, rho.character)
     Sgrp, sembed = G_rho.as_group()
     A_in_s = Sgrp.subgroup_from_members([G_rho.retract(a) for a in A.members], name=A.name)
     Q = Sgrp.quotient(A_in_s)
@@ -279,12 +285,6 @@ def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: MatrixRep,
             omega[q1][q2] = k
 
     check_cocycle(Q.group, omega, modulus)
-
-    from .orbits import extension_exists  # deferred: orbits depends on this module
-    table_a = character_table(Agrp)
-    rho_index = table_a.row_index(rho.character.values)
-    trivial = extension_exists(G_rho, A, rho_index)
-
     return ObstructionRecord(rho=rho, stabilizer=G_rho, quotient=Q,
                              omega=tuple(tuple(row) for row in omega),
                              modulus=modulus, trivial=trivial,

@@ -84,6 +84,10 @@ def test_cmd_irr_cap_applies_to_catalog(capsys):
     assert main(["--max-order", "4", "irr", "catalog:D8"]) == 3
 
 
+def test_cmd_bundle_verify_cap_applies_to_the_bundle_group(capsys):
+    assert main(["--max-order", "4", "bundle-verify", data_path("d8_rho_bundle.json")]) == 3
+
+
 def test_cmd_clifford_d8(capsys):
     code, out = run_cli(["clifford", data_path("d8.json")], capsys)
     assert code == 0

@@ -344,7 +344,6 @@ def _check_against_plain(G):
     subs = G.all_subgroups()
     plain = _plain_all_subgroups(G)
     assert [s.members for s in subs] == [s.members for s in plain], G.name
-    assert [s.generators for s in subs] == [s.generators for s in plain], G.name
     classes = G.subgroup_conjugacy_classes()
     assert sorted([s.members for s in c] for c in classes) == \
         _plain_subgroup_classes(G, plain), G.name
@@ -414,3 +413,17 @@ def test_subgroup_tables_are_group_tables():
             Hgrp, embed = H.as_group()
             assert embed == H.members
             _check_axioms(Hgrp._rows)
+
+
+def test_closure_and_quotient_tables_are_group_tables():
+    """group_from_generators and quotient build their tables without the
+    axiom check; the table of every catalog group, of a relabelled S4xZ2 and
+    of S3xS3, and of each of their quotients by a normal subgroup must still
+    pass it."""
+    S4xZ2 = relabelled_group("S4xZ2", *PRODUCTS["S4xZ2"], random.Random(5))
+    S3xS3 = group_from_generators(*PRODUCTS["S3xS3"], name="S3xS3")
+    for G in all_catalog_groups() + [S4xZ2, S3xS3]:
+        _check_axioms(G._rows)
+        for A in G.all_subgroups():
+            if G.is_normal(A):
+                _check_axioms(G.quotient(A).group._rows)

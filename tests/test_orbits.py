@@ -1,6 +1,6 @@
 import pytest
 
-from isotypic import orbits, repmatrices
+from isotypic import groups, orbits, repmatrices
 from isotypic.catalog import build_catalog_group
 from isotypic.characters import character_table
 from isotypic.cyclotomic import Cyclotomic
@@ -543,16 +543,22 @@ def test_extension_exists_rejects_a_non_normal_subgroup():
 
 
 def test_orbit_decomposition_builds_one_stabilizer_per_orbit(monkeypatch):
-    """irr_orbits reads each stabilizer off its coset images and the extension
-    test reuses the obstruction's G_rho: one stabilizer_of_character call per
-    orbit of S4 on Irr(V4), and no character table but those of G and A."""
-    calls, tables = [], set()
+    """irr_orbits reads each stabilizer off its coset images, and the
+    obstruction record is computed on that same Subgroup: over the two orbits
+    of S4 on Irr(V4) no stabilizer_of_character or minimal_generators call is
+    made, and no character table but those of G and A is built."""
+    calls, tables = {"stab": 0, "gens": 0}, set()
     original_stab = repmatrices.stabilizer_of_character
+    original_gens = groups.minimal_generators
     original_table = orbits.character_table
 
     def counting_stab(*args):
-        calls.append(args)
+        calls["stab"] += 1
         return original_stab(*args)
+
+    def counting_gens(*args):
+        calls["gens"] += 1
+        return original_gens(*args)
 
     def recording_table(H):
         tables.add(H)
@@ -560,12 +566,13 @@ def test_orbit_decomposition_builds_one_stabilizer_per_orbit(monkeypatch):
 
     monkeypatch.setattr(repmatrices, "stabilizer_of_character", counting_stab)
     monkeypatch.setattr(orbits, "stabilizer_of_character", counting_stab, raising=False)
+    monkeypatch.setattr(groups, "minimal_generators", counting_gens)
     monkeypatch.setattr(repmatrices, "character_table", recording_table)
     monkeypatch.setattr(orbits, "character_table", recording_table)
     G, V4 = build_catalog_group("S4")
     recs = orbit_decomposition(G, V4)
     assert len(recs) == 2
-    assert len(calls) == 2
+    assert calls == {"stab": 0, "gens": 0}
     assert tables == {G, V4.as_group()[0]}
     for rec in recs:
-        assert rec.stabilizer.members == rec.obstruction.stabilizer.members
+        assert rec.stabilizer is rec.obstruction.stabilizer

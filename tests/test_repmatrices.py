@@ -8,8 +8,9 @@ import pytest
 from isotypic.catalog import build_catalog_group
 from isotypic.characters import character_table
 from isotypic.cyclotomic import Cyclotomic
-from isotypic.errors import CapExceeded, SplitFailure
+from isotypic.errors import CapExceeded, NotStabilized, SplitFailure
 from isotypic.groups import group_from_generators
+from isotypic import repmatrices
 from isotypic.repmatrices import (DEFAULT_SEED, _check_rep, _cluster,
                                   intertwiner, matrix_irreps,
                                   obstruction_cocycle, stabilizer_of_character)
@@ -234,7 +235,7 @@ def _obstruction_for(G, A, predicate, seed=0x5EED):
     Agrp, _ = A.as_group()
     reps = matrix_irreps(Agrp, seed=seed)
     rho = next(r for r in reps if predicate(r))
-    return obstruction_cocycle(G, A, rho, seed=seed)
+    return obstruction_cocycle(stabilizer_of_character(G, A, rho.character), A, rho, seed=seed)
 
 
 def test_d8_rho2_extends(d8):
@@ -306,9 +307,29 @@ def test_omega_reproducible_bit_identical(q8):
     def run():
         reps = matrix_irreps(Zgrp, seed=0x5EED)
         rho = next(r for r in reps if r.character.values[1].rational() == -1)
-        return obstruction_cocycle(G, Z, rho, seed=0x5EED).omega
+        return obstruction_cocycle(stabilizer_of_character(G, Z, rho.character), Z, rho,
+                                   seed=0x5EED).omega
 
     assert run() == run()
+
+
+def test_obstruction_rejects_a_non_stabilizer_before_float_work(q8, monkeypatch):
+    """A G_rho that is not rho's stabilizer raises NotStabilized before any
+    intertwiner is computed: Q8 over its center with G_rho the center or a
+    cyclic subgroup of order 4 (every character of the center is fixed by all
+    of Q8), and V4 over one factor with G_rho the other factor."""
+    def no_intertwiner(*args, **kwargs):
+        raise AssertionError("intertwiner called")
+
+    monkeypatch.setattr(repmatrices, "intertwiner", no_intertwiner)
+    G, Z = q8
+    i4 = G.subgroup([next(g for g in G.elements() if G.element_order(g) == 4)])
+    V4, X = build_catalog_group("V4")
+    Y = next(H for H in V4.all_subgroups() if H.order == 2 and H.members != X.members)
+    for G_rho, A in [(Z, Z), (i4, Z), (Y, X)]:
+        for rho in matrix_irreps(A.as_group()[0]):
+            with pytest.raises(NotStabilized):
+                obstruction_cocycle(G_rho, A, rho)
 
 
 def test_obstruction_record_fields(q8):
