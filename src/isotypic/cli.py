@@ -15,6 +15,7 @@ Group arguments take a JSON file path or "catalog:NAME".  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -302,8 +303,14 @@ _ERROR_CODES = [
 ]
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.func(args)
     except tuple(cls for classes, _ in _ERROR_CODES for cls in classes) as exc:

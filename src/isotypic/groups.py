@@ -374,7 +374,9 @@ class Subgroup:
 
 
 class QuotientGroup:
-    """A quotient G/A with a projection map and a section of coset reps."""
+    """A quotient H/A, for A normal in a subgroup H of parent, with a
+    projection map (the coset of each element of parent, -1 off H) and a
+    section of coset reps in parent.  FiniteGroup.quotient has H = parent."""
 
     def __init__(self, group: FiniteGroup, projection: tuple[int, ...],
                  section: tuple[int, ...], kernel: Subgroup, parent: FiniteGroup):
@@ -487,17 +489,16 @@ def minimal_generators(G: FiniteGroup, members: Sequence[int]) -> tuple[int, ...
     return gens
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """(p o q)(i) = p(q(i)); matches left actions on points."""
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
 def group_from_generators(degree: int, generators: Sequence[Sequence[int]],
                           name: str = "G", cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Close a set of permutations of {0..degree-1} into a full group table.
 
     Element 0 is the identity; the remaining elements are indexed in
-    breadth-first discovery order, which is deterministic.
+    breadth-first discovery order, which is deterministic.  Each element y
+    is first reached as y = x s for an earlier x and a generator s, so its
+    column of the table is z -> (z x) s, read off x's column through the
+    right multiplication by s that the search records; no two elements are
+    composed outside the search.
     """
     gens = []
     for p in generators:
@@ -508,18 +509,21 @@ def group_from_generators(degree: int, generators: Sequence[Sequence[int]],
     ident = tuple(range(degree))
     elems: list[tuple[int, ...]] = [ident]
     index = {ident: 0}
-    queue = [ident]
-    while queue:
-        x = queue.pop(0)
-        for g in gens:
-            y = _compose(x, g)
+    word: list[tuple[int, int]] = [(0, 0)]  # (x, s) with elems[y] = elems[x] o gens[s]
+    right: list[list[int]] = [[] for _ in gens]  # right[s][x]: index of x o gens[s]
+    for x, px in enumerate(elems):  # elems grows while it is scanned
+        for s, g in enumerate(gens):
+            y = tuple([px[i] for i in g])
             if y not in index:
                 if len(elems) >= cap:
                     raise ClosureOverflow("closure exceeded cap %d" % cap)
                 index[y] = len(elems)
                 elems.append(y)
-                queue.append(y)
-    n = len(elems)
-    table = [[index[_compose(elems[i], elems[j])] for j in range(n)] for i in range(n)]
+                word.append((x, s))
+            right[s].append(index[y])
+    cols = [list(range(len(elems)))]
+    for x, s in word[1:]:
+        rs = right[s]
+        cols.append([rs[z] for z in cols[x]])
     # unchecked: composition of permutations is a group operation
-    return FiniteGroup(table, name=name, perms=elems, check=False)
+    return FiniteGroup(list(zip(*cols)), name=name, perms=elems, check=False)

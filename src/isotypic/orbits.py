@@ -6,6 +6,9 @@ rank decomposition of the equivariant K-theory of a point.  Each orbit and
 its stabilizer come from one image per coset of A, and that stabilizer is
 built once: the obstruction record is computed on it.  Whether a character
 extends to its stabilizer is read off Irr(G) by the Clifford correspondence.
+Matrix models of Irr(A) are built once per decomposition, and only if some
+orbit has rho(1) >= 2 and a nontrivial G_rho/A; every other cocycle is
+exact, so --seed and --tol reach only those orbits.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from .characters import (CharacterTable, character_table, inner_product,
 from .errors import NotNormal, NotStabilized
 from .groups import FiniteGroup, Subgroup, left_cosets
 from .repmatrices import (ObstructionRecord, check_cocycle, matrix_irreps,
-                          obstruction_cocycle, DEFAULT_SEED, DEFAULT_TOL)
+                          needs_matrix_model, obstruction_cocycle, DEFAULT_SEED,
+                          DEFAULT_TOL)
 
 
 def irr_action(G: FiniteGroup, A: Subgroup, g: int, tau: int) -> int:
@@ -154,16 +158,23 @@ def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
 def orbit_decomposition(G: FiniteGroup, A: Subgroup,
                         seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL) -> list:
     """One IrrOrbitRecord per G-orbit on Irr(A), in the order of irr_orbits;
-    each record and its obstruction share the stabilizer irr_orbits built."""
+    each record and its obstruction share the stabilizer irr_orbits built.
+
+    matrix_irreps(A, seed, tol) is called once, and only if some orbit
+    needs_matrix_model; only those orbits get a matrix model.
+    """
     orbits = irr_orbits(G, A)
     Agrp, _ = A.as_group()
     table_a = character_table(Agrp)
     table_g = character_table(G)
-    irreps_a = matrix_irreps(Agrp, seed=seed, tol=tol)
+    needs = [needs_matrix_model(stabilizer, A, table_a.degrees[rep])
+             for rep, _, stabilizer in orbits]
+    irreps_a = matrix_irreps(Agrp, seed=seed, tol=tol) if any(needs) else None
     restricted = [restrict(chi, A) for chi in table_g.rows]
     records = []
-    for rep, orbit, stabilizer in orbits:
-        obs = obstruction_cocycle(stabilizer, A, irreps_a[rep], seed=seed, tol=tol)
+    for (rep, orbit, stabilizer), need in zip(orbits, needs):
+        obs = obstruction_cocycle(stabilizer, A, table_a.rows[rep],
+                                  irreps_a[rep] if need else None, seed=seed, tol=tol)
         # chi lies over the orbit iff <Res_A chi, rho> > 0
         lying = frozenset(
             i for i, res in enumerate(restricted)

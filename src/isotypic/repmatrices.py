@@ -1,15 +1,18 @@
-"""Unitary matrix models of the irreducible representations.
+"""Unitary matrix models of the irreducible representations, and the
+obstruction cocycle, built with floats only where it needs them.
 
 The regular representation is split into explicit unitary irreducibles with
-a seeded random commutant element per isotypic block.  Intertwiners between
-conjugate representations yield the obstruction 2-cocycle that measures
-whether an irreducible representation of a normal subgroup extends to its
-stabilizer; the cocycle is snapped to exact roots of unity within a
-tolerance derived from tol, and all identity checks downstream are exact
-integer arithmetic.  The stabilizer is the caller's (orbits.irr_orbits
-builds one per orbit) and is checked before any float work.  Whether the
-class is trivial is never read off the floats: orbits.extension_exists
-decides it on the characters of the group.
+a seeded random commutant element per isotypic block.  The obstruction
+2-cocycle measures whether an irreducible rho of a normal subgroup A extends
+to its stabilizer G_rho; it lives on Q = G_rho/A.  It is read exactly off
+the determinant character of rho when Q is trivial (the 1 x 1 zero table) or
+rho is linear (rho is its own determinant).  Only for rho(1) >= 2 and Q
+nontrivial is it computed from intertwiners between conjugate matrix models
+and snapped to exact roots of unity within a tolerance derived from tol;
+all identity checks downstream are exact integer arithmetic.  The stabilizer
+is the caller's (orbits.irr_orbits builds one per orbit) and is checked
+before any float work.  Whether the class is trivial is never read off the
+floats: orbits.extension_exists decides it on the characters of the group.
 """
 
 from __future__ import annotations
@@ -125,19 +128,27 @@ def _check_rep(rep: MatrixRep, tol: float) -> None:
     the traces match the exact character."""
     G = rep.group
     M = rep.images
-    if not np.all(_norms(M @ M.conj().transpose(0, 2, 1) - np.eye(rep.dimension)) <= tol):
+    if not _within(M @ M.conj().transpose(0, 2, 1) - np.eye(rep.dimension), tol):
         raise SplitFailure("representation image is not unitary")
     for Mg, row in zip(M, G._rows):
-        if not np.all(_norms(Mg @ M - M[row]) <= tol):
+        if not _within(Mg @ M - M[row], tol):
             raise SplitFailure("homomorphism residual above tolerance")
     for cls, val in zip(G.conjugacy_classes(), rep.character.values):
         if abs(np.trace(M[cls[0]]) - val.to_complex()) > 1e-6:
             raise SplitFailure("trace does not match the exact character")
 
 
-def _norms(stack: np.ndarray) -> np.ndarray:
-    """The spectral norm of each matrix in a (n, d, d) stack."""
-    return np.linalg.norm(stack, 2, axis=(1, 2))
+def _within(stack: np.ndarray, tol: float) -> bool:
+    """Whether every matrix of a (n, d, d) stack has spectral norm <= tol.
+
+    As ||X||_2 <= ||X||_F, a matrix whose Frobenius norm is within tol
+    passes; all Frobenius norms come from one einsum, and only the rest are
+    sent to the SVD behind the spectral norm.
+    """
+    frobenius_sq = np.einsum("nij,nij->n", stack, stack.conj()).real
+    # negated, so a NaN residual is never accepted by the prefilter
+    suspects = stack[~(frobenius_sq <= tol * tol)]
+    return not len(suspects) or bool(np.all(np.linalg.norm(suspects, 2, axis=(1, 2)) <= tol))
 
 
 def intertwiner(rho1: MatrixRep, rho2: MatrixRep,
@@ -163,7 +174,7 @@ def intertwiner(rho1: MatrixRep, rho2: MatrixRep,
         if s[-1] < 1e-8 * max(1.0, s[0]):
             continue
         U = u @ vh
-        if np.all(_norms(U @ rho1.images @ U.conj().T - rho2.images) <= tol):
+        if _within(U @ rho1.images @ U.conj().T - rho2.images, tol):
             return U
     raise NumericalDegeneracy("averaged intertwiner stayed singular after retries")
 
@@ -172,13 +183,16 @@ def intertwiner(rho1: MatrixRep, rho2: MatrixRep,
 class ObstructionRecord:
     """The obstruction cocycle of an irreducible rho of a normal subgroup.
 
-    omega is a |Q| x |Q| table of exponents k meaning the root of unity
-    exp(2*pi*i*k/modulus); modulus = dim(rho) * order(det o rho), which makes
-    every snapped scalar an exact root of unity.  trivial is decided by the
-    exact character-level extension criterion, never numerically.
+    character is rho's exact character.  omega is a |Q| x |Q| table of
+    exponents k meaning the root of unity exp(2*pi*i*k/modulus);
+    modulus = rho(1) * order(det o rho), which makes every snapped scalar an
+    exact root of unity.  intertwiners holds one det-1 unitary U_g per coset
+    representative g (identities where no matrix model was needed).  trivial
+    is decided by the exact character-level extension criterion, never
+    numerically.
     """
 
-    rho: MatrixRep
+    character: ClassFunction
     stabilizer: Subgroup
     quotient: QuotientGroup
     omega: tuple  # tuple of tuples of ints
@@ -207,72 +221,116 @@ def _det_normalize(U: np.ndarray) -> np.ndarray:
     return U * cmath.exp(-cmath.log(det) / d)
 
 
-def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, rho: MatrixRep,
-                        seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL) -> ObstructionRecord:
-    """Obstruction data for extending rho from the normal subgroup A of
-    G = G_rho.parent to its stabilizer G_rho, which the caller has built
-    (orbits.irr_orbits does, once per orbit).
+def needs_matrix_model(G_rho: Subgroup, A: Subgroup, degree: int) -> bool:
+    """Whether obstruction_cocycle needs a matrix model of an irreducible of
+    A of this degree with stabilizer G_rho: rho(1) >= 2 and G_rho/A
+    nontrivial.  Otherwise the cocycle is exact without matrices."""
+    return degree > 1 and G_rho.order > A.order
+
+
+def _stabilizer_quotient(G_rho: Subgroup, A: Subgroup) -> QuotientGroup:
+    """G_rho/A from the cosets of A in G = G_rho.parent.
+
+    Coset q is the q-th coset of A inside G_rho in order of its minimal
+    element, which is its lift; cosets multiply through their lifts in G.
+    projection[g] is the coset of g, -1 for g outside G_rho.  A must be
+    normal in G and G_rho a union of its cosets (extension_exists checks
+    both).
+    """
+    G = G_rho.parent
+    coset_of, _ = G.conjugation_action(A)
+    pos: dict[int, int] = {}
+    section = []
+    for g in G_rho.members:  # sorted: a coset is met first at its minimum
+        if coset_of[g] not in pos:
+            pos[coset_of[g]] = len(section)
+            section.append(g)
+    table = [[pos[coset_of[G.mul(x, y)]] for y in section] for x in section]
+    name = "%s/%s" % (G_rho.name or "G_rho", A.name or "A")
+    # unchecked: A is normal, so the coset products form the group G_rho/A
+    qgrp = FiniteGroup(table, name=name, check=False)
+    projection = tuple(pos.get(c, -1) for c in coset_of)
+    return QuotientGroup(qgrp, projection, tuple(section), A, G)
+
+
+def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
+                        rep: Optional[MatrixRep] = None, seed: int = DEFAULT_SEED,
+                        tol: float = DEFAULT_TOL) -> ObstructionRecord:
+    """Obstruction data for extending the irreducible rho, with exact
+    character chi, from the normal subgroup A of G = G_rho.parent to its
+    stabilizer G_rho, which the caller has built (orbits.irr_orbits does,
+    once per orbit).
 
     Whether rho extends is read off Irr(G) by orbits.extension_exists before
-    any float work; it raises NotNormal unless A is normal in G and
-    NotStabilized unless G_rho is exactly rho's stabilizer.
+    anything else; it raises NotNormal unless A is normal in G and
+    NotStabilized unless G_rho is exactly rho's stabilizer.  Q = G_rho/A is
+    built from the cosets of A in G, each lifted to its minimal element g.
+    With g1 g2 = a0 g3 for the lifts of q1, q2 and q1 q2:
 
-    For each coset representative g of A in G_rho a unitary U_g with
-    U_g rho(g^-1 a g) U_g^-1 = rho(a) is computed and rescaled to det 1;
-    the cocycle entry at (q1, q2) is the Schur scalar of
-    rho(a0)^-1 U_{g1} U_{g2} U_{g3}^-1 with g1 g2 = a0 g3, snapped to an
-    exact root of unity and cross-checked against the exact determinant
-    character of rho.  The cocycle identity is then verified exactly.  A
-    scalar is accepted within max(DEFAULT_SNAP_TOL, 100 * tol) of a root of
-    unity, so the snap tolerance follows tol.
+    * if Q is trivial, omega is the 1 x 1 zero table;
+    * if rho is linear, omega(q1, q2) is the exponent of rho(a0)^-1, read
+      exactly off the determinant character, and every U_g is 1;
+    * otherwise (needs_matrix_model) rep must be a MatrixRep with
+      character chi, else ValueError.  For each lift g a unitary U_g with
+      U_g rho(g^-1 a g) U_g^-1 = rho(a) is computed and rescaled to det 1,
+      and omega(q1, q2) is the Schur scalar of
+      rho(a0)^-1 U_{g1} U_{g2} U_{g3}^-1, snapped to an exact root of unity
+      within max(DEFAULT_SNAP_TOL, 100 * tol) and cross-checked against
+      the determinant character: omega^rho(1) = det rho(a0)^-1.
+
+    The cocycle identity is then verified exactly on every route.
     """
     from .orbits import extension_exists  # deferred: orbits depends on this module
     Agrp, _ = A.as_group()
-    if rho.group is not Agrp:
-        raise ValueError("rho must be a representation of the materialized subgroup")
+    if chi.group is not Agrp:
+        raise ValueError("chi must be a character of the materialized subgroup")
+    table_a = character_table(Agrp)
+    row = table_a.row_index(chi.values)
+    trivial = extension_exists(G_rho, A, row)
     G = G_rho.parent
-    trivial = extension_exists(G_rho, A, character_table(Agrp).row_index(rho.character.values))
-    d = rho.dimension
-    snap_tol = max(DEFAULT_SNAP_TOL, 100 * tol)
-
-    Sgrp, sembed = G_rho.as_group()
-    A_in_s = Sgrp.subgroup_from_members([G_rho.retract(a) for a in A.members], name=A.name)
-    Q = Sgrp.quotient(A_in_s)
+    d = table_a.degrees[row]
+    Q = _stabilizer_quotient(G_rho, A)
     m = Q.order
 
     # det o rho is a class function: one exact value (k, m), meaning
     # zeta_m^k, per class of A; modulus is d times its order
-    det_vals = [determinant_character_value(rho.character, cls[0])
+    det_vals = [determinant_character_value(chi, cls[0])
                 for cls in Agrp.conjugacy_classes()]
     modulus = d * lcm(*(mm for _, mm in det_vals))
     # det rho(a) = zeta_modulus^det_exp[class of a]
     det_exp = [(k * (modulus // mm)) % modulus for k, mm in det_vals]
 
-    rng = np.random.default_rng(seed)
-    # coset reps as G-elements, each minimal in its coset of A (Sgrp indices
-    # follow G_rho.members), so maps[coset_of[g]] is exactly a -> g^-1 a g
-    reps_g = [sembed[Q.lift(q)] for q in range(m)]
-    coset_of, maps = G.conjugation_action(A)
+    reps_g = Q.section
     eye = np.eye(d)
-    units = []
-    for q in range(m):
-        g = reps_g[q]
-        if g == 0:
-            units.append(eye.copy())
-            continue
-        rho_g = rho.conjugated(maps[coset_of[g]])
-        U = intertwiner(rho_g, rho, rng=rng, tol=tol)
-        assert U is not None, "coset representative does not stabilize rho"
-        units.append(_det_normalize(U))
+    exact = not needs_matrix_model(G_rho, A, d)
+    if exact:
+        units = [eye] * m
+    else:
+        if rep is None or rep.character != chi:
+            raise ValueError("rho(1) >= 2 and G_rho/A is nontrivial: rep must be a "
+                             "matrix model of chi")
+        snap_tol = max(DEFAULT_SNAP_TOL, 100 * tol)
+        rng = np.random.default_rng(seed)
+        # lifts are minimal in their coset of A, so maps[coset_of[g]] is
+        # exactly a -> g^-1 a g
+        coset_of, maps = G.conjugation_action(A)
+        units = [eye.copy()]
+        for g in reps_g[1:]:
+            U = intertwiner(rep.conjugated(maps[coset_of[g]]), rep, rng=rng, tol=tol)
+            assert U is not None, "coset representative does not stabilize rho"
+            units.append(_det_normalize(U))
 
     omega = [[0] * m for _ in range(m)]
     for q1 in range(m):
         for q2 in range(m):
             q12 = Q.group.mul(q1, q2)
             g1, g2, g3 = reps_g[q1], reps_g[q2], reps_g[q12]
-            a0 = G.mul(G.mul(g1, g2), G.inv(g3))
-            a0_local = A.retract(a0)  # raises if not in A
-            M = rho.images[a0_local].conj().T @ units[q1] @ units[q2] @ units[q12].conj().T
+            a0 = A.retract(G.mul(G.mul(g1, g2), G.inv(g3)))  # raises if not in A
+            det_inv = (-det_exp[Agrp.class_index(a0)]) % modulus
+            if exact:  # d == 1, or m == 1 and a0 == 1
+                omega[q1][q2] = det_inv
+                continue
+            M = rep.images[a0].conj().T @ units[q1] @ units[q2] @ units[q12].conj().T
             c = np.trace(M) / d
             if np.max(np.abs(M - c * eye)) > snap_tol:
                 raise NonScalar("cocycle matrix is not scalar at (%d, %d)" % (q1, q2))
@@ -280,13 +338,13 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, rho: MatrixRep,
             if abs(c - cmath.exp(2j * math.pi * k / modulus)) > snap_tol:
                 raise SnapFailure("scalar %r too far from mu_%d" % (c, modulus))
             # exact cross-check: omega^d must equal det(rho(a0))^-1
-            if (k * d) % modulus != (-det_exp[Agrp.class_index(a0_local)]) % modulus:
+            if (k * d) % modulus != det_inv:
                 raise SnapFailure("snapped scalar disagrees with the determinant character")
             omega[q1][q2] = k
 
     check_cocycle(Q.group, omega, modulus)
-    return ObstructionRecord(rho=rho, stabilizer=G_rho, quotient=Q,
-                             omega=tuple(tuple(row) for row in omega),
+    return ObstructionRecord(character=chi, stabilizer=G_rho, quotient=Q,
+                             omega=tuple(map(tuple, omega)),
                              modulus=modulus, trivial=trivial,
                              intertwiners=tuple(units))
 

@@ -382,3 +382,74 @@ def test_bundle_rejects_bad_fiber_values(value, tmp_path, capsys):
     with pytest.raises(FileFormatError):
         load_bundle_file(str(path))
     assert run_cli(["bundle-verify", str(path)], capsys)[0] == 2
+
+
+S5_A5 = {"name": "S5", "degree": 5, "normal_subgroup_generators": [2, 3],
+         "generators": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4], [1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]}
+S4_A4 = {"name": "S4", "degree": 4, "normal_subgroup_generators": [1, 2, 3],
+         "generators": [[1, 0, 2, 3], [1, 2, 0, 3], [1, 0, 3, 2], [2, 3, 0, 1]]}
+
+
+def test_clifford_needs_matrices_only_for_a_nonlinear_rho_with_nontrivial_quotient(
+        tmp_path, monkeypatch, capsys):
+    """Only an orbit with rho(1) >= 2 and G_rho/A nontrivial needs a matrix
+    model.  With matrix_irreps and intertwiner made to raise, clifford gives
+    the same JSON on S5 over itself and on every catalog group under its
+    named subgroup, its center, itself and the trivial group.  S4 over A4
+    builds the models once and intertwines only its degree-3 row."""
+    from isotypic import orbits, repmatrices
+    s5 = tmp_path / "s5.json"
+    s5.write_text(json.dumps(S5_A5))
+    s4 = tmp_path / "s4.json"
+    s4.write_text(json.dumps(S4_A4))
+    argvs = [["clifford", str(s5), "--normal", "full"]]
+    for name in sorted(CATALOG):
+        normals = ["center", "full", "trivial"]
+        if CATALOG[name].normal_generator_indices:
+            normals.append(None)
+        for normal in normals:
+            argvs.append(["clifford", "catalog:" + name]
+                         + ([] if normal is None else ["--normal", normal]))
+    expected = [run_cli(["--format", "json"] + argv, capsys) for argv in argvs]
+    s4_expected = run_cli(["--format", "json", "clifford", str(s4)], capsys)
+
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args))
+            return original(*args, **kwargs)
+        return wrapper
+
+    originals = {name: getattr(repmatrices, name) for name in ("matrix_irreps", "intertwiner")}
+    for module in (repmatrices, orbits):
+        for name, original in originals.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, original))
+    assert run_cli(["--format", "json", "clifford", str(s4)], capsys) == s4_expected
+    assert [name for name, _ in calls] == ["matrix_irreps", "intertwiner"]
+    assert [rho.dimension for rho in calls[1][1]] == [3, 3]
+
+    def float_layer(*args, **kwargs):
+        raise AssertionError("clifford reached the float layer")
+
+    for module in (repmatrices, orbits):
+        for name in ("matrix_irreps", "intertwiner"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, float_layer)
+    for argv, out in zip(argvs, expected):
+        assert out[0] == 0, argv
+        assert run_cli(["--format", "json"] + argv, capsys) == out, argv
+
+
+def test_main_keeps_no_options_between_calls(capsys):
+    """main parses with one parser per process; options of one call do not
+    reach the next."""
+    code, out = run_cli(["--format", "json", "--seed", "1", "irr", "catalog:Z4"], capsys)
+    assert code == 0 and json.loads(out)["command"] == "irr"
+    code, out = run_cli(["irr", "catalog:Z4"], capsys)
+    assert code == 0 and out.startswith("group Z4")
+    code, out = run_cli(["clifford", "catalog:Q8", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["command"] == "clifford"
+    code, out = run_cli(["clifford", "catalog:Q8"], capsys)
+    assert code == 0 and out.startswith("group Q8")

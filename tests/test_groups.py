@@ -427,3 +427,17 @@ def test_closure_and_quotient_tables_are_group_tables():
         for A in G.all_subgroups():
             if G.is_normal(A):
                 _check_axioms(G.quotient(A).group._rows)
+
+
+def test_group_table_equals_all_pairs_composition():
+    """group_from_generators fills its table along breadth-first words; the
+    table must equal the one that composes every pair of permutations, on
+    every catalog group and on relabelled S3xS3, S4xZ2 and S5."""
+    rng = random.Random(7)
+    relabelled = [relabelled_group(name, *PRODUCTS[name], rng) for name in PRODUCTS]
+    for G in all_catalog_groups() + relabelled:
+        perms = [G.permutation_of(g) for g in G.elements()]
+        index = {p: i for i, p in enumerate(perms)}
+        assert perms[0] == tuple(range(len(perms[0]))), G.name
+        reference = [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
+        assert G._rows == reference, G.name

@@ -1,21 +1,27 @@
+import cmath
 import dataclasses
+import math
 import random
 import tracemalloc
+from math import lcm
 
 import numpy as np
 import pytest
 
 from isotypic.catalog import build_catalog_group
-from isotypic.characters import character_table
+from isotypic.characters import character_table, determinant_character_value
 from isotypic.cyclotomic import Cyclotomic
-from isotypic.errors import CapExceeded, NotStabilized, SplitFailure
+from isotypic.errors import (CapExceeded, NonScalar, NotStabilized, SnapFailure,
+                             SplitFailure)
 from isotypic.groups import group_from_generators
 from isotypic import repmatrices
-from isotypic.repmatrices import (DEFAULT_SEED, _check_rep, _cluster,
-                                  intertwiner, matrix_irreps,
+from isotypic.orbits import irr_orbits
+from isotypic.repmatrices import (DEFAULT_SEED, DEFAULT_SNAP_TOL, DEFAULT_TOL,
+                                  _check_rep, _cluster, _det_normalize, _within,
+                                  check_cocycle, intertwiner, matrix_irreps,
                                   obstruction_cocycle, stabilizer_of_character)
 
-from conftest import S3_GENS, dihedral, direct_product, relabelled_group
+from conftest import S3_GENS, S4_GENS, dihedral, direct_product, relabelled_group
 
 
 def test_z4_matrix_irreps_are_fourth_roots(z4):
@@ -235,7 +241,8 @@ def _obstruction_for(G, A, predicate, seed=0x5EED):
     Agrp, _ = A.as_group()
     reps = matrix_irreps(Agrp, seed=seed)
     rho = next(r for r in reps if predicate(r))
-    return obstruction_cocycle(stabilizer_of_character(G, A, rho.character), A, rho, seed=seed)
+    return obstruction_cocycle(stabilizer_of_character(G, A, rho.character), A, rho.character,
+                               rho, seed=seed)
 
 
 def test_d8_rho2_extends(d8):
@@ -307,8 +314,8 @@ def test_omega_reproducible_bit_identical(q8):
     def run():
         reps = matrix_irreps(Zgrp, seed=0x5EED)
         rho = next(r for r in reps if r.character.values[1].rational() == -1)
-        return obstruction_cocycle(stabilizer_of_character(G, Z, rho.character), Z, rho,
-                                   seed=0x5EED).omega
+        return obstruction_cocycle(stabilizer_of_character(G, Z, rho.character), Z,
+                                   rho.character, rho, seed=0x5EED).omega
 
     assert run() == run()
 
@@ -329,7 +336,7 @@ def test_obstruction_rejects_a_non_stabilizer_before_float_work(q8, monkeypatch)
     for G_rho, A in [(Z, Z), (i4, Z), (Y, X)]:
         for rho in matrix_irreps(A.as_group()[0]):
             with pytest.raises(NotStabilized):
-                obstruction_cocycle(G_rho, A, rho)
+                obstruction_cocycle(G_rho, A, rho.character, rho)
 
 
 def test_obstruction_record_fields(q8):
@@ -338,3 +345,144 @@ def test_obstruction_record_fields(q8):
     assert rec.quotient.order == 4
     assert rec.trivial is False
     assert len(rec.omega) == 4
+
+
+def test_spectral_check_accepts_what_only_the_frobenius_norm_exceeds():
+    """The Frobenius prefilter only skips SVDs: diag(0.8 tol, 0.8 tol) has
+    spectral norm 0.8 tol and Frobenius norm about 1.13 tol, and is accepted,
+    alone and as a residual of _check_rep."""
+    tol = DEFAULT_TOL
+    assert _within(np.diag([0.8 * tol, 0.8 * tol])[None].astype(complex), tol)
+    assert not _within(np.diag([1.2 * tol, 0.0])[None].astype(complex), tol)
+    try:  # a NaN residual reaches the SVD, which accepts nothing or raises
+        accepted = _within(np.full((1, 2, 2), np.nan, dtype=complex), tol)
+    except np.linalg.LinAlgError:
+        accepted = False
+    assert not accepted
+    assert _within(np.zeros((0, 2, 2), dtype=complex), tol)
+    # scaling one image by 1 + 0.4 tol leaves every residual of spectral norm
+    # at most 0.8 tol (+ rounding), while the unitarity residual of that
+    # image, (0.8 tol) times the identity of degree 3, has Frobenius norm
+    # about 1.39 tol
+    G, _ = build_catalog_group("S4")
+    rep = _faithful_irrep(G)
+    images = rep.images.copy()
+    images[G.order // 2] *= 1 + 0.4 * tol
+    _check_rep(dataclasses.replace(rep, images=images), tol)
+
+
+def _float_obstruction_reference(G_rho, A, rho, seed, tol=DEFAULT_TOL):
+    """(omega, modulus) by the float route obstruction_cocycle once took on
+    every orbit: intertwiners, det normalisation and snapping, with Q built
+    as a quotient of the materialized G_rho.  Kept as written then."""
+    Agrp, _ = A.as_group()
+    G = G_rho.parent
+    d = rho.dimension
+    snap_tol = max(DEFAULT_SNAP_TOL, 100 * tol)
+
+    Sgrp, sembed = G_rho.as_group()
+    A_in_s = Sgrp.subgroup_from_members([G_rho.retract(a) for a in A.members], name=A.name)
+    Q = Sgrp.quotient(A_in_s)
+    m = Q.order
+
+    det_vals = [determinant_character_value(rho.character, cls[0])
+                for cls in Agrp.conjugacy_classes()]
+    modulus = d * lcm(*(mm for _, mm in det_vals))
+    det_exp = [(k * (modulus // mm)) % modulus for k, mm in det_vals]
+
+    rng = np.random.default_rng(seed)
+    reps_g = [sembed[Q.lift(q)] for q in range(m)]
+    coset_of, maps = G.conjugation_action(A)
+    eye = np.eye(d)
+    units = []
+    for q in range(m):
+        g = reps_g[q]
+        if g == 0:
+            units.append(eye.copy())
+            continue
+        rho_g = rho.conjugated(maps[coset_of[g]])
+        U = intertwiner(rho_g, rho, rng=rng, tol=tol)
+        assert U is not None, "coset representative does not stabilize rho"
+        units.append(_det_normalize(U))
+
+    omega = [[0] * m for _ in range(m)]
+    for q1 in range(m):
+        for q2 in range(m):
+            q12 = Q.group.mul(q1, q2)
+            g1, g2, g3 = reps_g[q1], reps_g[q2], reps_g[q12]
+            a0 = G.mul(G.mul(g1, g2), G.inv(g3))
+            a0_local = A.retract(a0)  # raises if not in A
+            M = rho.images[a0_local].conj().T @ units[q1] @ units[q2] @ units[q12].conj().T
+            c = np.trace(M) / d
+            if np.max(np.abs(M - c * eye)) > snap_tol:
+                raise NonScalar("cocycle matrix is not scalar at (%d, %d)" % (q1, q2))
+            k = round(modulus * (cmath.phase(c) / (2 * math.pi))) % modulus
+            if abs(c - cmath.exp(2j * math.pi * k / modulus)) > snap_tol:
+                raise SnapFailure("scalar %r too far from mu_%d" % (c, modulus))
+            if (k * d) % modulus != (-det_exp[Agrp.class_index(a0_local)]) % modulus:
+                raise SnapFailure("snapped scalar disagrees with the determinant character")
+            omega[q1][q2] = k
+
+    check_cocycle(Q.group, omega, modulus)
+    return tuple(tuple(row) for row in omega), modulus
+
+
+def _linear_cocycle_pairs(pairs):
+    """The catalog pairs, each of their groups over its center, and S4xZ2,
+    S3xS3 and S4xS3 over each factor and over the center; a trivial center
+    is left out, as its cocycles are all 0."""
+    out = [(name, G, A) for name, G, A in pairs]
+    out += [(name + "/Z", G, G.center()) for name, G, _ in pairs]
+    for name, gens1, deg1, gens2, deg2 in [("S4xZ2", S4_GENS, 4, [[1, 0]], 2),
+                                           ("S3xS3", S3_GENS, 3, S3_GENS, 3),
+                                           ("S4xS3", S4_GENS, 4, S3_GENS, 3)]:
+        G = group_from_generators(deg1 + deg2, direct_product(gens1, deg1, gens2, deg2),
+                                  name=name)
+        first = G.subgroup([G.perm_index(p) for p in direct_product(gens1, deg1, [], deg2)])
+        second = G.subgroup([G.perm_index(p) for p in direct_product([], deg1, gens2, deg2)])
+        out += [(name + "/1", G, first), (name + "/2", G, second), (name + "/Z", G, G.center())]
+    return [(name, G, A) for name, G, A in out if A.order > 1]
+
+
+def test_exact_linear_cocycle_equals_the_float_snapped_one(pairs):
+    """On every orbit with rho(1) = 1 and G_rho/A nontrivial, the cocycle read
+    off the determinant character equals the one the float route snapped,
+    entry by entry, at seeds 0, 1 and 0x5EED.  Q8 over its center, a
+    nontrivial class, is among them."""
+    compared = set()
+    for name, G, A in _linear_cocycle_pairs(pairs):
+        Agrp, _ = A.as_group()
+        table_a = character_table(Agrp)
+        orbits = [(rep, stab) for rep, _, stab in irr_orbits(G, A)
+                  if table_a.degrees[rep] == 1 and stab.order > A.order]
+        for seed in (0, 1, 0x5EED):
+            reps = matrix_irreps(Agrp, seed=seed)
+            for rep, stab in orbits:
+                rec = obstruction_cocycle(stab, A, table_a.rows[rep], seed=seed)
+                expected = _float_obstruction_reference(stab, A, reps[rep], seed)
+                assert (rec.omega, rec.modulus) == expected, (name, rep, seed)
+                assert all(np.array_equal(U, np.eye(1)) for U in rec.intertwiners)
+                compared.add((name, rep, rec.trivial))
+    assert ("Q8", 1, False) in compared
+    assert len(compared) == 49
+
+
+def test_obstruction_needs_a_matrix_model_only_where_it_uses_one(pairs):
+    """S4 over A4: the degree-3 row has G_rho/A of order 2 and needs a
+    MatrixRep of its character; the linear rows need none."""
+    _, G, A = next(p for p in pairs if p[0] == "S4/A4")
+    Agrp, _ = A.as_group()
+    table_a = character_table(Agrp)
+    reps = matrix_irreps(Agrp)
+    for rep, _, stab in irr_orbits(G, A):
+        chi = table_a.rows[rep]
+        if table_a.degrees[rep] == 1:
+            assert obstruction_cocycle(stab, A, chi).trivial
+            continue
+        with pytest.raises(ValueError):
+            obstruction_cocycle(stab, A, chi)
+        with pytest.raises(ValueError):
+            obstruction_cocycle(stab, A, chi, reps[0])
+        rec = obstruction_cocycle(stab, A, chi, reps[rep])
+        assert rec.quotient.order == 2 and rec.trivial
+        assert len(rec.intertwiners) == 2 and rec.intertwiners[1].shape == (3, 3)
