@@ -20,6 +20,7 @@ from .characters import character_table
 from .cyclotomic import _factorize
 from .errors import CapExceeded, NotNormal, NotOdd, NotPrime
 from .groups import FiniteGroup, Subgroup
+from .orbits import irr_permutations
 
 
 # -- truncated integer series ----------------------------------------------------
@@ -153,16 +154,15 @@ class RankProfile:
 def rank_profile(G: FiniteGroup, A: Subgroup) -> RankProfile:
     """Nontrivial irreducible dimensions of A with the outer action of N_A/A.
 
-    N_A/A acts by the maps of ``G.conjugation_action(A)``, one per coset of A
+    N_A/A acts by ``orbits.irr_permutations(G, A)``, one per coset of A
     in N_A, in increasing order.  For normal A, N_A = G and the acting group is G/A.
     """
     table = character_table(A.as_group()[0])
     triv = table.trivial_index()
     indices = [i for i in range(len(table)) if i != triv]
     pos = {t: i for i, t in enumerate(indices)}
-    perms = tuple(tuple(pos[table.row_index(table.rows[t].pullback(conj_map).values)]
-                        for t in indices)
-                  for conj_map in G.conjugation_action(A)[1].values())
+    perms = tuple(tuple(pos[perm[t]] for t in indices)
+                  for perm in irr_permutations(G, A).values())
     dims = tuple(table.degrees[i] for i in indices)
     return RankProfile(dims=dims, perms=perms)
 

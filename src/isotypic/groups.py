@@ -29,7 +29,8 @@ class FiniteGroup:
 
     Immutable after construction; any number of readers may share an
     instance.  Derived data (classes, exponent, subgroup lattice and classes,
-    conjugation actions, character table) is cached lazily on the instance.
+    conjugation actions, character table, and the orbits module's actions on
+    Irr(H) and restriction multiplicities) is cached lazily on the instance.
     The table is kept once, as nested Python lists (``_rows``, with ``_inv``);
     numpy is used only inside the axiom check that ``check`` runs.  Only a
     table passed in directly is checked: the tables the package derives (a
@@ -58,6 +59,8 @@ class FiniteGroup:
         self._subgroup_classes: Optional[list[list["Subgroup"]]] = None
         self._subgroup_cache: dict[tuple[int, ...], tuple["FiniteGroup", tuple[int, ...]]] = {}
         self._conjugation: dict[tuple[int, ...], tuple] = {}
+        self._irr_permutations: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+        self._multiplicities: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         self._char_table = None  # set by characters.character_table
 
     # -- basic operations ----------------------------------------------------

@@ -3,9 +3,10 @@
 Orbits, stabilizers, obstruction records, the fibers of restriction
 ("lying over"), and the two independent counts whose agreement realizes the
 rank decomposition of the equivariant K-theory of a point.  Each orbit and
-its stabilizer come from one image per coset of A, and that stabilizer is
-built once: the obstruction record is computed on it.  Whether a character
-extends to its stabilizer is read off Irr(G) by the Clifford correspondence.
+its stabilizer come from one permutation of Irr(A) per coset of A, and that
+stabilizer is built once: the obstruction record is computed on it.  Whether
+a character extends to its stabilizer is read off its multiplicity column
+<Res_A chi, rho> over Irr(G).  Both tables are cached on G.
 Matrix models of Irr(A) are built once per decomposition, and only if some
 orbit has rho(1) >= 2 and a nontrivial G_rho/A; every other cocycle is
 exact, so --seed and --tol reach only those orbits.
@@ -19,48 +20,75 @@ from dataclasses import dataclass
 from .characters import (CharacterTable, character_table, inner_product,
                          restrict)
 from .errors import NotNormal, NotStabilized
-from .groups import FiniteGroup, Subgroup, left_cosets
+from .groups import FiniteGroup, Subgroup
 from .repmatrices import (ObstructionRecord, check_cocycle, matrix_irreps,
                           needs_matrix_model, obstruction_cocycle, DEFAULT_SEED,
                           DEFAULT_TOL)
 
 
+def irr_permutations(G: FiniteGroup, A: Subgroup) -> dict[int, tuple[int, ...]]:
+    """For each coset of A in N_G(A), the permutation of A's table rows that
+    its minimal element n induces, tau -> (a -> tau(n^-1 a n)); cached on G."""
+    if A.members not in G._irr_permutations:
+        table = character_table(A.as_group()[0])
+        G._irr_permutations[A.members] = {
+            c: tuple(table.row_index(row.pullback(conj_map).values) for row in table.rows)
+            for c, conj_map in G.conjugation_action(A)[1].items()}
+    return G._irr_permutations[A.members]
+
+
 def irr_action(G: FiniteGroup, A: Subgroup, g: int, tau: int) -> int:
     """Index of the character a -> tau(g^-1 a g) in the table of A.
 
-    Defines a left action of N_G(A) on the rows of A's character table.
+    Defines a left action of N_G(A) on the rows of A's character table;
+    raises NotNormal unless g normalizes A.
     """
-    table = character_table(A.as_group()[0])
-    coset_of, maps = G.conjugation_action(A)
-    return table.row_index(table.rows[tau].pullback(maps[coset_of[g]]).values)
+    perm = irr_permutations(G, A).get(G.conjugation_action(A)[0][g])
+    if perm is None:
+        raise NotNormal("element does not normalize the subgroup")
+    return perm[tau]
+
+
+def irr_stabilizer(G: FiniteGroup, A: Subgroup, tau: int) -> Subgroup:
+    """The union of the cosets of A whose permutation fixes row tau."""
+    coset_of, _ = G.conjugation_action(A)
+    fixed = {c for c, perm in irr_permutations(G, A).items() if perm[tau] == tau}
+    return G.subgroup_from_members((g for g in G.elements() if coset_of[g] in fixed),
+                                   name="Stab")
+
+
+def multiplicities(G: FiniteGroup, A: Subgroup, rho: int) -> tuple[int, ...]:
+    """<Res_A chi, rho> for each chi in Irr(G), cached on G; AssertionError unless
+    each is an integer >= 0 and sum_chi e_chi chi(1) = [G : A] rho(1) exactly."""
+    if (A.members, rho) not in G._multiplicities:
+        table_a, table_g = character_table(A.as_group()[0]), character_table(G)
+        column = [inner_product(restrict(chi, A), table_a.rows[rho]).rational()
+                  for chi in table_g.rows]
+        if any(e.denominator != 1 or e < 0 for e in column):
+            raise AssertionError("restriction multiplicity is not a nonnegative integer")
+        if sum(e * d for e, d in zip(column, table_g.degrees)) != \
+                G.order // A.order * table_a.degrees[rho]:
+            raise AssertionError("restriction multiplicities break Frobenius reciprocity")
+        G._multiplicities[A.members, rho] = tuple(map(int, column))
+    return G._multiplicities[A.members, rho]
 
 
 def extension_exists(G_rho: Subgroup, A: Subgroup, rho: int) -> bool:
     """Whether rho extends from the normal subgroup A to its stabilizer G_rho.
 
     Decided on Irr(G), G = G_rho.parent, by the Clifford correspondence
-    (Isaacs, Character Theory of Finite Groups, Thm 6.11): induction from
+    (Isaacs, Character Theory of Finite Groups, Thms 6.2 and 6.11): induction from
     G_rho is a bijection from the irreducibles of G_rho over rho onto those of
-    G over rho, so rho extends iff some chi in Irr(G) of degree
-    [G : G_rho] rho(1) has <Res_A chi, rho> > 0.  Raises NotNormal unless A is
+    G over rho, and chi(1) = e_chi [G : G_rho] rho(1), so rho extends iff some
+    chi in Irr(G) has e_chi = <Res_A chi, rho> = 1.  Raises NotNormal unless A is
     normal in G and NotStabilized unless G_rho is exactly rho's stabilizer.
     """
     G = G_rho.parent
     if not G.is_normal(A):
         raise NotNormal("the extension criterion needs a normal subgroup")
-    table_a = character_table(A.as_group()[0])
-    chi_rho = table_a.rows[rho]
-    # the stabilizer is the union of the cosets of A that fix rho: G_rho is it
-    # iff G_rho lies in that union and has its order; no subgroup is built
-    coset_of, maps = G.conjugation_action(A)
-    fixed = {c for c, conj_map in maps.items() if chi_rho.pullback(conj_map) == chi_rho}
-    if G_rho.order != len(fixed) * A.order or any(coset_of[g] not in fixed
-                                                  for g in G_rho.members):
+    if G_rho.members != irr_stabilizer(G, A, rho).members:
         raise NotStabilized("subgroup is not the stabilizer of the representation")
-    table_g = character_table(G)
-    degree = G.order // G_rho.order * table_a.degrees[rho]
-    return any(inner_product(restrict(chi, A), chi_rho).rational() > 0
-               for chi, d in zip(table_g.rows, table_g.degrees) if d == degree)
+    return 1 in multiplicities(G, A, rho)
 
 
 IrrOrbit = namedtuple("IrrOrbit", "representative orbit stabilizer")
@@ -133,25 +161,20 @@ class DecompositionReport:
 
 
 def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
-    """One IrrOrbit per G-orbit on Irr(A), decided exactly on characters.
+    """One IrrOrbit per G-orbit on Irr(A), read off irr_permutations.
 
     The representative is the orbit's minimal row of A's table and the
     stabilizer is that row's, the union of the cosets of A that fix it;
-    orbits are listed by representative.
+    orbits are listed by representative.  No character of G is touched.
     """
     if not G.is_normal(A):
         raise NotNormal("orbit decomposition needs a normal subgroup")
-    table_a = character_table(A.as_group()[0])
-    # A acts trivially on Irr(A): one element per left coset of A reaches the orbit
-    coset_of, coset_reps = left_cosets(G, A.members)
+    perms = irr_permutations(G, A)
     orbits = []
-    for tau in range(len(table_a)):
+    for tau in range(len(perms[0])):  # coset 0 is A itself, which fixes every row
         if all(tau not in o.orbit for o in orbits):
-            images = [irr_action(G, A, g, tau) for g in coset_reps]
-            fixed = {c for c, image in enumerate(images) if image == tau}
-            stabilizer = G.subgroup_from_members(
-                (g for g in G.elements() if coset_of[g] in fixed), name="Stab")
-            orbits.append(IrrOrbit(tau, frozenset(images), stabilizer))
+            orbits.append(IrrOrbit(tau, frozenset(perm[tau] for perm in perms.values()),
+                                   irr_stabilizer(G, A, tau)))
     return orbits
 
 
@@ -166,19 +189,15 @@ def orbit_decomposition(G: FiniteGroup, A: Subgroup,
     orbits = irr_orbits(G, A)
     Agrp, _ = A.as_group()
     table_a = character_table(Agrp)
-    table_g = character_table(G)
     needs = [needs_matrix_model(stabilizer, A, table_a.degrees[rep])
              for rep, _, stabilizer in orbits]
     irreps_a = matrix_irreps(Agrp, seed=seed, tol=tol) if any(needs) else None
-    restricted = [restrict(chi, A) for chi in table_g.rows]
     records = []
     for (rep, orbit, stabilizer), need in zip(orbits, needs):
         obs = obstruction_cocycle(stabilizer, A, table_a.rows[rep],
                                   irreps_a[rep] if need else None, seed=seed, tol=tol)
-        # chi lies over the orbit iff <Res_A chi, rho> > 0
-        lying = frozenset(
-            i for i, res in enumerate(restricted)
-            if inner_product(res, table_a.rows[rep]).rational() > 0)
+        # chi lies over the orbit iff e_chi > 0
+        lying = frozenset(i for i, e in enumerate(multiplicities(G, A, rep)) if e)
         # obstruction_cocycle has already checked this table
         regular = _regular_class_count(obs.quotient.group, obs.omega, obs.modulus)
         records.append(IrrOrbitRecord(

@@ -143,10 +143,12 @@ def _within(stack: np.ndarray, tol: float) -> bool:
 
     As ||X||_2 <= ||X||_F, a matrix whose Frobenius norm is within tol
     passes; all Frobenius norms come from one einsum, and only the rest are
-    sent to the SVD behind the spectral norm.
+    sent to the SVD behind the spectral norm.  A non-finite stack fails.
     """
     frobenius_sq = np.einsum("nij,nij->n", stack, stack.conj()).real
-    # negated, so a NaN residual is never accepted by the prefilter
+    if not np.isfinite(frobenius_sq).all():
+        return False
+    # negated, so a NaN tol accepts nothing
     suspects = stack[~(frobenius_sq <= tol * tol)]
     return not len(suspects) or bool(np.all(np.linalg.norm(suspects, 2, axis=(1, 2)) <= tol))
 
@@ -170,6 +172,8 @@ def intertwiner(rho1: MatrixRep, rho2: MatrixRep,
     for _ in range(_MAX_RETRIES):
         R = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         T = sum(M2 @ R @ M1.conj().T for M1, M2 in zip(rho1.images, rho2.images)) / G.order
+        if not np.isfinite(T).all():
+            continue
         u, s, vh = np.linalg.svd(T)
         if s[-1] < 1e-8 * max(1.0, s[0]):
             continue
@@ -202,17 +206,12 @@ class ObstructionRecord:
 
 
 def stabilizer_of_character(G: FiniteGroup, A: Subgroup, chi: ClassFunction) -> Subgroup:
-    """G_chi = {g : the class function a -> chi(g^-1 a g) equals chi}.
-
-    A acts trivially on its own characters, so G_chi is the union of the left
-    cosets of A whose conjugation map fixes chi: one test per coset.
-    """
+    """G_chi = {g : the class function a -> chi(g^-1 a g) equals chi}, for chi
+    a row of A's character table: orbits.irr_stabilizer of that row."""
+    from .orbits import irr_stabilizer  # deferred: orbits depends on this module
     if chi.group is not A.as_group()[0]:
         raise ValueError("character does not live on the subgroup")
-    coset_of, maps = G.conjugation_action(A)
-    fixed = {c for c, conj_map in maps.items() if chi.pullback(conj_map) == chi}
-    return G.subgroup_from_members((g for g in G.elements() if coset_of[g] in fixed),
-                                   name="Stab")
+    return irr_stabilizer(G, A, character_table(chi.group).row_index(chi.values))
 
 
 def _det_normalize(U: np.ndarray) -> np.ndarray:

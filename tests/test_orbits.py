@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from isotypic import groups, orbits, repmatrices
@@ -7,8 +9,8 @@ from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import InvalidCocycle, NotNormal, NotStabilized
 from isotypic.groups import group_from_generators
 from isotypic.orbits import (extension_exists, irr_action,
-                             k_decomposition_report, omega_regular_count,
-                             orbit_decomposition)
+                             k_decomposition_report, multiplicities,
+                             omega_regular_count, orbit_decomposition)
 
 from conftest import brute_automorphisms, dihedral
 
@@ -81,6 +83,18 @@ def test_action_axioms_exhaustive(pairs):
                 for tau in range(r):
                     assert irr_action(G, A, g, irr_action(G, A, h, tau)) == \
                         irr_action(G, A, gh, tau), name
+
+
+def test_irr_action_rejects_an_element_outside_the_normalizer():
+    """Over a subgroup of S4 of order 2, an element that does not normalize it
+    raises NotNormal; the elements of its normalizer act."""
+    G, _ = build_catalog_group("S4")
+    H = G.subgroup([G.perm_index((1, 0, 2, 3))])
+    N = G.normalizer(H)
+    outside = next(g for g in G.elements() if g not in N)
+    with pytest.raises(NotNormal):
+        irr_action(G, H, outside, 0)
+    assert all(irr_action(G, H, n, tau) == tau for n in N.members for tau in range(2))
 
 
 def test_orbit_decomposition_d8(d8):
@@ -238,21 +252,47 @@ def test_orbit_decomposition_checks_each_cocycle_once(monkeypatch):
     assert len(calls) == len(recs)
 
 
-def test_orbit_decomposition_acts_once_per_coset_of_a(monkeypatch):
-    """A acts trivially on Irr(A), so the orbits are found with one element
-    per left coset of A: 2 orbits x 6 cosets of V4 in S4, not 2 x 24."""
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records its calls; returns the record."""
     calls = []
-    original = orbits.irr_action
+    original = getattr(owner, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(orbits, "irr_action", counting)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_orbit_decomposition_acts_once_per_coset_of_a(monkeypatch):
+    """A acts trivially on Irr(A), so the action table pulls each of the 4
+    rows of Irr(V4) back along one map per coset of V4 in S4: 6 x 4 = 24
+    pullbacks, not 24 x 4; the table is cached on G, so a second
+    decomposition and the Weyl action of rank_profile pull back nothing."""
+    from isotypic.characters import ClassFunction
+    calls = _counting(monkeypatch, ClassFunction, "pullback")
     G, V4 = build_catalog_group("S4")
     recs = orbit_decomposition(G, V4)
     assert sorted(len(r.orbit) for r in recs) == [1, 3]
-    assert len(calls) == 12
+    assert len(calls) == 24
+    del calls[:]
+    assert [r.orbit for r in orbit_decomposition(G, V4)] == [r.orbit for r in recs]
+    rank_profile(G, V4)
+    assert len(calls) == 0
+
+
+def test_orbit_decomposition_takes_each_multiplicity_once(monkeypatch):
+    """<Res_A chi, rho> is one column over the 5 rows of Irr(S4) per orbit of
+    S4 on Irr(V4), shared by the lying-over sets and the extension bit, and
+    cached on G: 2 x 5 = 10 inner products, then none on a repeat."""
+    calls = _counting(monkeypatch, orbits, "inner_product")
+    G, V4 = build_catalog_group("S4")
+    recs = orbit_decomposition(G, V4)
+    assert len(calls) == 10
+    del calls[:]
+    assert [r.lying_over for r in orbit_decomposition(G, V4)] == [r.lying_over for r in recs]
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("name", ["S4/A4", "Q8/Z4", "D8/center"])
@@ -433,6 +473,44 @@ def test_conjugation_action_under_relabelling(name, seed):
     prof, prof0 = rank_profile(G, A), rank_profile(G0, A0)
     assert sorted(prof.dims) == sorted(prof0.dims)
     assert _cycle_types(prof) == _cycle_types(prof0)
+
+    # nor do each orbit's extension bit and the multiset of (chi(1), e_chi)
+    # over its multiplicity column
+    def extension_bits(G, A):
+        return sorted((len(o.orbit), extension_exists(o.stabilizer, A, o.representative))
+                      for o in irr_orbits(G, A))
+
+    def columns(G, A):
+        degrees = character_table(G).degrees
+        return sorted(sorted(zip(degrees, multiplicities(G, A, o.representative)))
+                      for o in irr_orbits(G, A))
+
+    assert extension_bits(G, A) == extension_bits(G0, A0)
+    assert columns(G, A) == columns(G0, A0)
+
+
+@pytest.mark.parametrize("fault", ["non-integer", "dropped"])
+def test_multiplicities_check_every_value(fault, monkeypatch):
+    """The column is checked, never truncated: with every inner product off by
+    1/2, or with one chi over rho read as 0, multiplicities raises."""
+    original = orbits.inner_product
+    dropped = []
+
+    def faulty(x1, x2):
+        value = original(x1, x2)
+        if fault == "non-integer":
+            return value + Fraction(1, 2)
+        if value.rational() and not dropped:
+            dropped.append(x1)
+            return value - value
+        return value
+
+    monkeypatch.setattr(orbits, "inner_product", faulty)
+    G, V4 = build_catalog_group("S4")
+    for rho in range(4):
+        with pytest.raises(AssertionError):
+            multiplicities(G, V4, rho)
+        del dropped[:]
 
 
 # -- the extension criterion on Irr(G) ----------------------------------------------

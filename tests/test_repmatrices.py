@@ -11,8 +11,8 @@ import pytest
 from isotypic.catalog import build_catalog_group
 from isotypic.characters import character_table, determinant_character_value
 from isotypic.cyclotomic import Cyclotomic
-from isotypic.errors import (CapExceeded, NonScalar, NotStabilized, SnapFailure,
-                             SplitFailure)
+from isotypic.errors import (CapExceeded, NonScalar, NotStabilized,
+                             NumericalDegeneracy, SnapFailure, SplitFailure)
 from isotypic.groups import group_from_generators
 from isotypic import repmatrices
 from isotypic.orbits import irr_orbits
@@ -95,6 +95,24 @@ def test_check_rep_rejects_swapped_images(name):
     assert not np.array_equal(images, rep.images)
     with pytest.raises(SplitFailure, match="homomorphism residual"):
         _check_rep(dataclasses.replace(rep, images=images), 1e-8)
+
+
+@pytest.mark.parametrize("name", ["D8", "S4"])
+def test_a_non_finite_residual_is_a_typed_failure(name):
+    """A NaN or infinite entry never reaches the SVD: _within rejects the
+    stack, _check_rep raises SplitFailure and intertwiner, after its retries,
+    NumericalDegeneracy."""
+    assert not _within(np.full((2, 2, 2), np.nan, dtype=complex), DEFAULT_TOL)
+    assert not _within(np.full((1, 2, 2), np.inf, dtype=complex), DEFAULT_TOL)
+    G, _ = build_catalog_group(name)
+    rep = _faithful_irrep(G)
+    images = rep.images.copy()
+    images[G.order // 2] = np.nan
+    broken = dataclasses.replace(rep, images=images)
+    with pytest.raises(SplitFailure):
+        _check_rep(broken, DEFAULT_TOL)
+    with pytest.raises(NumericalDegeneracy):
+        intertwiner(broken, broken)
 
 
 def _dense_reference_images(G, seed=DEFAULT_SEED):
