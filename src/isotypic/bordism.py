@@ -1,16 +1,23 @@
 """Generator-count series for equivariant unitary bordism of adjacent families.
 
-Everything is a truncated integer power series in the topological degree.
-The free-module generators of the bordism of a product of BU(k)'s are
-labeled by an array of isotypic ranks (one per nontrivial irreducible of
-the subgroup the families differ by) together with one partition of at most
-that many parts per coordinate; the series of a pair of adjacent families
-counts Weyl-orbit classes of such labels via Burnside's lemma, localized
-away from the group order.
+Everything is a truncated integer power series in the topological degree,
+capped at degree 200.  The free-module generators of the bordism of a
+product of BU(k)'s are labeled by an array of isotypic ranks (one per
+nontrivial irreducible of the subgroup A the families differ by) together
+with one partition of at most that many parts per coordinate; the series of
+a pair of adjacent families counts Weyl-orbit classes of such labels via
+Burnside's lemma, localized away from the group order.
+
+The count depends only on the Weyl cycle types: for each w in N_G(A)/A, the
+multiset of (cycle length, degree) over the cycles of w on the nontrivial
+irreducibles of A.  For abelian A these are read off the conjugation action
+on A's nonidentity elements, with no character table (Brauer's permutation
+lemma); for non-abelian A, off ``rank_profile``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -21,6 +28,8 @@ from .cyclotomic import _factorize
 from .errors import CapExceeded, NotNormal, NotOdd, NotPrime
 from .groups import FiniteGroup, Subgroup
 from .orbits import irr_permutations
+
+MAX_DEGREE = 200
 
 
 # -- truncated integer series ----------------------------------------------------
@@ -50,18 +59,19 @@ class PowerSeries:
         return PowerSeries([1] + [0] * max_degree)
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.max_degree, other.max_degree)
-        return PowerSeries([self.coefficient(i) + other.coefficient(i) for i in range(n + 1)])
+        return PowerSeries([a + b for a, b in zip(self.coefficients, other.coefficients)])
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.max_degree, other.max_degree)
         out = [0] * (n + 1)
+        terms = [(j, b) for j, b in enumerate(other.coefficients[:n + 1]) if b]
         for i, a in enumerate(self.coefficients[:n + 1]):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coefficients[:n + 1 - i]):
-                if b:
-                    out[i + j] += a * b
+            for j, b in terms:
+                if i + j > n:
+                    break
+                out[i + j] += a * b
         return PowerSeries(out)
 
     def __eq__(self, other) -> bool:
@@ -75,6 +85,11 @@ class PowerSeries:
 
 
 # -- partition combinatorics ------------------------------------------------------
+
+
+def _check_degree(max_degree: int) -> None:
+    if max_degree > MAX_DEGREE:
+        raise CapExceeded("max_degree above %d" % MAX_DEGREE)
 
 
 @lru_cache(maxsize=None)
@@ -93,8 +108,7 @@ def omega_generator_series(max_degree: int) -> PowerSeries:
     Coefficient at degree 2k is the number of partitions of k (one free
     polynomial generator in each even degree); odd coefficients vanish.
     """
-    if max_degree > 200:
-        raise CapExceeded("max_degree above 200")
+    _check_degree(max_degree)
     coeffs = [0] * (max_degree + 1)
     for n in range(0, max_degree + 1, 2):
         coeffs[n] = partitions_at_most(n // 2, n // 2)
@@ -115,6 +129,7 @@ def bu_generator_series(ranks: Sequence[int], max_degree: int) -> PowerSeries:
     return out
 
 
+@lru_cache(maxsize=None)
 def _stack_series(u_exp: int, v_exp: int, max_degree: int) -> PowerSeries:
     """sum_{n>=0} u^n * (sum over partitions with at most n parts of v^size),
     with u = t^u_exp and v = t^v_exp, truncated."""
@@ -150,6 +165,10 @@ class RankProfile:
                 if self.dims[i] != self.dims[j]:
                     raise ValueError("action does not preserve dimensions")
 
+    def cycle_types(self) -> Counter:
+        """Sorted (cycle length, dimension) tuple of each perm -> how many perms have it."""
+        return Counter(_cycle_type(perm, self.dims) for perm in self.perms)
+
 
 def rank_profile(G: FiniteGroup, A: Subgroup) -> RankProfile:
     """Nontrivial irreducible dimensions of A with the outer action of N_A/A.
@@ -165,6 +184,24 @@ def rank_profile(G: FiniteGroup, A: Subgroup) -> RankProfile:
                   for perm in irr_permutations(G, A).values())
     dims = tuple(table.degrees[i] for i in indices)
     return RankProfile(dims=dims, perms=perms)
+
+
+def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
+    """The cycle types of N_A/A on the nontrivial irreducibles of A, as
+    ``RankProfile.cycle_types`` counts them, one per coset of A in N_A.
+
+    For abelian A no table is built: by Brauer's permutation lemma (Isaacs,
+    Thm 6.32) each w has the same cycle type on Irr(A) as on the classes of
+    A, which are its elements, all irreducibles having degree 1.  So the
+    cycles are those of w's conjugation map on the nonidentity members.
+    """
+    rows, members = G._rows, A.members
+    if any(rows[a][b] != rows[b][a] for a in members for b in members):
+        return rank_profile(G, A).cycle_types()
+    # members[0] is the identity, fixed by every map
+    dims = (1,) * (A.order - 1)
+    return Counter(_cycle_type([i - 1 for i in image[1:]], dims)
+                   for image in G.conjugation_action(A)[1].values())
 
 
 def enumerate_arrays(profile: RankProfile, k: int) -> list[tuple[int, ...]]:
@@ -189,46 +226,44 @@ def enumerate_arrays(profile: RankProfile, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _cycles(perm: Sequence[int]) -> list[list[int]]:
+def _cycle_type(perm: Sequence[int], dims: Sequence[int]) -> tuple:
+    """Sorted (cycle length, dimension) pairs over the cycles of perm."""
     seen = [False] * len(perm)
-    cycles = []
+    out = []
     for i in range(len(perm)):
-        if seen[i]:
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
+        ell, j = 0, i
+        while not seen[j]:
             seen[j] = True
             j = perm[j]
-        cycles.append(cyc)
-    return cycles
+            ell += 1
+        if ell:
+            out.append((ell, dims[i]))
+    return tuple(sorted(out))
 
 
-def burnside_label_series(profile: RankProfile, max_degree: int) -> PowerSeries:
+def burnside_label_series(cycle_types: Counter, max_degree: int) -> PowerSeries:
     """Number of W-orbits of (rank array, partition tuple) labels per degree.
 
     A label of total degree n consists of an array (n_i) with partitions of
     at most n_i parts attached; its degree is twice the weighted array size
     plus twice the total partition size.  Burnside's lemma turns the orbit
     count into an average over W of products of stacked series, one factor
-    per cycle of the action.
+    per cycle of the action; cycle_types (as ``weyl_cycle_types`` returns
+    it) gives each cycle type with the number of elements of W that have it.
     """
-    if not profile.perms:
-        raise ValueError("profile carries an empty acting group")
-    total = PowerSeries.zero(max_degree)
-    for perm in profile.perms:
+    if not cycle_types:
+        raise ValueError("empty acting group")
+    total = [0] * (max_degree + 1)
+    for cycle_type, count in cycle_types.items():
         fixed = PowerSeries.one(max_degree)
-        for cyc in _cycles(perm):
-            ell = len(cyc)
-            dim = profile.dims[cyc[0]]
+        for ell, dim in cycle_type:
             fixed = fixed * _stack_series(2 * ell * dim, 2 * ell, max_degree)
-        total = total + fixed
-    w = len(profile.perms)
-    if any(c % w for c in total.coefficients):
+        for n, c in enumerate(fixed.coefficients):
+            total[n] += count * c
+    w = sum(cycle_types.values())
+    if any(c % w for c in total):
         raise AssertionError("Burnside average is not integral")
-    return PowerSeries([c // w for c in total.coefficients])
+    return PowerSeries([c // w for c in total])
 
 
 def adjacent_family_series(G: FiniteGroup, A: Subgroup, max_degree: int) -> PowerSeries:
@@ -238,9 +273,10 @@ def adjacent_family_series(G: FiniteGroup, A: Subgroup, max_degree: int) -> Powe
     Coefficient at n counts G/A-orbits of basis labels of degree n; odd
     coefficients vanish.
     """
+    _check_degree(max_degree)
     if not G.is_normal(A):
         raise NotNormal("adjacent family series needs a normal subgroup")
-    return burnside_label_series(rank_profile(G, A), max_degree)
+    return burnside_label_series(weyl_cycle_types(G, A), max_degree)
 
 
 def global_generator_series(G: FiniteGroup, max_degree: int):
@@ -249,11 +285,12 @@ def global_generator_series(G: FiniteGroup, max_degree: int):
     One summand per conjugacy class of subgroups; returns (total, breakdown)
     where breakdown lists (representative subgroup, class size, series).
     """
+    _check_degree(max_degree)
     total = PowerSeries.zero(max_degree)
     breakdown = []
     for cls in G.subgroup_conjugacy_classes():
         rep = cls[0]
-        series = burnside_label_series(rank_profile(G, rep), max_degree)
+        series = burnside_label_series(weyl_cycle_types(G, rep), max_degree)
         total = total + series
         breakdown.append((rep, len(cls), series))
     return total, breakdown
@@ -373,11 +410,10 @@ def d2p_certify(p: int, max_degree: int) -> D2pReport:
     assert adjacency[1]["weyl_order"] == 1
     assert adjacency[2]["weyl_order"] == 1
 
-    prof = rank_profile(G, rotation)
-    swap = next(perm for perm in prof.perms if perm != tuple(range(len(prof.dims))))
-    cycles = _cycles(swap)
-    irr_pairs = sum(1 for c in cycles if len(c) == 2)
-    irr_fixed = sum(1 for c in cycles if len(c) == 1)
+    swap = next(cycle_type for cycle_type in weyl_cycle_types(G, rotation)
+                if any(ell > 1 for ell, _ in cycle_type))
+    irr_pairs = sum(1 for ell, _ in swap if ell == 2)
+    irr_fixed = sum(1 for ell, _ in swap if ell == 1)
 
     odd_ok = all(total.coefficient(n) == 0 for n in range(1, max_degree + 1, 2)) and \
         all(all(s.coefficient(n) == 0 for n in range(1, max_degree + 1, 2))

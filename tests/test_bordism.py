@@ -6,8 +6,9 @@ from isotypic.bordism import (PowerSeries, adjacent_family_series,
                               bu_generator_series, burnside_label_series,
                               d2p_certify, enumerate_arrays,
                               global_generator_series, is_family,
-                              omega_generator_series, rank_profile)
-from isotypic.catalog import all_catalog_groups, build_catalog_group
+                              omega_generator_series, rank_profile,
+                              weyl_cycle_types)
+from isotypic.catalog import CATALOG, all_catalog_groups, build_catalog_group
 from isotypic.characters import character_table
 from isotypic.errors import NotNormal, NotOdd, NotPrime
 from isotypic.groups import group_from_generators
@@ -116,6 +117,46 @@ def test_rank_profile_weyl_action_matches_normalizer_quotient():
         for cls in G.subgroup_conjugacy_classes():
             A = cls[0]
             assert rank_profile(G, A).perms == _reference_weyl_perms(G, A), (G.name, A.members)
+
+
+def test_weyl_cycle_types_agree_with_rank_profile():
+    """The abelian route (Brauer's permutation lemma on A's nonidentity
+    elements) gives the cycle types the character-table route gives, on every
+    subgroup class, and the cycle types do not change with a relabelling."""
+    rng = random.Random(13)
+    specs = [(e.name, e.degree, e.generators) for _, e in sorted(CATALOG.items())]
+    specs += [("S3xS3", 6, direct_product(S3_GENS, 3, S3_GENS, 3)),
+              ("S4xZ2", 6, direct_product(S4_GENS, 4, [[1, 0]], 2)),
+              ("S4xS3", 7, direct_product(S4_GENS, 4, S3_GENS, 3))]
+    abelian = 0
+    for name, degree, gens in specs:
+        summaries = []
+        for G in (group_from_generators(degree, gens, name=name),
+                  relabelled_group(name, degree, gens, rng)):
+            summary = []
+            for cls in G.subgroup_conjugacy_classes():
+                A = cls[0]
+                types = weyl_cycle_types(G, A)
+                assert types == rank_profile(G, A).cycle_types(), (name, A.members)
+                abelian += A.as_group()[0].is_abelian
+                summary.append((A.order, len(cls), sorted(types.items())))
+            summaries.append(sorted(summary))
+        assert summaries[0] == summaries[1], name
+    assert abelian > 100
+
+
+def test_global_series_z2_6_pinned():
+    """Z2^6 is abelian throughout; its degree-0 count is the number of
+    subspaces of F_2^6."""
+    gens = [[j ^ 1 if j // 2 == i else j for j in range(12)] for i in range(6)]
+    G = group_from_generators(12, gens, name="Z2^6")
+    total, breakdown = global_generator_series(G, 30)
+    assert len(breakdown) == 2825
+    assert list(total.coefficients) == [
+        2825, 0, 23562, 0, 177975, 0, 1262667, 0, 8953182, 0, 64924461, 0,
+        486660342, 0, 3761783442, 0, 29613148425, 0, 233247805000, 0,
+        1807413208209, 0, 13606572222495, 0, 98758468367223, 0,
+        688540823702613, 0, 4606362249947964, 0, 29586190150046502]
 
 
 def test_adjacent_series_z2_by_hand():
@@ -287,5 +328,5 @@ def test_subgroup_family_series_reflection_matches_z2_case():
     for p in (3, 5):
         G = dihedral(p)
         b = G.perm_index(tuple((p - i) % p for i in range(p)))
-        series = burnside_label_series(rank_profile(G, G.subgroup([b])), 20)
+        series = burnside_label_series(rank_profile(G, G.subgroup([b])).cycle_types(), 20)
         assert series == z2_series

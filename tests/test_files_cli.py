@@ -200,6 +200,16 @@ def test_cmd_bordism_max_degree_zero(capsys):
     assert series == [8]  # subgroup conjugacy classes of D8
 
 
+def test_cmd_bordism_max_degree_cap(capsys):
+    """Degrees above 200 exit 3 before any lattice or table work."""
+    assert main(["bordism", "catalog:Z4", "--max-degree", "201"]) == 3
+    assert main(["bordism", "catalog:Z4", "--max-degree", "201", "--global"]) == 3
+    code, out = run_cli(["--format", "json", "bordism", "catalog:Z4",
+                         "--max-degree", "200"], capsys)
+    assert code == 0
+    assert len(json.loads(out)["results"]["series"]) == 201
+
+
 def test_cmd_d2p_ok(capsys):
     code, out = run_cli(["d2p", "--p", "3", "--max-degree", "20"], capsys)
     assert code == 0

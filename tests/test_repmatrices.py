@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import random
+import time
 import tracemalloc
 from math import lcm
 
@@ -188,6 +189,29 @@ def test_matrix_irreps_memory_below_cubic_s5():
         tracemalloc.stop()
     assert sorted(r.dimension for r in reps) == [1, 1, 4, 4, 5, 5, 6]
     assert peak < 8 * G.order ** 3
+
+
+def test_matrix_irreps_time_and_memory_at_order_256():
+    """At the order cap, D8xD8xZ2xZ2 splits into its 100 irreps in bounded
+    time, and the traced peak stays below the 268 MB that |G| dense complex
+    |G| x |G| regular matrices alone would take."""
+    D8 = [[1, 2, 3, 0], [3, 2, 1, 0]]
+    gens = direct_product(direct_product(D8, 4, D8, 4), 8, [[1, 0]], 2)
+    G = group_from_generators(12, direct_product(gens, 10, [[1, 0]], 2), name="D8xD8xZ2xZ2")
+    assert G.order == repmatrices.MATRIX_IRREPS_CAP == 256
+    character_table(G)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        reps = matrix_irreps(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    assert len(reps) == 100
+    assert sum(r.dimension ** 2 for r in reps) == G.order
+    assert elapsed < 30, elapsed
+    assert peak < 256 * 2 ** 20, peak
 
 
 def test_matrix_irreps_cap():
