@@ -36,12 +36,13 @@ MAX_DEGREE = 200
 
 
 class PowerSeries:
-    """Truncated power series with integer coefficients, indexed by degree."""
+    """Truncated power series with integer coefficients, indexed by degree;
+    the coefficients are stored as given, so they must be ints."""
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Sequence[int]):
-        self.coefficients = tuple(int(c) for c in coefficients)
+        self.coefficients = tuple(coefficients)
 
     @property
     def max_degree(self) -> int:

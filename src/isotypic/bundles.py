@@ -73,8 +73,7 @@ class GSet:
         stab = self._stabilizers.get(x)
         if stab is None:
             stab = self.group.subgroup_from_members(
-                (g for g in self.group.elements() if self.act(g, x) == x),
-                name="Stab(%d)" % x)
+                g for g in self.group.elements() if self.act(g, x) == x)
             self._stabilizers[x] = stab
         return stab
 
@@ -329,7 +328,7 @@ class DecompositionCheck:
     """Outcome of the fiberwise comparison of E with its decomposition."""
 
     ok: bool
-    per_point: dict  # representative point -> list of mismatching class indices
+    per_point: dict  # point -> list of mismatching class indices
 
     def to_jsonable(self) -> dict:
         return {"ok": self.ok,
@@ -337,23 +336,21 @@ class DecompositionCheck:
 
 
 def verify_decomposition(E: EquivariantBundle, A: Subgroup,
-                         records: Optional[list] = None,
-                         check_all_points: bool = False) -> DecompositionCheck:
+                         records: Optional[list] = None) -> DecompositionCheck:
     """Exact fiberwise verification that the isotypic pieces sum to E.
 
-    For every orbit representative x (or every point when check_all_points),
-    the sum over orbit records of the induced piece characters must equal the
-    fiber character of E at x, exactly as class functions.  Every fiber stored
-    redundantly must also equal the one transported from the first stored
-    point of its orbit; its mismatching classes are reported at its own point.
+    At every point x of the base, the sum over orbit records of the induced
+    piece characters must equal the fiber character of E at x, exactly as
+    class functions.  Every fiber stored redundantly must also equal the one
+    transported from the first stored point of its orbit; its mismatching
+    classes are reported at its own point.
     """
     _require_a_trivial(E.base, A)
     G = E.base.group
     if records is None:
         records = irr_orbits(G, A)
-    points = range(E.base.size) if check_all_points else [o[0] for o in E.base.orbits()]
     per_point = {}
-    for x in points:
+    for x in range(E.base.size):
         fib = fiber_character(E, x)
         sxg = fib.group
         e = fib.values[0].e

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .groups import FiniteGroup, Subgroup, group_from_generators
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, group_from_generators
 
 
 @dataclass(frozen=True)
@@ -150,14 +150,15 @@ def catalog_entry(name: str) -> CatalogEntry:
     return CATALOG[name]
 
 
-def build_catalog_group(name: str, cap: int = 10000) -> tuple[FiniteGroup, Optional[Subgroup]]:
+def build_catalog_group(name: str, cap: int = DEFAULT_ORDER_CAP
+                        ) -> tuple[FiniteGroup, Optional[Subgroup]]:
     """Construct a catalog group and its distinguished normal subgroup."""
     entry = catalog_entry(name)
     G = group_from_generators(entry.degree, entry.generators, name=entry.name, cap=cap)
     normal = None
     if entry.normal_generator_indices:
         elems = [G.perm_index(entry.generators[i]) for i in entry.normal_generator_indices]
-        normal = G.subgroup(elems, name="%s-normal" % entry.name)
+        normal = G.subgroup(elems)
     return G, normal
 
 
@@ -176,11 +177,11 @@ def catalog_pairs() -> list[tuple[str, FiniteGroup, Subgroup]]:
     # Q8 over a cyclic subgroup of order 4
     q8, _ = build_catalog_group("Q8")
     i4 = next(g for g in q8.elements() if q8.element_order(g) == 4)
-    pairs.append(("Q8/Z4", q8, q8.subgroup([i4], name="Z4")))
+    pairs.append(("Q8/Z4", q8, q8.subgroup([i4])))
     # S4 over A4
     s4, _ = build_catalog_group("S4")
     a4_members = [g for g in s4.elements() if _is_even_perm(s4.permutation_of(g))]
-    pairs.append(("S4/A4", s4, s4.subgroup_from_members(a4_members, name="A4")))
+    pairs.append(("S4/A4", s4, s4.subgroup_from_members(a4_members)))
     return pairs
 
 

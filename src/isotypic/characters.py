@@ -48,10 +48,6 @@ class ClassFunction:
         self._check(other)
         return ClassFunction(self.group, [a + b for a, b in zip(self.values, other.values)])
 
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        self._check(other)
-        return ClassFunction(self.group, [a - b for a, b in zip(self.values, other.values)])
-
     def __mul__(self, other) -> "ClassFunction":
         if isinstance(other, ClassFunction):
             self._check(other)
@@ -59,9 +55,6 @@ class ClassFunction:
         return ClassFunction(self.group, [v * other for v in self.values])
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "ClassFunction":
-        return ClassFunction(self.group, [v.conjugate() for v in self.values])
 
     def pullback(self, conj_map: Sequence[int]) -> "ClassFunction":
         """a -> self(conj_map[a]) for an automorphism conj_map of the group,
@@ -355,16 +348,18 @@ def _class_matrix(G: FiniteGroup, classes, i: int) -> np.ndarray:
     return A
 
 
-def character_table(G: FiniteGroup, cap: int = DEFAULT_CHARTABLE_CAP) -> CharacterTable:
+def character_table(G: FiniteGroup) -> CharacterTable:
     """All irreducible characters of G with exact cyclotomic values.
 
     Rows are sorted by (degree, lexicographic value order); the result is
-    cached on the group instance.
+    cached on the group instance.  CapExceeded above order
+    DEFAULT_CHARTABLE_CAP.
     """
     if G._char_table is not None:
         return G._char_table
-    if G.order > cap:
-        raise CapExceeded("group order %d exceeds character table cap %d" % (G.order, cap))
+    if G.order > DEFAULT_CHARTABLE_CAP:
+        raise CapExceeded("group order %d exceeds character table cap %d"
+                          % (G.order, DEFAULT_CHARTABLE_CAP))
     classes = G.conjugacy_classes()
     r = len(classes)
     n = G.order

@@ -140,7 +140,7 @@ def cmd_bundle_verify(args) -> Report:
         raise FileFormatError("bundle's group file does not name a normal subgroup")
     if not G.is_normal(A):
         raise NotNormal("the named subgroup is not normal")
-    check = verify_decomposition(bundle, A, check_all_points=True)
+    check = verify_decomposition(bundle, A)
     res = check.to_jsonable()
     res["group"] = G.name
     res["points"] = bundle.base.size
@@ -237,6 +237,13 @@ def _degree(text: str) -> int:
     return value
 
 
+def _order(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("order cap must be a positive integer, got %s" % text)
+    return value
+
+
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # attached to the main parser with real defaults and to every subparser
     # with SUPPRESS, so the flags work on either side of the subcommand
@@ -249,7 +256,7 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     parser.add_argument("--seed", type=_seed,
                         default=dflt(repmatrices.DEFAULT_SEED),
                         help="PRNG seed for the matrix representation splitting")
-    parser.add_argument("--max-order", type=int, default=dflt(DEFAULT_ORDER_CAP),
+    parser.add_argument("--max-order", type=_order, default=dflt(DEFAULT_ORDER_CAP),
                         help="cap on the order of groups built from generators")
 
 

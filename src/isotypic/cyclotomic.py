@@ -244,9 +244,6 @@ class Cyclotomic:
     def __sub__(self, other) -> "Cyclotomic":
         return self + (-_coerce(other, self.e))
 
-    def __rsub__(self, other) -> "Cyclotomic":
-        return _coerce(other, self.e) + (-self)
-
     def __mul__(self, other) -> "Cyclotomic":
         if isinstance(other, (int, Fraction)):
             if not other:

@@ -62,7 +62,7 @@ def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP,
         return G, named[normal]()
     idxs = [x for x in normal.split(",") if x != ""]
     elems = generator_elements(G, generators, idxs, "--normal selector %r" % normal)
-    return G, G.subgroup(elems, name="A")
+    return G, G.subgroup(elems)
 
 
 def group_from_jsonable(data: dict, cap: int = DEFAULT_ORDER_CAP) -> tuple[FiniteGroup, Optional[Subgroup]]:
@@ -77,7 +77,7 @@ def group_from_jsonable(data: dict, cap: int = DEFAULT_ORDER_CAP) -> tuple[Finit
     idxs = data.get("normal_subgroup_generators")
     if idxs is not None:
         elems = generator_elements(G, gens, idxs, "normal_subgroup_generators")
-        normal = G.subgroup(elems, name="%s-normal" % name)
+        normal = G.subgroup(elems)
     return G, normal
 
 

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import CapExceeded, ClosureOverflow, InvalidPermutation, NotNormal
 
 DEFAULT_ORDER_CAP = 10000
+# all_subgroups raises CapExceeded past this many subgroups; read at call time
+SUBGROUP_CAP = 20000
 
 # Full associativity is O(n^3); above this order we spot-check random triples.
 _ASSOC_FULL_LIMIT = 512
@@ -55,7 +57,7 @@ class FiniteGroup:
         self._exponent: Optional[int] = None
         self._classes: Optional[list[tuple[int, ...]]] = None
         self._class_of: Optional[list[int]] = None
-        self._lattice: Optional[tuple[list["Subgroup"], int]] = None
+        self._lattice: Optional[list["Subgroup"]] = None
         self._subgroup_classes: Optional[list[list["Subgroup"]]] = None
         self._subgroup_cache: dict[tuple[int, ...], tuple["FiniteGroup", tuple[int, ...]]] = {}
         self._conjugation: dict[tuple[int, ...], tuple] = {}
@@ -160,24 +162,23 @@ class FiniteGroup:
 
     # -- subgroups -------------------------------------------------------------
 
-    def subgroup(self, generators: Iterable[int], name: Optional[str] = None) -> "Subgroup":
-        return Subgroup(self, closure(self, [int(g) for g in generators]), name=name)
+    def subgroup(self, generators: Iterable[int]) -> "Subgroup":
+        return Subgroup(self, closure(self, [int(g) for g in generators]))
 
-    def subgroup_from_members(self, members: Iterable[int], name: Optional[str] = None) -> "Subgroup":
-        return Subgroup(self, set(map(int, members)), name=name)
+    def subgroup_from_members(self, members: Iterable[int]) -> "Subgroup":
+        return Subgroup(self, set(map(int, members)))
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (0,), name="1")
+        return Subgroup(self, (0,))
 
     def full_subgroup(self) -> "Subgroup":
-        return self.subgroup_from_members(self.elements(), name=self.name)
+        return Subgroup(self, self.elements())
 
     def center(self) -> "Subgroup":
         rows = self._rows
         # g is central iff its row of the table equals its column
         return self.subgroup_from_members(
-            (g for g in self.elements() if rows[g] == [row[g] for row in rows]),
-            name="Z(%s)" % self.name)
+            g for g in self.elements() if rows[g] == [row[g] for row in rows])
 
     def conjugation_action(self, H: "Subgroup") -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
         """G acting on H by conjugation, as (coset_of, maps); cached per member set.
@@ -205,9 +206,7 @@ class FiniteGroup:
     def normalizer(self, H: "Subgroup") -> "Subgroup":
         """Largest subgroup N with nHn^-1 = H: the normalizing cosets of H."""
         coset_of, maps = self.conjugation_action(H)
-        return self.subgroup_from_members(
-            (n for n in self.elements() if coset_of[n] in maps),
-            name="N(%s)" % (H.name or "H"))
+        return self.subgroup_from_members(n for n in self.elements() if coset_of[n] in maps)
 
     def quotient(self, A: "Subgroup") -> "QuotientGroup":
         """Quotient by a normal subgroup; raises NotNormal otherwise."""
@@ -215,26 +214,19 @@ class FiniteGroup:
             raise NotNormal("subgroup does not live in this group")
         if not self.is_normal(A):
             raise NotNormal("subgroup is not normal")
-        projection, section = left_cosets(self, A.members)
-        m = len(section)
-        table = [[projection[self.mul(section[i], section[j])] for j in range(m)]
-                 for i in range(m)]
-        qname = "%s/%s" % (self.name, A.name or "A")
-        # unchecked: A is normal, so the coset products form the group G/A
-        qgrp = FiniteGroup(table, name=qname, check=False)
-        return QuotientGroup(qgrp, projection, section, A, self)
+        return coset_quotient(self.full_subgroup(), A)
 
-    def all_subgroups(self, limit: int = 20000) -> list["Subgroup"]:
+    def all_subgroups(self) -> list["Subgroup"]:
         """Every subgroup, sorted by (order, members).
 
         Starts from the cyclic subgroups and extends each subgroup H found by
         one element g outside it.  Since <H, g> = <H, hg> for every h in H,
         one g per right coset Hg gives every extension, so the rest of the
         coset is skipped; <H, g> is closed from H's members by right cosets
-        (see ``_extend``).  The lattice is computed once per group and cached;
-        every call returns a fresh list.  CapExceeded is raised once a new
-        non-cyclic subgroup is found with more than ``limit`` already known,
-        on a cached call too.
+        (see ``_extend``).  CapExceeded is raised once a new non-cyclic
+        subgroup is found with more than ``SUBGROUP_CAP`` already known; a
+        lattice found within the cap is cached on the group, and every call
+        returns a fresh list.
         """
         if self._lattice is None:
             rows = self._rows
@@ -245,7 +237,6 @@ class FiniteGroup:
                 if mem not in found:
                     found[mem] = (g,)
                     frontier.append(mem)
-            known = -1  # subgroups known at the last non-cyclic discovery
             while frontier:
                 mem = frontier.pop()
                 gens = found[mem]
@@ -258,18 +249,14 @@ class FiniteGroup:
                     done.update([rows[h][g] for h in mem])
                     bigger = _extend(rows, mem, gens + (g,))
                     if bigger not in found:
-                        known = len(found)
-                        if known > limit:
-                            raise CapExceeded("subgroup enumeration exceeded limit")
+                        if len(found) > SUBGROUP_CAP:
+                            raise CapExceeded("subgroup enumeration exceeded cap %d" % SUBGROUP_CAP)
                         found[bigger] = gens + (g,)
                         frontier.append(bigger)
             subs = [Subgroup(self, mem) for mem in found]
             subs.sort(key=lambda s: (s.order, s.members))
-            self._lattice = (subs, known)
-        subs, known = self._lattice
-        if known > limit:
-            raise CapExceeded("subgroup enumeration exceeded limit")
-        return list(subs)
+            self._lattice = subs
+        return list(self._lattice)
 
     def subgroup_conjugacy_classes(self) -> list[list["Subgroup"]]:
         """Conjugacy classes of subgroups, each class sorted, classes sorted
@@ -300,14 +287,12 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """A subgroup of a FiniteGroup: its sorted member-index set and a name;
-    however it was found, no generators are kept."""
+    """A subgroup of a FiniteGroup: its sorted member-index set, nothing
+    more; however it was found, no generators or name are kept."""
 
-    def __init__(self, parent: FiniteGroup, members: Iterable[int],
-                 name: Optional[str] = None):
+    def __init__(self, parent: FiniteGroup, members: Iterable[int]):
         self.parent = parent
         self.members = tuple(sorted(members))
-        self.name = name
         if self.members[0] != 0:
             raise ValueError("subgroup must contain the identity")
         if parent.order % len(self.members) != 0:
@@ -337,10 +322,11 @@ class Subgroup:
 
     def conjugate(self, g: int) -> "Subgroup":
         G = self.parent
-        return Subgroup(G, (G.conj(g, h) for h in self.members), name=self.name)
+        return Subgroup(G, (G.conj(g, h) for h in self.members))
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
-        """Materialize as a standalone FiniteGroup.
+        """Materialize as a standalone FiniteGroup, named by the parent and
+        the order (e.g. "S4<12>").
 
         Returns (H, embed) where embed maps H-indices to parent indices.
         Cached on the parent so equal subgroups share the same object (and
@@ -356,10 +342,10 @@ class Subgroup:
             retract = {g: i for i, g in enumerate(embed)}
             rows = self.parent._rows
             table = [[retract[rows[a][b]] for b in embed] for a in embed]
-            name = self.name or "%s<%d>" % (self.parent.name, self.order)
             # unchecked: the retract lookup raised unless the members are
             # closed, and a closed subset of a finite group is a group
-            out = (FiniteGroup(table, name=name, check=False), embed)
+            out = (FiniteGroup(table, name="%s<%d>" % (self.parent.name, self.order),
+                               check=False), embed)
         self.parent._subgroup_cache[self.members] = out
         return out
 
@@ -377,17 +363,15 @@ class Subgroup:
 
 
 class QuotientGroup:
-    """A quotient H/A, for A normal in a subgroup H of parent, with a
-    projection map (the coset of each element of parent, -1 off H) and a
-    section of coset reps in parent.  FiniteGroup.quotient has H = parent."""
+    """A quotient H/A, for A normal in G and H a subgroup of G containing A,
+    as ``coset_quotient`` builds it: the table of H/A, a projection (the
+    coset of each element of G, -1 off H) and a section of coset lifts in G."""
 
     def __init__(self, group: FiniteGroup, projection: tuple[int, ...],
-                 section: tuple[int, ...], kernel: Subgroup, parent: FiniteGroup):
+                 section: tuple[int, ...]):
         self.group = group
         self.projection = projection
         self.section = section
-        self.kernel = kernel
-        self.parent = parent
 
     @property
     def order(self) -> int:
@@ -477,6 +461,32 @@ def left_cosets(G: FiniteGroup, members: Sequence[int]) -> tuple[tuple[int, ...]
                 coset_of[row[h]] = len(reps)
             reps.append(g)
     return tuple(coset_of), tuple(reps)
+
+
+def coset_quotient(H: Subgroup, A: Subgroup) -> QuotientGroup:
+    """H/A for A normal in G = H.parent and H a union of cosets of A, named
+    by G and |A| (e.g. "S4/4"); the caller checks both (FiniteGroup.quotient
+    with H = G, orbits.extension_exists with H a stabilizer G_rho).
+
+    Read off the cached coset table of ``G.conjugation_action(A)``: coset q
+    is the q-th coset of A inside H in order of its minimal element, which is
+    its lift section[q], and cosets multiply through their lifts in G.
+    projection[g] is the coset of g, -1 for g outside H.
+    """
+    G = H.parent
+    rows = G._rows
+    coset_of, _ = G.conjugation_action(A)
+    pos: dict[int, int] = {}
+    section = []
+    for g in H.members:  # sorted: a coset is met first at its minimum
+        if coset_of[g] not in pos:
+            pos[coset_of[g]] = len(section)
+            section.append(g)
+    table = [[pos[coset_of[rows[x][y]]] for y in section] for x in section]
+    # unchecked: A is normal, so the coset products form the group H/A
+    qgrp = FiniteGroup(table, name="%s/%d" % (G.name, A.order), check=False)
+    projection = tuple(pos.get(c, -1) for c in coset_of)
+    return QuotientGroup(qgrp, projection, tuple(section))
 
 
 def minimal_generators(G: FiniteGroup, members: Sequence[int]) -> tuple[int, ...]:

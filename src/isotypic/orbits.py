@@ -53,8 +53,7 @@ def irr_stabilizer(G: FiniteGroup, A: Subgroup, tau: int) -> Subgroup:
     """The union of the cosets of A whose permutation fixes row tau."""
     coset_of, _ = G.conjugation_action(A)
     fixed = {c for c, perm in irr_permutations(G, A).items() if perm[tau] == tau}
-    return G.subgroup_from_members((g for g in G.elements() if coset_of[g] in fixed),
-                                   name="Stab")
+    return G.subgroup_from_members(g for g in G.elements() if coset_of[g] in fixed)
 
 
 def multiplicities(G: FiniteGroup, A: Subgroup, rho: int) -> tuple[int, ...]:

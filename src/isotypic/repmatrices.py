@@ -29,7 +29,7 @@ from .characters import (ClassFunction, character_table,
                          determinant_character_value)
 from .errors import (CapExceeded, InvalidCocycle, NonScalar,
                      NumericalDegeneracy, SnapFailure, SplitFailure)
-from .groups import FiniteGroup, QuotientGroup, Subgroup
+from .groups import FiniteGroup, QuotientGroup, Subgroup, coset_quotient
 
 DEFAULT_SEED = 0x5EED
 DEFAULT_TOL = 1e-8
@@ -58,16 +58,18 @@ class MatrixRep:
 
 
 def matrix_irreps(G: FiniteGroup, seed: int = DEFAULT_SEED,
-                  tol: float = DEFAULT_TOL, cap: int = MATRIX_IRREPS_CAP) -> list[MatrixRep]:
-    """One unitary MatrixRep per irreducible character, in table row order.
+                  tol: float = DEFAULT_TOL) -> list[MatrixRep]:
+    """One unitary MatrixRep per irreducible character, in table row order;
+    CapExceeded above order MATRIX_IRREPS_CAP.
 
     Deterministic for a fixed seed: the random commutant elements are drawn
     from a freshly seeded generator in a fixed order.  The left regular
     representation reg[g] is the permutation h -> g h, so it is read off the
     group table and never built as |G| dense |G| x |G| matrices.
     """
-    if G.order > cap:
-        raise CapExceeded("order %d exceeds matrix_irreps cap %d" % (G.order, cap))
+    if G.order > MATRIX_IRREPS_CAP:
+        raise CapExceeded("order %d exceeds matrix_irreps cap %d"
+                          % (G.order, MATRIX_IRREPS_CAP))
     table = character_table(G)
     rng = np.random.default_rng(seed)
     n = G.order
@@ -227,31 +229,6 @@ def needs_matrix_model(G_rho: Subgroup, A: Subgroup, degree: int) -> bool:
     return degree > 1 and G_rho.order > A.order
 
 
-def _stabilizer_quotient(G_rho: Subgroup, A: Subgroup) -> QuotientGroup:
-    """G_rho/A from the cosets of A in G = G_rho.parent.
-
-    Coset q is the q-th coset of A inside G_rho in order of its minimal
-    element, which is its lift; cosets multiply through their lifts in G.
-    projection[g] is the coset of g, -1 for g outside G_rho.  A must be
-    normal in G and G_rho a union of its cosets (extension_exists checks
-    both).
-    """
-    G = G_rho.parent
-    coset_of, _ = G.conjugation_action(A)
-    pos: dict[int, int] = {}
-    section = []
-    for g in G_rho.members:  # sorted: a coset is met first at its minimum
-        if coset_of[g] not in pos:
-            pos[coset_of[g]] = len(section)
-            section.append(g)
-    table = [[pos[coset_of[G.mul(x, y)]] for y in section] for x in section]
-    name = "%s/%s" % (G_rho.name or "G_rho", A.name or "A")
-    # unchecked: A is normal, so the coset products form the group G_rho/A
-    qgrp = FiniteGroup(table, name=name, check=False)
-    projection = tuple(pos.get(c, -1) for c in coset_of)
-    return QuotientGroup(qgrp, projection, tuple(section), A, G)
-
-
 def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
                         rep: Optional[MatrixRep] = None, seed: int = DEFAULT_SEED,
                         tol: float = DEFAULT_TOL) -> ObstructionRecord:
@@ -263,7 +240,8 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
     Whether rho extends is read off Irr(G) by orbits.extension_exists before
     anything else; it raises NotNormal unless A is normal in G and
     NotStabilized unless G_rho is exactly rho's stabilizer.  Q = G_rho/A is
-    built from the cosets of A in G, each lifted to its minimal element g.
+    groups.coset_quotient(G_rho, A), the builder G.quotient(A) uses too:
+    the cosets of A in G_rho, each lifted to its minimal element g.
     With g1 g2 = a0 g3 for the lifts of q1, q2 and q1 q2:
 
     * if Q is trivial, omega is the 1 x 1 zero table;
@@ -288,7 +266,7 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
     trivial = extension_exists(G_rho, A, row)
     G = G_rho.parent
     d = table_a.degrees[row]
-    Q = _stabilizer_quotient(G_rho, A)
+    Q = coset_quotient(G_rho, A)
     m = Q.order
 
     # det o rho is a class function: one exact value (k, m), meaning

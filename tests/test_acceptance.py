@@ -87,7 +87,7 @@ def test_criterion_2_worked_example_reproduction():
                            frozenset({idx[1], idx[3]})}
 
     bundle, Gf, Af = load_bundle_file(os.path.join(DATA, "d8_rho_bundle.json"))
-    check = verify_decomposition(bundle, Af, check_all_points=True)
+    check = verify_decomposition(bundle, Af)
     ok = ok and check.ok
     report(2, ok, "Irr(Z/4), the swap, the orbits, and the shipped bundle all match")
 

@@ -163,7 +163,7 @@ def test_example_bundle_decomposition(d8):
     G, A = d8
     _, rho = rho_row((G, A), 1)
     E = EquivariantBundle.induced(G, A, rho)
-    check = verify_decomposition(E, A, check_all_points=True)
+    check = verify_decomposition(E, A)
     assert check.ok
     assert check.per_point == {0: [], 1: []}
 
@@ -201,9 +201,9 @@ def test_verify_decomposition_g_invariant_along_orbits(d8):
     _, rho = rho_row((G, A), 1)
     E = EquivariantBundle.induced(G, A, rho)
     recs = orbit_decomposition(G, A)
-    c_all = verify_decomposition(E, A, records=recs, check_all_points=True)
-    c_reps = verify_decomposition(E, A, records=recs, check_all_points=False)
-    assert c_all.ok == c_reps.ok is True
+    check = verify_decomposition(E, A, records=recs)
+    assert check.ok
+    assert sorted(check.per_point) == list(range(E.base.size))
 
 
 def test_transversal_choice_independence(d8):
@@ -283,9 +283,9 @@ def test_redundant_fiber_storage_consistent(d8):
     base = GSet.cosets(G, A)
     good = EquivariantBundle(base, {0: rho, 1: rho3})
     assert good.anchor(1) == 1
-    assert verify_decomposition(good, A, check_all_points=True).ok
+    assert verify_decomposition(good, A).ok
     bad = EquivariantBundle(base, {0: rho, 1: rho})
-    check = verify_decomposition(bad, A, check_all_points=True)
+    check = verify_decomposition(bad, A)
     assert not check.ok
     assert check.per_point[1]
 
@@ -303,12 +303,11 @@ def test_redundant_fiber_checked_over_central_subgroup(name):
     triv = table.rows[table.trivial_index()]
     sign = next(row for row in table.rows if row is not triv)
     good = EquivariantBundle(base, {0: sign, 1: sign})
-    assert verify_decomposition(good, Z, check_all_points=True).ok
+    assert verify_decomposition(good, Z).ok
     bad = EquivariantBundle(base, {0: sign, 1: triv})
-    check = verify_decomposition(bad, Z, check_all_points=True)
+    check = verify_decomposition(bad, Z)
     assert not check.ok
     assert {x for x, classes in check.per_point.items() if classes} == {1}
-    assert not verify_decomposition(bad, Z).ok
 
 
 def test_stabilizer_cached_per_point():
@@ -318,13 +317,13 @@ def test_stabilizer_cached_per_point():
                         "d8_rho_bundle.json")
     bundle, _, A = load_bundle_file(path)
     base = bundle.base
-    cold = verify_decomposition(bundle, A, check_all_points=True).to_jsonable()
+    cold = verify_decomposition(bundle, A).to_jsonable()
     assert cold == {"ok": True, "per_point": {"0": [], "1": []}}
     for x in range(base.size):
         assert base.stabilizer(x) is base.stabilizer(x)
         assert base.stabilizer(x).members == tuple(
             g for g in base.group.elements() if base.act(g, x) == x)
-    assert verify_decomposition(bundle, A, check_all_points=True).to_jsonable() == cold
+    assert verify_decomposition(bundle, A).to_jsonable() == cold
 
 
 def test_random_bundles_decompose(pairs):
@@ -371,7 +370,7 @@ def test_induction_piece_transports_each_fiber_once(monkeypatch):
 
     monkeypatch.setattr(bundles, "fiber_character", fiber)
     monkeypatch.setattr(bundles, "induction_piece_character", piece)
-    assert verify_decomposition(bundle, A, records=records, check_all_points=True).ok
+    assert verify_decomposition(bundle, A, records=records).ok
     assert piece_calls[0] == bundle.base.size * len(records)
     assert inside and max(inside.values()) == 1
 
@@ -396,9 +395,9 @@ def test_bundle_verification_runs_no_float_code(pairs, monkeypatch, capsys):
     rng = random.Random(8)
     for name, G, A in pairs:
         E = _random_bundle(G, A, rng)
-        assert verify_decomposition(E, A, check_all_points=True).ok, name
+        assert verify_decomposition(E, A).ok, name
     bundle, G, A = load_bundle_file(path)
-    assert verify_decomposition(bundle, A, check_all_points=True).ok
+    assert verify_decomposition(bundle, A).ok
     assert cli.main(["--format", "json", "bundle-verify", path]) == 0
     assert capsys.readouterr().out == expected
 

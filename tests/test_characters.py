@@ -4,6 +4,7 @@ from math import gcd, lcm
 
 import pytest
 
+from isotypic import characters
 from isotypic.catalog import all_catalog_groups
 from isotypic.characters import (CharacterTable, ClassFunction, character_table,
                                  determinant_character_value, induce,
@@ -55,10 +56,11 @@ def test_row_sorted_trivial_first(pairs):
         assert t.trivial_index() == 0, name
 
 
-def test_table_cap():
+def test_table_cap(monkeypatch):
     G = dihedral(7)
+    monkeypatch.setattr(characters, "DEFAULT_CHARTABLE_CAP", 5)
     with pytest.raises(CapExceeded):
-        character_table(G, cap=5)
+        character_table(G)
 
 
 def test_row_and_column_orthogonality_exact(pairs):
@@ -138,7 +140,7 @@ def test_restrict_trivial_is_trivial(pairs):
 def test_restrict_sign_character_of_d2p():
     G = dihedral(5)
     a = G.perm_index(tuple((i + 1) % 5 for i in range(5)))
-    A = G.subgroup([a], name="Z5")
+    A = G.subgroup([a])
     t = character_table(G)
     sign = next(r for i, r in enumerate(t.rows)
                 if t.degrees[i] == 1 and not all(v.rational() == 1 for v in r.values))

@@ -230,6 +230,10 @@ def test_cmd_d2p_rejects_composite(capsys):
     ["bordism", "catalog:D8", "--max-degree", "-1"],
     ["bordism", "catalog:D8", "--max-degree", "-1", "--global"],
     ["d2p", "--p", "3", "--max-degree", "-1"],
+    ["--max-order", "0", "irr", "catalog:Z4"],
+    ["--max-order", "-1", "irr", "catalog:Z4"],
+    ["irr", "catalog:Z1", "--max-order", "0"],
+    ["irr", "catalog:Z1", "--max-order", "-1"],
 ], ids=lambda argv: " ".join(argv).replace("catalog:", ""))
 def test_cli_rejects_bad_option_values(argv, capsys):
     """A bad option value is an input error (exit 2) reported on an error:
@@ -240,6 +244,12 @@ def test_cli_rejects_bad_option_values(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: argument" in captured.err
+
+
+def test_max_order_one_builds_the_trivial_group(capsys):
+    code, out = run_cli(["--max-order", "1", "irr", "catalog:Z1"], capsys)
+    assert code == 0
+    assert "order 1" in out
 
 
 def test_json_reports_are_deterministic(capsys):

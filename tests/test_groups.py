@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from isotypic import groups
 from isotypic.catalog import CATALOG, all_catalog_groups, build_catalog_group
 from isotypic.errors import CapExceeded, ClosureOverflow, InvalidPermutation, NotNormal
 from isotypic.groups import FiniteGroup, _check_axioms, group_from_generators, left_cosets
@@ -377,17 +378,16 @@ def test_subgroup_lattice_cache_returns_fresh_lists():
     assert [s.members for s in G.all_subgroups()] == members
 
 
-def test_all_subgroups_limit_raises_cold_and_cached():
-    # S4 has 30 subgroups: the last one found is found with 29 already known
-    cold = group_from_generators(4, S4_GENS, name="S4")
-    with pytest.raises(CapExceeded):
-        cold.all_subgroups(limit=28)
-    assert len(cold.all_subgroups(limit=29)) == 30
-    with pytest.raises(CapExceeded):
-        cold.all_subgroups(limit=28)
-    with pytest.raises(CapExceeded):
-        cold.all_subgroups(limit=3)
-    assert len(cold.all_subgroups()) == 30
+def test_all_subgroups_cap_raises_and_is_not_cached(monkeypatch):
+    # S4 has 30 subgroups: the last one found is found with 29 already known;
+    # a lattice that exceeded the cap is not cached
+    G = group_from_generators(4, S4_GENS, name="S4")
+    for cap in (28, 3):
+        monkeypatch.setattr(groups, "SUBGROUP_CAP", cap)
+        with pytest.raises(CapExceeded):
+            G.all_subgroups()
+    monkeypatch.setattr(groups, "SUBGROUP_CAP", 29)
+    assert len(G.all_subgroups()) == 30
 
 
 def _class_profile(G):

@@ -54,7 +54,7 @@ def test_d2p_reflection_inverts_characters():
         G = dihedral(p)
         a = G.perm_index(tuple((i + 1) % p for i in range(p)))
         b = G.perm_index(tuple((p - i) % p for i in range(p)))
-        A = G.subgroup([a], name="Zp")
+        A = G.subgroup([a])
         Agrp, _ = A.as_group()
         ta = character_table(Agrp)
         a_loc = A.retract(a)

@@ -14,9 +14,9 @@ from isotypic.characters import character_table, determinant_character_value
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import (CapExceeded, NonScalar, NotStabilized,
                              NumericalDegeneracy, SnapFailure, SplitFailure)
-from isotypic.groups import group_from_generators
+from isotypic.groups import FiniteGroup, group_from_generators
 from isotypic import repmatrices
-from isotypic.orbits import irr_orbits
+from isotypic.orbits import irr_orbits, orbit_decomposition
 from isotypic.repmatrices import (DEFAULT_SEED, DEFAULT_SNAP_TOL, DEFAULT_TOL,
                                   _check_rep, _cluster, _det_normalize, _within,
                                   check_cocycle, intertwiner, matrix_irreps,
@@ -214,10 +214,11 @@ def test_matrix_irreps_time_and_memory_at_order_256():
     assert peak < 256 * 2 ** 20, peak
 
 
-def test_matrix_irreps_cap():
+def test_matrix_irreps_cap(monkeypatch):
     G = dihedral(5)
+    monkeypatch.setattr(repmatrices, "MATRIX_IRREPS_CAP", 5)
     with pytest.raises(CapExceeded):
-        matrix_irreps(G, cap=5)
+        matrix_irreps(G)
 
 
 def test_intertwiner_self_is_scalar(d8):
@@ -423,7 +424,7 @@ def _float_obstruction_reference(G_rho, A, rho, seed, tol=DEFAULT_TOL):
     snap_tol = max(DEFAULT_SNAP_TOL, 100 * tol)
 
     Sgrp, sembed = G_rho.as_group()
-    A_in_s = Sgrp.subgroup_from_members([G_rho.retract(a) for a in A.members], name=A.name)
+    A_in_s = Sgrp.subgroup_from_members([G_rho.retract(a) for a in A.members])
     Q = Sgrp.quotient(A_in_s)
     m = Q.order
 
@@ -507,6 +508,54 @@ def test_exact_linear_cocycle_equals_the_float_snapped_one(pairs):
                 compared.add((name, rep, rec.trivial))
     assert ("Q8", 1, False) in compared
     assert len(compared) == 49
+
+
+def _relabelled_elements(G, A, rng):
+    """G with the element indices 1..|G|-1 shuffled (0 stays the identity),
+    and the image of A."""
+    pi = [0] + rng.sample(range(1, G.order), G.order - 1)
+    table = [[0] * G.order for _ in G.elements()]
+    for a in G.elements():
+        for b in G.elements():
+            table[pi[a]][pi[b]] = pi[G.mul(a, b)]
+    H = FiniteGroup(table, name=G.name)
+    return H, H.subgroup_from_members(pi[a] for a in A.members)
+
+
+def test_stabilizer_quotients_are_the_part_of_g_mod_a_in_the_stabilizer(pairs):
+    """G.quotient(A) and each orbit's Q_rho = G_rho/A come from one builder:
+    Q_rho's lifts are the lifts of G/A that lie in G_rho, its projection is
+    that of G/A read through them, and it multiplies as G/A does on them.
+    Over the catalog pairs, S4xZ2, S3xS3 and S4xS3 over each factor, and one
+    relabelling of the elements of each."""
+    cases = list(pairs)
+    for name, gens1, deg1, gens2, deg2 in [("S4xZ2", S4_GENS, 4, [[1, 0]], 2),
+                                           ("S3xS3", S3_GENS, 3, S3_GENS, 3),
+                                           ("S4xS3", S4_GENS, 4, S3_GENS, 3)]:
+        G = group_from_generators(deg1 + deg2, direct_product(gens1, deg1, gens2, deg2),
+                                  name=name)
+        first = G.subgroup([G.perm_index(p) for p in direct_product(gens1, deg1, [], deg2)])
+        second = G.subgroup([G.perm_index(p) for p in direct_product([], deg1, gens2, deg2)])
+        cases += [(name + "/1", G, first), (name + "/2", G, second)]
+    rng = random.Random(14)
+    cases += [(name + "~", *_relabelled_elements(G, A, rng)) for name, G, A in cases]
+    checked = 0
+    for name, G, A in cases:
+        GA = G.quotient(A)
+        for rec in orbit_decomposition(G, A):
+            Q, stab = rec.quotient, rec.stabilizer
+            if Q.order == 1:
+                continue
+            assert Q.section == tuple(g for g in GA.section if g in stab), name
+            in_ga = [GA.projection[g] for g in Q.section]
+            assert [Q.projection[g] for g in G.elements()] == \
+                [in_ga.index(GA.projection[g]) if g in stab else -1
+                 for g in G.elements()], name
+            for i in range(Q.order):
+                for j in range(Q.order):
+                    assert in_ga[Q.group.mul(i, j)] == GA.group.mul(in_ga[i], in_ga[j]), name
+            checked += 1
+    assert checked == 94
 
 
 def test_obstruction_needs_a_matrix_model_only_where_it_uses_one(pairs):
