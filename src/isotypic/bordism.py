@@ -202,7 +202,7 @@ def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
     # members[0] is the identity, fixed by every map
     dims = (1,) * (A.order - 1)
     return Counter(_cycle_type([i - 1 for i in image[1:]], dims)
-                   for image in G.conjugation_action(A)[1].values())
+                   for image in G.conjugation_action(A).maps.values())
 
 
 def enumerate_arrays(profile: RankProfile, k: int) -> list[tuple[int, ...]]:

@@ -12,17 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .characters import ClassFunction, character_table, inner_product
 from .cyclotomic import Cyclotomic, dot
 from .errors import NotATrivial
-from .groups import FiniteGroup, Subgroup, left_cosets, minimal_generators
+from .groups import FiniteGroup, Subgroup, minimal_generators
 from .orbits import IrrOrbit, irr_orbits
 
 
 class GSet:
-    """A finite G-set given by its full action table (element x point)."""
+    """A finite G-set given by its full action table (element x point).
+
+    Orbits and transporters are read off the origin table, built in one pass:
+    x -> (r, t) for r the minimum of x's orbit and t minimal with t . r = x.
+    """
 
     def __init__(self, group: FiniteGroup, action: Sequence[Sequence[int]]):
         self.group = group
@@ -40,7 +44,14 @@ class GSet:
             for g in group.elements():
                 if self.action[group.mul(g, s)] != tuple(self.action[g][y] for y in self.action[s]):
                     raise ValueError("action table is not a group action")
-        self._orbits: Optional[list[tuple[int, ...]]] = None
+        # an orbit is first met at its minimum r, which g = 0 reaches first
+        self._origin: list[tuple[int, int]] = [(-1, -1)] * self.size
+        for r in range(self.size):
+            if self._origin[r][0] < 0:
+                for g in group.elements():
+                    x = self.action[g][r]
+                    if self._origin[x][0] < 0:
+                        self._origin[x] = (r, g)
         self._stabilizers: dict[int, Subgroup] = {}
 
     def act(self, g: int, x: int) -> int:
@@ -48,24 +59,10 @@ class GSet:
 
     def orbits(self) -> list[tuple[int, ...]]:
         """Orbits as sorted point tuples, ordered by minimal point."""
-        if self._orbits is None:
-            seen = set()
-            orbits = []
-            for x in range(self.size):
-                if x in seen:
-                    continue
-                orb = sorted({self.act(g, x) for g in self.group.elements()})
-                seen.update(orb)
-                orbits.append(tuple(orb))
-            orbits.sort(key=lambda o: o[0])
-            self._orbits = orbits
-        return self._orbits
-
-    def orbit_of(self, x: int) -> tuple[int, ...]:
-        for orb in self.orbits():
-            if x in orb:
-                return orb
-        raise ValueError("point %d outside the G-set" % x)
+        orbits: dict[int, list[int]] = {}
+        for x, (r, _) in enumerate(self._origin):
+            orbits.setdefault(r, []).append(x)
+        return [tuple(orb) for orb in orbits.values()]
 
     def stabilizer(self, x: int) -> Subgroup:
         """The stabilizer of x, computed once per point: every call returns
@@ -78,23 +75,23 @@ class GSet:
         return stab
 
     def transporter(self, x: int) -> int:
-        """The minimal group element t with t . rep = x (rep = orbit minimum)."""
-        return self.transporter_from(self.orbit_of(x)[0], x)
+        """The minimal group element t with t . r = x, r the orbit minimum."""
+        return self._origin[x][1]
 
     def transporter_from(self, src: int, dst: int) -> int:
-        """The minimal group element t with t . src = dst (same orbit)."""
-        for g in self.group.elements():
-            if self.act(g, src) == dst:
-                return g
-        raise ValueError("points %d and %d are not in the same orbit" % (src, dst))
+        """t_dst t_src^-1, an element taking src to dst (same orbit)."""
+        if self._origin[src][0] != self._origin[dst][0]:
+            raise ValueError("points %d and %d are not in the same orbit" % (src, dst))
+        return self.group.mul(self._origin[dst][1], self.group.inv(self._origin[src][1]))
 
     def is_trivial_for(self, A: Subgroup) -> bool:
         return all(self.act(a, x) == x for a in A.members for x in range(self.size))
 
     @staticmethod
     def cosets(G: FiniteGroup, H: Subgroup) -> "GSet":
-        """The left coset space G/H with its translation action."""
-        coset_of, reps = left_cosets(G, H.members)
+        """The left coset space G/H with its translation action; point i is
+        the i-th coset of G.conjugation_action(H)."""
+        coset_of, reps, _ = G.conjugation_action(H)
         action = [[coset_of[G.mul(g, r)] for r in reps] for g in G.elements()]
         return GSet(G, action)
 
@@ -233,7 +230,8 @@ def fiber_character(E: EquivariantBundle, x: int) -> ClassFunction:
     """Character of the stabilizer representation on the fiber at x.
 
     At points without stored data the value is conjugate-transported from
-    the orbit's anchor point along the minimal transporter.
+    the orbit's anchor point along ``transporter_from`` (any element taking
+    the anchor to x gives the same values).
     """
     return _transported_fiber(E, E.anchor(x), x)
 
@@ -300,7 +298,7 @@ def induction_piece_character(E: EquivariantBundle, A: Subgroup,
     a_vals = [(aembed[aa], rval) for acls, rval in zip(Agrp.conjugacy_classes(), rho_row.values)
               for aa in acls]
 
-    _, transversal = left_cosets(G, orbit.stabilizer.members)
+    transversal = G.conjugation_action(orbit.stabilizer).reps
     # the fiber at y = g^-1 x, transported once per coset
     fibers = []
     for g in transversal:
@@ -335,20 +333,18 @@ class DecompositionCheck:
                 "per_point": {str(k): v for k, v in sorted(self.per_point.items())}}
 
 
-def verify_decomposition(E: EquivariantBundle, A: Subgroup,
-                         records: Optional[list] = None) -> DecompositionCheck:
+def verify_decomposition(E: EquivariantBundle, A: Subgroup) -> DecompositionCheck:
     """Exact fiberwise verification that the isotypic pieces sum to E.
 
-    At every point x of the base, the sum over orbit records of the induced
-    piece characters must equal the fiber character of E at x, exactly as
-    class functions.  Every fiber stored redundantly must also equal the one
-    transported from the first stored point of its orbit; its mismatching
-    classes are reported at its own point.
+    At every point x of the base, the sum over the orbits of G on Irr(A)
+    (``irr_orbits``) of the induced piece characters must equal the fiber
+    character of E at x, exactly as class functions.  Every fiber stored
+    redundantly must also equal the one transported from the first stored
+    point of its orbit; its mismatching classes are reported at its own
+    point.
     """
     _require_a_trivial(E.base, A)
-    G = E.base.group
-    if records is None:
-        records = irr_orbits(G, A)
+    records = irr_orbits(E.base.group, A)
     per_point = {}
     for x in range(E.base.size):
         fib = fiber_character(E, x)

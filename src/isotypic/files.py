@@ -105,6 +105,8 @@ def load_bundle_file(path: str, cap: int = DEFAULT_ORDER_CAP
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError("cannot read bundle file %s: %s" % (path, exc))
+    if not isinstance(data, dict):
+        raise FileFormatError("bundle file %s must hold a JSON object" % path)
     ref = data.get("group")
     if not isinstance(ref, str):
         raise FileFormatError("bundle file needs a 'group' file reference")
@@ -131,7 +133,10 @@ def bundle_from_jsonable(data: dict, G: FiniteGroup) -> EquivariantBundle:
 
     fibers = {}
     mults = {}
-    for fib in data.get("fibers", []):
+    entries = data.get("fibers", [])
+    if not isinstance(entries, list):
+        raise FileFormatError("bundle 'fibers' must be a list, got %r" % (entries,))
+    for fib in entries:
         try:
             rep = int(fib["orbit_rep"])
             char = fib["character"]

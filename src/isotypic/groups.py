@@ -4,14 +4,18 @@ Conventions used throughout the package:
   * elements are indices 0..order-1 and element 0 is the identity,
   * subgroup member lists are sorted (deterministic iteration order),
   * conjugacy classes are sorted by their minimal element, so the class of
-    the identity always comes first.
+    the identity always comes first,
+  * the left cosets gH of a subgroup H are numbered in the order of their
+    minimal elements, and that minimum is the coset's lift; the one table of
+    them is ``FiniteGroup.conjugation_action(H)``, which every transversal
+    (quotients, coset G-sets, induction) reads.
 """
 
 from __future__ import annotations
 
 import random
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,7 +64,7 @@ class FiniteGroup:
         self._lattice: Optional[list["Subgroup"]] = None
         self._subgroup_classes: Optional[list[list["Subgroup"]]] = None
         self._subgroup_cache: dict[tuple[int, ...], tuple["FiniteGroup", tuple[int, ...]]] = {}
-        self._conjugation: dict[tuple[int, ...], tuple] = {}
+        self._conjugation: dict[tuple[int, ...], CosetTable] = {}
         self._irr_permutations: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
         self._multiplicities: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         self._char_table = None  # set by characters.character_table
@@ -180,32 +184,41 @@ class FiniteGroup:
         return self.subgroup_from_members(
             g for g in self.elements() if rows[g] == [row[g] for row in rows])
 
-    def conjugation_action(self, H: "Subgroup") -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
-        """G acting on H by conjugation, as (coset_of, maps); cached per member set.
+    def conjugation_action(self, H: "Subgroup") -> "CosetTable":
+        """The left cosets of H and G acting on H by conjugation, as one
+        CosetTable(coset_of, reps, maps) cached per member set.
 
-        coset_of is ``left_cosets(G, H.members)[0]``.  For each left coset of H
-        whose minimal element n normalizes H, maps[coset] lists the position in
-        H.members of n^-1 h n for every h in H.members.  As nh normalizes H iff
-        n does and (nh)^-1 x (nh) is H-conjugate to n^-1 x n, these maps give
-        the whole action of N_G(H) on the classes of H.
+        Scanning G in index order, the first element not yet covered is the
+        minimum of its coset, reps[i], so coset 0 is H.  For each coset whose
+        lift n normalizes H, maps[coset] lists the position in H.members of
+        n^-1 h n for every h in H.members.  As nh normalizes H iff n does and
+        (nh)^-1 x (nh) is H-conjugate to n^-1 x n, these maps give the whole
+        action of N_G(H) on the classes of H.
         """
         if H.members not in self._conjugation:
             rows, inv = self._rows, self._inv
+            coset_of = [-1] * self.order
+            reps: list[int] = []
+            for g in self.elements():
+                if coset_of[g] < 0:
+                    row = rows[g]
+                    for h in H.members:
+                        coset_of[row[h]] = len(reps)
+                    reps.append(g)
             pos = {h: i for i, h in enumerate(H.members)}
-            coset_of, reps = left_cosets(self, H.members)
             images = {c: tuple(pos.get(rows[rows[inv[n]][h]][n]) for h in H.members)
                       for c, n in enumerate(reps)}
             maps = {c: image for c, image in images.items() if None not in image}
-            self._conjugation[H.members] = (coset_of, maps)
+            self._conjugation[H.members] = CosetTable(tuple(coset_of), tuple(reps), maps)
         return self._conjugation[H.members]
 
     def is_normal(self, H: "Subgroup") -> bool:
         """Whether gHg^-1 = H for every g: every coset of H normalizes it."""
-        return len(self.conjugation_action(H)[1]) * H.order == self.order
+        return len(self.conjugation_action(H).maps) * H.order == self.order
 
     def normalizer(self, H: "Subgroup") -> "Subgroup":
         """Largest subgroup N with nHn^-1 = H: the normalizing cosets of H."""
-        coset_of, maps = self.conjugation_action(H)
+        coset_of, _, maps = self.conjugation_action(H)
         return self.subgroup_from_members(n for n in self.elements() if coset_of[n] in maps)
 
     def quotient(self, A: "Subgroup") -> "QuotientGroup":
@@ -362,6 +375,15 @@ class Subgroup:
         return "Subgroup(order=%d of %s)" % (self.order, self.parent.name)
 
 
+class CosetTable(NamedTuple):
+    """The coset of each element, the coset lifts and the conjugation maps
+    of the normalizing cosets (``FiniteGroup.conjugation_action``)."""
+
+    coset_of: tuple[int, ...]
+    reps: tuple[int, ...]
+    maps: dict[int, tuple[int, ...]]
+
+
 class QuotientGroup:
     """A quotient H/A, for A normal in G and H a subgroup of G containing A,
     as ``coset_quotient`` builds it: the table of H/A, a projection (the
@@ -443,50 +465,25 @@ def _extend(rows: list[list[int]], members: Sequence[int],
     return tuple(sorted(seen))
 
 
-def left_cosets(G: FiniteGroup, members: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Left cosets gH of the subgroup H with the given members.
-
-    Returns (coset_of, reps): coset_of[g] is the index of the coset of g and
-    reps[i] is the minimal element of coset i.  Scanning G in index order,
-    the first element not yet covered is the minimum of its coset, so reps
-    increase and coset 0 is H itself.
-    """
-    rows = G._rows
-    coset_of = [-1] * G.order
-    reps: list[int] = []
-    for g in G.elements():
-        if coset_of[g] < 0:
-            row = rows[g]
-            for h in members:
-                coset_of[row[h]] = len(reps)
-            reps.append(g)
-    return tuple(coset_of), tuple(reps)
-
-
 def coset_quotient(H: Subgroup, A: Subgroup) -> QuotientGroup:
     """H/A for A normal in G = H.parent and H a union of cosets of A, named
     by G and |A| (e.g. "S4/4"); the caller checks both (FiniteGroup.quotient
     with H = G, orbits.extension_exists with H a stabilizer G_rho).
 
-    Read off the cached coset table of ``G.conjugation_action(A)``: coset q
-    is the q-th coset of A inside H in order of its minimal element, which is
-    its lift section[q], and cosets multiply through their lifts in G.
-    projection[g] is the coset of g, -1 for g outside H.
+    The section is the coset lifts of ``G.conjugation_action(A)`` that lie
+    in H: coset q of H/A is the coset of section[q], and cosets multiply
+    through their lifts in G.  projection[g] is the coset of g, -1 off H.
     """
     G = H.parent
     rows = G._rows
-    coset_of, _ = G.conjugation_action(A)
-    pos: dict[int, int] = {}
-    section = []
-    for g in H.members:  # sorted: a coset is met first at its minimum
-        if coset_of[g] not in pos:
-            pos[coset_of[g]] = len(section)
-            section.append(g)
+    coset_of, reps, _ = G.conjugation_action(A)
+    section = tuple(n for n in reps if n in H)
+    pos = {coset_of[n]: q for q, n in enumerate(section)}
     table = [[pos[coset_of[rows[x][y]]] for y in section] for x in section]
     # unchecked: A is normal, so the coset products form the group H/A
     qgrp = FiniteGroup(table, name="%s/%d" % (G.name, A.order), check=False)
     projection = tuple(pos.get(c, -1) for c in coset_of)
-    return QuotientGroup(qgrp, projection, tuple(section))
+    return QuotientGroup(qgrp, projection, section)
 
 
 def minimal_generators(G: FiniteGroup, members: Sequence[int]) -> tuple[int, ...]:

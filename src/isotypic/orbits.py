@@ -33,7 +33,7 @@ def irr_permutations(G: FiniteGroup, A: Subgroup) -> dict[int, tuple[int, ...]]:
         table = character_table(A.as_group()[0])
         G._irr_permutations[A.members] = {
             c: tuple(table.row_index(row.pullback(conj_map).values) for row in table.rows)
-            for c, conj_map in G.conjugation_action(A)[1].items()}
+            for c, conj_map in G.conjugation_action(A).maps.items()}
     return G._irr_permutations[A.members]
 
 
@@ -43,7 +43,7 @@ def irr_action(G: FiniteGroup, A: Subgroup, g: int, tau: int) -> int:
     Defines a left action of N_G(A) on the rows of A's character table;
     raises NotNormal unless g normalizes A.
     """
-    perm = irr_permutations(G, A).get(G.conjugation_action(A)[0][g])
+    perm = irr_permutations(G, A).get(G.conjugation_action(A).coset_of[g])
     if perm is None:
         raise NotNormal("element does not normalize the subgroup")
     return perm[tau]
@@ -51,7 +51,7 @@ def irr_action(G: FiniteGroup, A: Subgroup, g: int, tau: int) -> int:
 
 def irr_stabilizer(G: FiniteGroup, A: Subgroup, tau: int) -> Subgroup:
     """The union of the cosets of A whose permutation fixes row tau."""
-    coset_of, _ = G.conjugation_action(A)
+    coset_of = G.conjugation_action(A).coset_of
     fixed = {c for c, perm in irr_permutations(G, A).items() if perm[tau] == tau}
     return G.subgroup_from_members(g for g in G.elements() if coset_of[g] in fixed)
 

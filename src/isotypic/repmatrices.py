@@ -290,7 +290,7 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
         rng = np.random.default_rng(seed)
         # lifts are minimal in their coset of A, so maps[coset_of[g]] is
         # exactly a -> g^-1 a g
-        coset_of, maps = G.conjugation_action(A)
+        coset_of, _, maps = G.conjugation_action(A)
         units = [eye.copy()]
         for g in reps_g[1:]:
             U = intertwiner(rep.conjugated(maps[coset_of[g]]), rep, rng=rng, tol=tol)

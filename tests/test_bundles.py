@@ -200,8 +200,7 @@ def test_verify_decomposition_g_invariant_along_orbits(d8):
     G, A = d8
     _, rho = rho_row((G, A), 1)
     E = EquivariantBundle.induced(G, A, rho)
-    recs = orbit_decomposition(G, A)
-    check = verify_decomposition(E, A, records=recs)
+    check = verify_decomposition(E, A)
     assert check.ok
     assert sorted(check.per_point) == list(range(E.base.size))
 
@@ -331,10 +330,9 @@ def test_random_bundles_decompose(pairs):
     for name, G, A in pairs:
         if G.order > 24:
             continue
-        recs = orbit_decomposition(G, A)
         for _ in range(10):
             E = _random_bundle(G, A, rng)
-            assert verify_decomposition(E, A, records=recs).ok, name
+            assert verify_decomposition(E, A).ok, name
 
 
 def test_induction_piece_transports_each_fiber_once(monkeypatch):
@@ -370,9 +368,37 @@ def test_induction_piece_transports_each_fiber_once(monkeypatch):
 
     monkeypatch.setattr(bundles, "fiber_character", fiber)
     monkeypatch.setattr(bundles, "induction_piece_character", piece)
-    assert verify_decomposition(bundle, A, records=records).ok
+    assert verify_decomposition(bundle, A).ok
     assert piece_calls[0] == bundle.base.size * len(records)
     assert inside and max(inside.values()) == 1
+
+
+def test_verification_scans_cosets_once_per_member_set(monkeypatch):
+    """Every transversal of one verification of the shipped bundle is read
+    off the cached coset table of conjugation_action: each member set is
+    scanned at most once, and the induced pieces ask for the table of each
+    orbit's stabilizer."""
+    from collections import Counter
+
+    from isotypic.groups import FiniteGroup
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "isotypic", "data",
+                        "d8_rho_bundle.json")
+    bundle, G, A = load_bundle_file(path)
+    scans, asked = Counter(), set()
+    real = FiniteGroup.conjugation_action
+
+    def counted(self, H):
+        if H.members not in self._conjugation:
+            scans[(id(self), H.members)] += 1
+        asked.add((id(self), H.members))
+        return real(self, H)
+
+    monkeypatch.setattr(FiniteGroup, "conjugation_action", counted)
+    assert verify_decomposition(bundle, A).ok
+    assert verify_decomposition(bundle, A).ok
+    assert scans and max(scans.values()) == 1
+    from isotypic.orbits import irr_orbits
+    assert {(id(G), orbit.stabilizer.members) for orbit in irr_orbits(G, A)} <= asked
 
 
 def test_bundle_verification_runs_no_float_code(pairs, monkeypatch, capsys):
@@ -405,8 +431,6 @@ def test_bundle_verification_runs_no_float_code(pairs, monkeypatch, capsys):
 # -- the action law is checked on generators only ----------------------------------
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from isotypic.groups import closure, left_cosets  # noqa: E402
 
 from conftest import dihedral  # noqa: E402
 
@@ -460,7 +484,7 @@ def test_gset_accepts_exactly_the_group_actions(data):
             # action[phi(g)] with phi(g c) = phi(g) c and phi(c) = c keeps the
             # law for c and for no generator outside <c>, as a rule
             c = data.draw(st.integers(1, G.order - 1))
-            coset_of, reps = left_cosets(G, closure(G, [c]))
+            coset_of, reps, _ = G.conjugation_action(G.subgroup([c]))
             pi = [0] + data.draw(st.permutations(range(1, len(reps))))
             action = [action[G.mul(reps[pi[coset_of[g]]], G.mul(G.inv(reps[coset_of[g]]), g))]
                       for g in G.elements()]
@@ -469,8 +493,22 @@ def test_gset_accepts_exactly_the_group_actions(data):
             x, y = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
             action[g][x], action[g][y] = action[g][y], action[g][x]
     try:
-        GSet(G, action)
+        X = GSet(G, action)
         accepted = True
     except ValueError:
         accepted = False
     assert accepted == _reference_is_action(G, action)
+    if accepted:
+        _check_origin_table(G, X)
+
+
+def _check_origin_table(G, X):
+    """Orbits and transporters of an accepted G-set against brute force."""
+    orbits = sorted({tuple(sorted({X.act(g, x) for g in G.elements()}))
+                     for x in range(X.size)})
+    assert X.orbits() == orbits
+    for orb in orbits:
+        for x in orb:
+            assert X.transporter(x) == min(g for g in G.elements() if X.act(g, orb[0]) == x)
+            for y in orb:
+                assert X.act(X.transporter_from(x, y), x) == y

@@ -347,6 +347,48 @@ def _bundle_with_multiplicities(tmp_path, ms):
     return str(path)
 
 
+@pytest.mark.parametrize("content", ["[1, 2]", "fibers-5"], ids=["top-level-list", "fibers-int"])
+def test_bundle_verify_rejects_malformed_files(content, tmp_path, capsys):
+    """A bundle file whose top level is not an object, or whose fibers are
+    not a list, is an input error (exit 2, an error: line), not a crash."""
+    if content == "fibers-5":
+        with open(data_path("d8_rho_bundle.json")) as fh:
+            data = json.load(fh)
+        data["fibers"] = 5
+        data["group"] = data_path("d8.json")
+        content = json.dumps(data)
+    path = tmp_path / "malformed.json"
+    path.write_text(content)
+    with pytest.raises(FileFormatError):
+        load_bundle_file(str(path))
+    assert main(["bundle-verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_readme_quick_start_commands_run(monkeypatch, capsys):
+    """Every command of the README's command-line block exits 0 and prints
+    the identity its comment states, which for D8 and Q8 are 5 = 2 + 2 + 1
+    and 5 = 4 + 1."""
+    import re
+    import shlex
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1) for line in block.splitlines() if line.startswith("isotypic ")]
+    assert len(commands) == 7
+    monkeypatch.chdir(root)
+    outputs = {}
+    for command, *comment in commands:
+        assert main(shlex.split(command)[1:]) == 0, command
+        outputs[command.strip()] = capsys.readouterr().out
+        for identity in re.findall(r"\d+ = \d+(?: \+ \d+)*", "".join(comment)):
+            assert "identity: %s\n" % identity in outputs[command.strip()], command
+    assert "identity: 5 = 2 + 2 + 1" in outputs["isotypic clifford catalog:D8"]
+    assert "identity: 5 = 4 + 1" in outputs["isotypic clifford catalog:Q8"]
+
+
 @pytest.mark.parametrize("ms", [[0, 0, 1.5, 0], [0, 0, "1", 0], [0, 0, True, 0],
                                 [0, 0, -1, 0], [0, 0, None, 0], [0, 0, 1], [0, 0, 1, 0, 0],
                                 1, "0010", {"2": 1}],

@@ -5,7 +5,7 @@ import pytest
 from isotypic import groups
 from isotypic.catalog import CATALOG, all_catalog_groups, build_catalog_group
 from isotypic.errors import CapExceeded, ClosureOverflow, InvalidPermutation, NotNormal
-from isotypic.groups import FiniteGroup, _check_axioms, group_from_generators, left_cosets
+from isotypic.groups import FiniteGroup, _check_axioms, group_from_generators
 
 from conftest import (S3_GENS, S4_GENS, brute_conjugacy_classes, dihedral,
                       direct_product, relabelled_group)
@@ -235,7 +235,7 @@ def test_all_subgroups_d2p_shape():
 
 
 def _check_left_cosets(G, H):
-    coset_of, reps = left_cosets(G, H.members)
+    coset_of, reps, _ = G.conjugation_action(H)
     blocks = {}
     for g in G.elements():
         blocks.setdefault(coset_of[g], []).append(g)

@@ -446,7 +446,7 @@ def _cycle_types(profile):
 def test_conjugation_action_under_relabelling(name, seed):
     G, A = _relabelled_pair(name, seed)
     Agrp, _ = A.as_group()
-    coset_of, maps = G.conjugation_action(A)
+    coset_of, _, maps = G.conjugation_action(A)
     # every g in N_G(A), not only the coset minima, acts on A's classes by its
     # coset's map
     for g in G.elements():

@@ -435,7 +435,7 @@ def _float_obstruction_reference(G_rho, A, rho, seed, tol=DEFAULT_TOL):
 
     rng = np.random.default_rng(seed)
     reps_g = [sembed[Q.lift(q)] for q in range(m)]
-    coset_of, maps = G.conjugation_action(A)
+    coset_of, _, maps = G.conjugation_action(A)
     eye = np.eye(d)
     units = []
     for q in range(m):
