@@ -301,16 +301,16 @@ def global_generator_series(G: FiniteGroup, max_degree: int):
 
 
 def is_family(G: FiniteGroup, members: set) -> bool:
-    """Closed under subgroups and conjugation (members: set of member-tuples)."""
-    subs = {s.members: s for s in G.all_subgroups()}
-    for mem in members:
-        s = subs[mem]
-        for g in G.elements():
-            if s.conjugate(g).members not in members:
-                return False
-        for t in subs.values():
-            if set(t.members) <= set(mem) and t.members not in members:
-                return False
+    """Closed under subgroups and conjugation (members: set of member-tuples):
+    each conjugacy class of subgroups lies wholly inside or wholly outside,
+    and no subgroup outside lies in one inside."""
+    family = [set(mem) for mem in members]
+    for cls in G.subgroup_conjugacy_classes():
+        held = [s.members in members for s in cls]
+        if any(held) and not all(held):
+            return False
+        if not any(held) and any(set(s.members) <= m for s in cls for m in family):
+            return False
     return True
 
 

@@ -8,7 +8,10 @@ Conventions used throughout the package:
   * the left cosets gH of a subgroup H are numbered in the order of their
     minimal elements, and that minimum is the coset's lift; the one table of
     them is ``FiniteGroup.conjugation_action(H)``, which every transversal
-    (quotients, coset G-sets, induction) reads.
+    (quotients, coset G-sets, induction) reads,
+  * subgroups are enumerated once, class by class, by
+    ``FiniteGroup.subgroup_conjugacy_classes``, which extends only class
+    representatives; ``all_subgroups`` is the sorted flattening of its classes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import numpy as np
 from .errors import CapExceeded, ClosureOverflow, InvalidPermutation, NotNormal
 
 DEFAULT_ORDER_CAP = 10000
-# all_subgroups raises CapExceeded past this many subgroups; read at call time
+# the subgroup enumeration (subgroup_conjugacy_classes, hence all_subgroups)
+# raises CapExceeded past this many subgroups, conjugates included; read at
+# call time
 SUBGROUP_CAP = 20000
 
 # Full associativity is O(n^3); above this order we spot-check random triples.
@@ -34,7 +39,7 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     Immutable after construction; any number of readers may share an
-    instance.  Derived data (classes, exponent, subgroup lattice and classes,
+    instance.  Derived data (classes, exponent, subgroup classes,
     conjugation actions, character table, and the orbits module's actions on
     Irr(H) and restriction multiplicities) is cached lazily on the instance.
     The table is kept once, as nested Python lists (``_rows``, with ``_inv``);
@@ -61,7 +66,6 @@ class FiniteGroup:
         self._exponent: Optional[int] = None
         self._classes: Optional[list[tuple[int, ...]]] = None
         self._class_of: Optional[list[int]] = None
-        self._lattice: Optional[list["Subgroup"]] = None
         self._subgroup_classes: Optional[list[list["Subgroup"]]] = None
         self._subgroup_cache: dict[tuple[int, ...], tuple["FiniteGroup", tuple[int, ...]]] = {}
         self._conjugation: dict[tuple[int, ...], CosetTable] = {}
@@ -230,67 +234,53 @@ class FiniteGroup:
         return coset_quotient(self.full_subgroup(), A)
 
     def all_subgroups(self) -> list["Subgroup"]:
-        """Every subgroup, sorted by (order, members).
+        """Every subgroup, sorted by (order, members): the flattened
+        ``subgroup_conjugacy_classes``, as a fresh list on every call."""
+        subs = [s for cls in self.subgroup_conjugacy_classes() for s in cls]
+        subs.sort(key=lambda s: (s.order, s.members))
+        return subs
 
-        Starts from the cyclic subgroups and extends each subgroup H found by
-        one element g outside it.  Since <H, g> = <H, hg> for every h in H,
-        one g per right coset Hg gives every extension, so the rest of the
-        coset is skipped; <H, g> is closed from H's members by right cosets
-        (see ``_extend``).  CapExceeded is raised once a new non-cyclic
-        subgroup is found with more than ``SUBGROUP_CAP`` already known; a
-        lattice found within the cap is cached on the group, and every call
-        returns a fresh list.
+    def subgroup_conjugacy_classes(self) -> list[list["Subgroup"]]:
+        """Conjugacy classes of subgroups, each class sorted, classes sorted
+        by (order, members of the minimal representative).
+
+        One enumeration from class representatives (Neubuser's 1960 cyclic
+        extension): every K != 1 is <M, g> for a maximal subgroup M of K, and
+        M is conjugate to a class's first-found member H, so extending each H
+        reaches every class.  Since <H, g> = <H, hg> for h in H, one g per
+        right coset Hg is extended, by ``_extend`` with H's members as the
+        generators.  A new subgroup's class is closed by breadth-first
+        conjugation under G's generators.  CapExceeded is raised once a new
+        subgroup is found with more than ``SUBGROUP_CAP`` already known.
+        Cached only when complete; every call returns fresh lists.
         """
-        if self._lattice is None:
-            rows = self._rows
-            found: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
-            frontier = [(0,)]
-            for g in self.elements():
-                mem = closure(self, (g,))
-                if mem not in found:
-                    found[mem] = (g,)
-                    frontier.append(mem)
-            while frontier:
-                mem = frontier.pop()
-                gens = found[mem]
-                if len(mem) == self.order:
-                    continue
+        if self._subgroup_classes is None:
+            rows, inv = self._rows, self._inv
+            gens = minimal_generators(self, self.elements())
+            known = {(0,)}
+            orbits = [[(0,)]]
+            for cls in orbits:  # orbits grows while it is scanned
+                mem = cls[0]
                 done = set(mem)  # H and every right coset Hg extended so far
                 for g in self.elements():
                     if g in done:
                         continue
                     done.update([rows[h][g] for h in mem])
-                    bigger = _extend(rows, mem, gens + (g,))
-                    if bigger not in found:
-                        if len(found) > SUBGROUP_CAP:
+                    queue = [_extend(rows, mem, mem + (g,))]
+                    orbit = []
+                    for sub in queue:  # queue grows while it is scanned
+                        if sub in known:
+                            continue
+                        if len(known) > SUBGROUP_CAP:
                             raise CapExceeded("subgroup enumeration exceeded cap %d" % SUBGROUP_CAP)
-                        found[bigger] = gens + (g,)
-                        frontier.append(bigger)
-            subs = [Subgroup(self, mem) for mem in found]
-            subs.sort(key=lambda s: (s.order, s.members))
-            self._lattice = subs
-        return list(self._lattice)
-
-    def subgroup_conjugacy_classes(self) -> list[list["Subgroup"]]:
-        """Conjugacy classes of subgroups, each class sorted, classes sorted
-        by (order, members of the minimal representative).  Cached; every
-        call returns fresh lists."""
-        if self._subgroup_classes is None:
-            rows, inv = self._rows, self._inv
-            subs = self.all_subgroups()
-            by_members = {s.members: s for s in subs}
-            seen: set[tuple[int, ...]] = set()
-            classes: list[list[Subgroup]] = []
-            for s in subs:
-                if s.members in seen:
-                    continue
-                orbit = set()
-                for g in self.elements():
-                    row, gi = rows[g], inv[g]
-                    orbit.add(tuple(sorted([rows[row[h]][gi] for h in s.members])))
-                cls = sorted(orbit)
-                seen.update(cls)
-                classes.append([by_members[m] for m in cls])
+                        known.add(sub)
+                        orbit.append(sub)
+                        for s in gens:
+                            row, si = rows[s], inv[s]
+                            queue.append(tuple(sorted([rows[row[h]][si] for h in sub])))
+                    if orbit:
+                        orbits.append(orbit)
+            classes = [[Subgroup(self, mem) for mem in sorted(cls)] for cls in orbits]
             classes.sort(key=lambda c: (c[0].order, c[0].members))
             self._subgroup_classes = classes
         return [list(c) for c in self._subgroup_classes]
@@ -332,10 +322,6 @@ class Subgroup:
 
     def __hash__(self) -> int:
         return hash((id(self.parent), self.members))
-
-    def conjugate(self, g: int) -> "Subgroup":
-        G = self.parent
-        return Subgroup(G, (G.conj(g, h) for h in self.members))
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """Materialize as a standalone FiniteGroup, named by the parent and

@@ -274,6 +274,9 @@ def test_is_family_detects_closure():
     refl = next(s for s in subs if s.order == 2)
     assert is_family(G, {trivial.members})
     assert not is_family(G, {trivial.members, refl.members})  # misses conjugates
+    full = next(s for s in subs if s.order == 6)
+    assert not is_family(G, {trivial.members, full.members})  # misses the subgroups of D6
+    assert is_family(G, {s.members for s in subs})
 
 
 def test_d2p_certify_p3_families():

@@ -159,7 +159,8 @@ def test_is_normal_is_cached_per_member_set(monkeypatch):
     G = group_from_generators(4, S4_GENS, name="S4")
     for H in G.all_subgroups():
         # brute force: H is normal iff every conjugate of H is H
-        normal = all(H.conjugate(g).members == H.members for g in G.elements())
+        normal = all(tuple(sorted(G.conj(g, h) for h in H.members)) == H.members
+                     for g in G.elements())
         assert G.is_normal(H) is normal
         assert G.is_normal(H) is normal
     # one scan of G per member set, whichever Subgroup object asks
@@ -338,6 +339,7 @@ PRODUCTS = {
     "S3xS3": (6, direct_product(S3_GENS, 3, S3_GENS, 3)),
     "S4xZ2": (6, direct_product(S4_GENS, 4, [[1, 0]], 2)),
     "S5": (5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4], [2, 1, 0, 3, 4]]),
+    "S4xS3": (7, direct_product(S4_GENS, 4, S3_GENS, 3)),
 }
 
 
@@ -357,11 +359,60 @@ def test_all_subgroups_matches_plain_enumeration_catalog():
 
 
 @pytest.mark.parametrize("name, counts", [
-    ("S3xS3", (60, 22)), ("S4xZ2", (98, 33)), ("S5", (156, 19))])
+    ("S3xS3", (60, 22)), ("S4xZ2", (98, 33)), ("S5", (156, 19)), ("S4xS3", (372, 70))])
 def test_all_subgroups_matches_plain_enumerationrelabelled_group(name, counts):
     degree, gens = PRODUCTS[name]
     G = relabelled_group(name, degree, gens, random.Random(name))
     assert _check_against_plain(G) == counts
+
+
+def _elementary_abelian(p, rank):
+    cycle = [[(i + 1) % p for i in range(p)]]
+    gens, degree = cycle, p
+    for _ in range(rank - 1):
+        gens, degree = direct_product(gens, degree, cycle, p), degree + p
+    return group_from_generators(degree, gens, name="Z%d^%d" % (p, rank))
+
+
+def _subgroup_counts_by_order(G):
+    orders = [s.order for s in G.all_subgroups()]
+    return tuple(orders.count(d) for d in sorted(set(orders)))
+
+
+def test_subgroup_counts_by_order():
+    # the subspaces of F_p^n of each dimension: the Gaussian binomials
+    assert _subgroup_counts_by_order(_elementary_abelian(2, 6)) == \
+        (1, 63, 651, 1395, 651, 63, 1)
+    assert _subgroup_counts_by_order(_elementary_abelian(3, 3)) == (1, 13, 13, 1)
+    D8 = [[1, 2, 3, 0], [3, 2, 1, 0]]
+    G = group_from_generators(10, direct_product(direct_product(D8, 4, D8, 4), 8, [[1, 0]], 2),
+                              name="D8xD8xZ2")
+    assert G.order == 128
+    assert len(G.subgroup_conjugacy_classes()) == 1268
+    assert len(G.all_subgroups()) == 2428
+
+
+def test_one_enumeration_serves_classes_and_lattice(monkeypatch):
+    """The classes are found by extending class representatives only, at most
+    one _extend per right coset of each, and all_subgroups reads them."""
+    calls = []
+    extend = groups._extend
+
+    def counting_extend(rows, members, generators):
+        calls.append(len(members))
+        return extend(rows, members, generators)
+
+    monkeypatch.setattr(groups, "_extend", counting_extend)
+    S3xS3 = relabelled_group("S3xS3", *PRODUCTS["S3xS3"], random.Random(3))
+    for G in [group_from_generators(4, S4_GENS, name="S4"), S3xS3, _elementary_abelian(2, 4)]:
+        calls.clear()
+        classes = G.subgroup_conjugacy_classes()
+        made = len(calls)
+        assert made <= sum(G.order // c[0].order for c in classes), G.name
+        subs = G.all_subgroups()
+        assert len(calls) == made, G.name
+        assert [s.members for s in subs] == \
+            sorted((s.members for c in classes for s in c), key=lambda m: (len(m), m))
 
 
 def test_subgroup_lattice_cache_returns_fresh_lists():
@@ -432,7 +483,7 @@ def test_closure_and_quotient_tables_are_group_tables():
 def test_group_table_equals_all_pairs_composition():
     """group_from_generators fills its table along breadth-first words; the
     table must equal the one that composes every pair of permutations, on
-    every catalog group and on relabelled S3xS3, S4xZ2 and S5."""
+    every catalog group and on relabelled S3xS3, S4xZ2, S5 and S4xS3."""
     rng = random.Random(7)
     relabelled = [relabelled_group(name, *PRODUCTS[name], rng) for name in PRODUCTS]
     for G in all_catalog_groups() + relabelled:
