@@ -10,9 +10,13 @@ Burnside's lemma, localized away from the group order.
 
 The count depends only on the Weyl cycle types: for each w in N_G(A)/A, the
 multiset of (cycle length, degree) over the cycles of w on the nontrivial
-irreducibles of A.  For abelian A these are read off the conjugation action
-on A's nonidentity elements, with no character table (Brauer's permutation
-lemma); for non-abelian A, off ``rank_profile``.
+irreducibles of A.  They are read off the action on the classes of A and on
+the cosets of A' (Brauer's permutation lemma, Isaacs Thm 6.32 and
+Cor. 6.33), with no character table, whenever every non-linear degree of A
+equals the smallest prime p dividing |A|, that is when
+|A| - [A:A'] = (k(A) - [A:A'])p^2; abelian A has no non-linear degree.
+Only when the criterion fails (S4, A4, F20, S3xS3, S5, ...) is a table
+built, by ``rank_profile``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .catalog import build_catalog_group
 from .characters import character_table
 from .cyclotomic import _factorize
 from .errors import CapExceeded, NotNormal, NotOdd, NotPrime
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, closure
 from .orbits import irr_permutations
 
 MAX_DEGREE = 200
@@ -191,18 +195,65 @@ def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
     """The cycle types of N_A/A on the nontrivial irreducibles of A, as
     ``RankProfile.cycle_types`` counts them, one per coset of A in N_A.
 
-    For abelian A no table is built: by Brauer's permutation lemma (Isaacs,
-    Thm 6.32) each w has the same cycle type on Irr(A) as on the classes of
-    A, which are its elements, all irreducibles having degree 1.  So the
-    cycles are those of w's conjugation map on the nonidentity members.
+    Read off G's table, with no character table of A when all non-linear
+    degrees of A are equal to p, the smallest prime factor of |A|.  By
+    Brauer's permutation lemma (Isaacs, Thm 6.32 and Cor. 6.33) each w has
+    the same cycle type on Irr(A) as on the classes of A, and, applied to
+    the abelian group A/A', the same cycle type on the linear characters
+    as on the cosets of A'.  So the cycles on the non-linear characters are
+    the multiset difference of the two.  Each non-linear degree divides |A|
+    and exceeds 1, so it is at least p; the k(A) - [A:A'] of them have
+    squares summing to |A| - [A:A'], so they all equal p exactly when that
+    sum is (k(A) - [A:A'])p^2.  Abelian A (A' = 1, the trivial subgroup
+    included) has no non-linear degree.  Otherwise (S4, A4, F20, S3xS3,
+    S5, ...) the types are read off ``rank_profile``.
     """
-    rows, members = G._rows, A.members
-    if any(rows[a][b] != rows[b][a] for a in members for b in members):
-        return rank_profile(G, A).cycle_types()
-    # members[0] is the identity, fixed by every map
-    dims = (1,) * (A.order - 1)
-    return Counter(_cycle_type([i - 1 for i in image[1:]], dims)
-                   for image in G.conjugation_action(A).maps.values())
+    rows, inv, members = G._rows, G._inv, A.members
+    pos = {h: i for i, h in enumerate(members)}
+    # the classes of A by position (class 0 holds the identity), and the
+    # commutators c h^-1 for c in the class of each representative h, which
+    # generate A' as [x, yhy^-1] = [xy, h][y, h]^-1
+    class_of = [-1] * A.order
+    class_reps: list[int] = []
+    commutators = set()
+    for i, h in enumerate(members):
+        if class_of[i] < 0:
+            cls = {rows[rows[x][h]][inv[x]] for x in members}
+            for c in cls:
+                class_of[pos[c]] = len(class_reps)
+            class_reps.append(i)
+            commutators.update([rows[c][inv[h]] for c in cls])
+    derived = closure(G, sorted(commutators))
+    # the cosets of A' by position (coset 0 is A')
+    coset_of = [-1] * A.order
+    coset_reps: list[int] = []
+    for i, h in enumerate(members):
+        if coset_of[i] < 0:
+            row = rows[h]
+            for d in derived:
+                coset_of[pos[row[d]]] = len(coset_reps)
+            coset_reps.append(i)
+    k, index = len(class_reps), len(coset_reps)
+    if k > index:  # A is not abelian, so |A| has a prime factor
+        p = _factorize(A.order)[0][0]
+        if A.order - index != (k - index) * p * p:
+            return rank_profile(G, A).cycle_types()
+    # each map fixes class 0 and coset 0, the trivial character
+    ones = (1,) * k
+    types: dict[tuple, tuple] = {}
+    out: Counter = Counter()
+    for image in G.conjugation_action(A).maps.values():
+        if image not in types:
+            cycles = _cycle_type([coset_of[image[i]] - 1 for i in coset_reps[1:]], ones)
+            if k > index:
+                rest = Counter(_cycle_type([class_of[image[i]] - 1 for i in class_reps[1:]], ones))
+                rest.subtract(cycles)
+                if min(rest.values()) < 0:
+                    raise AssertionError("cosets of A' have cycles the classes of A lack")
+                cycles = tuple(sorted(cycles + tuple((ell, p) for ell, _ in rest.elements())))
+            types[image] = cycles
+        out[types[image]] += 1
+    return out
 
 
 def enumerate_arrays(profile: RankProfile, k: int) -> list[tuple[int, ...]]:
@@ -371,7 +422,8 @@ def d2p_certify(p: int, max_degree: int) -> D2pReport:
     rotation = next(s for s in subs if s.order == p)
     reflections = [s for s in subs if s.order == 2]
     full = next(s for s in subs if s.order == 2 * p)
-    assert len(subs) == p + 3
+    if len(subs) != p + 3:
+        raise AssertionError("D%d must have %d subgroups, not %d" % (2 * p, p + 3, len(subs)))
 
     f0 = {trivial.members}
     f1 = f0 | {rotation.members}
@@ -381,13 +433,15 @@ def d2p_certify(p: int, max_degree: int) -> D2pReport:
     for name, fam in [("F0", f0), ("F1", f1), ("F2", f2), ("F3", f3)]:
         if not is_family(G, fam):
             raise AssertionError("%s is not closed under subgroups/conjugation" % name)
-    assert f2 == {s.members for s in subs if s.order != 2 * p}, "F2 must be all but the full group"
+    if f2 != {s.members for s in subs if s.order != 2 * p}:
+        raise AssertionError("F2 must be all but the full group")
 
     # each subgroup order is one conjugacy class of subgroups of D2p, so the
     # global breakdown already holds every pair's series, keyed by order
     total, breakdown = global_generator_series(G, max_degree)
     series_of_order = {H.order: series for H, _, series in breakdown}
-    assert len(series_of_order) == len(breakdown)
+    if len(series_of_order) != len(breakdown):
+        raise AssertionError("two subgroup classes of D%d share an order" % (2 * p))
 
     steps = [("(F1,F0)", rotation), ("(F2,F1)", reflections[0]), ("(F3,F2)", full)]
     adjacency = []
@@ -407,9 +461,10 @@ def d2p_certify(p: int, max_degree: int) -> D2pReport:
 
     # the full group and each reflection subgroup are self-normalizing,
     # while the rotation subgroup has Weyl group Z/2
-    assert adjacency[0]["weyl_order"] == 2
-    assert adjacency[1]["weyl_order"] == 1
-    assert adjacency[2]["weyl_order"] == 1
+    for step, weyl_order in zip(adjacency, (2, 1, 1)):
+        if step["weyl_order"] != weyl_order:
+            raise AssertionError("%s must have Weyl order %d, not %d"
+                                 % (step["pair"], weyl_order, step["weyl_order"]))
 
     swap = next(cycle_type for cycle_type in weyl_cycle_types(G, rotation)
                 if any(ell > 1 for ell, _ in cycle_type))

@@ -324,7 +324,8 @@ def main(argv=None) -> int:
         code = next(code for classes, code in _ERROR_CODES if isinstance(exc, classes))
         print("error: %s" % exc, file=sys.stderr)
         return code
-    except IsotypicError as exc:
+    except (IsotypicError, AssertionError) as exc:
+        # an AssertionError is a failed exact check inside the package
         print("internal inconsistency: %s" % exc, file=sys.stderr)
         return EXIT_INCONSISTENT
     if args.format == "json":

@@ -294,7 +294,8 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
         units = [eye.copy()]
         for g in reps_g[1:]:
             U = intertwiner(rep.conjugated(maps[coset_of[g]]), rep, rng=rng, tol=tol)
-            assert U is not None, "coset representative does not stabilize rho"
+            if U is None:
+                raise AssertionError("coset representative does not stabilize rho")
             units.append(_det_normalize(U))
 
     omega = [[0] * m for _ in range(m)]

@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
+import isotypic
+from isotypic import bordism
 from isotypic.bordism import (PowerSeries, adjacent_family_series,
                               bu_generator_series, burnside_label_series,
                               d2p_certify, enumerate_arrays,
@@ -119,16 +125,26 @@ def test_rank_profile_weyl_action_matches_normalizer_quotient():
             assert rank_profile(G, A).perms == _reference_weyl_perms(G, A), (G.name, A.members)
 
 
-def test_weyl_cycle_types_agree_with_rank_profile():
-    """The abelian route (Brauer's permutation lemma on A's nonidentity
-    elements) gives the cycle types the character-table route gives, on every
-    subgroup class, and the cycle types do not change with a relabelling."""
+def test_weyl_cycle_types_agree_with_rank_profile(monkeypatch):
+    """Both routes give the cycle types the character-table route gives, on
+    every subgroup class, and the cycle types do not change with a
+    relabelling.  The class/A' route (Brauer's permutation lemma on the
+    classes of A and the cosets of A') builds no table; ``rank_profile`` is
+    called exactly when some non-linear degree of A differs from the
+    smallest prime factor p of |A|."""
+    tables = []
+
+    def counted(G, A):
+        tables.append((G.name, A.order))
+        return rank_profile(G, A)
+
+    monkeypatch.setattr(bordism, "rank_profile", counted)
     rng = random.Random(13)
     specs = [(e.name, e.degree, e.generators) for _, e in sorted(CATALOG.items())]
     specs += [("S3xS3", 6, direct_product(S3_GENS, 3, S3_GENS, 3)),
               ("S4xZ2", 6, direct_product(S4_GENS, 4, [[1, 0]], 2)),
               ("S4xS3", 7, direct_product(S4_GENS, 4, S3_GENS, 3))]
-    abelian = 0
+    routes = Counter()
     for name, degree, gens in specs:
         summaries = []
         for G in (group_from_generators(degree, gens, name=name),
@@ -136,13 +152,40 @@ def test_weyl_cycle_types_agree_with_rank_profile():
             summary = []
             for cls in G.subgroup_conjugacy_classes():
                 A = cls[0]
+                before = len(tables)
                 types = weyl_cycle_types(G, A)
+                built = len(tables) - before
                 assert types == rank_profile(G, A).cycle_types(), (name, A.members)
-                abelian += A.as_group()[0].is_abelian
+                nonlinear = [d for d in character_table(A.as_group()[0]).degrees if d > 1]
+                p = min((q for q in range(2, A.order + 1) if A.order % q == 0), default=1)
+                route = "table" if any(d != p for d in nonlinear) else \
+                    "one degree" if nonlinear else "abelian"
+                assert built == (route == "table"), (name, A.members)
+                routes[route] += 1
+                if A.order == G.order:
+                    if name in ("S4", "A4"):
+                        assert built, name
+                    if name in ("D8", "Q8", "S3", "F21"):
+                        assert not built and nonlinear, name
                 summary.append((A.order, len(cls), sorted(types.items())))
             summaries.append(sorted(summary))
         assert summaries[0] == summaries[1], name
-    assert abelian > 100
+    assert routes == {"abelian": 408, "one degree": 156, "table": 48}, routes
+
+
+def test_global_series_d8_d8_z2_pinned():
+    """D8xD8xZ2 has 1268 subgroup classes, most of them non-abelian with
+    every non-linear degree 2; the coefficients were computed with a
+    character table for every non-abelian class."""
+    D8 = [[1, 2, 3, 0], [3, 2, 1, 0]]
+    G = group_from_generators(10, direct_product(direct_product(D8, 4, D8, 4), 8, [[1, 0]], 2),
+                              name="D8xD8xZ2")
+    total, breakdown = global_generator_series(G, 30)
+    assert len(breakdown) == 1268
+    assert list(total.coefficients) == [
+        1268, 0, 7999, 0, 50788, 0, 291853, 0, 1654196, 0, 9274012, 0, 51787140, 0,
+        286180811, 0, 1552851575, 0, 8209300572, 0, 42055358580, 0, 208145105862, 0,
+        994234593881, 0, 4584745731579, 0, 20432597002051, 0, 88141538601667]
 
 
 def test_global_series_z2_6_pinned():
@@ -315,6 +358,27 @@ def test_d2p_rejects_bad_input():
         d2p_certify(9, 10)
     with pytest.raises(NotPrime):
         d2p_certify(25, 10)
+
+
+def test_d2p_checks_survive_python_O():
+    """Under python -O, which strips assert statements, a failed d2p check
+    still stops the report: a normalizer that is always the whole group
+    gives the reflection step Weyl order p, and the command exits 5."""
+    script = "\n".join([
+        "import sys",
+        "from isotypic import cli",
+        "from isotypic.groups import FiniteGroup",
+        "assert sys.flags.optimize == 1 and not __debug__",
+        "FiniteGroup.normalizer = lambda self, H: self.full_subgroup()",
+        "sys.exit(cli.main(['d2p', '--p', '3', '--max-degree', '10']))",
+    ])
+    src = os.path.dirname(os.path.dirname(isotypic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 5, proc.stderr
+    assert "internal inconsistency: (F2,F1) must have Weyl order 1, not 3" in proc.stderr
 
 
 def test_d2p_odd_vanishing_through_40():

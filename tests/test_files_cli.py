@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from isotypic.catalog import CATALOG
+from isotypic import cli
 from isotypic.cli import main
 from isotypic.files import FileFormatError, load_bundle_file, load_group_file
 
@@ -181,6 +182,17 @@ def test_cmd_bundle_verify_not_a_trivial(tmp_path, capsys):
     f = tmp_path / "bad_base.json"
     f.write_text(json.dumps(data))
     assert main(["bundle-verify", str(f)]) == 6
+
+
+def test_internal_assertion_exits_inconsistent(monkeypatch, capsys):
+    """A failed exact check inside the package is an internal inconsistency
+    (exit 5), not the verified-false exit 1 of a corrupted bundle."""
+    def failing(*args, **kwargs):
+        raise AssertionError("class algebra failed to split")
+
+    monkeypatch.setattr(cli, "verify_decomposition", failing)
+    assert main(["bundle-verify", data_path("d8_rho_bundle.json")]) == 5
+    assert capsys.readouterr().err == "internal inconsistency: class algebra failed to split\n"
 
 
 def test_cmd_bordism_adjacent(capsys):
