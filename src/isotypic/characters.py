@@ -1,6 +1,9 @@
 """Exact irreducible character tables and class-function arithmetic.
 
-Tables are computed with the Dixon-Schneider method: the class matrices are
+The table of an abelian group is Hom(G, mu_e), e the exponent: its
+characters are built as exponent vectors mod e along a generating sequence,
+with values zeta_e^k, and each is its own determinant character.  Any other
+table is computed with the Dixon-Schneider method: the class matrices are
 simultaneously diagonalized over a prime field F_q with q = 1 (mod exponent)
 and q > 2*sqrt(|G|), and the resulting mod-q character values are lifted to
 exact cyclotomics by recovering the eigenvalue multiplicities of each class
@@ -351,15 +354,79 @@ def _class_matrix(G: FiniteGroup, classes, i: int) -> np.ndarray:
 def character_table(G: FiniteGroup) -> CharacterTable:
     """All irreducible characters of G with exact cyclotomic values.
 
-    Rows are sorted by (degree, lexicographic value order); the result is
-    cached on the group instance.  CapExceeded above order
-    DEFAULT_CHARTABLE_CAP.
+    An abelian G takes the route of ``_linear_table`` (Irr(G) = Hom(G, mu_e),
+    no prime field); any other G that of ``_dixon_schneider``.  Rows are
+    sorted by (degree, lexicographic value order); the result is cached on
+    the group instance.  CapExceeded above order DEFAULT_CHARTABLE_CAP.
     """
     if G._char_table is not None:
         return G._char_table
     if G.order > DEFAULT_CHARTABLE_CAP:
         raise CapExceeded("group order %d exceeds character table cap %d"
                           % (G.order, DEFAULT_CHARTABLE_CAP))
+    rows = _linear_table(G) if G.is_abelian else _dixon_schneider(G)
+    if sum(int(row.degree().integer()) ** 2 for row, _ in rows) != G.order:
+        raise AssertionError("sum of squared degrees does not match group order")
+    rows.sort(key=lambda pair: (pair[0].degree().integer(), pair[0].sort_key()))
+    table = CharacterTable(G, [row for row, _ in rows], [dets for _, dets in rows])
+    G._char_table = table
+    return table
+
+
+def _linear_table(G: FiniteGroup) -> list[tuple[ClassFunction, list[tuple[int, int]]]]:
+    """(row, determinants) for every character of an abelian G, unsorted.
+
+    Irr(G) = Hom(G, mu_e), e the exponent, built along a generating
+    sequence: g is the least element outside the subgroup H built so far
+    and m the least exponent with g^m in H.  A character chi of H with
+    chi(h) = zeta_e^k(h) extends to <H, g> in the m ways
+    chi(g^i h) = zeta_e^(i*lam + k(h)) with m*lam = k(g^m) (mod e).  Every
+    character is linear, so det o chi = chi.
+    """
+    n, e = G.order, G.exponent
+    inside = [False] * n
+    inside[0] = True
+    members = [0]
+    chars = [[0] * n]  # chars[c][h] = k with chi_c(h) = zeta_e^k, for h in H
+    for g in G.elements():
+        if inside[g]:
+            continue
+        cosets = []  # cosets[i - 1] = g^i H, aligned with members
+        gi, m = g, 1
+        while not inside[gi]:
+            cosets.append([G.mul(gi, h) for h in members])
+            gi = G.mul(gi, g)
+            m += 1
+        extended = []
+        for k in chars:
+            a = k[gi]
+            if a % m:
+                raise AssertionError("%d does not divide the exponent %d of chi(g^%d)"
+                                     % (m, a, m))
+            for j in range(m):
+                lam = a // m + j * (e // m)
+                ext = k[:]
+                for i, coset in enumerate(cosets, 1):
+                    off = i * lam
+                    for h, x in zip(members, coset):
+                        ext[x] = (k[h] + off) % e
+                extended.append(ext)
+        chars = extended
+        for coset in cosets:
+            members += coset
+            for x in coset:
+                inside[x] = True
+    roots = [Cyclotomic.root_of_unity(e, k) for k in range(e)]
+    dets = [(k // gcd(k, e), e // gcd(k, e)) for k in range(e)]
+    reps = [c[0] for c in G.conjugacy_classes()]
+    return [(ClassFunction(G, [roots[k[g]] for g in reps]), [dets[k[g]] for g in reps])
+            for k in chars]
+
+
+def _dixon_schneider(G: FiniteGroup) -> list[tuple[ClassFunction, list[tuple[int, int]]]]:
+    """(row, determinants) for every irreducible character of G, unsorted,
+    by the Dixon-Schneider split of the class matrices over F_q and the
+    cyclotomic lift of the module docstring."""
     classes = G.conjugacy_classes()
     r = len(classes)
     n = G.order
@@ -446,10 +513,4 @@ def character_table(G: FiniteGroup) -> CharacterTable:
             k %= m
             dets.append((k // gcd(k, m), m // gcd(k, m)))
         rows.append((ClassFunction(G, values), dets))
-
-    if sum(int(row.degree().integer()) ** 2 for row, _ in rows) != n:
-        raise AssertionError("sum of squared degrees does not match group order")
-    rows.sort(key=lambda pair: (pair[0].degree().integer(), pair[0].sort_key()))
-    table = CharacterTable(G, [row for row, _ in rows], [dets for _, dets in rows])
-    G._char_table = table
-    return table
+    return rows

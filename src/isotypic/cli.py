@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _ERROR_CODES = [
-    ((FileFormatError, InvalidPermutation, NotPrime, NotOdd, KeyError), EXIT_INPUT),
+    ((FileFormatError, InvalidPermutation, NotPrime, NotOdd), EXIT_INPUT),
     ((ClosureOverflow, CapExceeded), EXIT_CAP),
     ((NotNormal,), EXIT_NOT_NORMAL),
     ((NotATrivial,), EXIT_NOT_A_TRIVIAL),

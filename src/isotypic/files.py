@@ -37,14 +37,18 @@ def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP,
                     normal: Optional[str] = None) -> tuple[FiniteGroup, Optional[Subgroup]]:
     """Build a group and a subgroup of it from a file, read once.
 
-    The pseudo-path "catalog:NAME" resolves to a built-in group.  ``normal``
-    is the command line's --normal selector: None gives the subgroup the file
-    names (None if it names none); "trivial", "full" and "center" give those
-    subgroups; anything else is comma-separated indices into the file's
-    generators, which raise FileFormatError unless each is in range.
+    The pseudo-path "catalog:NAME" resolves to a built-in group, and raises
+    FileFormatError for an unknown NAME.  ``normal`` is the command line's
+    --normal selector: None gives the subgroup the file names (None if it
+    names none); "trivial", "full" and "center" give those subgroups;
+    anything else is comma-separated indices into the file's generators,
+    which raise FileFormatError unless each is in range.
     """
     if path.startswith("catalog:"):
         name = path.split(":", 1)[1]
+        if name not in CATALOG:
+            raise FileFormatError("unknown catalog group %s (known: %s)"
+                                  % (name, ", ".join(sorted(CATALOG))))
         G, A = build_catalog_group(name, cap=cap)
         generators = CATALOG[name].generators
     else:

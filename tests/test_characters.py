@@ -6,9 +6,9 @@ import pytest
 
 from isotypic import characters
 from isotypic.catalog import all_catalog_groups
-from isotypic.characters import (CharacterTable, ClassFunction, character_table,
-                                 determinant_character_value, induce,
-                                 inner_product, restrict)
+from isotypic.characters import (DEFAULT_CHARTABLE_CAP, CharacterTable, ClassFunction,
+                                 character_table, determinant_character_value,
+                                 induce, inner_product, restrict)
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import CapExceeded, GroupMismatch, NotSubgroup
 from isotypic.groups import group_from_generators
@@ -342,3 +342,118 @@ def test_export_roundtrip(z4):
     for row, exported in zip(t.rows, data["rows"]):
         back = [cyclotomic_from_jsonable(v) for v in exported["values"]]
         assert list(row.values) == back
+
+
+# -- abelian tables: Hom(A, mu_e) against the Dixon-Schneider reference -----------
+
+from math import prod  # noqa: E402
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from isotypic.catalog import CATALOG  # noqa: E402
+
+
+def cyclic_product_generators(ns):
+    """Degree and generators of Z_n1 x ... x Z_nk, one cycle of the points
+    start..start+n-1 per factor."""
+    degree = sum(ns)
+    gens, start = [], 0
+    for n in ns:
+        gens.append([start + (i - start + 1) % n if start <= i < start + n else i
+                     for i in range(degree)])
+        start += n
+    return degree, gens
+
+
+def assert_table_is_dixon_schneider(G):
+    """character_table(G) has the rows, row order and determinants of the
+    Dixon-Schneider split sorted as the table sorts."""
+    reference = characters._dixon_schneider(G)
+    reference.sort(key=lambda pair: (pair[0].degree().integer(), pair[0].sort_key()))
+    t = character_table(G)
+    assert [row.values for row in t.rows] == [row.values for row, _ in reference], G.name
+    assert t.determinants == tuple(tuple(dets) for _, dets in reference), G.name
+
+
+_CYCLIC_PRODUCTS = ([[n] for n in range(1, 17)]
+                    + [[2, 2], [2] * 6, [4, 4], [3, 9], [4, 8], [2, 2, 2, 2, 4]])
+
+
+def test_abelian_tables_match_dixon_schneider():
+    """A representative of every abelian subgroup class of every catalog
+    group, and the products of cyclic groups above, each as built and
+    relabelled."""
+    rng = random.Random(18)
+    checked = 0
+    for _, entry in sorted(CATALOG.items()):
+        name, degree, gens = entry.name, entry.degree, entry.generators
+        for G in (group_from_generators(degree, gens, name=name),
+                  relabelled_group(name, degree, gens, rng)):
+            for cls in G.subgroup_conjugacy_classes():
+                A = cls[0].as_group()[0]
+                if A.is_abelian:
+                    assert_table_is_dixon_schneider(A)
+                    checked += 1
+    for ns in _CYCLIC_PRODUCTS:
+        name = "x".join("Z%d" % n for n in ns)
+        degree, gens = cyclic_product_generators(ns)
+        for G in (group_from_generators(degree, gens, name=name),
+                  relabelled_group(name, degree, gens, rng)):
+            assert G.is_abelian and G.order == prod(ns)
+            assert_table_is_dixon_schneider(G)
+            checked += 1
+    assert checked == 334
+
+
+@settings(max_examples=30)
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=3).filter(lambda ns: prod(ns) <= 48),
+       st.integers(0, 2 ** 32))
+def test_abelian_tables_match_dixon_schneider_on_relabelled_cyclic_products(ns, seed):
+    degree, gens = cyclic_product_generators(ns)
+    G = relabelled_group("x".join("Z%d" % n for n in ns), degree, gens, random.Random(seed))
+    assert_table_is_dixon_schneider(G)
+
+
+def test_abelian_tables_build_no_class_matrix(monkeypatch):
+    """An abelian table never reaches the Dixon-Schneider split; a non-abelian
+    one does."""
+    calls = []
+    real = characters._class_matrix
+
+    def counted(G, classes, i):
+        calls.append(G.name)
+        return real(G, classes, i)
+
+    monkeypatch.setattr(characters, "_class_matrix", counted)
+    for ns in ([1], [12], [4, 4], [2, 2, 2]):
+        degree, gens = cyclic_product_generators(ns)
+        character_table(group_from_generators(degree, gens, name=str(ns)))
+    assert calls == []
+    character_table(dihedral(3))
+    assert calls and set(calls) == {"D6"}
+
+
+def test_abelian_table_cap():
+    degree, gens = cyclic_product_generators([2] * 9)
+    G = group_from_generators(degree, gens, name="Z2^9")
+    assert G.is_abelian and G.order == 2 * DEFAULT_CHARTABLE_CAP
+    with pytest.raises(CapExceeded):
+        character_table(G)
+
+
+def test_table_shape_matches_sympy():
+    """An independent oracle: Irr(G) has one row per conjugacy class and
+    |G/G'| linear rows, with the classes and G' from sympy.combinatorics."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    specs = [(e.name, e.degree, e.generators) for _, e in sorted(CATALOG.items())]
+    specs += [("S4xZ2", 6, direct_product(S4_GENS, 4, [[1, 0]], 2)),
+              ("S3xS3", 6, direct_product(S3_GENS, 3, S3_GENS, 3)),
+              ("S5", 5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]])]
+    for name, degree, gens in specs:
+        G = group_from_generators(degree, gens, name=name)
+        P = PermutationGroup([Permutation(list(g), size=degree) for g in gens])
+        t = character_table(G)
+        assert P.order() == G.order, name
+        assert len(t.rows) == len(P.conjugacy_classes()), name
+        assert t.degrees.count(1) == G.order // P.derived_subgroup().order(), name

@@ -47,6 +47,26 @@ def test_group_file_errors(tmp_path):
         load_group_file(str(bad2))
 
 
+def test_unknown_catalog_group_is_an_input_error(capsys):
+    assert main(["irr", "catalog:Nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown catalog group Nope (known: A4, D10, "), err
+    assert '"' not in err and "'" not in err, err
+    with pytest.raises(FileFormatError, match="unknown catalog group Nope"):
+        load_group_file("catalog:Nope")
+
+
+def test_internal_key_error_is_not_an_input_error(monkeypatch):
+    """A KeyError from inside a command is a bug, not bad input: it is not
+    reported as exit 2."""
+    def failing(*args, **kwargs):
+        raise KeyError("internal lookup")
+
+    monkeypatch.setattr(cli, "character_table", failing)
+    with pytest.raises(KeyError, match="internal lookup"):
+        main(["irr", "catalog:Z4"])
+
+
 def test_load_bundle_file_shipped():
     bundle, G, A = load_bundle_file(data_path("d8_rho_bundle.json"))
     assert bundle.base.size == 2
