@@ -12,15 +12,14 @@ from .cyclotomic import Cyclotomic
 from .groups import (FiniteGroup, QuotientGroup, Subgroup,
                      group_from_generators)
 from .characters import (CharacterTable, ClassFunction, character_table,
-                         induce, inner_product, restrict)
+                         inner_product, restrict)
 from .repmatrices import (MatrixRep, ObstructionRecord, intertwiner,
                           matrix_irreps, obstruction_cocycle)
 from .orbits import (DecompositionReport, IrrOrbitRecord, extension_exists,
                      irr_action, k_decomposition_report, omega_regular_count,
                      orbit_decomposition)
 from .bundles import (EquivariantBundle, GSet, fiber_character,
-                      induction_piece_character, isotypic_rank,
-                      verify_decomposition)
+                      induction_piece_character, verify_decomposition)
 from .bordism import (PowerSeries, RankProfile, adjacent_family_series,
                       bu_generator_series, d2p_certify, enumerate_arrays,
                       global_generator_series, omega_generator_series,
@@ -30,13 +29,13 @@ __all__ = [
     "Cyclotomic",
     "FiniteGroup", "QuotientGroup", "Subgroup", "group_from_generators",
     "CharacterTable", "ClassFunction", "character_table",
-    "induce", "inner_product", "restrict",
+    "inner_product", "restrict",
     "MatrixRep", "ObstructionRecord", "intertwiner", "matrix_irreps",
     "obstruction_cocycle",
     "DecompositionReport", "IrrOrbitRecord", "extension_exists", "irr_action",
     "k_decomposition_report", "omega_regular_count", "orbit_decomposition",
     "EquivariantBundle", "GSet", "fiber_character",
-    "induction_piece_character", "isotypic_rank", "verify_decomposition",
+    "induction_piece_character", "verify_decomposition",
     "PowerSeries", "RankProfile", "adjacent_family_series",
     "bu_generator_series", "d2p_certify", "enumerate_arrays",
     "global_generator_series", "omega_generator_series", "rank_profile",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .characters import ClassFunction, character_table, inner_product
@@ -74,10 +73,6 @@ class GSet:
             self._stabilizers[x] = stab
         return stab
 
-    def transporter(self, x: int) -> int:
-        """The minimal group element t with t . r = x, r the orbit minimum."""
-        return self._origin[x][1]
-
     def transporter_from(self, src: int, dst: int) -> int:
         """t_dst t_src^-1, an element taking src to dst (same orbit)."""
         if self._origin[src][0] != self._origin[dst][0]:
@@ -111,10 +106,6 @@ class GSet:
                 offset += p.size
             action.append(row)
         return GSet(G, action)
-
-    @staticmethod
-    def point(G: FiniteGroup) -> "GSet":
-        return GSet(G, [[0]] * G.order)
 
 
 class EquivariantBundle:
@@ -158,9 +149,6 @@ class EquivariantBundle:
         """The stored point whose data describes the fiber at x."""
         return self._anchor[x]
 
-    def rank(self, x: int) -> int:
-        return int(self.fibers[self.anchor(x)].degree().integer())
-
     @staticmethod
     def from_multiplicities(base: GSet, mults: dict) -> "EquivariantBundle":
         """The bundle whose fiber at each given point is sum_i m_i chi_i over
@@ -187,25 +175,6 @@ class EquivariantBundle:
         E = EquivariantBundle.__new__(EquivariantBundle)
         E._attach(base, fibers)
         return E
-
-    @staticmethod
-    def trivial(base: GSet, chi: ClassFunction) -> "EquivariantBundle":
-        """The product bundle with fiber a fixed representation of G."""
-        from .characters import restrict
-        fibers = {}
-        for orb in base.orbits():
-            rep = orb[0]
-            fibers[rep] = restrict(chi, base.stabilizer(rep))
-        return EquivariantBundle(base, fibers)
-
-    @staticmethod
-    def induced(G: FiniteGroup, H: Subgroup, chi: ClassFunction) -> "EquivariantBundle":
-        """The bundle G x_H V over G/H determined by an H-representation."""
-        base = GSet.cosets(G, H)
-        sgrp, _ = H.as_group()
-        if chi.group is not sgrp:
-            raise ValueError("character must live on the inducing subgroup")
-        return EquivariantBundle(base, {0: chi})
 
 
 def _character_multiplicities(chi: ClassFunction) -> tuple[int, ...]:
@@ -255,26 +224,6 @@ def _transported_fiber(E: EquivariantBundle, src: int, x: int) -> ClassFunction:
         y = G.mul(G.mul(tinv, k), t)
         vals.append(chi.values[srg.class_index(stab_r.retract(y))])
     return ClassFunction(sxg, vals)
-
-
-def isotypic_rank(E: EquivariantBundle, A: Subgroup, rho: int, x: int) -> int:
-    """Multiplicity of the A-irreducible rho in the fiber at x."""
-    _require_a_trivial(E.base, A)
-    val = _isotypic_inner(fiber_character(E, x), E.base.stabilizer(x), A, rho)
-    if val.denominator != 1 or val < 0:
-        raise AssertionError("isotypic multiplicity is not a nonnegative integer")
-    return int(val)
-
-
-def _isotypic_inner(chi: ClassFunction, stab: Subgroup, A: Subgroup, rho: int) -> Fraction:
-    """<Res_A chi, rho> for chi on the materialized stabilizer, A inside it."""
-    Agrp, aembed = A.as_group()
-    rho_row = character_table(Agrp).rows[rho]
-    sgrp, _ = stab.as_group()
-    terms = [(len(cls), chi.values[sgrp.class_index(stab.retract(aembed[cls[0]]))], rval)
-             for cls, rval in zip(Agrp.conjugacy_classes(), rho_row.values)]
-    e = lcm(*{v.e for v in chi.values + rho_row.values})
-    return dot(e, terms, Fraction(1, Agrp.order), conjugate=True).rational()
 
 
 def induction_piece_character(E: EquivariantBundle, A: Subgroup,

@@ -200,8 +200,3 @@ def _is_even_perm(p) -> bool:
         if length % 2 == 0:
             sign = -sign
     return sign == 1
-
-
-def all_catalog_groups() -> list[FiniteGroup]:
-    """Every catalog group, built fresh (orders are all at most 64)."""
-    return [build_catalog_group(name)[0] for name in sorted(CATALOG)]

@@ -162,27 +162,6 @@ def restrict(chi: ClassFunction, H: Subgroup) -> ClassFunction:
     return ClassFunction(Hgrp, vals)
 
 
-def induce(chi: ClassFunction, H: Subgroup) -> ClassFunction:
-    """Induction to the parent group by the Frobenius formula."""
-    Hgrp, embed = H.as_group()
-    if chi.group is not Hgrp:
-        raise NotSubgroup("class function does not live on the given subgroup")
-    G = H.parent
-    lut = {g: Hgrp.class_index(i) for i, g in enumerate(embed)}
-    one = Cyclotomic.one(1)
-    vals = []
-    for cls in G.conjugacy_classes():
-        g = cls[0]
-        counts = [0] * len(chi.values)
-        for x in G.elements():
-            c = lut.get(G.mul(G.mul(G.inv(x), g), x))
-            if c is not None:
-                counts[c] += 1
-        vals.append(dot(G.exponent, ((m, v, one) for m, v in zip(counts, chi.values)),
-                        Fraction(1, H.order)))
-    return ClassFunction(G, vals)
-
-
 def determinant_character_value(chi: ClassFunction, g: int) -> tuple[int, int]:
     """det of the representation with irreducible character chi at g, as
     (k, m): zeta_m^k.

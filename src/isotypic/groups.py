@@ -75,10 +75,6 @@ class FiniteGroup:
 
     # -- basic operations ----------------------------------------------------
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -92,14 +88,6 @@ class FiniteGroup:
         """g a g^-1."""
         rows = self._rows
         return rows[rows[g][a]][self._inv[g]]
-
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(g), -k)
-        out = 0
-        for _ in range(k):
-            out = self.mul(out, g)
-        return out
 
     def element_order(self, g: int) -> int:
         k, x = 1, g
@@ -226,7 +214,9 @@ class FiniteGroup:
         return self.subgroup_from_members(n for n in self.elements() if coset_of[n] in maps)
 
     def quotient(self, A: "Subgroup") -> "QuotientGroup":
-        """Quotient by a normal subgroup; raises NotNormal otherwise."""
+        """Quotient by a normal subgroup; raises NotNormal otherwise.
+
+        No src caller: kept because the benchmark's span list wraps it."""
         if A.parent is not self:
             raise NotNormal("subgroup does not live in this group")
         if not self.is_normal(A):
@@ -350,9 +340,9 @@ class Subgroup:
 
     def retract(self, g: int) -> int:
         """Parent index -> index in the materialized group."""
-        _, embed = self.as_group()
         lut = getattr(self, "_retract", None)
         if lut is None:
+            _, embed = self.as_group()
             lut = {e: i for i, e in enumerate(embed)}
             self._retract = lut
         return lut[g]
@@ -384,9 +374,6 @@ class QuotientGroup:
     @property
     def order(self) -> int:
         return self.group.order
-
-    def lift(self, q: int) -> int:
-        return self.section[q]
 
     def __repr__(self) -> str:
         return "QuotientGroup(%s, order=%d)" % (self.group.name, self.order)

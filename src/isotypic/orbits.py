@@ -211,7 +211,8 @@ def omega_regular_count(Q: FiniteGroup, omega, modulus: int) -> int:
 
     The class of q is regular iff omega(q, c) = omega(c, q) for every c in
     the centralizer of q; values are compared exactly as exponents.  omega
-    must be a normalized cocycle, else InvalidCocycle is raised.
+    must be a normalized cocycle, else InvalidCocycle is raised.  No src
+    caller: kept because the benchmark's span list wraps it.
     """
     check_cocycle(Q, omega, modulus)
     return _regular_class_count(Q, omega, modulus)

@@ -209,7 +209,9 @@ class ObstructionRecord:
 
 def stabilizer_of_character(G: FiniteGroup, A: Subgroup, chi: ClassFunction) -> Subgroup:
     """G_chi = {g : the class function a -> chi(g^-1 a g) equals chi}, for chi
-    a row of A's character table: orbits.irr_stabilizer of that row."""
+    a row of A's character table: orbits.irr_stabilizer of that row.
+
+    No src caller: kept because the benchmark's span list wraps it."""
     from .orbits import irr_stabilizer  # deferred: orbits depends on this module
     if chi.group is not A.as_group()[0]:
         raise ValueError("character does not live on the subgroup")

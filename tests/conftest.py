@@ -12,8 +12,10 @@ from hypothesis import settings
 settings.register_profile("isotypic", derandomize=True, deadline=None, database=None)
 settings.load_profile("isotypic")
 
-from isotypic.catalog import build_catalog_group, catalog_pairs
-from isotypic.groups import FiniteGroup, group_from_generators
+from isotypic.bundles import EquivariantBundle, GSet
+from isotypic.catalog import CATALOG, build_catalog_group, catalog_pairs
+from isotypic.characters import ClassFunction, restrict
+from isotypic.groups import FiniteGroup, Subgroup, group_from_generators
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +63,37 @@ def relabelled_group(name, degree, gens, rng) -> FiniteGroup:
     new = [[sigma[p[inv[i]]] for i in range(degree)] for p in gens]
     rng.shuffle(new)
     return group_from_generators(degree, new, name=name)
+
+
+# -- input builders: no command reaches these, only tests of other functions ---
+
+
+def all_catalog_groups() -> list[FiniteGroup]:
+    """Every catalog group, built fresh (orders are all at most 64)."""
+    return [build_catalog_group(name)[0] for name in sorted(CATALOG)]
+
+
+def point_gset(G: FiniteGroup) -> GSet:
+    """The one-point G-set, GSet.cosets(G, G.full_subgroup())."""
+    return GSet(G, [[0]] * G.order)
+
+
+def trivial_bundle(base: GSet, chi: ClassFunction) -> EquivariantBundle:
+    """The product bundle with fiber a fixed representation of G."""
+    fibers = {}
+    for orb in base.orbits():
+        rep = orb[0]
+        fibers[rep] = restrict(chi, base.stabilizer(rep))
+    return EquivariantBundle(base, fibers)
+
+
+def induced_bundle(G: FiniteGroup, H: Subgroup, chi: ClassFunction) -> EquivariantBundle:
+    """The bundle G x_H V over G/H determined by an H-representation."""
+    base = GSet.cosets(G, H)
+    sgrp, _ = H.as_group()
+    if chi.group is not sgrp:
+        raise ValueError("character must live on the inducing subgroup")
+    return EquivariantBundle(base, {0: chi})
 
 
 # -- independent oracles -------------------------------------------------------

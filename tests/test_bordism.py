@@ -14,14 +14,14 @@ from isotypic.bordism import (PowerSeries, adjacent_family_series,
                               global_generator_series, is_family,
                               omega_generator_series, rank_profile,
                               weyl_cycle_types)
-from isotypic.catalog import CATALOG, all_catalog_groups, build_catalog_group
+from isotypic.catalog import CATALOG, build_catalog_group
 from isotypic.characters import character_table
 from isotypic.errors import NotNormal, NotOdd, NotPrime
 from isotypic.groups import group_from_generators
 from isotypic.orbits import irr_action
 
-from conftest import (S3_GENS, S4_GENS, brute_label_orbit_counts, brute_partitions,
-                      dihedral, direct_product, relabelled_group)
+from conftest import (S3_GENS, S4_GENS, all_catalog_groups, brute_label_orbit_counts,
+                      brute_partitions, dihedral, direct_product, relabelled_group)
 
 
 def test_power_series_arithmetic():
@@ -111,7 +111,7 @@ def _reference_weyl_perms(G, A):
     N = G.normalizer(A)
     Ngrp, nembed = N.as_group()
     Q = Ngrp.quotient(Ngrp.subgroup_from_members([N.retract(a) for a in A.members]))
-    return tuple(tuple(pos[irr_action(G, A, nembed[Q.lift(q)], t)] for t in indices)
+    return tuple(tuple(pos[irr_action(G, A, nembed[Q.section[q]], t)] for t in indices)
                  for q in range(Q.order))
 
 

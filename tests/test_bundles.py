@@ -4,14 +4,15 @@ import random
 import pytest
 
 from isotypic.bundles import (EquivariantBundle, GSet, fiber_character,
-                              induction_piece_character, isotypic_rank,
-                              verify_decomposition)
+                              induction_piece_character, verify_decomposition)
 from isotypic.catalog import build_catalog_group
 from isotypic.characters import character_table
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import NotATrivial
 from isotypic.files import load_bundle_file
 from isotypic.orbits import orbit_decomposition
+
+from conftest import induced_bundle, point_gset, trivial_bundle
 
 
 def rho_row(z4_pair, k):
@@ -43,13 +44,13 @@ def test_gset_cosets_and_orbits(d8):
     assert X.stabilizer(0).members == A.members
     # stabilizers along an orbit are conjugate
     s1 = X.stabilizer(1)
-    t = X.transporter(1)
+    t = X.transporter_from(0, 1)
     assert s1.members == tuple(sorted(G.conj(t, h) for h in A.members))
 
 
 def test_gset_point_and_union(d8):
     G, _ = d8
-    X = GSet.disjoint_union([GSet.point(G), GSet.cosets(G, G.subgroup([1]))])
+    X = GSet.disjoint_union([point_gset(G), GSet.cosets(G, G.subgroup([1]))])
     assert X.size == 3
     assert X.orbits() == [(0,), (1, 2)]
 
@@ -78,7 +79,7 @@ def test_bundle_requires_genuine_character(d8):
 def test_fiber_characters_of_induced_bundle(d8):
     G, A = d8
     _, rho = rho_row((G, A), 1)
-    E = EquivariantBundle.induced(G, A, rho)
+    E = induced_bundle(G, A, rho)
     Agrp, _ = A.as_group()
     a_loc = next(x for x in Agrp.elements() if Agrp.element_order(x) == 4)
     f0 = fiber_character(E, 0)
@@ -93,7 +94,7 @@ def test_trivial_bundle_fiber_is_restriction(d8):
     t = character_table(G)
     chi = t.rows[t.degrees.index(2)]
     X = GSet.cosets(G, A)
-    E = EquivariantBundle.trivial(X, chi)
+    E = trivial_bundle(X, chi)
     for x in (0, 1):
         fib = fiber_character(E, x)
         stab = X.stabilizer(x)
@@ -101,49 +102,6 @@ def test_trivial_bundle_fiber_is_restriction(d8):
         for cls in sgrp.conjugacy_classes():
             assert fib.values[sgrp.class_index(cls[0])].equals_value(
                 chi.values[G.class_index(embed[cls[0]])])
-
-
-def test_isotypic_ranks_of_the_two_point_bundle(d8):
-    G, A = d8
-    idx_rho, rho = rho_row((G, A), 1)
-    idx_rho3, _ = rho_row((G, A), 3)
-    idx_triv, _ = rho_row((G, A), 0)
-    E = EquivariantBundle.induced(G, A, rho)
-    assert isotypic_rank(E, A, idx_rho, 0) == 1
-    assert isotypic_rank(E, A, idx_rho, 1) == 0
-    assert isotypic_rank(E, A, idx_rho3, 0) == 0
-    assert isotypic_rank(E, A, idx_rho3, 1) == 1
-    assert isotypic_rank(E, A, idx_triv, 0) == 0
-
-
-def test_isotypic_rank_trivial_character_full_rank(d8):
-    G, A = d8
-    t = character_table(G)
-    # bundle with trivial A-action on fibers: built from characters lifted from G/A
-    lifted = [i for i, row in enumerate(t.rows)
-              if all(row(a).rational() == 1 for a in A.members)]
-    chi = t.rows[lifted[0]] + t.rows[lifted[1]]
-    X = GSet.point(G)
-    E = EquivariantBundle.trivial(X, chi)
-    idx_triv, _ = rho_row((G, A), 0)
-    assert isotypic_rank(E, A, idx_triv, 0) == E.rank(0) == 2
-
-
-def test_rank_bookkeeping_sum_over_isotypic(pairs):
-    rng = random.Random(5)
-    for name, G, A in pairs[:6]:
-        Agrp, _ = A.as_group()
-        ta = character_table(Agrp)
-        X = GSet.cosets(G, A.parent.full_subgroup())  # a point
-        sgrp, _ = X.stabilizer(0).as_group()
-        ts = character_table(sgrp)
-        mults = [rng.randrange(3) for _ in ts.rows]
-        if not any(mults):
-            mults[0] = 1
-        E = EquivariantBundle.from_multiplicities(X, {0: mults})
-        total = sum(isotypic_rank(E, A, r, 0) * ta.degrees[r]
-                    for r in range(len(ta.rows)))
-        assert total == E.rank(0), name
 
 
 def test_not_a_trivial_raises(d8):
@@ -154,15 +112,13 @@ def test_not_a_trivial_raises(d8):
     ts = character_table(sgrp)
     E = EquivariantBundle.from_multiplicities(Y, {0: [1] * len(ts.rows)})
     with pytest.raises(NotATrivial):
-        isotypic_rank(E, A, 0, 0)
-    with pytest.raises(NotATrivial):
         verify_decomposition(E, A)
 
 
 def test_example_bundle_decomposition(d8):
     G, A = d8
     _, rho = rho_row((G, A), 1)
-    E = EquivariantBundle.induced(G, A, rho)
+    E = induced_bundle(G, A, rho)
     check = verify_decomposition(E, A)
     assert check.ok
     assert check.per_point == {0: [], 1: []}
@@ -170,10 +126,10 @@ def test_example_bundle_decomposition(d8):
 
 def test_trivial_rank_n_bundle_decomposes(pairs):
     for name, G, A in pairs[:5]:
-        X = GSet.point(G)
+        X = point_gset(G)
         t = character_table(G)
         chi = 3 * t.rows[t.trivial_index()]
-        E = EquivariantBundle.trivial(X, chi)
+        E = trivial_bundle(X, chi)
         assert verify_decomposition(E, A).ok, name
 
 
@@ -185,12 +141,12 @@ def test_single_coset_piece_equals_isotypic_part(d8):
     rec = next(r for r in recs if r.representative == idx2)
     assert rec.stabilizer.order == G.order
     t = character_table(G)
-    X = GSet.point(G)
-    E = EquivariantBundle.trivial(X, t.rows[t.degrees.index(2)])
+    X = point_gset(G)
+    E = trivial_bundle(X, t.rows[t.degrees.index(2)])
     piece = induction_piece_character(E, A, rec, 0)
     # rho^2 does not appear in the 2-dim irreducible's restriction, piece = 0
     assert all(v.is_zero() for v in piece.values)
-    E2 = EquivariantBundle.induced(G, A, rho2)
+    E2 = induced_bundle(G, A, rho2)
     piece2 = induction_piece_character(E2, A, rec, 0)
     fib2 = fiber_character(E2, 0)
     assert all(a.equals_value(b) for a, b in zip(piece2.values, fib2.values))
@@ -199,7 +155,7 @@ def test_single_coset_piece_equals_isotypic_part(d8):
 def test_verify_decomposition_g_invariant_along_orbits(d8):
     G, A = d8
     _, rho = rho_row((G, A), 1)
-    E = EquivariantBundle.induced(G, A, rho)
+    E = induced_bundle(G, A, rho)
     check = verify_decomposition(E, A)
     assert check.ok
     assert sorted(check.per_point) == list(range(E.base.size))
@@ -210,7 +166,7 @@ def test_transversal_choice_independence(d8):
     chosen: compare against a variant built from a shifted transversal."""
     G, A = d8
     idx, rho = rho_row((G, A), 1)
-    E = EquivariantBundle.induced(G, A, rho)
+    E = induced_bundle(G, A, rho)
     recs = orbit_decomposition(G, A)
     rec = next(r for r in recs if r.representative == idx)
     piece = induction_piece_character(E, A, rec, 0)
@@ -509,6 +465,6 @@ def _check_origin_table(G, X):
     assert X.orbits() == orbits
     for orb in orbits:
         for x in orb:
-            assert X.transporter(x) == min(g for g in G.elements() if X.act(g, orb[0]) == x)
+            assert X.transporter_from(orb[0], x) == min(g for g in G.elements() if X.act(g, orb[0]) == x)
             for y in orb:
                 assert X.act(X.transporter_from(x, y), x) == y

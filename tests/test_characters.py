@@ -5,15 +5,15 @@ from math import gcd, lcm
 import pytest
 
 from isotypic import characters
-from isotypic.catalog import all_catalog_groups
 from isotypic.characters import (DEFAULT_CHARTABLE_CAP, CharacterTable, ClassFunction,
                                  character_table, determinant_character_value,
-                                 induce, inner_product, restrict)
+                                 inner_product, restrict)
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import CapExceeded, GroupMismatch, NotSubgroup
 from isotypic.groups import group_from_generators
 
-from conftest import S3_GENS, S4_GENS, dihedral, direct_product, relabelled_group
+from conftest import (S3_GENS, S4_GENS, all_catalog_groups, dihedral, direct_product,
+                      relabelled_group)
 
 
 def one(e):
@@ -153,68 +153,6 @@ def test_restrict_requires_subgroup_of_same_group(z4, d8):
     _, A = d8
     with pytest.raises(NotSubgroup):
         restrict(t.rows[0], A)
-
-
-def test_induce_rho_from_z4_to_d8(d8):
-    G, A = d8
-    Agrp, _ = A.as_group()
-    ta = character_table(Agrp)
-    a_loc = next(x for x in Agrp.elements() if Agrp.element_order(x) == 4)
-    rho = next(r for r in ta.rows if r(a_loc) == Cyclotomic.root_of_unity(4, 1))
-    ind = induce(rho, A)
-    t = character_table(G)
-    two_dim = t.rows[t.degrees.index(2)]
-    assert ind == two_dim
-
-
-def test_induce_trivial_from_self(d8):
-    G, _ = d8
-    t = character_table(G)
-    ind = induce(t.rows[t.trivial_index()], G.full_subgroup())
-    assert ind == t.rows[t.trivial_index()]
-
-
-def test_induce_trivial_from_reflection_in_d2p():
-    for p in (3, 5):
-        G = dihedral(p)
-        b = G.perm_index(tuple((p - i) % p for i in range(p)))
-        H = G.subgroup([b])
-        Hgrp, _ = H.as_group()
-        th = character_table(Hgrp)
-        ind = induce(th.rows[th.trivial_index()], H)
-        assert ind.degree().integer() == p
-        # permutation character of G/H: value at g counts fixed cosets
-        coset_reps = {}
-        for g in G.elements():
-            cs = tuple(sorted(G.mul(g, h) for h in H.members))
-            coset_reps.setdefault(cs, cs[0])
-        cosets = list(coset_reps.values())
-        for cls in G.conjugacy_classes():
-            g = cls[0]
-            fixed = 0
-            for c in cosets:
-                image = tuple(sorted(G.mul(G.mul(g, c), h) for h in H.members))
-                if image == tuple(sorted(G.mul(c, h) for h in H.members)):
-                    fixed += 1
-            assert ind(g).rational() == fixed
-
-
-def test_frobenius_reciprocity_catalog(pairs):
-    for name, G, A in pairs:
-        if G.order > 64:
-            continue
-        t = character_table(G)
-        Agrp, _ = A.as_group()
-        ta = character_table(Agrp)
-        for chi in ta.rows:
-            ind = induce(chi, A)
-            for psi in t.rows:
-                lhs = inner_product(ind, psi)
-                res = restrict(psi, A)
-                e = res.values[0].e
-                chi_p = ClassFunction(Agrp, [v.promote(e) for v in chi.values])
-                rhs = inner_product(chi_p, res)
-                assert lhs.equals_value(rhs), name
 
 
 def test_clifford_restriction_law(pairs):

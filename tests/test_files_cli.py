@@ -453,7 +453,7 @@ def test_loading_multiplicity_bundle_makes_no_inner_products(monkeypatch):
     monkeypatch.setattr(bundles, "inner_product", counted)
     bundle, G, A = load_bundle_file(data_path("d8_rho_bundle.json"))
     assert calls == []
-    assert bundle.rank(0) == 1
+    assert bundle.fibers[bundle.anchor(0)].degree().integer() == 1
 
 
 @pytest.mark.parametrize("value", [{"e": 3, "coeffs": {"0": [1, 1]}},
@@ -478,7 +478,58 @@ def test_bundle_rejects_bad_fiber_values(value, tmp_path, capsys):
     assert run_cli(["bundle-verify", str(path)], capsys)[0] == 2
 
 
-S5_A5 = {"name": "S5", "degree": 5, "normal_subgroup_generators": [2, 3],
+def _value_fiber(bundle, x):
+    from isotypic.characters import cyclotomic_to_jsonable
+    return [cyclotomic_to_jsonable(v) for v in bundle.fibers[x].values]
+
+
+def test_value_fiber_verifies_like_the_multiplicity_fiber(monkeypatch, tmp_path, capsys):
+    """The shipped bundle with its fiber written as a value list goes through
+    the constructor's character check and verifies with the same JSON
+    results, byte for byte."""
+    from isotypic import bundles
+    bundle, _, _ = load_bundle_file(data_path("d8_rho_bundle.json"))
+    with open(data_path("d8_rho_bundle.json")) as fh:
+        data = json.load(fh)
+    data["fibers"][0]["character"] = _value_fiber(bundle, 0)
+    data["group"] = data_path("d8.json")
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps(data))
+
+    checked = []
+    real = bundles._character_multiplicities
+
+    def counted(chi):
+        checked.append(1)
+        return real(chi)
+
+    monkeypatch.setattr(bundles, "_character_multiplicities", counted)
+    code, out = run_cli(["bundle-verify", data_path("d8_rho_bundle.json"),
+                         "--format", "json"], capsys)
+    assert code == 0 and checked == []
+    code_v, out_v = run_cli(["bundle-verify", str(path), "--format", "json"], capsys)
+    assert code_v == 0 and checked == [1]
+    results = json.loads(out)["results"]
+    results_v = json.loads(out_v)["results"]
+    assert json.dumps(results_v, sort_keys=True) == json.dumps(results, sort_keys=True)
+    assert results_v["ok"] and results_v["per_point"] == {"0": [], "1": []}
+
+
+def test_bundle_rejects_mixed_fiber_kinds(tmp_path, capsys):
+    """A multiplicity fiber and a value fiber in one file is an input error."""
+    bundle, _, _ = load_bundle_file(data_path("d8_rho_bundle.json"))
+    with open(data_path("d8_rho_bundle.json")) as fh:
+        data = json.load(fh)
+    data["fibers"].append({"orbit_rep": 1, "character": _value_fiber(bundle, 0)})
+    data["group"] = data_path("d8.json")
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FileFormatError, match="mix"):
+        load_bundle_file(str(path))
+    assert run_cli(["bundle-verify", str(path)], capsys)[0] == 2
+
+
+S5_A5 ={"name": "S5", "degree": 5, "normal_subgroup_generators": [2, 3],
          "generators": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4], [1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]}
 S4_A4 = {"name": "S4", "degree": 4, "normal_subgroup_generators": [1, 2, 3],
          "generators": [[1, 0, 2, 3], [1, 2, 0, 3], [1, 0, 3, 2], [2, 3, 0, 1]]}

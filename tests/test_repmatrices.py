@@ -434,7 +434,7 @@ def _float_obstruction_reference(G_rho, A, rho, seed, tol=DEFAULT_TOL):
     det_exp = [(k * (modulus // mm)) % modulus for k, mm in det_vals]
 
     rng = np.random.default_rng(seed)
-    reps_g = [sembed[Q.lift(q)] for q in range(m)]
+    reps_g = [sembed[Q.section[q]] for q in range(m)]
     coset_of, _, maps = G.conjugation_action(A)
     eye = np.eye(d)
     units = []
