@@ -1,10 +1,12 @@
 """Equivariant vector bundles over finite G-sets and their decomposition.
 
 A bundle over a finite G-set is its isomorphism-class data: one stabilizer
-character per orbit.  The decomposition into induced isotypic pieces along
-the orbits of G on Irr(A) is then an identity of exact characters, verified
-fiberwise with cyclotomic arithmetic and no tolerance.  It needs only the
-orbits and their stabilizers (``irr_orbits``): no float code, seed or tolerance.
+character per orbit, always built from its multiplicities over the
+stabilizer's irreducibles (``EquivariantBundle.from_multiplicities``).  The
+decomposition into induced isotypic pieces along the orbits of G on Irr(A)
+is then an identity of exact characters, verified fiberwise with cyclotomic
+arithmetic and no tolerance.  It needs only the orbits and their
+stabilizers (``irr_orbits``): no float code, seed or tolerance.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .characters import ClassFunction, character_table, inner_product
+from .characters import ClassFunction, character_table
 from .cyclotomic import Cyclotomic, dot
 from .errors import NotATrivial
 from .groups import FiniteGroup, Subgroup, minimal_generators
@@ -113,30 +115,16 @@ class EquivariantBundle:
 
     fibers maps points (at least one per orbit, usually the orbit
     representatives) to the character of the stabilizer representation on
-    the fiber there; characters must decompose with nonnegative integer
-    multiplicities, which the constructor checks (from_multiplicities builds
-    them from such multiplicities and needs no check).  Data stored at
-    several points of one orbit is deliberately redundant: the decomposition
-    check compares it for mutual consistency.  All values are promoted to
-    the exponent of the ambient group so the downstream character identities
-    live in one cyclotomic field.
+    the fiber there.  The package builds every bundle with
+    from_multiplicities, so each fiber is a genuine character with values at
+    the exponent of G, and the constructor only stores them.  Data stored at several points of one
+    orbit is deliberately redundant: the decomposition check compares it for
+    mutual consistency.
     """
 
     def __init__(self, base: GSet, fibers: dict):
-        for x, chi in fibers.items():
-            if chi.group is not base.stabilizer(x).as_group()[0]:
-                raise ValueError("fiber character at %d must live on its stabilizer" % x)
-            _character_multiplicities(chi)  # raises unless chi is a character
-        self._attach(base, fibers)
-
-    def _attach(self, base: GSet, fibers: dict) -> None:
-        """Store characters already known to be stabilizer characters."""
         self.base = base
-        eG = base.group.exponent
-        self.fibers = {}
-        for x, chi in sorted(fibers.items()):
-            self.fibers[x] = ClassFunction(chi.group, [v.promote(eG) if v.e != eG else v
-                                                       for v in chi.values])
+        self.fibers = dict(sorted(fibers.items()))
         self._anchor = {}
         for orb in base.orbits():
             stored = [x for x in orb if x in self.fibers]
@@ -172,22 +160,7 @@ class EquivariantBundle:
                 dot(base.group.exponent, [(m, row.values[c], one)
                                           for m, row in zip(ms, table.rows)])
                 for c in range(len(table.classes))])
-        E = EquivariantBundle.__new__(EquivariantBundle)
-        E._attach(base, fibers)
-        return E
-
-
-def _character_multiplicities(chi: ClassFunction) -> tuple[int, ...]:
-    table = character_table(chi.group)
-    out = []
-    for row in table.rows:
-        val = inner_product(chi, row)
-        r = val.rational()
-        if r.denominator != 1 or r < 0:
-            raise ValueError("fiber character is not a genuine character "
-                             "(multiplicity %s)" % r)
-        out.append(int(r))
-    return tuple(out)
+        return EquivariantBundle(base, fibers)
 
 
 def _require_a_trivial(base: GSet, A: Subgroup) -> None:

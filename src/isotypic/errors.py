@@ -34,7 +34,7 @@ class SplitFailure(IsotypicError):
 
 
 class NumericalDegeneracy(IsotypicError):
-    """Averaged intertwiner stayed singular after the retry budget."""
+    """The averaged intertwiner is not finite, vanishes or misses the tolerance."""
 
 
 class SnapFailure(IsotypicError):

@@ -12,8 +12,11 @@ Bundle file:
                            or [cyclotomic values]}]}
 
 Fiber multiplicities are indexed by the rows of the character table of the
-stabilizer of the given point.  Storing fibers at several points of one
-orbit is allowed; the verification cross-checks the redundant data.
+stabilizer of the given point.  A value list is decomposed into such
+multiplicities on load, and a FileFormatError is raised unless it is a
+character; the two kinds may be mixed in one file.  Storing fibers at
+several points of one orbit is allowed; the verification cross-checks the
+redundant data.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Optional
 
 from .bundles import EquivariantBundle, GSet
 from .catalog import CATALOG, build_catalog_group
-from .characters import ClassFunction, cyclotomic_from_jsonable
+from .characters import ClassFunction, character_table, cyclotomic_from_jsonable, inner_product
 from .errors import IsotypicError
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, group_from_generators
 
@@ -135,7 +138,6 @@ def bundle_from_jsonable(data: dict, G: FiniteGroup) -> EquivariantBundle:
     except ValueError as exc:
         raise FileFormatError("bundle base: %s" % exc)
 
-    fibers = {}
     mults = {}
     entries = data.get("fibers", [])
     if not isinstance(entries, list):
@@ -148,34 +150,42 @@ def bundle_from_jsonable(data: dict, G: FiniteGroup) -> EquivariantBundle:
             raise FileFormatError("bundle fiber entry is malformed: %s" % exc)
         if not 0 <= rep < points:
             raise FileFormatError("fiber orbit_rep %d is not a point in 0..%d" % (rep, points - 1))
-        stab = base.stabilizer(rep)
-        sgrp, _ = stab.as_group()
         if isinstance(char, dict) and "irreducible_multiplicities" in char:
             ms = char["irreducible_multiplicities"]
             if not isinstance(ms, list):
                 raise FileFormatError("irreducible_multiplicities at point %d must be a list" % rep)
             mults[rep] = ms  # entries are checked by from_multiplicities
         elif isinstance(char, list):
+            sgrp, _ = base.stabilizer(rep).as_group()
             values = [_fiber_value(v, G) for v in char]
             if len(values) != len(sgrp.conjugacy_classes()):
                 raise FileFormatError("fiber character has %d values, stabilizer has %d classes"
                                       % (len(values), len(sgrp.conjugacy_classes())))
-            fibers[rep] = ClassFunction(sgrp, values)
+            mults[rep] = _character_multiplicities(ClassFunction(sgrp, values))
         else:
             raise FileFormatError("fiber character must be multiplicities or a value list")
-    if mults and fibers:
-        raise FileFormatError("mix of multiplicity and value fibers is not supported")
     try:
-        if mults:
-            return EquivariantBundle.from_multiplicities(base, mults)
-        return EquivariantBundle(base, fibers)
+        return EquivariantBundle.from_multiplicities(base, mults)
     except ValueError as exc:
         raise FileFormatError(str(exc))
 
 
+def _character_multiplicities(chi: ClassFunction) -> list[int]:
+    """The multiplicities of the rows of chi's group's table in chi; a
+    FileFormatError unless each is an integer >= 0."""
+    out = []
+    for row in character_table(chi.group).rows:
+        r = inner_product(chi, row).rational()
+        if r.denominator != 1 or r < 0:
+            raise FileFormatError("fiber character is not a genuine character "
+                                  "(multiplicity %s)" % r)
+        out.append(int(r))
+    return out
+
+
 def _fiber_value(obj, G: FiniteGroup):
     """One cyclotomic fiber value; its order must divide the exponent of G,
-    to which every fiber value is promoted."""
+    whose field holds every character of a stabilizer."""
     e = obj.get("e") if isinstance(obj, dict) else None
     if not isinstance(e, int) or isinstance(e, bool) or e <= 0 or G.exponent % e:
         raise FileFormatError("fiber value %r needs an order e dividing the group "

@@ -84,11 +84,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self._inv[a]
 
-    def conj(self, g: int, a: int) -> int:
-        """g a g^-1."""
-        rows = self._rows
-        return rows[rows[g][a]][self._inv[g]]
-
     def element_order(self, g: int) -> int:
         k, x = 1, g
         while x != 0:

@@ -194,7 +194,7 @@ def orbit_decomposition(G: FiniteGroup, A: Subgroup,
     records = []
     for (rep, orbit, stabilizer), need in zip(orbits, needs):
         obs = obstruction_cocycle(stabilizer, A, table_a.rows[rep],
-                                  irreps_a[rep] if need else None, seed=seed, tol=tol)
+                                  irreps_a[rep] if need else None, tol=tol)
         # chi lies over the orbit iff e_chi > 0
         lying = frozenset(i for i, e in enumerate(multiplicities(G, A, rep)) if e)
         # obstruction_cocycle has already checked this table

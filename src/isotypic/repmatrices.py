@@ -2,17 +2,19 @@
 obstruction cocycle, built with floats only where it needs them.
 
 The regular representation is split into explicit unitary irreducibles with
-a seeded random commutant element per isotypic block.  The obstruction
-2-cocycle measures whether an irreducible rho of a normal subgroup A extends
-to its stabilizer G_rho; it lives on Q = G_rho/A.  It is read exactly off
-the determinant character of rho when Q is trivial (the 1 x 1 zero table) or
-rho is linear (rho is its own determinant).  Only for rho(1) >= 2 and Q
-nontrivial is it computed from intertwiners between conjugate matrix models
-and snapped to exact roots of unity within a tolerance derived from tol;
-all identity checks downstream are exact integer arithmetic.  The stabilizer
-is the caller's (orbits.irr_orbits builds one per orbit) and is checked
-before any float work.  Whether the class is trivial is never read off the
-floats: orbits.extension_exists decides it on the characters of the group.
+a seeded random commutant element per isotypic block; that split is the only
+random draw, as each intertwiner is one deterministic projection.  The
+obstruction 2-cocycle measures whether an irreducible rho of a normal
+subgroup A extends to its stabilizer G_rho; it lives on Q = G_rho/A.  It is
+read exactly off the determinant character of rho when Q is trivial (the
+1 x 1 zero table) or rho is linear (rho is its own determinant).  Only for
+rho(1) >= 2 and Q nontrivial is it computed from intertwiners between
+conjugate matrix models and snapped to exact roots of unity within a
+tolerance derived from tol; all identity checks downstream are exact integer
+arithmetic.  The stabilizer is the caller's (orbits.irr_orbits builds one
+per orbit) and is checked before any float work.  Whether the class is
+trivial is never read off the floats: orbits.extension_exists decides it on
+the characters of the group.
 """
 
 from __future__ import annotations
@@ -156,33 +158,32 @@ def _within(stack: np.ndarray, tol: float) -> bool:
 
 
 def intertwiner(rho1: MatrixRep, rho2: MatrixRep,
-                rng: Optional[np.random.Generator] = None,
                 tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
     """A unitary U with U rho1(g) U^-1 = rho2(g), or None if not isomorphic.
 
-    Averages rho2(g) R rho1(g)^-1 over the group for a random R and
-    unitarizes by polar decomposition.
+    Averaging X -> rho2(g) X rho1(g)^-1 over the group is the orthogonal
+    projection onto the line spanned by an intertwining unitary U0 (Schur),
+    and sends the matrix unit E_ij to conj(U0[i, j]) U0 / d.  All d^2 images
+    come from one einsum; the largest, of squared Frobenius norm at least
+    1/d^2, is rescaled to Frobenius norm sqrt(d).  NumericalDegeneracy if
+    the images are not finite or the largest is below half that bound
+    (the projection vanishes), or if the residual exceeds tol.
     """
     if rho1.group is not rho2.group or rho1.dimension != rho2.dimension:
         return None
     if rho1.character != rho2.character:
         return None
-    G = rho1.group
     d = rho1.dimension
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_SEED)
-    for _ in range(_MAX_RETRIES):
-        R = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        T = sum(M2 @ R @ M1.conj().T for M1, M2 in zip(rho1.images, rho2.images)) / G.order
-        if not np.isfinite(T).all():
-            continue
-        u, s, vh = np.linalg.svd(T)
-        if s[-1] < 1e-8 * max(1.0, s[0]):
-            continue
-        U = u @ vh
-        if _within(U @ rho1.images @ U.conj().T - rho2.images, tol):
-            return U
-    raise NumericalDegeneracy("averaged intertwiner stayed singular after retries")
+    # proj[i, j] is the average of rho2(g) E_ij rho1(g)^H
+    proj = np.einsum("gai,gbj->ijab", rho2.images, rho1.images.conj()) / rho1.group.order
+    norms_sq = np.einsum("ijab,ijab->ij", proj, proj.conj()).real
+    i, j = np.unravel_index(np.argmax(norms_sq), norms_sq.shape)
+    if not np.isfinite(norms_sq).all() or norms_sq[i, j] < 0.5 / d ** 2:
+        raise NumericalDegeneracy("averaging projection is not finite or vanishes")
+    U = proj[i, j] * math.sqrt(d / norms_sq[i, j])
+    if not _within(U @ rho1.images @ U.conj().T - rho2.images, tol):
+        raise NumericalDegeneracy("averaged intertwiner has a residual above tolerance")
+    return U
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,7 @@ def needs_matrix_model(G_rho: Subgroup, A: Subgroup, degree: int) -> bool:
 
 
 def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
-                        rep: Optional[MatrixRep] = None, seed: int = DEFAULT_SEED,
+                        rep: Optional[MatrixRep] = None,
                         tol: float = DEFAULT_TOL) -> ObstructionRecord:
     """Obstruction data for extending the irreducible rho, with exact
     character chi, from the normal subgroup A of G = G_rho.parent to its
@@ -289,13 +290,12 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
             raise ValueError("rho(1) >= 2 and G_rho/A is nontrivial: rep must be a "
                              "matrix model of chi")
         snap_tol = max(DEFAULT_SNAP_TOL, 100 * tol)
-        rng = np.random.default_rng(seed)
         # lifts are minimal in their coset of A, so maps[coset_of[g]] is
         # exactly a -> g^-1 a g
         coset_of, _, maps = G.conjugation_action(A)
         units = [eye.copy()]
         for g in reps_g[1:]:
-            U = intertwiner(rep.conjugated(maps[coset_of[g]]), rep, rng=rng, tol=tol)
+            U = intertwiner(rep.conjugated(maps[coset_of[g]]), rep, tol=tol)
             if U is None:
                 raise AssertionError("coset representative does not stabilize rho")
             units.append(_det_normalize(U))

@@ -54,6 +54,11 @@ def direct_product(gens1, deg1, gens2, deg2):
             + [list(range(deg1)) + [deg1 + x for x in q] for q in gens2])
 
 
+def conj(G: FiniteGroup, g: int, a: int) -> int:
+    """g a g^-1, read off G's table."""
+    return G.mul(G.mul(g, a), G.inv(g))
+
+
 def relabelled_group(name, degree, gens, rng) -> FiniteGroup:
     """The group generated by gens after a random relabelling of the points,
     with the generator list shuffled, so every element index changes."""

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 
@@ -6,13 +7,14 @@ import pytest
 from isotypic.bundles import (EquivariantBundle, GSet, fiber_character,
                               induction_piece_character, verify_decomposition)
 from isotypic.catalog import build_catalog_group
-from isotypic.characters import character_table
+from isotypic.characters import character_table, cyclotomic_to_jsonable
+from isotypic.cli import main
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import NotATrivial
 from isotypic.files import load_bundle_file
 from isotypic.orbits import orbit_decomposition
 
-from conftest import induced_bundle, point_gset, trivial_bundle
+from conftest import conj, induced_bundle, point_gset, trivial_bundle
 
 
 def rho_row(z4_pair, k):
@@ -45,7 +47,7 @@ def test_gset_cosets_and_orbits(d8):
     # stabilizers along an orbit are conjugate
     s1 = X.stabilizer(1)
     t = X.transporter_from(0, 1)
-    assert s1.members == tuple(sorted(G.conj(t, h) for h in A.members))
+    assert s1.members == tuple(sorted(conj(G, t, h) for h in A.members))
 
 
 def test_gset_point_and_union(d8):
@@ -63,17 +65,28 @@ def test_a_triviality_predicate(d8):
     assert not Y.is_trivial_for(A)
 
 
-def test_bundle_requires_genuine_character(d8):
+def test_bundle_requires_genuine_character(d8, tmp_path, capsys):
+    """A value fiber that is not a character is an input error when the file
+    is loaded: bundle-verify exits 2 on the class function that is 1 on the
+    identity class and 0 elsewhere (multiplicities 1/4) and on chi_a - chi_b
+    (a multiplicity -1), at the stabilizer Z4 of point 0."""
+    data_dir = os.path.join(os.path.dirname(__file__), "..", "src", "isotypic", "data")
+    with open(os.path.join(data_dir, "d8_rho_bundle.json")) as fh:
+        data = json.load(fh)
+    data["group"] = os.path.abspath(os.path.join(data_dir, "d8.json"))
     G, A = d8
-    X = GSet.cosets(G, A)
-    sgrp, _ = X.stabilizer(0).as_group()
-    e = sgrp.exponent
-    # the class function with value 1 only at the identity class is not a character
-    values = [Cyclotomic.from_rational(e, 1 if cls == (0,) else 0)
-              for cls in sgrp.conjugacy_classes()]
-    from isotypic.characters import ClassFunction
-    with pytest.raises(ValueError):
-        EquivariantBundle(X, {0: ClassFunction(sgrp, values)})
+    sgrp, _ = GSet.cosets(G, A).stabilizer(0).as_group()
+    rows = character_table(sgrp).rows
+    delta = [Cyclotomic.from_rational(sgrp.exponent, 1 if cls == (0,) else 0)
+             for cls in sgrp.conjugacy_classes()]
+    difference = [u - v for u, v in zip(rows[1].values, rows[2].values)]
+    for values in (delta, difference):
+        data["fibers"][0]["character"] = [cyclotomic_to_jsonable(v) for v in values]
+        path = tmp_path / "not_a_character.json"
+        path.write_text(json.dumps(data))
+        assert main(["bundle-verify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "not a genuine character" in err and "verified" not in out
 
 
 def test_fiber_characters_of_induced_bundle(d8):
@@ -432,7 +445,7 @@ def test_gset_accepts_exactly_the_group_actions(data):
             action = new
         elif kind == "conjugate rows":  # action[t g t^-1]: still an action
             t = data.draw(st.integers(0, G.order - 1))
-            action = [action[G.conj(t, g)] for g in G.elements()]
+            action = [action[conj(G, t, g)] for g in G.elements()]
         elif kind == "permute rows":  # identity row kept, the rest shuffled
             rest = data.draw(st.permutations(range(1, G.order)))
             action = [action[0]] + [action[g] for g in rest]

@@ -5,9 +5,8 @@ from math import gcd, lcm
 import pytest
 
 from isotypic import characters
-from isotypic.characters import (DEFAULT_CHARTABLE_CAP, CharacterTable, ClassFunction,
-                                 character_table, determinant_character_value,
-                                 inner_product, restrict)
+from isotypic.characters import (DEFAULT_CHARTABLE_CAP, ClassFunction, character_table,
+                                 determinant_character_value, inner_product, restrict)
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import CapExceeded, GroupMismatch, NotSubgroup
 from isotypic.groups import group_from_generators

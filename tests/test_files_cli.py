@@ -441,7 +441,7 @@ def test_bundle_rejects_bad_multiplicities(ms, tmp_path, capsys):
 def test_loading_multiplicity_bundle_makes_no_inner_products(monkeypatch):
     """A multiplicity fiber is a character by construction: loading the
     shipped bundle does not decompose it again."""
-    from isotypic import bundles, characters
+    from isotypic import characters, files
     calls = []
     real = characters.inner_product
 
@@ -450,7 +450,7 @@ def test_loading_multiplicity_bundle_makes_no_inner_products(monkeypatch):
         return real(x1, x2)
 
     monkeypatch.setattr(characters, "inner_product", counted)
-    monkeypatch.setattr(bundles, "inner_product", counted)
+    monkeypatch.setattr(files, "inner_product", counted)
     bundle, G, A = load_bundle_file(data_path("d8_rho_bundle.json"))
     assert calls == []
     assert bundle.fibers[bundle.anchor(0)].degree().integer() == 1
@@ -479,15 +479,17 @@ def test_bundle_rejects_bad_fiber_values(value, tmp_path, capsys):
 
 
 def _value_fiber(bundle, x):
+    """The fiber character of bundle at x as a JSON value list."""
+    from isotypic.bundles import fiber_character
     from isotypic.characters import cyclotomic_to_jsonable
-    return [cyclotomic_to_jsonable(v) for v in bundle.fibers[x].values]
+    return [cyclotomic_to_jsonable(v) for v in fiber_character(bundle, x).values]
 
 
 def test_value_fiber_verifies_like_the_multiplicity_fiber(monkeypatch, tmp_path, capsys):
-    """The shipped bundle with its fiber written as a value list goes through
-    the constructor's character check and verifies with the same JSON
+    """The shipped bundle with its fiber written as a value list is decomposed
+    into multiplicities once, on load, and verifies with the same JSON
     results, byte for byte."""
-    from isotypic import bundles
+    from isotypic import files
     bundle, _, _ = load_bundle_file(data_path("d8_rho_bundle.json"))
     with open(data_path("d8_rho_bundle.json")) as fh:
         data = json.load(fh)
@@ -497,13 +499,13 @@ def test_value_fiber_verifies_like_the_multiplicity_fiber(monkeypatch, tmp_path,
     path.write_text(json.dumps(data))
 
     checked = []
-    real = bundles._character_multiplicities
+    real = files._character_multiplicities
 
     def counted(chi):
         checked.append(1)
         return real(chi)
 
-    monkeypatch.setattr(bundles, "_character_multiplicities", counted)
+    monkeypatch.setattr(files, "_character_multiplicities", counted)
     code, out = run_cli(["bundle-verify", data_path("d8_rho_bundle.json"),
                          "--format", "json"], capsys)
     assert code == 0 and checked == []
@@ -515,18 +517,30 @@ def test_value_fiber_verifies_like_the_multiplicity_fiber(monkeypatch, tmp_path,
     assert results_v["ok"] and results_v["per_point"] == {"0": [], "1": []}
 
 
-def test_bundle_rejects_mixed_fiber_kinds(tmp_path, capsys):
-    """A multiplicity fiber and a value fiber in one file is an input error."""
+def test_bundle_accepts_mixed_fiber_kinds(tmp_path, capsys):
+    """A multiplicity fiber and a value fiber in one file are both decomposed
+    into multiplicities: the shipped bundle plus the transported fiber at
+    point 1, as a value list, verifies with the shipped file's JSON results;
+    rho at point 1 instead is a mismatch there."""
     bundle, _, _ = load_bundle_file(data_path("d8_rho_bundle.json"))
+    code, out = run_cli(["bundle-verify", data_path("d8_rho_bundle.json"),
+                         "--format", "json"], capsys)
+    assert code == 0
     with open(data_path("d8_rho_bundle.json")) as fh:
         data = json.load(fh)
-    data["fibers"].append({"orbit_rep": 1, "character": _value_fiber(bundle, 0)})
     data["group"] = data_path("d8.json")
+    data["fibers"].append({"orbit_rep": 1, "character": _value_fiber(bundle, 1)})
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(FileFormatError, match="mix"):
-        load_bundle_file(str(path))
-    assert run_cli(["bundle-verify", str(path)], capsys)[0] == 2
+    code_m, out_m = run_cli(["bundle-verify", str(path), "--format", "json"], capsys)
+    assert code_m == 0
+    results, results_m = json.loads(out)["results"], json.loads(out_m)["results"]
+    assert json.dumps(results_m, sort_keys=True) == json.dumps(results, sort_keys=True)
+    data["fibers"][1]["character"] = _value_fiber(bundle, 0)
+    path.write_text(json.dumps(data))
+    code_r, out_r = run_cli(["bundle-verify", str(path)], capsys)
+    assert code_r == 1
+    assert "point 1: MISMATCH" in out_r
 
 
 S5_A5 ={"name": "S5", "degree": 5, "normal_subgroup_generators": [2, 3],

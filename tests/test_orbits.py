@@ -12,7 +12,7 @@ from isotypic.orbits import (extension_exists, irr_action,
                              k_decomposition_report, multiplicities,
                              omega_regular_count, orbit_decomposition)
 
-from conftest import brute_automorphisms, dihedral
+from conftest import brute_automorphisms, conj, dihedral
 
 
 def rho_indices_z4(z4_pair):
@@ -450,7 +450,7 @@ def test_conjugation_action_under_relabelling(name, seed):
     # every g in N_G(A), not only the coset minima, acts on A's classes by its
     # coset's map
     for g in G.elements():
-        if tuple(sorted(G.conj(g, a) for a in A.members)) != A.members:
+        if tuple(sorted(conj(G, g, a) for a in A.members)) != A.members:
             assert coset_of[g] not in maps
             continue
         for a in A.members:
@@ -460,7 +460,7 @@ def test_conjugation_action_under_relabelling(name, seed):
     # normality and normalizers against the conjugate scan, on every subgroup
     for H in G.all_subgroups():
         fixing = [g for g in G.elements()
-                  if tuple(sorted(G.conj(g, h) for h in H.members)) == H.members]
+                  if tuple(sorted(conj(G, g, h) for h in H.members)) == H.members]
         assert G.normalizer(H).members == tuple(fixing)
         assert G.is_normal(H) is (len(fixing) == G.order)
     # orbit sizes, stabilizer orders and the Weyl action's cycle types do not

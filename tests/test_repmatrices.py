@@ -101,8 +101,8 @@ def test_check_rep_rejects_swapped_images(name):
 @pytest.mark.parametrize("name", ["D8", "S4"])
 def test_a_non_finite_residual_is_a_typed_failure(name):
     """A NaN or infinite entry never reaches the SVD: _within rejects the
-    stack, _check_rep raises SplitFailure and intertwiner, after its retries,
-    NumericalDegeneracy."""
+    stack, _check_rep raises SplitFailure and intertwiner, whose averaging
+    projection is then not finite, NumericalDegeneracy."""
     assert not _within(np.full((2, 2, 2), np.nan, dtype=complex), DEFAULT_TOL)
     assert not _within(np.full((1, 2, 2), np.inf, dtype=complex), DEFAULT_TOL)
     G, _ = build_catalog_group(name)
@@ -285,7 +285,7 @@ def _obstruction_for(G, A, predicate, seed=0x5EED):
     reps = matrix_irreps(Agrp, seed=seed)
     rho = next(r for r in reps if predicate(r))
     return obstruction_cocycle(stabilizer_of_character(G, A, rho.character), A, rho.character,
-                               rho, seed=seed)
+                               rho)
 
 
 def test_d8_rho2_extends(d8):
@@ -358,9 +358,46 @@ def test_omega_reproducible_bit_identical(q8):
         reps = matrix_irreps(Zgrp, seed=0x5EED)
         rho = next(r for r in reps if r.character.values[1].rational() == -1)
         return obstruction_cocycle(stabilizer_of_character(G, Z, rho.character), Z,
-                                   rho.character, rho, seed=0x5EED).omega
+                                   rho.character, rho).omega
 
     assert run() == run()
+
+
+def _float_orbits(G, A):
+    """(stabilizer, matrix model) of every orbit of G on Irr(A) with
+    rho(1) >= 2 and G_rho/A nontrivial, the models built before the call
+    returns."""
+    Agrp, _ = A.as_group()
+    degrees = character_table(Agrp).degrees
+    reps = matrix_irreps(Agrp)
+    return [(stab, reps[rep]) for rep, _, stab in irr_orbits(G, A)
+            if repmatrices.needs_matrix_model(stab, A, degrees[rep])]
+
+
+def test_obstruction_makes_no_random_draw(monkeypatch):
+    """Given its matrix model, obstruction_cocycle asks for no random
+    generator on any orbit that needs one, S4xS3 over S4 (Q_rho = S3 on
+    three orbits) and S5 over A5 (Q_rho of order 2 on two), and two
+    intertwiner calls on the same pair return bit-identical matrices."""
+    S4xS3 = group_from_generators(7, direct_product(S4_GENS, 4, S3_GENS, 3), name="S4xS3")
+    S4 = S4xS3.subgroup([S4xS3.perm_index(p) for p in direct_product(S4_GENS, 4, [], 3)])
+    S5 = group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], name="S5")
+    A5 = S5.subgroup([S5.perm_index(p) for p in ([1, 2, 0, 3, 4], [0, 1, 3, 4, 2])])
+    cases = [(S4, orbit) for orbit in _float_orbits(S4xS3, S4)]
+    cases += [(A5, orbit) for orbit in _float_orbits(S5, A5)]
+    assert sorted(stab.order // A.order for A, (stab, _) in cases) == [2, 2, 6, 6, 6]
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random generator was requested")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for A, (stab, rep) in cases:
+        rec = obstruction_cocycle(stab, A, rep.character, rep)
+        coset_of, _, maps = stab.parent.conjugation_action(A)
+        rho_g = rep.conjugated(maps[coset_of[rec.quotient.section[1]]])
+        U = intertwiner(rho_g, rep)
+        assert np.array_equal(U, intertwiner(rho_g, rep))
+        assert _within(U @ rho_g.images @ U.conj().T - rep.images, DEFAULT_TOL)
 
 
 def test_obstruction_rejects_a_non_stabilizer_before_float_work(q8, monkeypatch):
@@ -414,7 +451,7 @@ def test_spectral_check_accepts_what_only_the_frobenius_norm_exceeds():
     _check_rep(dataclasses.replace(rep, images=images), tol)
 
 
-def _float_obstruction_reference(G_rho, A, rho, seed, tol=DEFAULT_TOL):
+def _float_obstruction_reference(G_rho, A, rho, tol=DEFAULT_TOL):
     """(omega, modulus) by the float route obstruction_cocycle once took on
     every orbit: intertwiners, det normalisation and snapping, with Q built
     as a quotient of the materialized G_rho.  Kept as written then."""
@@ -433,7 +470,6 @@ def _float_obstruction_reference(G_rho, A, rho, seed, tol=DEFAULT_TOL):
     modulus = d * lcm(*(mm for _, mm in det_vals))
     det_exp = [(k * (modulus // mm)) % modulus for k, mm in det_vals]
 
-    rng = np.random.default_rng(seed)
     reps_g = [sembed[Q.section[q]] for q in range(m)]
     coset_of, _, maps = G.conjugation_action(A)
     eye = np.eye(d)
@@ -444,7 +480,7 @@ def _float_obstruction_reference(G_rho, A, rho, seed, tol=DEFAULT_TOL):
             units.append(eye.copy())
             continue
         rho_g = rho.conjugated(maps[coset_of[g]])
-        U = intertwiner(rho_g, rho, rng=rng, tol=tol)
+        U = intertwiner(rho_g, rho, tol=tol)
         assert U is not None, "coset representative does not stabilize rho"
         units.append(_det_normalize(U))
 
@@ -501,8 +537,8 @@ def test_exact_linear_cocycle_equals_the_float_snapped_one(pairs):
         for seed in (0, 1, 0x5EED):
             reps = matrix_irreps(Agrp, seed=seed)
             for rep, stab in orbits:
-                rec = obstruction_cocycle(stab, A, table_a.rows[rep], seed=seed)
-                expected = _float_obstruction_reference(stab, A, reps[rep], seed)
+                rec = obstruction_cocycle(stab, A, table_a.rows[rep])
+                expected = _float_obstruction_reference(stab, A, reps[rep])
                 assert (rec.omega, rec.modulus) == expected, (name, rep, seed)
                 assert all(np.array_equal(U, np.eye(1)) for U in rec.intertwiners)
                 compared.add((name, rep, rec.trivial))
