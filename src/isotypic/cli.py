@@ -115,7 +115,7 @@ def cmd_clifford(args) -> Report:
     G, A = _load_pair(args)
     if not G.is_normal(A):
         raise NotNormal("the chosen subgroup is not normal in %s" % G.name)
-    report = k_decomposition_report(G, A, seed=args.seed, tol=args.tol)
+    report = k_decomposition_report(G, A, tol=args.tol)
     res = report.to_jsonable()
     lines = ["group %s, normal subgroup of order %d" % (G.name, A.order)]
     for rec in res["orbits"]:
@@ -253,9 +253,8 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     parser.add_argument("--format", choices=["table", "json"], default=dflt("table"))
     parser.add_argument("--tol", type=_tolerance, default=dflt(repmatrices.DEFAULT_TOL),
                         help="construction residual tolerance (default 1e-8)")
-    parser.add_argument("--seed", type=_seed,
-                        default=dflt(repmatrices.DEFAULT_SEED),
-                        help="PRNG seed for the matrix representation splitting")
+    parser.add_argument("--seed", type=_seed, default=dflt(None),
+                        help="accepted for compatibility; affects no output")
     parser.add_argument("--max-order", type=_order, default=dflt(DEFAULT_ORDER_CAP),
                         help="cap on the order of groups built from generators")
 

@@ -30,7 +30,7 @@ class GroupMismatch(IsotypicError):
 
 
 class SplitFailure(IsotypicError):
-    """Eigenspace separation failed while splitting the regular representation."""
+    """The regular representation gave no valid matrix model of an irreducible."""
 
 
 class NumericalDegeneracy(IsotypicError):

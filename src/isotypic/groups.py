@@ -16,7 +16,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import random
 from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -29,10 +28,6 @@ DEFAULT_ORDER_CAP = 10000
 # raises CapExceeded past this many subgroups, conjugates included; read at
 # call time
 SUBGROUP_CAP = 20000
-
-# Full associativity is O(n^3); above this order we spot-check random triples.
-_ASSOC_FULL_LIMIT = 512
-_ASSOC_SAMPLES = 20000
 
 
 class FiniteGroup:
@@ -84,12 +79,15 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self._inv[a]
 
+    def powers(self, g: int) -> list[int]:
+        """1, g, g^2, ... up to the order of g."""
+        out = [0]
+        while self._rows[out[-1]][g]:
+            out.append(self._rows[out[-1]][g])
+        return out
+
     def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != 0:
-            x = self.mul(x, g)
-            k += 1
-        return k
+        return len(self.powers(g))
 
     @property
     def exponent(self) -> int:
@@ -391,19 +389,18 @@ def _check_axioms(rows: list[list[int]]) -> None:
     for a in range(n):
         if not np.array_equal(np.sort(tbl[a]), ar) or not np.array_equal(np.sort(tbl[:, a]), ar):
             raise ValueError("table row/column is not a permutation")
-    if n <= _ASSOC_FULL_LIMIT:
-        for a in range(n):
-            # (a*b)*c vs a*(b*c), vectorized over (b, c)
-            if not np.array_equal(tbl[tbl[a], :], tbl[a][tbl]):
-                raise ValueError("multiplication table is not associative")
-    else:
-        rng = random.Random(0)
-        for _ in range(_ASSOC_SAMPLES):
-            a = rng.randrange(n)
-            b = rng.randrange(n)
-            c = rng.randrange(n)
-            if tbl[tbl[a, b], c] != tbl[a, tbl[b, c]]:
-                raise ValueError("multiplication table is not associative")
+    # Light's test: the g with (x g) y = x (g y) for all (x, y) are closed
+    # under products, so it suffices to check generators.  Each is the least
+    # element not yet reached from 0 by right multiplication; while they
+    # pass, what they reach is a group, which each new one at least doubles.
+    generators: list[int] = []
+    reached = {0}
+    while len(reached) < n:
+        g = min(set(range(n)) - reached)
+        if not np.array_equal(tbl[tbl[:, g], :], tbl[:, tbl[g]]):
+            raise ValueError("multiplication table is not associative")
+        generators.append(g)
+        reached = set(_extend(rows, (0,), generators))
 
 
 def closure(G: FiniteGroup, generators: Sequence[int]) -> tuple[int, ...]:

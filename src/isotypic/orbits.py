@@ -9,7 +9,7 @@ a character extends to its stabilizer is read off its multiplicity column
 <Res_A chi, rho> over Irr(G).  Both tables are cached on G.
 Matrix models of Irr(A) are built once per decomposition, and only if some
 orbit has rho(1) >= 2 and a nontrivial G_rho/A; every other cocycle is
-exact, so --seed and --tol reach only those orbits.
+exact, so --tol reaches only those orbits.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .characters import (CharacterTable, character_table, inner_product,
 from .errors import NotNormal, NotStabilized
 from .groups import FiniteGroup, Subgroup
 from .repmatrices import (ObstructionRecord, check_cocycle, matrix_irreps,
-                          needs_matrix_model, obstruction_cocycle, DEFAULT_SEED,
-                          DEFAULT_TOL)
+                          needs_matrix_model, obstruction_cocycle, DEFAULT_TOL)
 
 
 def irr_permutations(G: FiniteGroup, A: Subgroup) -> dict[int, tuple[int, ...]]:
@@ -177,12 +176,11 @@ def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
     return orbits
 
 
-def orbit_decomposition(G: FiniteGroup, A: Subgroup,
-                        seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL) -> list:
+def orbit_decomposition(G: FiniteGroup, A: Subgroup, tol: float = DEFAULT_TOL) -> list:
     """One IrrOrbitRecord per G-orbit on Irr(A), in the order of irr_orbits;
     each record and its obstruction share the stabilizer irr_orbits built.
 
-    matrix_irreps(A, seed, tol) is called once, and only if some orbit
+    matrix_irreps(A, tol) is called once, and only if some orbit
     needs_matrix_model; only those orbits get a matrix model.
     """
     orbits = irr_orbits(G, A)
@@ -190,7 +188,7 @@ def orbit_decomposition(G: FiniteGroup, A: Subgroup,
     table_a = character_table(Agrp)
     needs = [needs_matrix_model(stabilizer, A, table_a.degrees[rep])
              for rep, _, stabilizer in orbits]
-    irreps_a = matrix_irreps(Agrp, seed=seed, tol=tol) if any(needs) else None
+    irreps_a = matrix_irreps(Agrp, tol=tol) if any(needs) else None
     records = []
     for (rep, orbit, stabilizer), need in zip(orbits, needs):
         obs = obstruction_cocycle(stabilizer, A, table_a.rows[rep],
@@ -235,14 +233,14 @@ def _regular_class_count(Q: FiniteGroup, omega, modulus: int) -> int:
     return count
 
 
-def k_decomposition_report(G: FiniteGroup, A: Subgroup, seed: int = DEFAULT_SEED,
+def k_decomposition_report(G: FiniteGroup, A: Subgroup,
                            tol: float = DEFAULT_TOL) -> DecompositionReport:
     """Rank identity |Irr(G)| = sum of twisted counts over orbits.
 
     Both counting routes (restriction fibers and omega-regular classes) are
     computed; any mismatch is recorded in the report, never dropped.
     """
-    records = orbit_decomposition(G, A, seed=seed, tol=tol)
+    records = orbit_decomposition(G, A, tol=tol)
     table_g = character_table(G)
     total = len(table_g)
     ssum = sum(rec.twisted_count for rec in records)

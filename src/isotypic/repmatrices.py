@@ -1,28 +1,23 @@
 """Unitary matrix models of the irreducible representations, and the
 obstruction cocycle, built with floats only where it needs them.
 
-The regular representation is split into explicit unitary irreducibles with
-a seeded random commutant element per isotypic block; that split is the only
-random draw, as each intertwiner is one deterministic projection.  The
-obstruction 2-cocycle measures whether an irreducible rho of a normal
-subgroup A extends to its stabilizer G_rho; it lives on Q = G_rho/A.  It is
-read exactly off the determinant character of rho when Q is trivial (the
-1 x 1 zero table) or rho is linear (rho is its own determinant).  Only for
-rho(1) >= 2 and Q nontrivial is it computed from intertwiners between
-conjugate matrix models and snapped to exact roots of unity within a
-tolerance derived from tol; all identity checks downstream are exact integer
-arithmetic.  The stabilizer is the caller's (orbits.irr_orbits builds one
-per orbit) and is checked before any float work.  Whether the class is
-trivial is never read off the floats: orbits.extension_exists decides it on
-the characters of the group.
+Each irreducible is the left ideal of one primitive idempotent of the group
+algebra and each intertwiner is one projection: nothing is drawn at random,
+so every matrix depends only on the group table.  The obstruction 2-cocycle
+of an irreducible rho of a normal subgroup A lives on Q = G_rho/A.  It is
+exact when Q is trivial or rho is linear; otherwise it is snapped from
+intertwiners between conjugate matrix models to exact roots of unity, and
+every identity check downstream is exact integer arithmetic.  Whether its
+class is trivial is decided on the characters of the group
+(orbits.extension_exists), never on the floats.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,11 +28,9 @@ from .errors import (CapExceeded, InvalidCocycle, NonScalar,
                      NumericalDegeneracy, SnapFailure, SplitFailure)
 from .groups import FiniteGroup, QuotientGroup, Subgroup, coset_quotient
 
-DEFAULT_SEED = 0x5EED
 DEFAULT_TOL = 1e-8
 DEFAULT_SNAP_TOL = 1e-6
 MATRIX_IRREPS_CAP = 256
-_MAX_RETRIES = 20
 
 
 @dataclass(frozen=True)
@@ -59,71 +52,91 @@ class MatrixRep:
                          self.character.pullback(conj_map))
 
 
-def matrix_irreps(G: FiniteGroup, seed: int = DEFAULT_SEED,
-                  tol: float = DEFAULT_TOL) -> list[MatrixRep]:
+def matrix_irreps(G: FiniteGroup, tol: float = DEFAULT_TOL) -> list[MatrixRep]:
     """One unitary MatrixRep per irreducible character, in table row order;
     CapExceeded above order MATRIX_IRREPS_CAP.
 
-    Deterministic for a fixed seed: the random commutant elements are drawn
-    from a freshly seeded generator in a fixed order.  The left regular
-    representation reg[g] is the permutation h -> g h, so it is read off the
-    group table and never built as |G| dense |G| x |G| matrices.
+    A non-linear chi of degree d is modelled on the left ideal C[G] e of the
+    self-adjoint primitive idempotent e = e_chi e_lambda (Serre, Linear
+    Representations of Finite Groups, 2.6-2.7; lambda from
+    _multiplicity_one_idempotent).  Greedy Gram-Schmidt over the y e, y in
+    element order, gives an orthonormal basis W of it, and rho(g) =
+    W^H reg[g] W, reg[g] being the permutation h -> g h of the group table.
+    SplitFailure if no lambda is found or the ideal is not d-dimensional.
     """
     if G.order > MATRIX_IRREPS_CAP:
         raise CapExceeded("order %d exceeds matrix_irreps cap %d"
                           % (G.order, MATRIX_IRREPS_CAP))
     table = character_table(G)
-    rng = np.random.default_rng(seed)
     n = G.order
     rows = G._rows
-    # x h^-1 for every (x, h): the element g with reg[g][x, h] == 1
-    quotients = np.array(rows)[:, G._inv]
+    # x h^-1 for every (x, h), the g with reg[g][x, h] == 1, C-ordered
+    quotients = np.take(np.array(rows), G._inv, axis=1)
     cls_of = [G.class_index(g) for g in G.elements()]
     reps = []
     for row, d in zip(table.rows, table.degrees):
+        values = np.array([v.to_complex() for v in row.values])[cls_of]
         if d == 1:
-            values = np.array([v.to_complex() for v in row.values])[cls_of]
             reps.append(MatrixRep(G, 1, values.reshape(n, 1, 1), row))
             continue
-        # isotypic projector sum_g conj(chi(g)) reg[g] * d/|G|, entry by entry
-        P = np.array([v.conjugate().to_complex() for v in row.values])[cls_of][quotients]
-        P *= d / G.order
-        evals, evecs = np.linalg.eigh(P)
-        keep = np.nonzero(evals > 0.5)[0]
-        if len(keep) != d * d:
-            raise SplitFailure("isotypic block has dimension %d, expected %d"
-                               % (len(keep), d * d))
-        B0 = evecs[:, keep]
-        # B0^H reg[g] B0, with B0^H reg[g] gathered as a column permutation
-        block = [B0[rows[g]].conj().T @ B0 for g in G.elements()]
-        rep = None
-        for _ in range(_MAX_RETRIES):
-            X = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-            K = (X + X.conj().T) / 2
-            S = sum(Bg @ K @ Bg.conj().T for Bg in block) / G.order
-            vals, vecs = np.linalg.eigh(S)
-            groups = _cluster(vals, 1e-6 * max(1.0, np.max(np.abs(vals))))
-            if len(groups) != d or any(len(g) != d for g in groups):
-                continue
-            W = vecs[:, groups[0]]
-            images = np.array([W.conj().T @ Bg @ W for Bg in block])
-            rep = MatrixRep(G, d, images, row)
-            break
-        if rep is None:
-            raise SplitFailure("could not separate eigenvalues for a degree-%d block" % d)
+        # the regular matrix of e_chi = sum_g conj(chi(g)) g * d/|G|
+        P = values.conj()[quotients] * (d / n)
+        e = P @ _multiplicity_one_idempotent(G, values)
+        W = np.zeros((n, 0), dtype=complex)
+        for y in G.elements():
+            v = e[rows[G._inv[y]]]  # (y e)(z) = e(y^-1 z)
+            v -= W @ (W.conj().T @ v)
+            norm = np.linalg.norm(v)
+            # the y e are a tight frame of the ideal: with k < d kept, the
+            # squared residuals sum to d - k, so some y exceeds 1/(2|G|)
+            if norm * norm > 0.5 / n:
+                W = np.column_stack([W, v / norm])
+                if W.shape[1] == d:
+                    break
+        else:
+            raise SplitFailure("ideal has dimension %d, expected %d" % (W.shape[1], d))
+        # W^H reg[g] W, with W^H reg[g] gathered as a column permutation
+        rep = MatrixRep(G, d, np.array([W[rows[g]].conj().T @ W for g in G.elements()]), row)
         _check_rep(rep, tol)
         reps.append(rep)
     return reps
 
 
-def _cluster(sorted_vals: np.ndarray, gap: float) -> list[list[int]]:
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(sorted_vals)):
-        if sorted_vals[i] - sorted_vals[i - 1] < gap:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+def _multiplicity_one_idempotent(G: FiniteGroup, chi: np.ndarray) -> np.ndarray:
+    """e_lambda = sum_{x in H} conj(lambda(x)) x / |H| over G, for the first
+    abelian H with a linear lambda of multiplicity one in Res_H chi (chi[g]
+    is chi's value at g).  H = <h, k> comes first, h a class representative
+    and k in its centralizer, k = 1 first: every cyclic subgroup up to
+    conjugacy, then every pair.  Multiplicity one passes to abelian
+    overgroups, so if no pair has it, each h is grown to a maximal abelian
+    subgroup.  The DFT of chi(h_1^i_1 ... h_r^i_r) over Z_o1 x ... x Z_or
+    gives <Res chi, mu> for every linear mu of it, nonzero only through H.
+    """
+    rows, table = G._rows, np.array(G._rows)
+    heads = [cls[0] for cls in G.conjugacy_classes()]
+    pairs = ([h, k] for k in G.elements() for h in heads if rows[h][k] == rows[k][h])
+    for gens in itertools.chain(pairs, (_maximal_abelian(G, h) for h in heads)):
+        x = np.zeros((), dtype=int)
+        for g in gens:
+            x = table[x[..., None], G.powers(g)]
+        ones = np.argwhere(np.rint(np.fft.fftn(chi[x]).real / x.size) == 1)
+        if len(ones):
+            lam = np.zeros(G.order, dtype=complex)
+            # every element of H is hit |x| / |H| times, each with its value
+            phase = sum(a * i / o for a, i, o in zip(ones[0], np.indices(x.shape), x.shape))
+            np.add.at(lam, x, np.exp(-2j * np.pi * phase) / x.size)
+            return lam
+    raise SplitFailure("no abelian subgroup has a linear character of multiplicity one")
+
+
+def _maximal_abelian(G: FiniteGroup, h: int) -> list[int]:
+    """Generators of a maximal abelian subgroup through h: after h, each is
+    the least element that commutes with the subgroup so far, outside it."""
+    gens = [h]
+    for y in G.elements():
+        if all(G.mul(y, g) == G.mul(g, y) for g in gens) and y not in G.subgroup(gens):
+            gens.append(y)
+    return gens
 
 
 def _check_rep(rep: MatrixRep, tol: float) -> None:
@@ -276,7 +289,7 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
     # zeta_m^k, per class of A; modulus is d times its order
     det_vals = [determinant_character_value(chi, cls[0])
                 for cls in Agrp.conjugacy_classes()]
-    modulus = d * lcm(*(mm for _, mm in det_vals))
+    modulus = d * math.lcm(*(mm for _, mm in det_vals))
     # det rho(a) = zeta_modulus^det_exp[class of a]
     det_exp = [(k * (modulus // mm)) % modulus for k, mm in det_vals]
 

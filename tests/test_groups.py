@@ -206,6 +206,14 @@ def test_direct_table_constructor_checks():
              [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
     with pytest.raises(ValueError, match="not associative"):
         FiniteGroup(loop5)
+    # Z600 with one 2 x 2 subsquare swapped, 3 and 303 at rows 1, 301 and
+    # columns 2, 302: still a Latin square with identity 0, and above order
+    # 512 checked as exactly as below it
+    z600 = [[(a + b) % 600 for b in range(600)] for a in range(600)]
+    assert FiniteGroup(z600).is_abelian
+    z600[1][2], z600[1][302], z600[301][2], z600[301][302] = 303, 3, 3, 303
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(z600)
 
 
 def test_subgroup_membership_and_index():

@@ -16,9 +16,9 @@ from isotypic.errors import (CapExceeded, NonScalar, NotStabilized,
                              NumericalDegeneracy, SnapFailure, SplitFailure)
 from isotypic.groups import FiniteGroup, group_from_generators
 from isotypic import repmatrices
-from isotypic.orbits import irr_orbits, orbit_decomposition
-from isotypic.repmatrices import (DEFAULT_SEED, DEFAULT_SNAP_TOL, DEFAULT_TOL,
-                                  _check_rep, _cluster, _det_normalize, _within,
+from isotypic.orbits import irr_orbits, k_decomposition_report, orbit_decomposition
+from isotypic.repmatrices import (DEFAULT_SNAP_TOL, DEFAULT_TOL,
+                                  _check_rep, _det_normalize, _within,
                                   check_cocycle, intertwiner, matrix_irreps,
                                   obstruction_cocycle, stabilizer_of_character)
 
@@ -116,10 +116,12 @@ def test_a_non_finite_residual_is_a_typed_failure(name):
         intertwiner(broken, broken)
 
 
-def _dense_reference_images(G, seed=DEFAULT_SEED):
-    """The images matrix_irreps built from the dense left regular
-    representation: |G| matrices of size |G| x |G|, the projector summed
-    matrix by matrix and each block taken as B0^H reg[g] B0."""
+def _dense_reference_images(G):
+    """The images matrix_irreps builds, from the dense left regular
+    representation: |G| matrices of size |G| x |G|, the regular matrix of
+    e_chi summed matrix by matrix and applied to e_lambda, each y e taken as
+    reg[y] e, and each image as W^H reg[g] W.  lambda comes from the search
+    matrix_irreps makes, which reads no regular matrix."""
     n = G.order
     reg = []
     for g in range(n):
@@ -128,34 +130,29 @@ def _dense_reference_images(G, seed=DEFAULT_SEED):
             M[G.mul(g, h), h] = 1.0
         reg.append(M)
     table = character_table(G)
-    rng = np.random.default_rng(seed)
     out = []
     for row, d in zip(table.rows, table.degrees):
+        values = np.array([row(g).to_complex() for g in G.elements()])
         if d == 1:
-            out.append(np.array([[[row(g).to_complex()]] for g in G.elements()]))
+            out.append(values.reshape(n, 1, 1))
             continue
         P = np.zeros((n, n), dtype=complex)
-        for cls, val in zip(table.classes, row.values):
-            coeff = val.conjugate().to_complex()
-            if coeff != 0:
-                for g in cls:
-                    P += coeff * reg[g]
+        for g in G.elements():
+            P += values[g].conjugate() * reg[g]
         P *= d / n
-        evals, evecs = np.linalg.eigh(P)
-        B0 = evecs[:, np.nonzero(evals > 0.5)[0]]
-        block = [B0.conj().T @ reg[g] @ B0 for g in G.elements()]
-        for _ in range(20):
-            X = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-            K = (X + X.conj().T) / 2
-            S = sum(Bg @ K @ Bg.conj().T for Bg in block) / n
-            vals, vecs = np.linalg.eigh(S)
-            groups = _cluster(vals, 1e-6 * max(1.0, np.max(np.abs(vals))))
-            if len(groups) == d and all(len(g) == d for g in groups):
-                break
+        e = P @ repmatrices._multiplicity_one_idempotent(G, values)
+        W = np.zeros((n, 0), dtype=complex)
+        for y in G.elements():
+            v = reg[y] @ e
+            v -= W @ (W.conj().T @ v)
+            norm = np.linalg.norm(v)
+            if norm * norm > 0.5 / n:
+                W = np.column_stack([W, v / norm])
+                if W.shape[1] == d:
+                    break
         else:
-            pytest.fail("reference split did not separate a degree-%d block" % d)
-        W = vecs[:, groups[0]]
-        out.append(np.array([W.conj().T @ Bg @ W for Bg in block]))
+            pytest.fail("reference ideal of a degree-%d character is too small" % d)
+        out.append(np.array([W.conj().T @ reg[g] @ W for g in G.elements()]))
     return out
 
 
@@ -280,9 +277,9 @@ def test_stabilizer_of_character_equals_full_scan(pairs):
             assert stabilizer_of_character(G, A, chi).members == full, name
 
 
-def _obstruction_for(G, A, predicate, seed=0x5EED):
+def _obstruction_for(G, A, predicate):
     Agrp, _ = A.as_group()
-    reps = matrix_irreps(Agrp, seed=seed)
+    reps = matrix_irreps(Agrp)
     rho = next(r for r in reps if predicate(r))
     return obstruction_cocycle(stabilizer_of_character(G, A, rho.character), A, rho.character,
                                rho)
@@ -355,7 +352,7 @@ def test_omega_reproducible_bit_identical(q8):
     Zgrp, _ = Z.as_group()
 
     def run():
-        reps = matrix_irreps(Zgrp, seed=0x5EED)
+        reps = matrix_irreps(Zgrp)
         rho = next(r for r in reps if r.character.values[1].rational() == -1)
         return obstruction_cocycle(stabilizer_of_character(G, Z, rho.character), Z,
                                    rho.character, rho).omega
@@ -375,22 +372,28 @@ def _float_orbits(G, A):
 
 
 def test_obstruction_makes_no_random_draw(monkeypatch):
-    """Given its matrix model, obstruction_cocycle asks for no random
-    generator on any orbit that needs one, S4xS3 over S4 (Q_rho = S3 on
-    three orbits) and S5 over A5 (Q_rho of order 2 on two), and two
-    intertwiner calls on the same pair return bit-identical matrices."""
-    S4xS3 = group_from_generators(7, direct_product(S4_GENS, 4, S3_GENS, 3), name="S4xS3")
-    S4 = S4xS3.subgroup([S4xS3.perm_index(p) for p in direct_product(S4_GENS, 4, [], 3)])
-    S5 = group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], name="S5")
-    A5 = S5.subgroup([S5.perm_index(p) for p in ([1, 2, 0, 3, 4], [0, 1, 3, 4, 2])])
-    cases = [(S4, orbit) for orbit in _float_orbits(S4xS3, S4)]
-    cases += [(A5, orbit) for orbit in _float_orbits(S5, A5)]
-    assert sorted(stab.order // A.order for A, (stab, _) in cases) == [2, 2, 6, 6, 6]
-
+    """The decomposition, matrix_irreps included, asks for no random
+    generator on S4xS3 over S4 (Q_rho = S3 on three float orbits) and S5 over
+    A5 (Q_rho of order 2 on two); two intertwiner calls on the same pair
+    return bit-identical matrices, and two freshly built S5 give the same
+    omega tables over A5."""
     def no_draw(*args, **kwargs):
         raise AssertionError("a random generator was requested")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
+
+    def s5_over_a5():
+        S5 = group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], name="S5")
+        return S5, S5.subgroup([S5.perm_index(p) for p in ([1, 2, 0, 3, 4], [0, 1, 3, 4, 2])])
+
+    S4xS3 = group_from_generators(7, direct_product(S4_GENS, 4, S3_GENS, 3), name="S4xS3")
+    S4 = S4xS3.subgroup([S4xS3.perm_index(p) for p in direct_product(S4_GENS, 4, [], 3)])
+    S5, A5 = s5_over_a5()
+    for G, A in [(S4xS3, S4), (S5, A5)]:
+        assert k_decomposition_report(G, A).consistent
+    cases = [(S4, orbit) for orbit in _float_orbits(S4xS3, S4)]
+    cases += [(A5, orbit) for orbit in _float_orbits(S5, A5)]
+    assert sorted(stab.order // A.order for A, (stab, _) in cases) == [2, 2, 6, 6, 6]
     for A, (stab, rep) in cases:
         rec = obstruction_cocycle(stab, A, rep.character, rep)
         coset_of, _, maps = stab.parent.conjugation_action(A)
@@ -398,6 +401,66 @@ def test_obstruction_makes_no_random_draw(monkeypatch):
         U = intertwiner(rho_g, rep)
         assert np.array_equal(U, intertwiner(rho_g, rep))
         assert _within(U @ rho_g.images @ U.conj().T - rep.images, DEFAULT_TOL)
+    omegas = [[rec.obstruction.omega for rec in orbit_decomposition(*s5_over_a5())]
+              for _ in range(2)]
+    assert omegas[0] == omegas[1]
+
+
+def test_pair_subgroup_models_the_degree_four_irrep_of_d8xd8():
+    """No cyclic subgroup of D8xD8 carries a linear character of multiplicity
+    one in the degree-4 irreducible chi = rho2 x rho2 (chi vanishes off the
+    center, where it is +-4), so its model is cut out on a subgroup <h, k>
+    that is not cyclic, and passes _check_rep."""
+    D8 = [[1, 2, 3, 0], [3, 2, 1, 0]]
+    G = group_from_generators(8, direct_product(D8, 4, D8, 4), name="D8xD8")
+    table = character_table(G)
+    chi = table.rows[table.degrees.index(4)]
+    for h in G.elements():
+        powers = [0]
+        while G.mul(powers[-1], h) != 0:
+            powers.append(G.mul(powers[-1], h))
+        m = len(powers)
+        for j in range(m):
+            inner = sum(chi(x).to_complex() * cmath.exp(-2j * math.pi * i * j / m)
+                        for i, x in enumerate(powers)) / m
+            assert round(inner.real) != 1, (h, j)
+    values = np.array([chi(g).to_complex() for g in G.elements()])
+    H = np.flatnonzero(repmatrices._multiplicity_one_idempotent(G, values))
+    assert all(G.element_order(int(x)) < len(H) for x in H)
+    rep = next(r for r in matrix_irreps(G) if r.character == chi)
+    _check_rep(rep, DEFAULT_TOL)
+
+
+def _extraspecial_2_1_6():
+    """2^{1+6}_+ = D8 o D8 o D8: element z * 64 + v for z in Z2 and v in
+    F2^6, with (z, v)(w, u) = (z + w + beta(v, u), v + u) and beta(v, u) =
+    v0 u1 + v2 u3 + v4 u5.  The basis vectors square to 1, and e0, e1 (and
+    e2, e3 and e4, e5) commute to the central z = 64."""
+    def beta(v, u):
+        return sum((v >> 2 * i) & (u >> (2 * i + 1)) & 1 for i in range(3)) % 2
+    return FiniteGroup([[((z + w + beta(v, u)) % 2) * 64 + (v ^ u)
+                         for w in (0, 1) for u in range(64)]
+                        for z in (0, 1) for v in range(64)], name="2^(1+6)+")
+
+
+def test_maximal_abelian_subgroup_models_the_degree_eight_irrep_of_2_1_6():
+    """The degree-8 irreducible chi of 2^{1+6}_+ is 8 at 1, -8 at z and 0
+    elsewhere, and every square is 1 or z.  So an abelian <h, k> has order
+    at most 8, with <Res chi, lambda> = 16/|H| if z is in H and 8/|H| if not
+    (|H| <= 4), never 1: no pair carries a multiplicity-one lambda.  The
+    model is cut out on a maximal abelian subgroup, of order 16, and passes
+    _check_rep."""
+    G = _extraspecial_2_1_6()
+    z = 64
+    assert G.center().members == (0, z)
+    assert {G.mul(g, g) for g in G.elements()} == {0, z}
+    table = character_table(G)
+    chi = table.rows[table.degrees.index(8)]
+    values = np.array([chi(g).to_complex() for g in G.elements()])
+    assert (values[0], values[z], np.count_nonzero(values)) == (8, -8, 2)
+    assert len(np.flatnonzero(repmatrices._multiplicity_one_idempotent(G, values))) == 16
+    rep = next(r for r in matrix_irreps(G) if r.character == chi)
+    _check_rep(rep, DEFAULT_TOL)
 
 
 def test_obstruction_rejects_a_non_stabilizer_before_float_work(q8, monkeypatch):
@@ -526,22 +589,21 @@ def _linear_cocycle_pairs(pairs):
 def test_exact_linear_cocycle_equals_the_float_snapped_one(pairs):
     """On every orbit with rho(1) = 1 and G_rho/A nontrivial, the cocycle read
     off the determinant character equals the one the float route snapped,
-    entry by entry, at seeds 0, 1 and 0x5EED.  Q8 over its center, a
-    nontrivial class, is among them."""
+    entry by entry.  Q8 over its center, a nontrivial class, is among
+    them."""
     compared = set()
     for name, G, A in _linear_cocycle_pairs(pairs):
         Agrp, _ = A.as_group()
         table_a = character_table(Agrp)
         orbits = [(rep, stab) for rep, _, stab in irr_orbits(G, A)
                   if table_a.degrees[rep] == 1 and stab.order > A.order]
-        for seed in (0, 1, 0x5EED):
-            reps = matrix_irreps(Agrp, seed=seed)
-            for rep, stab in orbits:
-                rec = obstruction_cocycle(stab, A, table_a.rows[rep])
-                expected = _float_obstruction_reference(stab, A, reps[rep])
-                assert (rec.omega, rec.modulus) == expected, (name, rep, seed)
-                assert all(np.array_equal(U, np.eye(1)) for U in rec.intertwiners)
-                compared.add((name, rep, rec.trivial))
+        reps = matrix_irreps(Agrp)
+        for rep, stab in orbits:
+            rec = obstruction_cocycle(stab, A, table_a.rows[rep])
+            expected = _float_obstruction_reference(stab, A, reps[rep])
+            assert (rec.omega, rec.modulus) == expected, (name, rep)
+            assert all(np.array_equal(U, np.eye(1)) for U in rec.intertwiners)
+            compared.add((name, rep, rec.trivial))
     assert ("Q8", 1, False) in compared
     assert len(compared) == 49
 

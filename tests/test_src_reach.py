@@ -71,3 +71,21 @@ def test_every_src_function_is_reached_or_allowed():
         "reached only by tests, delete or allow with a reason: %s; allowed but now "
         "reached or gone: %s" % (sorted(unreached - set(ALLOWED_UNREACHED)),
                                  sorted(set(ALLOWED_UNREACHED) - unreached)))
+
+
+def test_src_makes_no_random_draw():
+    """Results are functions of the group alone: no src module imports
+    random or names numpy's random module, and no src function takes a
+    seed.  The CLI's --seed is parsed and validated, and reaches nothing."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert "random" not in [alias.name for alias in node.names], path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "random", path.name
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "random", path.name
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                assert "seed" not in [arg.arg for arg in args], (path.name, node.name)
