@@ -439,16 +439,8 @@ def _dixon_schneider(G: FiniteGroup) -> list[tuple[ClassFunction, list[tuple[int
     w = pow(_primitive_root(q), (q - 1) // e, q)
 
     # power maps, needed for the cyclotomic lift
-    orders = [G.element_order(c[0]) for c in classes]
-    power_classes = []
-    for c in classes:
-        g = c[0]
-        pcs = []
-        x = 0
-        for _ in range(orders[G.class_index(g)]):
-            pcs.append(G.class_index(x))
-            x = G.mul(x, g)
-        power_classes.append(pcs)
+    power_classes = [[G.class_index(x) for x in G.powers(c[0])] for c in classes]
+    orders = [len(p) for p in power_classes]
 
     rows = []
     for B in subspaces:

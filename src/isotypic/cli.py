@@ -18,11 +18,9 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 
-from . import repmatrices
 from .bordism import (PowerSeries, adjacent_family_series, d2p_certify,
                       global_generator_series)
 from .bundles import verify_decomposition
@@ -115,7 +113,7 @@ def cmd_clifford(args) -> Report:
     G, A = _load_pair(args)
     if not G.is_normal(A):
         raise NotNormal("the chosen subgroup is not normal in %s" % G.name)
-    report = k_decomposition_report(G, A, tol=args.tol)
+    report = k_decomposition_report(G, A)
     res = report.to_jsonable()
     lines = ["group %s, normal subgroup of order %d" % (G.name, A.order)]
     for rec in res["orbits"]:
@@ -222,14 +220,6 @@ def _seed(text: str) -> int:
     return value
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError("tolerance must be a positive finite number, got %s"
-                                         % text)
-    return value
-
-
 def _degree(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -251,8 +241,6 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument("--format", choices=["table", "json"], default=dflt("table"))
-    parser.add_argument("--tol", type=_tolerance, default=dflt(repmatrices.DEFAULT_TOL),
-                        help="construction residual tolerance (default 1e-8)")
     parser.add_argument("--seed", type=_seed, default=dflt(None),
                         help="accepted for compatibility; affects no output")
     parser.add_argument("--max-order", type=_order, default=dflt(DEFAULT_ORDER_CAP),

@@ -9,7 +9,7 @@ a character extends to its stabilizer is read off its multiplicity column
 <Res_A chi, rho> over Irr(G).  Both tables are cached on G.
 Matrix models of Irr(A) are built once per decomposition, and only if some
 orbit has rho(1) >= 2 and a nontrivial G_rho/A; every other cocycle is
-exact, so --tol reaches only those orbits.
+exact.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .characters import (CharacterTable, character_table, inner_product,
 from .errors import NotNormal, NotStabilized
 from .groups import FiniteGroup, Subgroup
 from .repmatrices import (ObstructionRecord, check_cocycle, matrix_irreps,
-                          needs_matrix_model, obstruction_cocycle, DEFAULT_TOL)
+                          needs_matrix_model, obstruction_cocycle)
 
 
 def irr_permutations(G: FiniteGroup, A: Subgroup) -> dict[int, tuple[int, ...]]:
@@ -176,11 +176,11 @@ def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
     return orbits
 
 
-def orbit_decomposition(G: FiniteGroup, A: Subgroup, tol: float = DEFAULT_TOL) -> list:
+def orbit_decomposition(G: FiniteGroup, A: Subgroup) -> list:
     """One IrrOrbitRecord per G-orbit on Irr(A), in the order of irr_orbits;
     each record and its obstruction share the stabilizer irr_orbits built.
 
-    matrix_irreps(A, tol) is called once, and only if some orbit
+    matrix_irreps(A) is called once, and only if some orbit
     needs_matrix_model; only those orbits get a matrix model.
     """
     orbits = irr_orbits(G, A)
@@ -188,11 +188,11 @@ def orbit_decomposition(G: FiniteGroup, A: Subgroup, tol: float = DEFAULT_TOL) -
     table_a = character_table(Agrp)
     needs = [needs_matrix_model(stabilizer, A, table_a.degrees[rep])
              for rep, _, stabilizer in orbits]
-    irreps_a = matrix_irreps(Agrp, tol=tol) if any(needs) else None
+    irreps_a = matrix_irreps(Agrp) if any(needs) else None
     records = []
     for (rep, orbit, stabilizer), need in zip(orbits, needs):
         obs = obstruction_cocycle(stabilizer, A, table_a.rows[rep],
-                                  irreps_a[rep] if need else None, tol=tol)
+                                  irreps_a[rep] if need else None)
         # chi lies over the orbit iff e_chi > 0
         lying = frozenset(i for i, e in enumerate(multiplicities(G, A, rep)) if e)
         # obstruction_cocycle has already checked this table
@@ -233,14 +233,13 @@ def _regular_class_count(Q: FiniteGroup, omega, modulus: int) -> int:
     return count
 
 
-def k_decomposition_report(G: FiniteGroup, A: Subgroup,
-                           tol: float = DEFAULT_TOL) -> DecompositionReport:
+def k_decomposition_report(G: FiniteGroup, A: Subgroup) -> DecompositionReport:
     """Rank identity |Irr(G)| = sum of twisted counts over orbits.
 
     Both counting routes (restriction fibers and omega-regular classes) are
     computed; any mismatch is recorded in the report, never dropped.
     """
-    records = orbit_decomposition(G, A, tol=tol)
+    records = orbit_decomposition(G, A)
     table_g = character_table(G)
     total = len(table_g)
     ssum = sum(rec.twisted_count for rec in records)

@@ -9,7 +9,9 @@ exact when Q is trivial or rho is linear; otherwise it is snapped from
 intertwiners between conjugate matrix models to exact roots of unity, and
 every identity check downstream is exact integer arithmetic.  Whether its
 class is trivial is decided on the characters of the group
-(orbits.extension_exists), never on the floats.
+(orbits.extension_exists), never on the floats.  Residuals are checked
+against TOL and Schur scalars snapped within SNAP_TOL; neither is a
+parameter.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ from .errors import (CapExceeded, InvalidCocycle, NonScalar,
                      NumericalDegeneracy, SnapFailure, SplitFailure)
 from .groups import FiniteGroup, QuotientGroup, Subgroup, coset_quotient
 
-DEFAULT_TOL = 1e-8
-DEFAULT_SNAP_TOL = 1e-6
+TOL = 1e-8
+SNAP_TOL = 1e-6
 MATRIX_IRREPS_CAP = 256
+# products rho(g) rho(h) per residual stack in _check_rep: 1 MB at degree 8
+_CHECK_STACK = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ class MatrixRep:
                          self.character.pullback(conj_map))
 
 
-def matrix_irreps(G: FiniteGroup, tol: float = DEFAULT_TOL) -> list[MatrixRep]:
+def matrix_irreps(G: FiniteGroup) -> list[MatrixRep]:
     """One unitary MatrixRep per irreducible character, in table row order;
     CapExceeded above order MATRIX_IRREPS_CAP.
 
@@ -97,7 +101,7 @@ def matrix_irreps(G: FiniteGroup, tol: float = DEFAULT_TOL) -> list[MatrixRep]:
             raise SplitFailure("ideal has dimension %d, expected %d" % (W.shape[1], d))
         # W^H reg[g] W, with W^H reg[g] gathered as a column permutation
         rep = MatrixRep(G, d, np.array([W[rows[g]].conj().T @ W for g in G.elements()]), row)
-        _check_rep(rep, tol)
+        _check_rep(rep)
         reps.append(rep)
     return reps
 
@@ -139,39 +143,46 @@ def _maximal_abelian(G: FiniteGroup, h: int) -> list[int]:
     return gens
 
 
-def _check_rep(rep: MatrixRep, tol: float) -> None:
+def _check_rep(rep: MatrixRep) -> None:
     """Raise SplitFailure unless every image is unitary, rho(g) rho(h) =
-    rho(gh) for every pair (g, h), both within tol in the spectral norm, and
-    the traces match the exact character."""
+    rho(gh) for every pair (g, h), both within TOL in the spectral norm, and
+    the traces match the exact character.  The pair residuals are checked a
+    block of g at a time, at most _CHECK_STACK products per stack."""
     G = rep.group
     M = rep.images
-    if not _within(M @ M.conj().transpose(0, 2, 1) - np.eye(rep.dimension), tol):
+    if not _within(M @ M.conj().transpose(0, 2, 1) - np.eye(rep.dimension)):
         raise SplitFailure("representation image is not unitary")
-    for Mg, row in zip(M, G._rows):
-        if not _within(Mg @ M - M[row], tol):
+    n, d = M.shape[:2]
+    rows = np.array(G._rows)
+    # column (h, j) of right is column j of rho(h): a block of rho(g) times
+    # right is every rho(g) rho(h) of the block, as one matrix product
+    right = M.transpose(1, 0, 2).reshape(d, n * d)
+    block = _CHECK_STACK // n  # n <= MATRIX_IRREPS_CAP, so block >= 4
+    for start in range(0, n, block):
+        blk = slice(start, start + block)
+        products = (M[blk].reshape(-1, d) @ right).reshape(-1, d, n, d).transpose(0, 2, 1, 3)
+        if not _within((products - M[rows[blk]]).reshape(-1, d, d)):
             raise SplitFailure("homomorphism residual above tolerance")
     for cls, val in zip(G.conjugacy_classes(), rep.character.values):
         if abs(np.trace(M[cls[0]]) - val.to_complex()) > 1e-6:
             raise SplitFailure("trace does not match the exact character")
 
 
-def _within(stack: np.ndarray, tol: float) -> bool:
-    """Whether every matrix of a (n, d, d) stack has spectral norm <= tol.
+def _within(stack: np.ndarray) -> bool:
+    """Whether every matrix of a (n, d, d) stack has spectral norm <= TOL.
 
-    As ||X||_2 <= ||X||_F, a matrix whose Frobenius norm is within tol
+    As ||X||_2 <= ||X||_F, a matrix whose Frobenius norm is within TOL
     passes; all Frobenius norms come from one einsum, and only the rest are
     sent to the SVD behind the spectral norm.  A non-finite stack fails.
     """
     frobenius_sq = np.einsum("nij,nij->n", stack, stack.conj()).real
     if not np.isfinite(frobenius_sq).all():
         return False
-    # negated, so a NaN tol accepts nothing
-    suspects = stack[~(frobenius_sq <= tol * tol)]
-    return not len(suspects) or bool(np.all(np.linalg.norm(suspects, 2, axis=(1, 2)) <= tol))
+    suspects = stack[frobenius_sq > TOL * TOL]
+    return not len(suspects) or bool(np.all(np.linalg.norm(suspects, 2, axis=(1, 2)) <= TOL))
 
 
-def intertwiner(rho1: MatrixRep, rho2: MatrixRep,
-                tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
+def intertwiner(rho1: MatrixRep, rho2: MatrixRep) -> Optional[np.ndarray]:
     """A unitary U with U rho1(g) U^-1 = rho2(g), or None if not isomorphic.
 
     Averaging X -> rho2(g) X rho1(g)^-1 over the group is the orthogonal
@@ -180,7 +191,7 @@ def intertwiner(rho1: MatrixRep, rho2: MatrixRep,
     come from one einsum; the largest, of squared Frobenius norm at least
     1/d^2, is rescaled to Frobenius norm sqrt(d).  NumericalDegeneracy if
     the images are not finite or the largest is below half that bound
-    (the projection vanishes), or if the residual exceeds tol.
+    (the projection vanishes), or if the residual exceeds TOL.
     """
     if rho1.group is not rho2.group or rho1.dimension != rho2.dimension:
         return None
@@ -194,7 +205,7 @@ def intertwiner(rho1: MatrixRep, rho2: MatrixRep,
     if not np.isfinite(norms_sq).all() or norms_sq[i, j] < 0.5 / d ** 2:
         raise NumericalDegeneracy("averaging projection is not finite or vanishes")
     U = proj[i, j] * math.sqrt(d / norms_sq[i, j])
-    if not _within(U @ rho1.images @ U.conj().T - rho2.images, tol):
+    if not _within(U @ rho1.images @ U.conj().T - rho2.images):
         raise NumericalDegeneracy("averaged intertwiner has a residual above tolerance")
     return U
 
@@ -206,10 +217,8 @@ class ObstructionRecord:
     character is rho's exact character.  omega is a |Q| x |Q| table of
     exponents k meaning the root of unity exp(2*pi*i*k/modulus);
     modulus = rho(1) * order(det o rho), which makes every snapped scalar an
-    exact root of unity.  intertwiners holds one det-1 unitary U_g per coset
-    representative g (identities where no matrix model was needed).  trivial
-    is decided by the exact character-level extension criterion, never
-    numerically.
+    exact root of unity.  trivial is decided by the exact character-level
+    extension criterion, never numerically.
     """
 
     character: ClassFunction
@@ -218,7 +227,6 @@ class ObstructionRecord:
     omega: tuple  # tuple of tuples of ints
     modulus: int
     trivial: bool
-    intertwiners: tuple  # one unitary per coset representative
 
 
 def stabilizer_of_character(G: FiniteGroup, A: Subgroup, chi: ClassFunction) -> Subgroup:
@@ -246,8 +254,7 @@ def needs_matrix_model(G_rho: Subgroup, A: Subgroup, degree: int) -> bool:
 
 
 def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
-                        rep: Optional[MatrixRep] = None,
-                        tol: float = DEFAULT_TOL) -> ObstructionRecord:
+                        rep: Optional[MatrixRep] = None) -> ObstructionRecord:
     """Obstruction data for extending the irreducible rho, with exact
     character chi, from the normal subgroup A of G = G_rho.parent to its
     stabilizer G_rho, which the caller has built (orbits.irr_orbits does,
@@ -268,8 +275,8 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
       U_g rho(g^-1 a g) U_g^-1 = rho(a) is computed and rescaled to det 1,
       and omega(q1, q2) is the Schur scalar of
       rho(a0)^-1 U_{g1} U_{g2} U_{g3}^-1, snapped to an exact root of unity
-      within max(DEFAULT_SNAP_TOL, 100 * tol) and cross-checked against
-      the determinant character: omega^rho(1) = det rho(a0)^-1.
+      within SNAP_TOL and cross-checked against the determinant character:
+      omega^rho(1) = det rho(a0)^-1.
 
     The cocycle identity is then verified exactly on every route.
     """
@@ -296,19 +303,16 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
     reps_g = Q.section
     eye = np.eye(d)
     exact = not needs_matrix_model(G_rho, A, d)
-    if exact:
-        units = [eye] * m
-    else:
+    if not exact:
         if rep is None or rep.character != chi:
             raise ValueError("rho(1) >= 2 and G_rho/A is nontrivial: rep must be a "
                              "matrix model of chi")
-        snap_tol = max(DEFAULT_SNAP_TOL, 100 * tol)
         # lifts are minimal in their coset of A, so maps[coset_of[g]] is
         # exactly a -> g^-1 a g
         coset_of, _, maps = G.conjugation_action(A)
         units = [eye.copy()]
         for g in reps_g[1:]:
-            U = intertwiner(rep.conjugated(maps[coset_of[g]]), rep, tol=tol)
+            U = intertwiner(rep.conjugated(maps[coset_of[g]]), rep)
             if U is None:
                 raise AssertionError("coset representative does not stabilize rho")
             units.append(_det_normalize(U))
@@ -325,10 +329,10 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
                 continue
             M = rep.images[a0].conj().T @ units[q1] @ units[q2] @ units[q12].conj().T
             c = np.trace(M) / d
-            if np.max(np.abs(M - c * eye)) > snap_tol:
+            if np.max(np.abs(M - c * eye)) > SNAP_TOL:
                 raise NonScalar("cocycle matrix is not scalar at (%d, %d)" % (q1, q2))
             k = round(modulus * (cmath.phase(c) / (2 * math.pi))) % modulus
-            if abs(c - cmath.exp(2j * math.pi * k / modulus)) > snap_tol:
+            if abs(c - cmath.exp(2j * math.pi * k / modulus)) > SNAP_TOL:
                 raise SnapFailure("scalar %r too far from mu_%d" % (c, modulus))
             # exact cross-check: omega^d must equal det(rho(a0))^-1
             if (k * d) % modulus != det_inv:
@@ -338,8 +342,7 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
     check_cocycle(Q.group, omega, modulus)
     return ObstructionRecord(character=chi, stabilizer=G_rho, quotient=Q,
                              omega=tuple(map(tuple, omega)),
-                             modulus=modulus, trivial=trivial,
-                             intertwiners=tuple(units))
+                             modulus=modulus, trivial=trivial)
 
 
 def check_cocycle(Q: FiniteGroup, omega, modulus: int) -> None:

@@ -17,8 +17,7 @@ from isotypic.errors import (CapExceeded, NonScalar, NotStabilized,
 from isotypic.groups import FiniteGroup, group_from_generators
 from isotypic import repmatrices
 from isotypic.orbits import irr_orbits, k_decomposition_report, orbit_decomposition
-from isotypic.repmatrices import (DEFAULT_SNAP_TOL, DEFAULT_TOL,
-                                  _check_rep, _det_normalize, _within,
+from isotypic.repmatrices import (SNAP_TOL, TOL, _check_rep, _det_normalize, _within,
                                   check_cocycle, intertwiner, matrix_irreps,
                                   obstruction_cocycle, stabilizer_of_character)
 
@@ -70,7 +69,7 @@ def _faithful_irrep(G):
 @pytest.mark.parametrize("name", ["D8", "S4"])
 def test_check_rep_passes_a_genuine_irrep(name):
     G, _ = build_catalog_group(name)
-    _check_rep(_faithful_irrep(G), 1e-8)
+    _check_rep(_faithful_irrep(G))
 
 
 @pytest.mark.parametrize("name", ["D8", "S4"])
@@ -80,7 +79,7 @@ def test_check_rep_rejects_a_scaled_image(name):
     images = rep.images.copy()
     images[G.order // 2] *= 1.001
     with pytest.raises(SplitFailure, match="not unitary"):
-        _check_rep(dataclasses.replace(rep, images=images), 1e-8)
+        _check_rep(dataclasses.replace(rep, images=images))
 
 
 @pytest.mark.parametrize("name", ["D8", "S4"])
@@ -95,7 +94,7 @@ def test_check_rep_rejects_swapped_images(name):
     images[[last - 1, last]] = images[[last, last - 1]]
     assert not np.array_equal(images, rep.images)
     with pytest.raises(SplitFailure, match="homomorphism residual"):
-        _check_rep(dataclasses.replace(rep, images=images), 1e-8)
+        _check_rep(dataclasses.replace(rep, images=images))
 
 
 @pytest.mark.parametrize("name", ["D8", "S4"])
@@ -103,15 +102,15 @@ def test_a_non_finite_residual_is_a_typed_failure(name):
     """A NaN or infinite entry never reaches the SVD: _within rejects the
     stack, _check_rep raises SplitFailure and intertwiner, whose averaging
     projection is then not finite, NumericalDegeneracy."""
-    assert not _within(np.full((2, 2, 2), np.nan, dtype=complex), DEFAULT_TOL)
-    assert not _within(np.full((1, 2, 2), np.inf, dtype=complex), DEFAULT_TOL)
+    assert not _within(np.full((2, 2, 2), np.nan, dtype=complex))
+    assert not _within(np.full((1, 2, 2), np.inf, dtype=complex))
     G, _ = build_catalog_group(name)
     rep = _faithful_irrep(G)
     images = rep.images.copy()
     images[G.order // 2] = np.nan
     broken = dataclasses.replace(rep, images=images)
     with pytest.raises(SplitFailure):
-        _check_rep(broken, DEFAULT_TOL)
+        _check_rep(broken)
     with pytest.raises(NumericalDegeneracy):
         intertwiner(broken, broken)
 
@@ -338,13 +337,21 @@ def test_cocycle_identity_and_normalization_exact(pairs):
 
 
 def test_determinant_one_intertwiners(pairs):
-    from isotypic.orbits import orbit_decomposition
+    """On every orbit that needs a matrix model, the intertwiner of each
+    coset representative of Q_rho, rescaled as obstruction_cocycle does, has
+    determinant 1."""
+    checked = 0
     for name, G, A in pairs:
         if G.order > 24:
             continue
-        for rec in orbit_decomposition(G, A):
-            for U in rec.obstruction.intertwiners:
+        coset_of, _, maps = G.conjugation_action(A)
+        for stab, rep in _float_orbits(G, A):
+            section = obstruction_cocycle(stab, A, rep.character, rep).quotient.section
+            for g in section[1:]:
+                U = _det_normalize(intertwiner(rep.conjugated(maps[coset_of[g]]), rep))
                 assert abs(np.linalg.det(U) - 1) <= 1e-8, name
+                checked += 1
+    assert checked
 
 
 def test_omega_reproducible_bit_identical(q8):
@@ -400,7 +407,7 @@ def test_obstruction_makes_no_random_draw(monkeypatch):
         rho_g = rep.conjugated(maps[coset_of[rec.quotient.section[1]]])
         U = intertwiner(rho_g, rep)
         assert np.array_equal(U, intertwiner(rho_g, rep))
-        assert _within(U @ rho_g.images @ U.conj().T - rep.images, DEFAULT_TOL)
+        assert _within(U @ rho_g.images @ U.conj().T - rep.images)
     omegas = [[rec.obstruction.omega for rec in orbit_decomposition(*s5_over_a5())]
               for _ in range(2)]
     assert omegas[0] == omegas[1]
@@ -428,7 +435,7 @@ def test_pair_subgroup_models_the_degree_four_irrep_of_d8xd8():
     H = np.flatnonzero(repmatrices._multiplicity_one_idempotent(G, values))
     assert all(G.element_order(int(x)) < len(H) for x in H)
     rep = next(r for r in matrix_irreps(G) if r.character == chi)
-    _check_rep(rep, DEFAULT_TOL)
+    _check_rep(rep)
 
 
 def _extraspecial_2_1_6():
@@ -460,7 +467,7 @@ def test_maximal_abelian_subgroup_models_the_degree_eight_irrep_of_2_1_6():
     assert (values[0], values[z], np.count_nonzero(values)) == (8, -8, 2)
     assert len(np.flatnonzero(repmatrices._multiplicity_one_idempotent(G, values))) == 16
     rep = next(r for r in matrix_irreps(G) if r.character == chi)
-    _check_rep(rep, DEFAULT_TOL)
+    _check_rep(rep)
 
 
 def test_obstruction_rejects_a_non_stabilizer_before_float_work(q8, monkeypatch):
@@ -491,37 +498,35 @@ def test_obstruction_record_fields(q8):
 
 
 def test_spectral_check_accepts_what_only_the_frobenius_norm_exceeds():
-    """The Frobenius prefilter only skips SVDs: diag(0.8 tol, 0.8 tol) has
-    spectral norm 0.8 tol and Frobenius norm about 1.13 tol, and is accepted,
+    """The Frobenius prefilter only skips SVDs: diag(0.8 TOL, 0.8 TOL) has
+    spectral norm 0.8 TOL and Frobenius norm about 1.13 TOL, and is accepted,
     alone and as a residual of _check_rep."""
-    tol = DEFAULT_TOL
-    assert _within(np.diag([0.8 * tol, 0.8 * tol])[None].astype(complex), tol)
-    assert not _within(np.diag([1.2 * tol, 0.0])[None].astype(complex), tol)
+    assert _within(np.diag([0.8 * TOL, 0.8 * TOL])[None].astype(complex))
+    assert not _within(np.diag([1.2 * TOL, 0.0])[None].astype(complex))
     try:  # a NaN residual reaches the SVD, which accepts nothing or raises
-        accepted = _within(np.full((1, 2, 2), np.nan, dtype=complex), tol)
+        accepted = _within(np.full((1, 2, 2), np.nan, dtype=complex))
     except np.linalg.LinAlgError:
         accepted = False
     assert not accepted
-    assert _within(np.zeros((0, 2, 2), dtype=complex), tol)
-    # scaling one image by 1 + 0.4 tol leaves every residual of spectral norm
-    # at most 0.8 tol (+ rounding), while the unitarity residual of that
-    # image, (0.8 tol) times the identity of degree 3, has Frobenius norm
-    # about 1.39 tol
+    assert _within(np.zeros((0, 2, 2), dtype=complex))
+    # scaling one image by 1 + 0.4 TOL leaves every residual of spectral norm
+    # at most 0.8 TOL (+ rounding), while the unitarity residual of that
+    # image, (0.8 TOL) times the identity of degree 3, has Frobenius norm
+    # about 1.39 TOL
     G, _ = build_catalog_group("S4")
     rep = _faithful_irrep(G)
     images = rep.images.copy()
-    images[G.order // 2] *= 1 + 0.4 * tol
-    _check_rep(dataclasses.replace(rep, images=images), tol)
+    images[G.order // 2] *= 1 + 0.4 * TOL
+    _check_rep(dataclasses.replace(rep, images=images))
 
 
-def _float_obstruction_reference(G_rho, A, rho, tol=DEFAULT_TOL):
+def _float_obstruction_reference(G_rho, A, rho):
     """(omega, modulus) by the float route obstruction_cocycle once took on
     every orbit: intertwiners, det normalisation and snapping, with Q built
     as a quotient of the materialized G_rho.  Kept as written then."""
     Agrp, _ = A.as_group()
     G = G_rho.parent
     d = rho.dimension
-    snap_tol = max(DEFAULT_SNAP_TOL, 100 * tol)
 
     Sgrp, sembed = G_rho.as_group()
     A_in_s = Sgrp.subgroup_from_members([G_rho.retract(a) for a in A.members])
@@ -543,7 +548,7 @@ def _float_obstruction_reference(G_rho, A, rho, tol=DEFAULT_TOL):
             units.append(eye.copy())
             continue
         rho_g = rho.conjugated(maps[coset_of[g]])
-        U = intertwiner(rho_g, rho, tol=tol)
+        U = intertwiner(rho_g, rho)
         assert U is not None, "coset representative does not stabilize rho"
         units.append(_det_normalize(U))
 
@@ -556,10 +561,10 @@ def _float_obstruction_reference(G_rho, A, rho, tol=DEFAULT_TOL):
             a0_local = A.retract(a0)  # raises if not in A
             M = rho.images[a0_local].conj().T @ units[q1] @ units[q2] @ units[q12].conj().T
             c = np.trace(M) / d
-            if np.max(np.abs(M - c * eye)) > snap_tol:
+            if np.max(np.abs(M - c * eye)) > SNAP_TOL:
                 raise NonScalar("cocycle matrix is not scalar at (%d, %d)" % (q1, q2))
             k = round(modulus * (cmath.phase(c) / (2 * math.pi))) % modulus
-            if abs(c - cmath.exp(2j * math.pi * k / modulus)) > snap_tol:
+            if abs(c - cmath.exp(2j * math.pi * k / modulus)) > SNAP_TOL:
                 raise SnapFailure("scalar %r too far from mu_%d" % (c, modulus))
             if (k * d) % modulus != (-det_exp[Agrp.class_index(a0_local)]) % modulus:
                 raise SnapFailure("snapped scalar disagrees with the determinant character")
@@ -602,7 +607,6 @@ def test_exact_linear_cocycle_equals_the_float_snapped_one(pairs):
             rec = obstruction_cocycle(stab, A, table_a.rows[rep])
             expected = _float_obstruction_reference(stab, A, reps[rep])
             assert (rec.omega, rec.modulus) == expected, (name, rep)
-            assert all(np.array_equal(U, np.eye(1)) for U in rec.intertwiners)
             compared.add((name, rep, rec.trivial))
     assert ("Q8", 1, False) in compared
     assert len(compared) == 49
@@ -674,4 +678,3 @@ def test_obstruction_needs_a_matrix_model_only_where_it_uses_one(pairs):
             obstruction_cocycle(stab, A, chi, reps[0])
         rec = obstruction_cocycle(stab, A, chi, reps[rep])
         assert rec.quotient.order == 2 and rec.trivial
-        assert len(rec.intertwiners) == 2 and rec.intertwiners[1].shape == (3, 3)

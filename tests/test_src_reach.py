@@ -76,7 +76,8 @@ def test_every_src_function_is_reached_or_allowed():
 def test_src_makes_no_random_draw():
     """Results are functions of the group alone: no src module imports
     random or names numpy's random module, and no src function takes a
-    seed.  The CLI's --seed is parsed and validated, and reaches nothing."""
+    seed or a tol: the float checks read the constants repmatrices.TOL and
+    SNAP_TOL.  The CLI's --seed is parsed and validated, and reaches nothing."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -88,4 +89,5 @@ def test_src_makes_no_random_draw():
                 assert node.attr != "random", path.name
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
-                assert "seed" not in [arg.arg for arg in args], (path.name, node.name)
+                names = [arg.arg for arg in args]
+                assert "seed" not in names and "tol" not in names, (path.name, node.name)
