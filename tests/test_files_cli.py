@@ -253,18 +253,31 @@ def test_cmd_d2p_rejects_composite(capsys):
     assert main(["d2p", "--p", "4", "--max-degree", "10"]) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["--seed", "-1", "clifford", "catalog:D8"],
-    ["clifford", "catalog:D8", "--seed=-1"],
-    ["bordism", "catalog:D8", "--max-degree", "-1"],
-    ["bordism", "catalog:D8", "--max-degree", "-1", "--global"],
-    ["d2p", "--p", "3", "--max-degree", "-1"],
-    ["--max-order", "0", "irr", "catalog:Z4"],
-    ["--max-order", "-1", "irr", "catalog:Z4"],
-    ["irr", "catalog:Z1", "--max-order", "0"],
-    ["irr", "catalog:Z1", "--max-order", "-1"],
-], ids=lambda argv: " ".join(argv).replace("catalog:", ""))
-def test_cli_rejects_bad_option_values(argv, capsys):
+BAD_OPTION_VALUES = [
+    (["--seed", "-1", "clifford", "catalog:D8"], "error: argument"),
+    (["clifford", "catalog:D8", "--seed=-1"], "error: argument"),
+    (["bordism", "catalog:D8", "--max-degree", "-1"], "error: argument"),
+    (["bordism", "catalog:D8", "--max-degree", "-1", "--global"], "error: argument"),
+    (["d2p", "--p", "3", "--max-degree", "-1"], "error: argument"),
+    (["--max-order", "0", "irr", "catalog:Z4"], "error: argument"),
+    (["--max-order", "-1", "irr", "catalog:Z4"], "error: argument"),
+    (["irr", "catalog:Z1", "--max-order", "0"], "error: argument"),
+    (["irr", "catalog:Z1", "--max-order", "-1"], "error: argument"),
+    # --tol is gone: before the subcommand its value is read as the command,
+    # after it the option is left over.
+    (["--tol", "-1", "clifford", "catalog:D8"],
+     "error: argument command: invalid choice: '-1'"),
+    (["--tol", "nan", "clifford", "catalog:D8"],
+     "error: argument command: invalid choice: 'nan'"),
+    (["clifford", "catalog:D8", "--tol", "0"],
+     "error: unrecognized arguments: --tol 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_OPTION_VALUES,
+    ids=[" ".join(argv).replace("catalog:", "") for argv, _ in BAD_OPTION_VALUES])
+def test_cli_rejects_bad_option_values(argv, message, capsys):
     """A bad option value is an input error (exit 2) reported on an error:
     line, not a traceback, an inconsistency or an empty result."""
     with pytest.raises(SystemExit) as exc:
@@ -272,7 +285,7 @@ def test_cli_rejects_bad_option_values(argv, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: argument" in captured.err
+    assert message in captured.err
 
 
 def test_cli_has_no_tolerance_option(capsys):
