@@ -74,8 +74,9 @@ def matrix_irreps(G: FiniteGroup) -> list[MatrixRep]:
     table = character_table(G)
     n = G.order
     rows = G._rows
+    table_array = np.array(rows)
     # x h^-1 for every (x, h), the g with reg[g][x, h] == 1, C-ordered
-    quotients = np.take(np.array(rows), G._inv, axis=1)
+    quotients = np.take(table_array, G._inv, axis=1)
     cls_of = [G.class_index(g) for g in G.elements()]
     reps = []
     for row, d in zip(table.rows, table.degrees):
@@ -85,7 +86,7 @@ def matrix_irreps(G: FiniteGroup) -> list[MatrixRep]:
             continue
         # the regular matrix of e_chi = sum_g conj(chi(g)) g * d/|G|
         P = values.conj()[quotients] * (d / n)
-        e = P @ _multiplicity_one_idempotent(G, values)
+        e = P @ _multiplicity_one_idempotent(G, values, table_array)
         W = np.zeros((n, 0), dtype=complex)
         for y in G.elements():
             v = e[rows[G._inv[y]]]  # (y e)(z) = e(y^-1 z)
@@ -101,22 +102,23 @@ def matrix_irreps(G: FiniteGroup) -> list[MatrixRep]:
             raise SplitFailure("ideal has dimension %d, expected %d" % (W.shape[1], d))
         # W^H reg[g] W, with W^H reg[g] gathered as a column permutation
         rep = MatrixRep(G, d, np.array([W[rows[g]].conj().T @ W for g in G.elements()]), row)
-        _check_rep(rep)
+        _check_rep(rep, table_array)
         reps.append(rep)
     return reps
 
 
-def _multiplicity_one_idempotent(G: FiniteGroup, chi: np.ndarray) -> np.ndarray:
+def _multiplicity_one_idempotent(G: FiniteGroup, chi: np.ndarray,
+                                 table: np.ndarray) -> np.ndarray:
     """e_lambda = sum_{x in H} conj(lambda(x)) x / |H| over G, for the first
     abelian H with a linear lambda of multiplicity one in Res_H chi (chi[g]
-    is chi's value at g).  H = <h, k> comes first, h a class representative
-    and k in its centralizer, k = 1 first: every cyclic subgroup up to
-    conjugacy, then every pair.  Multiplicity one passes to abelian
+    is chi's value at g, table is G's table as an array).  H = <h, k> comes
+    first, h a class representative and k in its centralizer, k = 1 first:
+    every cyclic subgroup up to conjugacy, then every pair.  Multiplicity one passes to abelian
     overgroups, so if no pair has it, each h is grown to a maximal abelian
     subgroup.  The DFT of chi(h_1^i_1 ... h_r^i_r) over Z_o1 x ... x Z_or
     gives <Res chi, mu> for every linear mu of it, nonzero only through H.
     """
-    rows, table = G._rows, np.array(G._rows)
+    rows = G._rows
     heads = [cls[0] for cls in G.conjugacy_classes()]
     pairs = ([h, k] for k in G.elements() for h in heads if rows[h][k] == rows[k][h])
     for gens in itertools.chain(pairs, (_maximal_abelian(G, h) for h in heads)):
@@ -143,17 +145,17 @@ def _maximal_abelian(G: FiniteGroup, h: int) -> list[int]:
     return gens
 
 
-def _check_rep(rep: MatrixRep) -> None:
+def _check_rep(rep: MatrixRep, table: np.ndarray) -> None:
     """Raise SplitFailure unless every image is unitary, rho(g) rho(h) =
     rho(gh) for every pair (g, h), both within TOL in the spectral norm, and
-    the traces match the exact character.  The pair residuals are checked a
-    block of g at a time, at most _CHECK_STACK products per stack."""
+    the traces match the exact character; table is the group table as an
+    array.  The pair residuals are checked a block of g at a time, at most
+    _CHECK_STACK products per stack."""
     G = rep.group
     M = rep.images
     if not _within(M @ M.conj().transpose(0, 2, 1) - np.eye(rep.dimension)):
         raise SplitFailure("representation image is not unitary")
     n, d = M.shape[:2]
-    rows = np.array(G._rows)
     # column (h, j) of right is column j of rho(h): a block of rho(g) times
     # right is every rho(g) rho(h) of the block, as one matrix product
     right = M.transpose(1, 0, 2).reshape(d, n * d)
@@ -161,7 +163,7 @@ def _check_rep(rep: MatrixRep) -> None:
     for start in range(0, n, block):
         blk = slice(start, start + block)
         products = (M[blk].reshape(-1, d) @ right).reshape(-1, d, n, d).transpose(0, 2, 1, 3)
-        if not _within((products - M[rows[blk]]).reshape(-1, d, d)):
+        if not _within((products - M[table[blk]]).reshape(-1, d, d)):
             raise SplitFailure("homomorphism residual above tolerance")
     for cls, val in zip(G.conjugacy_classes(), rep.character.values):
         if abs(np.trace(M[cls[0]]) - val.to_complex()) > 1e-6:

@@ -7,7 +7,7 @@ import pytest
 from isotypic.bundles import (EquivariantBundle, GSet, fiber_character,
                               induction_piece_character, verify_decomposition)
 from isotypic.catalog import build_catalog_group
-from isotypic.characters import character_table, cyclotomic_to_jsonable
+from isotypic.characters import ClassFunction, character_table, cyclotomic_to_jsonable
 from isotypic.cli import main
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import NotATrivial
@@ -304,19 +304,137 @@ def test_random_bundles_decompose(pairs):
             assert verify_decomposition(E, A).ok, name
 
 
-def test_induction_piece_transports_each_fiber_once(monkeypatch):
-    """One verification of the shipped bundle over every point calls
-    fiber_character at most once per (point, induction_piece_character call):
-    the transported fiber is shared by every class of Stab(x) fixing its
-    coset."""
+def _reference_per_point(E, A):
+    """per_point of verify_decomposition computed point by point: at every
+    point the pieces of every orbit on Irr(A) summed against the fiber, then
+    each redundantly stored fiber compared with its transport from the first
+    stored point of its orbit."""
+    from isotypic import bundles
+    from isotypic.orbits import irr_orbits
+
+    def mismatches(a, b):
+        return [i for i, (u, v) in enumerate(zip(a.values, b.values)) if not u.equals_value(v)]
+
+    records = irr_orbits(E.base.group, A)
+    per_point = {}
+    for x in range(E.base.size):
+        fib = fiber_character(E, x)
+        total = bundles.induction_piece_character(E, A, records[0], x)
+        for rec in records[1:]:
+            total = total + bundles.induction_piece_character(E, A, rec, x)
+        per_point[x] = mismatches(total, fib)
+    for orb in E.base.orbits():
+        stored = [x for x in orb if x in E.fibers]
+        # the bundle storing only the first fiber of this orbit transports it
+        first = EquivariantBundle(E.base, {y: chi for y, chi in E.fibers.items()
+                                           if y not in stored[1:]})
+        for x in stored[1:]:
+            bad = mismatches(fiber_character(first, x), E.fibers[x])
+            if bad:
+                per_point[x] = sorted(set(per_point[x]) | set(bad))
+    return per_point
+
+
+def _sweep_bundles(G, A, rng):
+    """Bundles over G/A and over G/A + G/<A, g> + a point (g the last of
+    G's minimal generators): the fiber of each orbit comes from multiplicities
+    at its last point and is stored again, transported, at its second point
+    (its first for two points), which is then the orbit's anchor.  Yields
+    (shape, bundle) for the consistent bundle and for the bundle whose last
+    point of the first orbit stores one more copy of the last irreducible,
+    off the anchor, as (shape, corrupted, bundle)."""
+    from isotypic.groups import minimal_generators
+    g = minimal_generators(G, G.elements())[-1]
+    shapes = [GSet.cosets(G, A),
+              GSet.disjoint_union([GSet.cosets(G, A),
+                                   GSet.cosets(G, G.subgroup(list(A.members) + [g])),
+                                   point_gset(G)])]
+    for shape, base in enumerate(shapes):
+        mults = {}
+        for orb in base.orbits():
+            rows = len(character_table(base.stabilizer(orb[-1]).as_group()[0]).rows)
+            mults[orb[-1]] = [rng.randrange(3) for _ in range(rows)]
+            mults[orb[-1]][0] += 1
+        E = EquivariantBundle.from_multiplicities(base, mults)
+        fibers = dict(E.fibers)
+        for orb in base.orbits():
+            if len(orb) > 1:
+                y = orb[1] if len(orb) > 2 else orb[0]
+                fibers[y] = fiber_character(E, y)
+        yield shape, False, EquivariantBundle(base, fibers)
+        x = base.orbits()[0][-1]
+        table = character_table(base.stabilizer(x).as_group()[0])
+        fibers[x] = fibers[x] + table.rows[-1]
+        yield shape, True, EquivariantBundle(base, fibers)
+
+
+def _sweep_pairs():
+    """Every catalog group with a distinguished normal subgroup, the other
+    catalog pairs, and S4 over V4 after a relabelling of its points."""
+    from isotypic.catalog import CATALOG, catalog_pairs
+
+    from conftest import S4_GENS, relabelled_group
+    pairs = [(name, *build_catalog_group(name)) for name in sorted(CATALOG)]
+    pairs = [p for p in pairs if p[2] is not None]
+    pairs += [p for p in catalog_pairs() if "/" in p[0]]
+    S4 = relabelled_group("S4", 4, S4_GENS, random.Random(5))
+    V4 = next(H for H in S4.all_subgroups() if H.order == 4 and S4.is_normal(H))
+    return pairs + [("S4 relabelled", S4, V4)]
+
+
+def test_orbit_anchored_verification_matches_the_point_by_point_reference():
+    """verify_decomposition checks a consistent orbit at its anchor only and
+    carries the mismatches along the orbit; its per_point equals the point
+    by point reference on both base shapes of every pair, for consistent
+    bundles and for bundles with one disagreeing stored fiber (on orbits of
+    2 to 8 points, off the anchor)."""
+    rng = random.Random(23)
+    large = 0
+    for name, G, A in _sweep_pairs():
+        for shape, corrupted, E in _sweep_bundles(G, A, rng):
+            check = verify_decomposition(E, A)
+            assert check.per_point == _reference_per_point(E, A), (name, shape)
+            assert check.ok is not corrupted, (name, shape)
+            large += corrupted and len(E.base.orbits()[0]) >= 3
+    assert large
+
+
+def test_mismatches_are_carried_along_a_consistent_orbit(monkeypatch):
+    """On a consistent orbit the pieces sum to the fiber, so no mismatch is
+    found.  With every piece made one too large on one conjugacy class C of
+    G, an error that conjugation keeps, the mismatches found at each anchor
+    and carried along its orbit equal the point by point ones."""
+    from isotypic import bundles
+    real = bundles.induction_piece_character
+    rng = random.Random(7)
+    carried = 0  # mismatches at points that store no fiber
+    for name in ("A4", "F20", "S4"):
+        G, A = build_catalog_group(name)
+        for c in range(len(G.conjugacy_classes())):
+            def piece(E, A, orbit, x, c=c):
+                sxg, embed = E.base.stabilizer(x).as_group()
+                return ClassFunction(sxg, [
+                    v + 1 if G.class_index(embed[cls[0]]) == c else v
+                    for cls, v in zip(sxg.conjugacy_classes(), real(E, A, orbit, x).values)])
+
+            monkeypatch.setattr(bundles, "induction_piece_character", piece)
+            for shape, corrupted, E in _sweep_bundles(G, A, rng):
+                if not corrupted:
+                    check = verify_decomposition(E, A)
+                    assert check.per_point == _reference_per_point(E, A), (name, c, shape)
+                    carried += sum(bool(bad) for x, bad in check.per_point.items()
+                                   if E.anchor(x) != x)
+    assert carried
+
+
+def _count_piece_calls(monkeypatch, E, A):
+    """One verification of E with the piece and fiber calls counted: returns
+    (the check, the point of every induction_piece_character call, the
+    fiber_character calls per (piece call, point))."""
     from collections import Counter
 
     from isotypic import bundles
-    path = os.path.join(os.path.dirname(__file__), "..", "src", "isotypic", "data",
-                        "d8_rho_bundle.json")
-    bundle, G, A = load_bundle_file(path)
-    records = orbit_decomposition(G, A)
-    piece_calls = [0]
+    points = []
     current = [None]  # number of the running piece call
     inside = Counter()  # (piece call, point) -> fiber_character calls
     real_fiber = bundles.fiber_character
@@ -327,19 +445,51 @@ def test_induction_piece_transports_each_fiber_once(monkeypatch):
             inside[(current[0], y)] += 1
         return real_fiber(E, y)
 
-    def piece(*args):
-        piece_calls[0] += 1
-        current[0] = piece_calls[0]
+    def piece(E, A, orbit, x):
+        points.append(x)
+        current[0] = len(points)
         try:
-            return real_piece(*args)
+            return real_piece(E, A, orbit, x)
         finally:
             current[0] = None
 
     monkeypatch.setattr(bundles, "fiber_character", fiber)
     monkeypatch.setattr(bundles, "induction_piece_character", piece)
-    assert verify_decomposition(bundle, A).ok
-    assert piece_calls[0] == bundle.base.size * len(records)
+    check = verify_decomposition(E, A)
+    monkeypatch.undo()
+    return check, points, inside
+
+
+def test_induction_piece_transports_each_fiber_once(monkeypatch):
+    """One verification of the shipped bundle computes each piece once per
+    base orbit, at its anchor, and calls fiber_character at most once per
+    (point, induction_piece_character call): the transported fiber is shared
+    by every class of Stab(x) fixing its coset."""
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "isotypic", "data",
+                        "d8_rho_bundle.json")
+    bundle, G, A = load_bundle_file(path)
+    records = orbit_decomposition(G, A)
+    check, points, inside = _count_piece_calls(monkeypatch, bundle, A)
+    assert check.ok
+    assert len(points) == len(bundle.base.orbits()) * len(records)
     assert inside and max(inside.values()) == 1
+
+
+def test_induction_pieces_per_point_only_on_a_disagreeing_orbit(d8, monkeypatch):
+    """Over two copies of G/A, the first orbit storing one fiber and the
+    second the same rho at both points (its transport is rho^3): the pieces
+    are computed at the anchor of the first orbit only and at every point of
+    the second, where the stored fibers disagree."""
+    G, A = d8
+    _, rho = rho_row((G, A), 1)
+    base = GSet.disjoint_union([GSet.cosets(G, A), GSet.cosets(G, A)])
+    assert base.orbits() == [(0, 1), (2, 3)]
+    E = EquivariantBundle(base, {0: rho, 2: rho, 3: rho})
+    records = orbit_decomposition(G, A)
+    check, points, inside = _count_piece_calls(monkeypatch, E, A)
+    assert not check.ok and not check.per_point[0] and not check.per_point[1]
+    assert sorted(points) == sorted([0, 2, 3] * len(records))
+    assert max(inside.values()) == 1
 
 
 def test_verification_scans_cosets_once_per_member_set(monkeypatch):

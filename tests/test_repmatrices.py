@@ -69,7 +69,7 @@ def _faithful_irrep(G):
 @pytest.mark.parametrize("name", ["D8", "S4"])
 def test_check_rep_passes_a_genuine_irrep(name):
     G, _ = build_catalog_group(name)
-    _check_rep(_faithful_irrep(G))
+    _check_rep(_faithful_irrep(G), np.array(G._rows))
 
 
 @pytest.mark.parametrize("name", ["D8", "S4"])
@@ -79,7 +79,7 @@ def test_check_rep_rejects_a_scaled_image(name):
     images = rep.images.copy()
     images[G.order // 2] *= 1.001
     with pytest.raises(SplitFailure, match="not unitary"):
-        _check_rep(dataclasses.replace(rep, images=images))
+        _check_rep(dataclasses.replace(rep, images=images), np.array(G._rows))
 
 
 @pytest.mark.parametrize("name", ["D8", "S4"])
@@ -94,7 +94,7 @@ def test_check_rep_rejects_swapped_images(name):
     images[[last - 1, last]] = images[[last, last - 1]]
     assert not np.array_equal(images, rep.images)
     with pytest.raises(SplitFailure, match="homomorphism residual"):
-        _check_rep(dataclasses.replace(rep, images=images))
+        _check_rep(dataclasses.replace(rep, images=images), np.array(G._rows))
 
 
 @pytest.mark.parametrize("name", ["D8", "S4"])
@@ -110,7 +110,7 @@ def test_a_non_finite_residual_is_a_typed_failure(name):
     images[G.order // 2] = np.nan
     broken = dataclasses.replace(rep, images=images)
     with pytest.raises(SplitFailure):
-        _check_rep(broken)
+        _check_rep(broken, np.array(G._rows))
     with pytest.raises(NumericalDegeneracy):
         intertwiner(broken, broken)
 
@@ -139,7 +139,7 @@ def _dense_reference_images(G):
         for g in G.elements():
             P += values[g].conjugate() * reg[g]
         P *= d / n
-        e = P @ repmatrices._multiplicity_one_idempotent(G, values)
+        e = P @ repmatrices._multiplicity_one_idempotent(G, values, np.array(G._rows))
         W = np.zeros((n, 0), dtype=complex)
         for y in G.elements():
             v = reg[y] @ e
@@ -432,10 +432,10 @@ def test_pair_subgroup_models_the_degree_four_irrep_of_d8xd8():
                         for i, x in enumerate(powers)) / m
             assert round(inner.real) != 1, (h, j)
     values = np.array([chi(g).to_complex() for g in G.elements()])
-    H = np.flatnonzero(repmatrices._multiplicity_one_idempotent(G, values))
+    H = np.flatnonzero(repmatrices._multiplicity_one_idempotent(G, values, np.array(G._rows)))
     assert all(G.element_order(int(x)) < len(H) for x in H)
     rep = next(r for r in matrix_irreps(G) if r.character == chi)
-    _check_rep(rep)
+    _check_rep(rep, np.array(G._rows))
 
 
 def _extraspecial_2_1_6():
@@ -465,9 +465,10 @@ def test_maximal_abelian_subgroup_models_the_degree_eight_irrep_of_2_1_6():
     chi = table.rows[table.degrees.index(8)]
     values = np.array([chi(g).to_complex() for g in G.elements()])
     assert (values[0], values[z], np.count_nonzero(values)) == (8, -8, 2)
-    assert len(np.flatnonzero(repmatrices._multiplicity_one_idempotent(G, values))) == 16
+    lam = repmatrices._multiplicity_one_idempotent(G, values, np.array(G._rows))
+    assert len(np.flatnonzero(lam)) == 16
     rep = next(r for r in matrix_irreps(G) if r.character == chi)
-    _check_rep(rep)
+    _check_rep(rep, np.array(G._rows))
 
 
 def test_obstruction_rejects_a_non_stabilizer_before_float_work(q8, monkeypatch):
@@ -517,7 +518,7 @@ def test_spectral_check_accepts_what_only_the_frobenius_norm_exceeds():
     rep = _faithful_irrep(G)
     images = rep.images.copy()
     images[G.order // 2] *= 1 + 0.4 * TOL
-    _check_rep(dataclasses.replace(rep, images=images))
+    _check_rep(dataclasses.replace(rep, images=images), np.array(G._rows))
 
 
 def _float_obstruction_reference(G_rho, A, rho):
