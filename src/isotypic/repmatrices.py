@@ -113,9 +113,9 @@ def _multiplicity_one_idempotent(G: FiniteGroup, chi: np.ndarray,
     abelian H with a linear lambda of multiplicity one in Res_H chi (chi[g]
     is chi's value at g, table is G's table as an array).  H = <h, k> comes
     first, h a class representative and k in its centralizer, k = 1 first:
-    every cyclic subgroup up to conjugacy, then every pair.  Multiplicity one passes to abelian
-    overgroups, so if no pair has it, each h is grown to a maximal abelian
-    subgroup.  The DFT of chi(h_1^i_1 ... h_r^i_r) over Z_o1 x ... x Z_or
+    every cyclic subgroup up to conjugacy, then every pair.  Multiplicity
+    one passes to abelian overgroups, so if no pair has it, each h is grown
+    to a maximal abelian subgroup.  The DFT of chi(h_1^i_1 ... h_r^i_r) over Z_o1 x ... x Z_or
     gives <Res chi, mu> for every linear mu of it, nonzero only through H.
     """
     rows = G._rows
