@@ -7,8 +7,7 @@ decomposition into induced isotypic pieces along the orbits of G on Irr(A)
 is then an identity of exact characters, verified fiberwise with cyclotomic
 arithmetic and no tolerance.  It needs only the orbits and their
 stabilizers (``irr_orbits``): no float code, seed or tolerance.  A base
-orbit whose stored fibers agree is checked at its anchor only, and its
-mismatches are carried to its other points by equivariance.
+orbit whose stored fibers agree is checked at its anchor only.
 """
 
 from __future__ import annotations
@@ -182,24 +181,23 @@ def fiber_character(E: EquivariantBundle, x: int) -> ClassFunction:
 
 def _transported_fiber(E: EquivariantBundle, src: int, x: int) -> ClassFunction:
     """The fiber character stored at src, transported to x in its orbit."""
+    base = E.base
     chi = E.fibers[src]
     if x == src:
         return chi
-    sxg, _ = E.base.stabilizer(x).as_group()
-    return ClassFunction(sxg, [chi.values[j] for j in _class_map(E.base, src, x)])
-
-
-def _class_map(base: GSet, src: int, x: int) -> list:
-    """For each class of Stab(x), the class of Stab(src) holding t^-1 k t,
-    k its first element and t = transporter_from(src, x)."""
     G = base.group
     t = base.transporter_from(src, x)
     tinv = G.inv(t)
     stab_r = base.stabilizer(src)
+    stab_x = base.stabilizer(x)
+    sxg, xembed = stab_x.as_group()
     srg, _ = stab_r.as_group()
-    sxg, xembed = base.stabilizer(x).as_group()
-    return [srg.class_index(stab_r.retract(G.mul(G.mul(tinv, xembed[cls[0]]), t)))
-            for cls in sxg.conjugacy_classes()]
+    vals = []
+    for cls in sxg.conjugacy_classes():
+        k = xembed[cls[0]]
+        y = G.mul(G.mul(tinv, k), t)
+        vals.append(chi.values[srg.class_index(stab_r.retract(y))])
+    return ClassFunction(sxg, vals)
 
 
 def induction_piece_character(E: EquivariantBundle, A: Subgroup,
@@ -267,11 +265,10 @@ def verify_decomposition(E: EquivariantBundle, A: Subgroup) -> DecompositionChec
     redundantly must also equal the one transported from the first stored
     point of its orbit; its mismatching classes are reported at its own
     point.  On an orbit whose stored fibers all agree the fibers, and so the
-    pieces, are G-equivariant: the sum is checked at the anchor (the first
-    stored point) only, and the mismatches at x = t . anchor are the classes
-    of Stab(x) that k -> t^-1 k t sends to a mismatching class of the
-    anchor.  An orbit with a disagreeing stored fiber is checked point by
-    point.
+    pieces, are G-equivariant, so the sum is checked at the anchor (the
+    first stored point) only; if it holds there it holds on the whole orbit.
+    An orbit with a disagreeing stored fiber, or whose sum fails at the
+    anchor, is checked point by point.
     """
     _require_a_trivial(E.base, A)
     records = irr_orbits(E.base.group, A)
@@ -280,15 +277,12 @@ def verify_decomposition(E: EquivariantBundle, A: Subgroup) -> DecompositionChec
         stored = [x for x in orb if x in E.fibers]
         redundant = {x: _mismatches(_transported_fiber(E, stored[0], x), E.fibers[x])
                      for x in stored[1:]}
-        if any(redundant.values()):
+        if any(redundant.values()) or _piece_mismatches(E, A, records, stored[0]):
             for x in orb:
                 per_point[x] = sorted(set(_piece_mismatches(E, A, records, x))
                                       | set(redundant.get(x, [])))
         else:
-            bad = set(_piece_mismatches(E, A, records, stored[0]))
-            for x in orb:
-                cmap = _class_map(E.base, stored[0], x) if bad else []
-                per_point[x] = [c for c, j in enumerate(cmap) if j in bad]
+            per_point.update((x, []) for x in orb)
     ok = all(not bad for bad in per_point.values())
     return DecompositionCheck(ok=ok, per_point=dict(sorted(per_point.items())))
 

@@ -383,9 +383,8 @@ def _sweep_pairs():
 
 
 def test_orbit_anchored_verification_matches_the_point_by_point_reference():
-    """verify_decomposition checks a consistent orbit at its anchor only and
-    carries the mismatches along the orbit; its per_point equals the point
-    by point reference on both base shapes of every pair, for consistent
+    """verify_decomposition checks a consistent orbit at its anchor only; its
+    per_point equals the point by point reference on both base shapes of every pair, for consistent
     bundles and for bundles with one disagreeing stored fiber (on orbits of
     2 to 8 points, off the anchor)."""
     rng = random.Random(23)
@@ -399,15 +398,15 @@ def test_orbit_anchored_verification_matches_the_point_by_point_reference():
     assert large
 
 
-def test_mismatches_are_carried_along_a_consistent_orbit(monkeypatch):
+def test_an_anchor_mismatch_sends_a_consistent_orbit_point_by_point(monkeypatch):
     """On a consistent orbit the pieces sum to the fiber, so no mismatch is
     found.  With every piece made one too large on one conjugacy class C of
-    G, an error that conjugation keeps, the mismatches found at each anchor
-    and carried along its orbit equal the point by point ones."""
+    G, the sum fails at each anchor, the orbit is checked point by point, and
+    the mismatches equal the point by point ones, off the anchors too."""
     from isotypic import bundles
     real = bundles.induction_piece_character
     rng = random.Random(7)
-    carried = 0  # mismatches at points that store no fiber
+    off_anchor = 0  # points off their orbit's anchor with mismatches
     for name in ("A4", "F20", "S4"):
         G, A = build_catalog_group(name)
         for c in range(len(G.conjugacy_classes())):
@@ -422,9 +421,9 @@ def test_mismatches_are_carried_along_a_consistent_orbit(monkeypatch):
                 if not corrupted:
                     check = verify_decomposition(E, A)
                     assert check.per_point == _reference_per_point(E, A), (name, c, shape)
-                    carried += sum(bool(bad) for x, bad in check.per_point.items()
+                    off_anchor += sum(bool(bad) for x, bad in check.per_point.items()
                                    if E.anchor(x) != x)
-    assert carried
+    assert off_anchor
 
 
 def _count_piece_calls(monkeypatch, E, A):
