@@ -9,8 +9,7 @@ adjacent families of subgroups.
 """
 
 from .cyclotomic import Cyclotomic
-from .groups import (FiniteGroup, QuotientGroup, Subgroup,
-                     group_from_generators)
+from .groups import FiniteGroup, Subgroup, group_from_generators
 from .characters import (CharacterTable, ClassFunction, character_table,
                          inner_product, restrict)
 from .repmatrices import (MatrixRep, ObstructionRecord, intertwiner,
@@ -27,7 +26,7 @@ from .bordism import (PowerSeries, RankProfile, adjacent_family_series,
 
 __all__ = [
     "Cyclotomic",
-    "FiniteGroup", "QuotientGroup", "Subgroup", "group_from_generators",
+    "FiniteGroup", "Subgroup", "group_from_generators",
     "CharacterTable", "ClassFunction", "character_table",
     "inner_product", "restrict",
     "MatrixRep", "ObstructionRecord", "intertwiner", "matrix_irreps",

@@ -206,8 +206,9 @@ class FiniteGroup:
         coset_of, _, maps = self.conjugation_action(H)
         return self.subgroup_from_members(n for n in self.elements() if coset_of[n] in maps)
 
-    def quotient(self, A: "Subgroup") -> "QuotientGroup":
-        """Quotient by a normal subgroup; raises NotNormal otherwise.
+    def quotient(self, A: "Subgroup") -> tuple["FiniteGroup", tuple[int, ...]]:
+        """Quotient by a normal subgroup, as ``coset_quotient``'s (G/A,
+        section); raises NotNormal unless A is normal.
 
         No src caller: kept because the benchmark's span list wraps it."""
         if A.parent is not self:
@@ -353,25 +354,6 @@ class CosetTable(NamedTuple):
     maps: dict[int, tuple[int, ...]]
 
 
-class QuotientGroup:
-    """A quotient H/A, for A normal in G and H a subgroup of G containing A,
-    as ``coset_quotient`` builds it: the table of H/A, a projection (the
-    coset of each element of G, -1 off H) and a section of coset lifts in G."""
-
-    def __init__(self, group: FiniteGroup, projection: tuple[int, ...],
-                 section: tuple[int, ...]):
-        self.group = group
-        self.projection = projection
-        self.section = section
-
-    @property
-    def order(self) -> int:
-        return self.group.order
-
-    def __repr__(self) -> str:
-        return "QuotientGroup(%s, order=%d)" % (self.group.name, self.order)
-
-
 # -- free functions ------------------------------------------------------------
 
 
@@ -430,14 +412,15 @@ def _extend(rows: list[list[int]], members: Sequence[int],
     return tuple(sorted(seen))
 
 
-def coset_quotient(H: Subgroup, A: Subgroup) -> QuotientGroup:
-    """H/A for A normal in G = H.parent and H a union of cosets of A, named
-    by G and |A| (e.g. "S4/4"); the caller checks both (FiniteGroup.quotient
-    with H = G, orbits.extension_exists with H a stabilizer G_rho).
+def coset_quotient(H: Subgroup, A: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """(H/A, section) for A normal in G = H.parent and H a union of cosets
+    of A, the group named by G and |A| (e.g. "S4/4"); the caller checks both
+    (FiniteGroup.quotient with H = G, orbits.extension_exists with H a
+    stabilizer G_rho).  The shape is Subgroup.as_group's (group, embed).
 
     The section is the coset lifts of ``G.conjugation_action(A)`` that lie
-    in H: coset q of H/A is the coset of section[q], and cosets multiply
-    through their lifts in G.  projection[g] is the coset of g, -1 off H.
+    in H: element q of H/A is the coset of section[q], and cosets multiply
+    through their lifts in G.
     """
     G = H.parent
     rows = G._rows
@@ -446,9 +429,7 @@ def coset_quotient(H: Subgroup, A: Subgroup) -> QuotientGroup:
     pos = {coset_of[n]: q for q, n in enumerate(section)}
     table = [[pos[coset_of[rows[x][y]]] for y in section] for x in section]
     # unchecked: A is normal, so the coset products form the group H/A
-    qgrp = FiniteGroup(table, name="%s/%d" % (G.name, A.order), check=False)
-    projection = tuple(pos.get(c, -1) for c in coset_of)
-    return QuotientGroup(qgrp, projection, section)
+    return FiniteGroup(table, name="%s/%d" % (G.name, A.order), check=False), section
 
 
 def minimal_generators(G: FiniteGroup, members: Sequence[int]) -> tuple[int, ...]:

@@ -99,7 +99,6 @@ class IrrOrbitRecord:
     representative: int
     orbit: frozenset
     stabilizer: Subgroup
-    quotient: "QuotientGroup"
     obstruction: ObstructionRecord
     lying_over: frozenset
     twisted_count: int
@@ -114,7 +113,7 @@ class IrrOrbitRecord:
             "orbit": sorted(self.orbit),
             "orbit_size": len(self.orbit),
             "stabilizer_order": self.stabilizer.order,
-            "quotient_order": self.quotient.order,
+            "quotient_order": self.obstruction.quotient.order,
             "obstruction_trivial": self.obstruction.trivial,
             "lying_over": sorted(self.lying_over),
             "twisted_count": self.twisted_count,
@@ -196,10 +195,10 @@ def orbit_decomposition(G: FiniteGroup, A: Subgroup) -> list:
         # chi lies over the orbit iff e_chi > 0
         lying = frozenset(i for i, e in enumerate(multiplicities(G, A, rep)) if e)
         # obstruction_cocycle has already checked this table
-        regular = _regular_class_count(obs.quotient.group, obs.omega, obs.modulus)
+        regular = _regular_class_count(obs.quotient, obs.omega, obs.modulus)
         records.append(IrrOrbitRecord(
             representative=rep, orbit=orbit, stabilizer=stabilizer,
-            quotient=obs.quotient, obstruction=obs, lying_over=lying,
+            obstruction=obs, lying_over=lying,
             twisted_count=len(lying), omega_regular=regular))
     return records
 
@@ -263,7 +262,7 @@ def k_decomposition_report(G: FiniteGroup, A: Subgroup) -> DecompositionReport:
                 % (rec.representative, rec.twisted_count, rec.omega_regular))
         # recorded, not asserted: whether a full regular-class count implies
         # a trivial obstruction class is decided by the extension test alone
-        trivially_regular = rec.omega_regular == len(rec.quotient.group.conjugacy_classes())
+        trivially_regular = rec.omega_regular == len(rec.obstruction.quotient.conjugacy_classes())
         if rec.obstruction.trivial != trivially_regular:
             notes.append(
                 "orbit of %d: extension criterion says trivial=%s while the "

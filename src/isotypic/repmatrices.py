@@ -28,7 +28,7 @@ from .characters import (ClassFunction, character_table,
                          determinant_character_value)
 from .errors import (CapExceeded, InvalidCocycle, NonScalar,
                      NumericalDegeneracy, SnapFailure, SplitFailure)
-from .groups import FiniteGroup, QuotientGroup, Subgroup, coset_quotient
+from .groups import FiniteGroup, Subgroup, coset_quotient
 
 TOL = 1e-8
 SNAP_TOL = 1e-6
@@ -214,18 +214,19 @@ def intertwiner(rho1: MatrixRep, rho2: MatrixRep) -> Optional[np.ndarray]:
 
 @dataclass(frozen=True)
 class ObstructionRecord:
-    """The obstruction cocycle of an irreducible rho of a normal subgroup.
+    """The obstruction cocycle of an irreducible rho of a normal subgroup A.
 
-    character is rho's exact character.  omega is a |Q| x |Q| table of
+    quotient is Q = G_rho/A and section its coset lifts in G, as
+    groups.coset_quotient returns them.  omega is a |Q| x |Q| table of
     exponents k meaning the root of unity exp(2*pi*i*k/modulus);
     modulus = rho(1) * order(det o rho), which makes every snapped scalar an
     exact root of unity.  trivial is decided by the exact character-level
     extension criterion, never numerically.
     """
 
-    character: ClassFunction
     stabilizer: Subgroup
-    quotient: QuotientGroup
+    quotient: FiniteGroup
+    section: tuple[int, ...]
     omega: tuple  # tuple of tuples of ints
     modulus: int
     trivial: bool
@@ -291,7 +292,7 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
     trivial = extension_exists(G_rho, A, row)
     G = G_rho.parent
     d = table_a.degrees[row]
-    Q = coset_quotient(G_rho, A)
+    Q, section = coset_quotient(G_rho, A)
     m = Q.order
 
     # det o rho is a class function: one exact value (k, m), meaning
@@ -302,7 +303,6 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
     # det rho(a) = zeta_modulus^det_exp[class of a]
     det_exp = [(k * (modulus // mm)) % modulus for k, mm in det_vals]
 
-    reps_g = Q.section
     eye = np.eye(d)
     exact = not needs_matrix_model(G_rho, A, d)
     if not exact:
@@ -313,7 +313,7 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
         # exactly a -> g^-1 a g
         coset_of, _, maps = G.conjugation_action(A)
         units = [eye.copy()]
-        for g in reps_g[1:]:
+        for g in section[1:]:
             U = intertwiner(rep.conjugated(maps[coset_of[g]]), rep)
             if U is None:
                 raise AssertionError("coset representative does not stabilize rho")
@@ -322,8 +322,8 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
     omega = [[0] * m for _ in range(m)]
     for q1 in range(m):
         for q2 in range(m):
-            q12 = Q.group.mul(q1, q2)
-            g1, g2, g3 = reps_g[q1], reps_g[q2], reps_g[q12]
+            q12 = Q.mul(q1, q2)
+            g1, g2, g3 = section[q1], section[q2], section[q12]
             a0 = A.retract(G.mul(G.mul(g1, g2), G.inv(g3)))  # raises if not in A
             det_inv = (-det_exp[Agrp.class_index(a0)]) % modulus
             if exact:  # d == 1, or m == 1 and a0 == 1
@@ -341,8 +341,8 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
                 raise SnapFailure("snapped scalar disagrees with the determinant character")
             omega[q1][q2] = k
 
-    check_cocycle(Q.group, omega, modulus)
-    return ObstructionRecord(character=chi, stabilizer=G_rho, quotient=Q,
+    check_cocycle(Q, omega, modulus)
+    return ObstructionRecord(stabilizer=G_rho, quotient=Q, section=section,
                              omega=tuple(map(tuple, omega)),
                              modulus=modulus, trivial=trivial)
 

@@ -119,7 +119,7 @@ def test_criterion_4_obstruction_consistency():
     for name, G, A in catalog_pairs():
         for rec in orbit_decomposition(G, A):
             regular_matches_classes = (
-                rec.omega_regular == len(rec.quotient.group.conjugacy_classes()))
+                rec.omega_regular == len(rec.obstruction.quotient.conjugacy_classes()))
             assert rec.obstruction.trivial == regular_matches_classes, (
                 name, rec.representative)
         if name == "Q8":
@@ -127,7 +127,7 @@ def test_criterion_4_obstruction_consistency():
             nontriv = [r for r in recs if not r.obstruction.trivial]
             assert len(nontriv) == 1
             rec = nontriv[0]
-            Q = rec.quotient.group
+            Q = rec.obstruction.quotient
             assert Q.order == 4 and Q.is_abelian
             assert all(Q.element_order(x) == 2 for x in range(1, 4))
             assert rec.omega_regular == 1

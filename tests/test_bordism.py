@@ -110,8 +110,8 @@ def _reference_weyl_perms(G, A):
     pos = {t: i for i, t in enumerate(indices)}
     N = G.normalizer(A)
     Ngrp, nembed = N.as_group()
-    Q = Ngrp.quotient(Ngrp.subgroup_from_members([N.retract(a) for a in A.members]))
-    return tuple(tuple(pos[irr_action(G, A, nembed[Q.section[q]], t)] for t in indices)
+    Q, section = Ngrp.quotient(Ngrp.subgroup_from_members([N.retract(a) for a in A.members]))
+    return tuple(tuple(pos[irr_action(G, A, nembed[section[q]], t)] for t in indices)
                  for q in range(Q.order))
 
 

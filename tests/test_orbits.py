@@ -119,7 +119,7 @@ def test_orbits_with_a_equal_g(d8):
     assert len(recs) == 5
     for rec in recs:
         assert len(rec.orbit) == 1
-        assert rec.quotient.order == 1
+        assert rec.obstruction.quotient.order == 1
         assert rec.twisted_count == 1 == rec.omega_regular
 
 
@@ -130,7 +130,7 @@ def test_orbits_with_trivial_a(d8):
     rec = recs[0]
     assert rec.twisted_count == 5
     assert rec.omega_regular == 5
-    assert rec.quotient.order == 8
+    assert rec.obstruction.quotient.order == 8
 
 
 def test_d2p_orbit_count():
@@ -355,7 +355,7 @@ def test_relabeling_invariance_d8(d8):
     autos = [phi for phi in brute_automorphisms(G)
              if all(phi[a] in A._member_set for a in A.members)]
     assert len(autos) > 1
-    base = sorted((len(r.orbit), r.quotient.order, r.twisted_count)
+    base = sorted((len(r.orbit), r.obstruction.quotient.order, r.twisted_count)
                   for r in orbit_decomposition(G, A))
     from isotypic.groups import FiniteGroup
     for phi in autos:
@@ -365,7 +365,7 @@ def test_relabeling_invariance_d8(d8):
         table = [[phi[G.mul(inv[i], inv[j])] for j in G.elements()] for i in G.elements()]
         G2 = FiniteGroup(table, name="D8relabeled")
         A2 = G2.subgroup_from_members([phi[a] for a in A.members])
-        other = sorted((len(r.orbit), r.quotient.order, r.twisted_count)
+        other = sorted((len(r.orbit), r.obstruction.quotient.order, r.twisted_count)
                        for r in orbit_decomposition(G2, A2))
         assert other == base
 

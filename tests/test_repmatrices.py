@@ -314,7 +314,7 @@ def test_q8_center_obstruction_nontrivial(q8):
     assert rec.modulus == 2
     # the klein four quotient with this cocycle has exactly one regular class
     from isotypic.orbits import omega_regular_count
-    assert omega_regular_count(rec.quotient.group, rec.omega, rec.modulus) == 1
+    assert omega_regular_count(rec.quotient, rec.omega, rec.modulus) == 1
 
 
 def test_cocycle_identity_and_normalization_exact(pairs):
@@ -324,8 +324,8 @@ def test_cocycle_identity_and_normalization_exact(pairs):
             continue
         for rec in orbit_decomposition(G, A):
             obs = rec.obstruction
-            m = obs.quotient.order
-            Q = obs.quotient.group
+            Q = obs.quotient
+            m = Q.order
             for q in range(m):
                 assert obs.omega[0][q] == 0 and obs.omega[q][0] == 0
             for q1 in range(m):
@@ -346,7 +346,7 @@ def test_determinant_one_intertwiners(pairs):
             continue
         coset_of, _, maps = G.conjugation_action(A)
         for stab, rep in _float_orbits(G, A):
-            section = obstruction_cocycle(stab, A, rep.character, rep).quotient.section
+            section = obstruction_cocycle(stab, A, rep.character, rep).section
             for g in section[1:]:
                 U = _det_normalize(intertwiner(rep.conjugated(maps[coset_of[g]]), rep))
                 assert abs(np.linalg.det(U) - 1) <= 1e-8, name
@@ -404,7 +404,7 @@ def test_obstruction_makes_no_random_draw(monkeypatch):
     for A, (stab, rep) in cases:
         rec = obstruction_cocycle(stab, A, rep.character, rep)
         coset_of, _, maps = stab.parent.conjugation_action(A)
-        rho_g = rep.conjugated(maps[coset_of[rec.quotient.section[1]]])
+        rho_g = rep.conjugated(maps[coset_of[rec.section[1]]])
         U = intertwiner(rho_g, rep)
         assert np.array_equal(U, intertwiner(rho_g, rep))
         assert _within(U @ rho_g.images @ U.conj().T - rep.images)
@@ -531,7 +531,7 @@ def _float_obstruction_reference(G_rho, A, rho):
 
     Sgrp, sembed = G_rho.as_group()
     A_in_s = Sgrp.subgroup_from_members([G_rho.retract(a) for a in A.members])
-    Q = Sgrp.quotient(A_in_s)
+    Q, qsection = Sgrp.quotient(A_in_s)
     m = Q.order
 
     det_vals = [determinant_character_value(rho.character, cls[0])
@@ -539,7 +539,7 @@ def _float_obstruction_reference(G_rho, A, rho):
     modulus = d * lcm(*(mm for _, mm in det_vals))
     det_exp = [(k * (modulus // mm)) % modulus for k, mm in det_vals]
 
-    reps_g = [sembed[Q.section[q]] for q in range(m)]
+    reps_g = [sembed[qsection[q]] for q in range(m)]
     coset_of, _, maps = G.conjugation_action(A)
     eye = np.eye(d)
     units = []
@@ -556,7 +556,7 @@ def _float_obstruction_reference(G_rho, A, rho):
     omega = [[0] * m for _ in range(m)]
     for q1 in range(m):
         for q2 in range(m):
-            q12 = Q.group.mul(q1, q2)
+            q12 = Q.mul(q1, q2)
             g1, g2, g3 = reps_g[q1], reps_g[q2], reps_g[q12]
             a0 = G.mul(G.mul(g1, g2), G.inv(g3))
             a0_local = A.retract(a0)  # raises if not in A
@@ -571,7 +571,7 @@ def _float_obstruction_reference(G_rho, A, rho):
                 raise SnapFailure("snapped scalar disagrees with the determinant character")
             omega[q1][q2] = k
 
-    check_cocycle(Q.group, omega, modulus)
+    check_cocycle(Q, omega, modulus)
     return tuple(tuple(row) for row in omega), modulus
 
 
@@ -627,8 +627,10 @@ def _relabelled_elements(G, A, rng):
 
 def test_stabilizer_quotients_are_the_part_of_g_mod_a_in_the_stabilizer(pairs):
     """G.quotient(A) and each orbit's Q_rho = G_rho/A come from one builder:
-    Q_rho's lifts are the lifts of G/A that lie in G_rho, its projection is
-    that of G/A read through them, and it multiplies as G/A does on them.
+    Q_rho's lifts are the lifts of G/A that lie in G_rho, its quotient map
+    (g -> the element whose lift shares g's coset of A, read off
+    conjugation_action(A).coset_of) is that of G/A read through them and is
+    defined on G_rho only, and it multiplies as G/A does on them.
     Over the catalog pairs, S4xZ2, S3xS3 and S4xS3 over each factor, and one
     relabelling of the elements of each."""
     cases = list(pairs)
@@ -644,19 +646,22 @@ def test_stabilizer_quotients_are_the_part_of_g_mod_a_in_the_stabilizer(pairs):
     cases += [(name + "~", *_relabelled_elements(G, A, rng)) for name, G, A in cases]
     checked = 0
     for name, G, A in cases:
-        GA = G.quotient(A)
+        GA, ga_section = G.quotient(A)
+        coset_of = G.conjugation_action(A).coset_of
+        in_ga_of = {coset_of[g]: q for q, g in enumerate(ga_section)}
         for rec in orbit_decomposition(G, A):
-            Q, stab = rec.quotient, rec.stabilizer
+            Q, section, stab = rec.obstruction.quotient, rec.obstruction.section, rec.stabilizer
             if Q.order == 1:
                 continue
-            assert Q.section == tuple(g for g in GA.section if g in stab), name
-            in_ga = [GA.projection[g] for g in Q.section]
-            assert [Q.projection[g] for g in G.elements()] == \
-                [in_ga.index(GA.projection[g]) if g in stab else -1
+            assert section == tuple(g for g in ga_section if g in stab), name
+            in_q_of = {coset_of[g]: q for q, g in enumerate(section)}
+            in_ga = [in_ga_of[coset_of[g]] for g in section]
+            assert [in_q_of.get(coset_of[g], -1) for g in G.elements()] == \
+                [in_ga.index(in_ga_of[coset_of[g]]) if g in stab else -1
                  for g in G.elements()], name
             for i in range(Q.order):
                 for j in range(Q.order):
-                    assert in_ga[Q.group.mul(i, j)] == GA.group.mul(in_ga[i], in_ga[j]), name
+                    assert in_ga[Q.mul(i, j)] == GA.mul(in_ga[i], in_ga[j]), name
             checked += 1
     assert checked == 94
 

@@ -8,9 +8,9 @@ attribute of an ``ast.Attribute`` outside the body of the function that
 defines it (so a recursive helper nobody else calls is caught).  Dunders are
 skipped, and so is ``__init__.py``, whose imports only re-export names.  The
 check matches by name alone, so a function whose name is shared by another
-used name (``FiniteGroup.quotient`` and the ``quotient`` field of the
-orbit records, or a ``conj`` method and numpy's ``.conj()``) cannot be seen
-by it.
+used name (``FiniteGroup.quotient`` and the ``quotient`` field of
+``ObstructionRecord``, or a ``conj`` method and numpy's ``.conj()``) cannot
+be seen by it.
 """
 
 from __future__ import annotations
