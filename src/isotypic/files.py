@@ -67,40 +67,59 @@ def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP,
     named = {"trivial": G.trivial_subgroup, "full": G.full_subgroup, "center": G.center}
     if normal in named:
         return G, named[normal]()
-    idxs = [x for x in normal.split(",") if x != ""]
-    elems = generator_elements(G, generators, idxs, "--normal selector %r" % normal)
-    return G, G.subgroup(elems)
+    what = "--normal selector %r" % normal
+    try:
+        idxs = [int(x) for x in normal.split(",") if x != ""]
+    except ValueError as exc:
+        raise FileFormatError("bad %s: %s" % (what, exc))
+    return G, G.subgroup(generator_elements(G, generators, idxs, what))
 
 
 def group_from_jsonable(data: dict, cap: int = DEFAULT_ORDER_CAP) -> tuple[FiniteGroup, Optional[Subgroup]]:
     try:
         name = str(data["name"])
-        degree = int(data["degree"])
-        gens = [list(map(int, p)) for p in data["generators"]]
+        degree = _integer(data["degree"], "group degree")
+        gens = [_integers(p, "generator") for p in data["generators"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError("group file is missing fields: %s" % exc)
     G = group_from_generators(degree, gens, name=name, cap=cap)
     normal = None
     idxs = data.get("normal_subgroup_generators")
     if idxs is not None:
-        elems = generator_elements(G, gens, idxs, "normal_subgroup_generators")
+        what = "normal_subgroup_generators"
+        elems = generator_elements(G, gens, _integers(idxs, what), what)
         normal = G.subgroup(elems)
     return G, normal
 
 
-def generator_elements(G: FiniteGroup, generators, indices, what: str) -> list[int]:
+def generator_elements(G: FiniteGroup, generators, indices: list[int], what: str) -> list[int]:
     """Elements of G given by indices into its generator permutations.
     Raises FileFormatError, naming ``what``, unless every index is in
     0..len(generators)-1."""
-    try:
-        idxs = [int(i) for i in indices]
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError("bad %s: %s" % (what, exc))
-    for i in idxs:
+    for i in indices:
         if not 0 <= i < len(generators):
             raise FileFormatError("bad %s: generator index %d is not in 0..%d"
                                   % (what, i, len(generators) - 1))
-    return [G.perm_index(tuple(generators[i])) for i in idxs]
+    return [G.perm_index(tuple(generators[i])) for i in indices]
+
+
+def _integer(value, what: str) -> int:
+    """value if it is a JSON integer, else FileFormatError naming ``what``:
+    int() would truncate 1.5 and read true as 1."""
+    if type(value) is not int:  # a bool's type is bool
+        raise FileFormatError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
+def _integers(values, what: str) -> list[int]:
+    """values if it is a JSON list of integers, else FileFormatError naming
+    ``what`` (one loop, no per-entry call: it reads whole action tables)."""
+    if not isinstance(values, list):
+        raise FileFormatError("%s must be a list of integers, got %r" % (what, values))
+    for v in values:
+        if type(v) is not int:
+            raise FileFormatError("%s entries must be integers, got %r" % (what, v))
+    return values
 
 
 def load_bundle_file(path: str, cap: int = DEFAULT_ORDER_CAP
@@ -127,8 +146,8 @@ def load_bundle_file(path: str, cap: int = DEFAULT_ORDER_CAP
 def bundle_from_jsonable(data: dict, G: FiniteGroup) -> EquivariantBundle:
     try:
         base_data = data["base"]
-        points = int(base_data["points"])
-        action = [list(map(int, row)) for row in base_data["action"]]
+        points = _integer(base_data["points"], "bundle base points")
+        action = [_integers(row, "bundle action row") for row in base_data["action"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError("bundle base is malformed: %s" % exc)
     if len(action) != G.order or any(len(row) != points for row in action):
@@ -144,12 +163,14 @@ def bundle_from_jsonable(data: dict, G: FiniteGroup) -> EquivariantBundle:
         raise FileFormatError("bundle 'fibers' must be a list, got %r" % (entries,))
     for fib in entries:
         try:
-            rep = int(fib["orbit_rep"])
+            rep = _integer(fib["orbit_rep"], "fiber orbit_rep")
             char = fib["character"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise FileFormatError("bundle fiber entry is malformed: %s" % exc)
         if not 0 <= rep < points:
             raise FileFormatError("fiber orbit_rep %d is not a point in 0..%d" % (rep, points - 1))
+        if rep in mults:
+            raise FileFormatError("two fibers at point %d" % rep)
         if isinstance(char, dict) and "irreducible_multiplicities" in char:
             ms = char["irreducible_multiplicities"]
             if not isinstance(ms, list):

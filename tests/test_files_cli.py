@@ -428,6 +428,80 @@ def test_bundle_verify_rejects_malformed_files(content, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _set(path, value):
+    """A function setting the entry at ``path`` (keys and indices) of a
+    loaded JSON object to ``value``."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set(["degree"], 4.9), _set(["degree"], 4.0), _set(["degree"], True),
+    _set(["generators", 0, 0], 1.2), _set(["generators", 1, 3], True),
+    _set(["generators", 1], "0321"), _set(["normal_subgroup_generators", 0], 0.7),
+    _set(["normal_subgroup_generators", 0], False), _set(["normal_subgroup_generators"], 0),
+], ids=["degree-float", "degree-integral-float", "degree-bool", "generator-float",
+        "generator-bool", "generator-string", "normal-float", "normal-bool", "normal-scalar"])
+def test_group_file_rejects_numbers_that_are_not_integers(edit, tmp_path, capsys):
+    """degree, generator entries and normal_subgroup_generators must be JSON
+    integers: int() used to truncate 4.9 and 0.7 and read true as 1, so
+    each of these files ran irr and clifford with exit 0."""
+    with open(data_path("d8.json")) as fh:
+        data = json.load(fh)
+    edit(data)
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FileFormatError):
+        load_group_file(str(path))
+    for command in ("irr", "clifford"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("edit", [
+    _set(["base", "points"], 2.5), _set(["base", "points"], True),
+    _set(["base", "action", 2, 0], 1.0), _set(["base", "action", 0, 1], True),
+    _set(["base", "action", 0], "01"), _set(["fibers", 0, "orbit_rep"], 0.9),
+    _set(["fibers", 0, "orbit_rep"], False), _set(["fibers", 0, "orbit_rep"], "0"),
+], ids=["points-float", "points-bool", "action-float", "action-bool", "action-string",
+        "orbit-rep-float", "orbit-rep-bool", "orbit-rep-string"])
+def test_bundle_file_rejects_numbers_that_are_not_integers(edit, tmp_path, capsys):
+    """points, action entries and orbit_rep must be JSON integers: a file
+    with points 2.5 and orbit_rep 0.9 used to verify with exit 0."""
+    with open(data_path("d8_rho_bundle.json")) as fh:
+        data = json.load(fh)
+    data["group"] = data_path("d8.json")
+    edit(data)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FileFormatError):
+        load_bundle_file(str(path))
+    assert main(["bundle-verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_bundle_file_rejects_two_fibers_at_one_point(tmp_path, capsys):
+    """A second fiber at the same point used to replace the first, so a
+    file contradicting itself verified; it is an input error naming the
+    point."""
+    with open(data_path("d8_rho_bundle.json")) as fh:
+        data = json.load(fh)
+    data["group"] = data_path("d8.json")
+    data["fibers"].append({"orbit_rep": 0,
+                           "character": {"irreducible_multiplicities": [0, 0, 0, 7]}})
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FileFormatError, match="two fibers at point 0"):
+        load_bundle_file(str(path))
+    assert main(["bundle-verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: two fibers at point 0\n"
+
+
 def test_readme_quick_start_commands_run(monkeypatch, capsys):
     """Every command of the README's command-line block exits 0 and prints
     the identity its comment states, which for D8 and Q8 are 5 = 2 + 2 + 1
