@@ -7,7 +7,8 @@ decomposition into induced isotypic pieces along the orbits of G on Irr(A)
 is then an identity of exact characters, verified fiberwise with cyclotomic
 arithmetic and no tolerance.  It needs only the orbits and their
 stabilizers (``irr_orbits``): no float code, seed or tolerance.  A base
-orbit whose stored fibers agree is checked at its anchor only.
+orbit whose stored fibers agree is checked at its anchor only, and a
+failure there is the package's own fault (AssertionError).
 """
 
 from __future__ import annotations
@@ -264,11 +265,14 @@ def verify_decomposition(E: EquivariantBundle, A: Subgroup) -> DecompositionChec
     character of E at x, exactly as class functions.  Every fiber stored
     redundantly must also equal the one transported from the first stored
     point of its orbit; its mismatching classes are reported at its own
+    point.  An orbit with a disagreeing stored fiber is checked point by
     point.  On an orbit whose stored fibers all agree the fibers, and so the
     pieces, are G-equivariant, so the sum is checked at the anchor (the
-    first stored point) only; if it holds there it holds on the whole orbit.
-    An orbit with a disagreeing stored fiber, or whose sum fails at the
-    anchor, is checked point by point.
+    first stored point) only, and holds there for any input: by column
+    orthogonality, sum over rho of rho(1) rho(a) = |A| delta(a, 1), the
+    pieces of an equivariant family sum to it.  A failure there is a fault
+    of the package's arithmetic, not of the bundle, and raises
+    AssertionError.
     """
     _require_a_trivial(E.base, A)
     records = irr_orbits(E.base.group, A)
@@ -277,12 +281,16 @@ def verify_decomposition(E: EquivariantBundle, A: Subgroup) -> DecompositionChec
         stored = [x for x in orb if x in E.fibers]
         redundant = {x: _mismatches(_transported_fiber(E, stored[0], x), E.fibers[x])
                      for x in stored[1:]}
-        if any(redundant.values()) or _piece_mismatches(E, A, records, stored[0]):
+        if any(redundant.values()):
             for x in orb:
                 per_point[x] = sorted(set(_piece_mismatches(E, A, records, x))
                                       | set(redundant.get(x, [])))
-        else:
-            per_point.update((x, []) for x in orb)
+            continue
+        bad = _piece_mismatches(E, A, records, stored[0])
+        if bad:
+            raise AssertionError("the isotypic pieces of an equivariant fiber family do "
+                                 "not sum to it at point %d (classes %s)" % (stored[0], bad))
+        per_point.update((x, []) for x in orb)
     ok = all(not bad for bad in per_point.values())
     return DecompositionCheck(ok=ok, per_point=dict(sorted(per_point.items())))
 

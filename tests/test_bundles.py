@@ -398,15 +398,18 @@ def test_orbit_anchored_verification_matches_the_point_by_point_reference():
     assert large
 
 
-def test_an_anchor_mismatch_sends_a_consistent_orbit_point_by_point(monkeypatch):
-    """On a consistent orbit the pieces sum to the fiber, so no mismatch is
-    found.  With every piece made one too large on one conjugacy class C of
-    G, the sum fails at each anchor, the orbit is checked point by point, and
-    the mismatches equal the point by point ones, off the anchors too."""
+def test_an_anchor_mismatch_on_a_consistent_orbit_is_an_internal_fault(monkeypatch, capsys):
+    """On a consistent orbit the pieces sum to the fiber for any input
+    (column orthogonality), so a failing sum at its anchor is the package's
+    own fault.  With every piece made one too large on one conjugacy class C
+    of G, verify_decomposition raises AssertionError exactly on the
+    consistent bundles where the point by point sums fail somewhere (some
+    stabilizer meets C), and bundle-verify exits 5, not the exit 1 that
+    blames the input."""
     from isotypic import bundles
     real = bundles.induction_piece_character
     rng = random.Random(7)
-    off_anchor = 0  # points off their orbit's anchor with mismatches
+    raised = 0
     for name in ("A4", "F20", "S4"):
         G, A = build_catalog_group(name)
         for c in range(len(G.conjugacy_classes())):
@@ -418,12 +421,21 @@ def test_an_anchor_mismatch_sends_a_consistent_orbit_point_by_point(monkeypatch)
 
             monkeypatch.setattr(bundles, "induction_piece_character", piece)
             for shape, corrupted, E in _sweep_bundles(G, A, rng):
-                if not corrupted:
-                    check = verify_decomposition(E, A)
-                    assert check.per_point == _reference_per_point(E, A), (name, c, shape)
-                    off_anchor += sum(bool(bad) for x, bad in check.per_point.items()
-                                   if E.anchor(x) != x)
-    assert off_anchor
+                if corrupted:
+                    continue
+                if any(_reference_per_point(E, A).values()):
+                    with pytest.raises(AssertionError, match="do not sum to it"):
+                        verify_decomposition(E, A)
+                    raised += 1
+                else:
+                    assert not any(verify_decomposition(E, A).per_point.values())
+    assert raised
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "isotypic", "data",
+                        "d8_rho_bundle.json")
+    monkeypatch.setattr(bundles, "induction_piece_character", lambda E, A, orbit, x: ClassFunction(
+        E.base.stabilizer(x).as_group()[0], [v + 1 for v in real(E, A, orbit, x).values]))
+    assert main(["bundle-verify", path]) == 5
+    assert capsys.readouterr().err.startswith("internal inconsistency: the isotypic pieces")
 
 
 def _count_piece_calls(monkeypatch, E, A):
