@@ -216,8 +216,6 @@ def _solve(B: np.ndarray, C: np.ndarray, q: int) -> np.ndarray:
     R, pivots = _rref(np.concatenate([B, C], axis=1), q)
     if pivots[:m] != list(range(m)):
         raise ValueError("basis matrix is column-rank deficient mod %d" % q)
-    if any(p < m for p in pivots[m:]):
-        raise AssertionError("unreachable")
     for i in range(m, R.shape[0]):
         if np.any(R[i, m:] % q):
             raise ValueError("inconsistent system: subspace not invariant")

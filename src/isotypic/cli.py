@@ -143,10 +143,7 @@ def cmd_bundle_verify(args) -> Report:
     res["group"] = G.name
     res["points"] = bundle.base.size
     lines = ["bundle over %d points, group %s" % (bundle.base.size, G.name)]
-    for x in range(bundle.base.size):
-        bad = check.per_point.get(x)
-        if bad is None:
-            continue
+    for x, bad in check.per_point.items():  # every point, in order
         lines.append("point %d: %s" % (x, "ok" if not bad else "MISMATCH at classes %s" % bad))
     lines.append("decomposition %s" % ("verified" if check.ok else "FAILED"))
     return Report(command="bundle-verify",

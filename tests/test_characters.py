@@ -5,6 +5,7 @@ from math import gcd, lcm
 import pytest
 
 from isotypic import characters
+from isotypic.catalog import CATALOG, build_catalog_group
 from isotypic.characters import (DEFAULT_CHARTABLE_CAP, ClassFunction, character_table,
                                  determinant_character_value, inner_product, restrict)
 from isotypic.cyclotomic import Cyclotomic
@@ -13,6 +14,23 @@ from isotypic.groups import group_from_generators
 
 from conftest import (S3_GENS, S4_GENS, all_catalog_groups, dihedral, direct_product,
                       relabelled_group)
+
+
+def test_catalog_entries_match_their_documented_invariants():
+    """Every catalog entry's ``expected`` values (order, class count, class
+    sizes, character degrees, abelian) hold for the group it builds."""
+    assert len(CATALOG) == 35
+    wrong = {}
+    for name, entry in sorted(CATALOG.items()):
+        G, _ = build_catalog_group(name)
+        found = {"order": G.order, "classes": len(G.conjugacy_classes()),
+                 "class_sizes": tuple(sorted(map(len, G.conjugacy_classes()))),
+                 "degrees": tuple(sorted(character_table(G).degrees)),
+                 "abelian": G.is_abelian}
+        assert set(entry.expected) <= set(found), name
+        if {key: found[key] for key in entry.expected} != entry.expected:
+            wrong[name] = found
+    assert not wrong
 
 
 def one(e):
