@@ -80,7 +80,7 @@ def group_from_jsonable(data: dict, cap: int = DEFAULT_ORDER_CAP) -> tuple[Finit
         name = str(data["name"])
         degree = _integer(data["degree"], "group degree")
         gens = [_integers(p, "generator") for p in data["generators"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FileFormatError("group file is missing fields: %s" % exc)
     G = group_from_generators(degree, gens, name=name, cap=cap)
     normal = None
@@ -148,7 +148,7 @@ def bundle_from_jsonable(data: dict, G: FiniteGroup) -> EquivariantBundle:
         base_data = data["base"]
         points = _integer(base_data["points"], "bundle base points")
         action = [_integers(row, "bundle action row") for row in base_data["action"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FileFormatError("bundle base is malformed: %s" % exc)
     if len(action) != G.order or any(len(row) != points for row in action):
         raise FileFormatError("bundle action table must be |G| x points")
