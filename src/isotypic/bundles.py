@@ -7,8 +7,7 @@ decomposition into induced isotypic pieces along the orbits of G on Irr(A)
 is then an identity of exact characters, verified fiberwise with cyclotomic
 arithmetic and no tolerance.  It needs only the orbits and their
 stabilizers (``irr_orbits``): no float code, seed or tolerance.  A base
-orbit whose stored fibers agree is checked at its anchor only, and a
-failure there is the package's own fault (AssertionError).
+orbit whose stored fibers agree is checked at its anchor only.
 """
 
 from __future__ import annotations
@@ -267,12 +266,10 @@ def verify_decomposition(E: EquivariantBundle, A: Subgroup) -> DecompositionChec
     point of its orbit; its mismatching classes are reported at its own
     point.  An orbit with a disagreeing stored fiber is checked point by
     point.  On an orbit whose stored fibers all agree the fibers, and so the
-    pieces, are G-equivariant, so the sum is checked at the anchor (the
-    first stored point) only, and holds there for any input: by column
-    orthogonality, sum over rho of rho(1) rho(a) = |A| delta(a, 1), the
-    pieces of an equivariant family sum to it.  A failure there is a fault
-    of the package's arithmetic, not of the bundle, and raises
-    AssertionError.
+    pieces, are G-equivariant, and by column orthogonality (sum over rho of
+    rho(1) rho(a) = |A| delta(a, 1)) the pieces sum to the fiber for any
+    input.  So the sum is checked at the anchor (the first stored point)
+    only, and a failure there, the package's own fault, raises AssertionError.
     """
     _require_a_trivial(E.base, A)
     records = irr_orbits(E.base.group, A)
@@ -285,12 +282,11 @@ def verify_decomposition(E: EquivariantBundle, A: Subgroup) -> DecompositionChec
             for x in orb:
                 per_point[x] = sorted(set(_piece_mismatches(E, A, records, x))
                                       | set(redundant.get(x, [])))
-            continue
-        bad = _piece_mismatches(E, A, records, stored[0])
-        if bad:
-            raise AssertionError("the isotypic pieces of an equivariant fiber family do "
-                                 "not sum to it at point %d (classes %s)" % (stored[0], bad))
-        per_point.update((x, []) for x in orb)
+        elif _piece_mismatches(E, A, records, stored[0]):
+            raise AssertionError("the isotypic pieces of an equivariant fiber family "
+                                 "do not sum to it at point %d" % stored[0])
+        else:
+            per_point.update((x, []) for x in orb)
     ok = all(not bad for bad in per_point.values())
     return DecompositionCheck(ok=ok, per_point=dict(sorted(per_point.items())))
 

@@ -67,12 +67,9 @@ def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP,
     named = {"trivial": G.trivial_subgroup, "full": G.full_subgroup, "center": G.center}
     if normal in named:
         return G, named[normal]()
-    what = "--normal selector %r" % normal
-    try:
-        idxs = [int(x) for x in normal.split(",") if x != ""]
-    except ValueError as exc:
-        raise FileFormatError("bad %s: %s" % (what, exc))
-    return G, G.subgroup(generator_elements(G, generators, idxs, what))
+    idxs = [x for x in normal.split(",") if x != ""]
+    elems = generator_elements(G, generators, idxs, "--normal selector %r" % normal)
+    return G, G.subgroup(elems)
 
 
 def group_from_jsonable(data: dict, cap: int = DEFAULT_ORDER_CAP) -> tuple[FiniteGroup, Optional[Subgroup]]:
@@ -87,33 +84,35 @@ def group_from_jsonable(data: dict, cap: int = DEFAULT_ORDER_CAP) -> tuple[Finit
     idxs = data.get("normal_subgroup_generators")
     if idxs is not None:
         what = "normal_subgroup_generators"
-        elems = generator_elements(G, gens, _integers(idxs, what), what)
-        normal = G.subgroup(elems)
+        normal = G.subgroup(generator_elements(G, gens, _integers(idxs, what), what))
     return G, normal
 
 
-def generator_elements(G: FiniteGroup, generators, indices: list[int], what: str) -> list[int]:
-    """Elements of G given by indices into its generator permutations.
-    Raises FileFormatError, naming ``what``, unless every index is in
-    0..len(generators)-1."""
-    for i in indices:
+def generator_elements(G: FiniteGroup, generators, indices, what: str) -> list[int]:
+    """Elements of G given by indices into its generator permutations, as
+    integers or as the --normal text's strings.  Raises FileFormatError,
+    naming ``what``, unless every index is in 0..len(generators)-1."""
+    try:
+        idxs = [int(i) for i in indices]
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError("bad %s: %s" % (what, exc))
+    for i in idxs:
         if not 0 <= i < len(generators):
             raise FileFormatError("bad %s: generator index %d is not in 0..%d"
                                   % (what, i, len(generators) - 1))
-    return [G.perm_index(tuple(generators[i])) for i in indices]
+    return [G.perm_index(tuple(generators[i])) for i in idxs]
 
 
 def _integer(value, what: str) -> int:
-    """value if it is a JSON integer, else FileFormatError naming ``what``:
-    int() would truncate 1.5 and read true as 1."""
+    """value, if a JSON integer, else FileFormatError (int() reads 1.5 and true as 1)."""
     if type(value) is not int:  # a bool's type is bool
         raise FileFormatError("%s must be an integer, got %r" % (what, value))
     return value
 
 
 def _integers(values, what: str) -> list[int]:
-    """values if it is a JSON list of integers, else FileFormatError naming
-    ``what`` (one loop, no per-entry call: it reads whole action tables)."""
+    """values, if a JSON list of integers, else FileFormatError; a plain loop,
+    as it reads whole action tables."""
     if not isinstance(values, list):
         raise FileFormatError("%s must be a list of integers, got %r" % (what, values))
     for v in values:

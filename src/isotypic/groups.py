@@ -207,8 +207,7 @@ class FiniteGroup:
         return self.subgroup_from_members(n for n in self.elements() if coset_of[n] in maps)
 
     def quotient(self, A: "Subgroup") -> tuple["FiniteGroup", tuple[int, ...]]:
-        """Quotient by a normal subgroup, as ``coset_quotient``'s (G/A,
-        section); raises NotNormal unless A is normal.
+        """(G/A, section) by ``coset_quotient``; raises NotNormal unless A is normal.
 
         No src caller: kept because the benchmark's span list wraps it."""
         if A.parent is not self:
