@@ -32,13 +32,14 @@ class GSet:
 
     def __init__(self, group: FiniteGroup, action: Sequence[Sequence[int]]):
         self.group = group
-        self.action = tuple(tuple(int(x) for x in row) for row in action)
+        self.action = tuple(map(tuple, action))
         if len(self.action) != group.order:
             raise ValueError("action table needs one row per group element")
         self.size = len(self.action[0]) if self.action else 0
         for row in self.action:
-            if len(row) != self.size or any(x < 0 or x >= self.size for x in row):
-                raise ValueError("action table rows must map into the point set")
+            if len(row) != self.size or not all(isinstance(x, int) and 0 <= x < self.size
+                                                for x in row):
+                raise ValueError("action table rows must map into the point set by integers")
         if self.action[0] != tuple(range(self.size)):
             raise ValueError("identity must act trivially")
         # the law for every g and generator s gives it for all pairs (induction on word length)

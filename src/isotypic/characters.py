@@ -3,11 +3,13 @@
 The table of an abelian group is Hom(G, mu_e), e the exponent: its
 characters are built as exponent vectors mod e along a generating sequence,
 with values zeta_e^k, and each is its own determinant character.  Any other
-table is computed with the Dixon-Schneider method: the class matrices are
-simultaneously diagonalized over a prime field F_q with q = 1 (mod exponent)
-and q > 2*sqrt(|G|), and the resulting mod-q character values are lifted to
-exact cyclotomics by recovering the eigenvalue multiplicities of each class
-representative through a discrete Fourier inversion mod q.  The same
+table is computed with the Dixon-Schneider method over a prime field F_q with
+q = 1 (mod exponent) and q > 2*sqrt(|G|): the class matrices are
+simultaneously diagonalized on eigenspaces kept as reduced echelon bases of
+Python ints, in which coordinates are read off at the pivot columns, and the
+mod-q character values are lifted to exact cyclotomics by recovering the
+eigenvalue multiplicities of each class representative through a discrete
+Fourier inversion mod q, one product for all rows and classes.  The same
 multiplicities give the determinant character det o chi of every row, which
 the table keeps.  No floating point is involved anywhere.
 """
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, _factorize, dot
+from .cyclotomic import Cyclotomic, _factorize, _make, _reduce, dot
 from .errors import CapExceeded, GroupMismatch, NotSubgroup
 from .groups import FiniteGroup, Subgroup
 
@@ -177,123 +179,99 @@ def determinant_character_value(chi: ClassFunction, g: int) -> tuple[int, int]:
     return table.determinants[row][chi.group.class_index(g)]
 
 
-# -- modular linear algebra -------------------------------------------------------
+# -- modular linear algebra on Python int lists ---------------------------------
 
 
-def _mm(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
-    return (A @ B) % q
-
-
-def _rref(M: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
-    R = M.copy() % q
-    rows, cols = R.shape
-    pivots = []
-    rr = 0
-    for c in range(cols):
-        piv = None
-        for i in range(rr, rows):
-            if R[i, c] % q:
-                piv = i
+def _echelon(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
+    """The reduced row echelon basis mod q of the span of rows (entries in
+    [0, q)) and its pivot columns, in increasing pivot order."""
+    rows = list(rows)
+    height = len(rows)
+    pivots: list[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        for piv in range(top, height):
+            if rows[piv][c]:
                 break
-        if piv is None:
+        else:
             continue
-        if piv != rr:
-            R[[rr, piv]] = R[[piv, rr]]
-        R[rr] = (R[rr] * pow(int(R[rr, c]), -1, q)) % q
-        for i in range(rows):
-            if i != rr and R[i, c]:
-                R[i] = (R[i] - R[i, c] * R[rr]) % q
+        inv = pow(rows[piv][c], -1, q)
+        pivot_row = [x * inv % q for x in rows[piv]]
+        rows[piv] = rows[top]
+        rows[top] = pivot_row
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != top:
+                rows[i] = [(x - f * y) % q for x, y in zip(row, pivot_row)]
         pivots.append(c)
-        rr += 1
-        if rr == rows:
+        if top + 1 == height:
             break
-    return R, pivots
+    return rows[:len(pivots)], pivots
 
 
-def _solve(B: np.ndarray, C: np.ndarray, q: int) -> np.ndarray:
-    """Solve B X = C mod q for B with full column rank."""
-    m = B.shape[1]
-    R, pivots = _rref(np.concatenate([B, C], axis=1), q)
-    if pivots[:m] != list(range(m)):
-        raise ValueError("basis matrix is column-rank deficient mod %d" % q)
-    for i in range(m, R.shape[0]):
-        if np.any(R[i, m:] % q):
-            raise ValueError("inconsistent system: subspace not invariant")
-    return R[:m, m:] % q
+def _hessenberg(S: list[list[int]], q: int) -> list[list[int]]:
+    """An upper Hessenberg matrix similar to S mod q; S is left unchanged.
 
-
-def _kernel(M: np.ndarray, q: int) -> np.ndarray:
-    """Columns spanning ker(M) mod q."""
-    n = M.shape[1]
-    R, pivots = _rref(M, q)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((n, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-int(R[i, fc])) % q
-    return basis
-
-
-def _hessenberg(S: np.ndarray, q: int) -> np.ndarray:
-    H = S.copy() % q
-    m = H.shape[0]
+    Step k applies the row operations that clear column k below row k + 1,
+    then all their inverse column operations at once (the two commute).
+    """
+    H = [row[:] for row in S]
+    m = len(H)
     for k in range(m - 2):
-        piv = None
-        for i in range(k + 1, m):
-            if H[i, k] % q:
-                piv = i
-                break
+        k1 = k + 1
+        piv = next((i for i in range(k1, m) if H[i][k]), None)
         if piv is None:
             continue
-        if piv != k + 1:
-            H[[k + 1, piv]] = H[[piv, k + 1]]
-            H[:, [k + 1, piv]] = H[:, [piv, k + 1]]
-        inv = pow(int(H[k + 1, k]), -1, q)
+        if piv != k1:
+            H[k1], H[piv] = H[piv], H[k1]
+            for h in H:
+                h[k1], h[piv] = h[piv], h[k1]
+        inv = pow(H[k1][k], -1, q)
+        top = H[k1]
+        factors = []
         for i in range(k + 2, m):
-            f = int(H[i, k]) * inv % q
+            f = H[i][k] * inv % q
             if f:
-                H[i] = (H[i] - f * H[k + 1]) % q
-                H[:, k + 1] = (H[:, k + 1] + f * H[:, i]) % q
+                H[i] = [(a - f * b) % q for a, b in zip(H[i], top)]
+                factors.append((i, f))
+        if factors:
+            for h in H:
+                h[k1] = (h[k1] + sum(f * h[i] for i, f in factors)) % q
     return H
 
 
-def _charpoly(H: np.ndarray, q: int) -> list[int]:
-    """Characteristic polynomial of an upper Hessenberg matrix mod q.
-
-    Returned as coefficient list, constant term first.
-    """
-    m = H.shape[0]
-    polys: list[list[int]] = [[1]]
+def _eigenvalues(S: list[list[int]], q: int) -> list[int]:
+    """The distinct eigenvalues of S in F_q, ascending: the roots of the
+    characteristic polynomial of an upper Hessenberg form H of S."""
+    H = _hessenberg(S, q)
+    m = len(H)
+    polys: list[list[int]] = [[1]]  # charpolys of the leading blocks, constant term first
     for k in range(1, m + 1):
-        # (lambda - H[k-1,k-1]) * p_{k-1}
+        # (lambda - H[k-1][k-1]) * p_{k-1}
         prev = polys[k - 1]
-        diag = int(H[k - 1, k - 1])
-        cur = [0] * (len(prev) + 1)
+        diag = H[k - 1][k - 1]
+        cur = [0] + prev
         for i, c in enumerate(prev):
-            cur[i + 1] = (cur[i + 1] + c) % q
-            cur[i] = (cur[i] - diag * c) % q
+            cur[i] -= diag * c
         # subdiagonal correction terms
         prod = 1
         for i in range(1, k):
-            prod = prod * int(H[k - i, k - i - 1]) % q
+            prod = prod * H[k - i][k - i - 1] % q
             if prod == 0:
                 break
-            coefv = prod * int(H[k - 1 - i, k - 1]) % q
+            coefv = prod * H[k - 1 - i][k - 1] % q
             if coefv:
-                pi = polys[k - 1 - i]
-                for t, c in enumerate(pi):
-                    cur[t] = (cur[t] - coefv * c) % q
+                for t, c in enumerate(polys[k - 1 - i]):
+                    cur[t] -= coefv * c
         polys.append([c % q for c in cur])
-    return polys[m]
-
-
-def _poly_roots(coeffs: list[int], q: int) -> list[int]:
-    lam = np.arange(q, dtype=np.int64)
-    acc = np.zeros(q, dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (acc * lam + c) % q
-    return [int(x) for x in np.nonzero(acc == 0)[0]]
+    poly, roots = polys[m][::-1], []
+    for x in range(q):
+        acc = 0
+        for c in poly:
+            acc = (acc * x + c) % q
+        if not acc:
+            roots.append(x)
+    return roots
 
 
 # -- Dixon-Schneider ------------------------------------------------------------
@@ -318,14 +296,15 @@ def _primitive_root(q: int) -> int:
 
 def _class_matrix(G: FiniteGroup, classes, i: int) -> np.ndarray:
     """(A_i)[j][k] = #{x in C_i : x^-1 z_k in C_j} for a fixed z_k in C_k."""
-    r = len(classes)
-    A = np.zeros((r, r), dtype=np.int64)
-    for k in range(r):
-        z = classes[k][0]
-        for x in classes[i]:
-            j = G.class_index(G.mul(G.inv(x), z))
-            A[j, k] += 1
-    return A
+    rows, class_of = G._rows, G._class_of
+    inverses = [G._inv[x] for x in classes[i]]
+    columns = []
+    for cls in classes:
+        column = [0] * len(classes)
+        for x in inverses:
+            column[class_of[rows[x][cls[0]]]] += 1
+        columns.append(column)
+    return np.array(columns, dtype=np.int64).T
 
 
 def character_table(G: FiniteGroup) -> CharacterTable:
@@ -402,84 +381,104 @@ def _linear_table(G: FiniteGroup) -> list[tuple[ClassFunction, list[tuple[int, i
 
 def _dixon_schneider(G: FiniteGroup) -> list[tuple[ClassFunction, list[tuple[int, int]]]]:
     """(row, determinants) for every irreducible character of G, unsorted,
-    by the Dixon-Schneider split of the class matrices over F_q and the
-    cyclotomic lift of the module docstring."""
+    by the Dixon-Schneider split over F_q and the lift of the module docstring.
+
+    Each common eigenspace is a row basis B in reduced echelon form with
+    pivot columns P.  If a class matrix A leaves it invariant, the
+    coordinates of A.b on B are the entries of A.b at P, so S = (A.B^T)[P];
+    the invariance B^T.S = A.B^T (mod q) is checked.  The eigenspace of each
+    eigenvalue lam of S is K.B, K spanning ker(S - lam), re-based by
+    ``_echelon``.  The lift multiplies chi mod q on the first e powers of
+    every class representative, all rows at once, by the inverse Fourier
+    matrix of Z/e, and makes each distinct multiplicity vector a value once.
+    """
     classes = G.conjugacy_classes()
-    r = len(classes)
-    n = G.order
-    e = G.exponent
-    q = dixon_prime(n, e)
+    r, n, e = len(classes), G.order, G.exponent
+    q = dixon_prime(n, e)  # each int64 product below sums <= n terms < max(n, q)**2
 
     # simultaneous eigenspaces of the class matrices over F_q
-    subspaces = [np.eye(r, dtype=np.int64)]
+    subspaces = [([[int(j == k) for k in range(r)] for j in range(r)], list(range(r)))]
     for i in range(1, r):
-        if all(B.shape[1] == 1 for B in subspaces):
+        if all(len(B) == 1 for B, _ in subspaces):
             break
         A = _class_matrix(G, classes, i)
         refined = []
-        for B in subspaces:
-            m = B.shape[1]
+        for B, pivots in subspaces:
+            m = len(B)
             if m == 1:
-                refined.append(B)
+                refined.append((B, pivots))
                 continue
-            S = _solve(B, _mm(A, B, q), q)
-            roots = _poly_roots(_charpoly(_hessenberg(S, q), q), q)
-            for lam in roots:
-                K = _kernel((S - lam * np.eye(m, dtype=np.int64)) % q, q)
-                if K.shape[1]:
-                    refined.append(_mm(B, K, q))
+            Bq = np.array(B, dtype=np.int64)
+            AB = A @ Bq.T % q
+            S = AB[pivots]
+            if (Bq.T @ S % q != AB).any():
+                raise AssertionError("class matrix %d does not leave an eigenspace "
+                                     "invariant mod %d" % (i, q))
+            S = S.tolist()
+            K, ends = [], []  # kernels of S - lam, stacked in ascending lam
+            for lam in _eigenvalues(S, q):
+                M = [row[:] for row in S]
+                for j, row in enumerate(M):
+                    row[j] = (row[j] - lam) % q
+                R, kernel_pivots = _echelon(M, q)
+                for f in range(m):
+                    if f not in kernel_pivots:
+                        x = [0] * m
+                        x[f] = 1
+                        for row, p in zip(R, kernel_pivots):
+                            x[p] = -row[f] % q
+                        K.append(x)
+                ends.append(len(K))
+            if len(K) != m:
+                raise AssertionError("class matrix %d is not diagonal mod %d on an "
+                                     "eigenspace" % (i, q))
+            KB = (np.array(K, dtype=np.int64) @ Bq % q).tolist()
+            refined += [_echelon(KB[a:b], q) for a, b in zip([0] + ends, ends)]
         subspaces = refined
-    if any(B.shape[1] != 1 for B in subspaces) or len(subspaces) != r:
+    if any(len(B) != 1 for B, _ in subspaces) or len(subspaces) != r:
         raise AssertionError("class algebra failed to split into %d lines" % r)
+    # each line is (v), scaled to v[p] = 1 at its first nonzero coordinate p
+    if any(pivots != [0] for _, pivots in subspaces):
+        raise AssertionError("eigenvector has zero identity coordinate")
 
-    sizes = [len(c) for c in classes]
-    inv_class = [G.class_index(G.inv(c[0])) for c in classes]
-    w = pow(_primitive_root(q), (q - 1) // e, q)
-
-    # power maps, needed for the cyclotomic lift
-    power_classes = [[G.class_index(x) for x in G.powers(c[0])] for c in classes]
-    orders = [len(p) for p in power_classes]
-
-    rows = []
-    for B in subspaces:
-        v = B[:, 0] % q
-        if v[0] == 0:
-            raise AssertionError("eigenvector has zero identity coordinate")
-        v = (v * pow(int(v[0]), -1, q)) % q
-        s = 0
-        for i in range(r):
-            s = (s + int(v[i]) * int(v[inv_class[i]]) * pow(sizes[i], -1, q)) % q
-        d2 = n * pow(s, -1, q) % q
-        d = None
-        for x in range(1, (q - 1) // 2 + 1):
-            if x * x % q == d2:
-                d = x
-                break
+    # v = |C_i| chi(g_i) / d: d^2 * sum_i v_i v_(i^-1) / |C_i| = |G|
+    inv_sizes = np.array([pow(len(c), -1, q) for c in classes], dtype=np.int64)
+    class_of = G._class_of
+    inv_class = [class_of[G.inv(c[0])] for c in classes]
+    V = np.array([B[0] for B, _ in subspaces], dtype=np.int64)
+    degrees = []
+    for s in ((V * V[:, inv_class] % q) * inv_sizes % q).sum(axis=1).tolist():
+        d = next((x for x in range(1, (q - 1) // 2 + 1) if x * x * s % q == n % q), None)
         if d is None:
             raise AssertionError("degree is not a square mod q")
-        chi_q = [(d * int(v[i]) * pow(sizes[i], -1, q)) % q for i in range(r)]
+        degrees.append(d)
+    d = np.array(degrees, dtype=np.int64)[:, None]
+    X = d * V % q * inv_sizes % q  # chi mod q, one row per character
 
-        values = []
-        dets = []  # det o chi = zeta_m^k with k = sum_j j*c_j
-        for i in range(r):
-            m = orders[i]
-            z = pow(w, e // m, q)
-            zp = [pow(z, t, q) for t in range(m)]
-            minv = pow(m, -1, q)
-            coeffs = {}
-            k = 0
-            for j in range(m):
-                acc = 0
-                for t in range(m):
-                    acc = (acc + chi_q[power_classes[i][t]] * zp[(-j * t) % m]) % q
-                cj = acc * minv % q
-                if cj > d:
-                    raise AssertionError("eigenvalue multiplicity out of range")
-                if cj:
-                    coeffs[(e // m) * j] = cj
-                    k += j * cj
-            values.append(Cyclotomic(e, coeffs))
-            k %= m
-            dets.append((k // gcd(k, m), m // gcd(k, m)))
-        rows.append((ClassFunction(G, values), dets))
-    return rows
+    # multiplicities c_j of the eigenvalues zeta_e^j of every class at once: the
+    # inverse Fourier transform of chi on the first e powers of its representative
+    w = pow(_primitive_root(q), (q - 1) // e, q)
+    roots = [1] * e
+    for k in range(1, e):
+        roots[k] = roots[k - 1] * w % q
+    t = np.arange(e)
+    F = np.array(roots, dtype=np.int64)[np.outer(t, -t) % e] * pow(e, -1, q) % q
+    powers = []
+    for c in classes:
+        cycle = [class_of[x] for x in G.powers(c[0])]
+        powers += cycle * (e // len(cycle))
+    C = X[:, powers].reshape(r * r, e) @ F % q
+    if (C.reshape(r, r, e) > d[:, :, None]).any():
+        raise AssertionError("eigenvalue multiplicity out of range")
+    # each distinct value once; det o chi = zeta_e^k with k = sum_j j*c_j
+    lifted: dict[tuple[int, ...], tuple[Cyclotomic, tuple[int, int]]] = {}
+    entries = []
+    for acc, k in zip(C.tolist(), (C @ t % e).tolist()):
+        key = tuple(acc)
+        entry = lifted.get(key)
+        if entry is None:
+            entry = lifted[key] = (_make(e, _reduce(e, acc), 1),
+                                   (k // gcd(k, e), e // gcd(k, e)))
+        entries.append(entry)
+    return [(ClassFunction(G, [v for v, _ in entries[i:i + r]]),
+             [det for _, det in entries[i:i + r]]) for i in range(0, r * r, r)]

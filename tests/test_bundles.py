@@ -38,6 +38,17 @@ def test_gset_validation(d8):
         GSet(G, bad)
 
 
+@pytest.mark.parametrize("entry", [1.5, 1.0])
+def test_gset_rejects_entries_that_are_not_integers(entry, d8):
+    """A non-integer action entry is refused, not truncated to a point."""
+    G, A = d8
+    action = [list(row) for row in GSet.cosets(G, A).action]
+    g, x = next((g, x) for g in G.elements() for x in range(2) if action[g][x] == 1)
+    action[g][x] = entry
+    with pytest.raises(ValueError):
+        GSet(G, action)
+
+
 def test_gset_cosets_and_orbits(d8):
     G, A = d8
     X = GSet.cosets(G, A)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -8,9 +10,10 @@ from isotypic import characters
 from isotypic.catalog import CATALOG, build_catalog_group
 from isotypic.characters import (DEFAULT_CHARTABLE_CAP, ClassFunction, character_table,
                                  determinant_character_value, inner_product, restrict)
+from isotypic.cli import main
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import CapExceeded, GroupMismatch, NotSubgroup
-from isotypic.groups import group_from_generators
+from isotypic.groups import FiniteGroup, group_from_generators
 
 from conftest import (S3_GENS, S4_GENS, all_catalog_groups, dihedral, direct_product,
                       relabelled_group)
@@ -386,6 +389,76 @@ def test_abelian_tables_build_no_class_matrix(monkeypatch):
     assert calls == []
     character_table(dihedral(3))
     assert calls and set(calls) == {"D6"}
+
+
+# -- the Dixon-Schneider split: pinned output, relabelling, failed checks ----------
+
+D8_GENS = [[1, 2, 3, 0], [3, 2, 1, 0]]
+_SPLIT_GROUPS = {
+    "S3xS3": (6, direct_product(S3_GENS, 3, S3_GENS, 3)),
+    "S4xZ2": (6, direct_product(S4_GENS, 4, [[1, 0]], 2)),
+    "S4xS3": (7, direct_product(S4_GENS, 4, S3_GENS, 3)),
+    "S5": (5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]),
+    "D8xD8xZ2": (10, direct_product(direct_product(D8_GENS, 4, D8_GENS, 4), 8, [[1, 0]], 2)),
+}
+
+
+def test_d8xd8xz2_table_is_pinned():
+    """Order 128 with 50 classes, so the split runs over several class
+    matrices; the table and its determinants are the recorded ones."""
+    G = group_from_generators(*_SPLIT_GROUPS["D8xD8xZ2"], name="D8xD8xZ2")
+    t = character_table(G)
+    assert (G.order, len(t.rows)) == (128, 50)
+    digest = hashlib.sha256(json.dumps(t.to_jsonable(), sort_keys=True).encode()).hexdigest()
+    assert digest == "ffa01073416b9c2483eedb5753e2d6ecaba8d6678055f8833d168ce9269432e1"
+    assert hashlib.sha256(repr(t.determinants).encode()).hexdigest() == \
+        "491626b56c9240fa12f11f0236ba93d9f68993af2089087e189a780339925d2a"
+
+
+def relabel(G, rng):
+    """(H, pi): G with every non-identity element a renamed pi[a], pi random."""
+    pi = [0] + rng.sample(range(1, G.order), G.order - 1)
+    table = [[0] * G.order for _ in G.elements()]
+    for a in G.elements():
+        for b in G.elements():
+            table[pi[a]][pi[b]] = pi[G.mul(a, b)]
+    return FiniteGroup(table, name=G.name, check=False), pi
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_GROUPS))
+def test_split_is_invariant_under_relabelling(name):
+    """Renaming the elements renames the classes and leaves every row and its
+    determinants unchanged: the split depends on the group alone."""
+    G = group_from_generators(*_SPLIT_GROUPS[name], name=name)
+    t = character_table(G)
+    expected = {(row.values, dets) for row, dets in zip(t.rows, t.determinants)}
+    rng = random.Random(name)
+    for _ in range(3):
+        H, pi = relabel(G, rng)
+        u = character_table(H)
+        image = [H.class_index(pi[c[0]]) for c in G.conjugacy_classes()]
+        assert sorted(image) == list(range(len(image)))
+        assert {(tuple(row.values[c] for c in image), tuple(dets[c] for c in image))
+                for row, dets in zip(u.rows, u.determinants)} == expected
+
+
+@pytest.mark.parametrize("name", ["D8", "Q8", "D10", "Q16", "F20", "F21"])
+def test_a_failed_split_check_is_an_internal_fault(name, monkeypatch, capsys):
+    """A class matrix that is not the group's (A_2 with one entry raised by
+    one) fails the split's invariance check: exit 5 and no table."""
+    real = characters._class_matrix
+
+    def perturbed(G, classes, i):
+        A = real(G, classes, i)
+        if i == 2:
+            A[0, 0] += 1
+        return A
+
+    monkeypatch.setattr(characters, "_class_matrix", perturbed)
+    assert main(["irr", "catalog:" + name]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "internal inconsistency" in err and "invariant" in err
 
 
 def test_abelian_table_cap():

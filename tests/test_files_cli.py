@@ -355,6 +355,16 @@ GOLDEN_JSON = [
      "775ba6deadb4eb7d7a9679c6eb8b104253a390c5fbcd0d10fa3ee931eb240b30"),
     (["bordism", "catalog:F21", "--max-degree", "20"],
      "2caee6a849d8de1d3016cbc162c040bc74fda8d0855bedaf9e3a86735a09daf7"),
+    (["irr", "catalog:D24"],
+     "56e71ce68b46dee95b9d43212da46d322ce8c5d417e8b17a23730eff2467cdb6"),
+    (["irr", "catalog:D16"],
+     "d069f3a45bce28073296af23761dae0d31c9cd264221c3697edad667a49e5e1e"),
+    (["irr", "catalog:Q16"],
+     "bd5277722d8eea7845b5229744dbca6449db9b6b4be4204350ebcaba6a45fffa"),
+    (["irr", "catalog:F21"],
+     "092eef04d577d4768224c0417ffab2c591efe4005cbeacb9e5c9b52487d3e315"),
+    (["irr", "catalog:F20"],
+     "b6823e59a9c8bc77f60ac0169231422f5c70a0ec18df8d78fe90a7f3d1d01742"),
     (["d2p", "--p", "5", "--max-degree", "20"],
      "78b665d490188b09c71fc7dcbb2eeee6bef3b61d813ff4e283dbff5c1341901a"),
     (["d2p", "--p", "13", "--max-degree", "30"],
