@@ -47,7 +47,7 @@ class ClassFunction:
         return self.values[self.group.class_index(g)]
 
     def degree(self) -> Cyclotomic:
-        return self.values[self.group.class_index(0)]
+        return self.values[0]  # the identity's class comes first
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         self._check(other)
