@@ -8,9 +8,9 @@ import pytest
 
 import isotypic
 from isotypic import bordism
-from isotypic.bordism import (PowerSeries, adjacent_family_series,
-                              bu_generator_series, burnside_label_series,
-                              d2p_certify, enumerate_arrays,
+from isotypic.bordism import (PowerSeries, RankProfile,
+                              adjacent_family_series, bu_generator_series,
+                              burnside_label_series, d2p_certify, enumerate_arrays,
                               global_generator_series, is_family,
                               omega_generator_series, rank_profile,
                               weyl_cycle_types)
@@ -41,6 +41,11 @@ def test_omega_series_is_partition_function():
     for n in range(1, 40, 2):
         assert s.coefficient(n) == 0
     assert s.coefficient(20) == 42
+
+
+def test_omega_series_reaches_the_degree_cap():
+    """p(100), far beyond what brute enumeration reaches."""
+    assert omega_generator_series(200).coefficient(200) == 190569292
 
 
 def test_omega_series_first_values():
@@ -224,15 +229,18 @@ def test_trivial_subgroup_series_is_one(pairs):
         assert series.coefficients == PowerSeries.one(12).coefficients, name
 
 
-def test_burnside_equals_bruteforce_d2p():
-    for p in (3, 5, 7):
-        G = dihedral(p)
-        a = G.perm_index(tuple((i + 1) % p for i in range(p)))
-        A = G.subgroup([a])
-        prof = rank_profile(G, A)
-        series = adjacent_family_series(G, A, 20)
-        brute = brute_label_orbit_counts(prof.dims, prof.perms, 20)
-        assert list(series.coefficients) == brute, p
+@pytest.mark.parametrize("dims, perms, max_degree", [
+    ((1, 2, 2), [(0, 1, 2), (0, 2, 1)], 20),
+    ((2, 2, 2), [(0, 1, 2), (1, 2, 0), (2, 0, 1)], 20),
+    ((1, 1, 3, 3), [(0, 1, 2, 3), (1, 0, 3, 2)], 18),
+    ((2, 2, 1, 1), [(0, 1, 2, 3), (1, 0, 3, 2)], 18),
+])
+def test_burnside_equals_bruteforce_on_higher_degrees(dims, perms, max_degree):
+    """Synthetic profiles that permute irreducibles of degree above 1, which
+    no catalog pair in the other brute-force checks does."""
+    prof = RankProfile(dims, tuple(perms))
+    series = burnside_label_series(prof.cycle_types(), max_degree)
+    assert list(series.coefficients) == brute_label_orbit_counts(dims, perms, max_degree)
 
 
 def test_burnside_equals_bruteforce_z4_z2():

@@ -369,6 +369,16 @@ GOLDEN_JSON = [
      "78b665d490188b09c71fc7dcbb2eeee6bef3b61d813ff4e283dbff5c1341901a"),
     (["d2p", "--p", "13", "--max-degree", "30"],
      "f23abdaff5d7c999fba9851b68cce1da864c6f41416605221fe327950d25b290"),
+    (["bordism", "catalog:S4", "--global", "--max-degree", "200"],
+     "000452ac50a4497be5e06d62b0f6e9c67fe6c71bee9078ffd86b6f45818ac5c7"),
+    (["bordism", "catalog:Q16", "--global", "--max-degree", "60"],
+     "84b28a4940fedaeb6987aa92e935b094733eb2c507ba77d2f5e9d53737c1d57d"),
+    (["bordism", "catalog:S4", "--max-degree", "60"],
+     "0c6985f17bb813c64f21cc807328acf52c75daa6450a5da12c024925e783cc41"),
+    (["bordism", "catalog:A4", "--max-degree", "200"],
+     "a254f64a20ddc46e15936ec9f4f7dd4c97344de06d3a2f8b9b2ce5c050b1f94b"),
+    (["d2p", "--p", "13", "--max-degree", "60"],
+     "30e9c96b1be7e6ae61c60009e0bd5ee08d18007ee7e6af4e317b0efd47442717"),
 ]
 
 
