@@ -6,7 +6,8 @@ product of BU(k)'s are labeled by an array of isotypic ranks (one per
 nontrivial irreducible of the subgroup A the families differ by) together
 with one partition of at most that many parts per coordinate; the series of
 a pair of adjacent families counts Weyl-orbit classes of such labels via
-Burnside's lemma, localized away from the group order.
+Burnside's lemma, localized away from the group order.  Every series is an
+Euler product prod_m 1/(1 - t^(2m)) over a multiset of parts m.
 
 The count depends only on the Weyl cycle types: for each w in N_G(A)/A, the
 multiset of (cycle length, degree) over the cycles of w on the nontrivial
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .catalog import build_catalog_group
@@ -89,22 +89,26 @@ class PowerSeries:
         return "PowerSeries(%r)" % (list(self.coefficients),)
 
 
-# -- partition combinatorics ------------------------------------------------------
+# -- Euler products ----------------------------------------------------------------
 
 
 def _check_degree(max_degree: int) -> None:
+    if max_degree < 0:
+        raise ValueError("max_degree below 0")
     if max_degree > MAX_DEGREE:
         raise CapExceeded("max_degree above %d" % MAX_DEGREE)
 
 
-@lru_cache(maxsize=None)
-def partitions_at_most(n: int, parts: int) -> int:
-    """Number of partitions of n into at most `parts` parts."""
-    if n == 0:
-        return 1
-    if n < 0 or parts == 0:
-        return 0
-    return partitions_at_most(n, parts - 1) + partitions_at_most(n - parts, parts)
+def _euler_product(parts: Sequence[int], max_degree: int) -> list[int]:
+    """Coefficients of prod_{m in parts} 1/(1 - t^(2m)) up to t^max_degree: one
+    running sum of stride m over the even coefficients per factor."""
+    even = [1] + [0] * (max_degree // 2)
+    for m in parts:
+        for n in range(m, len(even)):
+            even[n] += even[n - m]
+    coeffs = [0] * (max_degree + 1)
+    coeffs[::2] = even
+    return coeffs
 
 
 def omega_generator_series(max_degree: int) -> PowerSeries:
@@ -114,10 +118,7 @@ def omega_generator_series(max_degree: int) -> PowerSeries:
     polynomial generator in each even degree); odd coefficients vanish.
     """
     _check_degree(max_degree)
-    coeffs = [0] * (max_degree + 1)
-    for n in range(0, max_degree + 1, 2):
-        coeffs[n] = partitions_at_most(n // 2, n // 2)
-    return PowerSeries(coeffs)
+    return PowerSeries(_euler_product(range(1, max_degree // 2 + 1), max_degree))
 
 
 def bu_generator_series(ranks: Sequence[int], max_degree: int) -> PowerSeries:
@@ -126,28 +127,8 @@ def bu_generator_series(ranks: Sequence[int], max_degree: int) -> PowerSeries:
     One free generator per tuple of partitions (at most r parts for the
     BU(r) factor), in degree twice the total size.
     """
-    out = PowerSeries.one(max_degree)
-    for r in ranks:
-        factor = [partitions_at_most(n // 2, r) if n % 2 == 0 else 0
-                  for n in range(max_degree + 1)]
-        out = out * PowerSeries(factor)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _stack_series(u_exp: int, v_exp: int, max_degree: int) -> PowerSeries:
-    """sum_{n>=0} u^n * (sum over partitions with at most n parts of v^size),
-    with u = t^u_exp and v = t^v_exp, truncated."""
-    coeffs = [0] * (max_degree + 1)
-    n = 0
-    while n * u_exp <= max_degree:
-        base = n * u_exp
-        j = 0
-        while base + j * v_exp <= max_degree:
-            coeffs[base + j * v_exp] += partitions_at_most(j, n)
-            j += 1
-        n += 1
-    return PowerSeries(coeffs)
+    _check_degree(max_degree)
+    return PowerSeries(_euler_product([m for r in ranks for m in range(1, r + 1)], max_degree))
 
 
 # -- rank profiles and Burnside counting ------------------------------------------
@@ -299,18 +280,22 @@ def burnside_label_series(cycle_types: Counter, max_degree: int) -> PowerSeries:
     A label of total degree n consists of an array (n_i) with partitions of
     at most n_i parts attached; its degree is twice the weighted array size
     plus twice the total partition size.  Burnside's lemma turns the orbit
-    count into an average over W of products of stacked series, one factor
-    per cycle of the action; cycle_types (as ``weyl_cycle_types`` returns
-    it) gives each cycle type with the number of elements of W that have it.
+    count into an average over W of the labels each w fixes.  A cycle of
+    length l on degree-d irreducibles repeats one entry and one partition l
+    times; by Euler's identity (Andrews, The Theory of Partitions, Ch. 2)
+    sum_n u^n sum_{lambda at most n parts} v^|lambda| = prod_{i>=0} 1/(1 - u v^i)
+    with u = t^(2ld), v = t^(2l), so w fixes the Euler product over the parts
+    l(d + i) of its cycles.  cycle_types (as ``weyl_cycle_types`` returns it)
+    gives each cycle type with the number of elements of W that have it.
     """
+    _check_degree(max_degree)
     if not cycle_types:
         raise ValueError("empty acting group")
     total = [0] * (max_degree + 1)
     for cycle_type, count in cycle_types.items():
-        fixed = PowerSeries.one(max_degree)
-        for ell, dim in cycle_type:
-            fixed = fixed * _stack_series(2 * ell * dim, 2 * ell, max_degree)
-        for n, c in enumerate(fixed.coefficients):
+        parts = [m for ell, dim in cycle_type
+                 for m in range(ell * dim, max_degree // 2 + 1, ell)]
+        for n, c in enumerate(_euler_product(parts, max_degree)):
             total[n] += count * c
     w = sum(cycle_types.values())
     if any(c % w for c in total):

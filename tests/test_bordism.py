@@ -16,7 +16,7 @@ from isotypic.bordism import (PowerSeries, RankProfile,
                               weyl_cycle_types)
 from isotypic.catalog import CATALOG, build_catalog_group
 from isotypic.characters import character_table
-from isotypic.errors import NotNormal, NotOdd, NotPrime
+from isotypic.errors import CapExceeded, NotNormal, NotOdd, NotPrime
 from isotypic.groups import group_from_generators
 from isotypic.orbits import irr_action
 
@@ -214,6 +214,22 @@ def test_adjacent_series_z2_by_hand():
         count = sum(len(brute_partitions(k - n1, max_parts=n1)) for n1 in range(k + 1))
         assert series.coefficient(2 * k) == count
     assert all(series.coefficient(n) == 0 for n in range(1, 21, 2))
+
+
+def test_series_take_degrees_from_0_to_the_cap():
+    Z4, A = build_catalog_group("Z4")
+    series_to = [omega_generator_series,
+                 lambda n: bu_generator_series([1], n),
+                 lambda n: burnside_label_series(Counter({(): 1}), n),
+                 lambda n: adjacent_family_series(Z4, A, n),
+                 lambda n: global_generator_series(Z4, n)[0]]
+    for to in series_to:
+        with pytest.raises(ValueError):
+            to(-1)
+        with pytest.raises(CapExceeded):
+            to(bordism.MAX_DEGREE + 1)
+        assert to(0).max_degree == 0
+        assert to(bordism.MAX_DEGREE).max_degree == bordism.MAX_DEGREE
 
 
 def test_adjacent_series_requires_normal():

@@ -73,6 +73,33 @@ def test_every_src_function_is_reached_or_allowed():
                                  sorted(set(ALLOWED_UNREACHED) - unreached)))
 
 
+# module-level caches -> why each may outlive a job
+ALLOWED_CACHES = {
+    "cyclotomic._basis_data": "per-order reduction tables, a pure function of e",
+    "cli._parser": "the one parser of the process",
+}
+
+
+def test_src_module_caches_are_allowed():
+    """Every functools.lru_cache or functools.cache in src is listed with the
+    reason it stays, so an in-process run and a one-shot CLI call differ
+    only by these."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = target.attr if isinstance(target, ast.Attribute) else \
+                        getattr(target, "id", None)
+                    if name in ("lru_cache", "cache"):
+                        found.add("%s.%s" % (path.stem, node.name))
+    assert found == set(ALLOWED_CACHES), (
+        "unlisted, argue for or delete: %s; listed but gone: %s"
+        % (sorted(found - set(ALLOWED_CACHES)), sorted(set(ALLOWED_CACHES) - found)))
+
+
 def test_src_makes_no_random_draw():
     """Results are functions of the group alone: no src module imports
     random or names numpy's random module, and no src function takes a
