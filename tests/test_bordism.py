@@ -218,18 +218,18 @@ def test_adjacent_series_z2_by_hand():
 
 def test_series_take_degrees_from_0_to_the_cap():
     Z4, A = build_catalog_group("Z4")
-    series_to = [omega_generator_series,
-                 lambda n: bu_generator_series([1], n),
-                 lambda n: burnside_label_series(Counter({(): 1}), n),
-                 lambda n: adjacent_family_series(Z4, A, n),
-                 lambda n: global_generator_series(Z4, n)[0]]
-    for to in series_to:
+    builders = [omega_generator_series,
+                lambda n: bu_generator_series([1], n),
+                lambda n: burnside_label_series(Counter({(): 1}), n),
+                lambda n: adjacent_family_series(Z4, A, n),
+                lambda n: global_generator_series(Z4, n)[0]]
+    for build in builders:
         with pytest.raises(ValueError):
-            to(-1)
+            build(-1)
         with pytest.raises(CapExceeded):
-            to(bordism.MAX_DEGREE + 1)
-        assert to(0).max_degree == 0
-        assert to(bordism.MAX_DEGREE).max_degree == bordism.MAX_DEGREE
+            build(bordism.MAX_DEGREE + 1)
+        assert build(0).max_degree == 0
+        assert build(bordism.MAX_DEGREE).max_degree == bordism.MAX_DEGREE
 
 
 def test_adjacent_series_requires_normal():
