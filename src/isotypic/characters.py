@@ -78,9 +78,6 @@ class ClassFunction:
     def __hash__(self) -> int:
         return hash((id(self.group), self.values))
 
-    def sort_key(self):
-        return tuple(v.sort_key() for v in self.values)
-
     def __repr__(self) -> str:
         return "ClassFunction(%s, %s)" % (self.group.name, list(self.values))
 
@@ -323,7 +320,12 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     rows = _linear_table(G) if G.is_abelian else _dixon_schneider(G)
     if sum(int(row.degree().integer()) ** 2 for row, _ in rows) != G.order:
         raise AssertionError("sum of squared degrees does not match group order")
-    rows.sort(key=lambda pair: (pair[0].degree().integer(), pair[0].sort_key()))
+    # one sort key per value object, not per entry: the routes build each
+    # distinct value once, and ids spare the Python-level Cyclotomic.__hash__
+    values = {id(v): v for row, _ in rows for v in row.values}
+    keys = {i: v.sort_key() for i, v in values.items()}
+    rows.sort(key=lambda pair: (pair[0].degree().integer(),
+                                tuple([keys[id(v)] for v in pair[0].values])))
     table = CharacterTable(G, [row for row, _ in rows], [dets for _, dets in rows])
     G._char_table = table
     return table

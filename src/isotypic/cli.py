@@ -17,9 +17,9 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .bordism import (PowerSeries, adjacent_family_series, d2p_certify,
                       global_generator_series)
@@ -52,6 +52,8 @@ class Report:
     table_lines: list = field(default_factory=list)
 
     def to_json(self) -> str:
+        """The report as ``json.dumps(payload, sort_keys=True, indent=2)``
+        would write it, byte for byte, by ``_render``."""
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": self.command,
@@ -60,7 +62,43 @@ class Report:
             "warnings": self.warnings,
             "exit_status": self.exit_status,
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return _render(payload, "\n")
+
+
+def _render(obj, pad: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for a value nested at
+    the indent ``pad`` (a newline and that level's spaces).
+
+    Only str-keyed dicts, lists, tuples, str, int, bool and None are
+    accepted; anything else (a float, a non-str key, a numpy scalar, a set)
+    raises TypeError.  A list of plain ints is joined in one call.
+    """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    inner = pad + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is no str
+        items = [encode_basestring_ascii(key) + ": " + _render(obj[key], inner)
+                 for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_render(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
 
 
 def _digest(parts: list) -> str:

@@ -11,7 +11,9 @@ Conventions used throughout the package:
     (quotients, coset G-sets, induction) reads,
   * subgroups are enumerated once, class by class, by
     ``FiniteGroup.subgroup_conjugacy_classes``, which extends only class
-    representatives; ``all_subgroups`` is the sorted flattening of its classes.
+    representatives; ``all_subgroups`` is the sorted flattening of its classes,
+  * a table the package derives is built once, as a list of int lists, and
+    handed to ``FiniteGroup(..., check=False)``, which keeps it as given.
 """
 
 from __future__ import annotations
@@ -39,15 +41,17 @@ class FiniteGroup:
     Irr(H) and restriction multiplicities) is cached lazily on the instance.
     The table is kept once, as nested Python lists (``_rows``, with ``_inv``);
     numpy is used only inside the axiom check that ``check`` runs.  Only a
-    table passed in directly is checked: the tables the package derives (a
-    permutation closure, a sub-table, a quotient by a normal subgroup) are
-    groups by construction and are built with ``check=False``.
+    table passed in directly is checked, and copied with its entries
+    converted by ``int``: the tables the package derives (a permutation
+    closure, a sub-table, a quotient by a normal subgroup) are groups by
+    construction, built as lists of int lists and passed with
+    ``check=False``, which takes such a list as given, uncopied.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G",
                  perms: Optional[Sequence[tuple[int, ...]]] = None,
                  check: bool = True):
-        rows = [list(map(int, row)) for row in table]
+        rows = [list(map(int, row)) for row in table] if check else table
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("multiplication table must be square")
@@ -91,11 +95,10 @@ class FiniteGroup:
 
     @property
     def exponent(self) -> int:
+        """The lcm of the element orders, read off the class representatives
+        (conjugate elements have equal orders)."""
         if self._exponent is None:
-            e = 1
-            for g in self.elements():
-                e = lcm(e, self.element_order(g))
-            self._exponent = e
+            self._exponent = lcm(*(self.element_order(c[0]) for c in self.conjugacy_classes()))
         return self._exponent
 
     @property
@@ -481,4 +484,4 @@ def group_from_generators(degree: int, generators: Sequence[Sequence[int]],
         rs = right[s]
         cols.append([rs[z] for z in cols[x]])
     # unchecked: composition of permutations is a group operation
-    return FiniteGroup(list(zip(*cols)), name=name, perms=elems, check=False)
+    return FiniteGroup(list(map(list, zip(*cols))), name=name, perms=elems, check=False)

@@ -327,7 +327,8 @@ def assert_table_is_dixon_schneider(G):
     """character_table(G) has the rows, row order and determinants of the
     Dixon-Schneider split sorted as the table sorts."""
     reference = characters._dixon_schneider(G)
-    reference.sort(key=lambda pair: (pair[0].degree().integer(), pair[0].sort_key()))
+    reference.sort(key=lambda pair: (pair[0].degree().integer(),
+                                     tuple(v.sort_key() for v in pair[0].values)))
     t = character_table(G)
     assert [row.values for row in t.rows] == [row.values for row, _ in reference], G.name
     assert t.determinants == tuple(tuple(dets) for _, dets in reference), G.name

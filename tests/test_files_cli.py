@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from isotypic.catalog import CATALOG
@@ -156,9 +157,9 @@ def test_cmd_bundle_verify_ok(capsys):
     assert "verified" in out
 
 
-def test_cmd_bundle_verify_corrupted(tmp_path, capsys):
-    """A fiber stored redundantly at the second point, corrupted to rho
-    instead of the transported rho^3, must be flagged at that point."""
+def _corrupted_bundle(tmp_path):
+    """The shipped D8 bundle with a fiber stored redundantly at the second
+    point, corrupted to rho instead of the transported rho^3."""
     with open(data_path("d8_rho_bundle.json")) as fh:
         data = json.load(fh)
     rho_mults = data["fibers"][0]["character"]["irreducible_multiplicities"]
@@ -167,7 +168,12 @@ def test_cmd_bundle_verify_corrupted(tmp_path, capsys):
     data["group"] = data_path("d8.json")
     bad = tmp_path / "corrupt.json"
     bad.write_text(json.dumps(data))
-    code, out = run_cli(["bundle-verify", str(bad)], capsys)
+    return str(bad)
+
+
+def test_cmd_bundle_verify_corrupted(tmp_path, capsys):
+    """The corrupted fiber must be flagged at its point."""
+    code, out = run_cli(["bundle-verify", _corrupted_bundle(tmp_path)], capsys)
     assert code == 1
     assert "MISMATCH" in out
     assert "point 1: MISMATCH" in out
@@ -736,3 +742,77 @@ def test_main_keeps_no_options_between_calls(capsys):
     assert code == 0 and json.loads(out)["command"] == "clifford"
     code, out = run_cli(["clifford", "catalog:Q8"], capsys)
     assert code == 0 and out.startswith("group Q8")
+
+
+def _json_stdout(argv, monkeypatch, capsys):
+    """(exit code, the payload Report.to_json renders, stdout) of one
+    ``--format json`` call."""
+    payloads = []
+    render = cli._render
+
+    def spy(obj, pad):
+        if pad == "\n":
+            payloads.append(obj)
+        return render(obj, pad)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_render", spy)
+        code = main(["--format", "json"] + argv)
+    (payload,) = payloads
+    return code, payload, capsys.readouterr().out
+
+
+def test_renderer_equals_json_dumps_on_every_command(monkeypatch, tmp_path, capsys):
+    """Report.to_json renders what json.dumps(payload, sort_keys=True,
+    indent=2) gives, and stdout is that text and a newline: irr on every
+    catalog group; clifford with the file's, the trivial, the full and the
+    central subgroup; adjacent-pair and global bordism at degrees 0 and 20;
+    d2p; the shipped bundle and a corrupted one."""
+    sweep = [(["irr", "catalog:" + name], 0) for name in sorted(CATALOG)]
+    for name in NAMES_A_NORMAL_SUBGROUP:
+        group = "catalog:" + name
+        sweep += [(["clifford", group] + normal, 0)
+                  for normal in ([], ["--normal", "trivial"], ["--normal", "full"],
+                                 ["--normal", "center"])]
+        sweep += [(["bordism", group, "--max-degree", n] + flag, 0)
+                  for n in ("0", "20") for flag in ([], ["--global"])]
+    sweep += [(["d2p", "--p", p], 0) for p in ("3", "5", "13")]
+    sweep += [(["bundle-verify", data_path("d8_rho_bundle.json")], 0),
+              (["bundle-verify", _corrupted_bundle(tmp_path)], 1)]
+    for argv, expected_code in sweep:
+        code, payload, out = _json_stdout(argv, monkeypatch, capsys)
+        text = json.dumps(payload, sort_keys=True, indent=2)
+        assert code == expected_code, argv
+        assert cli._render(payload, "\n") == text, argv
+        assert out == text + "\n", argv
+    assert payload["results"]["ok"] is False
+    assert main(["bundle-verify", _corrupted_bundle(tmp_path)]) == 1
+    assert "decomposition FAILED" in capsys.readouterr().out
+
+
+def test_renderer_equals_json_dumps_on_nested_and_escaped_values():
+    payload = {
+        "empty": {"dict": {}, "list": [], "tuple": ()},
+        "nested": [[], {}, [[]], [{}], {"a": []}, [1, [2, []], {"b": {}}]],
+        "strings": ['quote " and backslash \\', "control \x01\x1f\t\n",
+                    "non-ASCII \u00e9\u03b6\u2713 \U0001f600", ""],
+        "ints": [0, -1, 2 ** 70, -(2 ** 70)],
+        "mixed": [1, True, None, "1", False, 2],
+        "ints_and_bools": [0, True, 1, False],
+        "literals": {"true": True, "false": False, "null": None},
+        "\u00e9 key \"\\": (1, (2, 3)),
+        "": 0,
+    }
+    assert cli._render(payload, "\n") == json.dumps(payload, sort_keys=True, indent=2)
+    for value in payload.values():
+        assert cli._render(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, [1, 2.0], {1: "int key"}, {"a": 1, 2: "mixed keys"}, {None: 0}, {"a": {(1,): 2}},
+    np.int64(3), [np.int64(3)], {1, 2}])
+def test_renderer_rejects_what_it_does_not_render(value):
+    """A float, a non-str key, a numpy scalar or a set is a TypeError: the
+    renderer has no fallback."""
+    with pytest.raises(TypeError):
+        cli._render({"results": value}, "\n")

@@ -118,3 +118,16 @@ def test_src_makes_no_random_draw():
                 args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
                 names = [arg.arg for arg in args]
                 assert "seed" not in names and "tol" not in names, (path.name, node.name)
+
+
+def test_src_has_one_json_rendering_path():
+    """Reports are printed by cli._render alone: no src module calls
+    json.dumps or json.dump with an indent."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("dumps", "dump"):
+                    assert "indent" not in [kw.arg for kw in node.keywords], path.name
