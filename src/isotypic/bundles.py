@@ -7,7 +7,9 @@ decomposition into induced isotypic pieces along the orbits of G on Irr(A)
 is then an identity of exact characters, verified fiberwise with cyclotomic
 arithmetic and no tolerance.  It needs only the orbits and their
 stabilizers (``irr_orbits``): no float code, seed or tolerance.  A base
-orbit whose stored fibers agree is checked at its anchor only.
+orbit whose stored fibers agree is checked at its anchor only.  The pieces
+of every orbit at a checked point come from one ``induction_piece_character``
+call, one exact sum per class of the point's stabilizer.
 """
 
 from __future__ import annotations
@@ -202,47 +204,56 @@ def _transported_fiber(E: EquivariantBundle, src: int, x: int) -> ClassFunction:
 
 
 def induction_piece_character(E: EquivariantBundle, A: Subgroup,
-                              orbit: IrrOrbit, x: int) -> ClassFunction:
-    """Character at x of the induced isotypic piece attached to one orbit.
+                              orbits: Sequence[IrrOrbit], x: int) -> ClassFunction:
+    """Character at x of the sum of the induced isotypic pieces attached to
+    the given orbits of G on Irr(A); one orbit gives its piece alone.
 
-    The fiber is the sum over cosets g G_rho of the rho-isotypic part of the
-    fiber of E at g^-1 x; an element k of Stab(x) permutes the cosets and the
-    value at k collects the fixed cosets, where g^-1 k g acts on the summand.
-    Each value is one exact sum over the fixed cosets and the elements of A.
-    Reads only orbit.representative and orbit.stabilizer (an IrrOrbitRecord serves too).
+    The piece of an orbit with representative rho and stabilizer G_rho is
+    the sum over cosets g G_rho of the rho-isotypic part of the fiber of E at
+    g^-1 x; an element k of Stab(x) permutes the cosets and its value
+    collects the fixed cosets, where h = g^-1 k g acts on the summand by
+    rho(1)/|A| sum_a chi_y(h a) conj(rho(a)).  Each value is one exact sum
+    over the fixed cosets of every orbit and the elements of A.  The fiber
+    at each y is transported once per call, as a map from the elements of
+    Stab(y) to their values, which every orbit shares.  Reads only
+    orbit.representative and orbit.stabilizer of each orbit (an
+    IrrOrbitRecord serves too).
     """
     _require_a_trivial(E.base, A)
-    G = E.base.group
+    base = E.base
+    G = base.group
+    rows, inv = G._rows, G._inv
     Agrp, aembed = A.as_group()
     table_a = character_table(Agrp)
-    rho_row = table_a.rows[orbit.representative]
-    d_rho = table_a.degrees[orbit.representative]
-    stab_members = set(orbit.stabilizer.members)
-    # (element of A, rho value) pairs; rho enters conjugated
-    a_vals = [(aembed[aa], rval) for acls, rval in zip(Agrp.conjugacy_classes(), rho_row.values)
-              for aa in acls]
-
-    transversal = G.conjugation_action(orbit.stabilizer).reps
-    # the fiber at y = g^-1 x, transported once per coset
-    fibers = []
-    for g in transversal:
-        ginv = G.inv(g)
-        y = E.base.act(ginv, x)
-        stab_y = E.base.stabilizer(y)
-        fibers.append((g, ginv, fiber_character(E, y).values, stab_y, stab_y.as_group()[0]))
-    sxg, xembed = E.base.stabilizer(x).as_group()
-    values = []
-    for cls in sxg.conjugacy_classes():
-        k = xembed[cls[0]]
-        terms = []
-        for g, ginv, fib_vals, stab_y, syg in fibers:
-            h = G.mul(G.mul(ginv, k), g)
-            if h not in stab_members:
-                continue  # coset not fixed by k
-            terms += [(1, fib_vals[syg.class_index(stab_y.retract(G.mul(h, a)))], rval)
-                      for a, rval in a_vals]
-        values.append(dot(G.exponent, terms, Fraction(d_rho, Agrp.order), conjugate=True))
-    return ClassFunction(sxg, values)
+    sxg, xembed = base.stabilizer(x).as_group()
+    ks = [xembed[cls[0]] for cls in sxg.conjugacy_classes()]
+    terms: list[list] = [[] for _ in ks]
+    fibers: dict[int, dict[int, Cyclotomic]] = {}  # y -> {element of Stab(y): value}
+    for orbit in orbits:
+        d_rho = table_a.degrees[orbit.representative]
+        # (element of A, rho value) pairs; rho enters conjugated
+        a_vals = [(aembed[aa], rval) for acls, rval in
+                  zip(Agrp.conjugacy_classes(), table_a.rows[orbit.representative].values)
+                  for aa in acls]
+        stab_members = orbit.stabilizer._member_set
+        for g in G.conjugation_action(orbit.stabilizer).reps:
+            ginv = inv[g]
+            y = base.act(ginv, x)
+            fib = fibers.get(y)
+            if fib is None:
+                syg, yembed = base.stabilizer(y).as_group()
+                fib = fibers[y] = {yembed[h]: v for cls, v in
+                                   zip(syg.conjugacy_classes(), fiber_character(E, y).values)
+                                   for h in cls}
+            row_ginv = rows[ginv]
+            for k, kterms in zip(ks, terms):
+                h = rows[row_ginv[k]][g]
+                if h in stab_members:  # k fixes the coset g G_rho
+                    row_h = rows[h]
+                    kterms += [(d_rho, fib[row_h[a]], rval) for a, rval in a_vals]
+    scale = Fraction(1, Agrp.order)
+    return ClassFunction(sxg, [dot(G.exponent, kterms, scale, conjugate=True)
+                               for kterms in terms])
 
 
 @dataclass
@@ -294,12 +305,7 @@ def verify_decomposition(E: EquivariantBundle, A: Subgroup) -> DecompositionChec
 
 def _piece_mismatches(E: EquivariantBundle, A: Subgroup, records: list, x: int) -> list:
     """Classes of Stab(x) where the pieces at x do not sum to the fiber."""
-    fib = fiber_character(E, x)
-    sxg = fib.group
-    total = ClassFunction(sxg, [Cyclotomic.zero(fib.values[0].e)] * len(sxg.conjugacy_classes()))
-    for rec in records:
-        total = total + induction_piece_character(E, A, rec, x)
-    return _mismatches(total, fib)
+    return _mismatches(induction_piece_character(E, A, records, x), fiber_character(E, x))
 
 
 def _mismatches(a: ClassFunction, b: ClassFunction) -> list:

@@ -125,8 +125,14 @@ class CharacterTable:
 
 
 def cyclotomic_to_jsonable(v: Cyclotomic) -> dict:
-    return {"e": v.e, "coeffs": {str(k): [c.numerator, c.denominator]
-                                 for k, c in sorted(v.coeffs.items())}}
+    """{"e": e, "coeffs": {k: [numerator, denominator]}}, each coefficient
+    n/den in lowest terms, read off the basis numerators."""
+    den = v._den
+    coeffs = {}
+    for k, n in v._num:
+        g = gcd(n, den)
+        coeffs[str(k)] = [n // g, den // g]
+    return {"e": v.e, "coeffs": coeffs}
 
 
 def cyclotomic_from_jsonable(obj: dict) -> Cyclotomic:

@@ -336,12 +336,11 @@ def dot(e: int, terms: Iterable[tuple[int, Cyclotomic, Cyclotomic]],
             w *= den // d
         sa = e // a.e
         sb = sign * (e // b.e)
-        bterms = [(kb * sb, nb) for kb, nb in b._num]
         for ka, na in a._num:
             base = ka * sa
             c = w * na
-            for kb, nb in bterms:
-                acc[(base + kb) % e] += c * nb
+            for kb, nb in b._num:
+                acc[(base + kb * sb) % e] += c * nb
     num = _reduce(e, acc)
     if not num or not scale:
         return _make(e, (), 1)

@@ -167,11 +167,11 @@ def test_single_coset_piece_equals_isotypic_part(d8):
     t = character_table(G)
     X = point_gset(G)
     E = trivial_bundle(X, t.rows[t.degrees.index(2)])
-    piece = induction_piece_character(E, A, rec, 0)
+    piece = induction_piece_character(E, A, [rec], 0)
     # rho^2 does not appear in the 2-dim irreducible's restriction, piece = 0
     assert all(v.is_zero() for v in piece.values)
     E2 = induced_bundle(G, A, rho2)
-    piece2 = induction_piece_character(E2, A, rec, 0)
+    piece2 = induction_piece_character(E2, A, [rec], 0)
     fib2 = fiber_character(E2, 0)
     assert all(a.equals_value(b) for a, b in zip(piece2.values, fib2.values))
 
@@ -193,7 +193,7 @@ def test_transversal_choice_independence(d8):
     E = induced_bundle(G, A, rho)
     recs = orbit_decomposition(G, A)
     rec = next(r for r in recs if r.representative == idx)
-    piece = induction_piece_character(E, A, rec, 0)
+    piece = induction_piece_character(E, A, [rec], 0)
 
     # independent evaluation with every possible representative per coset
     from fractions import Fraction
@@ -317,7 +317,8 @@ def test_random_bundles_decompose(pairs):
 
 def _reference_per_point(E, A):
     """per_point of verify_decomposition computed point by point: at every
-    point the pieces of every orbit on Irr(A) summed against the fiber, then
+    point the pieces of every orbit on Irr(A), each from its own
+    single-orbit call, summed against the fiber, then
     each redundantly stored fiber compared with its transport from the first
     stored point of its orbit."""
     from isotypic import bundles
@@ -330,9 +331,9 @@ def _reference_per_point(E, A):
     per_point = {}
     for x in range(E.base.size):
         fib = fiber_character(E, x)
-        total = bundles.induction_piece_character(E, A, records[0], x)
+        total = bundles.induction_piece_character(E, A, [records[0]], x)
         for rec in records[1:]:
-            total = total + bundles.induction_piece_character(E, A, rec, x)
+            total = total + bundles.induction_piece_character(E, A, [rec], x)
         per_point[x] = mismatches(total, fib)
     for orb in E.base.orbits():
         stored = [x for x in orb if x in E.fibers]
@@ -412,8 +413,8 @@ def test_orbit_anchored_verification_matches_the_point_by_point_reference():
 def test_an_anchor_mismatch_on_a_consistent_orbit_is_an_internal_fault(monkeypatch, capsys):
     """On a consistent orbit the pieces sum to the fiber for any input
     (column orthogonality), so a failing sum at its anchor is the package's
-    own fault.  With every piece made one too large on one conjugacy class C
-    of G, verify_decomposition raises AssertionError exactly on the
+    own fault.  With every induction_piece_character call made one too large
+    on one conjugacy class C of G, verify_decomposition raises AssertionError exactly on the
     consistent bundles where the point by point sums fail somewhere (some
     stabilizer meets C), and bundle-verify exits 5, not the exit 1 that
     blames the input."""
@@ -424,11 +425,11 @@ def test_an_anchor_mismatch_on_a_consistent_orbit_is_an_internal_fault(monkeypat
     for name in ("A4", "F20", "S4"):
         G, A = build_catalog_group(name)
         for c in range(len(G.conjugacy_classes())):
-            def piece(E, A, orbit, x, c=c):
+            def piece(E, A, orbits, x, c=c):
                 sxg, embed = E.base.stabilizer(x).as_group()
                 return ClassFunction(sxg, [
                     v + 1 if G.class_index(embed[cls[0]]) == c else v
-                    for cls, v in zip(sxg.conjugacy_classes(), real(E, A, orbit, x).values)])
+                    for cls, v in zip(sxg.conjugacy_classes(), real(E, A, orbits, x).values)])
 
             monkeypatch.setattr(bundles, "induction_piece_character", piece)
             for shape, corrupted, E in _sweep_bundles(G, A, rng):
@@ -443,8 +444,8 @@ def test_an_anchor_mismatch_on_a_consistent_orbit_is_an_internal_fault(monkeypat
     assert raised
     path = os.path.join(os.path.dirname(__file__), "..", "src", "isotypic", "data",
                         "d8_rho_bundle.json")
-    monkeypatch.setattr(bundles, "induction_piece_character", lambda E, A, orbit, x: ClassFunction(
-        E.base.stabilizer(x).as_group()[0], [v + 1 for v in real(E, A, orbit, x).values]))
+    monkeypatch.setattr(bundles, "induction_piece_character", lambda E, A, orbits, x: ClassFunction(
+        E.base.stabilizer(x).as_group()[0], [v + 1 for v in real(E, A, orbits, x).values]))
     assert main(["bundle-verify", path]) == 5
     assert capsys.readouterr().err.startswith("internal inconsistency: the isotypic pieces")
 
@@ -467,11 +468,11 @@ def _count_piece_calls(monkeypatch, E, A):
             inside[(current[0], y)] += 1
         return real_fiber(E, y)
 
-    def piece(E, A, orbit, x):
+    def piece(E, A, orbits, x):
         points.append(x)
         current[0] = len(points)
         try:
-            return real_piece(E, A, orbit, x)
+            return real_piece(E, A, orbits, x)
         finally:
             current[0] = None
 
@@ -483,35 +484,89 @@ def _count_piece_calls(monkeypatch, E, A):
 
 
 def test_induction_piece_transports_each_fiber_once(monkeypatch):
-    """One verification of the shipped bundle computes each piece once per
-    base orbit, at its anchor, and calls fiber_character at most once per
-    (point, induction_piece_character call): the transported fiber is shared
-    by every class of Stab(x) fixing its coset."""
+    """One verification of the shipped bundle calls induction_piece_character
+    once per base orbit, at its anchor, with every orbit on Irr(A), and calls
+    fiber_character at most once per (point, induction_piece_character
+    call): the transported fiber is shared by every orbit and every class of
+    Stab(x) fixing its coset."""
     path = os.path.join(os.path.dirname(__file__), "..", "src", "isotypic", "data",
                         "d8_rho_bundle.json")
     bundle, G, A = load_bundle_file(path)
-    records = orbit_decomposition(G, A)
     check, points, inside = _count_piece_calls(monkeypatch, bundle, A)
     assert check.ok
-    assert len(points) == len(bundle.base.orbits()) * len(records)
+    assert sorted(points) == [next(x for x in orb if x in bundle.fibers)
+                              for orb in bundle.base.orbits()]
     assert inside and max(inside.values()) == 1
 
 
 def test_induction_pieces_per_point_only_on_a_disagreeing_orbit(d8, monkeypatch):
     """Over two copies of G/A, the first orbit storing one fiber and the
     second the same rho at both points (its transport is rho^3): the pieces
-    are computed at the anchor of the first orbit only and at every point of
-    the second, where the stored fibers disagree."""
+    are summed, in one induction_piece_character call per point, at the
+    anchor of the first orbit only and at every point of the second, where
+    the stored fibers disagree."""
     G, A = d8
     _, rho = rho_row((G, A), 1)
     base = GSet.disjoint_union([GSet.cosets(G, A), GSet.cosets(G, A)])
     assert base.orbits() == [(0, 1), (2, 3)]
     E = EquivariantBundle(base, {0: rho, 2: rho, 3: rho})
-    records = orbit_decomposition(G, A)
     check, points, inside = _count_piece_calls(monkeypatch, E, A)
     assert not check.ok and not check.per_point[0] and not check.per_point[1]
-    assert sorted(points) == sorted([0, 2, 3] * len(records))
+    assert sorted(points) == [0, 2, 3]
     assert max(inside.values()) == 1
+
+
+def test_all_orbit_pieces_equal_the_sum_of_single_orbit_pieces():
+    """On every sweep bundle and every point, induction_piece_character with
+    every orbit on Irr(A), in either order, equals the ClassFunction sum of
+    its single-orbit calls."""
+    from isotypic.orbits import irr_orbits
+    rng = random.Random(28)
+    points = 0
+    for name, G, A in _sweep_pairs():
+        records = irr_orbits(G, A)
+        for shape, corrupted, E in _sweep_bundles(G, A, rng):
+            for x in range(E.base.size):
+                total = induction_piece_character(E, A, records[:1], x)
+                for rec in records[1:]:
+                    total = total + induction_piece_character(E, A, [rec], x)
+                for order in (records, records[::-1]):
+                    joint = induction_piece_character(E, A, order, x)
+                    assert joint.group is total.group, (name, shape, x)
+                    assert all(u.equals_value(v) for u, v in zip(joint.values, total.values)), \
+                        (name, shape, corrupted, x)
+                points += 1
+    assert points
+
+
+def test_verification_makes_one_dot_per_class_of_each_checked_point(monkeypatch):
+    """Loading and verifying the shipped bundle makes exactly one exact sum
+    (cyclotomic.dot) per class of each stored fiber's stabilizer, in
+    from_multiplicities, and one per class of each checked point's
+    stabilizer: the anchor of each base orbit, where every orbit on Irr(A)
+    is summed at once."""
+    from isotypic import bundles
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "isotypic", "data",
+                        "d8_rho_bundle.json")
+    calls = {"dot": 0}
+    real_dot = bundles.dot
+
+    def dot(*args, **kwargs):
+        calls["dot"] += 1
+        return real_dot(*args, **kwargs)
+
+    monkeypatch.setattr(bundles, "dot", dot)
+    bundle, G, A = load_bundle_file(path)
+    loaded = calls["dot"]
+    assert verify_decomposition(bundle, A).ok
+
+    def classes(x):
+        return len(bundle.base.stabilizer(x).as_group()[0].conjugacy_classes())
+
+    anchors = [next(x for x in orb if x in bundle.fibers) for orb in bundle.base.orbits()]
+    assert len(orbit_decomposition(G, A)) > 1
+    assert loaded == sum(classes(x) for x in bundle.fibers)
+    assert calls["dot"] - loaded == sum(classes(x) for x in anchors)
 
 
 def test_verification_scans_cosets_once_per_member_set(monkeypatch):

@@ -332,6 +332,20 @@ def test_unary_operations_match_reference(x, r, m):
     assert (a + a.conjugate()) == (a.conjugate() + a)
 
 
+@given(value_pairs())
+def test_jsonable_pairs_are_the_lowest_terms_coefficients(x):
+    """cyclotomic_to_jsonable reads the basis numerators and the common
+    denominator; each pair is the coefficient's Fraction in lowest terms,
+    keys in basis order, and the value reads back unchanged."""
+    from isotypic.characters import cyclotomic_from_jsonable, cyclotomic_to_jsonable
+    a, _ = x
+    out = cyclotomic_to_jsonable(a)
+    assert out == {"e": a.e, "coeffs": {str(k): [c.numerator, c.denominator]
+                                        for k, c in sorted(a.coeffs.items())}}
+    assert list(out["coeffs"]) == [str(k) for k in sorted(a.coeffs)]
+    assert cyclotomic_from_jsonable(out) == a
+
+
 @given(st.sampled_from([1, 2, 4, 12, 21, 60]), st.data(), rationals, st.booleans())
 def test_dot_matches_term_by_term_sum(e, data, scale, conjugate):
     divisors = st.sampled_from([d for d in range(1, e + 1) if e % d == 0])
