@@ -310,10 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparser("bordism", "adjacent-pair or global generator series")
     p.add_argument("group")
-    p.add_argument("--normal", default=None)
     p.add_argument("--max-degree", type=_degree, default=20)
-    p.add_argument("--global", dest="use_global", action="store_true",
-                   help="sum over all conjugacy classes of subgroups")
+    # the global sum reads no normal subgroup, so naming one is an input error
+    pick = p.add_mutually_exclusive_group()
+    pick.add_argument("--normal", default=None)
+    pick.add_argument("--global", dest="use_global", action="store_true",
+                      help="sum over all conjugacy classes of subgroups")
     p.set_defaults(func=cmd_bordism)
 
     p = subparser("d2p", "dihedral certification report")

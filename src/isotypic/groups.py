@@ -11,14 +11,15 @@ Conventions used throughout the package:
     (quotients, coset G-sets, induction) reads,
   * subgroups are enumerated once, class by class, by
     ``FiniteGroup.subgroup_conjugacy_classes``, which extends only class
-    representatives; ``all_subgroups`` is the sorted flattening of its classes,
+    representatives H, by one g per double coset H g^k H (k prime to the
+    order of g); ``all_subgroups`` is the sorted flattening of its classes,
   * a table the package derives is built once, as a list of int lists, and
     handed to ``FiniteGroup(..., check=False)``, which keeps it as given.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -233,26 +234,38 @@ class FiniteGroup:
         One enumeration from class representatives (Neubuser's 1960 cyclic
         extension): every K != 1 is <M, g> for a maximal subgroup M of K, and
         M is conjugate to a class's first-found member H, so extending each H
-        reaches every class.  Since <H, g> = <H, hg> for h in H, one g per
-        right coset Hg is extended, by ``_extend`` with H's members as the
-        generators.  A new subgroup's class is closed by breadth-first
-        conjugation under G's generators.  CapExceeded is raised once a new
-        subgroup is found with more than ``SUBGROUP_CAP`` already known.
-        Cached only when complete; every call returns fresh lists.
+        reaches every class.  Since <H, g> = <H, h g^k h'> for h, h' in H
+        and k prime to the order of g, one g per union of the double cosets
+        H g^k H is extended, by ``_extend`` with the generators that built H
+        (the g of each extension from the trivial group on) and g; each
+        H y H is marked as its right cosets H y z, z in H.  A new subgroup's
+        class is closed by breadth-first conjugation under G's generators.
+        CapExceeded is raised once a new subgroup is found with more than
+        ``SUBGROUP_CAP`` already known.  Cached only when complete; every
+        call returns fresh lists.
         """
         if self._subgroup_classes is None:
             rows, inv = self._rows, self._inv
             gens = minimal_generators(self, self.elements())
             known = {(0,)}
             orbits = [[(0,)]]
+            built_by = {(0,): ()}  # each class representative's generators
             for cls in orbits:  # orbits grows while it is scanned
                 mem = cls[0]
-                done = set(mem)  # H and every right coset Hg extended so far
+                done = set(mem)  # H and every double coset H g^k H extended so far
                 for g in self.elements():
                     if g in done:
                         continue
-                    done.update([rows[h][g] for h in mem])
-                    queue = [_extend(rows, mem, mem + (g,))]
+                    powers = self.powers(g)
+                    for k, y in enumerate(powers):
+                        if y in done or gcd(k, len(powers)) != 1:
+                            continue
+                        for z in mem:  # H y H as the union of the right cosets H y z
+                            yz = rows[y][z]
+                            if yz not in done:
+                                done.update([rows[h][yz] for h in mem])
+                    extended = built_by[mem] + (g,)
+                    queue = [_extend(rows, mem, extended)]
                     orbit = []
                     for sub in queue:  # queue grows while it is scanned
                         if sub in known:
@@ -265,6 +278,7 @@ class FiniteGroup:
                             row, si = rows[s], inv[s]
                             queue.append(tuple(sorted([rows[row[h]][si] for h in sub])))
                     if orbit:
+                        built_by[orbit[0]] = extended
                         orbits.append(orbit)
             classes = [[Subgroup(self, mem) for mem in sorted(cls)] for cls in orbits]
             classes.sort(key=lambda c: (c[0].order, c[0].members))

@@ -264,6 +264,9 @@ BAD_OPTION_VALUES = [
     (["clifford", "catalog:D8", "--seed=-1"], "error: argument"),
     (["bordism", "catalog:D8", "--max-degree", "-1"], "error: argument"),
     (["bordism", "catalog:D8", "--max-degree", "-1", "--global"], "error: argument"),
+    # the global sum reads no normal subgroup
+    (["bordism", "catalog:D8", "--global", "--normal", "center"],
+     "error: argument --normal: not allowed with argument --global"),
     (["d2p", "--p", "3", "--max-degree", "-1"], "error: argument"),
     (["--max-order", "0", "irr", "catalog:Z4"], "error: argument"),
     (["--max-order", "-1", "irr", "catalog:Z4"], "error: argument"),

@@ -409,9 +409,24 @@ def test_subgroup_counts_by_order():
     assert len(G.all_subgroups()) == 2428
 
 
+def _double_cosets_other_than(G, H):
+    """The number of double cosets HgH other than H itself, each marked in
+    full from its least element."""
+    seen = set(H.members)
+    count = 0
+    for g in G.elements():
+        if g not in seen:
+            seen.update(G.mul(G.mul(h, g), k) for h in H.members for k in H.members)
+            count += 1
+    return count
+
+
 def test_one_enumeration_serves_classes_and_lattice(monkeypatch):
     """The classes are found by extending class representatives only, at most
-    one _extend per right coset of each, and all_subgroups reads them."""
+    one _extend per double coset HgH != H of each, after one closure per
+    generator of G found by minimal_generators; all_subgroups reads them.
+    (S4 makes 43 calls against a bound of 53, S3xS3 112 against 134; one
+    extension per right coset Hg made 75 and 176.)"""
     calls = []
     extend = groups._extend
 
@@ -425,11 +440,30 @@ def test_one_enumeration_serves_classes_and_lattice(monkeypatch):
         calls.clear()
         classes = G.subgroup_conjugacy_classes()
         made = len(calls)
-        assert made <= sum(G.order // c[0].order for c in classes), G.name
         subs = G.all_subgroups()
         assert len(calls) == made, G.name
+        bound = len(groups.minimal_generators(G, G.elements())) + \
+            sum(_double_cosets_other_than(G, c[0]) for c in classes)
+        assert made <= bound, (G.name, made, bound)
         assert [s.members for s in subs] == \
             sorted((s.members for c in classes for s in c), key=lambda m: (len(m), m))
+
+
+@pytest.mark.parametrize("name, degree, gens, counts", [
+    ("S6", 6, [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]], (1455, 56)),
+    ("S4xS4", 8, direct_product(S4_GENS, 4, S4_GENS, 4), (2976, 274)),
+], ids=["S6", "S4xS4"])
+def test_subgroup_enumeration_time_at_order_576_to_720(name, degree, gens, counts):
+    """The subgroups of S6 (order 720) and S4xS4 (order 576), counted with
+    their classes, are enumerated in under 0.5 s.  On one Intel Xeon core
+    one extension per double coset H g^k H takes about 0.15 s and 0.27 s,
+    one per right coset Hg 0.6 s and 0.7 s."""
+    G = group_from_generators(degree, gens, name=name)
+    start = time.perf_counter()
+    classes = G.subgroup_conjugacy_classes()
+    elapsed = time.perf_counter() - start
+    assert (sum(map(len, classes)), len(classes)) == counts
+    assert elapsed < 0.5, elapsed
 
 
 def test_subgroup_lattice_cache_returns_fresh_lists():
