@@ -456,8 +456,8 @@ def test_one_enumeration_serves_classes_and_lattice(monkeypatch):
 def test_subgroup_enumeration_time_at_order_576_to_720(name, degree, gens, counts):
     """The subgroups of S6 (order 720) and S4xS4 (order 576), counted with
     their classes, are enumerated in under 0.5 s.  On one Intel Xeon core
-    one extension per double coset H g^k H takes about 0.15 s and 0.27 s,
-    one per right coset Hg 0.6 s and 0.7 s."""
+    one extension per double coset H g^k H takes 0.07-0.13 s and
+    0.16-0.24 s, one per right coset Hg 0.48-0.92 s and 0.65-1.15 s."""
     G = group_from_generators(degree, gens, name=name)
     start = time.perf_counter()
     classes = G.subgroup_conjugacy_classes()
