@@ -7,7 +7,8 @@ nontrivial irreducible of the subgroup A the families differ by) together
 with one partition of at most that many parts per coordinate; the series of
 a pair of adjacent families counts Weyl-orbit classes of such labels via
 Burnside's lemma, localized away from the group order.  Every series is an
-Euler product prod_m 1/(1 - t^(2m)) over a multiset of parts m.
+Euler product prod_m 1/(1 - t^(2m)) over a multiset of parts m, formed by
+the Euler transform from the sums of the parts dividing each k.
 
 The count depends only on the Weyl cycle types: for each w in N_G(A)/A, the
 multiset of (cycle length, degree) over the cycles of w on the nontrivial
@@ -15,8 +16,9 @@ irreducibles of A.  They are read off the action on the classes of A and on
 the cosets of A' (Brauer's permutation lemma, Isaacs Thm 6.32 and
 Cor. 6.33), with no character table, whenever every non-linear degree of A
 equals the smallest prime p dividing |A|, that is when
-|A| - [A:A'] = (k(A) - [A:A'])p^2; abelian A has no non-linear degree.
-Only when the criterion fails (S4, A4, F20, S3xS3, S5, ...) is a table
+|A| - [A:A'] = (k(A) - [A:A'])p^2, or when A has one non-linear character
+(A4, F20, ...), of degree isqrt(|A| - [A:A']); abelian A has no non-linear
+degree.  Only when both criteria fail (S4, S3xS3, S5, ...) is a table
 built, by ``rank_profile``.
 """
 
@@ -24,6 +26,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from math import isqrt
+from operator import add, mul
 from typing import Sequence
 
 from .catalog import build_catalog_group
@@ -99,16 +104,34 @@ def _check_degree(max_degree: int) -> None:
         raise CapExceeded("max_degree above %d" % MAX_DEGREE)
 
 
-def _euler_product(parts: Sequence[int], max_degree: int) -> list[int]:
-    """Coefficients of prod_{m in parts} 1/(1 - t^(2m)) up to t^max_degree: one
-    running sum of stride m over the even coefficients per factor."""
-    even = [1] + [0] * (max_degree // 2)
-    for m in parts:
-        for n in range(m, len(even)):
-            even[n] += even[n - m]
+def _euler_product(part_sums: Sequence[int], max_degree: int) -> list[int]:
+    """Coefficients of prod_m 1/(1 - t^(2m)) up to t^max_degree, given the
+    part sums: part_sums[k - 1] is the sum of the parts m (with repeats)
+    that divide k, for k = 1 .. max_degree // 2.
+
+    The Euler transform (Bernstein and Sloane, Linear Algebra Appl. 226-228,
+    1995; Andrews, The Theory of Partitions, Ch. 2): with u = t^2 the
+    coefficients a_n of the product satisfy n a_n = sum_{k=1..n} s_k a_{n-k},
+    one C-level sum per coefficient.  Each division by n is checked exact.
+    """
+    even = [1]
+    for n in range(1, max_degree // 2 + 1):
+        a, r = divmod(sum(map(mul, part_sums, reversed(even))), n)
+        if r:
+            raise AssertionError("Euler transform is not integral")
+        even.append(a)
     coeffs = [0] * (max_degree + 1)
     coeffs[::2] = even
     return coeffs
+
+
+def _add_part_sums(part_sums: list[int], parts: range, count: int) -> None:
+    """Add count copies of each part in parts to the part sums, in place."""
+    top = len(part_sums)
+    for m in parts:
+        w = count * m
+        for k in range(m - 1, top, m):
+            part_sums[k] += w
 
 
 def omega_generator_series(max_degree: int) -> PowerSeries:
@@ -118,7 +141,9 @@ def omega_generator_series(max_degree: int) -> PowerSeries:
     polynomial generator in each even degree); odd coefficients vanish.
     """
     _check_degree(max_degree)
-    return PowerSeries(_euler_product(range(1, max_degree // 2 + 1), max_degree))
+    part_sums = [0] * (max_degree // 2)
+    _add_part_sums(part_sums, range(1, max_degree // 2 + 1), 1)
+    return PowerSeries(_euler_product(part_sums, max_degree))
 
 
 def bu_generator_series(ranks: Sequence[int], max_degree: int) -> PowerSeries:
@@ -128,7 +153,10 @@ def bu_generator_series(ranks: Sequence[int], max_degree: int) -> PowerSeries:
     BU(r) factor), in degree twice the total size.
     """
     _check_degree(max_degree)
-    return PowerSeries(_euler_product([m for r in ranks for m in range(1, r + 1)], max_degree))
+    part_sums = [0] * (max_degree // 2)
+    for r, count in Counter(ranks).items():
+        _add_part_sums(part_sums, range(1, min(r, max_degree // 2) + 1), count)
+    return PowerSeries(_euler_product(part_sums, max_degree))
 
 
 # -- rank profiles and Burnside counting ------------------------------------------
@@ -177,17 +205,19 @@ def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
     ``RankProfile.cycle_types`` counts them, one per coset of A in N_A.
 
     Read off G's table, with no character table of A when all non-linear
-    degrees of A are equal to p, the smallest prime factor of |A|.  By
-    Brauer's permutation lemma (Isaacs, Thm 6.32 and Cor. 6.33) each w has
-    the same cycle type on Irr(A) as on the classes of A, and, applied to
-    the abelian group A/A', the same cycle type on the linear characters
-    as on the cosets of A'.  So the cycles on the non-linear characters are
-    the multiset difference of the two.  Each non-linear degree divides |A|
-    and exceeds 1, so it is at least p; the k(A) - [A:A'] of them have
-    squares summing to |A| - [A:A'], so they all equal p exactly when that
-    sum is (k(A) - [A:A'])p^2.  Abelian A (A' = 1, the trivial subgroup
-    included) has no non-linear degree.  Otherwise (S4, A4, F20, S3xS3,
-    S5, ...) the types are read off ``rank_profile``.
+    degrees of A are known: when they all equal p, the smallest prime
+    factor of |A|, or when there is only one.  By Brauer's permutation
+    lemma (Isaacs, Thm 6.32 and Cor. 6.33) each w has the same cycle type
+    on Irr(A) as on the classes of A, and, applied to the abelian group
+    A/A', the same cycle type on the linear characters as on the cosets of
+    A'.  So the cycles on the non-linear characters are the multiset
+    difference of the two.  Each non-linear degree divides |A| and exceeds
+    1, so it is at least p; the k(A) - [A:A'] of them have squares summing
+    to |A| - [A:A'], so they all equal p exactly when that sum is
+    (k(A) - [A:A'])p^2, and a single one (A4, F20, ...) has degree
+    isqrt(|A| - [A:A']) and is fixed by every w.  Abelian A (A' = 1, the
+    trivial subgroup included) has no non-linear degree.  Otherwise (S4,
+    S3xS3, S5, ...) the types are read off ``rank_profile``.
     """
     rows, inv, members = G._rows, G._inv, A.members
     pos = {h: i for i, h in enumerate(members)}
@@ -215,9 +245,11 @@ def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
                 coset_of[pos[row[d]]] = len(coset_reps)
             coset_reps.append(i)
     k, index = len(class_reps), len(coset_reps)
-    if k > index:  # A is not abelian, so |A| has a prime factor
-        p = _factorize(A.order)[0][0]
-        if A.order - index != (k - index) * p * p:
+    if k - index == 1:  # one non-linear character, so every w fixes it
+        degree = isqrt(A.order - index)
+    elif k > index:  # A is not abelian, so |A| has a prime factor
+        degree = _factorize(A.order)[0][0]
+        if A.order - index != (k - index) * degree * degree:
             return rank_profile(G, A).cycle_types()
     # each map fixes class 0 and coset 0, the trivial character
     ones = (1,) * k
@@ -231,7 +263,7 @@ def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
                 rest.subtract(cycles)
                 if min(rest.values()) < 0:
                     raise AssertionError("cosets of A' have cycles the classes of A lack")
-                cycles = tuple(sorted(cycles + tuple((ell, p) for ell, _ in rest.elements())))
+                cycles = tuple(sorted(cycles + tuple((ell, degree) for ell, _ in rest.elements())))
             types[image] = cycles
         out[types[image]] += 1
     return out
@@ -289,14 +321,26 @@ def burnside_label_series(cycle_types: Counter, max_degree: int) -> PowerSeries:
     gives each cycle type with the number of elements of W that have it.
     """
     _check_degree(max_degree)
+    return _burnside_average(cycle_types, max_degree, {})
+
+
+def _burnside_average(cycle_types: Counter, max_degree: int, products: dict) -> PowerSeries:
+    """``burnside_label_series``, reading the Euler product of each cycle
+    type from products and adding those it forms; a caller that passes one
+    dict to several calls forms each distinct cycle type's product once."""
     if not cycle_types:
         raise ValueError("empty acting group")
+    half = max_degree // 2
     total = [0] * (max_degree + 1)
     for cycle_type, count in cycle_types.items():
-        parts = [m for ell, dim in cycle_type
-                 for m in range(ell * dim, max_degree // 2 + 1, ell)]
-        for n, c in enumerate(_euler_product(parts, max_degree)):
-            total[n] += count * c
+        product = products.get(cycle_type)
+        if product is None:
+            # a cycle of length l on degree-d irreducibles has the parts l(d + i), i >= 0
+            part_sums = [0] * half
+            for (ell, dim), cycles in Counter(cycle_type).items():
+                _add_part_sums(part_sums, range(ell * dim, half + 1, ell), cycles)
+            product = products[cycle_type] = _euler_product(part_sums, max_degree)
+        total = list(map(add, total, map(mul, product, repeat(count))))
     w = sum(cycle_types.values())
     if any(c % w for c in total):
         raise AssertionError("Burnside average is not integral")
@@ -321,13 +365,16 @@ def global_generator_series(G: FiniteGroup, max_degree: int):
 
     One summand per conjugacy class of subgroups; returns (total, breakdown)
     where breakdown lists (representative subgroup, class size, series).
+    The Euler product of each distinct Weyl cycle type is formed once per
+    call, whichever classes share it.
     """
     _check_degree(max_degree)
     total = PowerSeries.zero(max_degree)
     breakdown = []
+    products: dict = {}
     for cls in G.subgroup_conjugacy_classes():
         rep = cls[0]
-        series = burnside_label_series(weyl_cycle_types(G, rep), max_degree)
+        series = _burnside_average(weyl_cycle_types(G, rep), max_degree, products)
         total = total + series
         breakdown.append((rep, len(cls), series))
     return total, breakdown

@@ -195,9 +195,17 @@ class FiniteGroup:
                         coset_of[row[h]] = len(reps)
                     reps.append(g)
             pos = {h: i for i, h in enumerate(H.members)}
-            images = {c: tuple(pos.get(rows[rows[inv[n]][h]][n]) for h in H.members)
-                      for c, n in enumerate(reps)}
-            maps = {c: image for c, image in images.items() if None not in image}
+            maps = {}
+            for c, n in enumerate(reps):
+                row = rows[inv[n]]
+                image = []
+                for h in H.members:
+                    j = pos.get(rows[row[h]][n])
+                    if j is None:  # n^-1 h n leaves H: n does not normalize it
+                        break
+                    image.append(j)
+                else:
+                    maps[c] = tuple(image)
             self._conjugation[H.members] = CosetTable(tuple(coset_of), tuple(reps), maps)
         return self._conjugation[H.members]
 

@@ -68,6 +68,116 @@ def test_bu_series_against_partition_enumeration():
     assert s23 == bu_generator_series([2], 12) * bu_generator_series([3], 12)
 
 
+def _reference_euler_product(parts, max_degree):
+    """The running-sum kernel the Euler transform replaced, kept as its
+    reference: prod_{m in parts} 1/(1 - t^(2m)) up to t^max_degree, one
+    running sum of stride m over the even coefficients per factor."""
+    even = [1] + [0] * (max_degree // 2)
+    for m in parts:
+        for n in range(m, len(even)):
+            even[n] += even[n - m]
+    coeffs = [0] * (max_degree + 1)
+    coeffs[::2] = even
+    return coeffs
+
+
+def _reference_burnside(cycle_types, max_degree):
+    """Burnside's average of the running-sum products over the parts
+    l(d + i) of each cycle type's cycles."""
+    total = [0] * (max_degree + 1)
+    for cycle_type, count in cycle_types.items():
+        parts = [m for ell, dim in cycle_type
+                 for m in range(ell * dim, max_degree // 2 + 1, ell)]
+        for n, c in enumerate(_reference_euler_product(parts, max_degree)):
+            total[n] += count * c
+    w = sum(cycle_types.values())
+    assert all(c % w == 0 for c in total)
+    return [c // w for c in total]
+
+
+def test_euler_transform_matches_running_sums_on_part_multisets():
+    rng = random.Random(30)
+    for _ in range(60):
+        max_degree = rng.choice([0, 1, 2, 7, 20, 41, 60, bordism.MAX_DEGREE])
+        half = max_degree // 2
+        parts = [rng.randint(1, max(1, half)) for _ in range(rng.randint(0, 40))]
+        part_sums = [sum(m for m in parts if k % m == 0) for k in range(1, half + 1)]
+        assert bordism._euler_product(part_sums, max_degree) == \
+            _reference_euler_product(parts, max_degree), (parts, max_degree)
+
+
+def test_euler_transform_checks_each_division():
+    """Part sums of no multiset of parts: 2 a_2 = s_1 a_1 + s_2 = 2*2 + 1."""
+    with pytest.raises(AssertionError, match="not integral"):
+        bordism._euler_product([2, 1], 4)
+
+
+def test_series_match_running_sums_up_to_the_cap():
+    rng = random.Random(31)
+    for max_degree in (0, 1, 9, 30, 61, 120, bordism.MAX_DEGREE):
+        half = max_degree // 2
+        assert list(omega_generator_series(max_degree).coefficients) == \
+            _reference_euler_product(range(1, half + 1), max_degree)
+        for _ in range(4):
+            ranks = [rng.randint(0, half + 2) for _ in range(rng.randint(0, 5))]
+            assert list(bu_generator_series(ranks, max_degree).coefficients) == \
+                _reference_euler_product([m for r in ranks for m in range(1, r + 1)],
+                                         max_degree), (ranks, max_degree)
+
+
+def test_burnside_series_match_running_sums_on_synthetic_cycle_types():
+    """Cycle types of the cyclic group generated by a random permutation of
+    synthetic degrees that preserves them."""
+    rng = random.Random(32)
+    for max_degree in (0, 3, 20, 45, 60, bordism.MAX_DEGREE):
+        for _ in range(8):
+            dims = sorted(rng.randint(1, 5) for _ in range(rng.randint(0, 12)))
+            perm = list(range(len(dims)))
+            for d in set(dims):
+                block = [i for i in perm if dims[i] == d]
+                shuffled = rng.sample(block, len(block))
+                for i, j in zip(block, shuffled):
+                    perm[i] = j
+            perms = [tuple(range(len(dims)))]
+            while tuple(perm[i] for i in perms[-1]) != perms[0]:
+                perms.append(tuple(perm[i] for i in perms[-1]))
+            types = RankProfile(tuple(dims), tuple(perms)).cycle_types()
+            assert list(burnside_label_series(types, max_degree).coefficients) == \
+                _reference_burnside(types, max_degree), (dims, perm, max_degree)
+
+
+def test_global_series_forms_one_product_per_distinct_cycle_type(monkeypatch):
+    """Classes whose Weyl actions share a cycle type share its Euler product
+    within one call: at degree 30 S3xS3 forms 17 products for 32 (class,
+    cycle type) pairs, S5 24 for 30 and S4 12 for 17."""
+    calls = []
+    real = bordism._euler_product
+
+    def counted(part_sums, max_degree):
+        calls.append(tuple(part_sums))
+        return real(part_sums, max_degree)
+
+    monkeypatch.setattr(bordism, "_euler_product", counted)
+    S5_GENS = [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]
+    for name, degree, gens, products, pairs in [
+            ("S3xS3", 6, direct_product(S3_GENS, 3, S3_GENS, 3), 17, 32),
+            ("S5", 5, S5_GENS, 24, 30),
+            ("S4", 4, S4_GENS, 12, 17)]:
+        G = group_from_generators(degree, gens, name=name)
+        types = [weyl_cycle_types(G, cls[0]) for cls in G.subgroup_conjugacy_classes()]
+        assert sum(map(len, types)) == pairs, name
+        assert len(set().union(*types)) == products, name
+        del calls[:]
+        total, _ = global_generator_series(G, 30)
+        assert len(calls) == products, name
+        assert list(total.coefficients) == [sum(c) for c in zip(*(
+            _reference_burnside(t, 30) for t in types))], name
+    # a second call forms its products again: nothing outlives the call
+    del calls[:]
+    global_generator_series(G, 30)
+    assert len(calls) == 12
+
+
 def test_enumerate_arrays_z4():
     Z4, _ = build_catalog_group("Z4")
     prof = rank_profile(Z4, Z4.full_subgroup())
@@ -135,8 +245,8 @@ def test_weyl_cycle_types_agree_with_rank_profile(monkeypatch):
     every subgroup class, and the cycle types do not change with a
     relabelling.  The class/A' route (Brauer's permutation lemma on the
     classes of A and the cosets of A') builds no table; ``rank_profile`` is
-    called exactly when some non-linear degree of A differs from the
-    smallest prime factor p of |A|."""
+    called exactly when A has more than one non-linear character and some
+    non-linear degree of A differs from the smallest prime factor p of |A|."""
     tables = []
 
     def counted(G, A):
@@ -163,19 +273,23 @@ def test_weyl_cycle_types_agree_with_rank_profile(monkeypatch):
                 assert types == rank_profile(G, A).cycle_types(), (name, A.members)
                 nonlinear = [d for d in character_table(A.as_group()[0]).degrees if d > 1]
                 p = min((q for q in range(2, A.order + 1) if A.order % q == 0), default=1)
-                route = "table" if any(d != p for d in nonlinear) else \
-                    "one degree" if nonlinear else "abelian"
+                route = "abelian" if not nonlinear else \
+                    "one degree" if all(d == p for d in nonlinear) else \
+                    "one character" if len(nonlinear) == 1 else "table"
                 assert built == (route == "table"), (name, A.members)
                 routes[route] += 1
                 if A.order == G.order:
-                    if name in ("S4", "A4"):
+                    if name == "S4":
                         assert built, name
+                    if name in ("A4", "F20"):
+                        assert route == "one character" and not built, name
                     if name in ("D8", "Q8", "S3", "F21"):
                         assert not built and nonlinear, name
                 summary.append((A.order, len(cls), sorted(types.items())))
             summaries.append(sorted(summary))
         assert summaries[0] == summaries[1], name
-    assert routes == {"abelian": 408, "one degree": 156, "table": 48}, routes
+    assert routes == {"abelian": 408, "one degree": 156, "table": 36,
+                      "one character": 12}, routes
 
 
 def test_global_series_d8_d8_z2_pinned():

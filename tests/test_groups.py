@@ -297,6 +297,31 @@ def test_left_cosets_relabelled_shuffled_generators():
         _check_left_cosets(G, H)
 
 
+def _plain_conjugation_maps(G, H):
+    """For each coset lift n whose conjugates n^-1 h n all lie in H, their
+    positions in H.members, from whole image tuples and G.mul."""
+    _, reps, _ = G.conjugation_action(H)
+    images = {c: tuple(G.mul(G.mul(G.inv(n), h), n) for h in H.members)
+              for c, n in enumerate(reps)}
+    return {c: tuple(H.members.index(x) for x in image)
+            for c, image in images.items() if set(image) <= set(H.members)}
+
+
+def test_conjugation_maps_match_plain_images_on_every_subgroup_class():
+    """The maps stop at the first conjugate that leaves H and keep only the
+    normalizing cosets; they equal the whole-image reference on every
+    subgroup-class representative, normal or not."""
+    S4xS3 = group_from_generators(7, direct_product(S4_GENS, 4, S3_GENS, 3), name="S4xS3")
+    non_normal = 0
+    for G in all_catalog_groups() + [S4xS3]:
+        for cls in G.subgroup_conjugacy_classes():
+            H = cls[0]
+            maps = G.conjugation_action(H).maps
+            assert maps == _plain_conjugation_maps(G, H), (G.name, H.members)
+            non_normal += len(maps) * H.order < G.order
+    assert non_normal == 98
+
+
 # -- the subgroup lattice against the plain enumeration ------------------------
 
 
