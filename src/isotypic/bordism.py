@@ -154,8 +154,8 @@ def bu_generator_series(ranks: Sequence[int], max_degree: int) -> PowerSeries:
     """
     _check_degree(max_degree)
     part_sums = [0] * (max_degree // 2)
-    for r, count in Counter(ranks).items():
-        _add_part_sums(part_sums, range(1, min(r, max_degree // 2) + 1), count)
+    for r in ranks:
+        _add_part_sums(part_sums, range(1, min(r, max_degree // 2) + 1), 1)
     return PowerSeries(_euler_product(part_sums, max_degree))
 
 

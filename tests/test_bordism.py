@@ -134,7 +134,7 @@ def test_burnside_series_match_running_sums_on_synthetic_cycle_types():
             dims = sorted(rng.randint(1, 5) for _ in range(rng.randint(0, 12)))
             perm = list(range(len(dims)))
             for d in set(dims):
-                block = [i for i in perm if dims[i] == d]
+                block = [i for i in range(len(dims)) if dims[i] == d]
                 shuffled = rng.sample(block, len(block))
                 for i, j in zip(block, shuffled):
                     perm[i] = j
