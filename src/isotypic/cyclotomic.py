@@ -10,10 +10,12 @@ A non-basis root is rewritten with the relations
 
 for every prime whose top layer it hits; the resulting expansion of each
 zeta_e^k over the basis (all coefficients +-1) is tabulated per order on
-first use.  Products and sums of products are accumulated as numerators in
-one dense list of length e and reduced once per result, so arithmetic costs
-O(e) memory.  The representation is canonical: equality of values is
-equality of stored numerators and denominator (at a common order e).
+first use.  Every operation (sum, difference, negation, product, rational
+scaling, conjugation, promotion and sums of products) is one call of
+``dot``, which accumulates numerators in one dense list of length e and
+reduces them once per result, so arithmetic costs O(e) memory.  The
+representation is canonical: equality of values is equality of stored
+numerators and denominator (at a common order e).
 ``Fraction`` appears only where values enter or leave: coefficient maps,
 ``coeffs``, ``rational()`` and rational operands.
 """
@@ -133,8 +135,8 @@ def _make(e: int, num: tuple[tuple[int, int], ...], den: int) -> "Cyclotomic":
 class Cyclotomic:
     """An exact element of Q(zeta_e), canonicalized on construction.
 
-    Equality and hashing are structural at a fixed order; use promote() to
-    compare values living at different orders.
+    Equality and hashing are structural at a fixed order; use equals_value()
+    to compare values living at different orders.
     """
 
     __slots__ = ("e", "_num", "_den", "_hash")
@@ -222,56 +224,31 @@ class Cyclotomic:
 
     def __add__(self, other) -> "Cyclotomic":
         other = _coerce(other, self.e)
-        if self.e == other.e:
-            e, a, b = self.e, self._num, other._num
-        else:
-            e = lcm(self.e, other.e)
-            sa, sb = e // self.e, e // other.e
-            a = [(k * sa, n) for k, n in self._num]
-            b = [(k * sb, n) for k, n in other._num]
-        den = lcm(self._den, other._den)
-        fa, fb = den // self._den, den // other._den
-        acc = {k: n * fa for k, n in a}
-        for k, n in b:
-            acc[k] = acc.get(k, 0) + n * fb
-        return _make(e, tuple(sorted([kn for kn in acc.items() if kn[1]])), den)
+        return dot(lcm(self.e, other.e), ((1, self, _ONE), (1, other, _ONE)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return _make(self.e, tuple([(k, -n) for k, n in self._num]), self._den)
+        return dot(self.e, ((-1, self, _ONE),))
 
     def __sub__(self, other) -> "Cyclotomic":
-        return self + (-_coerce(other, self.e))
+        other = _coerce(other, self.e)
+        return dot(lcm(self.e, other.e), ((1, self, _ONE), (-1, other, _ONE)))
 
     def __mul__(self, other) -> "Cyclotomic":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return _make(self.e, (), 1)
-            num, den = other.numerator, other.denominator
-            return _make(self.e, tuple([(k, n * num) for k, n in self._num]),
-                         self._den * den)
+            return dot(self.e, ((1, self, _ONE),), other)
         other = _coerce(other, self.e)
         return dot(lcm(self.e, other.e), ((1, self, other),))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Cyclotomic":
-        e = self.e
-        acc = [0] * e
-        for k, n in self._num:
-            acc[-k % e] += n
-        return _make(e, _reduce(e, acc), self._den)
+        return dot(self.e, ((1, _ONE, self),), conjugate=True)
 
     def promote(self, e: int) -> "Cyclotomic":
-        """Re-express at a larger order (current order must divide e).
-
-        Basis exponents stay basis exponents, so this is a relabelling.
-        """
-        if e % self.e != 0:
-            raise ValueError("cannot promote order %d to %d" % (self.e, e))
-        scale = e // self.e
-        return _make(e, tuple([(k * scale, n) for k, n in self._num]), self._den)
+        """Re-express at a larger order (current order must divide e)."""
+        return dot(e, ((1, self, _ONE),))
 
     # -- comparisons -----------------------------------------------------------
 
@@ -349,6 +326,9 @@ def dot(e: int, terms: Iterable[tuple[int, Cyclotomic, Cyclotomic]],
         num = tuple([(k, n * s) for k, n in num])
         den *= scale.denominator
     return _make(e, num, den)
+
+
+_ONE = _make(1, ((0, 1),), 1)  # the unit factor of one-operand dot terms
 
 
 def _coerce(x, e: int) -> Cyclotomic:

@@ -360,9 +360,7 @@ class Subgroup:
         """Parent index -> index in the materialized group."""
         lut = getattr(self, "_retract", None)
         if lut is None:
-            _, embed = self.as_group()
-            lut = {e: i for i, e in enumerate(embed)}
-            self._retract = lut
+            lut = self._retract = {g: i for i, g in enumerate(self.members)}
         return lut[g]
 
     def __repr__(self) -> str:

@@ -330,6 +330,18 @@ def test_unary_operations_match_reference(x, r, m):
     assert_same(a.promote(a.e * m), ra.promote(ra.e * m))
     assert a.equals_value(a.promote(a.e * m))
     assert (a + a.conjugate()) == (a.conjugate() + a)
+    rr = RefCyclotomic(a.e, {0: r})
+    assert_same(a + r, ra + rr)
+    assert_same(r + a, rr + ra)
+    assert_same(a - r, ra - rr)
+    assert_same(r * a, rr * ra)
+    if a.e > 1:
+        bad = a.e * m + 1  # coprime to a.e, so not a multiple of it
+        message = "cannot promote order %d to %d" % (a.e, bad)
+        for value in (a, ra):
+            with pytest.raises(ValueError) as err:
+                value.promote(bad)
+            assert str(err.value) == message
 
 
 @given(value_pairs())

@@ -422,9 +422,12 @@ def test_json_report_schema_fields(argv, capsys):
 
 
 def test_cli_entry_point_runs():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-m", "isotypic.cli", "irr", "catalog:Z4"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
     assert "order 4" in proc.stdout
 
 

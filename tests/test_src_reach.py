@@ -131,3 +131,35 @@ def test_src_has_one_json_rendering_path():
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name in ("dumps", "dump"):
                     assert "indent" not in [kw.arg for kw in node.keywords], path.name
+
+
+def _names_by_scope(tree: ast.AST, names: set[str]) -> Counter:
+    """(name, enclosing def) -> how often the name is read there; the scope
+    is the dotted path of the enclosing classes and functions, or
+    ``<module>`` at the top level."""
+    found: Counter = Counter()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else scope + "." + child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id in names \
+                    and isinstance(child.ctx, ast.Load):
+                found[child.id, scope] += 1
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_cyclotomic_has_one_arithmetic_kernel():
+    """Every Cyclotomic operation is one cyclotomic.dot call: a value is
+    made (_make) only by dot and by the module's one unit constant, and
+    numerators are reduced to the basis (_reduce) only by dot and by
+    Cyclotomic.__init__, which parses coefficient maps."""
+    tree = ast.parse((SRC / "cyclotomic.py").read_text())
+    found = _names_by_scope(tree, {"_make", "_reduce"})
+    assert set(found) == {("_make", "dot"), ("_make", "<module>"),
+                          ("_reduce", "dot"), ("_reduce", "Cyclotomic.__init__")}, sorted(found)
+    assert found["_make", "<module>"] == 1
