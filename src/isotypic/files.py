@@ -79,6 +79,8 @@ def group_from_jsonable(data: dict, cap: int = DEFAULT_ORDER_CAP) -> tuple[Finit
         gens = [_integers(p, "generator") for p in data["generators"]]
     except (KeyError, TypeError) as exc:
         raise FileFormatError("group file is missing fields: %s" % exc)
+    if degree < 0:
+        raise FileFormatError("group degree must be nonnegative, got %d" % degree)
     G = group_from_generators(degree, gens, name=name, cap=cap)
     normal = None
     idxs = data.get("normal_subgroup_generators")

@@ -7,9 +7,9 @@ its stabilizer come from one permutation of Irr(A) per coset of A, and that
 stabilizer is built once: the obstruction record is computed on it.  Whether
 a character extends to its stabilizer is read off its multiplicity column
 <Res_A chi, rho> over Irr(G).  Both tables are cached on G.
-Matrix models of Irr(A) are built once per decomposition, and only if some
-orbit has rho(1) >= 2 and a nontrivial G_rho/A; every other cocycle is
-exact.
+Only an orbit with rho(1) >= 2 and a nontrivial G_rho/A gets a matrix
+model, of its representative alone, built inside its obstruction_cocycle
+call; every other cocycle is exact.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from .characters import (CharacterTable, character_table, inner_product,
                          restrict)
 from .errors import NotNormal, NotStabilized
 from .groups import FiniteGroup, Subgroup
-from .repmatrices import (ObstructionRecord, check_cocycle, matrix_irreps,
-                          needs_matrix_model, obstruction_cocycle)
+from .repmatrices import ObstructionRecord, check_cocycle, obstruction_cocycle
 
 
 def irr_permutations(G: FiniteGroup, A: Subgroup) -> dict[int, tuple[int, ...]]:
@@ -178,20 +177,12 @@ def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
 def orbit_decomposition(G: FiniteGroup, A: Subgroup) -> list:
     """One IrrOrbitRecord per G-orbit on Irr(A), in the order of irr_orbits;
     each record and its obstruction share the stabilizer irr_orbits built.
-
-    matrix_irreps(A) is called once, and only if some orbit
-    needs_matrix_model; only those orbits get a matrix model.
+    No matrix model is built here: obstruction_cocycle builds the one its
+    orbit needs, if any.
     """
-    orbits = irr_orbits(G, A)
-    Agrp, _ = A.as_group()
-    table_a = character_table(Agrp)
-    needs = [needs_matrix_model(stabilizer, A, table_a.degrees[rep])
-             for rep, _, stabilizer in orbits]
-    irreps_a = matrix_irreps(Agrp) if any(needs) else None
     records = []
-    for (rep, orbit, stabilizer), need in zip(orbits, needs):
-        obs = obstruction_cocycle(stabilizer, A, table_a.rows[rep],
-                                  irreps_a[rep] if need else None)
+    for rep, orbit, stabilizer in irr_orbits(G, A):
+        obs = obstruction_cocycle(stabilizer, A, rep)
         # chi lies over the orbit iff e_chi > 0
         lying = frozenset(i for i, e in enumerate(multiplicities(G, A, rep)) if e)
         # obstruction_cocycle has already checked this table

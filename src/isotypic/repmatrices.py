@@ -56,9 +56,9 @@ class MatrixRep:
                          self.character.pullback(conj_map))
 
 
-def matrix_irreps(G: FiniteGroup) -> list[MatrixRep]:
-    """One unitary MatrixRep per irreducible character, in table row order;
-    CapExceeded above order MATRIX_IRREPS_CAP.
+def matrix_irreps(G: FiniteGroup, rows: Sequence[int]) -> list[MatrixRep]:
+    """One unitary MatrixRep per row index of G's character table in rows,
+    in that order; CapExceeded above order MATRIX_IRREPS_CAP.
 
     A non-linear chi of degree d is modelled on the left ideal C[G] e of the
     self-adjoint primitive idempotent e = e_chi e_lambda (Serre, Linear
@@ -73,13 +73,13 @@ def matrix_irreps(G: FiniteGroup) -> list[MatrixRep]:
                           % (G.order, MATRIX_IRREPS_CAP))
     table = character_table(G)
     n = G.order
-    rows = G._rows
-    table_array = np.array(rows)
+    cayley = G._rows
+    table_array = np.array(cayley)
     # x h^-1 for every (x, h), the g with reg[g][x, h] == 1, C-ordered
     quotients = np.take(table_array, G._inv, axis=1)
     cls_of = [G.class_index(g) for g in G.elements()]
     reps = []
-    for row, d in zip(table.rows, table.degrees):
+    for row, d in ((table.rows[i], table.degrees[i]) for i in rows):
         values = np.array([v.to_complex() for v in row.values])[cls_of]
         if d == 1:
             reps.append(MatrixRep(G, 1, values.reshape(n, 1, 1), row))
@@ -89,7 +89,7 @@ def matrix_irreps(G: FiniteGroup) -> list[MatrixRep]:
         e = P @ _multiplicity_one_idempotent(G, values, table_array)
         W = np.zeros((n, 0), dtype=complex)
         for y in G.elements():
-            v = e[rows[G._inv[y]]]  # (y e)(z) = e(y^-1 z)
+            v = e[cayley[G._inv[y]]]  # (y e)(z) = e(y^-1 z)
             v -= W @ (W.conj().T @ v)
             norm = np.linalg.norm(v)
             # the y e are a tight frame of the ideal: with k < d kept, the
@@ -101,7 +101,7 @@ def matrix_irreps(G: FiniteGroup) -> list[MatrixRep]:
         else:
             raise SplitFailure("ideal has dimension %d, expected %d" % (W.shape[1], d))
         # W^H reg[g] W, with W^H reg[g] gathered as a column permutation
-        rep = MatrixRep(G, d, np.array([W[rows[g]].conj().T @ W for g in G.elements()]), row)
+        rep = MatrixRep(G, d, np.array([W[cayley[g]].conj().T @ W for g in G.elements()]), row)
         _check_rep(rep, table_array)
         reps.append(rep)
     return reps
@@ -249,19 +249,11 @@ def _det_normalize(U: np.ndarray) -> np.ndarray:
     return U * cmath.exp(-cmath.log(det) / d)
 
 
-def needs_matrix_model(G_rho: Subgroup, A: Subgroup, degree: int) -> bool:
-    """Whether obstruction_cocycle needs a matrix model of an irreducible of
-    A of this degree with stabilizer G_rho: rho(1) >= 2 and G_rho/A
-    nontrivial.  Otherwise the cocycle is exact without matrices."""
-    return degree > 1 and G_rho.order > A.order
-
-
-def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
-                        rep: Optional[MatrixRep] = None) -> ObstructionRecord:
-    """Obstruction data for extending the irreducible rho, with exact
-    character chi, from the normal subgroup A of G = G_rho.parent to its
-    stabilizer G_rho, which the caller has built (orbits.irr_orbits does,
-    once per orbit).
+def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, rho: int) -> ObstructionRecord:
+    """Obstruction data for extending the irreducible rho, a row index of
+    A's character table, from the normal subgroup A of G = G_rho.parent to
+    its stabilizer G_rho, which the caller has built (orbits.irr_orbits
+    does, once per orbit).
 
     Whether rho extends is read off Irr(G) by orbits.extension_exists before
     anything else; it raises NotNormal unless A is normal in G and
@@ -273,8 +265,8 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
     * if Q is trivial, omega is the 1 x 1 zero table;
     * if rho is linear, omega(q1, q2) is the exponent of rho(a0)^-1, read
       exactly off the determinant character, and every U_g is 1;
-    * otherwise (needs_matrix_model) rep must be a MatrixRep with
-      character chi, else ValueError.  For each lift g a unitary U_g with
+    * otherwise, and only then, matrix_irreps(A, [rho]) builds rho's one
+      matrix model.  For each lift g a unitary U_g with
       U_g rho(g^-1 a g) U_g^-1 = rho(a) is computed and rescaled to det 1,
       and omega(q1, q2) is the Schur scalar of
       rho(a0)^-1 U_{g1} U_{g2} U_{g3}^-1, snapped to an exact root of unity
@@ -284,31 +276,26 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, chi: ClassFunction,
     The cocycle identity is then verified exactly on every route.
     """
     from .orbits import extension_exists  # deferred: orbits depends on this module
+    trivial = extension_exists(G_rho, A, rho)
     Agrp, _ = A.as_group()
-    if chi.group is not Agrp:
-        raise ValueError("chi must be a character of the materialized subgroup")
     table_a = character_table(Agrp)
-    row = table_a.row_index(chi.values)
-    trivial = extension_exists(G_rho, A, row)
     G = G_rho.parent
-    d = table_a.degrees[row]
+    d = table_a.degrees[rho]
     Q, section = coset_quotient(G_rho, A)
     m = Q.order
 
     # det o rho is a class function: one exact value (k, m), meaning
     # zeta_m^k, per class of A; modulus is d times its order
-    det_vals = [determinant_character_value(chi, cls[0])
+    det_vals = [determinant_character_value(table_a.rows[rho], cls[0])
                 for cls in Agrp.conjugacy_classes()]
     modulus = d * math.lcm(*(mm for _, mm in det_vals))
     # det rho(a) = zeta_modulus^det_exp[class of a]
     det_exp = [(k * (modulus // mm)) % modulus for k, mm in det_vals]
 
     eye = np.eye(d)
-    exact = not needs_matrix_model(G_rho, A, d)
+    exact = d == 1 or m == 1
     if not exact:
-        if rep is None or rep.character != chi:
-            raise ValueError("rho(1) >= 2 and G_rho/A is nontrivial: rep must be a "
-                             "matrix model of chi")
+        rep = matrix_irreps(Agrp, [rho])[0]
         # lifts are minimal in their coset of A, so maps[coset_of[g]] is
         # exactly a -> g^-1 a g
         coset_of, _, maps = G.conjugation_action(A)

@@ -475,12 +475,15 @@ def _set(path, value):
     _set(["generators", 0, 0], 1.2), _set(["generators", 1, 3], True),
     _set(["generators", 1], "0321"), _set(["normal_subgroup_generators", 0], 0.7),
     _set(["normal_subgroup_generators", 0], False), _set(["normal_subgroup_generators"], 0),
+    lambda data: data.update(degree=-3, generators=[], normal_subgroup_generators=[]),
 ], ids=["degree-float", "degree-integral-float", "degree-bool", "generator-float",
-        "generator-bool", "generator-string", "normal-float", "normal-bool", "normal-scalar"])
+        "generator-bool", "generator-string", "normal-float", "normal-bool", "normal-scalar",
+        "degree-negative"])
 def test_group_file_rejects_numbers_that_are_not_integers(edit, tmp_path, capsys):
     """degree, generator entries and normal_subgroup_generators must be JSON
-    integers: int() used to truncate 4.9 and 0.7 and read true as 1, so
-    each of these files ran irr and clifford with exit 0."""
+    integers, and degree nonnegative: int() used to truncate 4.9 and 0.7 and
+    read true as 1, and a degree of -3 with no generators closed to the
+    trivial group, so each of these files ran irr and clifford with exit 0."""
     with open(data_path("d8.json")) as fh:
         data = json.load(fh)
     edit(data)
@@ -691,7 +694,7 @@ def test_clifford_needs_matrices_only_for_a_nonlinear_rho_with_nontrivial_quotie
     model.  With matrix_irreps and intertwiner made to raise, clifford gives
     the same JSON on S5 over itself and on every catalog group under its
     named subgroup, its center, itself and the trivial group.  S4 over A4
-    builds the models once and intertwines only its degree-3 row."""
+    builds one model, of its degree-3 row, and intertwines only that row."""
     from isotypic import orbits, repmatrices
     s5 = tmp_path / "s5.json"
     s5.write_text(json.dumps(S5_A5))
@@ -723,6 +726,7 @@ def test_clifford_needs_matrices_only_for_a_nonlinear_rho_with_nontrivial_quotie
                 monkeypatch.setattr(module, name, counted(name, original))
     assert run_cli(["--format", "json", "clifford", str(s4)], capsys) == s4_expected
     assert [name for name, _ in calls] == ["matrix_irreps", "intertwiner"]
+    assert list(calls[0][1][1]) == [3]
     assert [rho.dimension for rho in calls[1][1]] == [3, 3]
 
     def float_layer(*args, **kwargs):

@@ -24,9 +24,14 @@ from isotypic.repmatrices import (SNAP_TOL, TOL, _check_rep, _det_normalize, _wi
 from conftest import S3_GENS, S4_GENS, dihedral, direct_product, relabelled_group
 
 
+def _all_irreps(G):
+    """matrix_irreps of every row of G's character table, in row order."""
+    return matrix_irreps(G, range(len(character_table(G))))
+
+
 def test_z4_matrix_irreps_are_fourth_roots(z4):
     G, _ = z4
-    reps = matrix_irreps(G)
+    reps = _all_irreps(G)
     assert [r.dimension for r in reps] == [1, 1, 1, 1]
     a = G.perm_index((1, 2, 3, 0))
     images = [complex(r.images[a][0, 0]) for r in reps]
@@ -37,21 +42,21 @@ def test_z4_matrix_irreps_are_fourth_roots(z4):
 
 def test_trivial_group_single_rep():
     G = group_from_generators(1, [[0]])
-    reps = matrix_irreps(G)
+    reps = _all_irreps(G)
     assert len(reps) == 1 and reps[0].dimension == 1
     assert reps[0].images[0][0, 0] == pytest.approx(1)
 
 
 def test_q8_rep_dimensions(q8):
     G, _ = q8
-    reps = matrix_irreps(G)
+    reps = _all_irreps(G)
     assert sorted(r.dimension for r in reps) == [1, 1, 1, 1, 2]
     assert sum(r.dimension ** 2 for r in reps) == 8
 
 
 def test_rep_invariants_homomorphism_unitarity_trace(d8):
     G, _ = d8
-    for rep in matrix_irreps(G):
+    for rep in _all_irreps(G):
         d = rep.dimension
         for g in G.elements():
             M = rep.images[g]
@@ -63,7 +68,7 @@ def test_rep_invariants_homomorphism_unitarity_trace(d8):
 
 def _faithful_irrep(G):
     """An irrep of largest degree: faithful for D8 (degree 2) and S4 (3)."""
-    return max(matrix_irreps(G), key=lambda r: r.dimension)
+    return max(_all_irreps(G), key=lambda r: r.dimension)
 
 
 @pytest.mark.parametrize("name", ["D8", "S4"])
@@ -164,7 +169,7 @@ def test_images_equal_the_dense_regular_construction(name):
                              random.Random(11))
     else:
         G, _ = build_catalog_group(name)
-    reps = matrix_irreps(G)
+    reps = _all_irreps(G)
     reference = _dense_reference_images(G)
     assert len(reps) == len(reference)
     for rep, ref in zip(reps, reference):
@@ -179,7 +184,7 @@ def test_matrix_irreps_memory_below_cubic_s5():
     character_table(G)
     tracemalloc.start()
     try:
-        reps = matrix_irreps(G)
+        reps = _all_irreps(G)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -199,7 +204,7 @@ def test_matrix_irreps_time_and_memory_at_order_256():
     start = time.perf_counter()
     tracemalloc.start()
     try:
-        reps = matrix_irreps(G)
+        reps = _all_irreps(G)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -214,12 +219,12 @@ def test_matrix_irreps_cap(monkeypatch):
     G = dihedral(5)
     monkeypatch.setattr(repmatrices, "MATRIX_IRREPS_CAP", 5)
     with pytest.raises(CapExceeded):
-        matrix_irreps(G)
+        matrix_irreps(G, [0])
 
 
 def test_intertwiner_self_is_scalar(d8):
     G, _ = d8
-    reps = matrix_irreps(G)
+    reps = _all_irreps(G)
     two = next(r for r in reps if r.dimension == 2)
     U = intertwiner(two, two)
     # Schur: any self-intertwiner is a unitary scalar
@@ -231,7 +236,7 @@ def test_intertwiner_self_is_scalar(d8):
 def test_intertwiner_between_conjugate_linear_reps(d8):
     G, A = d8
     Agrp, embed = A.as_group()
-    reps = matrix_irreps(Agrp)
+    reps = _all_irreps(Agrp)
     a_loc = next(x for x in Agrp.elements() if Agrp.element_order(x) == 4)
     rho = next(r for r in reps if r.character(a_loc) == Cyclotomic.root_of_unity(4, 1))
     rho3 = next(r for r in reps if r.character(a_loc) == Cyclotomic.root_of_unity(4, 3))
@@ -277,18 +282,18 @@ def test_stabilizer_of_character_equals_full_scan(pairs):
 
 
 def _obstruction_for(G, A, predicate):
-    Agrp, _ = A.as_group()
-    reps = matrix_irreps(Agrp)
-    rho = next(r for r in reps if predicate(r))
-    return obstruction_cocycle(stabilizer_of_character(G, A, rho.character), A, rho.character,
-                               rho)
+    """The obstruction record of the first row of A's table that predicate
+    accepts."""
+    rows = character_table(A.as_group()[0]).rows
+    rho = next(i for i, chi in enumerate(rows) if predicate(chi))
+    return obstruction_cocycle(stabilizer_of_character(G, A, rows[rho]), A, rho)
 
 
 def test_d8_rho2_extends(d8):
     G, A = d8
     Agrp, _ = A.as_group()
     a_loc = next(x for x in Agrp.elements() if Agrp.element_order(x) == 4)
-    rec = _obstruction_for(G, A, lambda r: r.character(a_loc) == Cyclotomic.from_rational(4, -1))
+    rec = _obstruction_for(G, A, lambda chi: chi(a_loc) == Cyclotomic.from_rational(4, -1))
     assert rec.stabilizer.order == 8
     assert rec.quotient.order == 2
     assert rec.trivial, "rho^2 extends: a -> -1, b -> 1 is an extension"
@@ -298,7 +303,7 @@ def test_d8_rho_has_trivial_quotient(d8):
     G, A = d8
     Agrp, _ = A.as_group()
     a_loc = next(x for x in Agrp.elements() if Agrp.element_order(x) == 4)
-    rec = _obstruction_for(G, A, lambda r: r.character(a_loc) == Cyclotomic.root_of_unity(4, 1))
+    rec = _obstruction_for(G, A, lambda chi: chi(a_loc) == Cyclotomic.root_of_unity(4, 1))
     assert rec.stabilizer.members == A.members
     assert rec.quotient.order == 1
     assert rec.omega == ((0,),)
@@ -308,7 +313,7 @@ def test_d8_rho_has_trivial_quotient(d8):
 def test_q8_center_obstruction_nontrivial(q8):
     G, Z = q8
     Zgrp, _ = Z.as_group()
-    rec = _obstruction_for(G, Z, lambda r: r.character.values[1].rational() == -1)
+    rec = _obstruction_for(G, Z, lambda chi: chi.values[1].rational() == -1)
     assert rec.quotient.order == 4
     assert not rec.trivial
     assert rec.modulus == 2
@@ -345,8 +350,8 @@ def test_determinant_one_intertwiners(pairs):
         if G.order > 24:
             continue
         coset_of, _, maps = G.conjugation_action(A)
-        for stab, rep in _float_orbits(G, A):
-            section = obstruction_cocycle(stab, A, rep.character, rep).section
+        for rho, stab, rep in _float_orbits(G, A):
+            section = obstruction_cocycle(stab, A, rho).section
             for g in section[1:]:
                 U = _det_normalize(intertwiner(rep.conjugated(maps[coset_of[g]]), rep))
                 assert abs(np.linalg.det(U) - 1) <= 1e-8, name
@@ -359,23 +364,19 @@ def test_omega_reproducible_bit_identical(q8):
     Zgrp, _ = Z.as_group()
 
     def run():
-        reps = matrix_irreps(Zgrp)
-        rho = next(r for r in reps if r.character.values[1].rational() == -1)
-        return obstruction_cocycle(stabilizer_of_character(G, Z, rho.character), Z,
-                                   rho.character, rho).omega
+        return _obstruction_for(G, Z, lambda chi: chi.values[1].rational() == -1).omega
 
     assert run() == run()
 
 
 def _float_orbits(G, A):
-    """(stabilizer, matrix model) of every orbit of G on Irr(A) with
+    """(row, stabilizer, matrix model) of every orbit of G on Irr(A) with
     rho(1) >= 2 and G_rho/A nontrivial, the models built before the call
     returns."""
     Agrp, _ = A.as_group()
     degrees = character_table(Agrp).degrees
-    reps = matrix_irreps(Agrp)
-    return [(stab, reps[rep]) for rep, _, stab in irr_orbits(G, A)
-            if repmatrices.needs_matrix_model(stab, A, degrees[rep])]
+    return [(rho, stab, matrix_irreps(Agrp, [rho])[0]) for rho, _, stab in irr_orbits(G, A)
+            if degrees[rho] > 1 and stab.order > A.order]
 
 
 def test_obstruction_makes_no_random_draw(monkeypatch):
@@ -400,9 +401,9 @@ def test_obstruction_makes_no_random_draw(monkeypatch):
         assert k_decomposition_report(G, A).consistent
     cases = [(S4, orbit) for orbit in _float_orbits(S4xS3, S4)]
     cases += [(A5, orbit) for orbit in _float_orbits(S5, A5)]
-    assert sorted(stab.order // A.order for A, (stab, _) in cases) == [2, 2, 6, 6, 6]
-    for A, (stab, rep) in cases:
-        rec = obstruction_cocycle(stab, A, rep.character, rep)
+    assert sorted(stab.order // A.order for A, (_, stab, _) in cases) == [2, 2, 6, 6, 6]
+    for A, (rho, stab, rep) in cases:
+        rec = obstruction_cocycle(stab, A, rho)
         coset_of, _, maps = stab.parent.conjugation_action(A)
         rho_g = rep.conjugated(maps[coset_of[rec.section[1]]])
         U = intertwiner(rho_g, rep)
@@ -434,7 +435,7 @@ def test_pair_subgroup_models_the_degree_four_irrep_of_d8xd8():
     values = np.array([chi(g).to_complex() for g in G.elements()])
     H = np.flatnonzero(repmatrices._multiplicity_one_idempotent(G, values, np.array(G._rows)))
     assert all(G.element_order(int(x)) < len(H) for x in H)
-    rep = next(r for r in matrix_irreps(G) if r.character == chi)
+    rep = next(r for r in _all_irreps(G) if r.character == chi)
     _check_rep(rep, np.array(G._rows))
 
 
@@ -467,32 +468,34 @@ def test_maximal_abelian_subgroup_models_the_degree_eight_irrep_of_2_1_6():
     assert (values[0], values[z], np.count_nonzero(values)) == (8, -8, 2)
     lam = repmatrices._multiplicity_one_idempotent(G, values, np.array(G._rows))
     assert len(np.flatnonzero(lam)) == 16
-    rep = next(r for r in matrix_irreps(G) if r.character == chi)
+    rep = next(r for r in _all_irreps(G) if r.character == chi)
     _check_rep(rep, np.array(G._rows))
 
 
 def test_obstruction_rejects_a_non_stabilizer_before_float_work(q8, monkeypatch):
     """A G_rho that is not rho's stabilizer raises NotStabilized before any
-    intertwiner is computed: Q8 over its center with G_rho the center or a
-    cyclic subgroup of order 4 (every character of the center is fixed by all
-    of Q8), and V4 over one factor with G_rho the other factor."""
-    def no_intertwiner(*args, **kwargs):
-        raise AssertionError("intertwiner called")
+    matrix model or intertwiner is computed: Q8 over its center with G_rho
+    the center or a cyclic subgroup of order 4 (every character of the
+    center is fixed by all of Q8), and V4 over one factor with G_rho the
+    other factor."""
+    def float_layer(*args, **kwargs):
+        raise AssertionError("float layer called")
 
-    monkeypatch.setattr(repmatrices, "intertwiner", no_intertwiner)
+    monkeypatch.setattr(repmatrices, "matrix_irreps", float_layer)
+    monkeypatch.setattr(repmatrices, "intertwiner", float_layer)
     G, Z = q8
     i4 = G.subgroup([next(g for g in G.elements() if G.element_order(g) == 4)])
     V4, X = build_catalog_group("V4")
     Y = next(H for H in V4.all_subgroups() if H.order == 2 and H.members != X.members)
     for G_rho, A in [(Z, Z), (i4, Z), (Y, X)]:
-        for rho in matrix_irreps(A.as_group()[0]):
+        for rho in range(len(character_table(A.as_group()[0]))):
             with pytest.raises(NotStabilized):
-                obstruction_cocycle(G_rho, A, rho.character, rho)
+                obstruction_cocycle(G_rho, A, rho)
 
 
 def test_obstruction_record_fields(q8):
     G, Z = q8
-    rec = _obstruction_for(G, Z, lambda r: r.character.values[1].rational() == -1)
+    rec = _obstruction_for(G, Z, lambda chi: chi.values[1].rational() == -1)
     assert rec.quotient.order == 4
     assert rec.trivial is False
     assert len(rec.omega) == 4
@@ -603,10 +606,9 @@ def test_exact_linear_cocycle_equals_the_float_snapped_one(pairs):
         table_a = character_table(Agrp)
         orbits = [(rep, stab) for rep, _, stab in irr_orbits(G, A)
                   if table_a.degrees[rep] == 1 and stab.order > A.order]
-        reps = matrix_irreps(Agrp)
         for rep, stab in orbits:
-            rec = obstruction_cocycle(stab, A, table_a.rows[rep])
-            expected = _float_obstruction_reference(stab, A, reps[rep])
+            rec = obstruction_cocycle(stab, A, rep)
+            expected = _float_obstruction_reference(stab, A, matrix_irreps(Agrp, [rep])[0])
             assert (rec.omega, rec.modulus) == expected, (name, rep)
             compared.add((name, rep, rec.trivial))
     assert ("Q8", 1, False) in compared
@@ -666,21 +668,40 @@ def test_stabilizer_quotients_are_the_part_of_g_mod_a_in_the_stabilizer(pairs):
     assert checked == 94
 
 
-def test_obstruction_needs_a_matrix_model_only_where_it_uses_one(pairs):
-    """S4 over A4: the degree-3 row has G_rho/A of order 2 and needs a
-    MatrixRep of its character; the linear rows need none."""
+def test_obstruction_models_only_the_row_it_reads(pairs, monkeypatch):
+    """Each obstruction builds the matrix model of its own row, and only
+    where rho(1) >= 2 and G_rho/A is nontrivial.  S5 over A5 (degrees 1, 3,
+    3, 4, 5) calls matrix_irreps once with the degree-4 row and once with
+    the degree-5 row, and never models the degree-3 pair, whose stabilizer
+    is A5.  S4 over A4: the linear rows extend with no model, and the
+    degree-3 row has G_rho/A of order 2 and extends."""
+    from isotypic import orbits
+    calls = []
+    original = repmatrices.matrix_irreps
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (repmatrices, orbits):
+        if hasattr(module, "matrix_irreps"):
+            monkeypatch.setattr(module, "matrix_irreps", recording)
+    S5 = group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], name="S5")
+    A5 = S5.subgroup([S5.perm_index(p) for p in ([1, 2, 0, 3, 4], [0, 1, 3, 4, 2])])
+    A5grp, _ = A5.as_group()
+    degrees = character_table(A5grp).degrees
+    assert degrees == (1, 3, 3, 4, 5)
+    orbit_decomposition(S5, A5)
+    assert calls == [(A5grp, [degrees.index(4)]), (A5grp, [degrees.index(5)])]
+
+    del calls[:]
     _, G, A = next(p for p in pairs if p[0] == "S4/A4")
     Agrp, _ = A.as_group()
     table_a = character_table(Agrp)
-    reps = matrix_irreps(Agrp)
-    for rep, _, stab in irr_orbits(G, A):
-        chi = table_a.rows[rep]
-        if table_a.degrees[rep] == 1:
-            assert obstruction_cocycle(stab, A, chi).trivial
+    for rho, _, stab in irr_orbits(G, A):
+        rec = obstruction_cocycle(stab, A, rho)
+        if table_a.degrees[rho] == 1:
+            assert rec.trivial and not calls
             continue
-        with pytest.raises(ValueError):
-            obstruction_cocycle(stab, A, chi)
-        with pytest.raises(ValueError):
-            obstruction_cocycle(stab, A, chi, reps[0])
-        rec = obstruction_cocycle(stab, A, chi, reps[rep])
         assert rec.quotient.order == 2 and rec.trivial
+        assert calls == [(Agrp, [rho])]

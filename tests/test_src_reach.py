@@ -3,14 +3,17 @@ benchmark span reaches: every function or method defined in
 ``src/isotypic`` must be named somewhere else in the package, or be listed
 below with the reason it stays.
 
-A name counts as used when it appears as an ``ast.Name`` or as the
-attribute of an ``ast.Attribute`` outside the body of the function that
-defines it (so a recursive helper nobody else calls is caught).  Dunders are
-skipped, and so is ``__init__.py``, whose imports only re-export names.  The
-check matches by name alone, so a function whose name is shared by another
-used name (``FiniteGroup.quotient`` and the ``quotient`` field of
-``ObstructionRecord``, or a ``conj`` method and numpy's ``.conj()``) cannot
-be seen by it.
+A name counts as used when it is read outside the body of the function
+that defines it (so a recursive helper nobody else calls is caught): as the
+attribute of an ``ast.Attribute``, or, for a function that is not a method,
+as an ``ast.Name`` that no parameter or local variable of an enclosing
+function binds.  So ``GSet.cosets`` is not reached by a local ``cosets``
+list, nor ``Cyclotomic.conjugate`` by ``dot``'s ``conjugate`` flag.  Dunders
+are skipped, and so is ``__init__.py``, whose imports only re-export names.
+The check still matches attributes by name alone, so a method whose name is
+shared by another attribute (``FiniteGroup.quotient`` and the ``quotient``
+field of ``ObstructionRecord``, or a ``conj`` method and numpy's
+``.conj()``) cannot be seen by it.
 """
 
 from __future__ import annotations
@@ -34,35 +37,67 @@ ALLOWED_UNREACHED = {
                            "delete with the next benchmark change",
     "stabilizer_of_character": "benchmark span target only (perfbench/spans.py); "
                                "delete with the next benchmark change",
+    "cosets": "acceptance criterion 5 builds its random G-sets from GSet.cosets",
+    "conjugate": "acceptance criterion 1 checks orthogonality with Cyclotomic.conjugate, "
+                 "and it is a benchmark span target (perfbench/spans.py)",
+    "coeffs": "Cyclotomic.coeffs is the view assert_same compares with RefCyclotomic",
 }
 
 
-def _used_names(node: ast.AST) -> Counter:
-    used: Counter = Counter()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            used[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
-            used[sub.attr] += 1
-    return used
+def _bound_names(func) -> set[str]:
+    """The parameters of a function or lambda and the names it assigns; its
+    deferred imports and nested defs are left out, as they name functions."""
+    args = func.args
+    bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    bound |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    body = func.body if isinstance(func.body, list) else [func.body]
+    bound |= {sub.id for stmt in body for sub in ast.walk(stmt)
+              if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)}
+    return bound
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """(name, through an attribute) -> how often a module reads it, leaving
+    out bare names bound by an enclosing function and reads inside a def of
+    the same name."""
+    reads: Counter = Counter()
+
+    def visit(node, bound, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr not in enclosing:
+                reads[child.attr, True] += 1
+            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) \
+                    and child.id not in bound and child.id not in enclosing:
+                reads[child.id, False] += 1
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, bound | _bound_names(child),
+                      enclosing | {getattr(child, "name", "<lambda>")})
+            else:
+                visit(child, bound, enclosing)
+
+    visit(tree, set(), set())
+    return reads
 
 
 def unreached_functions() -> set[str]:
     """Names of the functions and methods in src that no other src code names."""
-    used: Counter = Counter()
-    defs = []
+    reads: Counter = Counter()
+    defined, free = set(), set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        used += _used_names(tree)
-        defs += [node for node in ast.walk(tree)
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                 and not (node.name.startswith("__") and node.name.endswith("__"))]
-    by_name: Counter = Counter()
-    for node in defs:
-        by_name[node.name] += _used_names(node)[node.name]
-    return {name for name in by_name if used[name] - by_name[name] == 0}
+        reads += _reads(tree)
+        methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                defined.add(node.name)
+                if id(node) not in methods:
+                    free.add(node.name)
+    return {name for name in defined
+            if not reads[name, True] and not (name in free and reads[name, False])}
 
 
 def test_every_src_function_is_reached_or_allowed():
