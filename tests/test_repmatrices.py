@@ -361,7 +361,6 @@ def test_determinant_one_intertwiners(pairs):
 
 def test_omega_reproducible_bit_identical(q8):
     G, Z = q8
-    Zgrp, _ = Z.as_group()
 
     def run():
         return _obstruction_for(G, Z, lambda chi: chi.values[1].rational() == -1).omega

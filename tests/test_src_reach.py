@@ -56,19 +56,19 @@ def _bound_names(func) -> set[str]:
     return bound
 
 
-def _reads(tree: ast.AST) -> Counter:
-    """(name, through an attribute) -> how often a module reads it, leaving
+def _reads(tree: ast.AST) -> set[tuple[str, bool]]:
+    """(name, through an attribute) for every name a module reads, leaving
     out bare names bound by an enclosing function and reads inside a def of
     the same name."""
-    reads: Counter = Counter()
+    reads = set()
 
     def visit(node, bound, enclosing):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Attribute) and child.attr not in enclosing:
-                reads[child.attr, True] += 1
+                reads.add((child.attr, True))
             elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) \
                     and child.id not in bound and child.id not in enclosing:
-                reads[child.id, False] += 1
+                reads.add((child.id, False))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 visit(child, bound | _bound_names(child),
                       enclosing | {getattr(child, "name", "<lambda>")})
@@ -81,13 +81,12 @@ def _reads(tree: ast.AST) -> Counter:
 
 def unreached_functions() -> set[str]:
     """Names of the functions and methods in src that no other src code names."""
-    reads: Counter = Counter()
-    defined, free = set(), set()
+    reads, defined, free = set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        reads += _reads(tree)
+        reads |= _reads(tree)
         methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                    for f in cls.body}
         for node in ast.walk(tree):
@@ -97,7 +96,7 @@ def unreached_functions() -> set[str]:
                 if id(node) not in methods:
                     free.add(node.name)
     return {name for name in defined
-            if not reads[name, True] and not (name in free and reads[name, False])}
+            if (name, True) not in reads and not (name in free and (name, False) in reads)}
 
 
 def test_every_src_function_is_reached_or_allowed():
