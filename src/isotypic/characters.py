@@ -11,12 +11,15 @@ mod-q character values are lifted to exact cyclotomics by recovering the
 eigenvalue multiplicities of each class representative through a discrete
 Fourier inversion mod q, one product for all rows and classes.  The same
 multiplicities give the determinant character det o chi of every row, which
-the table keeps.  No floating point is involved anywhere.
+the table keeps.  A table lists its distinct values once and codes every
+entry by its position in that list, so rows are permuted, looked up and
+written out as tuples of ints.  No floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
 
@@ -64,8 +67,8 @@ class ClassFunction:
     def pullback(self, conj_map: Sequence[int]) -> "ClassFunction":
         """a -> self(conj_map[a]) for an automorphism conj_map of the group,
         e.g. a map of ``FiniteGroup.conjugation_action``."""
-        return ClassFunction(self.group, [self(conj_map[cls[0]])
-                                          for cls in self.group.conjugacy_classes()])
+        return ClassFunction(self.group, [self.values[k] for k in
+                                          self.group.class_permutation(conj_map)])
 
     def _check(self, other: "ClassFunction") -> None:
         if other.group is not self.group:
@@ -83,44 +86,77 @@ class ClassFunction:
 
 
 class CharacterTable:
-    """All irreducible characters of a group, in a deterministic row order.
+    """All irreducible characters of a group, in a deterministic row order,
+    coded by their distinct values.
+
+    values holds each distinct value of the table once, in ascending
+    ``sort_key`` order, and codes[i][c] is the position in values of the
+    value of rows[i] on class c: equal values share one code, and the rows
+    hold the objects of values.  Rows are looked up by their code tuples,
+    so permuting, restricting and comparing rows handles ints, and each
+    distinct value is converted or printed once.
 
     determinants[i][c] = (k, m) means that a representation with character
     rows[i] has determinant zeta_m^k on class c, with gcd(k, m) = 1 or
     (k, m) = (0, 1).
     """
 
-    def __init__(self, group: FiniteGroup, rows: Sequence[ClassFunction],
+    def __init__(self, group: FiniteGroup, values: Sequence[Cyclotomic],
+                 codes: Sequence[Sequence[int]],
                  determinants: Sequence[Sequence[tuple[int, int]]]):
         self.group = group
-        self.rows = tuple(rows)
+        self.values = tuple(values)
+        self.codes = tuple(map(tuple, codes))
+        self.rows = tuple(ClassFunction(group, [self.values[c] for c in row])
+                          for row in self.codes)
         self.determinants = tuple(tuple(d) for d in determinants)
-        self.degrees = tuple(int(r.degree().integer()) for r in self.rows)
+        self.degrees = tuple(int(self.values[row[0]].integer()) for row in self.codes)
         self.classes = group.conjugacy_classes()
         self.class_reps = tuple(c[0] for c in self.classes)
         self.class_sizes = tuple(len(c) for c in self.classes)
-        self._row_lookup = {r.values: i for i, r in enumerate(self.rows)}
+        self._row_of = {row: i for i, row in enumerate(self.codes)}
 
     def __len__(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def _code_of(self) -> dict:
+        """The code of each value, keyed as Cyclotomic equality compares,
+        without its Python-level hash; built on the first lookup of values
+        that are not a row's own."""
+        return {(v.e, v._num, v._den): c for c, v in enumerate(self.values)}
+
     def row_index(self, values: Sequence[Cyclotomic]) -> int:
         """Index of the row with exactly these values; KeyError if absent."""
-        return self._row_lookup[tuple(values)]
+        for i, row in enumerate(self.rows):
+            if row.values is values:  # the values of a row of this table
+                return i
+        code_of = self._code_of
+        return self._row_of[tuple([code_of[v.e, v._num, v._den] for v in values])]
+
+    def row_permutation(self, class_perm: Sequence[int]) -> tuple[int, ...]:
+        """For each row i, the row whose value on every class c is row i's
+        value on class class_perm[c]; KeyError if one is no row."""
+        row_of = self._row_of
+        return tuple([row_of[tuple([row[k] for k in class_perm])] for row in self.codes])
 
     def trivial_index(self) -> int:
-        one = Cyclotomic.one(self.rows[0].values[0].e)
-        return self.row_index([one] * len(self.classes))
+        """The row of the trivial character: the one irreducible character
+        constant on G, as a constant chi = d has <chi, chi> = d^2."""
+        return next(i for i, row in enumerate(self.codes) if row.count(row[0]) == len(row))
 
     def to_jsonable(self) -> dict:
+        """The table as JSON, one object per distinct value shared by every
+        entry that holds it."""
+        values = [cyclotomic_to_jsonable(v) for v in self.values]
         return {
             "group": self.group.name,
             "order": self.group.order,
             "exponent": self.group.exponent,
             "classes": [{"representative": int(r), "size": int(s)}
                         for r, s in zip(self.class_reps, self.class_sizes)],
-            "rows": [{"degree": d, "values": [cyclotomic_to_jsonable(v) for v in row.values]}
-                     for d, row in zip(self.degrees, self.rows)],
+            "rows": [{"degree": d, "values": [values[c] for c in row]}
+                     for d, row in zip(self.degrees, self.codes)],
         }
 
 
@@ -162,8 +198,8 @@ def restrict(chi: ClassFunction, H: Subgroup) -> ClassFunction:
     if chi.group is not H.parent:
         raise NotSubgroup("class function does not live on the subgroup's parent")
     Hgrp, embed = H.as_group()
-    vals = [chi.values[chi.group.class_index(embed[c[0]])]
-            for c in Hgrp.conjugacy_classes()]
+    class_of = chi.group._class_of  # set: chi's group has its classes
+    vals = [chi.values[class_of[embed[c[0]]]] for c in Hgrp.conjugacy_classes()]
     return ClassFunction(Hgrp, vals)
 
 
@@ -315,8 +351,9 @@ def character_table(G: FiniteGroup) -> CharacterTable:
 
     An abelian G takes the route of ``_linear_table`` (Irr(G) = Hom(G, mu_e),
     no prime field); any other G that of ``_dixon_schneider``.  Rows are
-    sorted by (degree, lexicographic value order); the result is cached on
-    the group instance.  CapExceeded above order DEFAULT_CHARTABLE_CAP.
+    sorted by (degree, lexicographic value order) and coded by the table's
+    distinct values; the result is cached on the group instance.
+    CapExceeded above order DEFAULT_CHARTABLE_CAP.
     """
     if G._char_table is not None:
         return G._char_table
@@ -324,21 +361,30 @@ def character_table(G: FiniteGroup) -> CharacterTable:
         raise CapExceeded("group order %d exceeds character table cap %d"
                           % (G.order, DEFAULT_CHARTABLE_CAP))
     rows = _linear_table(G) if G.is_abelian else _dixon_schneider(G)
-    if sum(int(row.degree().integer()) ** 2 for row, _ in rows) != G.order:
+    # codes are found per value object, as the routes build each distinct
+    # value once.  All values share the order e, at which sort_key is
+    # canonical: objects of one value sort next to each other and share a
+    # code, and as codes follow sort_key, rows sort by their code tuples.
+    objects = {id(v): v for row, _ in rows for v in row}
+    values: list[Cyclotomic] = []
+    code_of, last = {}, None
+    for key, i in sorted([(v.sort_key(), i) for i, v in objects.items()]):
+        if key != last:
+            values.append(objects[i])
+            last = key
+        code_of[i] = len(values) - 1
+    coded = sorted(((tuple([code_of[id(v)] for v in row]), dets) for row, dets in rows),
+                   key=lambda pair: (values[pair[0][0]].integer(), pair[0]))
+    table = CharacterTable(G, values, [row for row, _ in coded], [dets for _, dets in coded])
+    if sum(d * d for d in table.degrees) != G.order:
         raise AssertionError("sum of squared degrees does not match group order")
-    # one sort key per value object, not per entry: the routes build each
-    # distinct value once, and ids spare the Python-level Cyclotomic.__hash__
-    values = {id(v): v for row, _ in rows for v in row.values}
-    keys = {i: v.sort_key() for i, v in values.items()}
-    rows.sort(key=lambda pair: (pair[0].degree().integer(),
-                                tuple([keys[id(v)] for v in pair[0].values])))
-    table = CharacterTable(G, [row for row, _ in rows], [dets for _, dets in rows])
     G._char_table = table
     return table
 
 
-def _linear_table(G: FiniteGroup) -> list[tuple[ClassFunction, list[tuple[int, int]]]]:
-    """(row, determinants) for every character of an abelian G, unsorted.
+def _linear_table(G: FiniteGroup) -> list[tuple[list[Cyclotomic], list[tuple[int, int]]]]:
+    """(values, determinants) per class for every character of an abelian G,
+    unsorted.
 
     Irr(G) = Hom(G, mu_e), e the exponent, built along a generating
     sequence: g is the least element outside the subgroup H built so far
@@ -383,13 +429,13 @@ def _linear_table(G: FiniteGroup) -> list[tuple[ClassFunction, list[tuple[int, i
     roots = [Cyclotomic.root_of_unity(e, k) for k in range(e)]
     dets = [(k // gcd(k, e), e // gcd(k, e)) for k in range(e)]
     reps = [c[0] for c in G.conjugacy_classes()]
-    return [(ClassFunction(G, [roots[k[g]] for g in reps]), [dets[k[g]] for g in reps])
-            for k in chars]
+    return [([roots[k[g]] for g in reps], [dets[k[g]] for g in reps]) for k in chars]
 
 
-def _dixon_schneider(G: FiniteGroup) -> list[tuple[ClassFunction, list[tuple[int, int]]]]:
-    """(row, determinants) for every irreducible character of G, unsorted,
-    by the Dixon-Schneider split over F_q and the lift of the module docstring.
+def _dixon_schneider(G: FiniteGroup) -> list[tuple[list[Cyclotomic], list[tuple[int, int]]]]:
+    """(values, determinants) per class for every irreducible character of G,
+    unsorted, by the Dixon-Schneider split over F_q and the lift of the
+    module docstring.
 
     Each common eigenspace is a row basis B in reduced echelon form with
     pivot columns P.  If a class matrix A leaves it invariant, the
@@ -488,5 +534,5 @@ def _dixon_schneider(G: FiniteGroup) -> list[tuple[ClassFunction, list[tuple[int
             entry = lifted[key] = (_make(e, _reduce(e, acc), 1),
                                    (k // gcd(k, e), e // gcd(k, e)))
         entries.append(entry)
-    return [(ClassFunction(G, [v for v, _ in entries[i:i + r]]),
-             [det for _, det in entries[i:i + r]]) for i in range(0, r * r, r)]
+    return [([v for v, _ in entries[i:i + r]], [det for _, det in entries[i:i + r]])
+            for i in range(0, r * r, r)]

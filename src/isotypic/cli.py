@@ -71,8 +71,17 @@ def _render(obj, pad: str) -> str:
 
     Only str-keyed dicts, lists, tuples, str, int, bool and None are
     accepted; anything else (a float, a non-str key, a numpy scalar, a set)
-    raises TypeError.  A list of plain ints is joined in one call.
+    raises TypeError.  A list of plain ints is joined in one call.  A dict
+    object met again at the same indent within this call (reports share one
+    JSON object per distinct character value) reuses its text; lists are
+    not memoised, as series never repeat.
     """
+    return _render_memo(obj, pad, {})
+
+
+def _render_memo(obj, pad: str, memo: dict) -> str:
+    """_render with memo mapping (id of a dict, indent) to its text; the
+    objects stay alive in obj, so their ids are not reused meanwhile."""
     kind = type(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
@@ -86,17 +95,21 @@ def _render(obj, pad: str) -> str:
     if kind is dict:
         if not obj:
             return "{}"
-        # encode_basestring_ascii raises TypeError on a key that is no str
-        items = [encode_basestring_ascii(key) + ": " + _render(obj[key], inner)
-                 for key in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+        key = (id(obj), pad)
+        text = memo.get(key)
+        if text is None:
+            # encode_basestring_ascii raises TypeError on a key that is no str
+            items = [encode_basestring_ascii(k) + ": " + _render_memo(obj[k], inner, memo)
+                     for k in sorted(obj)]
+            text = memo[key] = "{" + inner + ("," + inner).join(items) + pad + "}"
+        return text
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
         if all(type(x) is int for x in obj):
             items = map(int.__repr__, obj)
         else:
-            items = [_render(x, inner) for x in obj]
+            items = [_render_memo(x, inner, memo) for x in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
 
@@ -135,13 +148,15 @@ def _series_lines(series: PowerSeries) -> list:
 def cmd_irr(args) -> Report:
     G, _ = load_group_file(args.group, cap=args.max_order)
     table = character_table(G)
-    lines = ["group %s: order %d, %d classes, exponent %d"
-             % (G.name, G.order, len(table.classes), G.exponent)]
-    header = "degree | " + "  ".join("c%d(%d)" % (r, s)
-                                     for r, s in zip(table.class_reps, table.class_sizes))
-    lines.append(header)
-    for d, row in zip(table.degrees, table.rows):
-        lines.append("%6d | %s" % (d, "  ".join(str(v) for v in row.values)))
+    lines = []
+    if args.format == "table":
+        lines.append("group %s: order %d, %d classes, exponent %d"
+                     % (G.name, G.order, len(table.classes), G.exponent))
+        lines.append("degree | " + "  ".join("c%d(%d)" % (r, s) for r, s in
+                                             zip(table.class_reps, table.class_sizes)))
+        texts = [str(v) for v in table.values]
+        for d, row in zip(table.degrees, table.codes):
+            lines.append("%6d | %s" % (d, "  ".join([texts[c] for c in row])))
     return Report(command="irr",
                   inputs_digest=_digest([args.group, _read_for_digest(args.group)]),
                   results=table.to_jsonable(), table_lines=lines)

@@ -235,6 +235,10 @@ class Cyclotomic:
         other = _coerce(other, self.e)
         return dot(lcm(self.e, other.e), ((1, self, _ONE), (-1, other, _ONE)))
 
+    def __rsub__(self, other) -> "Cyclotomic":
+        other = _coerce(other, self.e)
+        return dot(lcm(self.e, other.e), ((1, other, _ONE), (-1, self, _ONE)))
+
     def __mul__(self, other) -> "Cyclotomic":
         if isinstance(other, (int, Fraction)):
             return dot(self.e, ((1, self, _ONE),), other)

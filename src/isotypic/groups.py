@@ -70,7 +70,8 @@ class FiniteGroup:
         self._subgroup_cache: dict[tuple[int, ...], tuple["FiniteGroup", tuple[int, ...]]] = {}
         self._conjugation: dict[tuple[int, ...], CosetTable] = {}
         self._irr_permutations: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
-        self._multiplicities: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+        # member set of H -> (Irr(G) restricted to H, {rho: multiplicity column})
+        self._multiplicities: dict[tuple[int, ...], tuple[list, dict[int, tuple[int, ...]]]] = {}
         self._char_table = None  # set by characters.character_table
 
     # -- basic operations ----------------------------------------------------
@@ -152,6 +153,15 @@ class FiniteGroup:
         self.conjugacy_classes()
         assert self._class_of is not None
         return self._class_of[g]
+
+    def class_permutation(self, aut: Sequence[int]) -> tuple[int, ...]:
+        """For each class c, the class of aut[g_c], g_c its representative,
+        for an automorphism aut of the group given by element images (a
+        map of ``conjugation_action``): the permutation aut makes of the
+        classes."""
+        classes = self.conjugacy_classes()
+        class_of = self._class_of
+        return tuple([class_of[aut[cls[0]]] for cls in classes])
 
     # -- subgroups -------------------------------------------------------------
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .characters import (CharacterTable, character_table, inner_product,
-                         restrict)
+from .characters import (CharacterTable, character_table, cyclotomic_to_jsonable,
+                         inner_product, restrict)
 from .errors import NotNormal, NotStabilized
 from .groups import FiniteGroup, Subgroup
 from .repmatrices import ObstructionRecord, check_cocycle, obstruction_cocycle
@@ -26,11 +26,17 @@ from .repmatrices import ObstructionRecord, check_cocycle, obstruction_cocycle
 
 def irr_permutations(G: FiniteGroup, A: Subgroup) -> dict[int, tuple[int, ...]]:
     """For each coset of A in N_G(A), the permutation of A's table rows that
-    its minimal element n induces, tau -> (a -> tau(n^-1 a n)); cached on G."""
+    its minimal element n induces, tau -> (a -> tau(n^-1 a n)); cached on G.
+
+    Read off the table's codes: n permutes the classes of A once per coset,
+    and row i goes to the row whose code tuple is codes[i] composed with
+    that class permutation.
+    """
     if A.members not in G._irr_permutations:
-        table = character_table(A.as_group()[0])
+        Agrp = A.as_group()[0]
+        table = character_table(Agrp)
         G._irr_permutations[A.members] = {
-            c: tuple(table.row_index(row.pullback(conj_map).values) for row in table.rows)
+            c: table.row_permutation(Agrp.class_permutation(conj_map))
             for c, conj_map in G.conjugation_action(A).maps.items()}
     return G._irr_permutations[A.members]
 
@@ -55,19 +61,28 @@ def irr_stabilizer(G: FiniteGroup, A: Subgroup, tau: int) -> Subgroup:
 
 
 def multiplicities(G: FiniteGroup, A: Subgroup, rho: int) -> tuple[int, ...]:
-    """<Res_A chi, rho> for each chi in Irr(G), cached on G; AssertionError unless
-    each is an integer >= 0 and sum_chi e_chi chi(1) = [G : A] rho(1) exactly."""
-    if (A.members, rho) not in G._multiplicities:
+    """<Res_A chi, rho> for each chi in Irr(G), one exact inner product each;
+    AssertionError unless each is an integer >= 0 and
+    sum_chi e_chi chi(1) = [G : A] rho(1) exactly.
+
+    Cached on G per member set of A: Irr(G) is restricted to A once, and
+    each column once per rho.
+    """
+    entry = G._multiplicities.get(A.members)
+    if entry is None or rho not in entry[1]:
         table_a, table_g = character_table(A.as_group()[0]), character_table(G)
-        column = [inner_product(restrict(chi, A), table_a.rows[rho]).rational()
-                  for chi in table_g.rows]
+        if entry is None:
+            entry = G._multiplicities[A.members] = (
+                [restrict(chi, A) for chi in table_g.rows], {})
+        restricted, columns = entry
+        column = [inner_product(res, table_a.rows[rho]).rational() for res in restricted]
         if any(e.denominator != 1 or e < 0 for e in column):
             raise AssertionError("restriction multiplicity is not a nonnegative integer")
         if sum(e * d for e, d in zip(column, table_g.degrees)) != \
                 G.order // A.order * table_a.degrees[rho]:
             raise AssertionError("restriction multiplicities break Frobenius reciprocity")
-        G._multiplicities[A.members, rho] = tuple(map(int, column))
-    return G._multiplicities[A.members, rho]
+        columns[rho] = tuple(map(int, column))
+    return entry[1][rho]
 
 
 def extension_exists(G_rho: Subgroup, A: Subgroup, rho: int) -> bool:
@@ -103,12 +118,12 @@ class IrrOrbitRecord:
     twisted_count: int
     omega_regular: int
 
-    def to_jsonable(self, table_a: CharacterTable) -> dict:
-        from .characters import cyclotomic_to_jsonable
-        rep_row = table_a.rows[self.representative]
+    def to_jsonable(self, table_a: CharacterTable, values: list) -> dict:
+        """The record as JSON; values[c] is the JSON object of the value
+        with code c in table_a, shared by every entry that holds it."""
         return {
             "representative": self.representative,
-            "representative_values": [cyclotomic_to_jsonable(v) for v in rep_row.values],
+            "representative_values": [values[c] for c in table_a.codes[self.representative]],
             "orbit": sorted(self.orbit),
             "orbit_size": len(self.orbit),
             "stabilizer_order": self.stabilizer.order,
@@ -141,11 +156,12 @@ class DecompositionReport:
     def to_jsonable(self) -> dict:
         Agrp, _ = self.normal.as_group()
         table_a = character_table(Agrp)
+        values = [cyclotomic_to_jsonable(v) for v in table_a.values]
         return {
             "group": self.group.name,
             "group_order": self.group.order,
             "normal_subgroup_order": self.normal.order,
-            "orbits": [r.to_jsonable(table_a) for r in self.records],
+            "orbits": [r.to_jsonable(table_a, values) for r in self.records],
             "total_irr_g": self.total_irr_g,
             "sum_of_counts": self.sum_of_counts,
             "identity": "%d = %s" % (self.total_irr_g,

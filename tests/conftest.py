@@ -70,6 +70,16 @@ def relabelled_group(name, degree, gens, rng) -> FiniteGroup:
     return group_from_generators(degree, new, name=name)
 
 
+def relabel(G, rng):
+    """(H, pi): G with every non-identity element a renamed pi[a], pi random."""
+    pi = [0] + rng.sample(range(1, G.order), G.order - 1)
+    table = [[0] * G.order for _ in G.elements()]
+    for a in G.elements():
+        for b in G.elements():
+            table[pi[a]][pi[b]] = pi[G.mul(a, b)]
+    return FiniteGroup(table, name=G.name, check=False), pi
+
+
 # -- input builders: no command reaches these, only tests of other functions ---
 
 

@@ -13,10 +13,10 @@ from isotypic.characters import (DEFAULT_CHARTABLE_CAP, ClassFunction, character
 from isotypic.cli import main
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import CapExceeded, GroupMismatch, NotSubgroup
-from isotypic.groups import FiniteGroup, group_from_generators
+from isotypic.groups import group_from_generators
 
 from conftest import (S3_GENS, S4_GENS, all_catalog_groups, dihedral, direct_product,
-                      relabelled_group)
+                      relabel, relabelled_group)
 
 
 def test_catalog_entries_match_their_documented_invariants():
@@ -327,10 +327,10 @@ def assert_table_is_dixon_schneider(G):
     """character_table(G) has the rows, row order and determinants of the
     Dixon-Schneider split sorted as the table sorts."""
     reference = characters._dixon_schneider(G)
-    reference.sort(key=lambda pair: (pair[0].degree().integer(),
-                                     tuple(v.sort_key() for v in pair[0].values)))
+    reference.sort(key=lambda pair: (pair[0][0].integer(),
+                                     tuple(v.sort_key() for v in pair[0])))
     t = character_table(G)
-    assert [row.values for row in t.rows] == [row.values for row, _ in reference], G.name
+    assert [row.values for row in t.rows] == [tuple(row) for row, _ in reference], G.name
     assert t.determinants == tuple(tuple(dets) for _, dets in reference), G.name
 
 
@@ -416,16 +416,6 @@ def test_d8xd8xz2_table_is_pinned():
         "491626b56c9240fa12f11f0236ba93d9f68993af2089087e189a780339925d2a"
 
 
-def relabel(G, rng):
-    """(H, pi): G with every non-identity element a renamed pi[a], pi random."""
-    pi = [0] + rng.sample(range(1, G.order), G.order - 1)
-    table = [[0] * G.order for _ in G.elements()]
-    for a in G.elements():
-        for b in G.elements():
-            table[pi[a]][pi[b]] = pi[G.mul(a, b)]
-    return FiniteGroup(table, name=G.name, check=False), pi
-
-
 @pytest.mark.parametrize("name", sorted(_SPLIT_GROUPS))
 def test_split_is_invariant_under_relabelling(name):
     """Renaming the elements renames the classes and leaves every row and its
@@ -441,6 +431,58 @@ def test_split_is_invariant_under_relabelling(name):
         assert sorted(image) == list(range(len(image)))
         assert {(tuple(row.values[c] for c in image), tuple(dets[c] for c in image))
                 for row, dets in zip(u.rows, u.determinants)} == expected
+
+
+def _coded_groups():
+    """Every catalog group, and S5 and S4xS3 with their points relabelled."""
+    rng = random.Random(33)
+    return all_catalog_groups() + [
+        relabelled_group("S5", 5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], rng),
+        relabelled_group("S4xS3", 7, direct_product(S4_GENS, 4, S3_GENS, 3), rng)]
+
+
+def _assert_coded(t):
+    """values[codes[i][c]] is the value of row i on class c, each distinct
+    value is listed once in sort_key order, and equal values share a code."""
+    assert len(t.codes) == len(t.rows)
+    code_of_value = {}
+    for row, codes in zip(t.rows, t.codes):
+        assert len(codes) == len(t.classes)
+        assert all(t.values[c] is v for c, v in zip(codes, row.values))
+        for c, v in zip(codes, row.values):
+            assert code_of_value.setdefault(v, c) == c
+    assert len(code_of_value) == len(t.values) == len(set(t.values))
+    assert sorted(t.values, key=Cyclotomic.sort_key) == list(t.values)
+
+
+def test_codes_give_each_distinct_value_one_code():
+    for G in _coded_groups():
+        t = character_table(G)
+        _assert_coded(t)
+        assert [t.row_index(row.values) for row in t.rows] == list(range(len(t)))
+        identity = list(range(len(t.classes)))
+        assert t.row_permutation(identity) == tuple(range(len(t))), G.name
+
+
+@pytest.mark.parametrize("name", ["S4", "S5"])
+def test_codes_join_equal_values_built_as_separate_objects(name, monkeypatch):
+    """The routes build each distinct value once, but the codes do not rely
+    on it: with every entry a separate object the table, its codes and its
+    row order are the same."""
+    gens = {"S4": S4_GENS, "S5": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]}[name]
+    G = group_from_generators(len(gens[0]), gens, name=name)
+    expected = character_table(G)
+    route = characters._dixon_schneider
+
+    def copied(H):
+        return [([Cyclotomic(v.e, v.coeffs) for v in row], dets) for row, dets in route(H)]
+
+    monkeypatch.setattr(characters, "_dixon_schneider", copied)
+    H = group_from_generators(len(gens[0]), gens, name=name)
+    t = character_table(H)
+    _assert_coded(t)
+    assert (t.values, t.codes, t.determinants) == \
+        (expected.values, expected.codes, expected.determinants)
 
 
 @pytest.mark.parametrize("name", ["D8", "Q8", "D10", "Q16", "F20", "F21"])

@@ -334,6 +334,7 @@ def test_unary_operations_match_reference(x, r, m):
     assert_same(a + r, ra + rr)
     assert_same(r + a, rr + ra)
     assert_same(a - r, ra - rr)
+    assert_same(r - a, rr - ra)
     assert_same(r * a, rr * ra)
     if a.e > 1:
         bad = a.e * m + 1  # coprime to a.e, so not a multiple of it

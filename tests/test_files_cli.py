@@ -800,6 +800,55 @@ def test_renderer_equals_json_dumps_on_every_command(monkeypatch, tmp_path, caps
     assert "decomposition FAILED" in capsys.readouterr().out
 
 
+S4XS3 = {"name": "S4xS3", "degree": 7,
+         "generators": [[1, 2, 3, 0, 4, 5, 6], [1, 0, 2, 3, 4, 5, 6],
+                        [0, 1, 2, 3, 5, 6, 4], [0, 1, 2, 3, 5, 4, 6]]}
+
+
+def test_irr_json_renders_each_distinct_value_once(tmp_path, monkeypatch, capsys):
+    """irr --format json on S4xS3 prints no value as text (no
+    Cyclotomic.__repr__ call), the rows share one JSON object per distinct
+    value, and each of those is rendered once: its coefficient dict is
+    rendered once, and the text is json.dumps's."""
+    from isotypic.cyclotomic import Cyclotomic
+    path = tmp_path / "s4xs3.json"
+    path.write_text(json.dumps(S4XS3))
+    reprs = []
+    real_repr = Cyclotomic.__repr__
+    monkeypatch.setattr(Cyclotomic, "__repr__", lambda v: reprs.append(v) or real_repr(v))
+    rendered = []
+    render = cli._render_memo
+
+    def spy(obj, pad, memo):
+        rendered.append(obj)
+        return render(obj, pad, memo)
+
+    monkeypatch.setattr(cli, "_render_memo", spy)
+    code, payload, out = _json_stdout(["irr", str(path)], monkeypatch, capsys)
+    assert code == 0 and not reprs
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    entries = [v for row in payload["results"]["rows"] for v in row["values"]]
+    shared = {id(v): v for v in entries}
+    assert len(entries) == 15 * 15 and len(shared) < len(entries)
+    coeffs = [id(v["coeffs"]) for v in shared.values()]
+    assert sorted(id(obj) for obj in rendered if id(obj) in coeffs) == sorted(coeffs)
+
+
+TABLE_STDOUT = [
+    (["irr", "catalog:S4"], "2f49d7703e59a69aefb56da17bfd3e01160e7a5e34ceadd3ac7cc355a8161320"),
+    (["clifford", "catalog:S4"],
+     "64edb6acb14e40c22aa81f4b5d6e7c5ed728e8d76b666d0cc10d4bd3108db9d2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", TABLE_STDOUT, ids=["irr_S4", "clifford_S4"])
+def test_table_stdout_is_pinned(argv, digest, capsys):
+    """The --format table text, printed from the codes, is pinned by digest."""
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_renderer_equals_json_dumps_on_nested_and_escaped_values():
     payload = {
         "empty": {"dict": {}, "list": [], "tuple": ()},

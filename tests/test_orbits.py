@@ -8,11 +8,12 @@ from isotypic.characters import character_table
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import InvalidCocycle, NotNormal, NotStabilized
 from isotypic.groups import group_from_generators
-from isotypic.orbits import (extension_exists, irr_action,
+from isotypic.orbits import (extension_exists, irr_action, irr_permutations,
                              k_decomposition_report, multiplicities,
                              omega_regular_count, orbit_decomposition)
 
-from conftest import brute_automorphisms, conj, dihedral
+from conftest import (S3_GENS, S4_GENS, brute_automorphisms, conj, dihedral, direct_product,
+                      relabel)
 
 
 def rho_indices_z4(z4_pair):
@@ -266,20 +267,59 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_orbit_decomposition_acts_once_per_coset_of_a(monkeypatch):
-    """A acts trivially on Irr(A), so the action table pulls each of the 4
-    rows of Irr(V4) back along one map per coset of V4 in S4: 6 x 4 = 24
-    pullbacks, not 24 x 4; the table is cached on G, so a second
-    decomposition and the Weyl action of rank_profile pull back nothing."""
-    from isotypic.characters import ClassFunction
-    calls = _counting(monkeypatch, ClassFunction, "pullback")
+    """A acts trivially on Irr(A), so the action table reads one permutation
+    of the classes of V4 per coset of V4 in S4: 6, not 24; the table is
+    cached on G, so a second decomposition and the Weyl action of
+    rank_profile read none."""
+    calls = _counting(monkeypatch, groups.FiniteGroup, "class_permutation")
     G, V4 = build_catalog_group("S4")
     recs = orbit_decomposition(G, V4)
     assert sorted(len(r.orbit) for r in recs) == [1, 3]
-    assert len(calls) == 24
+    assert len(calls) == 6
     del calls[:]
     assert [r.orbit for r in orbit_decomposition(G, V4)] == [r.orbit for r in recs]
     rank_profile(G, V4)
     assert len(calls) == 0
+
+
+def test_orbit_decomposition_restricts_irr_g_once_per_normal_subgroup(monkeypatch):
+    """Each of the 5 rows of Irr(S4) is restricted to V4 once, however many
+    orbits ask for their multiplicity columns, and never again."""
+    calls = _counting(monkeypatch, orbits, "restrict")
+    G, V4 = build_catalog_group("S4")
+    assert len(orbit_decomposition(G, V4)) == 2
+    assert len(calls) == 5
+    orbit_decomposition(G, V4)
+    assert len(calls) == 5
+
+
+def _reference_irr_permutations(G, A):
+    """The pullback formula irr_permutations replaced, kept as its
+    reference: every row of A's table pulled back along one conjugation map
+    per coset of A in N_G(A), a -> row(conj_map[a]) on each class
+    representative a, and found among the rows by its values."""
+    Agrp = A.as_group()[0]
+    table = character_table(Agrp)
+    rows = [row.values for row in table.rows]
+    return {c: tuple(rows.index(tuple(row(conj_map[cls[0]]) for cls in Agrp.conjugacy_classes()))
+                     for row in table.rows)
+            for c, conj_map in G.conjugation_action(A).maps.items()}
+
+
+def test_irr_permutations_match_the_pullback_reference(pairs):
+    """On every catalog pair, S5 over A5 and S4xS3 over S4, each also with
+    its elements relabelled, the permutations read off the codes are the
+    pullback reference's."""
+    S5 = group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], name="S5")
+    A5 = S5.subgroup([S5.perm_index(p) for p in ([1, 2, 0, 3, 4], [0, 1, 3, 4, 2])])
+    S4xS3 = group_from_generators(7, direct_product(S4_GENS, 4, S3_GENS, 3), name="S4xS3")
+    S4 = S4xS3.subgroup([S4xS3.perm_index(p) for p in direct_product(S4_GENS, 4, [], 3)])
+    rng = random.Random(33)
+    for name, G, A in list(pairs) + [("S5/A5", S5, A5), ("S4xS3/S4", S4xS3, S4)]:
+        H, pi = relabel(G, rng)
+        B = H.subgroup_from_members(pi[a] for a in A.members)
+        for K, C in ((G, A), (H, B)):
+            assert irr_permutations(K, C) == _reference_irr_permutations(K, C), name
 
 
 def test_orbit_decomposition_takes_each_multiplicity_once(monkeypatch):
