@@ -122,15 +122,11 @@ class CharacterTable:
     @cached_property
     def _code_of(self) -> dict:
         """The code of each value, keyed as Cyclotomic equality compares,
-        without its Python-level hash; built on the first lookup of values
-        that are not a row's own."""
+        without its Python-level hash; built on the first row lookup."""
         return {(v.e, v._num, v._den): c for c, v in enumerate(self.values)}
 
     def row_index(self, values: Sequence[Cyclotomic]) -> int:
         """Index of the row with exactly these values; KeyError if absent."""
-        for i, row in enumerate(self.rows):
-            if row.values is values:  # the values of a row of this table
-                return i
         code_of = self._code_of
         return self._row_of[tuple([code_of[v.e, v._num, v._den] for v in values])]
 

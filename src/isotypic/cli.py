@@ -148,15 +148,14 @@ def _series_lines(series: PowerSeries) -> list:
 def cmd_irr(args) -> Report:
     G, _ = load_group_file(args.group, cap=args.max_order)
     table = character_table(G)
-    lines = []
-    if args.format == "table":
-        lines.append("group %s: order %d, %d classes, exponent %d"
-                     % (G.name, G.order, len(table.classes), G.exponent))
-        lines.append("degree | " + "  ".join("c%d(%d)" % (r, s) for r, s in
-                                             zip(table.class_reps, table.class_sizes)))
-        texts = [str(v) for v in table.values]
-        for d, row in zip(table.degrees, table.codes):
-            lines.append("%6d | %s" % (d, "  ".join([texts[c] for c in row])))
+    lines = ["group %s: order %d, %d classes, exponent %d"
+             % (G.name, G.order, len(table.classes), G.exponent)]
+    header = "degree | " + "  ".join("c%d(%d)" % (r, s)
+                                     for r, s in zip(table.class_reps, table.class_sizes))
+    lines.append(header)
+    texts = [str(v) for v in table.values]
+    for d, row in zip(table.degrees, table.codes):
+        lines.append("%6d | %s" % (d, "  ".join([texts[c] for c in row])))
     return Report(command="irr",
                   inputs_digest=_digest([args.group, _read_for_digest(args.group)]),
                   results=table.to_jsonable(), table_lines=lines)
