@@ -12,18 +12,20 @@ the Euler transform from the sums of the parts dividing each k.
 
 The count depends only on the Weyl cycle types: for each w in N_G(A)/A, the
 multiset of (cycle length, degree) over the cycles of w on the nontrivial
-irreducibles of A.  They are read off the action on the classes of A and on
-the cosets of A' (Brauer's permutation lemma, Isaacs Thm 6.32 and
-Cor. 6.33), with no character table, whenever every non-linear degree of A
-equals the smallest prime p dividing |A|, that is when
-|A| - [A:A'] = (k(A) - [A:A'])p^2, or when A has one non-linear character
-(A4, F20, ...), of degree isqrt(|A| - [A:A']); abelian A has no non-linear
-degree.  Only when both criteria fail (S4, S3xS3, S5, ...) is a table
-built, by ``rank_profile``.
+irreducibles of A.  The cycle lengths are read off the action on the
+classes of A and on the cosets of A' (Brauer's permutation lemma, Isaacs
+Thm 6.32 and Cor. 6.33), and the degrees fitted to them: each non-linear
+degree exceeds 1 and divides |A| (Isaacs Thm 3.11), a cycle permutes
+characters of one degree, and the squares of the non-linear degrees sum to
+|A| - [A:A'].  When exactly one assignment of degrees to the cycles fits,
+it is the true one, and no character table is built; abelian A has no
+cycle to fit.  Only when some w has no fit or more than one (S5, S4xS3, ...)
+is a table built, by ``rank_profile``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
@@ -200,24 +202,66 @@ def rank_profile(G: FiniteGroup, A: Subgroup) -> RankProfile:
     return RankProfile(dims=dims, perms=perms)
 
 
+def _fit_degrees(lengths: Sequence[int], order: int, total: int):
+    """The one multiset of (cycle length, degree) pairs, sorted, that gives
+    each cycle length in lengths a degree d >= 2 dividing order so that
+    sum(length * d^2) == total; None when no multiset fits or more than one
+    does.  Lengths are walked in sorted order with degrees nondecreasing
+    within equal lengths, so each multiset is met once; a branch is cut when
+    the rest cannot reach or must overshoot the remaining sum."""
+    lengths = sorted(lengths)
+    degrees = [d for d in range(2, isqrt(total) + 1) if order % d == 0]
+    tail = [0] * (len(lengths) + 1)  # tail[j]: sum of lengths[j:]
+    for j in range(len(lengths) - 1, -1, -1):
+        tail[j] = tail[j + 1] + lengths[j]
+    found: list[tuple] = []
+    chosen: list[tuple[int, int]] = []
+
+    def walk(j: int, lo: int, left: int) -> None:
+        if j == len(lengths):
+            if left == 0:
+                found.append(tuple(chosen))
+            return
+        ell = lengths[j]
+        if j and lengths[j - 1] != ell:
+            lo = 0
+        # the rest of this run of equal lengths takes degree >= d, the others >= degrees[0]
+        run = tail[j + 1] - tail[bisect_right(lengths, ell, j)]
+        for i in range(lo, len(degrees)):
+            d = degrees[i]
+            rest = left - ell * d * d
+            if rest < run * d * d + (tail[j + 1] - run) * degrees[0] ** 2:
+                break
+            if rest <= tail[j + 1] * degrees[-1] ** 2:
+                chosen.append((ell, d))
+                walk(j + 1, i, rest)
+                chosen.pop()
+                if len(found) > 1:
+                    return
+
+    walk(0, 0, total)
+    return found[0] if len(found) == 1 else None
+
+
 def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
     """The cycle types of N_A/A on the nontrivial irreducibles of A, as
     ``RankProfile.cycle_types`` counts them, one per coset of A in N_A.
 
-    Read off G's table, with no character table of A when all non-linear
-    degrees of A are known: when they all equal p, the smallest prime
-    factor of |A|, or when there is only one.  By Brauer's permutation
-    lemma (Isaacs, Thm 6.32 and Cor. 6.33) each w has the same cycle type
-    on Irr(A) as on the classes of A, and, applied to the abelian group
-    A/A', the same cycle type on the linear characters as on the cosets of
-    A'.  So the cycles on the non-linear characters are the multiset
-    difference of the two.  Each non-linear degree divides |A| and exceeds
-    1, so it is at least p; the k(A) - [A:A'] of them have squares summing
-    to |A| - [A:A'], so they all equal p exactly when that sum is
-    (k(A) - [A:A'])p^2, and a single one (A4, F20, ...) has degree
-    isqrt(|A| - [A:A']) and is fixed by every w.  Abelian A (A' = 1, the
-    trivial subgroup included) has no non-linear degree.  Otherwise (S4,
-    S3xS3, S5, ...) the types are read off ``rank_profile``.
+    Read off G's table, with no character table of A whenever the cycle
+    lengths force the degrees.  By Brauer's permutation lemma (Isaacs,
+    Thm 6.32 and Cor. 6.33) each w has the same cycle type on Irr(A) as on
+    the classes of A, and, applied to the abelian group A/A', the same
+    cycle type on the linear characters as on the cosets of A'.  So the
+    cycles of w on the non-linear characters are the multiset difference
+    of the two.  A cycle permutes characters of one degree, each non-linear
+    degree exceeds 1 and divides |A| (Frobenius, Isaacs Thm 3.11), and the
+    squares of the degrees sum to |A|, so to |A| - [A:A'] over the
+    non-linear ones.  The true degrees are thus one way to give each cycle
+    of length l a degree d >= 2 dividing |A| with sum(l d^2) = |A| - [A:A']
+    (``_fit_degrees``); when it is the only way, it is w's cycle type.
+    Abelian A (A' = 1, the trivial subgroup included) has no cycle to
+    fit.  When some w has no fit or more than one (S5, ...), the types
+    are read off ``rank_profile``.
     """
     rows, inv, members = G._rows, G._inv, A.members
     pos = {h: i for i, h in enumerate(members)}
@@ -245,12 +289,6 @@ def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
                 coset_of[pos[row[d]]] = len(coset_reps)
             coset_reps.append(i)
     k, index = len(class_reps), len(coset_reps)
-    if k - index == 1:  # one non-linear character, so every w fixes it
-        degree = isqrt(A.order - index)
-    elif k > index:  # A is not abelian, so |A| has a prime factor
-        degree = _factorize(A.order)[0][0]
-        if A.order - index != (k - index) * degree * degree:
-            return rank_profile(G, A).cycle_types()
     # each map fixes class 0 and coset 0, the trivial character
     ones = (1,) * k
     types: dict[tuple, tuple] = {}
@@ -263,7 +301,10 @@ def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
                 rest.subtract(cycles)
                 if min(rest.values()) < 0:
                     raise AssertionError("cosets of A' have cycles the classes of A lack")
-                cycles = tuple(sorted(cycles + tuple((ell, degree) for ell, _ in rest.elements())))
+                fit = _fit_degrees([ell for ell, _ in rest.elements()], A.order, A.order - index)
+                if fit is None:
+                    return rank_profile(G, A).cycle_types()
+                cycles = tuple(sorted(cycles + fit))
             types[image] = cycles
         out[types[image]] += 1
     return out

@@ -105,7 +105,10 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        return self._rows == [list(col) for col in zip(*self._rows)]
+        """Whether every row equals its column, stopping at the first that
+        does not; the columns are built one at a time."""
+        rows = self._rows
+        return all(map(list.__eq__, rows, map(list, zip(*rows))))
 
     def permutation_of(self, g: int) -> Optional[tuple[int, ...]]:
         """Underlying permutation when the group came from generators."""

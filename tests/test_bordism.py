@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -13,7 +14,7 @@ from isotypic.bordism import (PowerSeries, RankProfile,
                               burnside_label_series, d2p_certify, enumerate_arrays,
                               global_generator_series, is_family,
                               omega_generator_series, rank_profile,
-                              weyl_cycle_types)
+                              weyl_cycle_types, _fit_degrees)
 from isotypic.catalog import CATALOG, build_catalog_group
 from isotypic.characters import character_table
 from isotypic.errors import CapExceeded, NotNormal, NotOdd, NotPrime
@@ -244,9 +245,9 @@ def test_weyl_cycle_types_agree_with_rank_profile(monkeypatch):
     """Both routes give the cycle types the character-table route gives, on
     every subgroup class, and the cycle types do not change with a
     relabelling.  The class/A' route (Brauer's permutation lemma on the
-    classes of A and the cosets of A') builds no table; ``rank_profile`` is
-    called exactly when A has more than one non-linear character and some
-    non-linear degree of A differs from the smallest prime factor p of |A|."""
+    classes of A and the cosets of A', with the degrees fitted to
+    |A| - [A:A']) builds no table; ``rank_profile`` is called, once, only
+    when the true cycles of some w are not the one fit."""
     tables = []
 
     def counted(G, A):
@@ -258,7 +259,8 @@ def test_weyl_cycle_types_agree_with_rank_profile(monkeypatch):
     specs = [(e.name, e.degree, e.generators) for _, e in sorted(CATALOG.items())]
     specs += [("S3xS3", 6, direct_product(S3_GENS, 3, S3_GENS, 3)),
               ("S4xZ2", 6, direct_product(S4_GENS, 4, [[1, 0]], 2)),
-              ("S4xS3", 7, direct_product(S4_GENS, 4, S3_GENS, 3))]
+              ("S4xS3", 7, direct_product(S4_GENS, 4, S3_GENS, 3)),
+              ("S5", 5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]])]
     routes = Counter()
     for name, degree, gens in specs:
         summaries = []
@@ -270,26 +272,72 @@ def test_weyl_cycle_types_agree_with_rank_profile(monkeypatch):
                 before = len(tables)
                 types = weyl_cycle_types(G, A)
                 built = len(tables) - before
+                assert built <= 1, (name, A.members)
                 assert types == rank_profile(G, A).cycle_types(), (name, A.members)
+                # the table is built only when some w's true non-linear
+                # cycles are not the one fit of their lengths
+                fits = [_fit_degrees([ell for ell, d in t if d > 1], A.order,
+                                     sum(ell * d * d for ell, d in t if d > 1)) for t in types]
+                assert built == (None in fits), (name, A.members)
+                routes["table" if built else "table-free"] += 1
                 nonlinear = [d for d in character_table(A.as_group()[0]).degrees if d > 1]
-                p = min((q for q in range(2, A.order + 1) if A.order % q == 0), default=1)
-                route = "abelian" if not nonlinear else \
-                    "one degree" if all(d == p for d in nonlinear) else \
-                    "one character" if len(nonlinear) == 1 else "table"
-                assert built == (route == "table"), (name, A.members)
-                routes[route] += 1
                 if A.order == G.order:
-                    if name == "S4":
-                        assert built, name
-                    if name in ("A4", "F20"):
-                        assert route == "one character" and not built, name
-                    if name in ("D8", "Q8", "S3", "F21"):
+                    if name in ("S4", "S3xS3", "S4xZ2", "A4", "F20", "D8", "Q8", "S3", "F21"):
                         assert not built and nonlinear, name
+                    if name == "S5":
+                        assert built, name
                 summary.append((A.order, len(cls), sorted(types.items())))
             summaries.append(sorted(summary))
         assert summaries[0] == summaries[1], name
-    assert routes == {"abelian": 408, "one degree": 156, "table": 36,
-                      "one character": 12}, routes
+    assert routes == {"table-free": 640, "table": 10}, routes
+
+
+def test_fit_degrees_finds_the_one_fit_or_none():
+    """S3xS3 at w = 1 fits only 2, 2, 2, 2, 4; in A5 < S5 an odd w swaps the
+    two degree-3 characters and fixes those of degree 4 and 5; S5 at w = 1
+    fits both 4, 4, 5, 5, 6 and 2, 3, 4, 5, 8; abelian A has no cycle."""
+    assert _fit_degrees([1] * 5, 36, 32) == ((1, 2),) * 4 + ((1, 4),)
+    assert _fit_degrees([2, 1, 1], 60, 59) == ((1, 4), (1, 5), (2, 3))
+    assert _fit_degrees([1] * 5, 120, 118) is None
+    assert _fit_degrees([], 8, 0) == ()
+    # no fit: a single cycle whose square sum is no square of a divisor
+    assert _fit_degrees([1], 12, 8) is None
+
+
+def test_fit_degrees_is_fast_on_many_cycles():
+    """D8xD8xZ2xZ2 (order 256, [A:A'] = 64) has 36 non-linear characters,
+    32 of degree 2 and 4 of degree 4; the search settles them at once."""
+    start = time.perf_counter()
+    fit = _fit_degrees([1] * 36, 256, 256 - 64)
+    elapsed = time.perf_counter() - start
+    assert fit == ((1, 2),) * 32 + ((1, 4),) * 4
+    assert elapsed < 0.05, elapsed
+
+
+def test_global_series_builds_a_table_only_for_s5(monkeypatch):
+    """``global_generator_series`` builds no character table on S3xS3, S4 and
+    S4xZ2, and one on S5, for S5 itself; the A5 < S5 pair builds none."""
+    tables = []
+
+    def counted(G, A):
+        tables.append((G.name, A.order))
+        return rank_profile(G, A)
+
+    monkeypatch.setattr(bordism, "rank_profile", counted)
+    S5_GENS = [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]
+    for name, degree, gens, built in [
+            ("S3xS3", 6, direct_product(S3_GENS, 3, S3_GENS, 3), []),
+            ("S4", 4, S4_GENS, []),
+            ("S4xZ2", 6, direct_product(S4_GENS, 4, [[1, 0]], 2), []),
+            ("S5", 5, S5_GENS, [("S5", 120)])]:
+        G = group_from_generators(degree, gens, name=name)
+        del tables[:]
+        global_generator_series(G, 20)
+        assert tables == built, name
+    A5 = next(s for s in G.all_subgroups() if s.order == 60)
+    del tables[:]
+    adjacent_family_series(G, A5, 20)
+    assert tables == []
 
 
 def test_global_series_d8_d8_z2_pinned():

@@ -23,6 +23,24 @@ def test_cyclic_four_from_single_cycle():
     assert G.is_abelian
 
 
+def test_is_abelian_compares_rows_with_columns_at_order_144():
+    """Z12xZ12 and S4xS3 (order 144): is_abelian agrees with the transposed
+    table, and never holds the whole transpose (n^2 entries) at once."""
+    Z12 = [[(i + 1) % 12 for i in range(12)]]
+    for degree, gens, abelian in [(24, direct_product(Z12, 12, Z12, 12), True),
+                                  (7, direct_product(S4_GENS, 4, S3_GENS, 3), False)]:
+        G = group_from_generators(degree, gens)
+        assert G.order == 144
+        assert (G._rows == [list(col) for col in zip(*G._rows)]) is abelian
+        tracemalloc.start()
+        try:
+            assert G.is_abelian is abelian
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * G.order * G.order // 4, peak
+
+
 def test_d8_from_generators():
     G = group_from_generators(4, [[1, 2, 3, 0], [0, 3, 2, 1]])
     assert G.order == 8
