@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import isqrt
 from operator import add, mul
 from typing import Sequence
@@ -211,9 +211,7 @@ def _fit_degrees(lengths: Sequence[int], order: int, total: int):
     the rest cannot reach or must overshoot the remaining sum."""
     lengths = sorted(lengths)
     degrees = [d for d in range(2, isqrt(total) + 1) if order % d == 0]
-    tail = [0] * (len(lengths) + 1)  # tail[j]: sum of lengths[j:]
-    for j in range(len(lengths) - 1, -1, -1):
-        tail[j] = tail[j + 1] + lengths[j]
+    tail = list(accumulate(reversed(lengths), initial=0))[::-1]  # tail[j]: sum of lengths[j:]
     found: list[tuple] = []
     chosen: list[tuple[int, int]] = []
 
