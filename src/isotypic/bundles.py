@@ -21,7 +21,7 @@ from typing import Sequence
 from .characters import ClassFunction, character_table
 from .cyclotomic import Cyclotomic, dot
 from .errors import NotATrivial
-from .groups import FiniteGroup, Subgroup, minimal_generators
+from .groups import FiniteGroup, Subgroup, _gather, minimal_generators
 from .orbits import IrrOrbit, irr_orbits
 
 
@@ -46,8 +46,9 @@ class GSet:
             raise ValueError("identity must act trivially")
         # the law for every g and generator s gives it for all pairs (induction on word length)
         for s in minimal_generators(group, group.elements()):
+            act_s = _gather(self.action[s])  # (g s) . y = g . (s . y)
             for g in group.elements():
-                if self.action[group.mul(g, s)] != tuple(self.action[g][y] for y in self.action[s]):
+                if self.action[group.mul(g, s)] != act_s(self.action[g]):
                     raise ValueError("action table is not a group action")
         # an orbit is first met at its minimum r, which g = 0 reaches first
         self._origin: list[tuple[int, int]] = [(-1, -1)] * self.size

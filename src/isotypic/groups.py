@@ -14,13 +14,17 @@ Conventions used throughout the package:
     representatives H, by one g per double coset H g^k H (k prime to the
     order of g); ``all_subgroups`` is the sorted flattening of its classes,
   * a table the package derives is built once, as a list of int lists, and
-    handed to ``FiniteGroup(..., check=False)``, which keeps it as given.
+    handed to ``FiniteGroup(..., check=False)``, which keeps it as given;
+    a permutation closure (``group_from_generators``) builds it row by row,
+    each row an earlier one read through the left multiplication by a
+    generator, by one C-level gather (``_gather``), with no column table.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -50,7 +54,7 @@ class FiniteGroup:
     """
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G",
-                 perms: Optional[Sequence[tuple[int, ...]]] = None,
+                 perms: Optional[dict[tuple[int, ...], int]] = None,
                  check: bool = True):
         rows = [list(map(int, row)) for row in table] if check else table
         n = len(rows)
@@ -62,7 +66,9 @@ class FiniteGroup:
         self.name = name
         self._rows: list[list[int]] = rows
         self._inv: list[int] = [row.index(0) for row in rows]
-        self._perms = tuple(tuple(p) for p in perms) if perms is not None else None
+        # each element's permutation -> its index, in index order
+        self._perm_index = perms
+        self._perms = None if perms is None else tuple(perms)
         self._exponent: Optional[int] = None
         self._classes: Optional[list[tuple[int, ...]]] = None
         self._class_of: Optional[list[int]] = None
@@ -116,13 +122,9 @@ class FiniteGroup:
 
     def perm_index(self, p) -> int:
         """Element index of a permutation (groups built from generators only)."""
-        if self._perms is None:
+        if self._perm_index is None:
             raise ValueError("group was not built from permutations")
-        lut = getattr(self, "_perm_lut", None)
-        if lut is None:
-            lut = {perm: i for i, perm in enumerate(self._perms)}
-            self._perm_lut = lut
-        return lut[tuple(p)]
+        return self._perm_index[tuple(p)]
 
     # -- conjugacy classes ----------------------------------------------------
 
@@ -486,10 +488,12 @@ def group_from_generators(degree: int, generators: Sequence[Sequence[int]],
 
     Element 0 is the identity; the remaining elements are indexed in
     breadth-first discovery order, which is deterministic.  Each element y
-    is first reached as y = x s for an earlier x and a generator s, so its
-    column of the table is z -> (z x) s, read off x's column through the
-    right multiplication by s that the search records; no two elements are
-    composed outside the search.
+    is first reached as y = x s for an earlier x and a generator s, and the
+    search records the right multiplication by every s.  The left
+    multiplication by s follows along the same words, s (x t) = (s x) t,
+    and row y of the table is row x read through it, (x s) z = x (s z):
+    every composition, of permutations or of rows, is one ``_gather``.  The
+    search's permutation -> index dict is the group's ``perm_index``.
     """
     gens = []
     for p in generators:
@@ -502,19 +506,38 @@ def group_from_generators(degree: int, generators: Sequence[Sequence[int]],
     index = {ident: 0}
     word: list[tuple[int, int]] = [(0, 0)]  # (x, s) with elems[y] = elems[x] o gens[s]
     right: list[list[int]] = [[] for _ in gens]  # right[s][x]: index of x o gens[s]
+    compose = [_gather(g) for g in gens]  # compose[s](p) = p o gens[s]
     for x, px in enumerate(elems):  # elems grows while it is scanned
-        for s, g in enumerate(gens):
-            y = tuple([px[i] for i in g])
-            if y not in index:
+        for s, comp in enumerate(compose):
+            y = comp(px)
+            j = index.get(y)
+            if j is None:
                 if len(elems) >= cap:
                     raise ClosureOverflow("closure exceeded cap %d" % cap)
-                index[y] = len(elems)
+                j = index[y] = len(elems)
                 elems.append(y)
                 word.append((x, s))
-            right[s].append(index[y])
-    cols = [list(range(len(elems)))]
+            right[s].append(j)
+    lefts = []  # lefts[s] reads z -> s z off a row
+    for rs in right:
+        left = [rs[0]]
+        for x, t in word[1:]:
+            left.append(right[t][left[x]])
+        lefts.append(_gather(left))
+    rows = [list(range(len(elems)))]
     for x, s in word[1:]:
-        rs = right[s]
-        cols.append([rs[z] for z in cols[x]])
+        rows.append(list(lefts[s](rows[x])))
     # unchecked: composition of permutations is a group operation
-    return FiniteGroup(list(map(list, zip(*cols))), name=name, perms=elems, check=False)
+    return FiniteGroup(rows, name=name, perms=index, check=False)
+
+
+def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The map p -> (p[i] for i in indices) as a tuple, by one C-level
+    ``itemgetter`` call; itemgetter alone takes at least one index and
+    returns a bare item for one."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        i = indices[0]
+        return lambda p: (p[i],)
+    return lambda p: ()

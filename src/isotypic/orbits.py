@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 
 from .characters import (CharacterTable, character_table, cyclotomic_to_jsonable,
                          inner_product, restrict)
 from .errors import NotNormal, NotStabilized
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, _gather
 from .repmatrices import ObstructionRecord, check_cocycle, obstruction_cocycle
 
 
@@ -54,15 +56,17 @@ def irr_action(G: FiniteGroup, A: Subgroup, g: int, tau: int) -> int:
 
 
 def irr_stabilizer(G: FiniteGroup, A: Subgroup, tau: int) -> Subgroup:
-    """The union of the cosets of A whose permutation fixes row tau."""
-    coset_of = G.conjugation_action(A).coset_of
-    fixed = {c for c, perm in irr_permutations(G, A).items() if perm[tau] == tau}
-    return G.subgroup_from_members(g for g in G.elements() if coset_of[g] in fixed)
+    """The union of the cosets of A whose permutation fixes row tau, each
+    the left coset n A of its lift n."""
+    rows, reps = G._rows, G.conjugation_action(A).reps
+    coset = _gather(A.members)
+    return G.subgroup_from_members(chain.from_iterable(
+        coset(rows[reps[c]]) for c, perm in irr_permutations(G, A).items() if perm[tau] == tau))
 
 
 def multiplicities(G: FiniteGroup, A: Subgroup, rho: int) -> tuple[int, ...]:
-    """<Res_A chi, rho> for each chi in Irr(G), one exact inner product each;
-    AssertionError unless each is an integer >= 0 and
+    """<Res_A chi, rho> for each chi in Irr(G), one exact inner product each,
+    taken as an int; AssertionError unless each is an integer >= 0 and
     sum_chi e_chi chi(1) = [G : A] rho(1) exactly.
 
     Cached on G per member set of A: Irr(G) is restricted to A once, and
@@ -75,13 +79,18 @@ def multiplicities(G: FiniteGroup, A: Subgroup, rho: int) -> tuple[int, ...]:
             entry = G._multiplicities[A.members] = (
                 [restrict(chi, A) for chi in table_g.rows], {})
         restricted, columns = entry
-        column = [inner_product(res, table_a.rows[rho]).rational() for res in restricted]
-        if any(e.denominator != 1 or e < 0 for e in column):
-            raise AssertionError("restriction multiplicity is not a nonnegative integer")
-        if sum(e * d for e, d in zip(column, table_g.degrees)) != \
+        bad = "restriction multiplicity is not a nonnegative integer"
+        try:
+            column = tuple([inner_product(res, table_a.rows[rho]).integer()
+                            for res in restricted])
+        except ValueError:
+            raise AssertionError(bad) from None
+        if min(column) < 0:
+            raise AssertionError(bad)
+        if sum(map(mul, column, table_g.degrees)) != \
                 G.order // A.order * table_a.degrees[rho]:
             raise AssertionError("restriction multiplicities break Frobenius reciprocity")
-        columns[rho] = tuple(map(int, column))
+        columns[rho] = column
     return entry[1][rho]
 
 

@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .characters import (ClassFunction, character_table,
-                         determinant_character_value)
+from .characters import ClassFunction, character_table
 from .errors import (CapExceeded, InvalidCocycle, NonScalar,
                      NumericalDegeneracy, SnapFailure, SplitFailure)
 from .groups import FiniteGroup, Subgroup, coset_quotient
@@ -285,9 +284,9 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, rho: int) -> ObstructionRe
     m = Q.order
 
     # det o rho is a class function: one exact value (k, m), meaning
-    # zeta_m^k, per class of A; modulus is d times its order
-    det_vals = [determinant_character_value(table_a.rows[rho], cls[0])
-                for cls in Agrp.conjugacy_classes()]
+    # zeta_m^k, per class of A, read off rho's row of determinants in A's
+    # class order; modulus is d times its order
+    det_vals = table_a.determinants[rho]
     modulus = d * math.lcm(*(mm for _, mm in det_vals))
     # det rho(a) = zeta_modulus^det_exp[class of a]
     det_exp = [(k * (modulus // mm)) % modulus for k, mm in det_vals]

@@ -59,15 +59,20 @@ def conj(G: FiniteGroup, g: int, a: int) -> int:
     return G.mul(G.mul(g, a), G.inv(g))
 
 
-def relabelled_group(name, degree, gens, rng) -> FiniteGroup:
-    """The group generated by gens after a random relabelling of the points,
-    with the generator list shuffled, so every element index changes."""
+def relabelled_generators(degree, gens, rng) -> list[list[int]]:
+    """gens after a random relabelling of the points, the list shuffled."""
     sigma = list(range(degree))
     rng.shuffle(sigma)
     inv = [sigma.index(i) for i in range(degree)]
     new = [[sigma[p[inv[i]]] for i in range(degree)] for p in gens]
     rng.shuffle(new)
-    return group_from_generators(degree, new, name=name)
+    return new
+
+
+def relabelled_group(name, degree, gens, rng) -> FiniteGroup:
+    """The group generated by gens after a random relabelling of the points,
+    with the generator list shuffled, so every element index changes."""
+    return group_from_generators(degree, relabelled_generators(degree, gens, rng), name=name)
 
 
 def relabel(G, rng):

@@ -11,7 +11,7 @@ from isotypic.errors import CapExceeded, ClosureOverflow, InvalidPermutation, No
 from isotypic.groups import FiniteGroup, _check_axioms, group_from_generators
 
 from conftest import (S3_GENS, S4_GENS, all_catalog_groups, brute_conjugacy_classes, conj,
-                      dihedral, direct_product, relabelled_group)
+                      dihedral, direct_product, relabelled_generators, relabelled_group)
 
 
 def test_cyclic_four_from_single_cycle():
@@ -583,18 +583,44 @@ def test_closure_and_quotient_tables_are_group_tables():
                 _check_derived_table(G.quotient(A)[0])
 
 
+def _plain_permutation_closure(degree, gens):
+    """(perms, table, inv) by plain means: breadth-first discovery with each
+    product composed in Python, then table[a][b] = index of p_a o p_b for
+    every pair and inv[a] = index of p_a^-1."""
+    ident = tuple(range(degree))
+    perms, index = [ident], {ident: 0}
+    for p in perms:  # perms grows while it is scanned
+        for g in gens:
+            y = tuple(p[i] for i in g)
+            if y not in index:
+                index[y] = len(perms)
+                perms.append(y)
+    table = [[index[tuple(p[i] for i in q)] for q in perms] for p in perms]
+    inv = [index[tuple(sorted(range(degree), key=p.__getitem__))] for p in perms]
+    return perms, table, inv
+
+
 def test_group_table_equals_all_pairs_composition():
-    """group_from_generators fills its table along breadth-first words; the
-    table must equal the one that composes every pair of permutations, on
-    every catalog group and on relabelled S3xS3, S4xZ2, S5 and S4xS3."""
+    """group_from_generators builds each row from an earlier one by gathers
+    along breadth-first words; its table, permutations, inverses and
+    perm_index must equal the plain closure's, on every catalog group, on
+    relabelled S3xS3, S4xZ2, S5 and S4xS3, on S6, and at degrees 0, 1 and 2,
+    where a generator is a gather of no index or of one."""
     rng = random.Random(7)
-    relabelled = [relabelled_group(name, *PRODUCTS[name], rng) for name in PRODUCTS]
-    for G in all_catalog_groups() + relabelled:
-        perms = [G.permutation_of(g) for g in G.elements()]
-        index = {p: i for i, p in enumerate(perms)}
-        assert perms[0] == tuple(range(len(perms[0]))), G.name
-        reference = [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
-        assert G._rows == reference, G.name
+    specs = [(name, entry.degree, entry.generators) for name, entry in sorted(CATALOG.items())]
+    specs += [(name, degree, relabelled_generators(degree, gens, rng))
+              for name, (degree, gens) in PRODUCTS.items()]
+    specs += [("S6", 6, [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]),
+              ("1 on 0 points", 0, [[]]), ("1 on 0 points, no generators", 0, []),
+              ("1 on 1 point", 1, [[0]]), ("Z2", 2, [[1, 0]]), ("Z2 twice", 2, [[1, 0], [1, 0]])]
+    for name, degree, gens in specs:
+        G = group_from_generators(degree, gens, name=name)
+        perms, table, inv = _plain_permutation_closure(degree, [tuple(g) for g in gens])
+        assert G._perms == tuple(perms), name
+        assert G._rows == table, name
+        assert G._inv == inv, name
+        assert [G.perm_index(p) for p in perms] == list(range(G.order)), name
+        assert G.permutation_of(G.order - 1) == perms[-1], name
 
 
 def test_exponent_is_the_lcm_of_all_element_orders():
@@ -609,8 +635,8 @@ def test_exponent_is_the_lcm_of_all_element_orders():
 
 def test_closure_of_s6_time_and_memory():
     """Closing S6 (order 720) into its table takes under 1 s and a traced
-    peak under 12 MB: the columns are transposed once into the int lists
-    the group keeps."""
+    peak under 6 MB: each row is gathered from an earlier one straight into
+    the int lists the group keeps, with no column table to transpose."""
     gens = [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]
     start = time.perf_counter()
     G = group_from_generators(6, gens, name="S6")
@@ -625,4 +651,4 @@ def test_closure_of_s6_time_and_memory():
         tracemalloc.stop()
     assert G.order == 720
     assert elapsed < 1, elapsed
-    assert peak < 12 * 2 ** 20, peak
+    assert peak < 6 * 2 ** 20, peak

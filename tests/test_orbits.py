@@ -4,7 +4,7 @@ import pytest
 
 from isotypic import groups, orbits, repmatrices
 from isotypic.catalog import build_catalog_group
-from isotypic.characters import character_table
+from isotypic.characters import CharacterTable, character_table, determinant_character_value
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import InvalidCocycle, NotNormal, NotStabilized
 from isotypic.groups import group_from_generators
@@ -337,29 +337,33 @@ def test_orbit_decomposition_takes_each_multiplicity_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["S4/A4", "Q8/Z4", "D8/center"])
 def test_obstruction_cocycle_evaluates_det_once_per_class(name, pairs, monkeypatch):
-    """det o rho is a class function, so each obstruction evaluates it once
-    per conjugacy class of A."""
+    """det o rho is a class function, read once per class of A off rho's
+    row of A's determinant table: no obstruction looks a row of a character
+    table up by its values."""
     _, G, A = next(p for p in pairs if p[0] == name)
-    det_calls = []
+    lookups = []
     per_cocycle = []
-    original_det = repmatrices.determinant_character_value
+    original_lookup = CharacterTable.row_index
     original_cocycle = repmatrices.obstruction_cocycle
 
-    def counting_det(*args):
-        det_calls.append(args)
-        return original_det(*args)
+    def counting_lookup(self, values):
+        lookups.append(values)
+        return original_lookup(self, values)
 
     def counting_cocycle(*args, **kwargs):
-        before = len(det_calls)
+        before = len(lookups)
         record = original_cocycle(*args, **kwargs)
-        per_cocycle.append(len(det_calls) - before)
+        per_cocycle.append(len(lookups) - before)
         return record
 
-    monkeypatch.setattr(repmatrices, "determinant_character_value", counting_det)
+    monkeypatch.setattr(CharacterTable, "row_index", counting_lookup)
     monkeypatch.setattr(orbits, "obstruction_cocycle", counting_cocycle)
     recs = orbit_decomposition(G, A)
-    classes = len(A.as_group()[0].conjugacy_classes())
-    assert per_cocycle == [classes] * len(recs)
+    assert per_cocycle == [0] * len(recs) and recs
+    # the wrapper sees the lookup the old per-class route made
+    table_a = character_table(A.as_group()[0])
+    determinant_character_value(table_a.rows[-1], 0)
+    assert len(lookups) == 1
 
 
 def test_k_report_d8(d8):

@@ -37,6 +37,8 @@ ALLOWED_UNREACHED = {
                            "delete with the next benchmark change",
     "stabilizer_of_character": "benchmark span target only (perfbench/spans.py); "
                                "delete with the next benchmark change",
+    "determinant_character_value": "benchmark span target (perfbench/spans.py) that tests "
+                                   "check directly; delete with the next benchmark change",
     "cosets": "acceptance criterion 5 builds its random G-sets from GSet.cosets",
     "conjugate": "acceptance criterion 1 checks orthogonality with Cyclotomic.conjugate, "
                  "and it is a benchmark span target (perfbench/spans.py)",
