@@ -17,7 +17,7 @@ Conventions used throughout the package:
     handed to ``FiniteGroup(..., check=False)``, which keeps it as given;
     a permutation closure (``group_from_generators``) builds it row by row,
     each row an earlier one read through the left multiplication by a
-    generator, by one C-level gather (``_gather``), with no column table.
+    generator, by one C-level gather (``_gather``).
 """
 
 from __future__ import annotations

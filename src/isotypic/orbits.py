@@ -79,14 +79,14 @@ def multiplicities(G: FiniteGroup, A: Subgroup, rho: int) -> tuple[int, ...]:
             entry = G._multiplicities[A.members] = (
                 [restrict(chi, A) for chi in table_g.rows], {})
         restricted, columns = entry
-        bad = "restriction multiplicity is not a nonnegative integer"
+        message = "restriction multiplicity is not a nonnegative integer"
         try:
             column = tuple([inner_product(res, table_a.rows[rho]).integer()
                             for res in restricted])
         except ValueError:
-            raise AssertionError(bad) from None
+            raise AssertionError(message) from None
         if min(column) < 0:
-            raise AssertionError(bad)
+            raise AssertionError(message)
         if sum(map(mul, column, table_g.degrees)) != \
                 G.order // A.order * table_a.degrees[rho]:
             raise AssertionError("restriction multiplicities break Frobenius reciprocity")
