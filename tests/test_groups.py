@@ -620,7 +620,6 @@ def test_group_table_equals_all_pairs_composition():
         assert G._rows == table, name
         assert G._inv == inv, name
         assert [G.perm_index(p) for p in perms] == list(range(G.order)), name
-        assert G.permutation_of(G.order - 1) == perms[-1], name
 
 
 def test_exponent_is_the_lcm_of_all_element_orders():

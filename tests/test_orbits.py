@@ -335,6 +335,23 @@ def test_orbit_decomposition_takes_each_multiplicity_once(monkeypatch):
     assert len(calls) == 0
 
 
+def test_multiplicities_are_ints_and_reject_non_integers(monkeypatch):
+    """Each <Res_A chi, rho> is stored as an int; a value that is not a
+    nonnegative integer, or a column that breaks Frobenius reciprocity,
+    raises AssertionError."""
+    G, V4 = build_catalog_group("S4")
+    column = multiplicities(G, V4, 1)
+    assert all(type(e) is int for e in column) and sum(column) > 0
+    for value, message in [(Cyclotomic.from_rational(1, Fraction(1, 2)), "nonnegative integer"),
+                           (Cyclotomic(4, {1: 1}), "nonnegative integer"),
+                           (Cyclotomic.from_rational(1, -1), "nonnegative integer"),
+                           (Cyclotomic.from_rational(1, 1), "Frobenius reciprocity")]:
+        G, V4 = build_catalog_group("S4")
+        monkeypatch.setattr(orbits, "inner_product", lambda x1, x2, value=value: value)
+        with pytest.raises(AssertionError, match=message):
+            multiplicities(G, V4, 0)
+
+
 @pytest.mark.parametrize("name", ["S4/A4", "Q8/Z4", "D8/center"])
 def test_obstruction_cocycle_evaluates_det_once_per_class(name, pairs, monkeypatch):
     """det o rho is a class function, read once per class of A off rho's
