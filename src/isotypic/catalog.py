@@ -178,25 +178,8 @@ def catalog_pairs() -> list[tuple[str, FiniteGroup, Subgroup]]:
     q8, _ = build_catalog_group("Q8")
     i4 = next(g for g in q8.elements() if q8.element_order(g) == 4)
     pairs.append(("Q8/Z4", q8, q8.subgroup([i4])))
-    # S4 over A4
+    # S4 over A4, generated by A4's catalog permutations on the same points
     s4, _ = build_catalog_group("S4")
-    a4_members = [g for g in s4.elements() if _is_even_perm(s4.permutation_of(g))]
-    pairs.append(("S4/A4", s4, s4.subgroup_from_members(a4_members)))
+    pairs.append(("S4/A4", s4, s4.subgroup([s4.perm_index(p) for p in CATALOG["A4"].generators])))
     return pairs
 
-
-def _is_even_perm(p) -> bool:
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign == 1

@@ -19,7 +19,6 @@ written out as tuples of ints.  No floating point is involved anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
 
@@ -119,17 +118,6 @@ class CharacterTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def _code_of(self) -> dict:
-        """The code of each value, keyed as Cyclotomic equality compares,
-        without its Python-level hash; built on the first row lookup."""
-        return {(v.e, v._num, v._den): c for c, v in enumerate(self.values)}
-
-    def row_index(self, values: Sequence[Cyclotomic]) -> int:
-        """Index of the row with exactly these values; KeyError if absent."""
-        code_of = self._code_of
-        return self._row_of[tuple([code_of[v.e, v._num, v._den] for v in values])]
-
     def row_permutation(self, class_perm: Sequence[int]) -> tuple[int, ...]:
         """For each row i, the row whose value on every class c is row i's
         value on class class_perm[c]; KeyError if one is no row."""
@@ -208,8 +196,8 @@ def determinant_character_value(chi: ClassFunction, g: int) -> tuple[int, int]:
     """
     table = character_table(chi.group)
     try:
-        row = table.row_index(chi.values)
-    except KeyError:
+        row = table.rows.index(chi)
+    except ValueError:
         raise ValueError("determinant needs an irreducible character") from None
     return table.determinants[row][chi.group.class_index(g)]
 

@@ -9,11 +9,12 @@ A non-basis root is rewritten with the relations
     sum_{j mod p} zeta_e^(k + j*e/p) = 0,
 
 for every prime whose top layer it hits; the resulting expansion of each
-zeta_e^k over the basis (all coefficients +-1) is tabulated per order on
-first use.  Every operation (sum, difference, negation, product, rational
-scaling, conjugation, promotion and sums of products) is one call of
-``dot``, which accumulates numerators in one dense list of length e and
-reduces them once per result, so arithmetic costs O(e) memory.  The
+non-basis root over the basis (all coefficients +-1) is tabulated per order
+on first use (``_nonbasis``).  Every operation (sum, difference, negation,
+product, rational scaling, conjugation, promotion and sums of products) is
+one call of ``dot``, which accumulates numerators in one dense list of
+length e and reduces them once per result, so arithmetic costs O(e)
+memory.  The
 representation is canonical: equality of values is equality of stored
 numerators and denominator (at a common order e).
 ``Fraction`` appears only where values enter or leave: coefficient maps,
@@ -23,7 +24,7 @@ numerators and denominator (at a common order e).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
@@ -48,61 +49,41 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-class _BasisData:
-    """Per-order reduction data; obtain through _basis_data."""
-
-    def __init__(self, e: int):
-        if e <= 0:
-            raise ValueError("order must be positive")
-        self.e = e
-        self.primes = []
-        for p, v in _factorize(e):
-            pv = p ** v
-            cofactor = e // pv
-            inv = pow(cofactor, -1, pv)
-            self.primes.append((p, pv, p ** (v - 1), inv))
-
-    def layer(self, k: int, prime_entry) -> int:
-        p, pv, pv1, inv = prime_entry
-        return ((k * inv) % pv) // pv1
-
-    @cached_property
-    def expand(self) -> list[tuple[tuple[int, int], ...]]:
-        """expand[k]: zeta_e^k over the basis, as (basis exponent, +-1) pairs.
-
-        Shifting k by a multiple of e/p changes only its p-part, so the
-        relation for each top-layer prime is applied once, independently.
-        """
-        e = self.e
-        out = []
-        for k in range(e):
-            terms = [(k, 1)]
-            for pe in self.primes:
-                p = pe[0]
-                if self.layer(k, pe) == p - 1:
-                    shift = e // p
-                    terms = [((t - j * shift) % e, -s) for t, s in terms for j in range(1, p)]
-            out.append(tuple(terms))
-        return out
-
-    @cached_property
-    def nonbasis(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-        """(k, expand[k]) for every exponent k outside the basis."""
-        return [(k, terms) for k, terms in enumerate(self.expand) if terms != ((k, 1),)]
-
-
 @lru_cache(maxsize=None)
-def _basis_data(e: int) -> _BasisData:
-    return _BasisData(e)
+def _nonbasis(e: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """(k, zeta_e^k over the basis as (basis exponent, +-1) pairs) for every
+    exponent k outside the basis, in increasing k; ValueError unless e > 0.
+
+    k is outside the basis iff its p-part hits the top layer for some
+    prime p | e.  Shifting k by a multiple of e/p changes only its p-part,
+    so the relation for each top-layer prime is applied once, independently.
+    """
+    if e <= 0:
+        raise ValueError("order must be positive")
+    primes = []
+    for p, v in _factorize(e):
+        pv = p ** v
+        # the p-layer of k is the top digit of its p-part (k * inv) % pv
+        primes.append((p, pv, p ** (v - 1), pow(e // pv, -1, pv)))
+    out = []
+    for k in range(e):
+        terms = [(k, 1)]
+        for p, pv, pv1, inv in primes:
+            if (k * inv) % pv // pv1 == p - 1:
+                shift = e // p
+                terms = [((t - j * shift) % e, -s) for t, s in terms for j in range(1, p)]
+        if terms != [(k, 1)]:
+            out.append((k, tuple(terms)))
+    return out
 
 
 def _reduce(e: int, acc: list[int]) -> tuple[tuple[int, int], ...]:
     """The nonzero basis numerators of a dense numerator list at order e.
 
-    acc is consumed: every non-basis entry is expanded onto the basis in one
+    acc is consumed: every non-basis entry is rewritten onto the basis in one
     pass.
     """
-    for k, terms in _basis_data(e).nonbasis:
+    for k, terms in _nonbasis(e):
         c = acc[k]
         if c:
             acc[k] = 0
@@ -128,7 +109,6 @@ def _make(e: int, num: tuple[tuple[int, int], ...], den: int) -> "Cyclotomic":
     v.e = e
     v._num = num
     v._den = den
-    v._hash = None
     return v
 
 
@@ -136,14 +116,16 @@ class Cyclotomic:
     """An exact element of Q(zeta_e), canonicalized on construction.
 
     Equality and hashing are structural at a fixed order; use equals_value()
-    to compare values living at different orders.
+    to compare values living at different orders.  A value holds its order,
+    basis numerators and denominator and nothing else; the hash is computed
+    from them on each call.
     """
 
-    __slots__ = ("e", "_num", "_den", "_hash")
+    __slots__ = ("e", "_num", "_den")
 
     def __init__(self, e: int, coeffs: Mapping[int, Rat]):
         e = int(e)
-        _basis_data(e)  # rejects e <= 0
+        _nonbasis(e)  # rejects e <= 0
         items = [(int(k), v if isinstance(v, int) else Fraction(v))
                  for k, v in coeffs.items()]
         den = 1
@@ -155,7 +137,6 @@ class Cyclotomic:
             acc[k % e] += v * den if isinstance(v, int) else v.numerator * (den // v.denominator)
         self.e = e
         self._num, self._den = _lowest(_reduce(e, acc), den)
-        self._hash = None
 
     # -- constructors --------------------------------------------------------
 
@@ -265,9 +246,7 @@ class Cyclotomic:
                 and self._den == other._den)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.e, self._coefficients()))
-        return self._hash
+        return hash((self.e, self._coefficients()))
 
     def equals_value(self, other: "Cyclotomic") -> bool:
         """Mathematical equality across different stored orders."""

@@ -17,16 +17,18 @@ Conventions used throughout the package:
     handed to ``FiniteGroup(..., check=False)``, which keeps it as given;
     a permutation closure (``group_from_generators``) builds it row by row,
     each row an earlier one read through the left multiplication by a
-    generator, by one C-level gather (``_gather``).
+    generator, by one C-level gather (``_gather``),
+  * a table passed in directly is checked on its row lists too, so the
+    module is plain Python: numpy enters only the character tables
+    (Dixon-Schneider) and the float representations.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .errors import CapExceeded, ClosureOverflow, InvalidPermutation, NotNormal
 
@@ -44,12 +46,13 @@ class FiniteGroup:
     instance.  Derived data (classes, exponent, subgroup classes,
     conjugation actions, character table, and the orbits module's actions on
     Irr(H) and restriction multiplicities) is cached lazily on the instance.
-    The table is kept once, as nested Python lists (``_rows``, with ``_inv``);
-    numpy is used only inside the axiom check that ``check`` runs.  Only a
-    table passed in directly is checked, and copied with its entries
-    converted by ``int``: the tables the package derives (a permutation
-    closure, a sub-table, a quotient by a normal subgroup) are groups by
-    construction, built as lists of int lists and passed with
+    The table is kept once, as nested Python lists (``_rows``, with ``_inv``),
+    and a group closed from permutations keeps its permutation -> index dict
+    (``_perm_index``, in index order), the only copy of its permutations.
+    Only a table passed in directly is checked, on those lists, and copied
+    with its entries converted by ``int``: the tables the package derives (a
+    permutation closure, a sub-table, a quotient by a normal subgroup) are
+    groups by construction, built as lists of int lists and passed with
     ``check=False``, which takes such a list as given, uncopied.
     """
 
@@ -68,7 +71,6 @@ class FiniteGroup:
         self._inv: list[int] = [row.index(0) for row in rows]
         # each element's permutation -> its index, in index order
         self._perm_index = perms
-        self._perms = None if perms is None else tuple(perms)
         self._exponent: Optional[int] = None
         self._classes: Optional[list[tuple[int, ...]]] = None
         self._class_of: Optional[list[int]] = None
@@ -115,10 +117,6 @@ class FiniteGroup:
         does not; the columns are built one at a time."""
         rows = self._rows
         return all(map(list.__eq__, rows, map(list, zip(*rows))))
-
-    def permutation_of(self, g: int) -> Optional[tuple[int, ...]]:
-        """Underlying permutation when the group came from generators."""
-        return None if self._perms is None else self._perms[g]
 
     def perm_index(self, p) -> int:
         """Element index of a permutation (groups built from generators only)."""
@@ -331,13 +329,15 @@ class Subgroup:
     def __contains__(self, g: int) -> bool:
         return g in self._member_set
 
-    @property
+    @cached_property
     def _member_set(self) -> frozenset:
-        ms = getattr(self, "_ms", None)
-        if ms is None:
-            ms = frozenset(self.members)
-            self._ms = ms
-        return ms
+        return frozenset(self.members)
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        """Each member's index in the materialized group: its position in
+        ``members``."""
+        return {g: i for i, g in enumerate(self.members)}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subgroup) and other.parent is self.parent
@@ -361,10 +361,10 @@ class Subgroup:
             out = (self.parent, tuple(self.parent.elements()))
         else:
             embed = self.members
-            retract = {g: i for i, g in enumerate(embed)}
+            pos = self._position
             rows = self.parent._rows
-            table = [[retract[rows[a][b]] for b in embed] for a in embed]
-            # unchecked: the retract lookup raised unless the members are
+            table = [[pos[rows[a][b]] for b in embed] for a in embed]
+            # unchecked: the position lookup raised unless the members are
             # closed, and a closed subset of a finite group is a group
             out = (FiniteGroup(table, name="%s<%d>" % (self.parent.name, self.order),
                                check=False), embed)
@@ -373,10 +373,7 @@ class Subgroup:
 
     def retract(self, g: int) -> int:
         """Parent index -> index in the materialized group."""
-        lut = getattr(self, "_retract", None)
-        if lut is None:
-            lut = self._retract = {g: i for i, g in enumerate(self.members)}
-        return lut[g]
+        return self._position[g]
 
     def __repr__(self) -> str:
         return "Subgroup(order=%d of %s)" % (self.order, self.parent.name)
@@ -397,17 +394,15 @@ class CosetTable(NamedTuple):
 def _check_axioms(rows: list[list[int]]) -> None:
     """Raise ValueError unless the square table ``rows`` is the
     multiplication table of a group with identity 0."""
-    tbl = np.asarray(rows, dtype=np.int64)
-    n = tbl.shape[0]
-    if np.any(tbl < 0) or np.any(tbl >= n):
+    n = len(rows)
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
         raise ValueError("table entries out of range")
-    if not np.array_equal(tbl[0], np.arange(n)) or not np.array_equal(tbl[:, 0], np.arange(n)):
+    ar = list(range(n))
+    if rows[0] != ar or [row[0] for row in rows] != ar:
         raise ValueError("element 0 is not the identity")
     # each row and column must be a permutation (cancellation laws)
-    ar = np.arange(n)
-    for a in range(n):
-        if not np.array_equal(np.sort(tbl[a]), ar) or not np.array_equal(np.sort(tbl[:, a]), ar):
-            raise ValueError("table row/column is not a permutation")
+    if any(sorted(row) != ar for row in rows) or any(sorted(col) != ar for col in zip(*rows)):
+        raise ValueError("table row/column is not a permutation")
     # Light's test: the g with (x g) y = x (g y) for all (x, y) are closed
     # under products, so it suffices to check generators.  Each is the least
     # element not yet reached from 0 by right multiplication; while they
@@ -415,8 +410,9 @@ def _check_axioms(rows: list[list[int]]) -> None:
     generators: list[int] = []
     reached = {0}
     while len(reached) < n:
-        g = min(set(range(n)) - reached)
-        if not np.array_equal(tbl[tbl[:, g], :], tbl[:, tbl[g]]):
+        g = min(set(ar) - reached)
+        times_g = _gather(rows[g])  # x -> x (g y) over all y, read off row x
+        if any(rows[row[g]] != list(times_g(row)) for row in rows):
             raise ValueError("multiplication table is not associative")
         generators.append(g)
         reached = set(_extend(rows, (0,), generators))

@@ -239,7 +239,7 @@ def stabilizer_of_character(G: FiniteGroup, A: Subgroup, chi: ClassFunction) -> 
     from .orbits import irr_stabilizer  # deferred: orbits depends on this module
     if chi.group is not A.as_group()[0]:
         raise ValueError("character does not live on the subgroup")
-    return irr_stabilizer(G, A, character_table(chi.group).row_index(chi.values))
+    return irr_stabilizer(G, A, character_table(chi.group).rows.index(chi))
 
 
 def _det_normalize(U: np.ndarray) -> np.ndarray:

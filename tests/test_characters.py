@@ -459,7 +459,7 @@ def test_codes_give_each_distinct_value_one_code():
     for G in _coded_groups():
         t = character_table(G)
         _assert_coded(t)
-        assert [t.row_index(row.values) for row in t.rows] == list(range(len(t)))
+        assert [t.rows.index(row) for row in t.rows] == list(range(len(t)))
         identity = list(range(len(t.classes)))
         assert t.row_permutation(identity) == tuple(range(len(t))), G.name
 

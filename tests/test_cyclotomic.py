@@ -14,14 +14,13 @@ def random_value(rng, e, terms=3):
 
 
 def test_basis_has_phi_e_exponents():
-    from isotypic.cyclotomic import _basis_data
+    from isotypic.cyclotomic import _nonbasis
     for e in [1, 2, 3, 4, 6, 8, 9, 12, 16, 20, 24, 26]:
-        data = _basis_data(e)
-        # basis exponents avoid the top layer of every prime
-        count = sum(1 for k in range(e)
-                    if all(data.layer(k, pe) != pe[0] - 1 for pe in data.primes))
         phi = sum(1 for k in range(1, e + 1) if gcd(k, e) == 1)
-        assert count == phi
+        assert e - len(_nonbasis(e)) == phi
+    for e in (0, -4):
+        with pytest.raises(ValueError, match="order must be positive"):
+            Cyclotomic(e, {})
 
 
 def test_full_prime_relation_reduces_to_zero():

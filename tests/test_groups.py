@@ -218,12 +218,18 @@ def test_quotient_requires_normal():
 
 
 def test_direct_table_constructor_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row/column is not a permutation"):
         FiniteGroup([[0, 1], [1, 1]])
-    with pytest.raises(ValueError):
-        FiniteGroup([[1, 0], [0, 1]])  # element 0 not the identity
+    with pytest.raises(ValueError, match="element 0 is not the identity"):
+        FiniteGroup([[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="square"):
         FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0]])  # ragged
+    for table in ([[0, 2], [1, 0]], [[0, -1], [1, 0]]):
+        with pytest.raises(ValueError, match="entries out of range"):
+            FiniteGroup(table)
+    # every row is a permutation, column 1 is not
+    with pytest.raises(ValueError, match="row/column is not a permutation"):
+        FiniteGroup([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
     # a Latin square with identity 0 in which every element squares to 0: a
     # loop of order 5 that is no group, since a group of order 5 is cyclic
     loop5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
@@ -616,7 +622,7 @@ def test_group_table_equals_all_pairs_composition():
     for name, degree, gens in specs:
         G = group_from_generators(degree, gens, name=name)
         perms, table, inv = _plain_permutation_closure(degree, [tuple(g) for g in gens])
-        assert G._perms == tuple(perms), name
+        assert list(G._perm_index) == perms, name
         assert G._rows == table, name
         assert G._inv == inv, name
         assert [G.perm_index(p) for p in perms] == list(range(G.order)), name

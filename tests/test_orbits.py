@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from isotypic import groups, orbits, repmatrices
+from isotypic import characters, groups, orbits, repmatrices
 from isotypic.catalog import build_catalog_group
-from isotypic.characters import CharacterTable, character_table, determinant_character_value
+from isotypic.characters import character_table
 from isotypic.cyclotomic import Cyclotomic
 from isotypic.errors import InvalidCocycle, NotNormal, NotStabilized
 from isotypic.groups import group_from_generators
@@ -355,32 +355,33 @@ def test_multiplicities_are_ints_and_reject_non_integers(monkeypatch):
 @pytest.mark.parametrize("name", ["S4/A4", "Q8/Z4", "D8/center"])
 def test_obstruction_cocycle_evaluates_det_once_per_class(name, pairs, monkeypatch):
     """det o rho is a class function, read once per class of A off rho's
-    row of A's determinant table: no obstruction looks a row of a character
-    table up by its values."""
+    row of A's determinant table: no obstruction calls
+    determinant_character_value, which looks a row up by its values."""
     _, G, A = next(p for p in pairs if p[0] == name)
-    lookups = []
+    calls = []
     per_cocycle = []
-    original_lookup = CharacterTable.row_index
+    original_det = characters.determinant_character_value
     original_cocycle = repmatrices.obstruction_cocycle
 
-    def counting_lookup(self, values):
-        lookups.append(values)
-        return original_lookup(self, values)
+    def counting_det(chi, g):
+        calls.append((chi, g))
+        return original_det(chi, g)
 
     def counting_cocycle(*args, **kwargs):
-        before = len(lookups)
+        before = len(calls)
         record = original_cocycle(*args, **kwargs)
-        per_cocycle.append(len(lookups) - before)
+        per_cocycle.append(len(calls) - before)
         return record
 
-    monkeypatch.setattr(CharacterTable, "row_index", counting_lookup)
+    monkeypatch.setattr(characters, "determinant_character_value", counting_det)
+    monkeypatch.setattr(repmatrices, "determinant_character_value", counting_det, raising=False)
     monkeypatch.setattr(orbits, "obstruction_cocycle", counting_cocycle)
     recs = orbit_decomposition(G, A)
     assert per_cocycle == [0] * len(recs) and recs
-    # the wrapper sees the lookup the old per-class route made
+    # the wrapper sees a direct call, as it would the old per-class route's
     table_a = character_table(A.as_group()[0])
-    determinant_character_value(table_a.rows[-1], 0)
-    assert len(lookups) == 1
+    characters.determinant_character_value(table_a.rows[-1], 0)
+    assert len(calls) == 1
 
 
 def test_k_report_d8(d8):
@@ -455,6 +456,22 @@ from conftest import relabelled_group  # noqa: E402
 _PAIRS = {name: (G, A) for name, G, A in catalog_pairs()}
 
 
+def _is_even_permutation(p):
+    """Parity by counting inversions."""
+    return sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p))) % 2 == 0
+
+
+def test_s4_over_a4_pair_is_the_even_permutations():
+    """catalog_pairs closes A4's catalog generators inside S4: A has index 2
+    and is the even permutations, the member set acceptance criteria 3 and 4
+    have always swept."""
+    G, A = _PAIRS["S4/A4"]
+    assert G.order == 2 * A.order
+    perms = list(G._perm_index)
+    assert A.members == tuple(g for g, p in enumerate(perms) if _is_even_permutation(p))
+    assert A.members == (0, 3, 4, 5, 8, 12, 15, 16, 17, 19, 20, 21)
+
+
 class _RecordingRandom(random.Random):
     """A Random that keeps every list it shuffled, in order."""
 
@@ -476,9 +493,10 @@ def _relabelled_pair(name, seed):
     H = relabelled_group(name, entry.degree, entry.generators, rng)
     sigma = rng.shuffled[0]
     inv = [sigma.index(i) for i in range(entry.degree)]
+    perms = list(G._perm_index)
 
     def image(g):
-        p = G.permutation_of(g)
+        p = perms[g]
         return H.perm_index([sigma[p[inv[i]]] for i in range(entry.degree)])
 
     assert sorted(image(g) for g in G.elements()) == list(H.elements())

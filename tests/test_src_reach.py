@@ -111,7 +111,7 @@ def test_every_src_function_is_reached_or_allowed():
 
 # module-level caches -> why each may outlive a job
 ALLOWED_CACHES = {
-    "cyclotomic._basis_data": "per-order reduction tables, a pure function of e",
+    "cyclotomic._nonbasis": "per-order reduction tables, a pure function of e",
     "cli._parser": "the one parser of the process",
 }
 
@@ -134,6 +134,33 @@ def test_src_module_caches_are_allowed():
     assert found == set(ALLOWED_CACHES), (
         "unlisted, argue for or delete: %s; listed but gone: %s"
         % (sorted(found - set(ALLOWED_CACHES)), sorted(set(ALLOWED_CACHES) - found)))
+
+
+# the modules that may import numpy -> what they use it for
+NUMPY_MODULES = {
+    "characters": "the Dixon-Schneider class matrices",
+    "repmatrices": "the float layer: unitary irreps, intertwiners, cocycle snapping",
+}
+
+
+def test_numpy_only_in_the_numeric_layers():
+    """Groups, cyclotomic arithmetic, orbits, bundles, bordism and the CLI
+    are plain Python: only the modules listed above import numpy."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                found.add(path.stem)
+    assert found == set(NUMPY_MODULES), (
+        "unlisted numpy imports: %s; listed but gone: %s"
+        % (sorted(found - set(NUMPY_MODULES)), sorted(set(NUMPY_MODULES) - found)))
 
 
 def test_src_makes_no_random_draw():
