@@ -262,7 +262,7 @@ def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
     are read off ``rank_profile``.
     """
     rows, inv, members = G._rows, G._inv, A.members
-    pos = {h: i for i, h in enumerate(members)}
+    pos = A._position
     # the classes of A by position (class 0 holds the identity), and the
     # commutators c h^-1 for c in the class of each representative h, which
     # generate A' as [x, yhy^-1] = [xy, h][y, h]^-1
@@ -431,7 +431,7 @@ def is_family(G: FiniteGroup, members: set) -> bool:
         held = [s.members in members for s in cls]
         if any(held) and not all(held):
             return False
-        if not any(held) and any(set(s.members) <= m for s in cls for m in family):
+        if not any(held) and any(s._position.keys() <= m for s in cls for m in family):
             return False
     return True
 

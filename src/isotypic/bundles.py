@@ -236,7 +236,7 @@ def induction_piece_character(E: EquivariantBundle, A: Subgroup,
         a_vals = [(aembed[aa], rval) for acls, rval in
                   zip(Agrp.conjugacy_classes(), table_a.rows[orbit.representative].values)
                   for aa in acls]
-        stab_members = orbit.stabilizer._member_set
+        stab_members = orbit.stabilizer._position
         for g in G.conjugation_action(orbit.stabilizer).reps:
             ginv = inv[g]
             y = base.act(ginv, x)

@@ -48,9 +48,6 @@ class ClassFunction:
     def __call__(self, g: int) -> Cyclotomic:
         return self.values[self.group.class_index(g)]
 
-    def degree(self) -> Cyclotomic:
-        return self.values[0]  # the identity's class comes first
-
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         self._check(other)
         return ClassFunction(self.group, [a + b for a, b in zip(self.values, other.values)])

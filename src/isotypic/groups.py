@@ -63,11 +63,11 @@ class FiniteGroup:
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("multiplication table must be square")
-        if check:
-            _check_axioms(rows)
         self.order = n
         self.name = name
         self._rows: list[list[int]] = rows
+        if check:
+            _check_axioms(self)
         self._inv: list[int] = [row.index(0) for row in rows]
         # each element's permutation -> its index, in index order
         self._perm_index = perms
@@ -207,7 +207,7 @@ class FiniteGroup:
                     for h in H.members:
                         coset_of[row[h]] = len(reps)
                     reps.append(g)
-            pos = {h: i for i, h in enumerate(H.members)}
+            pos = H._position
             maps = {}
             for c, n in enumerate(reps):
                 row = rows[inv[n]]
@@ -312,7 +312,9 @@ class FiniteGroup:
 
 class Subgroup:
     """A subgroup of a FiniteGroup: its sorted member-index set, nothing
-    more; however it was found, no generators or name are kept."""
+    more; however it was found, no generators or name are kept.  Its one
+    index over the members is ``_position`` (member -> position in
+    ``members``), built on first use, which membership tests read too."""
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
         self.parent = parent
@@ -327,16 +329,13 @@ class Subgroup:
         return len(self.members)
 
     def __contains__(self, g: int) -> bool:
-        return g in self._member_set
-
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
+        return g in self._position
 
     @cached_property
     def _position(self) -> dict[int, int]:
         """Each member's index in the materialized group: its position in
-        ``members``."""
+        ``members``.  The subgroup's one member index, read for membership
+        too."""
         return {g: i for i, g in enumerate(self.members)}
 
     def __eq__(self, other) -> bool:
@@ -391,9 +390,10 @@ class CosetTable(NamedTuple):
 # -- free functions ------------------------------------------------------------
 
 
-def _check_axioms(rows: list[list[int]]) -> None:
-    """Raise ValueError unless the square table ``rows`` is the
+def _check_axioms(G: FiniteGroup) -> None:
+    """Raise ValueError unless the square table ``G._rows`` is the
     multiplication table of a group with identity 0."""
+    rows = G._rows
     n = len(rows)
     if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
         raise ValueError("table entries out of range")
@@ -404,18 +404,13 @@ def _check_axioms(rows: list[list[int]]) -> None:
     if any(sorted(row) != ar for row in rows) or any(sorted(col) != ar for col in zip(*rows)):
         raise ValueError("table row/column is not a permutation")
     # Light's test: the g with (x g) y = x (g y) for all (x, y) are closed
-    # under products, so it suffices to check generators.  Each is the least
-    # element not yet reached from 0 by right multiplication; while they
-    # pass, what they reach is a group, which each new one at least doubles.
-    generators: list[int] = []
-    reached = {0}
-    while len(reached) < n:
-        g = min(set(ar) - reached)
+    # under products, so it suffices to check generators, here the greedy
+    # ones of minimal_generators: what they reach from 0 by right
+    # multiplication is all of G, and if they pass, every product of them does.
+    for g in minimal_generators(G, ar):
         times_g = _gather(rows[g])  # x -> x (g y) over all y, read off row x
         if any(rows[row[g]] != list(times_g(row)) for row in rows):
             raise ValueError("multiplication table is not associative")
-        generators.append(g)
-        reached = set(_extend(rows, (0,), generators))
 
 
 def closure(G: FiniteGroup, generators: Sequence[int]) -> tuple[int, ...]:

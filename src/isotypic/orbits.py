@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from operator import mul
 
-from .characters import (CharacterTable, character_table, cyclotomic_to_jsonable,
-                         inner_product, restrict)
+from .characters import CharacterTable, character_table, cyclotomic_to_jsonable, restrict
+from .cyclotomic import dot
 from .errors import NotNormal, NotStabilized
 from .groups import FiniteGroup, Subgroup, _gather
 from .repmatrices import ObstructionRecord, check_cocycle, obstruction_cocycle
@@ -65,10 +66,12 @@ def irr_stabilizer(G: FiniteGroup, A: Subgroup, tau: int) -> Subgroup:
 
 
 def multiplicities(G: FiniteGroup, A: Subgroup, rho: int) -> tuple[int, ...]:
-    """<Res_A chi, rho> for each chi in Irr(G), one exact inner product each,
-    taken as an int; AssertionError unless each is an integer >= 0 and
+    """<Res_A chi, rho> for each chi in Irr(G), taken as an int;
+    AssertionError unless each is an integer >= 0 and
     sum_chi e_chi chi(1) = [G : A] rho(1) exactly.
 
+    Each is one ``dot`` over the class sizes A's table holds, at the
+    exponent of G: every value of both tables lies at an order dividing it.
     Cached on G per member set of A: Irr(G) is restricted to A once, and
     each column once per rho.
     """
@@ -80,9 +83,11 @@ def multiplicities(G: FiniteGroup, A: Subgroup, rho: int) -> tuple[int, ...]:
                 [restrict(chi, A) for chi in table_g.rows], {})
         restricted, columns = entry
         message = "restriction multiplicity is not a nonnegative integer"
+        e, sizes, scale = G.exponent, table_a.class_sizes, Fraction(1, A.order)
+        rho_values = table_a.rows[rho].values
         try:
-            column = tuple([inner_product(res, table_a.rows[rho]).integer()
-                            for res in restricted])
+            column = tuple([dot(e, zip(sizes, res.values, rho_values), scale,
+                                conjugate=True).integer() for res in restricted])
         except ValueError:
             raise AssertionError(message) from None
         if min(column) < 0:

@@ -76,7 +76,7 @@ def matrix_irreps(G: FiniteGroup, rows: Sequence[int]) -> list[MatrixRep]:
     table_array = np.array(cayley)
     # x h^-1 for every (x, h), the g with reg[g][x, h] == 1, C-ordered
     quotients = np.take(table_array, G._inv, axis=1)
-    cls_of = [G.class_index(g) for g in G.elements()]
+    cls_of = G._class_of  # set by the character_table call above
     reps = []
     for row, d in ((table.rows[i], table.degrees[i]) for i in rows):
         values = np.array([v.to_complex() for v in row.values])[cls_of]

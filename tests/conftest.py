@@ -59,20 +59,24 @@ def conj(G: FiniteGroup, g: int, a: int) -> int:
     return G.mul(G.mul(g, a), G.inv(g))
 
 
-def relabelled_generators(degree, gens, rng) -> list[list[int]]:
-    """gens after a random relabelling of the points, the list shuffled."""
+def relabelled_generators(degree, gens, rng) -> tuple[list[list[int]], list[int]]:
+    """(new, at): gens after a random relabelling of the points, the list
+    shuffled, and where the shuffle put each generator, new[at[i]] being
+    gens[i] relabelled.  Shuffling the positions draws what shuffling the
+    list would."""
     sigma = list(range(degree))
     rng.shuffle(sigma)
     inv = [sigma.index(i) for i in range(degree)]
-    new = [[sigma[p[inv[i]]] for i in range(degree)] for p in gens]
-    rng.shuffle(new)
-    return new
+    order = list(range(len(gens)))
+    rng.shuffle(order)
+    new = [[sigma[gens[j][inv[i]]] for i in range(degree)] for j in order]
+    return new, [order.index(i) for i in range(len(gens))]
 
 
 def relabelled_group(name, degree, gens, rng) -> FiniteGroup:
     """The group generated by gens after a random relabelling of the points,
     with the generator list shuffled, so every element index changes."""
-    return group_from_generators(degree, relabelled_generators(degree, gens, rng), name=name)
+    return group_from_generators(degree, relabelled_generators(degree, gens, rng)[0], name=name)
 
 
 def relabel(G, rng):

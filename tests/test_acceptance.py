@@ -77,7 +77,7 @@ def test_criterion_2_worked_example_reproduction():
     ok = len(ta.rows) == 4 and set(idx) == {0, 1, 2, 3}
 
     b = next(g for g in G.elements()
-             if g not in A._member_set and G.element_order(g) == 2)
+             if g not in A and G.element_order(g) == 2)
     ok = ok and irr_action(G, A, b, idx[1]) == idx[3]
     ok = ok and irr_action(G, A, b, idx[3]) == idx[1]
 

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from conftest import relabelled_generators
 from isotypic.catalog import CATALOG
 from isotypic import cli
 from isotypic.cli import main
@@ -197,7 +199,7 @@ def test_cmd_bundle_verify_not_a_trivial(tmp_path, capsys):
     from isotypic.bundles import GSet
     from isotypic.characters import character_table
     G, A = load_group_file(data_path("d8.json"))
-    b = next(g for g in G.elements() if g not in A._member_set and G.element_order(g) == 2)
+    b = next(g for g in G.elements() if g not in A and G.element_order(g) == 2)
     Y = GSet.cosets(G, G.subgroup([b]))
     sgrp, _ = Y.stabilizer(0).as_group()
     ts = character_table(sgrp)
@@ -347,6 +349,49 @@ def test_clifford_json_does_not_depend_on_the_seed(normal, capsys):
             assert code == 0, (name, seed)
             outs.add(out)
         assert len(outs) == 1, name
+
+
+# (command, results field) -> why a relabelling of the points and a shuffle
+# of the generators may change it; later changes may only shrink this
+RELABELLING_CHANGES = {
+    ("irr", "classes"): "classes are lists of element indices, ordered by their minimal element",
+    ("irr", "rows"): "rows sort by their values in that class order",
+    ("clifford", "orbits"): "orbit records index the rows of A's table",
+    ("bordism --global", "breakdown"): "keys number the subgroup classes in enumeration order",
+}
+
+
+def test_relabelling_changes_only_the_allowed_fields(tmp_path, capsys):
+    """Each catalog group that names a normal subgroup, written as a group
+    file and as a seeded relabelling of its points with the generators
+    shuffled (the normal subgroup's generator indices carried along): irr,
+    clifford and adjacent-pair and global bordism exit alike on both, and
+    the (command, results field) pairs that differ are exactly
+    RELABELLING_CHANGES."""
+    rng = random.Random(1)
+    commands = {"irr": ["irr"], "clifford": ["clifford"],
+                "bordism": ["bordism", "--max-degree", "20"],
+                "bordism --global": ["bordism", "--global", "--max-degree", "20"]}
+    differ = set()
+    for name in NAMES_A_NORMAL_SUBGROUP:
+        entry = CATALOG[name]
+        gens = [list(g) for g in entry.generators]
+        new, at = relabelled_generators(entry.degree, gens, rng)
+        paths = []
+        for label, g, normal in (("plain", gens, entry.normal_generator_indices),
+                                 ("relabelled", new, [at[i] for i in entry.normal_generator_indices])):
+            path = tmp_path / ("%s_%s.json" % (name, label))
+            path.write_text(json.dumps({"name": name, "degree": entry.degree, "generators": g,
+                                        "normal_subgroup_generators": list(normal)}))
+            paths.append(str(path))
+        for command, argv in commands.items():
+            (code, plain), (code2, relabelled) = (
+                run_cli(["--format", "json", argv[0], path] + argv[1:], capsys) for path in paths)
+            assert code == code2, (name, command)
+            plain, relabelled = json.loads(plain)["results"], json.loads(relabelled)["results"]
+            assert plain.keys() == relabelled.keys(), (name, command)
+            differ.update((command, field) for field in plain if plain[field] != relabelled[field])
+    assert differ == set(RELABELLING_CHANGES)
 
 
 GOLDEN_JSON = [
@@ -592,7 +637,7 @@ def test_loading_multiplicity_bundle_makes_no_inner_products(monkeypatch):
     monkeypatch.setattr(files, "inner_product", counted)
     bundle, G, A = load_bundle_file(data_path("d8_rho_bundle.json"))
     assert calls == []
-    assert bundle.fibers[bundle.anchor(0)].degree().integer() == 1
+    assert bundle.fibers[bundle.anchor(0)].values[0].integer() == 1
 
 
 @pytest.mark.parametrize("value", [{"e": 3, "coeffs": {"0": [1, 1]}},
