@@ -334,8 +334,7 @@ class Subgroup:
     @cached_property
     def _position(self) -> dict[int, int]:
         """Each member's index in the materialized group: its position in
-        ``members``.  The subgroup's one member index, read for membership
-        too."""
+        ``members``."""
         return {g: i for i, g in enumerate(self.members)}
 
     def __eq__(self, other) -> bool:
