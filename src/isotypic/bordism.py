@@ -86,12 +86,6 @@ class PowerSeries:
                 out[i + j] += a * b
         return PowerSeries(out)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PowerSeries) and self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash(self.coefficients)
-
     def __repr__(self) -> str:
         return "PowerSeries(%r)" % (list(self.coefficients),)
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, _factorize, _make, _reduce, dot
+from .cyclotomic import Cyclotomic, _factorize, cyclotomic_to_jsonable, dot, from_exponent_counts
 from .errors import CapExceeded, GroupMismatch, NotSubgroup
 from .groups import FiniteGroup, Subgroup
 
@@ -48,34 +48,15 @@ class ClassFunction:
     def __call__(self, g: int) -> Cyclotomic:
         return self.values[self.group.class_index(g)]
 
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        self._check(other)
-        return ClassFunction(self.group, [a + b for a, b in zip(self.values, other.values)])
-
-    def __mul__(self, other) -> "ClassFunction":
-        if isinstance(other, ClassFunction):
-            self._check(other)
-            return ClassFunction(self.group, [a * b for a, b in zip(self.values, other.values)])
-        return ClassFunction(self.group, [v * other for v in self.values])
-
-    __rmul__ = __mul__
-
     def pullback(self, conj_map: Sequence[int]) -> "ClassFunction":
         """a -> self(conj_map[a]) for an automorphism conj_map of the group,
         e.g. a map of ``FiniteGroup.conjugation_action``."""
         return ClassFunction(self.group, [self.values[k] for k in
                                           self.group.class_permutation(conj_map)])
 
-    def _check(self, other: "ClassFunction") -> None:
-        if other.group is not self.group:
-            raise GroupMismatch("class functions live on different groups")
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ClassFunction) and other.group is self.group
                 and other.values == self.values)
-
-    def __hash__(self) -> int:
-        return hash((id(self.group), self.values))
 
     def __repr__(self) -> str:
         return "ClassFunction(%s, %s)" % (self.group.name, list(self.values))
@@ -139,22 +120,6 @@ class CharacterTable:
             "rows": [{"degree": d, "values": [values[c] for c in row]}
                      for d, row in zip(self.degrees, self.codes)],
         }
-
-
-def cyclotomic_to_jsonable(v: Cyclotomic) -> dict:
-    """{"e": e, "coeffs": {k: [numerator, denominator]}}, each coefficient
-    n/den in lowest terms, read off the basis numerators."""
-    den = v._den
-    coeffs = {}
-    for k, n in v._num:
-        g = gcd(n, den)
-        coeffs[str(k)] = [n // g, den // g]
-    return {"e": v.e, "coeffs": coeffs}
-
-
-def cyclotomic_from_jsonable(obj: dict) -> Cyclotomic:
-    return Cyclotomic(int(obj["e"]),
-                      {int(k): Fraction(c[0], c[1]) for k, c in obj["coeffs"].items()})
 
 
 # -- class function operations --------------------------------------------------
@@ -512,7 +477,7 @@ def _dixon_schneider(G: FiniteGroup) -> list[tuple[list[Cyclotomic], list[tuple[
         key = tuple(acc)
         entry = lifted.get(key)
         if entry is None:
-            entry = lifted[key] = (_make(e, _reduce(e, acc), 1),
+            entry = lifted[key] = (from_exponent_counts(e, acc),
                                    (k // gcd(k, e), e // gcd(k, e)))
         entries.append(entry)
     return [([v for v, _ in entries[i:i + r]], [det for _, det in entries[i:i + r]])

@@ -10,15 +10,16 @@ A non-basis root is rewritten with the relations
 
 for every prime whose top layer it hits; the resulting expansion of each
 non-basis root over the basis (all coefficients +-1) is tabulated per order
-on first use (``_nonbasis``).  Every operation (sum, difference, negation,
-product, rational scaling, conjugation, promotion and sums of products) is
-one call of ``dot``, which accumulates numerators in one dense list of
-length e and reduces them once per result, so arithmetic costs O(e)
-memory.  The
+on first use (``_nonbasis``).  Every operation (sum, product, rational
+scaling, conjugation, promotion and sums of products) is one call of
+``dot``, which accumulates numerators in one dense list of length e and
+reduces them once per result, so arithmetic costs O(e) memory.  The
 representation is canonical: equality of values is equality of stored
-numerators and denominator (at a common order e).
-``Fraction`` appears only where values enter or leave: coefficient maps,
-``coeffs``, ``rational()`` and rational operands.
+numerators and denominator (at a common order e).  Values are not
+hashable.  ``Fraction`` appears only where values enter or leave:
+coefficient maps, ``coeffs``, ``rational()``, rational operands and the
+JSON form ``{"e": e, "coeffs": {k: [numerator, denominator]}}``, which only
+this module reads or writes.
 """
 
 from __future__ import annotations
@@ -115,10 +116,9 @@ def _make(e: int, num: tuple[tuple[int, int], ...], den: int) -> "Cyclotomic":
 class Cyclotomic:
     """An exact element of Q(zeta_e), canonicalized on construction.
 
-    Equality and hashing are structural at a fixed order; use equals_value()
-    to compare values living at different orders.  A value holds its order,
-    basis numerators and denominator and nothing else; the hash is computed
-    from them on each call.
+    Equality is structural at a fixed order; use equals_value() to compare
+    values living at different orders.  A value holds its order, basis
+    numerators and denominator and nothing else, and is not hashable.
     """
 
     __slots__ = ("e", "_num", "_den")
@@ -204,29 +204,14 @@ class Cyclotomic:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "Cyclotomic":
-        other = _coerce(other, self.e)
+        if isinstance(other, (int, Fraction)):
+            other = Cyclotomic.from_rational(self.e, other)
         return dot(lcm(self.e, other.e), ((1, self, _ONE), (1, other, _ONE)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Cyclotomic":
-        return dot(self.e, ((-1, self, _ONE),))
-
-    def __sub__(self, other) -> "Cyclotomic":
-        other = _coerce(other, self.e)
-        return dot(lcm(self.e, other.e), ((1, self, _ONE), (-1, other, _ONE)))
-
-    def __rsub__(self, other) -> "Cyclotomic":
-        other = _coerce(other, self.e)
-        return dot(lcm(self.e, other.e), ((1, other, _ONE), (-1, self, _ONE)))
 
     def __mul__(self, other) -> "Cyclotomic":
         if isinstance(other, (int, Fraction)):
             return dot(self.e, ((1, self, _ONE),), other)
-        other = _coerce(other, self.e)
         return dot(lcm(self.e, other.e), ((1, self, other),))
-
-    __rmul__ = __mul__
 
     def conjugate(self) -> "Cyclotomic":
         return dot(self.e, ((1, _ONE, self),), conjugate=True)
@@ -244,9 +229,6 @@ class Cyclotomic:
             return NotImplemented
         return (self.e == other.e and self._num == other._num
                 and self._den == other._den)
-
-    def __hash__(self) -> int:
-        return hash((self.e, self._coefficients()))
 
     def equals_value(self, other: "Cyclotomic") -> bool:
         """Mathematical equality across different stored orders."""
@@ -314,9 +296,30 @@ def dot(e: int, terms: Iterable[tuple[int, Cyclotomic, Cyclotomic]],
 _ONE = _make(1, ((0, 1),), 1)  # the unit factor of one-operand dot terms
 
 
-def _coerce(x, e: int) -> Cyclotomic:
-    if isinstance(x, Cyclotomic):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Cyclotomic.from_rational(e, x)
-    raise TypeError("cannot coerce %r to Cyclotomic" % (x,))
+def from_exponent_counts(e: int, counts: list[int]) -> Cyclotomic:
+    """sum(counts[k] * zeta_e^k for k in range(e)) for a list of e integer
+    counts, which is consumed."""
+    return _make(e, _reduce(e, counts), 1)
+
+
+def cyclotomic_to_jsonable(v: Cyclotomic) -> dict:
+    """{"e": e, "coeffs": {k: [numerator, denominator]}}, each coefficient
+    n/den in lowest terms, read off the basis numerators."""
+    den = v._den
+    coeffs = {}
+    for k, n in v._num:
+        g = gcd(n, den)
+        coeffs[str(k)] = [n // g, den // g]
+    return {"e": v.e, "coeffs": coeffs}
+
+
+def cyclotomic_from_jsonable(obj: dict) -> Cyclotomic:
+    """The value of a cyclotomic_to_jsonable form; ValueError unless every
+    coefficient is a list of two integers with a nonzero denominator."""
+    coeffs = {}
+    for k, c in obj["coeffs"].items():
+        if type(c) is not list or list(map(type, c)) != [int, int] or not c[1]:
+            raise ValueError("coefficient %r must be two integers [numerator, nonzero "
+                             "denominator]" % (c,))
+        coeffs[int(k)] = Fraction(*c)
+    return Cyclotomic(int(obj["e"]), coeffs)

@@ -27,7 +27,8 @@ from typing import Optional
 
 from .bundles import EquivariantBundle, GSet
 from .catalog import CATALOG, build_catalog_group
-from .characters import ClassFunction, character_table, cyclotomic_from_jsonable, inner_product
+from .characters import ClassFunction, character_table, inner_product
+from .cyclotomic import cyclotomic_from_jsonable
 from .errors import IsotypicError
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, group_from_generators
 
@@ -197,10 +198,11 @@ def _character_multiplicities(chi: ClassFunction) -> list[int]:
     FileFormatError unless each is an integer >= 0."""
     out = []
     for row in character_table(chi.group).rows:
-        r = inner_product(chi, row).rational()
-        if r.denominator != 1 or r < 0:
+        m = inner_product(chi, row)
+        r = m.rational() if m.is_rational() else None
+        if r is None or r.denominator != 1 or r < 0:
             raise FileFormatError("fiber character is not a genuine character "
-                                  "(multiplicity %s)" % r)
+                                  "(multiplicity %r)" % (m,))
         out.append(int(r))
     return out
 
@@ -214,5 +216,5 @@ def _fiber_value(obj, G: FiniteGroup):
                               "exponent %d" % (obj, G.exponent))
     try:
         return cyclotomic_from_jsonable(obj)
-    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FileFormatError("fiber value %r is malformed: %s" % (obj, exc))

@@ -337,13 +337,6 @@ class Subgroup:
         ``members``."""
         return {g: i for i, g in enumerate(self.members)}
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Subgroup) and other.parent is self.parent
-                and other.members == self.members)
-
-    def __hash__(self) -> int:
-        return hash((id(self.parent), self.members))
-
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """Materialize as a standalone FiniteGroup, named by the parent and
         the order (e.g. "S4<12>").

@@ -20,8 +20,8 @@ from fractions import Fraction
 from itertools import chain
 from operator import mul
 
-from .characters import CharacterTable, character_table, cyclotomic_to_jsonable, restrict
-from .cyclotomic import dot
+from .characters import CharacterTable, character_table, restrict
+from .cyclotomic import cyclotomic_to_jsonable, dot
 from .errors import NotNormal, NotStabilized
 from .groups import FiniteGroup, Subgroup, _gather
 from .repmatrices import ObstructionRecord, check_cocycle, obstruction_cocycle

@@ -102,6 +102,14 @@ def point_gset(G: FiniteGroup) -> GSet:
     return GSet(G, [[0]] * G.order)
 
 
+def class_sum(chis) -> ClassFunction:
+    """The valuewise sum of class functions on one group."""
+    first, *rest = chis
+    assert all(chi.group is first.group for chi in rest)
+    return ClassFunction(first.group, [sum(vs[1:], vs[0])
+                                       for vs in zip(*(chi.values for chi in chis))])
+
+
 def trivial_bundle(base: GSet, chi: ClassFunction) -> EquivariantBundle:
     """The product bundle with fiber a fixed representation of G."""
     fibers = {}

@@ -32,7 +32,7 @@ def test_power_series_arithmetic():
     assert (a * b).coefficients == (0, 1, 2)
     c = PowerSeries([1, 1, 1, 1])
     assert (a * c).coefficients[:3] == ((a * c) * PowerSeries.one(2)).coefficients
-    assert a * b == b * a
+    assert (a * b).coefficients == (b * a).coefficients
 
 
 def test_omega_series_is_partition_function():
@@ -66,7 +66,8 @@ def test_bu_series_against_partition_enumeration():
             assert s.coefficient(2 * j) == len(brute_partitions(j, max_parts=r))
     # multiplicativity over factors
     s23 = bu_generator_series([2, 3], 12)
-    assert s23 == bu_generator_series([2], 12) * bu_generator_series([3], 12)
+    assert s23.coefficients == \
+        (bu_generator_series([2], 12) * bu_generator_series([3], 12)).coefficients
 
 
 def _reference_euler_product(parts, max_degree):
@@ -457,7 +458,7 @@ def test_specialization_trivial_action(pairs):
                 if shifted is None:
                     continue
                 expected = expected + shifted * bu_generator_series(arr, 16)
-        assert series == expected, name
+        assert series.coefficients == expected.coefficients, name
 
 
 def test_parity_every_series_even(pairs):
@@ -497,7 +498,7 @@ def test_global_series_invariant_under_relabelling():
         total, _ = global_generator_series(group_from_generators(degree, gens), 16)
         for _ in range(2):
             G = relabelled_group(name, degree, gens, rng)
-            assert global_generator_series(G, 16)[0] == total, name
+            assert global_generator_series(G, 16)[0].coefficients == total.coefficients, name
 
 
 def test_is_family_detects_closure():
@@ -538,7 +539,7 @@ def test_d2p_global_matches_sum_of_pairs():
         total = PowerSeries.zero(16)
         for s in rep.pair_series.values():
             total = total + s
-        assert total == rep.global_series
+        assert total.coefficients == rep.global_series.coefficients
 
 
 def test_d2p_rejects_bad_input():
@@ -586,4 +587,4 @@ def test_subgroup_family_series_reflection_matches_z2_case():
         G = dihedral(p)
         b = G.perm_index(tuple((p - i) % p for i in range(p)))
         series = burnside_label_series(rank_profile(G, G.subgroup([b])).cycle_types(), 20)
-        assert series == z2_series
+        assert series.coefficients == z2_series.coefficients

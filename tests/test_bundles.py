@@ -7,14 +7,14 @@ import pytest
 from isotypic.bundles import (EquivariantBundle, GSet, fiber_character,
                               induction_piece_character, verify_decomposition)
 from isotypic.catalog import build_catalog_group
-from isotypic.characters import ClassFunction, character_table, cyclotomic_to_jsonable
+from isotypic.characters import ClassFunction, character_table
 from isotypic.cli import main
-from isotypic.cyclotomic import Cyclotomic
+from isotypic.cyclotomic import Cyclotomic, cyclotomic_to_jsonable
 from isotypic.errors import NotATrivial
 from isotypic.files import load_bundle_file
 from isotypic.orbits import orbit_decomposition
 
-from conftest import conj, induced_bundle, point_gset, trivial_bundle
+from conftest import class_sum, conj, induced_bundle, point_gset, trivial_bundle
 
 
 def rho_row(z4_pair, k):
@@ -79,8 +79,10 @@ def test_a_triviality_predicate(d8):
 def test_bundle_requires_genuine_character(d8, tmp_path, capsys):
     """A value fiber that is not a character is an input error when the file
     is loaded: bundle-verify exits 2 on the class function that is 1 on the
-    identity class and 0 elsewhere (multiplicities 1/4) and on chi_a - chi_b
-    (a multiplicity -1), at the stabilizer Z4 of point 0."""
+    identity class and 0 elsewhere (multiplicities 1/4), on chi_a - chi_b
+    (a multiplicity -1) and on the one that is zeta_4 on the identity class
+    and 0 elsewhere (multiplicities zeta_4/4, not rational), at the
+    stabilizer Z4 of point 0."""
     data_dir = os.path.join(os.path.dirname(__file__), "..", "src", "isotypic", "data")
     with open(os.path.join(data_dir, "d8_rho_bundle.json")) as fh:
         data = json.load(fh)
@@ -90,8 +92,10 @@ def test_bundle_requires_genuine_character(d8, tmp_path, capsys):
     rows = character_table(sgrp).rows
     delta = [Cyclotomic.from_rational(sgrp.exponent, 1 if cls == (0,) else 0)
              for cls in sgrp.conjugacy_classes()]
-    difference = [u - v for u, v in zip(rows[1].values, rows[2].values)]
-    for values in (delta, difference):
+    difference = [u + v * -1 for u, v in zip(rows[1].values, rows[2].values)]
+    irrational = [Cyclotomic.root_of_unity(sgrp.exponent, 1)] + \
+        [Cyclotomic.zero(sgrp.exponent)] * (len(delta) - 1)
+    for values in (delta, difference, irrational):
         data["fibers"][0]["character"] = [cyclotomic_to_jsonable(v) for v in values]
         path = tmp_path / "not_a_character.json"
         path.write_text(json.dumps(data))
@@ -152,7 +156,7 @@ def test_trivial_rank_n_bundle_decomposes(pairs):
     for name, G, A in pairs[:5]:
         X = point_gset(G)
         t = character_table(G)
-        chi = 3 * t.rows[t.trivial_index()]
+        chi = class_sum([t.rows[t.trivial_index()]] * 3)
         E = trivial_bundle(X, chi)
         assert verify_decomposition(E, A).ok, name
 
@@ -331,9 +335,8 @@ def _reference_per_point(E, A):
     per_point = {}
     for x in range(E.base.size):
         fib = fiber_character(E, x)
-        total = bundles.induction_piece_character(E, A, [records[0]], x)
-        for rec in records[1:]:
-            total = total + bundles.induction_piece_character(E, A, [rec], x)
+        total = class_sum([bundles.induction_piece_character(E, A, [rec], x)
+                           for rec in records])
         per_point[x] = mismatches(total, fib)
     for orb in E.base.orbits():
         stored = [x for x in orb if x in E.fibers]
@@ -376,7 +379,7 @@ def _sweep_bundles(G, A, rng):
         yield shape, False, EquivariantBundle(base, fibers)
         x = base.orbits()[0][-1]
         table = character_table(base.stabilizer(x).as_group()[0])
-        fibers[x] = fibers[x] + table.rows[-1]
+        fibers[x] = class_sum([fibers[x], table.rows[-1]])
         yield shape, True, EquivariantBundle(base, fibers)
 
 
@@ -527,9 +530,8 @@ def test_all_orbit_pieces_equal_the_sum_of_single_orbit_pieces():
         records = irr_orbits(G, A)
         for shape, corrupted, E in _sweep_bundles(G, A, rng):
             for x in range(E.base.size):
-                total = induction_piece_character(E, A, records[:1], x)
-                for rec in records[1:]:
-                    total = total + induction_piece_character(E, A, [rec], x)
+                total = class_sum([induction_piece_character(E, A, [rec], x)
+                                   for rec in records])
                 for order in (records, records[::-1]):
                     joint = induction_piece_character(E, A, order, x)
                     assert joint.group is total.group, (name, shape, x)

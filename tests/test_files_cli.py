@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -361,28 +362,58 @@ RELABELLING_CHANGES = {
 }
 
 
+def _benchmark_pool() -> dict:
+    """The benchmark's group pool, ``POOL`` of perfbench/inputs.py, loaded by
+    path (that module uses no package code)."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.POOL
+
+
+def _relabelling_cases() -> list:
+    """(name, degree, generators, normal generator indices) of each catalog
+    group that names a normal subgroup, then of each benchmark pool group
+    that is no catalog name, listed as the benchmark writes it: G's
+    generators, then A's that are not among them."""
+    cases = [(name, CATALOG[name].degree, [list(g) for g in CATALOG[name].generators],
+              list(CATALOG[name].normal_generator_indices))
+             for name in NAMES_A_NORMAL_SUBGROUP]
+    for name, spec in _benchmark_pool().items():
+        if name not in CATALOG:
+            listed = list(spec.gens) + [p for p in spec.normal_gens if p not in spec.gens]
+            cases.append((name, spec.degree, [list(p) for p in listed],
+                          [listed.index(p) for p in spec.normal_gens]))
+    return cases
+
+
 def test_relabelling_changes_only_the_allowed_fields(tmp_path, capsys):
-    """Each catalog group that names a normal subgroup, written as a group
-    file and as a seeded relabelling of its points with the generators
-    shuffled (the normal subgroup's generator indices carried along): irr,
-    clifford and adjacent-pair and global bordism exit alike on both, and
-    the (command, results field) pairs that differ are exactly
-    RELABELLING_CHANGES."""
+    """Each catalog group that names a normal subgroup and each benchmark
+    pool group that is no catalog name, written as a group file and as a
+    seeded relabelling of its points with the generators shuffled (the
+    normal subgroup's generator indices carried along): irr, clifford and
+    adjacent-pair and global bordism exit alike on both, and the (command,
+    results field) pairs that differ are exactly RELABELLING_CHANGES."""
     rng = random.Random(1)
     commands = {"irr": ["irr"], "clifford": ["clifford"],
                 "bordism": ["bordism", "--max-degree", "20"],
                 "bordism --global": ["bordism", "--global", "--max-degree", "20"]}
+    cases = _relabelling_cases()
+    assert [c[0] for c in cases[len(NAMES_A_NORMAL_SUBGROUP):]] == [
+        "Dic12", "Dic20", "Dic24", "D8/center", "Q8/Z4", "S4/A4", "S3xS3", "S4xZ2", "S4xS3", "S5"]
     differ = set()
-    for name in NAMES_A_NORMAL_SUBGROUP:
-        entry = CATALOG[name]
-        gens = [list(g) for g in entry.generators]
-        new, at = relabelled_generators(entry.degree, gens, rng)
+    for name, degree, gens, normal in cases:
+        new, at = relabelled_generators(degree, gens, rng)
         paths = []
-        for label, g, normal in (("plain", gens, entry.normal_generator_indices),
-                                 ("relabelled", new, [at[i] for i in entry.normal_generator_indices])):
-            path = tmp_path / ("%s_%s.json" % (name, label))
-            path.write_text(json.dumps({"name": name, "degree": entry.degree, "generators": g,
-                                        "normal_subgroup_generators": list(normal)}))
+        for label, g, idxs in (("plain", gens, normal), ("relabelled", new, [at[i] for i in normal])):
+            path = tmp_path / ("%s_%s.json" % (name.replace("/", "-"), label))
+            path.write_text(json.dumps({"name": name.split("/")[0], "degree": degree,
+                                        "generators": g, "normal_subgroup_generators": idxs}))
             paths.append(str(path))
         for command, argv in commands.items():
             (code, plain), (code2, relabelled) = (
@@ -645,12 +676,19 @@ def test_loading_multiplicity_bundle_makes_no_inner_products(monkeypatch):
                                    {"e": 10 ** 12, "coeffs": {"0": [1, 1]}},
                                    {"e": 4, "coeffs": {"0": [1, 0]}},
                                    {"e": 4, "coeffs": [1]},
-                                   {"coeffs": {"0": [1, 1]}}],
+                                   {"coeffs": {"0": [1, 1]}},
+                                   {"e": 4, "coeffs": {"0": [1]}},
+                                   {"e": 4, "coeffs": {"0": "x"}},
+                                   {"e": 4, "coeffs": {"0": [1, 1, 7]}},
+                                   {"e": 4, "coeffs": {"0": [True, 1]}}],
                          ids=["order-not-dividing", "order-zero", "order-huge",
-                              "zero-denominator", "coeffs-list", "no-order"])
+                              "zero-denominator", "coeffs-list", "no-order",
+                              "coefficient-one-entry", "coefficient-string",
+                              "coefficient-three-entries", "coefficient-bool"])
 def test_bundle_rejects_bad_fiber_values(value, tmp_path, capsys):
     """A value-list fiber needs values whose order divides the group
-    exponent; anything else is an input error, not a crash."""
+    exponent and whose coefficients are each a list of two integers with a
+    nonzero denominator; anything else is an input error, not a crash."""
     with open(data_path("d8_rho_bundle.json")) as fh:
         data = json.load(fh)
     data["fibers"][0]["character"] = [value] * 4
@@ -659,13 +697,14 @@ def test_bundle_rejects_bad_fiber_values(value, tmp_path, capsys):
     path.write_text(json.dumps(data))
     with pytest.raises(FileFormatError):
         load_bundle_file(str(path))
-    assert run_cli(["bundle-verify", str(path)], capsys)[0] == 2
+    assert main(["bundle-verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: fiber value ")
 
 
 def _value_fiber(bundle, x):
     """The fiber character of bundle at x as a JSON value list."""
     from isotypic.bundles import fiber_character
-    from isotypic.characters import cyclotomic_to_jsonable
+    from isotypic.cyclotomic import cyclotomic_to_jsonable
     return [cyclotomic_to_jsonable(v) for v in fiber_character(bundle, x).values]
 
 

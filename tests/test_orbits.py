@@ -583,7 +583,7 @@ def test_multiplicities_check_every_value(fault, monkeypatch):
             return value + Fraction(1, 2)
         if value.rational() and not dropped:
             dropped.append(value)
-            return value - value
+            return value * 0
         return value
 
     monkeypatch.setattr(orbits, "dot", faulty)

@@ -8,19 +8,29 @@ that defines it (so a recursive helper nobody else calls is caught): as the
 attribute of an ``ast.Attribute``, or, for a function that is not a method,
 as an ``ast.Name`` that no parameter or local variable of an enclosing
 function binds.  So ``GSet.cosets`` is not reached by a local ``cosets``
-list, nor ``Cyclotomic.conjugate`` by ``dot``'s ``conjugate`` flag.  Dunders
-are skipped, and so is ``__init__.py``, whose imports only re-export names.
+list, nor ``Cyclotomic.conjugate`` by ``dot``'s ``conjugate`` flag.  This
+name check skips dunders, which operators and built-ins call without
+naming them, and ``__init__.py``, whose imports only re-export names.
 The check still matches attributes by name alone, so a method whose name is
 shared by another attribute (``FiniteGroup.quotient`` and the ``quotient``
 field of ``ObstructionRecord``, or a ``conj`` method and numpy's
 ``.conj()``) cannot be seen by it.
+
+Dunders are checked at run time instead: every one defined in src must run
+in a handful of command-line calls, traced with ``sys.setprofile``, or be
+listed in ``ALLOWED_OPERATORS`` with the reason it stays.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import json
+import sys
 from collections import Counter
 from pathlib import Path
+
+from isotypic.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "isotypic"
 
@@ -107,6 +117,85 @@ def test_every_src_function_is_reached_or_allowed():
         "reached only by tests, delete or allow with a reason: %s; allowed but now "
         "reached or gone: %s" % (sorted(unreached - set(ALLOWED_UNREACHED)),
                                  sorted(set(ALLOWED_UNREACHED) - unreached)))
+
+
+# "Class.__dunder__" that no command below runs -> why it stays
+ALLOWED_OPERATORS = {
+    "ClassFunction.__call__": "acceptance criterion 2 evaluates characters at elements",
+    "Cyclotomic.__add__": "acceptance criterion 1 sums character values, and it is the "
+                          "benchmark span cyclotomic.add (perfbench/spans.py)",
+    "Cyclotomic.__mul__": "acceptance criterion 1 multiplies character values, and it is "
+                          "the benchmark span cyclotomic.mul (perfbench/spans.py)",
+    "PowerSeries.__mul__": "acceptance criterion 8 forms the product generating function",
+}
+
+# constructors run wherever their class is used; __repr__ serves messages
+# and debugging, which no command exercises
+EXEMPT_DUNDERS = {"__init__", "__post_init__", "__repr__"}
+
+
+def _src_dunders() -> tuple[dict, list]:
+    """The code object of every dunder method defined in src, except the
+    exempt ones -> its "Class.__dunder__" name; and every dunder bound by
+    assignment in a class body other than ``__slots__``, an alias such as
+    ``__radd__ = __add__``, which shares its target's code, so that a trace
+    cannot tell which name ran."""
+    found, aliases = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("isotypic." + path.stem)
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for f in cls.body:
+                if isinstance(f, ast.Assign):
+                    aliases += ["%s.%s" % (cls.name, t.id) for t in f.targets
+                                if isinstance(t, ast.Name) and t.id.startswith("__")
+                                and t.id != "__slots__"]
+                if isinstance(f, ast.FunctionDef) and f.name.startswith("__") \
+                        and f.name.endswith("__") and f.name not in EXEMPT_DUNDERS:
+                    code = getattr(module, cls.name).__dict__[f.name].__code__
+                    found[code] = "%s.%s" % (cls.name, f.name)
+    return found, aliases
+
+
+def test_every_src_operator_runs_in_a_command_or_is_allowed(tmp_path, capsys):
+    """irr, clifford on S4 over A4 (rho(1) = 3 with quotient Z2, so the float
+    cocycle path runs), bundle-verify on the shipped bundle, adjacent-pair
+    and global bordism, and d2p: every src dunder runs in one of them or
+    is allowed above."""
+    data = SRC / "data"
+    s4_a4 = tmp_path / "s4_a4.json"
+    s4_a4.write_text(json.dumps({
+        "name": "S4", "degree": 4,
+        "generators": [[1, 2, 3, 0], [1, 0, 2, 3], [1, 2, 0, 3], [1, 0, 3, 2], [2, 3, 0, 1]],
+        "normal_subgroup_generators": [2, 3, 4]}))
+    commands = [["irr", str(data / "d8.json")],
+                ["clifford", str(s4_a4)],
+                ["bundle-verify", str(data / "d8_rho_bundle.json")],
+                ["bordism", str(data / "d8.json"), "--max-degree", "8"],
+                ["bordism", str(data / "d8.json"), "--global", "--max-degree", "8"],
+                ["d2p", "--p", "3", "--max-degree", "8"]]
+    dunders, aliases = _src_dunders()
+    ran = set()
+
+    def trace(frame, event, arg):
+        if event == "call" and frame.f_code in dunders:
+            ran.add(dunders[frame.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(trace)
+    try:
+        codes = [main(["--format", "json"] + argv) for argv in commands]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [0] * len(commands)
+    unrun = set(dunders.values()) - ran
+    assert unrun == set(ALLOWED_OPERATORS), (
+        "run by no command, delete or allow with a reason: %s; allowed but now "
+        "run or gone: %s" % (sorted(unrun - set(ALLOWED_OPERATORS)),
+                             sorted(set(ALLOWED_OPERATORS) - unrun)))
+    assert aliases == [], "define each dunder with def, so the trace sees it: %s" % aliases
 
 
 # module-level caches -> why each may outlive a job
@@ -218,11 +307,25 @@ def _names_by_scope(tree: ast.AST, names: set[str]) -> Counter:
 
 def test_cyclotomic_has_one_arithmetic_kernel():
     """Every Cyclotomic operation is one cyclotomic.dot call: a value is
-    made (_make) only by dot and by the module's one unit constant, and
-    numerators are reduced to the basis (_reduce) only by dot and by
-    Cyclotomic.__init__, which parses coefficient maps."""
+    made (_make) only by dot, by from_exponent_counts and by the module's
+    one unit constant, and numerators are reduced to the basis (_reduce)
+    only by dot, by from_exponent_counts and by Cyclotomic.__init__, which
+    parses coefficient maps.  The stored format is known to cyclotomic.py
+    alone: no other src module names _make, _reduce, _num or _den, as a
+    name, an attribute or an import."""
     tree = ast.parse((SRC / "cyclotomic.py").read_text())
     found = _names_by_scope(tree, {"_make", "_reduce"})
-    assert set(found) == {("_make", "dot"), ("_make", "<module>"),
-                          ("_reduce", "dot"), ("_reduce", "Cyclotomic.__init__")}, sorted(found)
+    assert set(found) == {("_make", "dot"), ("_make", "from_exponent_counts"),
+                          ("_make", "<module>"), ("_reduce", "dot"),
+                          ("_reduce", "from_exponent_counts"),
+                          ("_reduce", "Cyclotomic.__init__")}, sorted(found)
     assert found["_make", "<module>"] == 1
+    private = {"_make", "_reduce", "_num", "_den"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cyclotomic.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                named |= {alias.name for alias in node.names}
+            assert not named & private, (path.name, sorted(named & private))
