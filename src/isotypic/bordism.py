@@ -37,7 +37,7 @@ from .catalog import build_catalog_group
 from .characters import character_table
 from .cyclotomic import _factorize
 from .errors import CapExceeded, NotNormal, NotOdd, NotPrime
-from .groups import FiniteGroup, Subgroup, closure
+from .groups import FiniteGroup, Subgroup, _gather, _partition, closure
 from .orbits import irr_permutations
 
 MAX_DEGREE = 200
@@ -135,11 +135,9 @@ def omega_generator_series(max_degree: int) -> PowerSeries:
 
     Coefficient at degree 2k is the number of partitions of k (one free
     polynomial generator in each even degree); odd coefficients vanish.
+    Up to t^max_degree this is the series of BU(max_degree // 2).
     """
-    _check_degree(max_degree)
-    part_sums = [0] * (max_degree // 2)
-    _add_part_sums(part_sums, range(1, max_degree // 2 + 1), 1)
-    return PowerSeries(_euler_product(part_sums, max_degree))
+    return bu_generator_series([max_degree // 2], max_degree)
 
 
 def bu_generator_series(ranks: Sequence[int], max_degree: int) -> PowerSeries:
@@ -257,29 +255,15 @@ def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
     """
     rows, inv, members = G._rows, G._inv, A.members
     pos = A._position
-    # the classes of A by position (class 0 holds the identity), and the
-    # commutators c h^-1 for c in the class of each representative h, which
-    # generate A' as [x, yhy^-1] = [xy, h][y, h]^-1
-    class_of = [-1] * A.order
-    class_reps: list[int] = []
-    commutators = set()
-    for i, h in enumerate(members):
-        if class_of[i] < 0:
-            cls = {rows[rows[x][h]][inv[x]] for x in members}
-            for c in cls:
-                class_of[pos[c]] = len(class_reps)
-            class_reps.append(i)
-            commutators.update([rows[c][inv[h]] for c in cls])
-    derived = closure(G, sorted(commutators))
-    # the cosets of A' by position (coset 0 is A')
-    coset_of = [-1] * A.order
-    coset_reps: list[int] = []
-    for i, h in enumerate(members):
-        if coset_of[i] < 0:
-            row = rows[h]
-            for d in derived:
-                coset_of[pos[row[d]]] = len(coset_reps)
-            coset_reps.append(i)
+    # the classes of A and the cosets of A', both by position in A.members
+    # (block 0 holds the identity); A' is generated by the commutators c h^-1,
+    # c in the class of each representative h, as [x, yhy^-1] = [xy, h][y, h]^-1
+    class_of, class_reps = _partition(members, lambda h: map(pos.get, {
+        rows[rows[x][h]][inv[x]] for x in members}))
+    rep_inv = [inv[members[i]] for i in class_reps]
+    derived = closure(G, sorted({rows[h][rep_inv[c]] for h, c in zip(members, class_of)}))
+    coset = _gather(derived)  # h A', read off row h
+    coset_of, coset_reps = _partition(members, lambda h: map(pos.get, coset(rows[h])))
     k, index = len(class_reps), len(coset_reps)
     # each map fixes class 0 and coset 0, the trivial character
     ones = (1,) * k
@@ -313,13 +297,9 @@ def enumerate_arrays(profile: RankProfile, k: int) -> list[tuple[int, ...]]:
             if remaining == 0:
                 out.append(prefix)
             return
-        if remaining < 0:
-            return
         for n in range(0, remaining // dims[i] + 1):
             rec(i + 1, remaining - n * dims[i], prefix + (n,))
 
-    if not dims:
-        return [()] if k == 0 else []
     rec(0, k, ())
     return out
 

@@ -262,25 +262,23 @@ def cmd_d2p(args) -> Report:
                   table_lines=lines)
 
 
-def _seed(text: str) -> int:
-    value = int(text, 0)
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be a non-negative integer, got %s" % text)
-    return value
+def _int_option(name: str, least: int, message: str, base: int = 10):
+    """An argparse type named ``name``: the int the text spells in ``base``
+    (0 reads a 0x, 0o or 0b prefix), or ArgumentTypeError with ``message``
+    when it is below ``least``."""
+    def parse(text: str) -> int:
+        value = int(text, base)
+        if value < least:
+            raise argparse.ArgumentTypeError("%s, got %s" % (message, text))
+        return value
+
+    parse.__name__ = name  # argparse names the type in "invalid ... value"
+    return parse
 
 
-def _degree(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("degree must be a non-negative integer, got %s" % text)
-    return value
-
-
-def _order(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("order cap must be a positive integer, got %s" % text)
-    return value
+_seed = _int_option("_seed", 0, "seed must be a non-negative integer", base=0)
+_degree = _int_option("_degree", 0, "degree must be a non-negative integer")
+_order = _int_option("_order", 1, "order cap must be a positive integer")
 
 
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:

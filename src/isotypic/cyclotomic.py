@@ -15,11 +15,12 @@ scaling, conjugation, promotion and sums of products) is one call of
 ``dot``, which accumulates numerators in one dense list of length e and
 reduces them once per result, so arithmetic costs O(e) memory.  The
 representation is canonical: equality of values is equality of stored
-numerators and denominator (at a common order e).  Values are not
-hashable.  ``Fraction`` appears only where values enter or leave:
-coefficient maps, ``coeffs``, ``rational()``, rational operands and the
-JSON form ``{"e": e, "coeffs": {k: [numerator, denominator]}}``, which only
-this module reads or writes.
+numerators and denominator (at a common order e), and a value never equals
+an int or a ``Fraction``.  Values are not hashable.  ``Fraction`` appears
+only where values enter or leave: coefficient maps, ``coeffs``,
+``rational()``, rational operands and the JSON form
+``{"e": e, "coeffs": {k: [numerator, denominator]}}``, which only this
+module reads or writes.
 """
 
 from __future__ import annotations
@@ -223,8 +224,6 @@ class Cyclotomic:
     # -- comparisons -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(self.e, other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         return (self.e == other.e and self._num == other._num

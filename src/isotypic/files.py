@@ -82,7 +82,8 @@ def group_from_jsonable(data: dict, cap: int = DEFAULT_ORDER_CAP) -> tuple[Finit
         raise FileFormatError("group file is missing fields: %s" % exc)
     if degree < 0:
         raise FileFormatError("group degree must be nonnegative, got %d" % degree)
-    G = group_from_generators(degree, gens, name=name, cap=cap)
+    # no generators: the trivial group whatever the degree, closed on no points
+    G = group_from_generators(degree if gens else 0, gens, name=name, cap=cap)
     normal = None
     idxs = data.get("normal_subgroup_generators")
     if idxs is not None:

@@ -3,12 +3,13 @@
 Conventions used throughout the package:
   * elements are indices 0..order-1 and element 0 is the identity,
   * subgroup member lists are sorted (deterministic iteration order),
-  * conjugacy classes are sorted by their minimal element, so the class of
-    the identity always comes first,
-  * the left cosets gH of a subgroup H are numbered in the order of their
-    minimal elements, and that minimum is the coset's lift; the one table of
-    them is ``FiniteGroup.conjugation_action(H)``, which every transversal
-    (quotients, coset G-sets, induction) reads,
+  * a partition into blocks (conjugacy classes, the left cosets gH of a
+    subgroup H, the orbits of G on Irr(A)) is made by one routine,
+    ``_partition``: it numbers the blocks in the order of their minimal
+    elements, so the block of the identity (the class of 1, the coset H)
+    always comes first, and a coset's minimum is its lift,
+  * the one table of the cosets of H is ``FiniteGroup.conjugation_action(H)``,
+    which every transversal (quotients, coset G-sets, induction) reads,
   * subgroups are enumerated once, class by class, by
     ``FiniteGroup.subgroup_conjugacy_classes``, which extends only class
     representatives H, by one g per double coset H g^k H (k prime to the
@@ -129,26 +130,17 @@ class FiniteGroup:
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         """Partition of the elements into conjugacy classes.
 
-        Classes are sorted tuples, ordered by minimal element; the class of
+        Classes are sorted tuples, numbered by ``_partition``; the class of
         the identity is first.
         """
         if self._classes is None:
-            rows, inv = self._rows, self._inv
-            seen = [False] * self.order
-            classes = []
-            for g in self.elements():
-                if seen[g]:
-                    continue
-                orbit = {rows[rows[x][g]][inv[x]] for x in self.elements()}
-                for h in orbit:
-                    seen[h] = True
-                classes.append(tuple(sorted(orbit)))
-            classes.sort(key=lambda c: c[0])
-            self._classes = classes
-            class_of = [0] * self.order
-            for i, cls in enumerate(classes):
-                for h in cls:
-                    class_of[h] = i
+            rows, inv, n = self._rows, self._inv, self.order
+            class_of, reps = _partition(range(n), lambda g: {
+                rows[rows[x][g]][inv[x]] for x in range(n)})
+            classes: list[list[int]] = [[] for _ in reps]
+            for g, c in enumerate(class_of):
+                classes[c].append(g)
+            self._classes = list(map(tuple, classes))
             self._class_of = class_of
         return self._classes
 
@@ -190,23 +182,16 @@ class FiniteGroup:
         """The left cosets of H and G acting on H by conjugation, as one
         CosetTable(coset_of, reps, maps) cached per member set.
 
-        Scanning G in index order, the first element not yet covered is the
-        minimum of its coset, reps[i], so coset 0 is H.  For each coset whose
-        lift n normalizes H, maps[coset] lists the position in H.members of
-        n^-1 h n for every h in H.members.  As nh normalizes H iff n does and
+        The cosets are numbered by ``_partition``, so reps[i] is the minimum
+        of coset i and coset 0 is H.  For each coset whose lift n normalizes
+        H, maps[coset] lists the position in H.members of n^-1 h n for every
+        h in H.members.  As nh normalizes H iff n does and
         (nh)^-1 x (nh) is H-conjugate to n^-1 x n, these maps give the whole
         action of N_G(H) on the classes of H.
         """
         if H.members not in self._conjugation:
             rows, inv = self._rows, self._inv
-            coset_of = [-1] * self.order
-            reps: list[int] = []
-            for g in self.elements():
-                if coset_of[g] < 0:
-                    row = rows[g]
-                    for h in H.members:
-                        coset_of[row[h]] = len(reps)
-                    reps.append(g)
+            coset_of, reps = _partition(rows, _gather(H.members))  # gH, read off row g
             pos = H._position
             maps = {}
             for c, n in enumerate(reps):
@@ -405,6 +390,22 @@ def _check_axioms(G: FiniteGroup) -> None:
             raise ValueError("multiplication table is not associative")
 
 
+def _partition(items: Sequence, block: Callable[..., Iterable[int]]) -> tuple[list[int], list[int]]:
+    """(block_of, firsts): the positions 0..len(items)-1 split into the
+    blocks block(items[i]), each met at its least position i, the one block
+    is called at, and numbered in that order (block 0 holds 0); firsts[b]
+    is the least position in block b."""
+    block_of = [-1] * len(items)
+    firsts: list[int] = []
+    for i in range(len(items)):
+        if block_of[i] < 0:
+            b = len(firsts)
+            for j in block(items[i]):
+                block_of[j] = b
+            firsts.append(i)
+    return block_of, firsts
+
+
 def closure(G: FiniteGroup, generators: Sequence[int]) -> tuple[int, ...]:
     """Members of the subgroup generated by the given element indices."""
     return _extend(G._rows, (0,), generators)
@@ -514,13 +515,10 @@ def group_from_generators(degree: int, generators: Sequence[Sequence[int]],
     return FiniteGroup(rows, name=name, perms=index, check=False)
 
 
-def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """The map p -> (p[i] for i in indices) as a tuple, by one C-level
-    ``itemgetter`` call; itemgetter alone takes at least one index and
-    returns a bare item for one."""
+def _gather(indices: Sequence[int]) -> Callable[[Sequence], Sequence]:
+    """The map p -> (p[i] for i in indices), by one C-level ``itemgetter``
+    call: a tuple, or for fewer than two indices a slice of p (of p's
+    type), as itemgetter returns a bare item for one index."""
     if len(indices) > 1:
         return itemgetter(*indices)
-    if indices:
-        i = indices[0]
-        return lambda p: (p[i],)
-    return lambda p: ()
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))

@@ -23,7 +23,7 @@ from operator import mul
 from .characters import CharacterTable, character_table, restrict
 from .cyclotomic import cyclotomic_to_jsonable, dot
 from .errors import NotNormal, NotStabilized
-from .groups import FiniteGroup, Subgroup, _gather
+from .groups import FiniteGroup, Subgroup, _gather, _partition
 from .repmatrices import ObstructionRecord, check_cocycle, obstruction_cocycle
 
 
@@ -189,19 +189,19 @@ class DecompositionReport:
 def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
     """One IrrOrbit per G-orbit on Irr(A), read off irr_permutations.
 
-    The representative is the orbit's minimal row of A's table and the
-    stabilizer is that row's, the union of the cosets of A that fix it;
-    orbits are listed by representative.  No character of G is touched.
+    The orbits are numbered by ``_partition``: the representative is the
+    orbit's minimal row of A's table and the stabilizer is that row's, the
+    union of the cosets of A that fix it.  No character of G is touched.
     """
     if not G.is_normal(A):
         raise NotNormal("orbit decomposition needs a normal subgroup")
     perms = irr_permutations(G, A)
-    orbits = []
-    for tau in range(len(perms[0])):  # coset 0 is A itself, which fixes every row
-        if all(tau not in o.orbit for o in orbits):
-            orbits.append(IrrOrbit(tau, frozenset(perm[tau] for perm in perms.values()),
-                                   irr_stabilizer(G, A, tau)))
-    return orbits
+
+    def orbit(tau: int) -> frozenset:
+        return frozenset([perm[tau] for perm in perms.values()])
+
+    _, reps = _partition(range(len(perms[0])), orbit)  # coset 0 is A, which fixes every row
+    return [IrrOrbit(tau, orbit(tau), irr_stabilizer(G, A, tau)) for tau in reps]
 
 
 def orbit_decomposition(G: FiniteGroup, A: Subgroup) -> list:

@@ -18,7 +18,7 @@ from isotypic.bordism import (PowerSeries, RankProfile,
 from isotypic.catalog import CATALOG, build_catalog_group
 from isotypic.characters import character_table
 from isotypic.errors import CapExceeded, NotNormal, NotOdd, NotPrime
-from isotypic.groups import group_from_generators
+from isotypic.groups import Subgroup, group_from_generators
 from isotypic.orbits import irr_action
 
 from conftest import (S3_GENS, S4_GENS, all_catalog_groups, brute_label_orbit_counts,
@@ -343,6 +343,26 @@ def test_global_series_builds_a_table_only_for_s5(monkeypatch):
     del tables[:]
     adjacent_family_series(G, A5, 20)
     assert tables == []
+
+
+def test_global_series_materializes_no_subgroup(monkeypatch):
+    """Where every fit is unique (S3xS3, S4, S4xZ2), ``global_generator_series``
+    calls ``Subgroup.as_group`` for no subgroup: ``weyl_cycle_types`` reads
+    the classes of A and the cosets of A' on A's member positions in G's
+    table, and builds no table of A."""
+    calls = []
+    as_group = Subgroup.as_group
+
+    def counted(self):
+        calls.append(self.order)
+        return as_group(self)
+
+    monkeypatch.setattr(Subgroup, "as_group", counted)
+    for name, degree, gens in [("S3xS3", 6, direct_product(S3_GENS, 3, S3_GENS, 3)),
+                               ("S4", 4, S4_GENS),
+                               ("S4xZ2", 6, direct_product(S4_GENS, 4, [[1, 0]], 2))]:
+        global_generator_series(group_from_generators(degree, gens, name=name), 20)
+        assert calls == [], name
 
 
 def test_global_series_d8_d8_z2_pinned():

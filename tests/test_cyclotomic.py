@@ -94,6 +94,14 @@ def test_canonical_equality_detects_hidden_zero():
     assert total == Cyclotomic.zero(5)
 
 
+def test_equality_compares_cyclotomics_only():
+    """A value equals a Cyclotomic of the same order and value; an int or
+    Fraction operand is not coerced, so it compares unequal."""
+    assert Cyclotomic.one(4) == Cyclotomic.from_rational(4, 1)
+    assert Cyclotomic.one(4) != 1
+    assert Cyclotomic.zero(4) != Fraction(0)
+
+
 def test_promote_preserves_value():
     rng = random.Random(17)
     for e, ee in [(2, 4), (4, 8), (4, 12), (6, 12), (3, 12)]:

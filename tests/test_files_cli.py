@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,29 @@ def test_group_file_errors(tmp_path):
     bad2.write_text(json.dumps({"name": "x", "degree": 3}))
     with pytest.raises(FileFormatError):
         load_group_file(str(bad2))
+
+
+def test_group_file_without_generators_allocates_no_points(tmp_path, capsys):
+    """With no generators the group is trivial whatever its declared degree,
+    so loading one of degree 2,000,000 stays under 1 MB and irr gives the
+    results it gives at degree 4."""
+    results = []
+    for degree in (2000000, 4):
+        path = tmp_path / ("trivial_%d.json" % degree)
+        path.write_text(json.dumps({"name": "big", "degree": degree, "generators": []}))
+        if degree > 4:
+            tracemalloc.start()
+            try:
+                G, A = load_group_file(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert G.order == 1 and A is None
+            assert peak < 1 << 20, peak
+        code, out = run_cli(["irr", str(path), "--format", "json"], capsys)
+        assert code == 0
+        results.append(json.loads(out)["results"])
+    assert results[0] == results[1]
 
 
 def test_unknown_catalog_group_is_an_input_error(capsys):

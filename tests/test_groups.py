@@ -190,16 +190,17 @@ def test_is_normal_is_cached_per_member_set(monkeypatch):
                      for g in G.elements())
         assert G.is_normal(H) is normal
         assert G.is_normal(H) is normal
-    # one scan of G per member set, whichever Subgroup object asks
+    # one scan of G (one partition into cosets) per member set, whichever
+    # Subgroup object asks
     G = group_from_generators(4, S4_GENS, name="S4")
     scans = []
-    elements = G.elements
+    partition = groups._partition
 
-    def counting_elements():
-        scans.append(1)
-        return elements()
+    def counting_partition(items, block):
+        scans.append(len(items))
+        return partition(items, block)
 
-    monkeypatch.setattr(G, "elements", counting_elements)
+    monkeypatch.setattr(groups, "_partition", counting_partition)
     V4 = G.subgroup([G.perm_index((1, 0, 3, 2)), G.perm_index((2, 3, 0, 1))])
     same = G.subgroup_from_members(V4.members)
     assert same is not V4
@@ -657,3 +658,65 @@ def test_closure_of_s6_time_and_memory():
     assert G.order == 720
     assert elapsed < 1, elapsed
     assert peak < 6 * 2 ** 20, peak
+
+
+# -- one partition routine: classes, cosets and orbits on drawn groups ---------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
+
+from isotypic.bordism import rank_profile, weyl_cycle_types  # noqa: E402
+from isotypic.characters import DEFAULT_CHARTABLE_CAP, character_table  # noqa: E402
+from isotypic.orbits import irr_action, irr_orbits  # noqa: E402
+
+
+@st.composite
+def small_permutation_groups(draw):
+    """(degree, generators): 1 to 3 drawn permutations of at most 6 points,
+    relabelled and shuffled by ``relabelled_generators``."""
+    degree = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    return degree, relabelled_generators(degree, gens, rng)[0]
+
+
+@settings(max_examples=100)
+@given(small_permutation_groups())
+def test_blocks_are_numbered_by_least_member(spec):
+    """Every partition the package makes numbers its blocks by their least
+    members: the conjugacy classes (against sympy.combinatorics), the left
+    cosets of each subgroup class representative H (coset k is reps[k] H),
+    the G-orbits on Irr(A) for normal A (orbit times stabilizer is |G|);
+    and weyl_cycle_types reads the cycle types rank_profile reads off the
+    character table of H.  Subgroups above the character table cap get no
+    table, so only their classes and cosets are checked."""
+    degree, gens = spec
+    G = group_from_generators(degree, gens)
+    P = PermutationGroup([Permutation(g, size=degree) for g in gens])
+    classes = G.conjugacy_classes()
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes) and classes[0] == (0,)
+    assert all(list(c) == sorted(c) and G.class_index(g) == i
+               for i, c in enumerate(classes) for g in c)
+    assert sorted(classes) == sorted(tuple(sorted(G.perm_index(p.array_form) for p in c))
+                                     for c in P.conjugacy_classes())
+    for cls in G.subgroup_conjugacy_classes():
+        H = cls[0]
+        coset_of, reps, _ = G.conjugation_action(H)
+        assert list(reps) == sorted(reps) and reps[0] == 0
+        cosets = [[] for _ in reps]
+        for g in G.elements():
+            cosets[coset_of[g]].append(g)
+        for r, coset in zip(reps, cosets):
+            assert coset == sorted(G.mul(r, h) for h in H.members) and coset[0] == r
+        if H.order > DEFAULT_CHARTABLE_CAP:
+            continue
+        assert weyl_cycle_types(G, H) == rank_profile(G, H).cycle_types()
+        if G.is_normal(H):
+            orbits = irr_orbits(G, H)
+            covered = sorted(tau for o in orbits for tau in o.orbit)
+            assert covered == list(range(len(character_table(H.as_group()[0]))))
+            assert [o.representative for o in orbits] == sorted(min(o.orbit) for o in orbits)
+            for rep, orbit, stabilizer in orbits:
+                assert {irr_action(G, H, g, tau) for g in G.elements() for tau in orbit} == orbit
+                assert all(irr_action(G, H, g, rep) == rep for g in stabilizer.members)
+                assert len(orbit) * stabilizer.order == G.order

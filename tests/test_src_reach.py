@@ -42,7 +42,6 @@ ALLOWED_UNREACHED = {
     "omega_generator_series": "acceptance criterion 8 checks it against partition counts",
     "irr_action": "acceptance criterion 2 reads the worked example's action on Irr(A)",
     "is_zero": "acceptance criterion 1 checks exact orthogonality with it",
-    "bu_generator_series": "reference oracle for test_specialization_trivial_action",
     "omega_regular_count": "benchmark span target only (perfbench/spans.py); "
                            "delete with the next benchmark change",
     "stabilizer_of_character": "benchmark span target only (perfbench/spans.py); "
