@@ -6,7 +6,19 @@ obstruction 2-cocycles, rank decompositions of equivariant K-theory at a
 point, fiberwise verification of the bundle decomposition over finite
 G-sets, and generator-count series for equivariant unitary bordism of
 adjacent families of subgroups.
+
+Importing the package pins BLAS to one thread, before numpy is first
+imported, wherever OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS is unset: the float layer's matrices are at most 16 x 16,
+too small for threads to pay for their start-up.  A variable the caller
+sets is kept.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .cyclotomic import Cyclotomic
 from .groups import FiniteGroup, Subgroup, group_from_generators

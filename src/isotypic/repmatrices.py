@@ -10,7 +10,8 @@ intertwiners between conjugate matrix models to exact roots of unity, and
 every identity check downstream is exact integer arithmetic.  Whether its
 class is trivial is decided on the characters of the group
 (orbits.extension_exists), never on the floats.  Residuals are checked
-against TOL and Schur scalars snapped within SNAP_TOL; neither is a
+against TOL; Schur scalars are snapped, and the traces of a matrix model
+compared with its exact character, within SNAP_TOL.  Neither is a
 parameter.
 """
 
@@ -32,8 +33,8 @@ from .groups import FiniteGroup, Subgroup, coset_quotient
 TOL = 1e-8
 SNAP_TOL = 1e-6
 MATRIX_IRREPS_CAP = 256
-# products rho(g) rho(h) per residual stack in _check_rep: 1 MB at degree 8
-_CHECK_STACK = 2 ** 10
+# bytes of the residual buffer of one block of g in _check_rep
+_CHECK_BYTES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -147,36 +148,44 @@ def _maximal_abelian(G: FiniteGroup, h: int) -> list[int]:
 def _check_rep(rep: MatrixRep, table: np.ndarray) -> None:
     """Raise SplitFailure unless every image is unitary, rho(g) rho(h) =
     rho(gh) for every pair (g, h), both within TOL in the spectral norm, and
-    the traces match the exact character; table is the group table as an
-    array.  The pair residuals are checked a block of g at a time, at most
-    _CHECK_STACK products per stack."""
+    the traces match the exact character within SNAP_TOL; table is the group
+    table as an array.  The pair residuals are checked a block of g at a
+    time, in one buffer of at most _CHECK_BYTES (or one g) per block."""
     G = rep.group
     M = rep.images
-    if not _within(M @ M.conj().transpose(0, 2, 1) - np.eye(rep.dimension)):
+    residual = M @ M.conj().transpose(0, 2, 1)
+    residual -= np.eye(rep.dimension)
+    if not _within(residual):
         raise SplitFailure("representation image is not unitary")
     n, d = M.shape[:2]
     # column (h, j) of right is column j of rho(h): a block of rho(g) times
     # right is every rho(g) rho(h) of the block, as one matrix product
     right = M.transpose(1, 0, 2).reshape(d, n * d)
-    block = _CHECK_STACK // n  # n <= MATRIX_IRREPS_CAP, so block >= 4
+    block = max(1, _CHECK_BYTES // (n * M[0].nbytes))
     for start in range(0, n, block):
         blk = slice(start, start + block)
         products = (M[blk].reshape(-1, d) @ right).reshape(-1, d, n, d).transpose(0, 2, 1, 3)
-        if not _within((products - M[table[blk]]).reshape(-1, d, d)):
+        # the gathered rho(gh), contiguous, is the block's one residual buffer
+        residual = M[table[blk]]
+        np.subtract(products, residual, out=residual)
+        if not _within(residual):
             raise SplitFailure("homomorphism residual above tolerance")
     for cls, val in zip(G.conjugacy_classes(), rep.character.values):
-        if abs(np.trace(M[cls[0]]) - val.to_complex()) > 1e-6:
+        if abs(np.trace(M[cls[0]]) - val.to_complex()) > SNAP_TOL:
             raise SplitFailure("trace does not match the exact character")
 
 
 def _within(stack: np.ndarray) -> bool:
-    """Whether every matrix of a (n, d, d) stack has spectral norm <= TOL.
+    """Whether every matrix of a (..., d, d) stack has spectral norm <= TOL.
 
     As ||X||_2 <= ||X||_F, a matrix whose Frobenius norm is within TOL
-    passes; all Frobenius norms come from one einsum, and only the rest are
-    sent to the SVD behind the spectral norm.  A non-finite stack fails.
+    passes; all Frobenius norms come from two einsums over the real and
+    imaginary views, which copy nothing of the stack (no conjugate, no
+    reshape), and only the rest are sent to the SVD behind the spectral
+    norm.  A non-finite stack fails.
     """
-    frobenius_sq = np.einsum("nij,nij->n", stack, stack.conj()).real
+    re, im = stack.real, stack.imag
+    frobenius_sq = np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im)
     if not np.isfinite(frobenius_sq).all():
         return False
     suspects = stack[frobenius_sq > TOL * TOL]
@@ -206,7 +215,9 @@ def intertwiner(rho1: MatrixRep, rho2: MatrixRep) -> Optional[np.ndarray]:
     if not np.isfinite(norms_sq).all() or norms_sq[i, j] < 0.5 / d ** 2:
         raise NumericalDegeneracy("averaging projection is not finite or vanishes")
     U = proj[i, j] * math.sqrt(d / norms_sq[i, j])
-    if not _within(U @ rho1.images @ U.conj().T - rho2.images):
+    residual = U @ rho1.images @ U.conj().T
+    residual -= rho2.images
+    if not _within(residual):
         raise NumericalDegeneracy("averaged intertwiner has a residual above tolerance")
     return U
 

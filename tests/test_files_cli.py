@@ -521,14 +521,38 @@ def test_json_report_schema_fields(argv, capsys):
     assert json.loads(json.dumps(payload)) == payload
 
 
-def test_cli_entry_point_runs():
+def _subprocess_env(drop=()):
+    """os.environ without the names in drop, with this package's src first
+    on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+def test_cli_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "isotypic.cli", "irr", "catalog:Z4"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert "order 4" in proc.stdout
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_import_pins_one_blas_thread_unless_the_caller_chose():
+    """In a fresh process, `import isotypic` sets each BLAS thread variable
+    that is unset to "1" and keeps one the caller set."""
+    env = _subprocess_env(drop=BLAS_THREAD_VARIABLES)
+    script = ("import os, isotypic; print(' '.join(os.environ[k] for k in %r))"
+              % (BLAS_THREAD_VARIABLES,))
+    for preset, expected in [({}, "1 1 1"), ({"OMP_NUM_THREADS": "2"}, "1 2 1"),
+                             (dict.fromkeys(BLAS_THREAD_VARIABLES, "2"), "2 2 2")]:
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=dict(env, **preset))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == expected.split(), preset
 
 
 def _bundle_with_multiplicities(tmp_path, ms):

@@ -67,33 +67,53 @@ def test_rep_invariants_homomorphism_unitarity_trace(d8):
 
 
 def _faithful_irrep(G):
-    """An irrep of largest degree: faithful for D8 (degree 2) and S4 (3)."""
+    """An irrep of largest degree: faithful for D8 (degree 2), S4 (3) and
+    S5 (6)."""
     return max(_all_irreps(G), key=lambda r: r.dimension)
 
 
-@pytest.mark.parametrize("name", ["D8", "S4"])
-def test_check_rep_passes_a_genuine_irrep(name):
-    G, _ = build_catalog_group(name)
-    _check_rep(_faithful_irrep(G), np.array(G._rows))
+def _s5():
+    return group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], name="S5")
 
 
-@pytest.mark.parametrize("name", ["D8", "S4"])
-def test_check_rep_rejects_a_scaled_image(name):
-    G, _ = build_catalog_group(name)
+def _check_rep_case(name):
+    """G and its faithful irrep.  D8's and S4's models fit in one block of
+    _check_rep; the residuals of all pairs of S5's degree-6 model exceed
+    the buffer of one block, so it spans more than one."""
+    G = _s5() if name == "S5" else build_catalog_group(name)[0]
     rep = _faithful_irrep(G)
+    if name == "S5":
+        assert G.order ** 2 * rep.images[0].nbytes > repmatrices._CHECK_BYTES
+    return G, rep
+
+
+CHECK_REP_GROUPS = ["D8", "S4", "S5"]
+
+
+@pytest.mark.parametrize("name", CHECK_REP_GROUPS)
+def test_check_rep_passes_a_genuine_irrep(name):
+    G, rep = _check_rep_case(name)
+    _check_rep(rep, np.array(G._rows))
+
+
+@pytest.mark.parametrize("name", CHECK_REP_GROUPS)
+def test_check_rep_rejects_a_scaled_image(name):
+    G, rep = _check_rep_case(name)
     images = rep.images.copy()
     images[G.order // 2] *= 1.001
     with pytest.raises(SplitFailure, match="not unitary"):
         _check_rep(dataclasses.replace(rep, images=images), np.array(G._rows))
 
 
-@pytest.mark.parametrize("name", ["D8", "S4"])
+@pytest.mark.parametrize("name", CHECK_REP_GROUPS)
 def test_check_rep_rejects_swapped_images(name):
     """Swapping the images of the two highest-index elements keeps every
     image unitary; only pairs involving them see the fault, so a check that
-    stops before them or samples pairs can miss it."""
-    G, _ = build_catalog_group(name)
-    rep = _faithful_irrep(G)
+    samples pairs can miss it.  S5's model spans several blocks of g (one g
+    each at 2^17 bytes); its first block holds only the identity, against
+    which every pair passes, so a check that stops after its first block
+    misses the fault."""
+    G, rep = _check_rep_case(name)
     last = G.order - 1
     images = rep.images.copy()
     images[[last - 1, last]] = images[[last, last - 1]]
@@ -102,15 +122,14 @@ def test_check_rep_rejects_swapped_images(name):
         _check_rep(dataclasses.replace(rep, images=images), np.array(G._rows))
 
 
-@pytest.mark.parametrize("name", ["D8", "S4"])
+@pytest.mark.parametrize("name", CHECK_REP_GROUPS)
 def test_a_non_finite_residual_is_a_typed_failure(name):
     """A NaN or infinite entry never reaches the SVD: _within rejects the
     stack, _check_rep raises SplitFailure and intertwiner, whose averaging
     projection is then not finite, NumericalDegeneracy."""
     assert not _within(np.full((2, 2, 2), np.nan, dtype=complex))
     assert not _within(np.full((1, 2, 2), np.inf, dtype=complex))
-    G, _ = build_catalog_group(name)
-    rep = _faithful_irrep(G)
+    G, rep = _check_rep_case(name)
     images = rep.images.copy()
     images[G.order // 2] = np.nan
     broken = dataclasses.replace(rep, images=images)
@@ -180,7 +199,7 @@ def test_images_equal_the_dense_regular_construction(name):
 def test_matrix_irreps_memory_below_cubic_s5():
     """matrix_irreps(S5) peaks below 8 |G|^3 bytes, half of what |G| dense
     complex |G| x |G| regular matrices alone would take."""
-    G = group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], name="S5")
+    G = _s5()
     character_table(G)
     tracemalloc.start()
     try:
@@ -194,8 +213,9 @@ def test_matrix_irreps_memory_below_cubic_s5():
 
 def test_matrix_irreps_time_and_memory_at_order_256():
     """At the order cap, D8xD8xZ2xZ2 splits into its 100 irreps in bounded
-    time, and the traced peak stays below the 268 MB that |G| dense complex
-    |G| x |G| regular matrices alone would take."""
+    time, and the traced peak stays below 16 MiB, a sixteenth of what |G|
+    dense complex |G| x |G| regular matrices alone would take (the peak,
+    about 4 MB, is matrix_irreps' |G| x |G| gathers)."""
     D8 = [[1, 2, 3, 0], [3, 2, 1, 0]]
     gens = direct_product(direct_product(D8, 4, D8, 4), 8, [[1, 0]], 2)
     G = group_from_generators(12, direct_product(gens, 10, [[1, 0]], 2), name="D8xD8xZ2xZ2")
@@ -212,7 +232,7 @@ def test_matrix_irreps_time_and_memory_at_order_256():
     assert len(reps) == 100
     assert sum(r.dimension ** 2 for r in reps) == G.order
     assert elapsed < 30, elapsed
-    assert peak < 256 * 2 ** 20, peak
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_matrix_irreps_cap(monkeypatch):
@@ -390,7 +410,7 @@ def test_obstruction_makes_no_random_draw(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_draw)
 
     def s5_over_a5():
-        S5 = group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], name="S5")
+        S5 = _s5()
         return S5, S5.subgroup([S5.perm_index(p) for p in ([1, 2, 0, 3, 4], [0, 1, 3, 4, 2])])
 
     S4xS3 = group_from_generators(7, direct_product(S4_GENS, 4, S3_GENS, 3), name="S4xS3")
@@ -469,6 +489,24 @@ def test_maximal_abelian_subgroup_models_the_degree_eight_irrep_of_2_1_6():
     assert len(np.flatnonzero(lam)) == 16
     rep = next(r for r in _all_irreps(G) if r.character == chi)
     _check_rep(rep, np.array(G._rows))
+
+
+def test_check_rep_memory_on_the_degree_eight_irrep_of_2_1_6():
+    """_check_rep holds one residual buffer of at most _CHECK_BYTES per block
+    of g, not a stack of products: on the degree-8 model of 2^{1+6}_+ (|G|
+    d^2 = 8192 complex entries per image array) its traced peak stays below
+    1 MiB."""
+    G = _extraspecial_2_1_6()
+    table = character_table(G)
+    rep = matrix_irreps(G, [table.degrees.index(8)])[0]
+    cayley = np.array(G._rows)
+    tracemalloc.start()
+    try:
+        _check_rep(rep, cayley)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def test_obstruction_rejects_a_non_stabilizer_before_float_work(q8, monkeypatch):
@@ -685,7 +723,7 @@ def test_obstruction_models_only_the_row_it_reads(pairs, monkeypatch):
     for module in (repmatrices, orbits):
         if hasattr(module, "matrix_irreps"):
             monkeypatch.setattr(module, "matrix_irreps", recording)
-    S5 = group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], name="S5")
+    S5 = _s5()
     A5 = S5.subgroup([S5.perm_index(p) for p in ([1, 2, 0, 3, 4], [0, 1, 3, 4, 2])])
     A5grp, _ = A5.as_group()
     degrees = character_table(A5grp).degrees
