@@ -12,15 +12,19 @@ the Euler transform from the sums of the parts dividing each k.
 
 The count depends only on the Weyl cycle types: for each w in N_G(A)/A, the
 multiset of (cycle length, degree) over the cycles of w on the nontrivial
-irreducibles of A.  The cycle lengths are read off the action on the
-classes of A and on the cosets of A' (Brauer's permutation lemma, Isaacs
-Thm 6.32 and Cor. 6.33), and the degrees fitted to them: each non-linear
+irreducibles of A.  By Brauer's permutation lemma (Isaacs Thm 6.32 and
+Cor. 6.33) w has the same cycles on Irr(A) as on the classes of A.  For
+abelian A every class is one element and every character linear, so the
+types are read straight off the conjugation maps of
+``FiniteGroup.conjugation_action(A)``, every cycle of degree 1.  For
+non-abelian A the cycle lengths are read off the action on the classes of
+A and on the cosets of A', and the degrees fitted to them: each non-linear
 degree exceeds 1 and divides |A| (Isaacs Thm 3.11), a cycle permutes
 characters of one degree, and the squares of the non-linear degrees sum to
 |A| - [A:A'].  When exactly one assignment of degrees to the cycles fits,
-it is the true one, and no character table is built; abelian A has no
-cycle to fit.  Only when some w has no fit or more than one (S5, S4xS3, ...)
-is a table built, by ``rank_profile``.
+it is the true one, and no character table is built.  Only when some w has
+no fit or more than one (S5, S4xS3, ...) is a table built, by
+``rank_profile``.
 """
 
 from __future__ import annotations
@@ -33,14 +37,19 @@ from math import isqrt
 from operator import add, mul
 from typing import Sequence
 
-from .catalog import build_catalog_group
 from .characters import character_table
 from .cyclotomic import _factorize
 from .errors import CapExceeded, NotNormal, NotOdd, NotPrime
-from .groups import FiniteGroup, Subgroup, _gather, _partition, closure
+from .groups import (FiniteGroup, Subgroup, _gather, _partition, closure,
+                     group_from_generators)
 from .orbits import irr_permutations
 
 MAX_DEGREE = 200
+# the largest p that d2p_certify accepts.  Time and memory grow as p^2 (the
+# table of D2p has 4p^2 entries): at degree 40 on a 2-vCPU machine, D1018
+# (p = 509) certifies in 0.10-0.22 s with a 12.7 MB traced peak, D2018
+# (p = 1009) in 0.44-0.78 s with 48.5 MB
+D2P_MAX_P = 509
 
 
 # -- truncated integer series ----------------------------------------------------
@@ -200,36 +209,46 @@ def _fit_degrees(lengths: Sequence[int], order: int, total: int):
     sum(length * d^2) == total; None when no multiset fits or more than one
     does.  Lengths are walked in sorted order with degrees nondecreasing
     within equal lengths, so each multiset is met once; a branch is cut when
-    the rest cannot reach or must overshoot the remaining sum."""
+    the rest cannot reach or must overshoot the remaining sum.  The walk
+    keeps its own stack (one degree index per cycle), so a thousand cycles
+    are a thousand steps, not a thousand nested calls."""
     lengths = sorted(lengths)
+    n = len(lengths)
     degrees = [d for d in range(2, isqrt(total) + 1) if order % d == 0]
+    squares = [d * d for d in degrees]
     tail = list(accumulate(reversed(lengths), initial=0))[::-1]  # tail[j]: sum of lengths[j:]
     found: list[tuple] = []
-    chosen: list[tuple[int, int]] = []
-
-    def walk(j: int, lo: int, left: int) -> None:
-        if j == len(lengths):
-            if left == 0:
-                found.append(tuple(chosen))
-            return
-        ell = lengths[j]
-        if j and lengths[j - 1] != ell:
-            lo = 0
-        # the rest of this run of equal lengths takes degree >= d, the others >= degrees[0]
-        run = tail[j + 1] - tail[bisect_right(lengths, ell, j)]
-        for i in range(lo, len(degrees)):
-            d = degrees[i]
-            rest = left - ell * d * d
-            if rest < run * d * d + (tail[j + 1] - run) * degrees[0] ** 2:
-                break
-            if rest <= tail[j + 1] * degrees[-1] ** 2:
-                chosen.append((ell, d))
-                walk(j + 1, i, rest)
-                chosen.pop()
+    picks: list[int] = []  # picks[j]: the index in degrees of cycle j's degree
+    lefts = [total]  # lefts[j]: the sum the cycles from j on must make
+    i = 0  # the next index in degrees to try for cycle len(picks)
+    while True:
+        j = len(picks)
+        if j == n:
+            if lefts[j] == 0:
+                found.append(tuple((ell, degrees[k]) for ell, k in zip(lengths, picks)))
                 if len(found) > 1:
-                    return
-
-    walk(0, 0, total)
+                    break
+        elif squares:
+            ell, left, after = lengths[j], lefts[j], tail[j + 1]
+            # the rest of this run of equal lengths takes degree >= d, the others >= degrees[0]
+            run = after - tail[bisect_right(lengths, ell, j)]
+            floor, ceiling = (after - run) * squares[0], after * squares[-1]
+            for i in range(i, len(squares)):
+                rest = left - ell * squares[i]
+                if rest < run * squares[i] + floor:
+                    break
+                if rest <= ceiling:
+                    picks.append(i)
+                    lefts.append(rest)
+                    if j + 1 < n and lengths[j + 1] != ell:
+                        i = 0
+                    break
+            if len(picks) > j:
+                continue
+        if not picks:
+            break
+        lefts.pop()
+        i = picks.pop() + 1
     return found[0] if len(found) == 1 else None
 
 
@@ -240,20 +259,33 @@ def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
     Read off G's table, with no character table of A whenever the cycle
     lengths force the degrees.  By Brauer's permutation lemma (Isaacs,
     Thm 6.32 and Cor. 6.33) each w has the same cycle type on Irr(A) as on
-    the classes of A, and, applied to the abelian group A/A', the same
-    cycle type on the linear characters as on the cosets of A'.  So the
-    cycles of w on the non-linear characters are the multiset difference
-    of the two.  A cycle permutes characters of one degree, each non-linear
-    degree exceeds 1 and divides |A| (Frobenius, Isaacs Thm 3.11), and the
-    squares of the degrees sum to |A|, so to |A| - [A:A'] over the
-    non-linear ones.  The true degrees are thus one way to give each cycle
-    of length l a degree d >= 2 dividing |A| with sum(l d^2) = |A| - [A:A']
-    (``_fit_degrees``); when it is the only way, it is w's cycle type.
-    Abelian A (A' = 1, the trivial subgroup included) has no cycle to
-    fit.  When some w has no fit or more than one (S5, ...), the types
-    are read off ``rank_profile``.
+    the classes of A.  When A is abelian (the trivial subgroup included)
+    every class is one element and every character linear, so w's cycle
+    type is that of its conjugation map (``FiniteGroup.conjugation_action``)
+    on the non-identity members, every cycle of degree 1.  Otherwise, applied
+    to the abelian group A/A', the lemma gives w the same cycle type on the
+    linear characters as on the cosets of A', so the cycles of w on the
+    non-linear characters are the multiset difference of the two.  A cycle
+    permutes characters of one degree, each non-linear degree exceeds 1 and
+    divides |A| (Frobenius, Isaacs Thm 3.11), and the squares of the degrees
+    sum to |A|, so to |A| - [A:A'] over the non-linear ones.  The true
+    degrees are thus one way to give each cycle of length l a degree d >= 2
+    dividing |A| with sum(l d^2) = |A| - [A:A'] (``_fit_degrees``); when it
+    is the only way, it is w's cycle type.  When some w has no fit or more
+    than one (S5, ...), the types are read off ``rank_profile``.
     """
     rows, inv, members = G._rows, G._inv, A.members
+    maps = G.conjugation_action(A).maps.values()
+    types: dict[tuple, tuple] = {}
+    out: Counter = Counter()
+    # abelian: every pair of members commutes (stopping at the first that does not)
+    if all(rows[x][y] == rows[y][x] for k, x in enumerate(members) for y in members[:k]):
+        ones = (1,) * (A.order - 1)
+        for image in maps:  # each image fixes position 0, the identity
+            if image not in types:
+                types[image] = _cycle_type([j - 1 for j in image[1:]], ones)
+            out[types[image]] += 1
+        return out
     pos = A._position
     # the classes of A and the cosets of A', both by position in A.members
     # (block 0 holds the identity); A' is generated by the commutators c h^-1,
@@ -264,24 +296,19 @@ def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
     derived = closure(G, sorted({rows[h][rep_inv[c]] for h, c in zip(members, class_of)}))
     coset = _gather(derived)  # h A', read off row h
     coset_of, coset_reps = _partition(members, lambda h: map(pos.get, coset(rows[h])))
-    k, index = len(class_reps), len(coset_reps)
-    # each map fixes class 0 and coset 0, the trivial character
-    ones = (1,) * k
-    types: dict[tuple, tuple] = {}
-    out: Counter = Counter()
-    for image in G.conjugation_action(A).maps.values():
+    ones, index = (1,) * len(class_reps), len(coset_reps)
+    for image in maps:
         if image not in types:
+            # each map fixes class 0 and coset 0, the trivial character
             cycles = _cycle_type([coset_of[image[i]] - 1 for i in coset_reps[1:]], ones)
-            if k > index:
-                rest = Counter(_cycle_type([class_of[image[i]] - 1 for i in class_reps[1:]], ones))
-                rest.subtract(cycles)
-                if min(rest.values()) < 0:
-                    raise AssertionError("cosets of A' have cycles the classes of A lack")
-                fit = _fit_degrees([ell for ell, _ in rest.elements()], A.order, A.order - index)
-                if fit is None:
-                    return rank_profile(G, A).cycle_types()
-                cycles = tuple(sorted(cycles + fit))
-            types[image] = cycles
+            rest = Counter(_cycle_type([class_of[image[i]] - 1 for i in class_reps[1:]], ones))
+            rest.subtract(cycles)
+            if min(rest.values()) < 0:
+                raise AssertionError("cosets of A' have cycles the classes of A lack")
+            fit = _fit_degrees([ell for ell, _ in rest.elements()], A.order, A.order - index)
+            if fit is None:
+                return rank_profile(G, A).cycle_types()
+            types[image] = tuple(sorted(cycles + fit))
         out[types[image]] += 1
     return out
 
@@ -447,21 +474,24 @@ def d2p_certify(p: int, max_degree: int) -> D2pReport:
     """Certify the free-on-even-generators shape for the dihedral group of
     order 2p at the level of localized generator counts.
 
-    Builds the chain of four families, checks adjacency and the Weyl groups
-    of each step, computes the global series, reads the series of every
-    adjacent pair off its breakdown, and asserts that all odd coefficients
-    vanish.
+    Builds D2p from the rotation and the reflection of the p-gon, for odd
+    primes p up to ``D2P_MAX_P``, then the chain of four families, checks
+    adjacency and the Weyl groups of each step, computes the global series,
+    reads the series of every adjacent pair off its breakdown, and asserts
+    that all odd coefficients vanish.
     """
     if p % 2 == 0:
         raise NotOdd("p must be odd")
     if _factorize(p) != [(p, 1)]:
         raise NotPrime("p must be an odd prime")
-    if p > 13:
-        raise CapExceeded("p above 13")
+    if p > D2P_MAX_P:
+        raise CapExceeded("p above %d" % D2P_MAX_P)
     if max_degree > 60:
         raise CapExceeded("max_degree above 60")
 
-    G, _ = build_catalog_group("D%d" % (2 * p))
+    # the rotation i -> i + 1 and the reflection i -> -i of the p-gon
+    G = group_from_generators(p, [[(i + 1) % p for i in range(p)],
+                                  [(p - i) % p for i in range(p)]], name="D%d" % (2 * p))
     subs = G.all_subgroups()
     trivial = next(s for s in subs if s.order == 1)
     rotation = next(s for s in subs if s.order == p)

@@ -69,7 +69,14 @@ class FiniteGroup:
         self._rows: list[list[int]] = rows
         if check:
             _check_axioms(self)
-        self._inv: list[int] = [row.index(0) for row in rows]
+        # x y = 1 gives y x = 1 too, so each scan finds two inverses
+        inv = [-1] * n
+        for x, row in enumerate(rows):
+            if inv[x] < 0:
+                y = row.index(0)
+                inv[x] = y
+                inv[y] = x
+        self._inv: list[int] = inv
         # each element's permutation -> its index, in index order
         self._perm_index = perms
         self._exponent: Optional[int] = None

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import os
+import sys
 
 import pytest
 from hypothesis import settings
@@ -87,6 +90,20 @@ def relabel(G, rng):
         for b in G.elements():
             table[pi[a]][pi[b]] = pi[G.mul(a, b)]
     return FiniteGroup(table, name=G.name, check=False), pi
+
+
+def benchmark_pool() -> dict:
+    """The benchmark's group pool, ``POOL`` of perfbench/inputs.py, loaded by
+    path (that module uses no package code)."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.POOL
 
 
 # -- input builders: no command reaches these, only tests of other functions ---

@@ -22,7 +22,8 @@ from isotypic.groups import Subgroup, group_from_generators
 from isotypic.orbits import irr_action
 
 from conftest import (S3_GENS, S4_GENS, all_catalog_groups, brute_label_orbit_counts,
-                      brute_partitions, dihedral, direct_product, relabelled_group)
+                      benchmark_pool, brute_partitions, dihedral, direct_product,
+                      relabelled_group)
 
 
 def test_power_series_arithmetic():
@@ -247,12 +248,13 @@ def test_rank_profile_weyl_action_matches_normalizer_quotient():
 
 
 def test_weyl_cycle_types_agree_with_rank_profile(monkeypatch):
-    """Both routes give the cycle types the character-table route gives, on
+    """Every route gives the cycle types the character-table route gives, on
     every subgroup class, and the cycle types do not change with a
-    relabelling.  The class/A' route (Brauer's permutation lemma on the
-    classes of A and the cosets of A', with the degrees fitted to
-    |A| - [A:A']) builds no table; ``rank_profile`` is called, once, only
-    when the true cycles of some w are not the one fit."""
+    relabelling.  Abelian A is read off its conjugation maps and the
+    class/A' route (Brauer's permutation lemma on the classes of A and the
+    cosets of A', with the degrees fitted to |A| - [A:A']) builds no table;
+    ``rank_profile`` is called, once, only when the true cycles of some w
+    are not the one fit."""
     tables = []
 
     def counted(G, A):
@@ -284,7 +286,9 @@ def test_weyl_cycle_types_agree_with_rank_profile(monkeypatch):
                 fits = [_fit_degrees([ell for ell, d in t if d > 1], A.order,
                                      sum(ell * d * d for ell, d in t if d > 1)) for t in types]
                 assert built == (None in fits), (name, A.members)
-                routes["table" if built else "table-free"] += 1
+                abelian = A.as_group()[0].is_abelian
+                assert not (abelian and built), (name, A.members)
+                routes["abelian" if abelian else "table" if built else "table-free"] += 1
                 if A.order == G.order:
                     nonlinear = [d for d in character_table(A.as_group()[0]).degrees if d > 1]
                     if name in ("S4", "S3xS3", "S4xZ2", "A4", "F20", "D8", "Q8", "S3", "F21"):
@@ -294,7 +298,46 @@ def test_weyl_cycle_types_agree_with_rank_profile(monkeypatch):
                 summary.append((A.order, len(cls), sorted(types.items())))
             summaries.append(sorted(summary))
         assert summaries[0] == summaries[1], name
-    assert routes == {"table-free": 640, "table": 10}, routes
+    assert routes == {"abelian": 426, "table-free": 214, "table": 10}, routes
+
+
+def test_weyl_cycle_types_read_abelian_classes_off_conjugation_maps(monkeypatch):
+    """On every abelian subgroup class of the catalog and the benchmark pool
+    groups, each also relabelled, the trivial subgroup included,
+    ``weyl_cycle_types`` partitions nothing and closes nothing: the cycle
+    types are those of the (already cached) conjugation maps on A's
+    non-identity members, and they equal the character-table route's."""
+    calls = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    specs = [(e.name, e.degree, e.generators) for _, e in sorted(CATALOG.items())]
+    specs += [(name, spec.degree, spec.gens) for name, spec in benchmark_pool().items()
+              if name not in CATALOG]
+    rng = random.Random(42)
+    groups = [G for name, degree, gens in specs
+              for G in (group_from_generators(degree, gens, name=name),
+                        relabelled_group(name, degree, gens, rng))]
+    classes = [(G, cls[0]) for G in groups for cls in G.subgroup_conjugacy_classes()
+               if cls[0].as_group()[0].is_abelian]
+    for G, A in classes:
+        G.conjugation_action(A)
+    for module in (bordism, isotypic.groups):
+        for name in ("_partition", "closure"):
+            counting(module, name)
+    for G, A in classes:
+        calls.clear()
+        types = weyl_cycle_types(G, A)
+        assert not calls, (G.name, A.members, calls)
+        assert types == rank_profile(G, A).cycle_types(), (G.name, A.members)
+    assert sum(A.order == 1 for _, A in classes) == len(groups)
+    assert (len(groups), len(classes)) == (90, 500)
 
 
 def test_fit_degrees_finds_the_one_fit_or_none():
@@ -317,6 +360,16 @@ def test_fit_degrees_is_fast_on_many_cycles():
     elapsed = time.perf_counter() - start
     assert fit == ((1, 2),) * 32 + ((1, 4),) * 4
     assert elapsed < 0.05, elapsed
+
+
+def test_fit_degrees_walks_a_thousand_cycles():
+    """D4006 (p = 2003) has 1001 non-linear characters, all of degree 2, so
+    the walk is 1001 cycles deep: it keeps its own stack, not Python's."""
+    start = time.perf_counter()
+    fit = _fit_degrees([1] * 1001, 4006, 4004)
+    elapsed = time.perf_counter() - start
+    assert fit == ((1, 2),) * 1001
+    assert elapsed < 0.5, elapsed
 
 
 def test_global_series_builds_a_table_only_for_s5(monkeypatch):
@@ -348,8 +401,9 @@ def test_global_series_builds_a_table_only_for_s5(monkeypatch):
 def test_global_series_materializes_no_subgroup(monkeypatch):
     """Where every fit is unique (S3xS3, S4, S4xZ2), ``global_generator_series``
     calls ``Subgroup.as_group`` for no subgroup: ``weyl_cycle_types`` reads
-    the classes of A and the cosets of A' on A's member positions in G's
-    table, and builds no table of A."""
+    an abelian A off its conjugation maps, and the classes of any other A
+    and the cosets of A' on A's member positions in G's table, and builds
+    no table of A."""
     calls = []
     as_group = Subgroup.as_group
 
@@ -560,6 +614,29 @@ def test_d2p_global_matches_sum_of_pairs():
         for s in rep.pair_series.values():
             total = total + s
         assert total.coefficients == rep.global_series.coefficients
+
+
+def test_d2p_series_match_the_closed_form_weyl_actions():
+    """For an odd prime p the subgroup classes of D2p are 1, <s>, Z_p and
+    D2p, with Weyl groups D2p, 1, Z2 and 1.  D2p fixes Irr(1) = {1}; <s> has
+    one nontrivial (linear) character; Z2 acts on Irr(Z_p) by inversion,
+    swapping its p - 1 nontrivial characters in (p - 1)/2 pairs; and
+    Irr(D2p) has the sign character and (p - 1)/2 characters of degree 2.
+    Each pair's series is Burnside's average over these cycle types, by the
+    reference running-sum products, for primes up to the largest accepted."""
+    degree = 12
+    for p in (3, 5, 7, 11, 13, 17, 31, 61, 127, 251, bordism.D2P_MAX_P):
+        half = (p - 1) // 2
+        types = {"(F0,)": Counter({(): 2 * p}),
+                 "(F1,F0)": Counter({((1, 1),) * (p - 1): 1, ((2, 1),) * half: 1}),
+                 "(F2,F1)": Counter({((1, 1),): 1}),
+                 "(F3,F2)": Counter({((1, 1),) + ((1, 2),) * half: 1})}
+        expected = {pair: _reference_burnside(t, degree) for pair, t in types.items()}
+        rep = d2p_certify(p, degree)
+        assert {pair: list(s.coefficients) for pair, s in rep.pair_series.items()} == expected, p
+        assert list(rep.global_series.coefficients) == [
+            sum(c) for c in zip(*expected.values())], p
+        assert (rep.irr_pairs, rep.irr_fixed) == (half, 0), p
 
 
 def test_d2p_rejects_bad_input():

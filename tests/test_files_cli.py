@@ -1,16 +1,16 @@
 import hashlib
-import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import relabelled_generators
+from conftest import benchmark_pool, relabelled_generators
 from isotypic.catalog import CATALOG
 from isotypic import cli
 from isotypic.cli import main
@@ -281,6 +281,23 @@ def test_cmd_d2p_ok(capsys):
     assert "odd coefficients vanish: True" in out
 
 
+def test_cmd_d2p_certifies_the_largest_accepted_prime_within_a_second(capsys):
+    """p = 509 (D1018) is the largest p accepted; the next prime, 521, is
+    over the bound and exits 3 before any group is built."""
+    start = time.perf_counter()
+    code, out = run_cli(["--format", "json", "d2p", "--p", "509", "--max-degree", "40"], capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["odd_vanishing"] and results["degree_zero"] == 4
+    assert results["nontrivial_irr_orbits"] == {"pairs": 254, "fixed": 0}
+    assert elapsed < 1.0, elapsed
+    start = time.perf_counter()
+    assert main(["d2p", "--p", "521", "--max-degree", "40"]) == 3
+    assert time.perf_counter() - start < 0.1
+    assert "p above 509" in capsys.readouterr().err
+
+
 def test_cmd_d2p_rejects_composite(capsys):
     assert main(["d2p", "--p", "25", "--max-degree", "10"]) == 2
     assert main(["d2p", "--p", "4", "--max-degree", "10"]) == 2
@@ -386,20 +403,6 @@ RELABELLING_CHANGES = {
 }
 
 
-def _benchmark_pool() -> dict:
-    """The benchmark's group pool, ``POOL`` of perfbench/inputs.py, loaded by
-    path (that module uses no package code)."""
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs.py")
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module.POOL
-
-
 def _relabelling_cases() -> list:
     """(name, degree, generators, normal generator indices) of each catalog
     group that names a normal subgroup, then of each benchmark pool group
@@ -408,7 +411,7 @@ def _relabelling_cases() -> list:
     cases = [(name, CATALOG[name].degree, [list(g) for g in CATALOG[name].generators],
               list(CATALOG[name].normal_generator_indices))
              for name in NAMES_A_NORMAL_SUBGROUP]
-    for name, spec in _benchmark_pool().items():
+    for name, spec in benchmark_pool().items():
         if name not in CATALOG:
             listed = list(spec.gens) + [p for p in spec.normal_gens if p not in spec.gens]
             cases.append((name, spec.degree, [list(p) for p in listed],

@@ -10,8 +10,9 @@ from isotypic.catalog import CATALOG, build_catalog_group
 from isotypic.errors import CapExceeded, ClosureOverflow, InvalidPermutation, NotNormal
 from isotypic.groups import FiniteGroup, _check_axioms, group_from_generators
 
-from conftest import (S3_GENS, S4_GENS, all_catalog_groups, brute_conjugacy_classes, conj,
-                      dihedral, direct_product, relabelled_generators, relabelled_group)
+from conftest import (S3_GENS, S4_GENS, all_catalog_groups, benchmark_pool,
+                      brute_conjugacy_classes, conj, dihedral, direct_product,
+                      relabelled_generators, relabelled_group)
 
 
 def test_cyclic_four_from_single_cycle():
@@ -21,6 +22,17 @@ def test_cyclic_four_from_single_cycle():
     assert len(G.conjugacy_classes()) == 4
     assert G.exponent == 4
     assert G.is_abelian
+
+
+def test_inverses_match_a_scan_of_every_row():
+    """Each row scan finds two inverses (x y = 1 gives y x = 1); the result
+    is the scan of every row for 0, on every catalog and benchmark pool
+    group."""
+    specs = [(e.degree, e.generators) for e in CATALOG.values()]
+    specs += [(spec.degree, spec.gens) for spec in benchmark_pool().values()]
+    for degree, gens in specs:
+        G = group_from_generators(degree, gens)
+        assert G._inv == [row.index(0) for row in G._rows], (degree, gens)
 
 
 def test_is_abelian_compares_rows_with_columns_at_order_144():
