@@ -16,15 +16,20 @@ irreducibles of A.  By Brauer's permutation lemma (Isaacs Thm 6.32 and
 Cor. 6.33) w has the same cycles on Irr(A) as on the classes of A.  For
 abelian A every class is one element and every character linear, so the
 types are read straight off the conjugation maps of
-``FiniteGroup.conjugation_action(A)``, every cycle of degree 1.  For
-non-abelian A the cycle lengths are read off the action on the classes of
-A and on the cosets of A', and the degrees fitted to them: each non-linear
-degree exceeds 1 and divides |A| (Isaacs Thm 3.11), a cycle permutes
-characters of one degree, and the squares of the non-linear degrees sum to
-|A| - [A:A'].  When exactly one assignment of degrees to the cycles fits,
-it is the true one, and no character table is built.  Only when some w has
-no fit or more than one (S5, S4xS3, ...) is a table built, by
-``rank_profile``.
+``FiniteGroup.conjugation_action(A)``, every cycle of degree 1; the trivial
+subgroup has no nontrivial irreducible, so its |G| elements w all have the
+empty type, read with no coset table.  For non-abelian A the cycle lengths
+are read off the action on the classes of A and on the cosets of A', and
+the degrees fitted to them: each non-linear degree exceeds 1 and divides
+|A| (Isaacs Thm 3.11), a cycle permutes characters of one degree, the
+squares of the non-linear degrees sum to |A| - [A:A'], and by the
+Frobenius-Schur count (Isaacs Ch. 4) all the degrees sum to at least
+#{a in A : a^2 = 1}, so the non-linear ones to at least that less [A:A'].
+When exactly one assignment of degrees to the cycles fits, it is the true
+one, and no character table is built: S5's degrees 4, 4, 5, 5, 6 are the
+one fit, as 2, 3, 4, 5, 8 sum below the floor.  Only when some w has no fit
+or more than one (the classes of order 72 and 144 of S4xS3) is a table
+built, by ``rank_profile``.
 """
 
 from __future__ import annotations
@@ -35,12 +40,12 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import isqrt
 from operator import add, mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .characters import character_table
 from .cyclotomic import _factorize
 from .errors import CapExceeded, NotNormal, NotOdd, NotPrime
-from .groups import (FiniteGroup, Subgroup, _gather, _partition, closure,
+from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, _gather, _partition, closure,
                      group_from_generators)
 from .orbits import irr_permutations
 
@@ -203,13 +208,14 @@ def rank_profile(G: FiniteGroup, A: Subgroup) -> RankProfile:
     return RankProfile(dims=dims, perms=perms)
 
 
-def _fit_degrees(lengths: Sequence[int], order: int, total: int):
+def _fit_degrees(lengths: Sequence[int], order: int, total: int, floor: int = 0):
     """The one multiset of (cycle length, degree) pairs, sorted, that gives
     each cycle length in lengths a degree d >= 2 dividing order so that
-    sum(length * d^2) == total; None when no multiset fits or more than one
-    does.  Lengths are walked in sorted order with degrees nondecreasing
-    within equal lengths, so each multiset is met once; a branch is cut when
-    the rest cannot reach or must overshoot the remaining sum.  The walk
+    sum(length * d^2) == total and sum(length * d) >= floor; None when no
+    multiset fits or more than one does.  Lengths are walked in sorted order
+    with degrees nondecreasing within equal lengths, so each multiset is met
+    once; a branch is cut when the rest cannot reach or must overshoot the
+    remaining sum, and a multiset under the floor is passed over.  The walk
     keeps its own stack (one degree index per cycle), so a thousand cycles
     are a thousand steps, not a thousand nested calls."""
     lengths = sorted(lengths)
@@ -224,7 +230,7 @@ def _fit_degrees(lengths: Sequence[int], order: int, total: int):
     while True:
         j = len(picks)
         if j == n:
-            if lefts[j] == 0:
+            if lefts[j] == 0 and sum(map(mul, lengths, map(degrees.__getitem__, picks))) >= floor:
                 found.append(tuple((ell, degrees[k]) for ell, k in zip(lengths, picks)))
                 if len(found) > 1:
                     break
@@ -232,12 +238,12 @@ def _fit_degrees(lengths: Sequence[int], order: int, total: int):
             ell, left, after = lengths[j], lefts[j], tail[j + 1]
             # the rest of this run of equal lengths takes degree >= d, the others >= degrees[0]
             run = after - tail[bisect_right(lengths, ell, j)]
-            floor, ceiling = (after - run) * squares[0], after * squares[-1]
+            least, most = (after - run) * squares[0], after * squares[-1]
             for i in range(i, len(squares)):
                 rest = left - ell * squares[i]
-                if rest < run * squares[i] + floor:
+                if rest < run * squares[i] + least:
                     break
-                if rest <= ceiling:
+                if rest <= most:
                     picks.append(i)
                     lefts.append(rest)
                     if j + 1 < n and lengths[j + 1] != ell:
@@ -252,28 +258,37 @@ def _fit_degrees(lengths: Sequence[int], order: int, total: int):
     return found[0] if len(found) == 1 else None
 
 
-def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
+def weyl_cycle_types(G: FiniteGroup, A: Subgroup, fits: Optional[dict] = None) -> Counter:
     """The cycle types of N_A/A on the nontrivial irreducibles of A, as
     ``RankProfile.cycle_types`` counts them, one per coset of A in N_A.
 
     Read off G's table, with no character table of A whenever the cycle
-    lengths force the degrees.  By Brauer's permutation lemma (Isaacs,
-    Thm 6.32 and Cor. 6.33) each w has the same cycle type on Irr(A) as on
-    the classes of A.  When A is abelian (the trivial subgroup included)
-    every class is one element and every character linear, so w's cycle
-    type is that of its conjugation map (``FiniteGroup.conjugation_action``)
-    on the non-identity members, every cycle of degree 1.  Otherwise, applied
-    to the abelian group A/A', the lemma gives w the same cycle type on the
-    linear characters as on the cosets of A', so the cycles of w on the
-    non-linear characters are the multiset difference of the two.  A cycle
-    permutes characters of one degree, each non-linear degree exceeds 1 and
-    divides |A| (Frobenius, Isaacs Thm 3.11), and the squares of the degrees
-    sum to |A|, so to |A| - [A:A'] over the non-linear ones.  The true
-    degrees are thus one way to give each cycle of length l a degree d >= 2
-    dividing |A| with sum(l d^2) = |A| - [A:A'] (``_fit_degrees``); when it
-    is the only way, it is w's cycle type.  When some w has no fit or more
-    than one (S5, ...), the types are read off ``rank_profile``.
+    lengths force the degrees.  The trivial subgroup has no nontrivial
+    irreducible and N_1 = G, so its types are |G| empty ones, with no
+    conjugation action.  By Brauer's permutation lemma (Isaacs, Thm 6.32
+    and Cor. 6.33) each w has the same cycle type on Irr(A) as on the
+    classes of A.  When A is abelian every class is one element and every
+    character linear, so w's cycle type is that of its conjugation map
+    (``FiniteGroup.conjugation_action``) on the non-identity members, every
+    cycle of degree 1.  Otherwise, applied to the abelian group A/A', the
+    lemma gives w the same cycle type on the linear characters as on the
+    cosets of A', so the cycles of w on the non-linear characters are the
+    multiset difference of the two.  A cycle permutes characters of one
+    degree, each non-linear degree exceeds 1 and divides |A| (Frobenius,
+    Isaacs Thm 3.11), the squares of the degrees sum to |A|, so to
+    |A| - [A:A'] over the non-linear ones, and the degrees themselves sum to
+    at least #{a in A : a^2 = 1} (Frobenius-Schur, Isaacs Ch. 4), so to at
+    least that less [A:A'] over the non-linear ones.  The true degrees are
+    thus one way to give each cycle of length l a degree d >= 2 dividing |A|
+    with sum(l d^2) = |A| - [A:A'] and sum(l d) at least that floor
+    (``_fit_degrees``); when it is the only way, it is w's cycle type.  Each
+    (lengths, |A|, [A:A'], floor) is fitted once per fits dict, which a
+    caller may share across calls.  When some w has no fit or more than one
+    (S4xS3's classes of order 72 and 144), the types are read off
+    ``rank_profile``.
     """
+    if A.order == 1:
+        return Counter({(): G.order})
     rows, inv, members = G._rows, G._inv, A.members
     maps = G.conjugation_action(A).maps.values()
     types: dict[tuple, tuple] = {}
@@ -297,6 +312,9 @@ def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
     coset = _gather(derived)  # h A', read off row h
     coset_of, coset_reps = _partition(members, lambda h: map(pos.get, coset(rows[h])))
     ones, index = (1,) * len(class_reps), len(coset_reps)
+    # Frobenius-Schur: the degrees sum to at least #{a : a^2 = 1}, the linear ones to [A:A']
+    floor = sum(rows[h][h] == 0 for h in members) - index
+    fits = {} if fits is None else fits
     for image in maps:
         if image not in types:
             # each map fixes class 0 and coset 0, the trivial character
@@ -305,7 +323,10 @@ def weyl_cycle_types(G: FiniteGroup, A: Subgroup) -> Counter:
             rest.subtract(cycles)
             if min(rest.values()) < 0:
                 raise AssertionError("cosets of A' have cycles the classes of A lack")
-            fit = _fit_degrees([ell for ell, _ in rest.elements()], A.order, A.order - index)
+            key = (tuple(sorted(ell for ell, _ in rest.elements())), A.order, index, floor)
+            if key not in fits:
+                fits[key] = _fit_degrees(key[0], A.order, A.order - index, floor)
+            fit = fits[key]
             if fit is None:
                 return rank_profile(G, A).cycle_types()
             types[image] = tuple(sorted(cycles + fit))
@@ -367,20 +388,27 @@ def burnside_label_series(cycle_types: Counter, max_degree: int) -> PowerSeries:
 def _burnside_average(cycle_types: Counter, max_degree: int, products: dict) -> PowerSeries:
     """``burnside_label_series``, reading the Euler product of each cycle
     type from products and adding those it forms; a caller that passes one
-    dict to several calls forms each distinct cycle type's product once."""
+    dict to several calls forms each distinct cycle type's product once.
+    The empty type (the trivial subgroup's) has the product 1, and when
+    every w has one type, the average is that type's product."""
     if not cycle_types:
         raise ValueError("empty acting group")
     half = max_degree // 2
+    for cycle_type in cycle_types:
+        if cycle_type not in products:
+            product = [1] + [0] * max_degree
+            if cycle_type:
+                # a cycle of length l on degree-d irreducibles has the parts l(d + i), i >= 0
+                part_sums = [0] * half
+                for (ell, dim), cycles in Counter(cycle_type).items():
+                    _add_part_sums(part_sums, range(ell * dim, half + 1, ell), cycles)
+                product = _euler_product(part_sums, max_degree)
+            products[cycle_type] = product
+    if len(cycle_types) == 1:
+        return PowerSeries(products[next(iter(cycle_types))])
     total = [0] * (max_degree + 1)
     for cycle_type, count in cycle_types.items():
-        product = products.get(cycle_type)
-        if product is None:
-            # a cycle of length l on degree-d irreducibles has the parts l(d + i), i >= 0
-            part_sums = [0] * half
-            for (ell, dim), cycles in Counter(cycle_type).items():
-                _add_part_sums(part_sums, range(ell * dim, half + 1, ell), cycles)
-            product = products[cycle_type] = _euler_product(part_sums, max_degree)
-        total = list(map(add, total, map(mul, product, repeat(count))))
+        total = list(map(add, total, map(mul, products[cycle_type], repeat(count))))
     w = sum(cycle_types.values())
     if any(c % w for c in total):
         raise AssertionError("Burnside average is not integral")
@@ -405,16 +433,18 @@ def global_generator_series(G: FiniteGroup, max_degree: int):
 
     One summand per conjugacy class of subgroups; returns (total, breakdown)
     where breakdown lists (representative subgroup, class size, series).
-    The Euler product of each distinct Weyl cycle type is formed once per
-    call, whichever classes share it.
+    The Euler product of each distinct Weyl cycle type, and the degree fit
+    of each distinct set of cycle lengths, are formed once per call,
+    whichever classes share them.
     """
     _check_degree(max_degree)
     total = PowerSeries.zero(max_degree)
     breakdown = []
     products: dict = {}
+    fits: dict = {}
     for cls in G.subgroup_conjugacy_classes():
         rep = cls[0]
-        series = _burnside_average(weyl_cycle_types(G, rep), max_degree, products)
+        series = _burnside_average(weyl_cycle_types(G, rep, fits), max_degree, products)
         total = total + series
         breakdown.append((rep, len(cls), series))
     return total, breakdown
@@ -470,12 +500,13 @@ class D2pReport:
         }
 
 
-def d2p_certify(p: int, max_degree: int) -> D2pReport:
+def d2p_certify(p: int, max_degree: int, cap: int = DEFAULT_ORDER_CAP) -> D2pReport:
     """Certify the free-on-even-generators shape for the dihedral group of
     order 2p at the level of localized generator counts.
 
     Builds D2p from the rotation and the reflection of the p-gon, for odd
-    primes p up to ``D2P_MAX_P``, then the chain of four families, checks
+    primes p up to ``D2P_MAX_P``, closing it under the order cap cap (the
+    CLI's ``--max-order``), then the chain of four families, checks
     adjacency and the Weyl groups of each step, computes the global series,
     reads the series of every adjacent pair off its breakdown, and asserts
     that all odd coefficients vanish.
@@ -491,7 +522,8 @@ def d2p_certify(p: int, max_degree: int) -> D2pReport:
 
     # the rotation i -> i + 1 and the reflection i -> -i of the p-gon
     G = group_from_generators(p, [[(i + 1) % p for i in range(p)],
-                                  [(p - i) % p for i in range(p)]], name="D%d" % (2 * p))
+                                  [(p - i) % p for i in range(p)]], name="D%d" % (2 * p),
+                              cap=cap)
     subs = G.all_subgroups()
     trivial = next(s for s in subs if s.order == 1)
     rotation = next(s for s in subs if s.order == p)

@@ -243,7 +243,7 @@ def cmd_bordism(args) -> Report:
 
 
 def cmd_d2p(args) -> Report:
-    report = d2p_certify(args.p, args.max_degree)
+    report = d2p_certify(args.p, args.max_degree, cap=args.max_order)
     res = report.to_jsonable()
     ok = report.odd_vanishing and all(c >= 0 for c in report.global_series.coefficients)
     lines = ["dihedral group of order %d" % (2 * args.p)]

@@ -13,7 +13,8 @@ Conventions used throughout the package:
   * subgroups are enumerated once, class by class, by
     ``FiniteGroup.subgroup_conjugacy_classes``, which extends only class
     representatives H, by one g per double coset H g^k H (k prime to the
-    order of g); ``all_subgroups`` is the sorted flattening of its classes,
+    order of g), and a normal H by one g per G-class of such cosets;
+    ``all_subgroups`` is the sorted flattening of its classes,
   * a table the package derives is built once, as a list of int lists, and
     handed to ``FiniteGroup(..., check=False)``, which keeps it as given;
     a permutation closure (``group_from_generators``) builds it row by row,
@@ -251,14 +252,19 @@ class FiniteGroup:
         and k prime to the order of g, one g per union of the double cosets
         H g^k H is extended, by ``_extend`` with the generators that built H
         (the g of each extension from the trivial group on) and g; each
-        H y H is marked as its right cosets H y z, z in H.  A new subgroup's
-        class is closed by breadth-first conjugation under G's generators.
+        H y H is marked as its right cosets H y z, z in H.  A class of one
+        member is a normal H, for which H y H = yH, and as
+        <H, x y x^-1> = x <H, y> x^-1 lies in the class that <H, y> opens,
+        the coset xyx^-1 H of every conjugate of y is marked too.  A new
+        subgroup's class is closed by breadth-first conjugation under G's
+        generators.
         CapExceeded is raised once a new subgroup is found with more than
         ``SUBGROUP_CAP`` already known.  Cached only when complete; every
         call returns fresh lists.
         """
         if self._subgroup_classes is None:
             rows, inv = self._rows, self._inv
+            classes, class_of = self.conjugacy_classes(), self._class_of
             gens = minimal_generators(self, self.elements())
             known = {(0,)}
             orbits = [[(0,)]]
@@ -272,6 +278,13 @@ class FiniteGroup:
                     powers = self.powers(g)
                     for k, y in enumerate(powers):
                         if y in done or gcd(k, len(powers)) != 1:
+                            continue
+                        if len(cls) == 1:
+                            # H is normal: H y H = yH, and <H, x y x^-1> = x <H, y> x^-1
+                            # lies in the class <H, y> opens, so mark every xyx^-1 H too
+                            for c in classes[class_of[y]]:
+                                if c not in done:
+                                    done.update([rows[c][h] for h in mem])
                             continue
                         for z in mem:  # H y H as the union of the right cosets H y z
                             yz = rows[y][z]

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import isotypic
-from isotypic import bordism
+from isotypic import bordism, characters
 from isotypic.bordism import (PowerSeries, RankProfile,
                               adjacent_family_series, bu_generator_series,
                               burnside_label_series, d2p_certify, enumerate_arrays,
@@ -18,7 +18,7 @@ from isotypic.bordism import (PowerSeries, RankProfile,
 from isotypic.catalog import CATALOG, build_catalog_group
 from isotypic.characters import character_table
 from isotypic.errors import CapExceeded, NotNormal, NotOdd, NotPrime
-from isotypic.groups import Subgroup, group_from_generators
+from isotypic.groups import FiniteGroup, Subgroup, group_from_generators
 from isotypic.orbits import irr_action
 
 from conftest import (S3_GENS, S4_GENS, all_catalog_groups, brute_label_orbit_counts,
@@ -151,34 +151,45 @@ def test_burnside_series_match_running_sums_on_synthetic_cycle_types():
 
 def test_global_series_forms_one_product_per_distinct_cycle_type(monkeypatch):
     """Classes whose Weyl actions share a cycle type share its Euler product
-    within one call: at degree 30 S3xS3 forms 17 products for 32 (class,
-    cycle type) pairs, S5 24 for 30 and S4 12 for 17."""
-    calls = []
-    real = bordism._euler_product
+    within one call, and the trivial subgroup's empty type needs none: at
+    degree 30 S3xS3 forms 16 products for 32 (class, cycle type) pairs over
+    17 distinct types, S5 23 for 30 over 24 and S4 11 for 17 over 12.  So
+    do classes whose cycle lengths share a degree fit: S3xS3 makes 7 fits
+    where its classes, each on its own, make 14, and S5 11 for 12."""
+    calls, fitted = [], []
+    real, fit = bordism._euler_product, bordism._fit_degrees
 
     def counted(part_sums, max_degree):
         calls.append(tuple(part_sums))
         return real(part_sums, max_degree)
 
+    def counted_fit(*args):
+        fitted.append(args)
+        return fit(*args)
+
     monkeypatch.setattr(bordism, "_euler_product", counted)
+    monkeypatch.setattr(bordism, "_fit_degrees", counted_fit)
     S5_GENS = [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]
-    for name, degree, gens, products, pairs in [
-            ("S3xS3", 6, direct_product(S3_GENS, 3, S3_GENS, 3), 17, 32),
-            ("S5", 5, S5_GENS, 24, 30),
-            ("S4", 4, S4_GENS, 12, 17)]:
+    for name, degree, gens, products, pairs, fits in [
+            ("S3xS3", 6, direct_product(S3_GENS, 3, S3_GENS, 3), 16, 32, (14, 7)),
+            ("S5", 5, S5_GENS, 23, 30, (12, 11)),
+            ("S4", 4, S4_GENS, 11, 17, (4, 4))]:
         G = group_from_generators(degree, gens, name=name)
+        del fitted[:]
         types = [weyl_cycle_types(G, cls[0]) for cls in G.subgroup_conjugacy_classes()]
         assert sum(map(len, types)) == pairs, name
-        assert len(set().union(*types)) == products, name
-        del calls[:]
+        assert len(set().union(*types)) - 1 == products, name
+        alone = len(fitted)
+        del calls[:], fitted[:]
         total, _ = global_generator_series(G, 30)
         assert len(calls) == products, name
+        assert (alone, len(fitted)) == fits, name
         assert list(total.coefficients) == [sum(c) for c in zip(*(
             _reference_burnside(t, 30) for t in types))], name
     # a second call forms its products again: nothing outlives the call
     del calls[:]
     global_generator_series(G, 30)
-    assert len(calls) == 12
+    assert len(calls) == 11
 
 
 def test_enumerate_arrays_z4():
@@ -252,9 +263,10 @@ def test_weyl_cycle_types_agree_with_rank_profile(monkeypatch):
     every subgroup class, and the cycle types do not change with a
     relabelling.  Abelian A is read off its conjugation maps and the
     class/A' route (Brauer's permutation lemma on the classes of A and the
-    cosets of A', with the degrees fitted to |A| - [A:A']) builds no table;
-    ``rank_profile`` is called, once, only when the true cycles of some w
-    are not the one fit."""
+    cosets of A', with the degrees fitted to |A| - [A:A'] above the
+    Frobenius-Schur floor) builds no table; ``rank_profile`` is called,
+    once, only when the true cycles of some w are not the one fit, which
+    happens only on S4xS3's classes of order 72 and 144."""
     tables = []
 
     def counted(G, A):
@@ -282,23 +294,29 @@ def test_weyl_cycle_types_agree_with_rank_profile(monkeypatch):
                 assert built <= 1, (name, A.members)
                 assert types == rank_profile(G, A).cycle_types(), (name, A.members)
                 # the table is built only when some w's true non-linear
-                # cycles are not the one fit of their lengths
+                # cycles are not the one fit of their lengths above the floor
+                # #{a : a^2 = 1} - [A:A']
+                degrees = character_table(A.as_group()[0]).degrees
+                floor = sum(G.mul(a, a) == 0 for a in A.members) - degrees.count(1)
                 fits = [_fit_degrees([ell for ell, d in t if d > 1], A.order,
-                                     sum(ell * d * d for ell, d in t if d > 1)) for t in types]
+                                     sum(ell * d * d for ell, d in t if d > 1), floor)
+                        for t in types]
                 assert built == (None in fits), (name, A.members)
+                assert built == (name == "S4xS3" and A.order in (72, 144)), (name, A.members)
                 abelian = A.as_group()[0].is_abelian
                 assert not (abelian and built), (name, A.members)
                 routes["abelian" if abelian else "table" if built else "table-free"] += 1
                 if A.order == G.order:
                     nonlinear = [d for d in character_table(A.as_group()[0]).degrees if d > 1]
-                    if name in ("S4", "S3xS3", "S4xZ2", "A4", "F20", "D8", "Q8", "S3", "F21"):
+                    if name in ("S4", "S3xS3", "S4xZ2", "A4", "F20", "D8", "Q8", "S3", "F21",
+                                "S5"):
                         assert not built and nonlinear, name
-                    if name == "S5":
+                    if name == "S4xS3":
                         assert built, name
                 summary.append((A.order, len(cls), sorted(types.items())))
             summaries.append(sorted(summary))
         assert summaries[0] == summaries[1], name
-    assert routes == {"abelian": 426, "table-free": 214, "table": 10}, routes
+    assert routes == {"abelian": 426, "table-free": 216, "table": 8}, routes
 
 
 def test_weyl_cycle_types_read_abelian_classes_off_conjugation_maps(monkeypatch):
@@ -352,6 +370,14 @@ def test_fit_degrees_finds_the_one_fit_or_none():
     assert _fit_degrees([1], 12, 8) is None
 
 
+def test_fit_degrees_takes_the_frobenius_schur_floor():
+    """The degrees of S5 sum to at least its 26 square roots of 1 (Isaacs,
+    Ch. 4), the two linear ones to 2: a floor of 24 on the non-linear sum
+    keeps 4, 4, 5, 5, 6 (24) and drops 2, 3, 4, 5, 8 (22)."""
+    assert _fit_degrees([1] * 5, 120, 118, 24) == ((1, 4), (1, 4), (1, 5), (1, 5), (1, 6))
+    assert _fit_degrees([1] * 5, 120, 118, 25) is None
+
+
 def test_fit_degrees_is_fast_on_many_cycles():
     """D8xD8xZ2xZ2 (order 256, [A:A'] = 64) has 36 non-linear characters,
     32 of degree 2 and 4 of degree 4; the search settles them at once."""
@@ -372,9 +398,11 @@ def test_fit_degrees_walks_a_thousand_cycles():
     assert elapsed < 0.5, elapsed
 
 
-def test_global_series_builds_a_table_only_for_s5(monkeypatch):
-    """``global_generator_series`` builds no character table on S3xS3, S4 and
-    S4xZ2, and one on S5, for S5 itself; the A5 < S5 pair builds none."""
+def test_series_build_a_table_only_for_s4xs3_classes(monkeypatch):
+    """``global_generator_series`` builds no character table on S3xS3, S4,
+    S4xZ2 and S5 (the Frobenius-Schur floor settles S5's degrees), and the
+    A5 < S5 pair builds none; an order-72 class of S4xS3, whose degrees the
+    floor leaves unsettled, builds its one table."""
     tables = []
 
     def counted(G, A):
@@ -387,7 +415,7 @@ def test_global_series_builds_a_table_only_for_s5(monkeypatch):
             ("S3xS3", 6, direct_product(S3_GENS, 3, S3_GENS, 3), []),
             ("S4", 4, S4_GENS, []),
             ("S4xZ2", 6, direct_product(S4_GENS, 4, [[1, 0]], 2), []),
-            ("S5", 5, S5_GENS, [("S5", 120)])]:
+            ("S5", 5, S5_GENS, [])]:
         G = group_from_generators(degree, gens, name=name)
         del tables[:]
         global_generator_series(G, 20)
@@ -396,6 +424,53 @@ def test_global_series_builds_a_table_only_for_s5(monkeypatch):
     del tables[:]
     adjacent_family_series(G, A5, 20)
     assert tables == []
+    G = group_from_generators(7, direct_product(S4_GENS, 4, S3_GENS, 3), name="S4xS3")
+    A = next(s for s in G.all_subgroups() if s.order == 72)
+    adjacent_family_series(G, A, 20)
+    assert tables == [("S4xS3", 72)]
+
+
+def test_weyl_cycle_types_of_the_trivial_subgroup_need_no_coset_table(monkeypatch):
+    """The trivial subgroup has no nontrivial irreducible and N_1/1 = G, so
+    its types are |G| empty cycles, read with no conjugation action."""
+    calls = []
+    real = FiniteGroup.conjugation_action
+
+    def counted(self, H):
+        calls.append(H.order)
+        return real(self, H)
+
+    monkeypatch.setattr(FiniteGroup, "conjugation_action", counted)
+    for G in all_catalog_groups():
+        assert weyl_cycle_types(G, G.trivial_subgroup()) == Counter({(): G.order}), G.name
+    assert calls == []
+
+
+def test_global_series_builds_no_table_on_the_benchmark_pool(monkeypatch):
+    """On every pool group but S4xS3 (all 19 groups the benchmark runs
+    ``bordism --global`` on among them), each also relabelled,
+    ``global_generator_series`` builds no Dixon-Schneider table: every
+    non-abelian class's degrees are settled by the fit above the
+    Frobenius-Schur floor, S5's own included."""
+    calls = []
+    real = characters._dixon_schneider
+
+    def counted(G):
+        calls.append(G.name)
+        return real(G)
+
+    monkeypatch.setattr(characters, "_dixon_schneider", counted)
+    rng = random.Random(43)
+    names = []
+    for name, spec in benchmark_pool().items():
+        if name == "S4xS3":
+            continue
+        for G in (group_from_generators(spec.degree, spec.gens, name=name),
+                  relabelled_group(name, spec.degree, spec.gens, rng)):
+            global_generator_series(G, 20)
+        names.append(name)
+    assert calls == []
+    assert {"S3xS3", "S4", "S4xZ2", "S5", "F20", "F21", "Dic24"} <= set(names)
 
 
 def test_global_series_materializes_no_subgroup(monkeypatch):

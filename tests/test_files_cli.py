@@ -137,6 +137,13 @@ def test_cmd_bundle_verify_cap_applies_to_the_bundle_group(capsys):
     assert main(["--max-order", "4", "bundle-verify", data_path("d8_rho_bundle.json")]) == 3
 
 
+def test_cmd_d2p_cap_applies_to_the_dihedral_group(capsys):
+    """D26 has order 26: a cap of 10 stops its closure, a cap of 26 does not."""
+    assert main(["--max-order", "10", "d2p", "--p", "13"]) == 3
+    assert "closure exceeded cap 10" in capsys.readouterr().err
+    assert main(["--max-order", "26", "d2p", "--p", "13"]) == 0
+
+
 def test_cmd_clifford_d8(capsys):
     code, out = run_cli(["clifford", data_path("d8.json")], capsys)
     assert code == 0
