@@ -157,8 +157,7 @@ def build_catalog_group(name: str, cap: int = DEFAULT_ORDER_CAP
     G = group_from_generators(entry.degree, entry.generators, name=entry.name, cap=cap)
     normal = None
     if entry.normal_generator_indices:
-        elems = [G.perm_index(entry.generators[i]) for i in entry.normal_generator_indices]
-        normal = G.subgroup(elems)
+        normal = G.subgroup([G.generators[i] for i in entry.normal_generator_indices])
     return G, normal
 
 
@@ -178,8 +177,8 @@ def catalog_pairs() -> list[tuple[str, FiniteGroup, Subgroup]]:
     q8, _ = build_catalog_group("Q8")
     i4 = next(g for g in q8.elements() if q8.element_order(g) == 4)
     pairs.append(("Q8/Z4", q8, q8.subgroup([i4])))
-    # S4 over A4, generated by A4's catalog permutations on the same points
+    # S4 over A4, its one subgroup of order 12
     s4, _ = build_catalog_group("S4")
-    pairs.append(("S4/A4", s4, s4.subgroup([s4.perm_index(p) for p in CATALOG["A4"].generators])))
+    pairs.append(("S4/A4", s4, next(H for H in s4.all_subgroups() if H.order == 12)))
     return pairs
 

@@ -54,7 +54,6 @@ def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP,
             raise FileFormatError("unknown catalog group %s (known: %s)"
                                   % (name, ", ".join(sorted(CATALOG))))
         G, A = build_catalog_group(name, cap=cap)
-        generators = CATALOG[name].generators
     else:
         try:
             with open(path) as fh:
@@ -62,15 +61,13 @@ def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP,
         except (OSError, json.JSONDecodeError) as exc:
             raise FileFormatError("cannot read group file %s: %s" % (path, exc))
         G, A = group_from_jsonable(data, cap=cap)
-        generators = data["generators"]
     if normal is None:
         return G, A
     named = {"trivial": G.trivial_subgroup, "full": G.full_subgroup, "center": G.center}
     if normal in named:
         return G, named[normal]()
     idxs = [x for x in normal.split(",") if x != ""]
-    elems = generator_elements(G, generators, idxs, "--normal selector %r" % normal)
-    return G, G.subgroup(elems)
+    return G, G.subgroup(generator_elements(G, idxs, "--normal selector %r" % normal))
 
 
 def group_from_jsonable(data: dict, cap: int = DEFAULT_ORDER_CAP) -> tuple[FiniteGroup, Optional[Subgroup]]:
@@ -82,29 +79,28 @@ def group_from_jsonable(data: dict, cap: int = DEFAULT_ORDER_CAP) -> tuple[Finit
         raise FileFormatError("group file is missing fields: %s" % exc)
     if degree < 0:
         raise FileFormatError("group degree must be nonnegative, got %d" % degree)
-    # no generators: the trivial group whatever the degree, closed on no points
-    G = group_from_generators(degree if gens else 0, gens, name=name, cap=cap)
+    G = group_from_generators(degree, gens, name=name, cap=cap)
     normal = None
     idxs = data.get("normal_subgroup_generators")
     if idxs is not None:
         what = "normal_subgroup_generators"
-        normal = G.subgroup(generator_elements(G, gens, _integers(idxs, what), what))
+        normal = G.subgroup(generator_elements(G, _integers(idxs, what), what))
     return G, normal
 
 
-def generator_elements(G: FiniteGroup, generators, indices, what: str) -> list[int]:
-    """Elements of G given by indices into its generator permutations, as
-    integers or as the --normal text's strings.  Raises FileFormatError,
-    naming ``what``, unless every index is in 0..len(generators)-1."""
+def generator_elements(G: FiniteGroup, indices, what: str) -> list[int]:
+    """Elements of G given by indices into its generators (``G.generators``),
+    as integers or as the --normal text's strings.  Raises FileFormatError,
+    naming ``what``, unless every index is in 0..len(G.generators)-1."""
     try:
         idxs = [int(i) for i in indices]
     except (TypeError, ValueError) as exc:
         raise FileFormatError("bad %s: %s" % (what, exc))
     for i in idxs:
-        if not 0 <= i < len(generators):
+        if not 0 <= i < len(G.generators):
             raise FileFormatError("bad %s: generator index %d is not in 0..%d"
-                                  % (what, i, len(generators) - 1))
-    return [G.perm_index(tuple(generators[i])) for i in idxs]
+                                  % (what, i, len(G.generators) - 1))
+    return [G.generators[i] for i in idxs]
 
 
 def _integer(value, what: str) -> int:

@@ -19,7 +19,7 @@ Conventions used throughout the package:
     handed to ``FiniteGroup(..., check=False)``, which keeps it as given;
     a permutation closure (``group_from_generators``) builds it row by row,
     each row an earlier one read through the left multiplication by a
-    generator, by one C-level gather (``_gather``),
+    generator, by one C-level gather (``_gather``), on the moved points only,
   * a table passed in directly is checked on its row lists too, so the
     module is plain Python: numpy enters only the character tables
     (Dixon-Schneider) and the float representations.
@@ -48,10 +48,10 @@ class FiniteGroup:
     instance.  Derived data (classes, exponent, subgroup classes,
     conjugation actions, character table, and the orbits module's actions on
     Irr(H) and restriction multiplicities) is cached lazily on the instance.
-    The table is kept once, as nested Python lists (``_rows``, with ``_inv``),
-    and a group closed from permutations keeps its permutation -> index dict
-    (``_perm_index``, in index order), the only copy of its permutations.
-    Only a table passed in directly is checked, on those lists, and copied
+    The table is kept once, as nested Python lists (``_rows``, with ``_inv``);
+    a group closed from permutations keeps no permutation, only each given
+    generator's element index (``generators``, else empty).  Only a table
+    passed in directly is checked, on those lists, and copied
     with its entries converted by ``int``: the tables the package derives (a
     permutation closure, a sub-table, a quotient by a normal subgroup) are
     groups by construction, built as lists of int lists and passed with
@@ -59,7 +59,6 @@ class FiniteGroup:
     """
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G",
-                 perms: Optional[dict[tuple[int, ...], int]] = None,
                  check: bool = True):
         rows = [list(map(int, row)) for row in table] if check else table
         n = len(rows)
@@ -78,8 +77,7 @@ class FiniteGroup:
                 inv[x] = y
                 inv[y] = x
         self._inv: list[int] = inv
-        # each element's permutation -> its index, in index order
-        self._perm_index = perms
+        self.generators: tuple[int, ...] = ()  # set by group_from_generators
         self._exponent: Optional[int] = None
         self._classes: Optional[list[tuple[int, ...]]] = None
         self._class_of: Optional[list[int]] = None
@@ -126,12 +124,6 @@ class FiniteGroup:
         does not; the columns are built one at a time."""
         rows = self._rows
         return all(map(list.__eq__, rows, map(list, zip(*rows))))
-
-    def perm_index(self, p) -> int:
-        """Element index of a permutation (groups built from generators only)."""
-        if self._perm_index is None:
-            raise ValueError("group was not built from permutations")
-        return self._perm_index[tuple(p)]
 
     # -- conjugacy classes ----------------------------------------------------
 
@@ -490,22 +482,28 @@ def group_from_generators(degree: int, generators: Sequence[Sequence[int]],
                           name: str = "G", cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Close a set of permutations of {0..degree-1} into a full group table.
 
-    Element 0 is the identity; the remaining elements are indexed in
-    breadth-first discovery order, which is deterministic.  Each element y
-    is first reached as y = x s for an earlier x and a generator s, and the
-    search records the right multiplication by every s.  The left
-    multiplication by s follows along the same words, s (x t) = (s x) t,
-    and row y of the table is row x read through it, (x s) z = x (s z):
-    every composition, of permutations or of rows, is one ``_gather``.  The
-    search's permutation -> index dict is the group's ``perm_index``.
+    Each generator is checked on all ``degree`` points, then restricted to
+    the points some generator moves: equality and composition do not depend
+    on the points' labels, so fixed points cost nothing.  Element 0 is the
+    identity; the remaining elements are indexed in breadth-first discovery
+    order, which is deterministic.  Each element y is first reached as
+    y = x s for an earlier x and a generator s, and the search records the
+    right multiplication by every s.  The left multiplication by s follows
+    along the same words, s (x t) = (s x) t, and row y of the table is row
+    x read through it, (x s) z = x (s z): every composition, of permutations
+    or of rows, is one ``_gather``.  Of the search's permutations the group
+    keeps only each generator's index, ``generators[s]`` = 1 s.
     """
-    gens = []
+    full = []
     for p in generators:
         pt = tuple(int(x) for x in p)
         if sorted(pt) != list(range(degree)):
             raise InvalidPermutation("generator %r is not a permutation of 0..%d" % (p, degree - 1))
-        gens.append(pt)
-    ident = tuple(range(degree))
+        full.append(pt)
+    moved = sorted({i for p in full for i, x in enumerate(p) if x != i})
+    at = {i: k for k, i in enumerate(moved)}
+    gens = [tuple(at[p[i]] for i in moved) for p in full]
+    ident = tuple(range(len(moved)))
     elems: list[tuple[int, ...]] = [ident]
     index = {ident: 0}
     word: list[tuple[int, int]] = [(0, 0)]  # (x, s) with elems[y] = elems[x] o gens[s]
@@ -532,7 +530,9 @@ def group_from_generators(degree: int, generators: Sequence[Sequence[int]],
     for x, s in word[1:]:
         rows.append(list(lefts[s](rows[x])))
     # unchecked: composition of permutations is a group operation
-    return FiniteGroup(rows, name=name, perms=index, check=False)
+    G = FiniteGroup(rows, name=name, check=False)
+    G.generators = tuple(rs[0] for rs in right)
+    return G
 
 
 def _gather(indices: Sequence[int]) -> Callable[[Sequence], Sequence]:

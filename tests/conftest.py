@@ -76,6 +76,32 @@ def relabelled_generators(degree, gens, rng) -> tuple[list[list[int]], list[int]
     return new, [order.index(i) for i in range(len(gens))]
 
 
+def plain_index(degree, gens) -> dict[tuple[int, ...], int]:
+    """Each permutation of the group gens generate -> its element index, by
+    plain means: breadth-first discovery with each product composed in
+    Python, in the order group_from_generators numbers the elements."""
+    ident = tuple(range(degree))
+    perms, index = [ident], {ident: 0}
+    for p in perms:  # perms grows while it is scanned
+        for g in gens:
+            y = tuple(p[i] for i in g)
+            if y not in index:
+                index[y] = len(perms)
+                perms.append(y)
+    return index
+
+
+def plain_permutation_closure(degree, gens):
+    """(perms, table, inv) by plain means: the permutations in discovery
+    order (``plain_index``), then table[a][b] = index of p_a o p_b for every
+    pair and inv[a] = index of p_a^-1."""
+    index = plain_index(degree, gens)
+    perms = list(index)
+    table = [[index[tuple(p[i] for i in q)] for q in perms] for p in perms]
+    inv = [index[tuple(sorted(range(degree), key=p.__getitem__))] for p in perms]
+    return perms, table, inv
+
+
 def relabelled_group(name, degree, gens, rng) -> FiniteGroup:
     """The group generated by gens after a random relabelling of the points,
     with the generator list shuffled, so every element index changes."""

@@ -175,7 +175,7 @@ def test_criterion_6_burnside_vs_bruteforce():
     cases = []
     for p in (3, 5, 7):
         G = dihedral(p)
-        a = G.perm_index(tuple((i + 1) % p for i in range(p)))
+        a = G.generators[0]
         A = G.subgroup([a])
         cases.append(("D%d" % (2 * p), G, A))
     Z4, A2 = build_catalog_group("Z4")

@@ -71,7 +71,7 @@ def test_gset_point_and_union(d8):
 def test_a_triviality_predicate(d8):
     G, A = d8
     assert GSet.cosets(G, A).is_trivial_for(A)
-    b = G.perm_index((0, 3, 2, 1))
+    b = G.generators[1]
     Y = GSet.cosets(G, G.subgroup([b]))
     assert not Y.is_trivial_for(A)
 
@@ -134,7 +134,7 @@ def test_trivial_bundle_fiber_is_restriction(d8):
 
 def test_not_a_trivial_raises(d8):
     G, A = d8
-    b = G.perm_index((0, 3, 2, 1))
+    b = G.generators[1]
     Y = GSet.cosets(G, G.subgroup([b]))
     sgrp, _ = Y.stabilizer(0).as_group()
     ts = character_table(sgrp)

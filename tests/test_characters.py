@@ -55,7 +55,7 @@ def test_z4_table_matches_worked_example(z4):
     G, _ = z4
     t = character_table(G)
     assert t.degrees == (1, 1, 1, 1)
-    a = G.perm_index((1, 2, 3, 0))
+    a = G.generators[0]
     gen_values = sorted(str(row(a)) for row in t.rows)
     # the four linear characters send the generator to the fourth roots of unity
     assert gen_values == sorted(["1", "-1", "z4^1", "-1*z4^1"])
@@ -122,7 +122,7 @@ def test_inner_product_orthonormality_and_regular(d8):
 def test_inner_product_rho_rho3_zero(z4):
     G, _ = z4
     t = character_table(G)
-    a = G.perm_index((1, 2, 3, 0))
+    a = G.generators[0]
     rho = next(r for r in t.rows if r(a) == Cyclotomic.root_of_unity(4, 1))
     rho3 = next(r for r in t.rows if r(a) == Cyclotomic.root_of_unity(4, 3))
     assert inner_product(rho, rho3).is_zero()
@@ -159,7 +159,7 @@ def test_restrict_trivial_is_trivial(pairs):
 
 def test_restrict_sign_character_of_d2p():
     G = dihedral(5)
-    a = G.perm_index(tuple((i + 1) % 5 for i in range(5)))
+    a = G.generators[0]
     A = G.subgroup([a])
     t = character_table(G)
     sign = next(r for i, r in enumerate(t.rows)
@@ -266,13 +266,13 @@ def test_eigenvalue_multiplicities_and_determinant(d8):
     G, _ = d8
     t = character_table(G)
     two_dim = t.rows[t.degrees.index(2)]
-    a = G.perm_index((1, 2, 3, 0))
+    a = G.generators[0]
     mult = reference_eigenvalue_multiplicities(two_dim, a)
     # rotation acts on C^2 with eigenvalues i and -i
     assert mult == [0, 1, 0, 1]
     k, m = determinant_character_value(two_dim, a)
     assert (k, m) == (0, 1)  # det = i * (-i) = 1
-    b = G.perm_index((0, 3, 2, 1))
+    b = G.generators[1]
     kb, mb = determinant_character_value(two_dim, b)
     assert (kb, mb) == (1, 2)  # reflection has det -1
 

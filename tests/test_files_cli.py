@@ -12,6 +12,7 @@ import pytest
 
 from conftest import benchmark_pool, relabelled_generators
 from isotypic.catalog import CATALOG
+from isotypic.errors import ClosureOverflow
 from isotypic import cli
 from isotypic.cli import main
 from isotypic.files import FileFormatError, load_bundle_file, load_group_file
@@ -73,6 +74,36 @@ def test_group_file_without_generators_allocates_no_points(tmp_path, capsys):
         assert code == 0
         results.append(json.loads(out)["results"])
     assert results[0] == results[1]
+
+
+def test_fixed_points_cost_nothing_in_an_overflowing_closure(tmp_path, capsys):
+    """Z101 x Z100 (order 10,100, over the default cap of 10,000) from a
+    101-cycle and a 100-cycle spread over 20,000 points, 201 of them moved:
+    the closure runs on the moved points only, so irr exits 3 within 1 s and
+    loading the file traces a peak under 32 MB."""
+    degree = 20000
+    gens = [list(range(degree)) for _ in range(2)]
+    for gen, points in zip(gens, [range(0, 10100, 100), range(10050, 20000, 100)]):
+        points = list(points)
+        for x, y in zip(points, points[1:] + points[:1]):
+            gen[x] = y
+    assert [sum(g[i] != i for i in range(degree)) for g in gens] == [101, 100]
+    path = tmp_path / "z101xz100.json"
+    path.write_text(json.dumps({"name": "Z101xZ100", "degree": degree, "generators": gens}))
+    start = time.perf_counter()
+    code = main(["irr", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert "closure exceeded cap 10000" in capsys.readouterr().err
+    assert elapsed < 1, elapsed
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClosureOverflow):
+            load_group_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak
 
 
 def test_unknown_catalog_group_is_an_input_error(capsys):

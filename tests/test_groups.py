@@ -11,8 +11,8 @@ from isotypic.errors import CapExceeded, ClosureOverflow, InvalidPermutation, No
 from isotypic.groups import FiniteGroup, _check_axioms, group_from_generators
 
 from conftest import (S3_GENS, S4_GENS, all_catalog_groups, benchmark_pool,
-                      brute_conjugacy_classes, conj, dihedral, direct_product,
-                      relabelled_generators, relabelled_group)
+                      brute_conjugacy_classes, conj, dihedral, direct_product, plain_index,
+                      plain_permutation_closure, relabelled_generators, relabelled_group)
 
 
 def test_cyclic_four_from_single_cycle():
@@ -64,8 +64,7 @@ def test_d2p_order_and_presentation():
     for p in (3, 5, 7):
         G = dihedral(p)
         assert G.order == 2 * p
-        a = G.perm_index(tuple((i + 1) % p for i in range(p)))
-        b = G.perm_index(tuple((p - i) % p for i in range(p)))
+        a, b = G.generators
         assert G.element_order(a) == p and G.element_order(b) == 2
         # b a b = a^-1
         assert G.mul(G.mul(b, a), b) == G.inv(a)
@@ -121,7 +120,7 @@ def test_normalizer_index_two_subgroup(d8):
 def test_normalizer_reflection_in_d2p():
     for p in (3, 5, 7):
         G = dihedral(p)
-        b = G.perm_index(tuple((p - i) % p for i in range(p)))
+        b = G.generators[1]
         H = G.subgroup([b])
         N = G.normalizer(H)
         assert N.members == H.members  # self-normalizing
@@ -131,7 +130,7 @@ def test_normalizer_reflection_in_d2p():
 def test_normalizer_transposition_in_s4():
     G = group_from_generators(4, [[1, 2, 3, 0], [1, 0, 2, 3]], name="S4")
     assert G.order == 24
-    t = G.perm_index((1, 0, 2, 3))
+    t = G.generators[1]
     N = G.normalizer(G.subgroup([t]))
     # brute force: elements commuting with the set {e, t} under conjugation
     expected = [n for n in G.elements() if conj(G, n, t) in (0, t)]
@@ -213,19 +212,20 @@ def test_is_normal_is_cached_per_member_set(monkeypatch):
         return partition(items, block)
 
     monkeypatch.setattr(groups, "_partition", counting_partition)
-    V4 = G.subgroup([G.perm_index((1, 0, 3, 2)), G.perm_index((2, 3, 0, 1))])
+    index = plain_index(4, S4_GENS)
+    V4 = G.subgroup([index[(1, 0, 3, 2)], index[(2, 3, 0, 1)]])
     same = G.subgroup_from_members(V4.members)
     assert same is not V4
     assert G.is_normal(V4) and G.is_normal(same) and G.is_normal(V4)
     assert len(scans) == 1
-    H = G.subgroup([G.perm_index((1, 0, 2, 3))])
+    H = G.subgroup([G.generators[1]])
     assert not G.is_normal(H) and not G.is_normal(G.subgroup_from_members(H.members))
     assert len(scans) == 2
 
 
 def test_quotient_requires_normal():
     G = group_from_generators(3, [[1, 2, 0], [1, 0, 2]])
-    H = G.subgroup([G.perm_index((1, 0, 2))])
+    H = G.subgroup([G.generators[1]])
     with pytest.raises(NotNormal):
         G.quotient(H)
 
@@ -261,7 +261,7 @@ def test_direct_table_constructor_checks():
 
 def test_subgroup_membership_and_index():
     G = dihedral(5)
-    A = G.subgroup([G.perm_index(tuple((i + 1) % 5 for i in range(5)))])
+    A = G.subgroup([G.generators[0]])
     assert A.order == 5
     assert G.order % A.order == 0
     mem = set(A.members)
@@ -625,29 +625,15 @@ def test_closure_and_quotient_tables_are_group_tables():
                 _check_derived_table(G.quotient(A)[0])
 
 
-def _plain_permutation_closure(degree, gens):
-    """(perms, table, inv) by plain means: breadth-first discovery with each
-    product composed in Python, then table[a][b] = index of p_a o p_b for
-    every pair and inv[a] = index of p_a^-1."""
-    ident = tuple(range(degree))
-    perms, index = [ident], {ident: 0}
-    for p in perms:  # perms grows while it is scanned
-        for g in gens:
-            y = tuple(p[i] for i in g)
-            if y not in index:
-                index[y] = len(perms)
-                perms.append(y)
-    table = [[index[tuple(p[i] for i in q)] for q in perms] for p in perms]
-    inv = [index[tuple(sorted(range(degree), key=p.__getitem__))] for p in perms]
-    return perms, table, inv
-
-
 def test_group_table_equals_all_pairs_composition():
     """group_from_generators builds each row from an earlier one by gathers
-    along breadth-first words; its table, permutations, inverses and
-    perm_index must equal the plain closure's, on every catalog group, on
-    relabelled S3xS3, S4xZ2, S5 and S4xS3, on S6, and at degrees 0, 1 and 2,
-    where a generator is a gather of no index or of one."""
+    along breadth-first words; its table, inverses and generator indices
+    must equal the plain closure's, on every catalog group, on relabelled
+    S3xS3, S4xZ2, S5 and S4xS3, on S6, and at degrees 0, 1 and 2, where a
+    gather has no index or one.  The search runs on the moved points only,
+    so S4, D6 and the pool's S4xZ2 with fixed points before, between and
+    after their moved ones give the unpadded group's table, inverses and
+    generator indices."""
     rng = random.Random(7)
     specs = [(name, entry.degree, entry.generators) for name, entry in sorted(CATALOG.items())]
     specs += [(name, degree, relabelled_generators(degree, gens, rng)[0])
@@ -657,11 +643,22 @@ def test_group_table_equals_all_pairs_composition():
               ("1 on 1 point", 1, [[0]]), ("Z2", 2, [[1, 0]]), ("Z2 twice", 2, [[1, 0], [1, 0]])]
     for name, degree, gens in specs:
         G = group_from_generators(degree, gens, name=name)
-        perms, table, inv = _plain_permutation_closure(degree, [tuple(g) for g in gens])
-        assert list(G._perm_index) == perms, name
+        perms, table, inv = plain_permutation_closure(degree, [tuple(g) for g in gens])
         assert G._rows == table, name
         assert G._inv == inv, name
-        assert [G.perm_index(p) for p in perms] == list(range(G.order)), name
+        assert G.generators == tuple(perms.index(tuple(g)) for g in gens), name
+    pool = benchmark_pool()
+    for name, degree, gens in [("S4", 4, CATALOG["S4"].generators),
+                               ("S4xZ2", pool["S4xZ2"].degree, pool["S4xZ2"].gens),
+                               ("D6", 3, CATALOG["D6"].generators)]:
+        G = group_from_generators(degree, gens, name=name)
+        at = [2 + 3 * i for i in range(degree)]  # two fixed points before each moved one
+        padded = [list(range(at[-1] + 4)) for _ in gens]  # and three after the last
+        for q, g in zip(padded, gens):
+            for i in range(degree):
+                q[at[i]] = at[g[i]]
+        P = group_from_generators(len(padded[0]), padded, name=name)
+        assert (P._rows, P._inv, P.generators) == (G._rows, G._inv, G.generators), name
 
 
 def test_exponent_is_the_lcm_of_all_element_orders():
@@ -719,12 +716,13 @@ def small_permutation_groups(draw):
 @given(small_permutation_groups())
 def test_blocks_are_numbered_by_least_member(spec):
     """Every partition the package makes numbers its blocks by their least
-    members: the conjugacy classes (against sympy.combinatorics), the left
-    cosets of each subgroup class representative H (coset k is reps[k] H),
-    the G-orbits on Irr(A) for normal A (orbit times stabilizer is |G|);
-    and weyl_cycle_types reads the cycle types rank_profile reads off the
-    character table of H.  Subgroups above the character table cap get no
-    table, so only their classes and cosets are checked."""
+    members: the conjugacy classes (against sympy.combinatorics, as is the
+    order), the left cosets of each subgroup class representative H (coset
+    k is reps[k] H), the G-orbits on Irr(A) for normal A (orbit times
+    stabilizer is |G|); and weyl_cycle_types reads the cycle types
+    rank_profile reads off the character table of H.  Subgroups above the
+    character table cap get no table, so only their classes and cosets are
+    checked."""
     degree, gens = spec
     G = group_from_generators(degree, gens)
     P = PermutationGroup([Permutation(g, size=degree) for g in gens])
@@ -732,8 +730,10 @@ def test_blocks_are_numbered_by_least_member(spec):
     assert [c[0] for c in classes] == sorted(c[0] for c in classes) and classes[0] == (0,)
     assert all(list(c) == sorted(c) and G.class_index(g) == i
                for i, c in enumerate(classes) for g in c)
-    assert sorted(classes) == sorted(tuple(sorted(G.perm_index(p.array_form) for p in c))
+    index = plain_index(degree, gens)
+    assert sorted(classes) == sorted(tuple(sorted(index[tuple(p.array_form)] for p in c))
                                      for c in P.conjugacy_classes())
+    assert G.order == P.order()
     for cls in G.subgroup_conjugacy_classes():
         H = cls[0]
         coset_of, reps, _ = G.conjugation_action(H)

@@ -13,7 +13,7 @@ from isotypic.orbits import (extension_exists, irr_action, irr_permutations,
                              omega_regular_count, orbit_decomposition)
 
 from conftest import (S3_GENS, S4_GENS, brute_automorphisms, conj, dihedral, direct_product,
-                      relabel)
+                      plain_index, relabel)
 
 
 def rho_indices_z4(z4_pair):
@@ -42,7 +42,7 @@ def test_inner_elements_act_trivially(pairs):
 def test_b_swaps_rho_and_rho3(d8):
     G, A = d8
     idx = rho_indices_z4((G, A))
-    b = G.perm_index((0, 3, 2, 1))
+    b = G.generators[1]
     assert irr_action(G, A, b, idx[1]) == idx[3]
     assert irr_action(G, A, b, idx[3]) == idx[1]
     assert irr_action(G, A, b, idx[0]) == idx[0]
@@ -53,8 +53,7 @@ def test_d2p_reflection_inverts_characters():
     # b sends the character a -> zeta^l to a -> zeta^(p-l)
     for p in (3, 5, 7):
         G = dihedral(p)
-        a = G.perm_index(tuple((i + 1) % p for i in range(p)))
-        b = G.perm_index(tuple((p - i) % p for i in range(p)))
+        a, b = G.generators
         A = G.subgroup([a])
         Agrp, _ = A.as_group()
         ta = character_table(Agrp)
@@ -90,7 +89,7 @@ def test_irr_action_rejects_an_element_outside_the_normalizer():
     """Over a subgroup of S4 of order 2, an element that does not normalize it
     raises NotNormal; the elements of its normalizer act."""
     G, _ = build_catalog_group("S4")
-    H = G.subgroup([G.perm_index((1, 0, 2, 3))])
+    H = G.subgroup([G.generators[1]])
     N = G.normalizer(H)
     outside = next(g for g in G.elements() if g not in N)
     with pytest.raises(NotNormal):
@@ -109,7 +108,7 @@ def test_orbit_decomposition_d8(d8):
 
 def test_orbit_decomposition_requires_normal():
     G = group_from_generators(3, [[1, 2, 0], [1, 0, 2]], name="S3")
-    H = G.subgroup([G.perm_index((1, 0, 2))])
+    H = G.subgroup([G.generators[1]])
     with pytest.raises(NotNormal):
         orbit_decomposition(G, H)
 
@@ -137,7 +136,7 @@ def test_orbits_with_trivial_a(d8):
 def test_d2p_orbit_count():
     for p in (3, 5, 7):
         G = dihedral(p)
-        a = G.perm_index(tuple((i + 1) % p for i in range(p)))
+        a = G.generators[0]
         A = G.subgroup([a])
         recs = orbit_decomposition(G, A)
         assert len(recs) == 1 + (p - 1) // 2
@@ -310,10 +309,11 @@ def test_irr_permutations_match_the_pullback_reference(pairs):
     """On every catalog pair, S5 over A5 and S4xS3 over S4, each also with
     its elements relabelled, the permutations read off the codes are the
     pullback reference's."""
-    S5 = group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], name="S5")
-    A5 = S5.subgroup([S5.perm_index(p) for p in ([1, 2, 0, 3, 4], [0, 1, 3, 4, 2])])
+    s5_gens = [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]
+    S5 = group_from_generators(5, s5_gens, name="S5")
+    A5 = S5.subgroup([plain_index(5, s5_gens)[p] for p in ((1, 2, 0, 3, 4), (0, 1, 3, 4, 2))])
     S4xS3 = group_from_generators(7, direct_product(S4_GENS, 4, S3_GENS, 3), name="S4xS3")
-    S4 = S4xS3.subgroup([S4xS3.perm_index(p) for p in direct_product(S4_GENS, 4, [], 3)])
+    S4 = S4xS3.subgroup(S4xS3.generators[:2])
     rng = random.Random(33)
     for name, G, A in list(pairs) + [("S5/A5", S5, A5), ("S4xS3/S4", S4xS3, S4)]:
         H, pi = relabel(G, rng)
@@ -452,7 +452,7 @@ from isotypic.bordism import rank_profile  # noqa: E402
 from isotypic.catalog import catalog_entry, catalog_pairs  # noqa: E402
 from isotypic.orbits import irr_orbits  # noqa: E402
 
-from conftest import relabelled_group  # noqa: E402
+from conftest import relabelled_generators, relabelled_group  # noqa: E402
 
 _PAIRS = {name: (G, A) for name, G, A in catalog_pairs()}
 
@@ -463,12 +463,12 @@ def _is_even_permutation(p):
 
 
 def test_s4_over_a4_pair_is_the_even_permutations():
-    """catalog_pairs closes A4's catalog generators inside S4: A has index 2
-    and is the even permutations, the member set acceptance criteria 3 and 4
-    have always swept."""
+    """catalog_pairs takes S4's one subgroup of order 12: A has index 2 and is
+    the even permutations, the member set acceptance criteria 3 and 4 have
+    always swept."""
     G, A = _PAIRS["S4/A4"]
     assert G.order == 2 * A.order
-    perms = list(G._perm_index)
+    perms = list(plain_index(4, catalog_entry("S4").generators))
     assert A.members == tuple(g for g, p in enumerate(perms) if _is_even_permutation(p))
     assert A.members == (0, 3, 4, 5, 8, 12, 15, 16, 17, 19, 20, 21)
 
@@ -482,23 +482,26 @@ class _RecordingRandom(random.Random):
 
 
 def _relabelled_pair(name, seed):
-    """The catalog pair relabelled by relabelled_group, with the image of A.
+    """The catalog pair relabelled as relabelled_group does, with the image of A.
 
-    relabelled_group moves the points by the first list its rng shuffles,
-    sigma, so p becomes sigma p sigma^-1; perm_index raises unless every
-    element of G lands in the new group, which checks that reading.
+    relabelled_generators moves the points by the first list its rng shuffles,
+    sigma, so p becomes sigma p sigma^-1; the lookup in the new group's
+    plain_index raises unless every element of G lands in it, which checks
+    that reading.
     """
     G, A = _PAIRS[name]
     entry = catalog_entry(name.split("/")[0])
     rng = _RecordingRandom(seed)
-    H = relabelled_group(name, entry.degree, entry.generators, rng)
+    new = relabelled_generators(entry.degree, entry.generators, rng)[0]
+    H = group_from_generators(entry.degree, new, name=name)
     sigma = rng.shuffled[0]
     inv = [sigma.index(i) for i in range(entry.degree)]
-    perms = list(G._perm_index)
+    perms = list(plain_index(entry.degree, entry.generators))
+    index = plain_index(entry.degree, new)
 
     def image(g):
         p = perms[g]
-        return H.perm_index([sigma[p[inv[i]]] for i in range(entry.degree)])
+        return index[tuple(sigma[p[inv[i]]] for i in range(entry.degree))]
 
     assert sorted(image(g) for g in G.elements()) == list(H.elements())
     return H, H.subgroup_from_members(image(a) for a in A.members)
@@ -645,7 +648,7 @@ def _extension_cases():
         groups.setdefault(name.split("/")[0], G)
     gens = direct_product(S3_GENS, 3, S3_GENS, 3)
     S3xS3 = group_from_generators(6, gens, name="S3xS3")
-    cases.append(("S3xS3/S3", S3xS3, S3xS3.subgroup(S3xS3.perm_index(p) for p in gens[:2])))
+    cases.append(("S3xS3/S3", S3xS3, S3xS3.subgroup(S3xS3.generators[:2])))
     S4xZ2 = relabelled_group("S4xZ2", 6, direct_product(S4_GENS, 4, [[1, 0]], 2),
                              random.Random(9))
     cases.append(("S4xZ2/V4", S4xZ2, next(H for H in S4xZ2.all_subgroups()
@@ -693,7 +696,7 @@ def test_extension_exists_rejects_a_proper_subgroup_of_the_stabilizer(q8):
 
 def test_extension_exists_rejects_a_non_normal_subgroup():
     G = group_from_generators(3, S3_GENS, name="S3")
-    H = G.subgroup([G.perm_index((1, 0, 2))])
+    H = G.subgroup([G.generators[1]])
     for rho in range(2):
         with pytest.raises(NotNormal):
             extension_exists(G.full_subgroup(), H, rho)

@@ -21,7 +21,7 @@ from isotypic.repmatrices import (SNAP_TOL, TOL, _check_rep, _det_normalize, _wi
                                   check_cocycle, intertwiner, matrix_irreps,
                                   obstruction_cocycle, stabilizer_of_character)
 
-from conftest import S3_GENS, S4_GENS, dihedral, direct_product, relabelled_group
+from conftest import S3_GENS, S4_GENS, dihedral, direct_product, plain_index, relabelled_group
 
 
 def _all_irreps(G):
@@ -33,7 +33,7 @@ def test_z4_matrix_irreps_are_fourth_roots(z4):
     G, _ = z4
     reps = _all_irreps(G)
     assert [r.dimension for r in reps] == [1, 1, 1, 1]
-    a = G.perm_index((1, 2, 3, 0))
+    a = G.generators[0]
     images = [complex(r.images[a][0, 0]) for r in reps]
     expected = {1, 1j, -1, -1j}
     assert all(min(abs(v - w) for w in expected) < 1e-9 for v in images)
@@ -72,8 +72,16 @@ def _faithful_irrep(G):
     return max(_all_irreps(G), key=lambda r: r.dimension)
 
 
+S5_GENS = [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]
+
+
 def _s5():
-    return group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], name="S5")
+    return group_from_generators(5, S5_GENS, name="S5")
+
+
+def _a5(S5):
+    """A5 in _s5(), generated by the 3-cycles (0 1 2) and (2 3 4)."""
+    return S5.subgroup([plain_index(5, S5_GENS)[p] for p in ((1, 2, 0, 3, 4), (0, 1, 3, 4, 2))])
 
 
 def _check_rep_case(name):
@@ -260,7 +268,7 @@ def test_intertwiner_between_conjugate_linear_reps(d8):
     a_loc = next(x for x in Agrp.elements() if Agrp.element_order(x) == 4)
     rho = next(r for r in reps if r.character(a_loc) == Cyclotomic.root_of_unity(4, 1))
     rho3 = next(r for r in reps if r.character(a_loc) == Cyclotomic.root_of_unity(4, 3))
-    b = G.perm_index((0, 3, 2, 1))
+    b = G.generators[1]
     binv = G.inv(b)
     conj_map = [A.retract(G.mul(G.mul(binv, embed[x]), b)) for x in Agrp.elements()]
     b_rho = rho.conjugated(conj_map)
@@ -411,10 +419,10 @@ def test_obstruction_makes_no_random_draw(monkeypatch):
 
     def s5_over_a5():
         S5 = _s5()
-        return S5, S5.subgroup([S5.perm_index(p) for p in ([1, 2, 0, 3, 4], [0, 1, 3, 4, 2])])
+        return S5, _a5(S5)
 
     S4xS3 = group_from_generators(7, direct_product(S4_GENS, 4, S3_GENS, 3), name="S4xS3")
-    S4 = S4xS3.subgroup([S4xS3.perm_index(p) for p in direct_product(S4_GENS, 4, [], 3)])
+    S4 = S4xS3.subgroup(S4xS3.generators[:2])
     S5, A5 = s5_over_a5()
     for G, A in [(S4xS3, S4), (S5, A5)]:
         assert k_decomposition_report(G, A).consistent
@@ -626,8 +634,8 @@ def _linear_cocycle_pairs(pairs):
                                            ("S4xS3", S4_GENS, 4, S3_GENS, 3)]:
         G = group_from_generators(deg1 + deg2, direct_product(gens1, deg1, gens2, deg2),
                                   name=name)
-        first = G.subgroup([G.perm_index(p) for p in direct_product(gens1, deg1, [], deg2)])
-        second = G.subgroup([G.perm_index(p) for p in direct_product([], deg1, gens2, deg2)])
+        first = G.subgroup(G.generators[:len(gens1)])
+        second = G.subgroup(G.generators[len(gens1):])
         out += [(name + "/1", G, first), (name + "/2", G, second), (name + "/Z", G, G.center())]
     return [(name, G, A) for name, G, A in out if A.order > 1]
 
@@ -678,8 +686,8 @@ def test_stabilizer_quotients_are_the_part_of_g_mod_a_in_the_stabilizer(pairs):
                                            ("S4xS3", S4_GENS, 4, S3_GENS, 3)]:
         G = group_from_generators(deg1 + deg2, direct_product(gens1, deg1, gens2, deg2),
                                   name=name)
-        first = G.subgroup([G.perm_index(p) for p in direct_product(gens1, deg1, [], deg2)])
-        second = G.subgroup([G.perm_index(p) for p in direct_product([], deg1, gens2, deg2)])
+        first = G.subgroup(G.generators[:len(gens1)])
+        second = G.subgroup(G.generators[len(gens1):])
         cases += [(name + "/1", G, first), (name + "/2", G, second)]
     rng = random.Random(14)
     cases += [(name + "~", *_relabelled_elements(G, A, rng)) for name, G, A in cases]
@@ -724,7 +732,7 @@ def test_obstruction_models_only_the_row_it_reads(pairs, monkeypatch):
         if hasattr(module, "matrix_irreps"):
             monkeypatch.setattr(module, "matrix_irreps", recording)
     S5 = _s5()
-    A5 = S5.subgroup([S5.perm_index(p) for p in ([1, 2, 0, 3, 4], [0, 1, 3, 4, 2])])
+    A5 = _a5(S5)
     A5grp, _ = A5.as_group()
     degrees = character_table(A5grp).degrees
     assert degrees == (1, 3, 3, 4, 5)
