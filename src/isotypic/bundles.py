@@ -39,7 +39,7 @@ class GSet:
             raise ValueError("action table needs one row per group element")
         self.size = len(self.action[0]) if self.action else 0
         for row in self.action:
-            if len(row) != self.size or not all(isinstance(x, int) and 0 <= x < self.size
+            if len(row) != self.size or not all(type(x) is int and 0 <= x < self.size
                                                 for x in row):
                 raise ValueError("action table rows must map into the point set by integers")
         if self.action[0] != tuple(range(self.size)):
@@ -284,8 +284,8 @@ def verify_decomposition(E: EquivariantBundle, A: Subgroup) -> DecompositionChec
     input.  So the sum is checked at the anchor (the first stored point)
     only, and a failure there, the package's own fault, raises AssertionError.
     """
+    records = irr_orbits(E.base.group, A)  # NotNormal comes before NotATrivial
     _require_a_trivial(E.base, A)
-    records = irr_orbits(E.base.group, A)
     per_point = {}
     for orb in E.base.orbits():
         stored = [x for x in orb if x in E.fibers]

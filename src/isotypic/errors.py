@@ -45,10 +45,6 @@ class NonScalar(IsotypicError):
     """A matrix expected to be scalar by Schur's lemma is not."""
 
 
-class NotStabilized(IsotypicError):
-    """The given subgroup does not fix the representation class."""
-
-
 class NotATrivial(IsotypicError):
     """The distinguished normal subgroup moves a point of the base."""
 

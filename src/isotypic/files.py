@@ -11,7 +11,9 @@ Bundle file:
                  "character": {"irreducible_multiplicities": [int, ...]}
                            or [cyclotomic values]}]}
 
-Fiber multiplicities are indexed by the rows of the character table of the
+The action table is checked by GSet alone, which takes JSON integers only
+(no floats, no booleans), and "points" must equal its width.  Fiber
+multiplicities are indexed by the rows of the character table of the
 stabilizer of the given point.  A value list is decomposed into such
 multiplicities on load, and a FileFormatError is raised unless it is a
 character; the two kinds may be mixed in one file.  Storing fibers at
@@ -111,8 +113,7 @@ def _integer(value, what: str) -> int:
 
 
 def _integers(values, what: str) -> list[int]:
-    """values, if a JSON list of integers, else FileFormatError; a plain loop,
-    as it reads whole action tables."""
+    """values, if a JSON list of integers, else FileFormatError."""
     if not isinstance(values, list):
         raise FileFormatError("%s must be a list of integers, got %r" % (what, values))
     for v in values:
@@ -146,15 +147,11 @@ def bundle_from_jsonable(data: dict, G: FiniteGroup) -> EquivariantBundle:
     try:
         base_data = data["base"]
         points = _integer(base_data["points"], "bundle base points")
-        action = [_integers(row, "bundle action row") for row in base_data["action"]]
-    except (KeyError, TypeError) as exc:
-        raise FileFormatError("bundle base is malformed: %s" % exc)
-    if len(action) != G.order or any(len(row) != points for row in action):
-        raise FileFormatError("bundle action table must be |G| x points")
-    try:
-        base = GSet(G, action)
-    except ValueError as exc:
+        base = GSet(G, base_data["action"])  # checks every entry of the table
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError("bundle base: %s" % exc)
+    if base.size != points:
+        raise FileFormatError("bundle action table must be |G| x points")
 
     mults = {}
     entries = data.get("fibers", [])

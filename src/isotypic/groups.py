@@ -120,10 +120,8 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        """Whether every row equals its column, stopping at the first that
-        does not; the columns are built one at a time."""
-        rows = self._rows
-        return all(map(list.__eq__, rows, map(list, zip(*rows))))
+        """Whether every conjugacy class is one element."""
+        return len(self.conjugacy_classes()) == self.order
 
     # -- conjugacy classes ----------------------------------------------------
 
@@ -173,10 +171,9 @@ class FiniteGroup:
         return Subgroup(self, self.elements())
 
     def center(self) -> "Subgroup":
-        rows = self._rows
-        # g is central iff its row of the table equals its column
+        """The union of the one-element conjugacy classes."""
         return self.subgroup_from_members(
-            g for g in self.elements() if rows[g] == [row[g] for row in rows])
+            cls[0] for cls in self.conjugacy_classes() if len(cls) == 1)
 
     def conjugation_action(self, H: "Subgroup") -> "CosetTable":
         """The left cosets of H and G acting on H by conjugation, as one
@@ -447,9 +444,10 @@ def _extend(rows: list[list[int]], members: Sequence[int],
 
 def coset_quotient(H: Subgroup, A: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     """(H/A, section) for A normal in G = H.parent and H a union of cosets
-    of A, the group named by G and |A| (e.g. "S4/4"); the caller checks both
-    (FiniteGroup.quotient with H = G, orbits.extension_exists with H a
-    stabilizer G_rho).  The shape is Subgroup.as_group's (group, embed).
+    of A, the group named by G and |A| (e.g. "S4/4"); the caller makes sure
+    of both (FiniteGroup.quotient with H = G, obstruction_cocycle with H the
+    stabilizer G_rho it builds).  The shape is Subgroup.as_group's (group,
+    embed).
 
     The section is the coset lifts of ``G.conjugation_action(A)`` that lie
     in H: element q of H/A is the coset of section[q], and cosets multiply

@@ -3,9 +3,10 @@
 Orbits, stabilizers, obstruction records, the fibers of restriction
 ("lying over"), and the two independent counts whose agreement realizes the
 rank decomposition of the equivariant K-theory of a point.  Each orbit and
-its stabilizer come from one permutation of Irr(A) per coset of A, and that
-stabilizer is built once: the obstruction record is computed on it.  Whether
-a character extends to its stabilizer is read off its multiplicity column
+its stabilizer come from one permutation of Irr(A) per coset of A.
+obstruction_cocycle builds the stabilizer it works on from those
+permutations too, and each record holds the obstruction's.  Whether a
+character extends to its stabilizer is read off its multiplicity column
 <Res_A chi, rho> over Irr(G).  Both tables are cached on G.
 Only an orbit with rho(1) >= 2 and a nontrivial G_rho/A gets a matrix
 model, of its representative alone, built inside its obstruction_cocycle
@@ -22,7 +23,7 @@ from operator import mul
 
 from .characters import CharacterTable, character_table, restrict
 from .cyclotomic import cyclotomic_to_jsonable, dot
-from .errors import NotNormal, NotStabilized
+from .errors import NotNormal
 from .groups import FiniteGroup, Subgroup, _gather, _partition
 from .repmatrices import ObstructionRecord, check_cocycle, obstruction_cocycle
 
@@ -99,21 +100,19 @@ def multiplicities(G: FiniteGroup, A: Subgroup, rho: int) -> tuple[int, ...]:
     return entry[1][rho]
 
 
-def extension_exists(G_rho: Subgroup, A: Subgroup, rho: int) -> bool:
-    """Whether rho extends from the normal subgroup A to its stabilizer G_rho.
+def extension_exists(G: FiniteGroup, A: Subgroup, rho: int) -> bool:
+    """Whether rho extends from the normal subgroup A of G to its stabilizer
+    G_rho.
 
-    Decided on Irr(G), G = G_rho.parent, by the Clifford correspondence
-    (Isaacs, Character Theory of Finite Groups, Thms 6.2 and 6.11): induction from
-    G_rho is a bijection from the irreducibles of G_rho over rho onto those of
-    G over rho, and chi(1) = e_chi [G : G_rho] rho(1), so rho extends iff some
-    chi in Irr(G) has e_chi = <Res_A chi, rho> = 1.  Raises NotNormal unless A is
-    normal in G and NotStabilized unless G_rho is exactly rho's stabilizer.
+    Decided on Irr(G) by the Clifford correspondence (Isaacs, Character
+    Theory of Finite Groups, Thms 6.2 and 6.11): induction from G_rho is a
+    bijection from the irreducibles of G_rho over rho onto those of G over
+    rho, and chi(1) = e_chi [G : G_rho] rho(1), so rho extends iff some chi
+    in Irr(G) has e_chi = <Res_A chi, rho> = 1, so no stabilizer is built.
+    Raises NotNormal unless A is normal in G.
     """
-    G = G_rho.parent
     if not G.is_normal(A):
         raise NotNormal("the extension criterion needs a normal subgroup")
-    if G_rho.members != irr_stabilizer(G, A, rho).members:
-        raise NotStabilized("subgroup is not the stabilizer of the representation")
     return 1 in multiplicities(G, A, rho)
 
 
@@ -192,9 +191,10 @@ def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
     The orbits are numbered by ``_partition``: the representative is the
     orbit's minimal row of A's table and the stabilizer is that row's, the
     union of the cosets of A that fix it.  No character of G is touched.
+    Raises NotNormal, naming G, unless A is normal in G.
     """
     if not G.is_normal(A):
-        raise NotNormal("orbit decomposition needs a normal subgroup")
+        raise NotNormal("subgroup is not normal in %s" % G.name)
     perms = irr_permutations(G, A)
 
     def orbit(tau: int) -> frozenset:
@@ -206,19 +206,19 @@ def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
 
 def orbit_decomposition(G: FiniteGroup, A: Subgroup) -> list:
     """One IrrOrbitRecord per G-orbit on Irr(A), in the order of irr_orbits;
-    each record and its obstruction share the stabilizer irr_orbits built.
-    No matrix model is built here: obstruction_cocycle builds the one its
-    orbit needs, if any.
+    each record and its obstruction share the stabilizer obstruction_cocycle
+    built.  No matrix model is built here: obstruction_cocycle builds the one
+    its orbit needs, if any.
     """
     records = []
-    for rep, orbit, stabilizer in irr_orbits(G, A):
-        obs = obstruction_cocycle(stabilizer, A, rep)
+    for rep, orbit, _ in irr_orbits(G, A):
+        obs = obstruction_cocycle(G, A, rep)
         # chi lies over the orbit iff e_chi > 0
         lying = frozenset(i for i, e in enumerate(multiplicities(G, A, rep)) if e)
         # obstruction_cocycle has already checked this table
         regular = _regular_class_count(obs.quotient, obs.omega, obs.modulus)
         records.append(IrrOrbitRecord(
-            representative=rep, orbit=orbit, stabilizer=stabilizer,
+            representative=rep, orbit=orbit, stabilizer=obs.stabilizer,
             obstruction=obs, lying_over=lying,
             twisted_count=len(lying), omega_regular=regular))
     return records

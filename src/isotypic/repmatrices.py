@@ -259,17 +259,16 @@ def _det_normalize(U: np.ndarray) -> np.ndarray:
     return U * cmath.exp(-cmath.log(det) / d)
 
 
-def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, rho: int) -> ObstructionRecord:
+def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: int) -> ObstructionRecord:
     """Obstruction data for extending the irreducible rho, a row index of
-    A's character table, from the normal subgroup A of G = G_rho.parent to
-    its stabilizer G_rho, which the caller has built (orbits.irr_orbits
-    does, once per orbit).
+    A's character table, from the normal subgroup A of G to its stabilizer
+    G_rho, which it builds with orbits.irr_stabilizer.
 
     Whether rho extends is read off Irr(G) by orbits.extension_exists before
-    anything else; it raises NotNormal unless A is normal in G and
-    NotStabilized unless G_rho is exactly rho's stabilizer.  Q = G_rho/A is
-    groups.coset_quotient(G_rho, A), the builder G.quotient(A) uses too:
-    the cosets of A in G_rho, each lifted to its minimal element g.
+    anything else; it raises NotNormal unless A is normal in G.
+    Q = G_rho/A is groups.coset_quotient(G_rho, A), the builder
+    G.quotient(A) uses too: the cosets of A in G_rho, each lifted to its
+    minimal element g.
     With g1 g2 = a0 g3 for the lifts of q1, q2 and q1 q2:
 
     * if Q is trivial, omega is the 1 x 1 zero table;
@@ -285,11 +284,11 @@ def obstruction_cocycle(G_rho: Subgroup, A: Subgroup, rho: int) -> ObstructionRe
 
     The cocycle identity is then verified exactly on every route.
     """
-    from .orbits import extension_exists  # deferred: orbits depends on this module
-    trivial = extension_exists(G_rho, A, rho)
+    from .orbits import extension_exists, irr_stabilizer  # deferred: orbits imports this module
+    trivial = extension_exists(G, A, rho)
+    G_rho = irr_stabilizer(G, A, rho)
     Agrp, _ = A.as_group()
     table_a = character_table(Agrp)
-    G = G_rho.parent
     d = table_a.degrees[rho]
     Q, section = coset_quotient(G_rho, A)
     m = Q.order

@@ -702,6 +702,73 @@ def test_bundle_file_rejects_two_fibers_at_one_point(tmp_path, capsys):
     assert capsys.readouterr().err == "error: two fibers at point 0\n"
 
 
+def _d8_naming_no_subgroup(tmp_path):
+    """A copy of d8.json without normal_subgroup_generators; its path."""
+    with open(data_path("d8.json")) as fh:
+        data = json.load(fh)
+    del data["normal_subgroup_generators"]
+    path = tmp_path / "d8_plain.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _edited_bundle(edit):
+    """A function of tmp_path giving the bundle-verify argv of the D8 bundle
+    file after edit(data, tmp_path); edit may return the file's text."""
+    def argv(tmp_path):
+        with open(data_path("d8_rho_bundle.json")) as fh:
+            data = json.load(fh)
+        data["group"] = data_path("d8.json")
+        text = edit(data, tmp_path)
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(data) if text is None else text)
+        return ["bundle-verify", str(path)]
+    return argv
+
+
+def _without(key):
+    def edit(data, _):
+        del data[key]
+    return edit
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda _: ["clifford", "catalog:D8", "--normal", "x"], "bad --normal selector 'x': "),
+    (_edited_bundle(lambda data, _: "{not json"), "cannot read bundle file "),
+    (_edited_bundle(_without("group")), "bundle file needs a 'group' file reference\n"),
+    (_edited_bundle(_without("base")), None),
+    (_edited_bundle(lambda data, _: data["base"].update(points=3)),
+     "bundle action table must be |G| x points\n"),
+    (_edited_bundle(lambda data, _: _set(["base", "action", 0], [1, 0])(data)),
+     "bundle base: identity must act trivially\n"),
+    (_edited_bundle(lambda data, _: data.update(fibers=[5])), "bundle fiber entry is malformed: "),
+    (_edited_bundle(lambda data, _: data["fibers"][0].update(
+        character=[{"e": 1, "coeffs": {"0": [1, 1]}}])),
+     "fiber character has 1 values, stabilizer has 4 classes\n"),
+    (_edited_bundle(lambda data, _: data["fibers"][0].update(character="chi")),
+     "fiber character must be multiplicities or a value list\n"),
+    (lambda tmp_path: ["clifford", _d8_naming_no_subgroup(tmp_path)],
+     "no normal subgroup named: pass --normal or add normal_subgroup_generators "
+     "to the group file\n"),
+    (_edited_bundle(lambda data, tmp_path: data.update(group=_d8_naming_no_subgroup(tmp_path))),
+     "bundle's group file does not name a normal subgroup\n"),
+], ids=["normal-selector-not-an-index", "bundle-not-json", "bundle-without-group",
+        "bundle-without-base", "points-not-the-width", "identity-moves-points",
+        "fiber-not-an-object", "fiber-value-count", "fiber-character-kind",
+        "clifford-names-no-subgroup", "bundle-group-names-no-subgroup"])
+def test_input_errors_exit_2_with_one_error_line(argv, message, tmp_path, capsys):
+    """Each malformed group selector, bundle file and missing normal
+    subgroup exits 2 with one error: line and no traceback; where the
+    message is given, the line starts with it (a message ending in a
+    newline is the whole line)."""
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    if message is not None:
+        assert err.startswith("error: " + message), err
+
+
 def test_readme_quick_start_commands_run(monkeypatch, capsys):
     """Every command of the README's command-line block exits 0 and prints
     the identity its comment states, which for D8 and Q8 are 5 = 2 + 2 + 1

@@ -6,9 +6,9 @@ from isotypic import characters, groups, orbits, repmatrices
 from isotypic.catalog import build_catalog_group
 from isotypic.characters import character_table
 from isotypic.cyclotomic import Cyclotomic
-from isotypic.errors import InvalidCocycle, NotNormal, NotStabilized
+from isotypic.errors import InvalidCocycle, NotNormal
 from isotypic.groups import group_from_generators
-from isotypic.orbits import (extension_exists, irr_action, irr_permutations,
+from isotypic.orbits import (extension_exists, irr_action, irr_permutations, irr_stabilizer,
                              k_decomposition_report, multiplicities,
                              omega_regular_count, orbit_decomposition)
 
@@ -173,15 +173,17 @@ def test_twisted_count_equals_omega_regular(pairs):
 def test_extension_exists_trivial_character(d8):
     G, A = d8
     idx = rho_indices_z4((G, A))
-    assert extension_exists(G.full_subgroup(), A, idx[0])
-    assert extension_exists(G.full_subgroup(), A, idx[2])
+    assert extension_exists(G, A, idx[0])
+    assert extension_exists(G, A, idx[2])
 
 
-def test_extension_exists_rejects_moved_character(d8):
+def test_extension_exists_answers_a_moved_character(d8):
+    """D8 moves rho of its rotation subgroup Z4, so rho's stabilizer is Z4
+    itself, to which rho extends."""
     G, A = d8
     idx = rho_indices_z4((G, A))
-    with pytest.raises(NotStabilized):
-        extension_exists(G.full_subgroup(), A, idx[1])
+    assert irr_stabilizer(G, A, idx[1]).members == A.members
+    assert extension_exists(G, A, idx[1])
 
 
 def test_extension_fails_for_q8_center(q8):
@@ -190,10 +192,10 @@ def test_extension_fails_for_q8_center(q8):
     ta = character_table(Zgrp)
     eps = next(i for i, row in enumerate(ta.rows)
                if row.values[1].rational() == -1)
-    assert not extension_exists(G.full_subgroup(), Z, eps)
+    assert not extension_exists(G, Z, eps)
     triv = next(i for i, row in enumerate(ta.rows)
                 if all(v.rational() == 1 for v in row.values))
-    assert extension_exists(G.full_subgroup(), Z, triv)
+    assert extension_exists(G, Z, triv)
 
 
 def test_omega_regular_count_trivial_cocycle(d8):
@@ -561,7 +563,7 @@ def test_conjugation_action_under_relabelling(name, seed):
     # nor do each orbit's extension bit and the multiset of (chi(1), e_chi)
     # over its multiplicity column
     def extension_bits(G, A):
-        return sorted((len(o.orbit), extension_exists(o.stabilizer, A, o.representative))
+        return sorted((len(o.orbit), extension_exists(G, A, o.representative))
                       for o in irr_orbits(G, A))
 
     def columns(G, A):
@@ -600,9 +602,9 @@ def test_multiplicities_check_every_value(fault, monkeypatch):
 # -- the extension criterion on Irr(G) ----------------------------------------------
 
 from isotypic.characters import restrict  # noqa: E402
-from isotypic.repmatrices import stabilizer_of_character  # noqa: E402
+from isotypic.repmatrices import obstruction_cocycle, stabilizer_of_character  # noqa: E402
 
-from conftest import S3_GENS, S4_GENS, direct_product  # noqa: E402
+from conftest import S3_GENS, S4_GENS, benchmark_pool, direct_product  # noqa: E402
 
 
 def _reference_extension_exists(G_rho, A, rho):
@@ -615,8 +617,7 @@ def _reference_extension_exists(G_rho, A, rho):
     Agrp, _ = A.as_group()
     table_a = character_table(Agrp)
     chi_rho = table_a.rows[rho]
-    if not set(G_rho.members) <= set(stabilizer_of_character(G, A, chi_rho).members):
-        raise NotStabilized("stabilizer subgroup moves the representation")
+    assert set(G_rho.members) <= set(stabilizer_of_character(G, A, chi_rho).members)
     Sgrp, _ = G_rho.as_group()
     A_in_s = Sgrp.subgroup_from_members([G_rho.retract(a) for a in A.members])
     table_s = character_table(Sgrp)
@@ -667,7 +668,7 @@ def test_extension_criterion_matches_the_stabilizer_table():
     for label, G, A in _extension_cases():
         assert G.is_normal(A), label
         for orbit in irr_orbits(G, A):
-            got = extension_exists(orbit.stabilizer, A, orbit.representative)
+            got = extension_exists(G, A, orbit.representative)
             assert got == _reference_extension_exists(
                 orbit.stabilizer, A, orbit.representative), (label, orbit.representative)
             outcomes.setdefault(label, []).append(got)
@@ -675,23 +676,49 @@ def test_extension_criterion_matches_the_stabilizer_table():
     assert sorted(outcomes["Q8"]) == sorted(outcomes["Q8/center"]) == [False, True]
 
 
-def test_extension_exists_rejects_a_proper_subgroup_of_the_stabilizer(q8):
-    """Both characters of the center of Q8 are fixed by all of Q8, so the
-    center itself, a cyclic subgroup of order 4 and a subgroup of V4 that meets
-    every coset of A without containing it are not their stabilizers."""
+def _pool_pair(spec):
+    """G and its normal subgroup A from a benchmark pool GroupSpec."""
+    G = group_from_generators(spec.degree, list(spec.gens) + list(spec.normal_gens),
+                              name=spec.name)
+    return G, G.subgroup(G.generators[len(spec.gens):])
+
+
+def test_extension_contract_holds_on_every_row():
+    """extension_exists(G, A, rho) answers for every row of A's table, the
+    rows G moves included: it equals the oracle on irr_stabilizer(G, A, rho)
+    for every catalog and benchmark pool pair, and on the catalog pairs
+    obstruction_cocycle works on that same stabilizer."""
+    cases = [(name, G, A, True) for name, G, A in catalog_pairs()]
+    cases += [(name, *_pool_pair(spec), False) for name, spec in benchmark_pool().items()]
+    moved = 0
+    for name, G, A, catalog in cases:
+        for rho in range(len(character_table(A.as_group()[0]))):
+            stabilizer = irr_stabilizer(G, A, rho)
+            moved += stabilizer.order < G.order
+            assert extension_exists(G, A, rho) == _reference_extension_exists(
+                stabilizer, A, rho), (name, rho)
+            if catalog:
+                assert obstruction_cocycle(G, A, rho).stabilizer.members == \
+                    stabilizer.members, (name, rho)
+    assert moved
+
+
+def test_extension_exists_decides_on_the_whole_stabilizer(q8):
+    """Both characters of the center Z of Q8 are fixed by all of Q8.  The
+    sign character extends to a cyclic subgroup of order 4 but not to Q8,
+    and extension_exists answers for Q8; over one factor X of V4 every
+    character extends to V4."""
     G, Z = q8
     i4 = G.subgroup([next(g for g in G.elements() if G.element_order(g) == 4)])
+    table_z = character_table(Z.as_group()[0])
     for rho in range(2):
-        assert stabilizer_of_character(G, Z, character_table(Z.as_group()[0]).rows[rho]).order == 8
-        for H in (Z, i4):
-            with pytest.raises(NotStabilized):
-                extension_exists(H, Z, rho)
+        assert stabilizer_of_character(G, Z, table_z.rows[rho]).order == 8
+    sign = next(i for i, row in enumerate(table_z.rows) if row.values[1].rational() == -1)
+    assert _reference_extension_exists(i4, Z, sign)
+    assert not extension_exists(G, Z, sign)
     V4, X = build_catalog_group("V4")
-    Y = next(H for H in V4.all_subgroups() if H.order == 2 and H.members != X.members)
     for rho in range(2):
-        with pytest.raises(NotStabilized):
-            extension_exists(Y, X, rho)
-        assert extension_exists(V4.full_subgroup(), X, rho)
+        assert extension_exists(V4, X, rho)
 
 
 def test_extension_exists_rejects_a_non_normal_subgroup():
@@ -699,16 +726,15 @@ def test_extension_exists_rejects_a_non_normal_subgroup():
     H = G.subgroup([G.generators[1]])
     for rho in range(2):
         with pytest.raises(NotNormal):
-            extension_exists(G.full_subgroup(), H, rho)
-        with pytest.raises(NotNormal):
-            extension_exists(H, H, rho)
+            extension_exists(G, H, rho)
 
 
 def test_orbit_decomposition_builds_one_stabilizer_per_orbit(monkeypatch):
-    """irr_orbits reads each stabilizer off its coset images, and the
-    obstruction record is computed on that same Subgroup: over the two orbits
-    of S4 on Irr(V4) no stabilizer_of_character or minimal_generators call is
-    made, and no character table but those of G and A is built."""
+    """irr_orbits reads each stabilizer off its coset images, and so does
+    obstruction_cocycle, which builds a second one per orbit; each record
+    holds its obstruction's.  Over the two orbits of S4 on Irr(V4) no
+    stabilizer_of_character or minimal_generators call is made, and no
+    character table but those of G and A is built."""
     calls, tables = {"stab": 0, "gens": 0}, set()
     original_stab = repmatrices.stabilizer_of_character
     original_gens = groups.minimal_generators

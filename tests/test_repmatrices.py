@@ -12,8 +12,8 @@ import pytest
 from isotypic.catalog import build_catalog_group
 from isotypic.characters import character_table, determinant_character_value
 from isotypic.cyclotomic import Cyclotomic
-from isotypic.errors import (CapExceeded, NonScalar, NotStabilized,
-                             NumericalDegeneracy, SnapFailure, SplitFailure)
+from isotypic.errors import (CapExceeded, NonScalar, NotNormal, NumericalDegeneracy,
+                             SnapFailure, SplitFailure)
 from isotypic.groups import FiniteGroup, group_from_generators
 from isotypic import repmatrices
 from isotypic.orbits import irr_orbits, k_decomposition_report, orbit_decomposition
@@ -313,8 +313,7 @@ def _obstruction_for(G, A, predicate):
     """The obstruction record of the first row of A's table that predicate
     accepts."""
     rows = character_table(A.as_group()[0]).rows
-    rho = next(i for i, chi in enumerate(rows) if predicate(chi))
-    return obstruction_cocycle(stabilizer_of_character(G, A, rows[rho]), A, rho)
+    return obstruction_cocycle(G, A, next(i for i, chi in enumerate(rows) if predicate(chi)))
 
 
 def test_d8_rho2_extends(d8):
@@ -378,8 +377,8 @@ def test_determinant_one_intertwiners(pairs):
         if G.order > 24:
             continue
         coset_of, _, maps = G.conjugation_action(A)
-        for rho, stab, rep in _float_orbits(G, A):
-            section = obstruction_cocycle(stab, A, rho).section
+        for rho, _, rep in _float_orbits(G, A):
+            section = obstruction_cocycle(G, A, rho).section
             for g in section[1:]:
                 U = _det_normalize(intertwiner(rep.conjugated(maps[coset_of[g]]), rep))
                 assert abs(np.linalg.det(U) - 1) <= 1e-8, name
@@ -430,7 +429,7 @@ def test_obstruction_makes_no_random_draw(monkeypatch):
     cases += [(A5, orbit) for orbit in _float_orbits(S5, A5)]
     assert sorted(stab.order // A.order for A, (_, stab, _) in cases) == [2, 2, 6, 6, 6]
     for A, (rho, stab, rep) in cases:
-        rec = obstruction_cocycle(stab, A, rho)
+        rec = obstruction_cocycle(stab.parent, A, rho)
         coset_of, _, maps = stab.parent.conjugation_action(A)
         rho_g = rep.conjugated(maps[coset_of[rec.section[1]]])
         U = intertwiner(rho_g, rep)
@@ -517,25 +516,24 @@ def test_check_rep_memory_on_the_degree_eight_irrep_of_2_1_6():
     assert peak < 2 ** 20, peak
 
 
-def test_obstruction_rejects_a_non_stabilizer_before_float_work(q8, monkeypatch):
-    """A G_rho that is not rho's stabilizer raises NotStabilized before any
-    matrix model or intertwiner is computed: Q8 over its center with G_rho
-    the center or a cyclic subgroup of order 4 (every character of the
-    center is fixed by all of Q8), and V4 over one factor with G_rho the
-    other factor."""
+def test_obstruction_rejects_a_non_normal_subgroup_before_float_work(monkeypatch):
+    """A subgroup that is not normal raises NotNormal before any matrix
+    model or intertwiner is computed, on every row of its table: S3 over a
+    subgroup of order 2 and S4 over a Sylow 2-subgroup (D8, which has a
+    degree-2 row)."""
     def float_layer(*args, **kwargs):
         raise AssertionError("float layer called")
 
     monkeypatch.setattr(repmatrices, "matrix_irreps", float_layer)
     monkeypatch.setattr(repmatrices, "intertwiner", float_layer)
-    G, Z = q8
-    i4 = G.subgroup([next(g for g in G.elements() if G.element_order(g) == 4)])
-    V4, X = build_catalog_group("V4")
-    Y = next(H for H in V4.all_subgroups() if H.order == 2 and H.members != X.members)
-    for G_rho, A in [(Z, Z), (i4, Z), (Y, X)]:
-        for rho in range(len(character_table(A.as_group()[0]))):
-            with pytest.raises(NotStabilized):
-                obstruction_cocycle(G_rho, A, rho)
+    S3 = group_from_generators(3, S3_GENS, name="S3")
+    S4 = group_from_generators(4, S4_GENS, name="S4")
+    d8 = next(H for H in S4.all_subgroups() if H.order == 8)
+    for G, H in [(S3, S3.subgroup([S3.generators[1]])), (S4, d8)]:
+        assert not G.is_normal(H)
+        for rho in range(len(character_table(H.as_group()[0]))):
+            with pytest.raises(NotNormal):
+                obstruction_cocycle(G, H, rho)
 
 
 def test_obstruction_record_fields(q8):
@@ -652,7 +650,7 @@ def test_exact_linear_cocycle_equals_the_float_snapped_one(pairs):
         orbits = [(rep, stab) for rep, _, stab in irr_orbits(G, A)
                   if table_a.degrees[rep] == 1 and stab.order > A.order]
         for rep, stab in orbits:
-            rec = obstruction_cocycle(stab, A, rep)
+            rec = obstruction_cocycle(G, A, rep)
             expected = _float_obstruction_reference(stab, A, matrix_irreps(Agrp, [rep])[0])
             assert (rec.omega, rec.modulus) == expected, (name, rep)
             compared.add((name, rep, rec.trivial))
@@ -744,7 +742,7 @@ def test_obstruction_models_only_the_row_it_reads(pairs, monkeypatch):
     Agrp, _ = A.as_group()
     table_a = character_table(Agrp)
     for rho, _, stab in irr_orbits(G, A):
-        rec = obstruction_cocycle(stab, A, rho)
+        rec = obstruction_cocycle(G, A, rho)
         if table_a.degrees[rho] == 1:
             assert rec.trivial and not calls
             continue
