@@ -184,7 +184,9 @@ def fiber_character(E: EquivariantBundle, x: int) -> ClassFunction:
 
 
 def _transported_fiber(E: EquivariantBundle, src: int, x: int) -> ClassFunction:
-    """The fiber character stored at src, transported to x in its orbit."""
+    """The fiber character stored at src, transported to x in its orbit:
+    pulled back to Stab(x) along k -> t^-1 k t, t the transporter from src
+    to x, which maps Stab(x) onto Stab(src)."""
     base = E.base
     chi = E.fibers[src]
     if x == src:
@@ -192,16 +194,10 @@ def _transported_fiber(E: EquivariantBundle, src: int, x: int) -> ClassFunction:
     G = base.group
     t = base.transporter_from(src, x)
     tinv = G.inv(t)
-    stab_r = base.stabilizer(src)
-    stab_x = base.stabilizer(x)
-    sxg, xembed = stab_x.as_group()
-    srg, _ = stab_r.as_group()
-    vals = []
-    for cls in sxg.conjugacy_classes():
-        k = xembed[cls[0]]
-        y = G.mul(G.mul(tinv, k), t)
-        vals.append(chi.values[srg.class_index(stab_r.retract(y))])
-    return ClassFunction(sxg, vals)
+    stab_r, stab_x = base.stabilizer(src), base.stabilizer(x)
+    members = stab_x.members
+    return chi.pullback(stab_x.as_group()[0],
+                        lambda k: stab_r.retract(G.mul(G.mul(tinv, members[k]), t)))
 
 
 def induction_piece_character(E: EquivariantBundle, A: Subgroup,

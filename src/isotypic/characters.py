@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,11 +48,15 @@ class ClassFunction:
     def __call__(self, g: int) -> Cyclotomic:
         return self.values[self.group.class_index(g)]
 
-    def pullback(self, conj_map: Sequence[int]) -> "ClassFunction":
-        """a -> self(conj_map[a]) for an automorphism conj_map of the group,
-        e.g. a map of ``FiniteGroup.conjugation_action``."""
-        return ClassFunction(self.group, [self.values[k] for k in
-                                          self.group.class_permutation(conj_map)])
+    def pullback(self, H: FiniteGroup, image: Callable[[int], int]) -> "ClassFunction":
+        """h -> self(image(h)) as a class function on H, read at H's class
+        representatives, for a map image from H's elements to this
+        function's group that takes conjugates to conjugates: an inclusion
+        (``restrict``), a conjugation map of ``FiniteGroup.conjugation_action``
+        or a quotient map, which pulls a character of G/A back to G."""
+        values, class_of = self.values, self.group._class_of  # set: __init__ read the classes
+        return ClassFunction(H, [values[class_of[image(cls[0])]]
+                                 for cls in H.conjugacy_classes()])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ClassFunction) and other.group is self.group
@@ -96,10 +100,13 @@ class CharacterTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def row_permutation(self, class_perm: Sequence[int]) -> tuple[int, ...]:
-        """For each row i, the row whose value on every class c is row i's
-        value on class class_perm[c]; KeyError if one is no row."""
-        row_of = self._row_of
+    def row_permutation(self, aut: Sequence[int]) -> tuple[int, ...]:
+        """For each row i, the row chi_i o aut, for an automorphism aut of
+        the group given by element images (a map of ``conjugation_action``):
+        the row whose value on every class c is row i's value on the class
+        of aut[g_c], g_c its representative; KeyError if one is no row."""
+        class_of, row_of = self.group._class_of, self._row_of
+        class_perm = [class_of[aut[g]] for g in self.class_reps]
         return tuple([row_of[tuple([row[k] for k in class_perm])] for row in self.codes])
 
     def trivial_index(self) -> int:
@@ -137,16 +144,14 @@ def inner_product(x1: ClassFunction, x2: ClassFunction) -> Cyclotomic:
 
 
 def restrict(chi: ClassFunction, H: Subgroup) -> ClassFunction:
-    """Restriction to a subgroup, as a class function on H.as_group()[0].
+    """Restriction to a subgroup, as a class function on H.as_group()[0]:
+    chi pulled back along the inclusion, which H.members is.
 
     Values keep the parent's cyclotomic order.
     """
     if chi.group is not H.parent:
         raise NotSubgroup("class function does not live on the subgroup's parent")
-    Hgrp, embed = H.as_group()
-    class_of = chi.group._class_of  # set: chi's group has its classes
-    vals = [chi.values[class_of[embed[c[0]]]] for c in Hgrp.conjugacy_classes()]
-    return ClassFunction(Hgrp, vals)
+    return chi.pullback(H.as_group()[0], H.members.__getitem__)
 
 
 def determinant_character_value(chi: ClassFunction, g: int) -> tuple[int, int]:

@@ -99,6 +99,8 @@ def generator_elements(G: FiniteGroup, indices, what: str) -> list[int]:
     except (TypeError, ValueError) as exc:
         raise FileFormatError("bad %s: %s" % (what, exc))
     for i in idxs:
+        if not G.generators:
+            raise FileFormatError("bad %s: the group file lists no generators" % what)
         if not 0 <= i < len(G.generators):
             raise FileFormatError("bad %s: generator index %d is not in 0..%d"
                                   % (what, i, len(G.generators) - 1))

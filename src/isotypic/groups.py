@@ -147,15 +147,6 @@ class FiniteGroup:
         assert self._class_of is not None
         return self._class_of[g]
 
-    def class_permutation(self, aut: Sequence[int]) -> tuple[int, ...]:
-        """For each class c, the class of aut[g_c], g_c its representative,
-        for an automorphism aut of the group given by element images (a
-        map of ``conjugation_action``): the permutation aut makes of the
-        classes."""
-        classes = self.conjugacy_classes()
-        class_of = self._class_of
-        return tuple([class_of[aut[cls[0]]] for cls in classes])
-
     # -- subgroups -------------------------------------------------------------
 
     def subgroup(self, generators: Iterable[int]) -> "Subgroup":

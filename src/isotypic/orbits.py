@@ -3,11 +3,12 @@
 Orbits, stabilizers, obstruction records, the fibers of restriction
 ("lying over"), and the two independent counts whose agreement realizes the
 rank decomposition of the equivariant K-theory of a point.  Each orbit and
-its stabilizer come from one permutation of Irr(A) per coset of A.
-obstruction_cocycle builds the stabilizer it works on from those
-permutations too, and each record holds the obstruction's.  Whether a
-character extends to its stabilizer is read off its multiplicity column
-<Res_A chi, rho> over Irr(G).  Both tables are cached on G.
+its stabilizer come from one permutation of Irr(A) per coset of A, and
+each orbit's stabilizer is built once: by irr_orbits, or in
+orbit_decomposition by the orbit's obstruction_cocycle, whose stabilizer
+the record holds.  Whether a character extends to its stabilizer is read
+off its multiplicity column <Res_A chi, rho> over Irr(G).  Both tables are
+cached on G.
 Only an orbit with rho(1) >= 2 and a nontrivial G_rho/A gets a matrix
 model, of its representative alone, built inside its obstruction_cocycle
 call; every other cocycle is exact.
@@ -32,15 +33,14 @@ def irr_permutations(G: FiniteGroup, A: Subgroup) -> dict[int, tuple[int, ...]]:
     """For each coset of A in N_G(A), the permutation of A's table rows that
     its minimal element n induces, tau -> (a -> tau(n^-1 a n)); cached on G.
 
-    Read off the table's codes: n permutes the classes of A once per coset,
-    and row i goes to the row whose code tuple is codes[i] composed with
-    that class permutation.
+    Read off the table's codes by ``CharacterTable.row_permutation`` of the
+    coset's conjugation map: row i goes to the row whose code tuple is
+    codes[i] composed with the permutation n makes of the classes of A.
     """
     if A.members not in G._irr_permutations:
-        Agrp = A.as_group()[0]
-        table = character_table(Agrp)
+        table = character_table(A.as_group()[0])
         G._irr_permutations[A.members] = {
-            c: table.row_permutation(Agrp.class_permutation(conj_map))
+            c: table.row_permutation(conj_map)
             for c, conj_map in G.conjugation_action(A).maps.items()}
     return G._irr_permutations[A.members]
 
@@ -185,13 +185,13 @@ class DecompositionReport:
         }
 
 
-def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
-    """One IrrOrbit per G-orbit on Irr(A), read off irr_permutations.
+def _orbit_rows(G: FiniteGroup, A: Subgroup) -> list[tuple[int, frozenset]]:
+    """(representative, orbit) per G-orbit on Irr(A), read off
+    irr_permutations.
 
     The orbits are numbered by ``_partition``: the representative is the
-    orbit's minimal row of A's table and the stabilizer is that row's, the
-    union of the cosets of A that fix it.  No character of G is touched.
-    Raises NotNormal, naming G, unless A is normal in G.
+    orbit's minimal row of A's table.  Raises NotNormal, naming G, unless A
+    is normal in G.
     """
     if not G.is_normal(A):
         raise NotNormal("subgroup is not normal in %s" % G.name)
@@ -201,17 +201,26 @@ def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
         return frozenset([perm[tau] for perm in perms.values()])
 
     _, reps = _partition(range(len(perms[0])), orbit)  # coset 0 is A, which fixes every row
-    return [IrrOrbit(tau, orbit(tau), irr_stabilizer(G, A, tau)) for tau in reps]
+    return [(tau, orbit(tau)) for tau in reps]
+
+
+def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
+    """One IrrOrbit per G-orbit on Irr(A), in the order of ``_orbit_rows``;
+    the stabilizer is the representative's, the union of the cosets of A
+    that fix it.  No character of G is touched.  Raises NotNormal, naming
+    G, unless A is normal in G.
+    """
+    return [IrrOrbit(tau, orbit, irr_stabilizer(G, A, tau)) for tau, orbit in _orbit_rows(G, A)]
 
 
 def orbit_decomposition(G: FiniteGroup, A: Subgroup) -> list:
-    """One IrrOrbitRecord per G-orbit on Irr(A), in the order of irr_orbits;
-    each record and its obstruction share the stabilizer obstruction_cocycle
-    built.  No matrix model is built here: obstruction_cocycle builds the one
-    its orbit needs, if any.
+    """One IrrOrbitRecord per G-orbit on Irr(A), in the order of
+    ``_orbit_rows``; each record holds the stabilizer its obstruction_cocycle
+    built, the only one built for its orbit.  No matrix model is built here:
+    obstruction_cocycle builds the one its orbit needs, if any.
     """
     records = []
-    for rep, orbit, _ in irr_orbits(G, A):
+    for rep, orbit in _orbit_rows(G, A):
         obs = obstruction_cocycle(G, A, rep)
         # chi lies over the orbit iff e_chi > 0
         lying = frozenset(i for i, e in enumerate(multiplicities(G, A, rep)) if e)

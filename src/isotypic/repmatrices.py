@@ -53,7 +53,7 @@ class MatrixRep:
     def conjugated(self, conj_map: Sequence[int]) -> "MatrixRep":
         """The representation a -> rho(conj_map[a]), e.g. a -> rho(g^-1 a g)."""
         return MatrixRep(self.group, self.dimension, self.images[list(conj_map)],
-                         self.character.pullback(conj_map))
+                         self.character.pullback(self.group, conj_map.__getitem__))
 
 
 def matrix_irreps(G: FiniteGroup, rows: Sequence[int]) -> list[MatrixRep]:

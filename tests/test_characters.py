@@ -19,19 +19,41 @@ from conftest import (S3_GENS, S4_GENS, all_catalog_groups, class_sum, dihedral,
                       direct_product, relabel, relabelled_group)
 
 
+def _documented_invariants():
+    """Catalog name -> the invariants its group is documented to have:
+    order, class count and, for some, class sizes, character degrees or
+    abelian."""
+    expected = {"Z%d" % n: {"order": n, "classes": n, "abelian": True} for n in range(1, 17)}
+    for n in range(3, 14):  # D2n on n points
+        expected["D%d" % (2 * n)] = {"order": 2 * n,
+                                     "classes": (n // 2 + 3) if n % 2 == 0 else (n + 3) // 2}
+    expected.update({
+        "Q8": {"order": 8, "classes": 5, "degrees": (1, 1, 1, 1, 2)},
+        "Q16": {"order": 16, "classes": 7},
+        "S3": {"order": 6, "classes": 3, "class_sizes": (1, 2, 3)},
+        "S4": {"order": 24, "classes": 5, "degrees": (1, 1, 2, 3, 3)},
+        "A4": {"order": 12, "classes": 4, "degrees": (1, 1, 1, 3)},
+        "V4": {"order": 4, "classes": 4, "abelian": True},
+        "F20": {"order": 20, "classes": 5, "degrees": (1, 1, 1, 1, 4)},
+        "F21": {"order": 21, "classes": 5, "degrees": (1, 1, 1, 3, 3)},
+    })
+    return expected
+
+
 def test_catalog_entries_match_their_documented_invariants():
-    """Every catalog entry's ``expected`` values (order, class count, class
-    sizes, character degrees, abelian) hold for the group it builds."""
-    assert len(CATALOG) == 35
+    """Every catalog entry's documented invariants hold for the group it
+    builds."""
+    expected = _documented_invariants()
+    assert len(CATALOG) == 35 and set(CATALOG) == set(expected)
     wrong = {}
-    for name, entry in sorted(CATALOG.items()):
+    for name in sorted(CATALOG):
         G, _ = build_catalog_group(name)
         found = {"order": G.order, "classes": len(G.conjugacy_classes()),
                  "class_sizes": tuple(sorted(map(len, G.conjugacy_classes()))),
                  "degrees": tuple(sorted(character_table(G).degrees)),
                  "abelian": G.is_abelian}
-        assert set(entry.expected) <= set(found), name
-        if {key: found[key] for key in entry.expected} != entry.expected:
+        assert set(expected[name]) <= set(found), name
+        if {key: found[key] for key in expected[name]} != expected[name]:
             wrong[name] = found
     assert not wrong
 
@@ -467,7 +489,7 @@ def test_codes_give_each_distinct_value_one_code():
         t = character_table(G)
         _assert_coded(t)
         assert [t.rows.index(row) for row in t.rows] == list(range(len(t)))
-        identity = list(range(len(t.classes)))
+        identity = list(range(G.order))
         assert t.row_permutation(identity) == tuple(range(len(t))), G.name
 
 

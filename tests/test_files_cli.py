@@ -712,6 +712,13 @@ def _d8_naming_no_subgroup(tmp_path):
     return str(path)
 
 
+def _generatorless_group(tmp_path, **fields):
+    """A group file on 3 points that lists no generators, with fields; its path."""
+    path = tmp_path / "generatorless.json"
+    path.write_text(json.dumps({"name": "E", "degree": 3, "generators": [], **fields}))
+    return str(path)
+
+
 def _edited_bundle(edit):
     """A function of tmp_path giving the bundle-verify argv of the D8 bundle
     file after edit(data, tmp_path); edit may return the file's text."""
@@ -752,10 +759,16 @@ def _without(key):
      "to the group file\n"),
     (_edited_bundle(lambda data, tmp_path: data.update(group=_d8_naming_no_subgroup(tmp_path))),
      "bundle's group file does not name a normal subgroup\n"),
+    (lambda tmp_path: ["clifford", _generatorless_group(tmp_path), "--normal", "0"],
+     "bad --normal selector '0': the group file lists no generators\n"),
+    (lambda tmp_path: ["clifford", _generatorless_group(tmp_path,
+                                                         normal_subgroup_generators=[0])],
+     "bad normal_subgroup_generators: the group file lists no generators\n"),
 ], ids=["normal-selector-not-an-index", "bundle-not-json", "bundle-without-group",
         "bundle-without-base", "points-not-the-width", "identity-moves-points",
         "fiber-not-an-object", "fiber-value-count", "fiber-character-kind",
-        "clifford-names-no-subgroup", "bundle-group-names-no-subgroup"])
+        "clifford-names-no-subgroup", "bundle-group-names-no-subgroup",
+        "normal-selector-without-generators", "normal-generators-without-generators"])
 def test_input_errors_exit_2_with_one_error_line(argv, message, tmp_path, capsys):
     """Each malformed group selector, bundle file and missing normal
     subgroup exits 2 with one error: line and no traceback; where the

@@ -269,10 +269,10 @@ def _counting(monkeypatch, owner, name):
 
 def test_orbit_decomposition_acts_once_per_coset_of_a(monkeypatch):
     """A acts trivially on Irr(A), so the action table reads one permutation
-    of the classes of V4 per coset of V4 in S4: 6, not 24; the table is
+    of the rows of V4's table per coset of V4 in S4: 6, not 24; the table is
     cached on G, so a second decomposition and the Weyl action of
     rank_profile read none."""
-    calls = _counting(monkeypatch, groups.FiniteGroup, "class_permutation")
+    calls = _counting(monkeypatch, characters.CharacterTable, "row_permutation")
     G, V4 = build_catalog_group("S4")
     recs = orbit_decomposition(G, V4)
     assert sorted(len(r.orbit) for r in recs) == [1, 3]
@@ -451,7 +451,7 @@ import random  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from isotypic.bordism import rank_profile  # noqa: E402
-from isotypic.catalog import catalog_entry, catalog_pairs  # noqa: E402
+from isotypic.catalog import CATALOG, catalog_pairs  # noqa: E402
 from isotypic.orbits import irr_orbits  # noqa: E402
 
 from conftest import relabelled_generators, relabelled_group  # noqa: E402
@@ -470,7 +470,7 @@ def test_s4_over_a4_pair_is_the_even_permutations():
     always swept."""
     G, A = _PAIRS["S4/A4"]
     assert G.order == 2 * A.order
-    perms = list(plain_index(4, catalog_entry("S4").generators))
+    perms = list(plain_index(4, CATALOG["S4"].generators))
     assert A.members == tuple(g for g, p in enumerate(perms) if _is_even_permutation(p))
     assert A.members == (0, 3, 4, 5, 8, 12, 15, 16, 17, 19, 20, 21)
 
@@ -492,7 +492,7 @@ def _relabelled_pair(name, seed):
     that reading.
     """
     G, A = _PAIRS[name]
-    entry = catalog_entry(name.split("/")[0])
+    entry = CATALOG[name.split("/")[0]]
     rng = _RecordingRandom(seed)
     new = relabelled_generators(entry.degree, entry.generators, rng)[0]
     H = group_from_generators(entry.degree, new, name=name)
@@ -703,6 +703,28 @@ def test_extension_contract_holds_on_every_row():
     assert moved
 
 
+def test_pullback_inflates_irr_of_the_quotient():
+    """Each row of Irr(G/A), pulled back along the quotient map g -> gA, is
+    a row of Irr(G), and distinct rows stay distinct: inflation is a
+    bijection of Irr(G/A) onto the rows of Irr(G) with A in their kernel.
+    Checked for every catalog and benchmark pool pair."""
+    cases = [(name, G, A) for name, G, A in catalog_pairs()]
+    cases += [(name, *_pool_pair(spec)) for name, spec in benchmark_pool().items()]
+    for name, G, A in cases:
+        Q, section = G.quotient(A)
+        coset_of = G.conjugation_action(A).coset_of
+        q_of = {coset_of[n]: q for q, n in enumerate(section)}
+        rows_g = character_table(G).rows
+        inflated = set()
+        for chi in character_table(Q).rows:
+            pulled = chi.pullback(G, lambda g: q_of[coset_of[g]])
+            matches = [i for i, row in enumerate(rows_g)
+                       if _same_values(pulled.values, row.values)]
+            assert len(matches) == 1, (name, chi)
+            inflated.add(matches[0])
+        assert len(inflated) == len(character_table(Q)), name
+
+
 def test_extension_exists_decides_on_the_whole_stabilizer(q8):
     """Both characters of the center Z of Q8 are fixed by all of Q8.  The
     sign character extends to a cyclic subgroup of order 4 but not to Q8,
@@ -730,12 +752,14 @@ def test_extension_exists_rejects_a_non_normal_subgroup():
 
 
 def test_orbit_decomposition_builds_one_stabilizer_per_orbit(monkeypatch):
-    """irr_orbits reads each stabilizer off its coset images, and so does
-    obstruction_cocycle, which builds a second one per orbit; each record
-    holds its obstruction's.  Over the two orbits of S4 on Irr(V4) no
+    """Each orbit's stabilizer is read off its coset images once, by the
+    irr_stabilizer call of its obstruction_cocycle, and the record holds
+    the obstruction's.  Over the two orbits of S4 on Irr(V4) that is one
+    irr_stabilizer call per orbit representative, no
     stabilizer_of_character or minimal_generators call is made, and no
     character table but those of G and A is built."""
     calls, tables = {"stab": 0, "gens": 0}, set()
+    stabilizers = _counting(monkeypatch, orbits, "irr_stabilizer")
     original_stab = repmatrices.stabilizer_of_character
     original_gens = groups.minimal_generators
     original_table = orbits.character_table
@@ -761,6 +785,7 @@ def test_orbit_decomposition_builds_one_stabilizer_per_orbit(monkeypatch):
     recs = orbit_decomposition(G, V4)
     assert len(recs) == 2
     assert calls == {"stab": 0, "gens": 0}
+    assert [tau for _, _, tau in stabilizers] == [rec.representative for rec in recs]
     assert tables == {G, V4.as_group()[0]}
     for rec in recs:
         assert rec.stabilizer is rec.obstruction.stabilizer
