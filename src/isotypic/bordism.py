@@ -198,7 +198,7 @@ def rank_profile(G: FiniteGroup, A: Subgroup) -> RankProfile:
     N_A/A acts by ``orbits.irr_permutations(G, A)``, one per coset of A
     in N_A, in increasing order.  For normal A, N_A = G and the acting group is G/A.
     """
-    table = character_table(A.as_group()[0])
+    table = character_table(A.as_group())
     triv = table.trivial_index()
     indices = [i for i in range(len(table)) if i != triv]
     pos = {t: i for i, t in enumerate(indices)}

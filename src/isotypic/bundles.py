@@ -37,7 +37,7 @@ class GSet:
         self.action = tuple(map(tuple, action))
         if len(self.action) != group.order:
             raise ValueError("action table needs one row per group element")
-        self.size = len(self.action[0]) if self.action else 0
+        self.size = len(self.action[0])
         for row in self.action:
             if len(row) != self.size or not all(type(x) is int and 0 <= x < self.size
                                                 for x in row):
@@ -153,7 +153,7 @@ class EquivariantBundle:
         one = Cyclotomic.one(1)
         fibers = {}
         for rep, ms in mults.items():
-            sgrp, _ = base.stabilizer(rep).as_group()
+            sgrp = base.stabilizer(rep).as_group()
             table = character_table(sgrp)
             if len(ms) != len(table.rows):
                 raise ValueError("expected %d multiplicities for orbit %d"
@@ -196,7 +196,7 @@ def _transported_fiber(E: EquivariantBundle, src: int, x: int) -> ClassFunction:
     tinv = G.inv(t)
     stab_r, stab_x = base.stabilizer(src), base.stabilizer(x)
     members = stab_x.members
-    return chi.pullback(stab_x.as_group()[0],
+    return chi.pullback(stab_x.as_group(),
                         lambda k: stab_r.retract(G.mul(G.mul(tinv, members[k]), t)))
 
 
@@ -220,16 +220,17 @@ def induction_piece_character(E: EquivariantBundle, A: Subgroup,
     base = E.base
     G = base.group
     rows, inv = G._rows, G._inv
-    Agrp, aembed = A.as_group()
+    Agrp = A.as_group()
     table_a = character_table(Agrp)
-    sxg, xembed = base.stabilizer(x).as_group()
-    ks = [xembed[cls[0]] for cls in sxg.conjugacy_classes()]
+    stab_x = base.stabilizer(x)
+    sxg = stab_x.as_group()
+    ks = [stab_x.members[cls[0]] for cls in sxg.conjugacy_classes()]
     terms: list[list] = [[] for _ in ks]
     fibers: dict[int, dict[int, Cyclotomic]] = {}  # y -> {element of Stab(y): value}
     for orbit in orbits:
         d_rho = table_a.degrees[orbit.representative]
         # (element of A, rho value) pairs; rho enters conjugated
-        a_vals = [(aembed[aa], rval) for acls, rval in
+        a_vals = [(A.members[aa], rval) for acls, rval in
                   zip(Agrp.conjugacy_classes(), table_a.rows[orbit.representative].values)
                   for aa in acls]
         stab_members = orbit.stabilizer._position
@@ -238,9 +239,10 @@ def induction_piece_character(E: EquivariantBundle, A: Subgroup,
             y = base.act(ginv, x)
             fib = fibers.get(y)
             if fib is None:
-                syg, yembed = base.stabilizer(y).as_group()
-                fib = fibers[y] = {yembed[h]: v for cls, v in
-                                   zip(syg.conjugacy_classes(), fiber_character(E, y).values)
+                stab_y = base.stabilizer(y)
+                fib = fibers[y] = {stab_y.members[h]: v for cls, v in
+                                   zip(stab_y.as_group().conjugacy_classes(),
+                                       fiber_character(E, y).values)
                                    for h in cls}
             row_ginv = rows[ginv]
             for k, kterms in zip(ks, terms):

@@ -144,14 +144,14 @@ def inner_product(x1: ClassFunction, x2: ClassFunction) -> Cyclotomic:
 
 
 def restrict(chi: ClassFunction, H: Subgroup) -> ClassFunction:
-    """Restriction to a subgroup, as a class function on H.as_group()[0]:
+    """Restriction to a subgroup, as a class function on H.as_group():
     chi pulled back along the inclusion, which H.members is.
 
     Values keep the parent's cyclotomic order.
     """
     if chi.group is not H.parent:
         raise NotSubgroup("class function does not live on the subgroup's parent")
-    return chi.pullback(H.as_group()[0], H.members.__getitem__)
+    return chi.pullback(H.as_group(), H.members.__getitem__)
 
 
 def determinant_character_value(chi: ClassFunction, g: int) -> tuple[int, int]:

@@ -175,7 +175,7 @@ def bundle_from_jsonable(data: dict, G: FiniteGroup) -> EquivariantBundle:
                 raise FileFormatError("irreducible_multiplicities at point %d must be a list" % rep)
             mults[rep] = ms  # entries are checked by from_multiplicities
         elif isinstance(char, list):
-            sgrp, _ = base.stabilizer(rep).as_group()
+            sgrp = base.stabilizer(rep).as_group()
             values = [_fiber_value(v, G) for v in char]
             if len(values) != len(sgrp.conjugacy_classes()):
                 raise FileFormatError("fiber character has %d values, stabilizer has %d classes"

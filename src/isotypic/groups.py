@@ -9,7 +9,10 @@ Conventions used throughout the package:
     elements, so the block of the identity (the class of 1, the coset H)
     always comes first, and a coset's minimum is its lift,
   * the one table of the cosets of H is ``FiniteGroup.conjugation_action(H)``,
-    which every transversal (quotients, coset G-sets, induction) reads,
+    which every transversal (the quotient, coset G-sets, induction) reads;
+    ``FiniteGroup.quotient`` is the one quotient builder, and a quotient's
+    subgroups (the Q_rho of the obstruction cocycle) are materialized like
+    any subgroup, by ``Subgroup.as_group``, whose element i is members[i],
   * subgroups are enumerated once, class by class, by
     ``FiniteGroup.subgroup_conjugacy_classes``, which extends only class
     representatives H, by one g per double coset H g^k H (k prime to the
@@ -82,7 +85,7 @@ class FiniteGroup:
         self._classes: Optional[list[tuple[int, ...]]] = None
         self._class_of: Optional[list[int]] = None
         self._subgroup_classes: Optional[list[list["Subgroup"]]] = None
-        self._subgroup_cache: dict[tuple[int, ...], tuple["FiniteGroup", tuple[int, ...]]] = {}
+        self._subgroup_cache: dict[tuple[int, ...], "FiniteGroup"] = {}
         self._conjugation: dict[tuple[int, ...], CosetTable] = {}
         self._irr_permutations: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
         # member set of H -> (Irr(G) restricted to H, {rho: multiplicity column})
@@ -205,14 +208,22 @@ class FiniteGroup:
         return self.subgroup_from_members(n for n in self.elements() if coset_of[n] in maps)
 
     def quotient(self, A: "Subgroup") -> tuple["FiniteGroup", tuple[int, ...]]:
-        """(G/A, section) by ``coset_quotient``; raises NotNormal unless A is normal.
+        """(G/A, lifts), named by G and |A| (e.g. "S4/4"); raises NotNormal
+        unless A is a normal subgroup of G.
 
-        No src caller: kept because the benchmark's span list wraps it."""
+        Element q of G/A is coset q of ``conjugation_action(A)`` and lifts[q]
+        its minimal element; cosets multiply through their lifts.
+        obstruction_cocycle reads each Q_rho = G_rho/A off it as a subgroup.
+        """
         if A.parent is not self:
             raise NotNormal("subgroup does not live in this group")
         if not self.is_normal(A):
             raise NotNormal("subgroup is not normal")
-        return coset_quotient(self.full_subgroup(), A)
+        rows = self._rows
+        coset_of, lifts, _ = self.conjugation_action(A)
+        table = [[coset_of[rows[x][y]] for y in lifts] for x in lifts]
+        # unchecked: A is normal, so the coset products form the group G/A
+        return FiniteGroup(table, name="%s/%d" % (self.name, A.order), check=False), lifts
 
     def all_subgroups(self) -> list["Subgroup"]:
         """Every subgroup, sorted by (order, members): the flattened
@@ -304,7 +315,7 @@ class Subgroup:
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
         self.parent = parent
         self.members = tuple(sorted(members))
-        if self.members[0] != 0:
+        if not self.members or self.members[0] != 0:
             raise ValueError("subgroup must contain the identity")
         if parent.order % len(self.members) != 0:
             raise ValueError("subgroup order does not divide group order")
@@ -322,30 +333,27 @@ class Subgroup:
         ``members``."""
         return {g: i for i, g in enumerate(self.members)}
 
-    def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
+    def as_group(self) -> FiniteGroup:
         """Materialize as a standalone FiniteGroup, named by the parent and
-        the order (e.g. "S4<12>").
+        the order (e.g. "S4<12>"); the full subgroup is the parent itself.
 
-        Returns (H, embed) where embed maps H-indices to parent indices.
-        Cached on the parent so equal subgroups share the same object (and
-        hence the same cached character table).
+        Its element i is members[i], so ``members`` is the embedding into
+        the parent and ``retract`` its inverse.  Cached on the parent so
+        equal subgroups share the same object (and hence the same cached
+        character table).
         """
-        cached = self.parent._subgroup_cache.get(self.members)
-        if cached is not None:
-            return cached
-        if len(self.members) == self.parent.order:
-            out = (self.parent, tuple(self.parent.elements()))
-        else:
-            embed = self.members
+        if self.order == self.parent.order:
+            return self.parent
+        H = self.parent._subgroup_cache.get(self.members)
+        if H is None:
             pos = self._position
             rows = self.parent._rows
-            table = [[pos[rows[a][b]] for b in embed] for a in embed]
+            table = [[pos[rows[a][b]] for b in self.members] for a in self.members]
             # unchecked: the position lookup raised unless the members are
             # closed, and a closed subset of a finite group is a group
-            out = (FiniteGroup(table, name="%s<%d>" % (self.parent.name, self.order),
-                               check=False), embed)
-        self.parent._subgroup_cache[self.members] = out
-        return out
+            H = self.parent._subgroup_cache[self.members] = FiniteGroup(
+                table, name="%s<%d>" % (self.parent.name, self.order), check=False)
+        return H
 
     def retract(self, g: int) -> int:
         """Parent index -> index in the materialized group."""
@@ -431,27 +439,6 @@ def _extend(rows: list[list[int]], members: Sequence[int],
                 seen.update([rows[h][y] for h in members])
                 reps.append(y)
     return tuple(sorted(seen))
-
-
-def coset_quotient(H: Subgroup, A: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """(H/A, section) for A normal in G = H.parent and H a union of cosets
-    of A, the group named by G and |A| (e.g. "S4/4"); the caller makes sure
-    of both (FiniteGroup.quotient with H = G, obstruction_cocycle with H the
-    stabilizer G_rho it builds).  The shape is Subgroup.as_group's (group,
-    embed).
-
-    The section is the coset lifts of ``G.conjugation_action(A)`` that lie
-    in H: element q of H/A is the coset of section[q], and cosets multiply
-    through their lifts in G.
-    """
-    G = H.parent
-    rows = G._rows
-    coset_of, reps, _ = G.conjugation_action(A)
-    section = tuple(n for n in reps if n in H)
-    pos = {coset_of[n]: q for q, n in enumerate(section)}
-    table = [[pos[coset_of[rows[x][y]]] for y in section] for x in section]
-    # unchecked: A is normal, so the coset products form the group H/A
-    return FiniteGroup(table, name="%s/%d" % (G.name, A.order), check=False), section
 
 
 def minimal_generators(G: FiniteGroup, members: Sequence[int]) -> tuple[int, ...]:

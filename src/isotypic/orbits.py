@@ -4,9 +4,10 @@ Orbits, stabilizers, obstruction records, the fibers of restriction
 ("lying over"), and the two independent counts whose agreement realizes the
 rank decomposition of the equivariant K-theory of a point.  Each orbit and
 its stabilizer come from one permutation of Irr(A) per coset of A, and
-each orbit's stabilizer is built once: by irr_orbits, or in
-orbit_decomposition by the orbit's obstruction_cocycle, whose stabilizer
-the record holds.  Whether a character extends to its stabilizer is read
+each orbit's stabilizer G_rho is built once, by irr_orbits, which
+orbit_decomposition walks; the orbit's obstruction_cocycle reads
+Q_rho = G_rho/A off the same permutations, as the stabilizer of rho in
+G/A.  Whether a character extends to its stabilizer is read
 off its multiplicity column <Res_A chi, rho> over Irr(G).  Both tables are
 cached on G.
 Only an orbit with rho(1) >= 2 and a nontrivial G_rho/A gets a matrix
@@ -38,7 +39,7 @@ def irr_permutations(G: FiniteGroup, A: Subgroup) -> dict[int, tuple[int, ...]]:
     codes[i] composed with the permutation n makes of the classes of A.
     """
     if A.members not in G._irr_permutations:
-        table = character_table(A.as_group()[0])
+        table = character_table(A.as_group())
         G._irr_permutations[A.members] = {
             c: table.row_permutation(conj_map)
             for c, conj_map in G.conjugation_action(A).maps.items()}
@@ -78,7 +79,7 @@ def multiplicities(G: FiniteGroup, A: Subgroup, rho: int) -> tuple[int, ...]:
     """
     entry = G._multiplicities.get(A.members)
     if entry is None or rho not in entry[1]:
-        table_a, table_g = character_table(A.as_group()[0]), character_table(G)
+        table_a, table_g = character_table(A.as_group()), character_table(G)
         if entry is None:
             entry = G._multiplicities[A.members] = (
                 [restrict(chi, A) for chi in table_g.rows], {})
@@ -167,8 +168,7 @@ class DecompositionReport:
     notes: list
 
     def to_jsonable(self) -> dict:
-        Agrp, _ = self.normal.as_group()
-        table_a = character_table(Agrp)
+        table_a = character_table(self.normal.as_group())
         values = [cyclotomic_to_jsonable(v) for v in table_a.values]
         return {
             "group": self.group.name,
@@ -185,9 +185,10 @@ class DecompositionReport:
         }
 
 
-def _orbit_rows(G: FiniteGroup, A: Subgroup) -> list[tuple[int, frozenset]]:
-    """(representative, orbit) per G-orbit on Irr(A), read off
-    irr_permutations.
+def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
+    """One IrrOrbit per G-orbit on Irr(A), read off irr_permutations; the
+    stabilizer is the representative's, the union of the cosets of A that
+    fix it.  No character of G is touched.
 
     The orbits are numbered by ``_partition``: the representative is the
     orbit's minimal row of A's table.  Raises NotNormal, naming G, unless A
@@ -201,33 +202,23 @@ def _orbit_rows(G: FiniteGroup, A: Subgroup) -> list[tuple[int, frozenset]]:
         return frozenset([perm[tau] for perm in perms.values()])
 
     _, reps = _partition(range(len(perms[0])), orbit)  # coset 0 is A, which fixes every row
-    return [(tau, orbit(tau)) for tau in reps]
-
-
-def irr_orbits(G: FiniteGroup, A: Subgroup) -> list:
-    """One IrrOrbit per G-orbit on Irr(A), in the order of ``_orbit_rows``;
-    the stabilizer is the representative's, the union of the cosets of A
-    that fix it.  No character of G is touched.  Raises NotNormal, naming
-    G, unless A is normal in G.
-    """
-    return [IrrOrbit(tau, orbit, irr_stabilizer(G, A, tau)) for tau, orbit in _orbit_rows(G, A)]
+    return [IrrOrbit(tau, orbit(tau), irr_stabilizer(G, A, tau)) for tau in reps]
 
 
 def orbit_decomposition(G: FiniteGroup, A: Subgroup) -> list:
-    """One IrrOrbitRecord per G-orbit on Irr(A), in the order of
-    ``_orbit_rows``; each record holds the stabilizer its obstruction_cocycle
-    built, the only one built for its orbit.  No matrix model is built here:
+    """One IrrOrbitRecord per orbit of ``irr_orbits``, in its order, holding
+    that orbit's stabilizer.  No matrix model is built here:
     obstruction_cocycle builds the one its orbit needs, if any.
     """
     records = []
-    for rep, orbit in _orbit_rows(G, A):
+    for rep, orbit, stabilizer in irr_orbits(G, A):
         obs = obstruction_cocycle(G, A, rep)
         # chi lies over the orbit iff e_chi > 0
         lying = frozenset(i for i, e in enumerate(multiplicities(G, A, rep)) if e)
         # obstruction_cocycle has already checked this table
         regular = _regular_class_count(obs.quotient, obs.omega, obs.modulus)
         records.append(IrrOrbitRecord(
-            representative=rep, orbit=orbit, stabilizer=obs.stabilizer,
+            representative=rep, orbit=orbit, stabilizer=stabilizer,
             obstruction=obs, lying_over=lying,
             twisted_count=len(lying), omega_regular=regular))
     return records
@@ -266,7 +257,10 @@ def k_decomposition_report(G: FiniteGroup, A: Subgroup) -> DecompositionReport:
     """Rank identity |Irr(G)| = sum of twisted counts over orbits.
 
     Both counting routes (restriction fibers and omega-regular classes) are
-    computed; any mismatch is recorded in the report, never dropped.
+    computed, and each orbit's multiplicities are checked against its
+    quotient: sum over chi of e_chi^2 = <Ind rho, Ind rho> = |G_rho/A|
+    (Frobenius reciprocity and Mackey).  Any mismatch is recorded in the
+    report, never dropped.
     """
     records = orbit_decomposition(G, A)
     table_g = character_table(G)
@@ -290,6 +284,11 @@ def k_decomposition_report(G: FiniteGroup, A: Subgroup) -> DecompositionReport:
             discrepancies.append(
                 "orbit of %d: lying_over count %d != omega-regular count %d"
                 % (rec.representative, rec.twisted_count, rec.omega_regular))
+        squares = sum(e * e for e in multiplicities(G, A, rec.representative))
+        if squares != rec.obstruction.quotient.order:
+            discrepancies.append(
+                "orbit of %d: sum of squared multiplicities %d != |Q_rho| %d"
+                % (rec.representative, squares, rec.obstruction.quotient.order))
         # recorded, not asserted: whether a full regular-class count implies
         # a trivial obstruction class is decided by the extension test alone
         trivially_regular = rec.omega_regular == len(rec.obstruction.quotient.conjugacy_classes())

@@ -4,7 +4,8 @@ obstruction cocycle, built with floats only where it needs them.
 Each irreducible is the left ideal of one primitive idempotent of the group
 algebra and each intertwiner is one projection: nothing is drawn at random,
 so every matrix depends only on the group table.  The obstruction 2-cocycle
-of an irreducible rho of a normal subgroup A lives on Q = G_rho/A.  It is
+of an irreducible rho of a normal subgroup A lives on Q = G_rho/A, read
+as the stabilizer of rho in G.quotient(A), so no G_rho is built.  It is
 exact when Q is trivial or rho is linear; otherwise it is snapped from
 intertwiners between conjugate matrix models to exact roots of unity, and
 every identity check downstream is exact integer arithmetic.  Whether its
@@ -28,7 +29,7 @@ import numpy as np
 from .characters import ClassFunction, character_table
 from .errors import (CapExceeded, InvalidCocycle, NonScalar,
                      NumericalDegeneracy, SnapFailure, SplitFailure)
-from .groups import FiniteGroup, Subgroup, coset_quotient
+from .groups import FiniteGroup, Subgroup
 
 TOL = 1e-8
 SNAP_TOL = 1e-6
@@ -226,15 +227,14 @@ def intertwiner(rho1: MatrixRep, rho2: MatrixRep) -> Optional[np.ndarray]:
 class ObstructionRecord:
     """The obstruction cocycle of an irreducible rho of a normal subgroup A.
 
-    quotient is Q = G_rho/A and section its coset lifts in G, as
-    groups.coset_quotient returns them.  omega is a |Q| x |Q| table of
-    exponents k meaning the root of unity exp(2*pi*i*k/modulus);
-    modulus = rho(1) * order(det o rho), which makes every snapped scalar an
-    exact root of unity.  trivial is decided by the exact character-level
-    extension criterion, never numerically.
+    quotient is Q = G_rho/A, the stabilizer of rho in G/A as a group of
+    its own, and section the lifts in G of its elements, in order.  omega
+    is a |Q| x |Q| table of exponents k meaning the root of unity
+    exp(2*pi*i*k/modulus); modulus = rho(1) * order(det o rho), which makes
+    every snapped scalar an exact root of unity.  trivial is decided by the
+    exact character-level extension criterion, never numerically.
     """
 
-    stabilizer: Subgroup
     quotient: FiniteGroup
     section: tuple[int, ...]
     omega: tuple  # tuple of tuples of ints
@@ -248,7 +248,7 @@ def stabilizer_of_character(G: FiniteGroup, A: Subgroup, chi: ClassFunction) -> 
 
     No src caller: kept because the benchmark's span list wraps it."""
     from .orbits import irr_stabilizer  # deferred: orbits depends on this module
-    if chi.group is not A.as_group()[0]:
+    if chi.group is not A.as_group():
         raise ValueError("character does not live on the subgroup")
     return irr_stabilizer(G, A, character_table(chi.group).rows.index(chi))
 
@@ -262,13 +262,13 @@ def _det_normalize(U: np.ndarray) -> np.ndarray:
 def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: int) -> ObstructionRecord:
     """Obstruction data for extending the irreducible rho, a row index of
     A's character table, from the normal subgroup A of G to its stabilizer
-    G_rho, which it builds with orbits.irr_stabilizer.
+    G_rho.
 
     Whether rho extends is read off Irr(G) by orbits.extension_exists before
     anything else; it raises NotNormal unless A is normal in G.
-    Q = G_rho/A is groups.coset_quotient(G_rho, A), the builder
-    G.quotient(A) uses too: the cosets of A in G_rho, each lifted to its
-    minimal element g.
+    Q = G_rho/A is the stabilizer of rho in G/A = G.quotient(A): the cosets
+    of A whose permutation of Irr(A) (orbits.irr_permutations) fixes rho,
+    as a subgroup of G/A, each lifted to its minimal element g.
     With g1 g2 = a0 g3 for the lifts of q1, q2 and q1 q2:
 
     * if Q is trivial, omega is the 1 x 1 zero table;
@@ -284,13 +284,16 @@ def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: int) -> ObstructionRec
 
     The cocycle identity is then verified exactly on every route.
     """
-    from .orbits import extension_exists, irr_stabilizer  # deferred: orbits imports this module
+    from .orbits import extension_exists, irr_permutations  # deferred: orbits imports this module
     trivial = extension_exists(G, A, rho)
-    G_rho = irr_stabilizer(G, A, rho)
-    Agrp, _ = A.as_group()
+    GA, lifts = G.quotient(A)
+    Q_rho = GA.subgroup_from_members(
+        c for c, perm in irr_permutations(G, A).items() if perm[rho] == rho)
+    Q = Q_rho.as_group()
+    section = tuple([lifts[c] for c in Q_rho.members])
+    Agrp = A.as_group()
     table_a = character_table(Agrp)
     d = table_a.degrees[rho]
-    Q, section = coset_quotient(G_rho, A)
     m = Q.order
 
     # det o rho is a class function: one exact value (k, m), meaning
@@ -305,12 +308,12 @@ def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: int) -> ObstructionRec
     exact = d == 1 or m == 1
     if not exact:
         rep = matrix_irreps(Agrp, [rho])[0]
-        # lifts are minimal in their coset of A, so maps[coset_of[g]] is
-        # exactly a -> g^-1 a g
-        coset_of, _, maps = G.conjugation_action(A)
+        # lifts are minimal in their coset of A, so maps[c] is exactly
+        # a -> g^-1 a g for the lift g of coset c
+        maps = G.conjugation_action(A).maps
         units = [eye.copy()]
-        for g in section[1:]:
-            U = intertwiner(rep.conjugated(maps[coset_of[g]]), rep)
+        for c in Q_rho.members[1:]:
+            U = intertwiner(rep.conjugated(maps[c]), rep)
             if U is None:
                 raise AssertionError("coset representative does not stabilize rho")
             units.append(_det_normalize(U))
@@ -338,7 +341,7 @@ def obstruction_cocycle(G: FiniteGroup, A: Subgroup, rho: int) -> ObstructionRec
             omega[q1][q2] = k
 
     check_cocycle(Q, omega, modulus)
-    return ObstructionRecord(stabilizer=G_rho, quotient=Q, section=section,
+    return ObstructionRecord(quotient=Q, section=section,
                              omega=tuple(map(tuple, omega)),
                              modulus=modulus, trivial=trivial)
 

@@ -132,6 +132,13 @@ def benchmark_pool() -> dict:
     return module.POOL
 
 
+def pool_pair(spec) -> tuple:
+    """G and its normal subgroup A from a benchmark pool GroupSpec."""
+    G = group_from_generators(spec.degree, list(spec.gens) + list(spec.normal_gens),
+                              name=spec.name)
+    return G, G.subgroup(G.generators[len(spec.gens):])
+
+
 # -- input builders: no command reaches these, only tests of other functions ---
 
 
@@ -165,7 +172,7 @@ def trivial_bundle(base: GSet, chi: ClassFunction) -> EquivariantBundle:
 def induced_bundle(G: FiniteGroup, H: Subgroup, chi: ClassFunction) -> EquivariantBundle:
     """The bundle G x_H V over G/H determined by an H-representation."""
     base = GSet.cosets(G, H)
-    sgrp, _ = H.as_group()
+    sgrp = H.as_group()
     if chi.group is not sgrp:
         raise ValueError("character must live on the inducing subgroup")
     return EquivariantBundle(base, {0: chi})

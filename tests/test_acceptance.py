@@ -66,7 +66,7 @@ def test_criterion_2_worked_example_reproduction():
     """(D8, Z/4): the four linear characters with rho(a) = i, the swap
     rho <-> rho^3, the three orbits, and the shipped two-point bundle."""
     G, A = build_catalog_group("D8")
-    Agrp, _ = A.as_group()
+    Agrp = A.as_group()
     ta = character_table(Agrp)
     a_loc = next(x for x in Agrp.elements() if Agrp.element_order(x) == 4)
     idx = {}
@@ -154,7 +154,7 @@ def test_criterion_5_bundle_property_suite():
             mults = {}
             for orb in X.orbits():
                 rep = orb[0]
-                sgrp, _ = X.stabilizer(rep).as_group()
+                sgrp = X.stabilizer(rep).as_group()
                 nrows = len(character_table(sgrp).rows)
                 ms = [rng.randrange(3) for _ in range(nrows)]
                 if not any(ms):

@@ -19,7 +19,7 @@ from conftest import class_sum, conj, induced_bundle, point_gset, trivial_bundle
 
 def rho_row(z4_pair, k):
     G, A = z4_pair
-    Agrp, _ = A.as_group()
+    Agrp = A.as_group()
     ta = character_table(Agrp)
     a_loc = next(x for x in Agrp.elements() if Agrp.element_order(x) == 4)
     for i, row in enumerate(ta.rows):
@@ -88,7 +88,7 @@ def test_bundle_requires_genuine_character(d8, tmp_path, capsys):
         data = json.load(fh)
     data["group"] = os.path.abspath(os.path.join(data_dir, "d8.json"))
     G, A = d8
-    sgrp, _ = GSet.cosets(G, A).stabilizer(0).as_group()
+    sgrp = GSet.cosets(G, A).stabilizer(0).as_group()
     rows = character_table(sgrp).rows
     delta = [Cyclotomic.from_rational(sgrp.exponent, 1 if cls == (0,) else 0)
              for cls in sgrp.conjugacy_classes()]
@@ -108,7 +108,7 @@ def test_fiber_characters_of_induced_bundle(d8):
     G, A = d8
     _, rho = rho_row((G, A), 1)
     E = induced_bundle(G, A, rho)
-    Agrp, _ = A.as_group()
+    Agrp = A.as_group()
     a_loc = next(x for x in Agrp.elements() if Agrp.element_order(x) == 4)
     f0 = fiber_character(E, 0)
     f1 = fiber_character(E, 1)
@@ -126,7 +126,8 @@ def test_trivial_bundle_fiber_is_restriction(d8):
     for x in (0, 1):
         fib = fiber_character(E, x)
         stab = X.stabilizer(x)
-        sgrp, embed = stab.as_group()
+        sgrp = stab.as_group()
+        embed = stab.members
         for cls in sgrp.conjugacy_classes():
             assert fib.values[sgrp.class_index(cls[0])].equals_value(
                 chi.values[G.class_index(embed[cls[0]])])
@@ -136,7 +137,7 @@ def test_not_a_trivial_raises(d8):
     G, A = d8
     b = G.generators[1]
     Y = GSet.cosets(G, G.subgroup([b]))
-    sgrp, _ = Y.stabilizer(0).as_group()
+    sgrp = Y.stabilizer(0).as_group()
     ts = character_table(sgrp)
     E = EquivariantBundle.from_multiplicities(Y, {0: [1] * len(ts.rows)})
     with pytest.raises(NotATrivial):
@@ -201,7 +202,8 @@ def test_transversal_choice_independence(d8):
 
     # independent evaluation with every possible representative per coset
     from fractions import Fraction
-    Agrp, aembed = A.as_group()
+    Agrp = A.as_group()
+    aembed = A.members
     ta = character_table(Agrp)
     rho_vals = ta.rows[idx].values
     d = ta.degrees[idx]
@@ -211,7 +213,8 @@ def test_transversal_choice_independence(d8):
         key = tuple(sorted(G.mul(g, h) for h in rec.stabilizer.members))
         cosets.setdefault(key, []).append(g)
     stab0 = E.base.stabilizer(0)
-    sxg, xembed = stab0.as_group()
+    sxg = stab0.as_group()
+    xembed = stab0.members
     for choice in range(2):
         vals = []
         for cls in sxg.conjugacy_classes():
@@ -225,7 +228,7 @@ def test_transversal_choice_independence(d8):
                 y = E.base.act(G.inv(g), 0)
                 fib = fiber_character(E, y)
                 stab_y = E.base.stabilizer(y)
-                sy_grp, _ = stab_y.as_group()
+                sy_grp = stab_y.as_group()
                 acc = Cyclotomic.zero(G.exponent)
                 for acls, rval in zip(Agrp.conjugacy_classes(), rho_vals):
                     for aa in acls:
@@ -248,7 +251,7 @@ def _random_bundle(G, A, rng):
     mults = {}
     for orb in X.orbits():
         rep = orb[0]
-        sgrp, _ = X.stabilizer(rep).as_group()
+        sgrp = X.stabilizer(rep).as_group()
         ts = character_table(sgrp)
         ms = [rng.randrange(3) for _ in ts.rows]
         if not any(ms):
@@ -281,7 +284,7 @@ def test_redundant_fiber_checked_over_central_subgroup(name):
     G, _ = build_catalog_group(name)
     Z = G.center()
     base = GSet.cosets(G, Z)
-    sgrp, _ = base.stabilizer(0).as_group()
+    sgrp = base.stabilizer(0).as_group()
     table = character_table(sgrp)
     triv = table.rows[table.trivial_index()]
     sign = next(row for row in table.rows if row is not triv)
@@ -367,7 +370,7 @@ def _sweep_bundles(G, A, rng):
     for shape, base in enumerate(shapes):
         mults = {}
         for orb in base.orbits():
-            rows = len(character_table(base.stabilizer(orb[-1]).as_group()[0]).rows)
+            rows = len(character_table(base.stabilizer(orb[-1]).as_group()).rows)
             mults[orb[-1]] = [rng.randrange(3) for _ in range(rows)]
             mults[orb[-1]][0] += 1
         E = EquivariantBundle.from_multiplicities(base, mults)
@@ -378,7 +381,7 @@ def _sweep_bundles(G, A, rng):
                 fibers[y] = fiber_character(E, y)
         yield shape, False, EquivariantBundle(base, fibers)
         x = base.orbits()[0][-1]
-        table = character_table(base.stabilizer(x).as_group()[0])
+        table = character_table(base.stabilizer(x).as_group())
         fibers[x] = class_sum([fibers[x], table.rows[-1]])
         yield shape, True, EquivariantBundle(base, fibers)
 
@@ -429,7 +432,8 @@ def test_an_anchor_mismatch_on_a_consistent_orbit_is_an_internal_fault(monkeypat
         G, A = build_catalog_group(name)
         for c in range(len(G.conjugacy_classes())):
             def piece(E, A, orbits, x, c=c):
-                sxg, embed = E.base.stabilizer(x).as_group()
+                sxg = E.base.stabilizer(x).as_group()
+                embed = E.base.stabilizer(x).members
                 return ClassFunction(sxg, [
                     v + 1 if G.class_index(embed[cls[0]]) == c else v
                     for cls, v in zip(sxg.conjugacy_classes(), real(E, A, orbits, x).values)])
@@ -448,7 +452,7 @@ def test_an_anchor_mismatch_on_a_consistent_orbit_is_an_internal_fault(monkeypat
     path = os.path.join(os.path.dirname(__file__), "..", "src", "isotypic", "data",
                         "d8_rho_bundle.json")
     monkeypatch.setattr(bundles, "induction_piece_character", lambda E, A, orbits, x: ClassFunction(
-        E.base.stabilizer(x).as_group()[0], [v + 1 for v in real(E, A, orbits, x).values]))
+        E.base.stabilizer(x).as_group(), [v + 1 for v in real(E, A, orbits, x).values]))
     assert main(["bundle-verify", path]) == 5
     assert capsys.readouterr().err.startswith("internal inconsistency: the isotypic pieces")
 
@@ -563,7 +567,7 @@ def test_verification_makes_one_dot_per_class_of_each_checked_point(monkeypatch)
     assert verify_decomposition(bundle, A).ok
 
     def classes(x):
-        return len(bundle.base.stabilizer(x).as_group()[0].conjugacy_classes())
+        return len(bundle.base.stabilizer(x).as_group().conjugacy_classes())
 
     anchors = [next(x for x in orb if x in bundle.fibers) for orb in bundle.base.orbits()]
     assert len(orbit_decomposition(G, A)) > 1

@@ -378,7 +378,7 @@ def test_inner_product_of_mixed_orders_matches_lcm(pairs):
 
     checked = 0
     for name, G, A in pairs:
-        Agrp, _ = A.as_group()
+        Agrp = A.as_group()
         table_a = character_table(Agrp)
         for chi in character_table(G).rows:
             res = restrict(chi, A)

@@ -264,7 +264,7 @@ def test_cmd_bundle_verify_not_a_trivial(tmp_path, capsys):
     G, A = load_group_file(data_path("d8.json"))
     b = next(g for g in G.elements() if g not in A and G.element_order(g) == 2)
     Y = GSet.cosets(G, G.subgroup([b]))
-    sgrp, _ = Y.stabilizer(0).as_group()
+    sgrp = Y.stabilizer(0).as_group()
     ts = character_table(sgrp)
     data = {"group": data_path("d8.json"),
             "base": {"points": Y.size, "action": [list(row) for row in Y.action]},

@@ -272,6 +272,17 @@ def test_subgroup_membership_and_index():
     assert 0 in mem
 
 
+def test_subgroup_rejects_a_member_set_without_the_identity():
+    """An empty member set, or one without element 0, is not a subgroup:
+    both raise the same ValueError."""
+    G = dihedral(5)
+    for members in ([], [1]):
+        with pytest.raises(ValueError, match="must contain the identity"):
+            G.subgroup_from_members(members)
+    with pytest.raises(ValueError, match="must contain the identity"):
+        groups.Subgroup(G, [])
+
+
 def test_all_subgroups_s4_count():
     G = group_from_generators(4, [[1, 2, 3, 0], [1, 0, 2, 3]], name="S4")
     subs = G.all_subgroups()
@@ -602,17 +613,21 @@ def _check_derived_table(G):
 
 def test_subgroup_tables_are_group_tables():
     """as_group builds its table without the axiom check; every such table
-    must still pass it, as a list of int lists."""
+    must still pass it, as a list of int lists, and its element i must be
+    members[i]: the full subgroup is the parent itself."""
     S4xZ2 = relabelled_group("S4xZ2", *PRODUCTS["S4xZ2"], random.Random(5))
     for G in all_catalog_groups() + [S4xZ2]:
         for H in G.all_subgroups():
-            Hgrp, embed = H.as_group()
-            assert embed == H.members
+            Hgrp = H.as_group()
             _check_derived_table(Hgrp)
+            assert [[H.members[Hgrp.mul(a, b)] for b in Hgrp.elements()]
+                    for a in Hgrp.elements()] == \
+                [[G.mul(a, b) for b in H.members] for a in H.members], G.name
+        assert G.full_subgroup().as_group() is G
 
 
 def test_closure_and_quotient_tables_are_group_tables():
-    """group_from_generators and coset_quotient build their tables without
+    """group_from_generators and FiniteGroup.quotient build their tables without
     the axiom check; the table of every catalog group, of a relabelled S4xZ2
     and of S3xS3, and of each of their quotients by a normal subgroup must
     still pass it, as a list of int lists."""
@@ -697,7 +712,7 @@ def test_closure_of_s6_time_and_memory():
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
 
-from isotypic.bordism import rank_profile, weyl_cycle_types  # noqa: E402
+from isotypic.bordism import global_generator_series, rank_profile, weyl_cycle_types  # noqa: E402
 from isotypic.characters import DEFAULT_CHARTABLE_CAP, character_table  # noqa: E402
 from isotypic.orbits import irr_action, irr_orbits  # noqa: E402
 
@@ -749,9 +764,26 @@ def test_blocks_are_numbered_by_least_member(spec):
         if G.is_normal(H):
             orbits = irr_orbits(G, H)
             covered = sorted(tau for o in orbits for tau in o.orbit)
-            assert covered == list(range(len(character_table(H.as_group()[0]))))
+            assert covered == list(range(len(character_table(H.as_group()))))
             assert [o.representative for o in orbits] == sorted(min(o.orbit) for o in orbits)
             for rep, orbit, stabilizer in orbits:
                 assert {irr_action(G, H, g, tau) for g in G.elements() for tau in orbit} == orbit
                 assert all(irr_action(G, H, g, rep) == rep for g in stabilizer.members)
                 assert len(orbit) * stabilizer.order == G.order
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 12, 30, 60, 105, 128, 210, 256, 360])
+def test_dihedral_subgroup_counts_match_closed_forms(n):
+    """D_2n has tau(n) + sigma(n) subgroups: one cyclic <r^d> per divisor d,
+    and d dihedral <r^d, r^i s> per divisor d.  Those make
+    tau(n) + tau_odd(n) + 2 tau_even(n) conjugacy classes, as the dihedral
+    ones of even d split into two classes (K. Conrad, Dihedral groups II),
+    and coefficient 0 of the global generator series counts the classes."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    odd = sum(d % 2 for d in divisors)
+    G = dihedral(n)
+    assert len(G.all_subgroups()) == len(divisors) + sum(divisors)
+    classes = len(divisors) + odd + 2 * (len(divisors) - odd)
+    assert len(G.subgroup_conjugacy_classes()) == classes
+    total, _ = global_generator_series(G, 20)
+    assert total.coefficients[0] == classes

@@ -19,7 +19,7 @@ from conftest import (S3_GENS, S4_GENS, brute_automorphisms, conj, dihedral, dir
 def rho_indices_z4(z4_pair):
     """Indices of 1, rho, rho^2, rho^3 in the table of the rotation subgroup."""
     G, A = z4_pair
-    Agrp, _ = A.as_group()
+    Agrp = A.as_group()
     ta = character_table(Agrp)
     a_loc = next(x for x in Agrp.elements() if Agrp.element_order(x) == 4)
     by_value = {}
@@ -32,7 +32,7 @@ def rho_indices_z4(z4_pair):
 
 def test_inner_elements_act_trivially(pairs):
     for name, G, A in pairs:
-        Agrp, _ = A.as_group()
+        Agrp = A.as_group()
         r = len(character_table(Agrp).rows)
         for a in A.members:
             for tau in range(r):
@@ -55,7 +55,7 @@ def test_d2p_reflection_inverts_characters():
         G = dihedral(p)
         a, b = G.generators
         A = G.subgroup([a])
-        Agrp, _ = A.as_group()
+        Agrp = A.as_group()
         ta = character_table(Agrp)
         a_loc = A.retract(a)
         exponent_of = {}
@@ -73,7 +73,7 @@ def test_action_axioms_exhaustive(pairs):
     for name, G, A in pairs:
         if G.order > 16:
             continue
-        Agrp, _ = A.as_group()
+        Agrp = A.as_group()
         r = len(character_table(Agrp).rows)
         for tau in range(r):
             assert irr_action(G, A, 0, tau) == tau
@@ -188,7 +188,7 @@ def test_extension_exists_answers_a_moved_character(d8):
 
 def test_extension_fails_for_q8_center(q8):
     G, Z = q8
-    Zgrp, _ = Z.as_group()
+    Zgrp = Z.as_group()
     ta = character_table(Zgrp)
     eps = next(i for i, row in enumerate(ta.rows)
                if row.values[1].rational() == -1)
@@ -299,7 +299,7 @@ def _reference_irr_permutations(G, A):
     reference: every row of A's table pulled back along one conjugation map
     per coset of A in N_G(A), a -> row(conj_map[a]) on each class
     representative a, and found among the rows by its values."""
-    Agrp = A.as_group()[0]
+    Agrp = A.as_group()
     table = character_table(Agrp)
     rows = [row.values for row in table.rows]
     return {c: tuple(rows.index(tuple(row(conj_map[cls[0]]) for cls in Agrp.conjugacy_classes()))
@@ -382,7 +382,7 @@ def test_obstruction_cocycle_evaluates_det_once_per_class(name, pairs, monkeypat
     recs = orbit_decomposition(G, A)
     assert per_cocycle == [0] * len(recs) and recs
     # the wrapper sees a direct call, as it would the old per-class route's
-    table_a = character_table(A.as_group()[0])
+    table_a = character_table(A.as_group())
     characters.determinant_character_value(table_a.rows[-1], 0)
     assert len(calls) == 1
 
@@ -530,7 +530,7 @@ def _cycle_types(profile):
 @given(st.sampled_from(sorted(_PAIRS)), st.integers(0, 2 ** 32))
 def test_conjugation_action_under_relabelling(name, seed):
     G, A = _relabelled_pair(name, seed)
-    Agrp, _ = A.as_group()
+    Agrp = A.as_group()
     coset_of, _, maps = G.conjugation_action(A)
     # every g in N_G(A), not only the coset minima, acts on A's classes by its
     # coset's map
@@ -604,7 +604,7 @@ def test_multiplicities_check_every_value(fault, monkeypatch):
 from isotypic.characters import restrict  # noqa: E402
 from isotypic.repmatrices import obstruction_cocycle, stabilizer_of_character  # noqa: E402
 
-from conftest import S3_GENS, S4_GENS, benchmark_pool, direct_product  # noqa: E402
+from conftest import S3_GENS, S4_GENS, benchmark_pool, direct_product, pool_pair  # noqa: E402
 
 
 def _reference_extension_exists(G_rho, A, rho):
@@ -614,11 +614,11 @@ def _reference_extension_exists(G_rho, A, rho):
     and restricts to it exactly.
     """
     G = G_rho.parent
-    Agrp, _ = A.as_group()
+    Agrp = A.as_group()
     table_a = character_table(Agrp)
     chi_rho = table_a.rows[rho]
     assert set(G_rho.members) <= set(stabilizer_of_character(G, A, chi_rho).members)
-    Sgrp, _ = G_rho.as_group()
+    Sgrp = G_rho.as_group()
     A_in_s = Sgrp.subgroup_from_members([G_rho.retract(a) for a in A.members])
     table_s = character_table(Sgrp)
     d = table_a.degrees[rho]
@@ -676,30 +676,25 @@ def test_extension_criterion_matches_the_stabilizer_table():
     assert sorted(outcomes["Q8"]) == sorted(outcomes["Q8/center"]) == [False, True]
 
 
-def _pool_pair(spec):
-    """G and its normal subgroup A from a benchmark pool GroupSpec."""
-    G = group_from_generators(spec.degree, list(spec.gens) + list(spec.normal_gens),
-                              name=spec.name)
-    return G, G.subgroup(G.generators[len(spec.gens):])
-
-
 def test_extension_contract_holds_on_every_row():
     """extension_exists(G, A, rho) answers for every row of A's table, the
     rows G moves included: it equals the oracle on irr_stabilizer(G, A, rho)
     for every catalog and benchmark pool pair, and on the catalog pairs
-    obstruction_cocycle works on that same stabilizer."""
+    obstruction_cocycle works on that same stabilizer: its section lifts
+    the [G_rho : A] cosets of A in it."""
     cases = [(name, G, A, True) for name, G, A in catalog_pairs()]
-    cases += [(name, *_pool_pair(spec), False) for name, spec in benchmark_pool().items()]
+    cases += [(name, *pool_pair(spec), False) for name, spec in benchmark_pool().items()]
     moved = 0
     for name, G, A, catalog in cases:
-        for rho in range(len(character_table(A.as_group()[0]))):
+        for rho in range(len(character_table(A.as_group()))):
             stabilizer = irr_stabilizer(G, A, rho)
             moved += stabilizer.order < G.order
             assert extension_exists(G, A, rho) == _reference_extension_exists(
                 stabilizer, A, rho), (name, rho)
             if catalog:
-                assert obstruction_cocycle(G, A, rho).stabilizer.members == \
-                    stabilizer.members, (name, rho)
+                rec = obstruction_cocycle(G, A, rho)
+                assert rec.quotient.order * A.order == stabilizer.order, (name, rho)
+                assert all(g in stabilizer for g in rec.section), (name, rho)
     assert moved
 
 
@@ -709,7 +704,7 @@ def test_pullback_inflates_irr_of_the_quotient():
     bijection of Irr(G/A) onto the rows of Irr(G) with A in their kernel.
     Checked for every catalog and benchmark pool pair."""
     cases = [(name, G, A) for name, G, A in catalog_pairs()]
-    cases += [(name, *_pool_pair(spec)) for name, spec in benchmark_pool().items()]
+    cases += [(name, *pool_pair(spec)) for name, spec in benchmark_pool().items()]
     for name, G, A in cases:
         Q, section = G.quotient(A)
         coset_of = G.conjugation_action(A).coset_of
@@ -732,7 +727,7 @@ def test_extension_exists_decides_on_the_whole_stabilizer(q8):
     character extends to V4."""
     G, Z = q8
     i4 = G.subgroup([next(g for g in G.elements() if G.element_order(g) == 4)])
-    table_z = character_table(Z.as_group()[0])
+    table_z = character_table(Z.as_group())
     for rho in range(2):
         assert stabilizer_of_character(G, Z, table_z.rows[rho]).order == 8
     sign = next(i for i, row in enumerate(table_z.rows) if row.values[1].rational() == -1)
@@ -753,11 +748,11 @@ def test_extension_exists_rejects_a_non_normal_subgroup():
 
 def test_orbit_decomposition_builds_one_stabilizer_per_orbit(monkeypatch):
     """Each orbit's stabilizer is read off its coset images once, by the
-    irr_stabilizer call of its obstruction_cocycle, and the record holds
-    the obstruction's.  Over the two orbits of S4 on Irr(V4) that is one
-    irr_stabilizer call per orbit representative, no
-    stabilizer_of_character or minimal_generators call is made, and no
-    character table but those of G and A is built."""
+    irr_stabilizer call of irr_orbits, and the record holds it;
+    obstruction_cocycle reads Q_rho off G/A and builds none.  Over the two
+    orbits of S4 on Irr(V4) that is one irr_stabilizer call per orbit
+    representative, no stabilizer_of_character or minimal_generators call
+    is made, and no character table but those of G and A is built."""
     calls, tables = {"stab": 0, "gens": 0}, set()
     stabilizers = _counting(monkeypatch, orbits, "irr_stabilizer")
     original_stab = repmatrices.stabilizer_of_character
@@ -786,6 +781,54 @@ def test_orbit_decomposition_builds_one_stabilizer_per_orbit(monkeypatch):
     assert len(recs) == 2
     assert calls == {"stab": 0, "gens": 0}
     assert [tau for _, _, tau in stabilizers] == [rec.representative for rec in recs]
-    assert tables == {G, V4.as_group()[0]}
+    assert tables == {G, V4.as_group()}
+    assert [rec.stabilizer.members for rec in recs] == \
+        [orbit.stabilizer.members for orbit in irr_orbits(G, V4)]
+    del stabilizers[:]
     for rec in recs:
-        assert rec.stabilizer is rec.obstruction.stabilizer
+        obstruction_cocycle(G, V4, rec.representative)
+    assert not stabilizers
+
+
+# -- sum of squared multiplicities over an orbit ---------------------------------------------
+
+
+def test_squared_multiplicities_sum_to_the_quotient_order():
+    """sum over chi of e_chi^2 = <Ind rho, Ind rho> = |G_rho/A| on every
+    orbit of every catalog and benchmark pool pair, and the report, which
+    checks it, is consistent there."""
+    cases = [(name, G, A) for name, G, A in catalog_pairs()]
+    cases += [(name, *pool_pair(spec)) for name, spec in benchmark_pool().items()]
+    for name, G, A in cases:
+        report = k_decomposition_report(G, A)
+        assert report.consistent and not report.discrepancies, name
+        for rec in report.records:
+            assert sum(e * e for e in multiplicities(G, A, rec.representative)) == \
+                rec.obstruction.quotient.order, (name, rec.representative)
+
+
+def test_a_wrong_multiplicity_is_a_discrepancy(monkeypatch, capsys):
+    """Doubling the first nonzero e_chi of S4 over V4's trivial row keeps
+    every count and the lying-over sets, but breaks sum e_chi^2 =
+    |S4/V4| = 6: the report records it as its one discrepancy, and the CLI
+    exits 5."""
+    from isotypic.cli import main
+    G, V4 = build_catalog_group("S4")
+    trivial = character_table(V4.as_group()).trivial_index()
+    original = orbits.multiplicities
+
+    def doubled(G, A, tau):
+        column = original(G, A, tau)
+        if tau != trivial:
+            return column
+        i = next(i for i, e in enumerate(column) if e)
+        return column[:i] + (2 * column[i],) + column[i + 1:]
+
+    monkeypatch.setattr(orbits, "multiplicities", doubled)
+    report = k_decomposition_report(G, V4)
+    assert not report.consistent
+    assert report.total_irr_g == report.sum_of_counts
+    assert report.discrepancies == [
+        "orbit of %d: sum of squared multiplicities 9 != |Q_rho| 6" % trivial]
+    assert main(["clifford", "catalog:S4"]) == 5
+    assert "consistent: False" in capsys.readouterr().out

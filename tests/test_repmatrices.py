@@ -16,12 +16,14 @@ from isotypic.errors import (CapExceeded, NonScalar, NotNormal, NumericalDegener
                              SnapFailure, SplitFailure)
 from isotypic.groups import FiniteGroup, group_from_generators
 from isotypic import repmatrices
-from isotypic.orbits import irr_orbits, k_decomposition_report, orbit_decomposition
+from isotypic.orbits import (irr_orbits, irr_stabilizer, k_decomposition_report,
+                             orbit_decomposition)
 from isotypic.repmatrices import (SNAP_TOL, TOL, _check_rep, _det_normalize, _within,
                                   check_cocycle, intertwiner, matrix_irreps,
                                   obstruction_cocycle, stabilizer_of_character)
 
-from conftest import S3_GENS, S4_GENS, dihedral, direct_product, plain_index, relabelled_group
+from conftest import (S3_GENS, S4_GENS, benchmark_pool, dihedral, direct_product, plain_index,
+                      pool_pair, relabelled_group)
 
 
 def _all_irreps(G):
@@ -263,7 +265,8 @@ def test_intertwiner_self_is_scalar(d8):
 
 def test_intertwiner_between_conjugate_linear_reps(d8):
     G, A = d8
-    Agrp, embed = A.as_group()
+    Agrp = A.as_group()
+    embed = A.members
     reps = _all_irreps(Agrp)
     a_loc = next(x for x in Agrp.elements() if Agrp.element_order(x) == 4)
     rho = next(r for r in reps if r.character(a_loc) == Cyclotomic.root_of_unity(4, 1))
@@ -279,7 +282,7 @@ def test_intertwiner_between_conjugate_linear_reps(d8):
 
 def test_stabilizer_of_character(d8):
     G, A = d8
-    Agrp, _ = A.as_group()
+    Agrp = A.as_group()
     ta = character_table(Agrp)
     a_loc = next(x for x in Agrp.elements() if Agrp.element_order(x) == 4)
     rho = next(r for r in ta.rows if r(a_loc) == Cyclotomic.root_of_unity(4, 1))
@@ -290,7 +293,8 @@ def test_stabilizer_of_character(d8):
 
 def _conjugated_values(G, A, chi, g):
     """Values of (g . chi)(a) = chi(g^-1 a g) in A-class order."""
-    Agrp, embed = A.as_group()
+    Agrp = A.as_group()
+    embed = A.members
     ginv = G.inv(g)
     vals = []
     for cls in Agrp.conjugacy_classes():
@@ -302,7 +306,7 @@ def _conjugated_values(G, A, chi, g):
 def test_stabilizer_of_character_equals_full_scan(pairs):
     """One test per coset of A gives the stabilizer a scan of all of G gives."""
     for name, G, A in pairs:
-        Agrp, _ = A.as_group()
+        Agrp = A.as_group()
         for chi in character_table(Agrp).rows:
             full = tuple(g for g in G.elements()
                          if _conjugated_values(G, A, chi, g) == chi.values)
@@ -312,26 +316,26 @@ def test_stabilizer_of_character_equals_full_scan(pairs):
 def _obstruction_for(G, A, predicate):
     """The obstruction record of the first row of A's table that predicate
     accepts."""
-    rows = character_table(A.as_group()[0]).rows
+    rows = character_table(A.as_group()).rows
     return obstruction_cocycle(G, A, next(i for i, chi in enumerate(rows) if predicate(chi)))
 
 
 def test_d8_rho2_extends(d8):
     G, A = d8
-    Agrp, _ = A.as_group()
+    Agrp = A.as_group()
     a_loc = next(x for x in Agrp.elements() if Agrp.element_order(x) == 4)
     rec = _obstruction_for(G, A, lambda chi: chi(a_loc) == Cyclotomic.from_rational(4, -1))
-    assert rec.stabilizer.order == 8
+    assert rec.section == G.conjugation_action(A).reps  # G_rho = G
     assert rec.quotient.order == 2
     assert rec.trivial, "rho^2 extends: a -> -1, b -> 1 is an extension"
 
 
 def test_d8_rho_has_trivial_quotient(d8):
     G, A = d8
-    Agrp, _ = A.as_group()
+    Agrp = A.as_group()
     a_loc = next(x for x in Agrp.elements() if Agrp.element_order(x) == 4)
     rec = _obstruction_for(G, A, lambda chi: chi(a_loc) == Cyclotomic.root_of_unity(4, 1))
-    assert rec.stabilizer.members == A.members
+    assert rec.section == (0,)  # G_rho = A
     assert rec.quotient.order == 1
     assert rec.omega == ((0,),)
     assert rec.trivial
@@ -339,7 +343,7 @@ def test_d8_rho_has_trivial_quotient(d8):
 
 def test_q8_center_obstruction_nontrivial(q8):
     G, Z = q8
-    Zgrp, _ = Z.as_group()
+    Zgrp = Z.as_group()
     rec = _obstruction_for(G, Z, lambda chi: chi.values[1].rational() == -1)
     assert rec.quotient.order == 4
     assert not rec.trivial
@@ -399,7 +403,7 @@ def _float_orbits(G, A):
     """(row, stabilizer, matrix model) of every orbit of G on Irr(A) with
     rho(1) >= 2 and G_rho/A nontrivial, the models built before the call
     returns."""
-    Agrp, _ = A.as_group()
+    Agrp = A.as_group()
     degrees = character_table(Agrp).degrees
     return [(rho, stab, matrix_irreps(Agrp, [rho])[0]) for rho, _, stab in irr_orbits(G, A)
             if degrees[rho] > 1 and stab.order > A.order]
@@ -531,7 +535,7 @@ def test_obstruction_rejects_a_non_normal_subgroup_before_float_work(monkeypatch
     d8 = next(H for H in S4.all_subgroups() if H.order == 8)
     for G, H in [(S3, S3.subgroup([S3.generators[1]])), (S4, d8)]:
         assert not G.is_normal(H)
-        for rho in range(len(character_table(H.as_group()[0]))):
+        for rho in range(len(character_table(H.as_group()))):
             with pytest.raises(NotNormal):
                 obstruction_cocycle(G, H, rho)
 
@@ -571,11 +575,12 @@ def _float_obstruction_reference(G_rho, A, rho):
     """(omega, modulus) by the float route obstruction_cocycle once took on
     every orbit: intertwiners, det normalisation and snapping, with Q built
     as a quotient of the materialized G_rho.  Kept as written then."""
-    Agrp, _ = A.as_group()
+    Agrp = A.as_group()
     G = G_rho.parent
     d = rho.dimension
 
-    Sgrp, sembed = G_rho.as_group()
+    Sgrp = G_rho.as_group()
+    sembed = G_rho.members
     A_in_s = Sgrp.subgroup_from_members([G_rho.retract(a) for a in A.members])
     Q, qsection = Sgrp.quotient(A_in_s)
     m = Q.order
@@ -645,7 +650,7 @@ def test_exact_linear_cocycle_equals_the_float_snapped_one(pairs):
     them."""
     compared = set()
     for name, G, A in _linear_cocycle_pairs(pairs):
-        Agrp, _ = A.as_group()
+        Agrp = A.as_group()
         table_a = character_table(Agrp)
         orbits = [(rep, stab) for rep, _, stab in irr_orbits(G, A)
                   if table_a.degrees[rep] == 1 and stab.order > A.order]
@@ -711,6 +716,43 @@ def test_stabilizer_quotients_are_the_part_of_g_mod_a_in_the_stabilizer(pairs):
     assert checked == 94
 
 
+def _reference_coset_quotient(H, A):
+    """(H/A, section) for A normal in G = H.parent and H a union of cosets
+    of A: the builder obstruction_cocycle once applied to the stabilizer
+    G_rho, kept as written then.  The section is the coset lifts of
+    G.conjugation_action(A) that lie in H."""
+    G = H.parent
+    rows = G._rows
+    coset_of, reps, _ = G.conjugation_action(A)
+    section = tuple(n for n in reps if n in H)
+    pos = {coset_of[n]: q for q, n in enumerate(section)}
+    table = [[pos[coset_of[rows[x][y]]] for y in section] for x in section]
+    return FiniteGroup(table, name="%s/%d" % (G.name, A.order), check=False), section
+
+
+def test_stabilizer_in_g_mod_a_equals_the_stabilizer_quotient(pairs):
+    """For every row rho of A's table, not only orbit representatives, of
+    every catalog and benchmark pool pair: obstruction_cocycle's Q_rho, read
+    as the stabilizer of rho in G/A, has the table and the section of
+    G_rho/A built from irr_stabilizer(G, A, rho) by the reference builder,
+    and its omega and modulus are those of the float reference on that
+    stabilizer."""
+    cases = list(pairs) + [(name, *pool_pair(spec)) for name, spec in benchmark_pool().items()]
+    nontrivial = 0
+    for name, G, A in cases:
+        Agrp = A.as_group()
+        for rho in range(len(character_table(Agrp))):
+            stab = irr_stabilizer(G, A, rho)
+            Q, section = _reference_coset_quotient(stab, A)
+            rec = obstruction_cocycle(G, A, rho)
+            assert rec.quotient._rows == Q._rows, (name, rho)
+            assert rec.section == section, (name, rho)
+            expected = _float_obstruction_reference(stab, A, matrix_irreps(Agrp, [rho])[0])
+            assert (rec.omega, rec.modulus) == expected, (name, rho)
+            nontrivial += Q.order > 1
+    assert nontrivial
+
+
 def test_obstruction_models_only_the_row_it_reads(pairs, monkeypatch):
     """Each obstruction builds the matrix model of its own row, and only
     where rho(1) >= 2 and G_rho/A is nontrivial.  S5 over A5 (degrees 1, 3,
@@ -731,7 +773,7 @@ def test_obstruction_models_only_the_row_it_reads(pairs, monkeypatch):
             monkeypatch.setattr(module, "matrix_irreps", recording)
     S5 = _s5()
     A5 = _a5(S5)
-    A5grp, _ = A5.as_group()
+    A5grp = A5.as_group()
     degrees = character_table(A5grp).degrees
     assert degrees == (1, 3, 3, 4, 5)
     orbit_decomposition(S5, A5)
@@ -739,7 +781,7 @@ def test_obstruction_models_only_the_row_it_reads(pairs, monkeypatch):
 
     del calls[:]
     _, G, A = next(p for p in pairs if p[0] == "S4/A4")
-    Agrp, _ = A.as_group()
+    Agrp = A.as_group()
     table_a = character_table(Agrp)
     for rho, _, stab in irr_orbits(G, A):
         rec = obstruction_cocycle(G, A, rho)

@@ -126,6 +126,7 @@ ALLOWED_OPERATORS = {
     "Cyclotomic.__mul__": "acceptance criterion 1 multiplies character values, and it is "
                           "the benchmark span cyclotomic.mul (perfbench/spans.py)",
     "PowerSeries.__mul__": "acceptance criterion 8 forms the product generating function",
+    "Subgroup.__contains__": "acceptance criterion 2 picks a reflection outside A with it",
 }
 
 # constructors run wherever their class is used; __repr__ serves messages
