@@ -54,7 +54,7 @@ class ClassFunction:
         function's group that takes conjugates to conjugates: an inclusion
         (``restrict``), a conjugation map of ``FiniteGroup.conjugation_action``
         or a quotient map, which pulls a character of G/A back to G."""
-        values, class_of = self.values, self.group._class_of  # set: __init__ read the classes
+        values, class_of = self.values, self.group.class_of
         return ClassFunction(H, [values[class_of[image(cls[0])]]
                                  for cls in H.conjugacy_classes()])
 
@@ -105,7 +105,7 @@ class CharacterTable:
         the group given by element images (a map of ``conjugation_action``):
         the row whose value on every class c is row i's value on the class
         of aut[g_c], g_c its representative; KeyError if one is no row."""
-        class_of, row_of = self.group._class_of, self._row_of
+        class_of, row_of = self.group.class_of, self._row_of
         class_perm = [class_of[aut[g]] for g in self.class_reps]
         return tuple([row_of[tuple([row[k] for k in class_perm])] for row in self.codes])
 
@@ -286,7 +286,7 @@ def _primitive_root(q: int) -> int:
 
 def _class_matrix(G: FiniteGroup, classes, i: int) -> np.ndarray:
     """(A_i)[j][k] = #{x in C_i : x^-1 z_k in C_j} for a fixed z_k in C_k."""
-    rows, class_of = G._rows, G._class_of
+    rows, class_of = G._rows, G.class_of
     inverses = [G._inv[x] for x in classes[i]]
     columns = []
     for cls in classes:
@@ -448,7 +448,7 @@ def _dixon_schneider(G: FiniteGroup) -> list[tuple[list[Cyclotomic], list[tuple[
 
     # v = |C_i| chi(g_i) / d: d^2 * sum_i v_i v_(i^-1) / |C_i| = |G|
     inv_sizes = np.array([pow(len(c), -1, q) for c in classes], dtype=np.int64)
-    class_of = G._class_of
+    class_of = G.class_of
     inv_class = [class_of[G.inv(c[0])] for c in classes]
     V = np.array([B[0] for B, _ in subspaces], dtype=np.int64)
     degrees = []

@@ -10,9 +10,15 @@ Conventions used throughout the package:
     always comes first, and a coset's minimum is its lift,
   * the one table of the cosets of H is ``FiniteGroup.conjugation_action(H)``,
     which every transversal (the quotient, coset G-sets, induction) reads;
-    ``FiniteGroup.quotient`` is the one quotient builder, and a quotient's
-    subgroups (the Q_rho of the obstruction cocycle) are materialized like
-    any subgroup, by ``Subgroup.as_group``, whose element i is members[i],
+    ``FiniteGroup.quotient`` is the one quotient builder, cached per
+    normal subgroup like the coset table, and a quotient's subgroups (the
+    Q_rho of the obstruction cocycle) are materialized like any subgroup,
+    by ``Subgroup.as_group``, whose element i is members[i],
+  * a group's derived data is built on first use and held once, on the
+    group: the class partition is the public list ``FiniteGroup.class_of``
+    (each element's class number), which every class-function reader
+    indexes, and the classes, exponent and subgroup classes are cached
+    properties read through their methods,
   * subgroups are enumerated once, class by class, by
     ``FiniteGroup.subgroup_conjugacy_classes``, which extends only class
     representatives H, by one g per double coset H g^k H (k prime to the
@@ -33,7 +39,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, ClosureOverflow, InvalidPermutation, NotNormal
 
@@ -48,9 +54,11 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     Immutable after construction; any number of readers may share an
-    instance.  Derived data (classes, exponent, subgroup classes,
-    conjugation actions, character table, and the orbits module's actions on
-    Irr(H) and restriction multiplicities) is cached lazily on the instance.
+    instance.  Derived data is built on first use and cached on the
+    instance: the class partition ``class_of``, the classes, the exponent
+    and the subgroup classes as cached properties; the character table;
+    and, per member set of a subgroup, the conjugation action, the quotient
+    and the orbits module's action on Irr(H) and restriction multiplicities.
     The table is kept once, as nested Python lists (``_rows``, with ``_inv``);
     a group closed from permutations keeps no permutation, only each given
     generator's element index (``generators``, else empty).  Only a table
@@ -81,12 +89,9 @@ class FiniteGroup:
                 inv[y] = x
         self._inv: list[int] = inv
         self.generators: tuple[int, ...] = ()  # set by group_from_generators
-        self._exponent: Optional[int] = None
-        self._classes: Optional[list[tuple[int, ...]]] = None
-        self._class_of: Optional[list[int]] = None
-        self._subgroup_classes: Optional[list[list["Subgroup"]]] = None
         self._subgroup_cache: dict[tuple[int, ...], "FiniteGroup"] = {}
         self._conjugation: dict[tuple[int, ...], CosetTable] = {}
+        self._quotients: dict[tuple[int, ...], tuple["FiniteGroup", tuple[int, ...]]] = {}
         self._irr_permutations: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
         # member set of H -> (Irr(G) restricted to H, {rho: multiplicity column})
         self._multiplicities: dict[tuple[int, ...], tuple[list, dict[int, tuple[int, ...]]]] = {}
@@ -113,13 +118,11 @@ class FiniteGroup:
     def element_order(self, g: int) -> int:
         return len(self.powers(g))
 
-    @property
+    @cached_property
     def exponent(self) -> int:
         """The lcm of the element orders, read off the class representatives
         (conjugate elements have equal orders)."""
-        if self._exponent is None:
-            self._exponent = lcm(*(self.element_order(c[0]) for c in self.conjugacy_classes()))
-        return self._exponent
+        return lcm(*(self.element_order(c[0]) for c in self.conjugacy_classes()))
 
     @property
     def is_abelian(self) -> bool:
@@ -128,27 +131,30 @@ class FiniteGroup:
 
     # -- conjugacy classes ----------------------------------------------------
 
-    def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        """Partition of the elements into conjugacy classes.
+    @cached_property
+    def class_of(self) -> list[int]:
+        """Each element's class number: the conjugacy classes numbered by
+        ``_partition``, so the class of the identity is 0."""
+        rows, inv, n = self._rows, self._inv, self.order
+        return _partition(range(n), lambda g: {
+            rows[rows[x][g]][inv[x]] for x in range(n)})[0]
 
-        Classes are sorted tuples, numbered by ``_partition``; the class of
-        the identity is first.
-        """
-        if self._classes is None:
-            rows, inv, n = self._rows, self._inv, self.order
-            class_of, reps = _partition(range(n), lambda g: {
-                rows[rows[x][g]][inv[x]] for x in range(n)})
-            classes: list[list[int]] = [[] for _ in reps]
-            for g, c in enumerate(class_of):
-                classes[c].append(g)
-            self._classes = list(map(tuple, classes))
-            self._class_of = class_of
+    def conjugacy_classes(self) -> list[tuple[int, ...]]:
+        """Partition of the elements into conjugacy classes: class c is the
+        sorted tuple of the g with ``class_of[g] == c``, so the class of the
+        identity is first."""
         return self._classes
 
+    @cached_property
+    def _classes(self) -> list[tuple[int, ...]]:
+        """The classes, read off ``class_of``."""
+        classes: list[list[int]] = [[] for _ in range(max(self.class_of) + 1)]
+        for g, c in enumerate(self.class_of):
+            classes[c].append(g)
+        return list(map(tuple, classes))
+
     def class_index(self, g: int) -> int:
-        self.conjugacy_classes()
-        assert self._class_of is not None
-        return self._class_of[g]
+        return self.class_of[g]
 
     # -- subgroups -------------------------------------------------------------
 
@@ -212,18 +218,23 @@ class FiniteGroup:
         unless A is a normal subgroup of G.
 
         Element q of G/A is coset q of ``conjugation_action(A)`` and lifts[q]
-        its minimal element; cosets multiply through their lifts.
-        obstruction_cocycle reads each Q_rho = G_rho/A off it as a subgroup.
+        its minimal element; cosets multiply through their lifts.  Cached per
+        member set, so obstruction_cocycle reads each Q_rho = G_rho/A off one
+        G/A as a subgroup, and equal stabilizers share one Q_rho.  The checks
+        run on every call: another group's subgroup may have A's members.
         """
         if A.parent is not self:
             raise NotNormal("subgroup does not live in this group")
         if not self.is_normal(A):
             raise NotNormal("subgroup is not normal")
-        rows = self._rows
-        coset_of, lifts, _ = self.conjugation_action(A)
-        table = [[coset_of[rows[x][y]] for y in lifts] for x in lifts]
-        # unchecked: A is normal, so the coset products form the group G/A
-        return FiniteGroup(table, name="%s/%d" % (self.name, A.order), check=False), lifts
+        if A.members not in self._quotients:
+            rows = self._rows
+            coset_of, lifts, _ = self.conjugation_action(A)
+            table = [[coset_of[rows[x][y]] for y in lifts] for x in lifts]
+            # unchecked: A is normal, so the coset products form the group G/A
+            self._quotients[A.members] = FiniteGroup(
+                table, name="%s/%d" % (self.name, A.order), check=False), lifts
+        return self._quotients[A.members]
 
     def all_subgroups(self) -> list["Subgroup"]:
         """Every subgroup, sorted by (order, members): the flattened
@@ -253,54 +264,58 @@ class FiniteGroup:
         ``SUBGROUP_CAP`` already known.  Cached only when complete; every
         call returns fresh lists.
         """
-        if self._subgroup_classes is None:
-            rows, inv = self._rows, self._inv
-            classes, class_of = self.conjugacy_classes(), self._class_of
-            gens = minimal_generators(self, self.elements())
-            known = {(0,)}
-            orbits = [[(0,)]]
-            built_by = {(0,): ()}  # each class representative's generators
-            for cls in orbits:  # orbits grows while it is scanned
-                mem = cls[0]
-                done = set(mem)  # H and every double coset H g^k H extended so far
-                for g in self.elements():
-                    if g in done:
-                        continue
-                    powers = self.powers(g)
-                    for k, y in enumerate(powers):
-                        if y in done or gcd(k, len(powers)) != 1:
-                            continue
-                        if len(cls) == 1:
-                            # H is normal: H y H = yH, and <H, x y x^-1> = x <H, y> x^-1
-                            # lies in the class <H, y> opens, so mark every xyx^-1 H too
-                            for c in classes[class_of[y]]:
-                                if c not in done:
-                                    done.update([rows[c][h] for h in mem])
-                            continue
-                        for z in mem:  # H y H as the union of the right cosets H y z
-                            yz = rows[y][z]
-                            if yz not in done:
-                                done.update([rows[h][yz] for h in mem])
-                    extended = built_by[mem] + (g,)
-                    queue = [_extend(rows, mem, extended)]
-                    orbit = []
-                    for sub in queue:  # queue grows while it is scanned
-                        if sub in known:
-                            continue
-                        if len(known) > SUBGROUP_CAP:
-                            raise CapExceeded("subgroup enumeration exceeded cap %d" % SUBGROUP_CAP)
-                        known.add(sub)
-                        orbit.append(sub)
-                        for s in gens:
-                            row, si = rows[s], inv[s]
-                            queue.append(tuple(sorted([rows[row[h]][si] for h in sub])))
-                    if orbit:
-                        built_by[orbit[0]] = extended
-                        orbits.append(orbit)
-            classes = [[Subgroup(self, mem) for mem in sorted(cls)] for cls in orbits]
-            classes.sort(key=lambda c: (c[0].order, c[0].members))
-            self._subgroup_classes = classes
         return [list(c) for c in self._subgroup_classes]
+
+    @cached_property
+    def _subgroup_classes(self) -> list[list["Subgroup"]]:
+        """The enumeration of ``subgroup_conjugacy_classes``; a raise
+        caches nothing."""
+        rows, inv = self._rows, self._inv
+        classes, class_of = self.conjugacy_classes(), self.class_of
+        gens = minimal_generators(self, self.elements())
+        known = {(0,)}
+        orbits = [[(0,)]]
+        built_by = {(0,): ()}  # each class representative's generators
+        for cls in orbits:  # orbits grows while it is scanned
+            mem = cls[0]
+            done = set(mem)  # H and every double coset H g^k H extended so far
+            for g in self.elements():
+                if g in done:
+                    continue
+                powers = self.powers(g)
+                for k, y in enumerate(powers):
+                    if y in done or gcd(k, len(powers)) != 1:
+                        continue
+                    if len(cls) == 1:
+                        # H is normal: H y H = yH, and <H, x y x^-1> = x <H, y> x^-1
+                        # lies in the class <H, y> opens, so mark every xyx^-1 H too
+                        for c in classes[class_of[y]]:
+                            if c not in done:
+                                done.update([rows[c][h] for h in mem])
+                        continue
+                    for z in mem:  # H y H as the union of the right cosets H y z
+                        yz = rows[y][z]
+                        if yz not in done:
+                            done.update([rows[h][yz] for h in mem])
+                extended = built_by[mem] + (g,)
+                queue = [_extend(rows, mem, extended)]
+                orbit = []
+                for sub in queue:  # queue grows while it is scanned
+                    if sub in known:
+                        continue
+                    if len(known) > SUBGROUP_CAP:
+                        raise CapExceeded("subgroup enumeration exceeded cap %d" % SUBGROUP_CAP)
+                    known.add(sub)
+                    orbit.append(sub)
+                    for s in gens:
+                        row, si = rows[s], inv[s]
+                        queue.append(tuple(sorted([rows[row[h]][si] for h in sub])))
+                if orbit:
+                    built_by[orbit[0]] = extended
+                    orbits.append(orbit)
+        classes = [[Subgroup(self, mem) for mem in sorted(cls)] for cls in orbits]
+        classes.sort(key=lambda c: (c[0].order, c[0].members))
+        return classes
 
     def __repr__(self) -> str:
         return "FiniteGroup(%s, order=%d)" % (self.name, self.order)

@@ -129,8 +129,12 @@ class IrrOrbitRecord:
     stabilizer: Subgroup
     obstruction: ObstructionRecord
     lying_over: frozenset
-    twisted_count: int
     omega_regular: int
+
+    @property
+    def twisted_count(self) -> int:
+        """The number of irreducibles of G lying over the orbit."""
+        return len(self.lying_over)
 
     def to_jsonable(self, table_a: CharacterTable, values: list) -> dict:
         """The record as JSON; values[c] is the JSON object of the value
@@ -219,8 +223,7 @@ def orbit_decomposition(G: FiniteGroup, A: Subgroup) -> list:
         regular = _regular_class_count(obs.quotient, obs.omega, obs.modulus)
         records.append(IrrOrbitRecord(
             representative=rep, orbit=orbit, stabilizer=stabilizer,
-            obstruction=obs, lying_over=lying,
-            twisted_count=len(lying), omega_regular=regular))
+            obstruction=obs, lying_over=lying, omega_regular=regular))
     return records
 
 

@@ -78,10 +78,9 @@ def matrix_irreps(G: FiniteGroup, rows: Sequence[int]) -> list[MatrixRep]:
     table_array = np.array(cayley)
     # x h^-1 for every (x, h), the g with reg[g][x, h] == 1, C-ordered
     quotients = np.take(table_array, G._inv, axis=1)
-    cls_of = G._class_of  # set by the character_table call above
     reps = []
     for row, d in ((table.rows[i], table.degrees[i]) for i in rows):
-        values = np.array([v.to_complex() for v in row.values])[cls_of]
+        values = np.array([v.to_complex() for v in row.values])[G.class_of]
         if d == 1:
             reps.append(MatrixRep(G, 1, values.reshape(n, 1, 1), row))
             continue

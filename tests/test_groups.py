@@ -1,7 +1,8 @@
 import random
 import time
 import tracemalloc
-from math import lcm
+from collections import Counter
+from math import gcd, lcm
 
 import pytest
 
@@ -228,6 +229,26 @@ def test_quotient_requires_normal():
     H = G.subgroup([G.generators[1]])
     with pytest.raises(NotNormal):
         G.quotient(H)
+
+
+def test_quotient_is_cached_per_member_set_behind_the_parent_check():
+    """G.quotient(A) builds G/A once per member set: a second call, through
+    any Subgroup object with A's members, returns the same (G/A, lifts).
+    The parent and normality checks run before the cache is read, so a
+    subgroup of another group with the same member tuple still raises."""
+    index = plain_index(4, S4_GENS)
+    G = group_from_generators(4, S4_GENS, name="S4")
+    V4 = G.subgroup([index[(1, 0, 3, 2)], index[(2, 3, 0, 1)]])
+    GA, lifts = G.quotient(V4)
+    again = G.quotient(G.subgroup_from_members(V4.members))
+    assert again[0] is GA and again[1] is lifts
+    other = group_from_generators(4, S4_GENS, name="S4")
+    with pytest.raises(NotNormal, match="does not live in this group"):
+        G.quotient(other.subgroup_from_members(V4.members))
+    H = G.subgroup([G.generators[1]])
+    with pytest.raises(NotNormal, match="not normal"):
+        G.quotient(H)
+    assert G.quotient(V4)[0] is GA
 
 
 def test_direct_table_constructor_checks():
@@ -712,7 +733,8 @@ def test_closure_of_s6_time_and_memory():
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
 
-from isotypic.bordism import global_generator_series, rank_profile, weyl_cycle_types  # noqa: E402
+from isotypic.bordism import (PowerSeries, global_generator_series,  # noqa: E402
+                              omega_generator_series, rank_profile, weyl_cycle_types)
 from isotypic.characters import DEFAULT_CHARTABLE_CAP, character_table  # noqa: E402
 from isotypic.orbits import irr_action, irr_orbits  # noqa: E402
 
@@ -787,3 +809,34 @@ def test_dihedral_subgroup_counts_match_closed_forms(n):
     assert len(G.subgroup_conjugacy_classes()) == classes
     total, _ = global_generator_series(G, 20)
     assert total.coefficients[0] == classes
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 4), (4, 4), (3, 6), (6, 6), (4, 8), (12, 12),
+                                  (2, 16), (20, 30), (2, 64)])
+def test_abelian_product_subgroup_counts_match_closed_forms(m, n):
+    """Z_m x Z_n, closed from two disjoint cycles, has
+    N_k = sum gcd(a, n/b) subgroups of order k, over a | m and b | n with
+    (m/a)(n/b) = k, and sum gcd(a, b) over a | m, b | n in all (Hampejs,
+    Holighaus, Toth and Wiesmeyr, J. Numbers 2014).  Every subgroup A is
+    normal and its Weyl group fixes each of its |A| characters, so the
+    global series is sum_k N_k P^(k-1), P the omega generator series."""
+    m_divisors = [a for a in range(1, m + 1) if m % a == 0]
+    n_divisors = [b for b in range(1, n + 1) if n % b == 0]
+    expected = Counter()
+    for a in m_divisors:
+        for b in n_divisors:
+            expected[(m // a) * (n // b)] += gcd(a, n // b)
+    cycles = [[(i + 1) % m for i in range(m)] + list(range(m, m + n)),
+              list(range(m)) + [m + (i + 1) % n for i in range(n)]]
+    G = group_from_generators(m + n, cycles, name="Z%dxZ%d" % (m, n))
+    assert G.order == m * n and G.is_abelian
+    subgroups = G.all_subgroups()
+    assert Counter(s.order for s in subgroups) == expected
+    assert len(subgroups) == sum(gcd(a, b) for a in m_divisors for b in n_divisors)
+    omega = omega_generator_series(20)
+    series, power = PowerSeries.zero(20), PowerSeries.one(20)
+    for k in range(1, m * n + 1):
+        series = series + PowerSeries([expected[k] * c for c in power.coefficients])
+        power = power * omega
+    total, _ = global_generator_series(G, 20)
+    assert total.coefficients == series.coefficients

@@ -12,9 +12,10 @@ list, nor ``Cyclotomic.conjugate`` by ``dot``'s ``conjugate`` flag.  This
 name check skips dunders, which operators and built-ins call without
 naming them, and ``__init__.py``, whose imports only re-export names.
 The check still matches attributes by name alone, so a method whose name is
-shared by another attribute (``FiniteGroup.quotient`` and the ``quotient``
-field of ``ObstructionRecord``, or a ``conj`` method and numpy's
-``.conj()``) cannot be seen by it.
+shared by another attribute cannot be seen by it.  Two methods pass so with
+no src caller: ``Cyclotomic.zero``, as ``PowerSeries.zero`` is read, and
+``PowerSeries.one``, as ``Cyclotomic.one`` is read.  Both stay, because
+acceptance criteria 1 and 8 call them (``tests/test_acceptance.py``).
 
 Dunders are checked at run time instead: every one defined in src must run
 in a handful of command-line calls, traced with ``sys.setprofile``, or be
@@ -329,3 +330,29 @@ def test_cyclotomic_has_one_arithmetic_kernel():
             if isinstance(node, ast.ImportFrom):
                 named |= {alias.name for alias in node.names}
             assert not named & private, (path.name, sorted(named & private))
+
+
+def test_group_derived_data_is_read_by_name():
+    """A group's derived data is built once, in groups.py, and read by name:
+    the class partition as ``FiniteGroup.class_of``, the classes, exponent,
+    subgroup classes and quotients through their methods.  No other src
+    module names ``_class_of``, ``_classes``, ``_exponent``,
+    ``_subgroup_classes``, ``_quotients`` or any private cached property of
+    FiniteGroup, as a name, an attribute or an import."""
+    tree = ast.parse((SRC / "groups.py").read_text())
+    group = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "FiniteGroup")
+    private = {"_class_of", "_classes", "_exponent", "_subgroup_classes", "_quotients"}
+    private |= {f.name for f in group.body if isinstance(f, ast.FunctionDef)
+                and f.name.startswith("_")
+                and any(getattr(d, "id", None) == "cached_property" for d in f.decorator_list)}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "groups.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                named |= {alias.name for alias in node.names}
+            found |= {(path.name, name) for name in named & private}
+    assert not found, sorted(found)
